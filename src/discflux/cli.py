@@ -392,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cell-budget", type=int, default=germ_mod.DEFAULT_CELL_BUDGET,
                         help="refuse epsilon sweeps needing more cells than this")
     common.add_argument("--quiet", action="store_true", help="suppress per-check lines")
+    common.add_argument("--debug", action="store_true",
+                        help="re-raise errors with their traceback instead of one error line")
 
     sub = parser.add_subparsers(dest="command")
     helps = {
@@ -427,11 +429,13 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.debug:
+            raise
+        if isinstance(exc, ScenarioError):
+            print(f"scenario error: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -8,7 +8,8 @@ against the leading shape, results have the broadcast leading shape.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -46,23 +47,66 @@ class SmoothingProfile:
 DEFAULT_PROFILE = SmoothingProfile()
 
 
+def horner(u, coeffs):
+    """sum_j coeffs[j] u^j in numpy.polynomial.polynomial.polyval's operation
+    order, so finite states give its results bit for bit (its first term,
+    coeffs[-1] + u * 0, is coeffs[-1] for them)."""
+    out = coeffs[-1] + u * 0 if len(coeffs) == 1 else coeffs[-2] + coeffs[-1] * u
+    for c in coeffs[-3::-1]:
+        out = c + out * u
+    return out
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """f(x, lam) = m(x) * sum_j coeffs[j] lam^j with the affine modulation
+    m(x) = mod[0] + sum_k mod[1 + k] x_k, or m = 1 when it is None.  Equal
+    descriptions are one coefficient field: the solver and the speed bounds
+    merge identical side components by hashing this."""
+
+    coeffs: tuple[float, ...]
+    modulation: tuple[float, ...] | None = None
+
+    @cached_property
+    def dcoeffs(self) -> tuple[float, ...]:
+        return tuple(j * c for j, c in enumerate(self.coeffs))[1:] or (0.0,)
+
+    def modulation_at(self, x):
+        """m(x) on points (..., d); None without modulation."""
+        if self.modulation is not None:
+            return self.modulation[0] + np.asarray(x, dtype=float) @ np.asarray(self.modulation[1:])
+
+    def _times_m(self, x, v):
+        m = self.modulation_at(x)
+        return v if m is None else m * v
+
+    def value(self, x, lam):
+        return self._times_m(x, horner(np.asarray(lam, dtype=float), self.coeffs))
+
+    def lambda_derivative(self, x, lam):
+        return self._times_m(x, horner(np.asarray(lam, dtype=float), self.dcoeffs))
+
+    def mixed_derivative(self, x, lam, axis: int):
+        p = horner(np.asarray(lam, dtype=float), self.dcoeffs)
+        if self.modulation is None:
+            return np.zeros(np.broadcast(np.asarray(x)[..., 0], p).shape)
+        return self.modulation[1 + axis] * np.ones(np.asarray(x)[..., 0].shape) * p
+
+
 @dataclass(frozen=True)
 class FluxComponent:
     """One directional component f_k(x, lam) of a flux, with its state
     derivative and (optionally) the mixed x-state derivative.
 
-    poly_lambda / x_modulation are metadata set by the polynomial family so
-    hot loops can cache the spatial factor; generic components leave them
-    None.
+    poly is set by the polynomial family: the solver and the speed bounds
+    then work on its coefficients.  Generic components leave it None.
     """
 
     axis: int
     value: Callable
     lambda_derivative: Callable
     x_derivative_of_lambda_derivative: Callable | None = None
-    poly_lambda: tuple[float, ...] | None = None
-    x_modulation: Callable | None = None
-    modulation_spec: tuple | None = None
+    poly: Polynomial | None = None
 
     def mixed_derivative(self, x, lam, axis: int):
         """d^2 f / (dx_axis dlam); central difference fallback when no
@@ -76,54 +120,12 @@ class FluxComponent:
         xm[..., axis] -= h
         return (self.lambda_derivative(xp, lam) - self.lambda_derivative(xm, lam)) / (2.0 * h)
 
-    def dedup_key(self):
-        """Components with identical polynomial metadata are the same
-        coefficient field; otherwise fall back to object identity."""
-        if self.poly_lambda is not None:
-            return (self.axis, self.poly_lambda, self.modulation_spec)
-        return id(self)
-
 
 def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[float] | None = None) -> FluxComponent:
     """Polynomial-in-state component, optionally scaled by an affine spatial
     modulation m(x) = mod[0] + sum mod[1 + k] * x_k."""
-    c = np.asarray([float(v) for v in coeffs])
-    dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-    if modulation is None:
-        mod_vec = None
-        mod_spec = None
-    else:
-        mod_arr = np.asarray([float(v) for v in modulation])
-        mod_vec = mod_arr
-        mod_spec = ("affine", tuple(mod_arr.tolist()))
-
-    def m_of(x):
-        if mod_vec is None:
-            return 1.0
-        pts = np.asarray(x, dtype=float)
-        return mod_vec[0] + pts @ mod_vec[1:]
-
-    def value(x, lam):
-        return m_of(x) * np.polynomial.polynomial.polyval(np.asarray(lam, dtype=float), c)
-
-    def lam_deriv(x, lam):
-        return m_of(x) * np.polynomial.polynomial.polyval(np.asarray(lam, dtype=float), dc)
-
-    def mixed(x, lam, ax):
-        p = np.polynomial.polynomial.polyval(np.asarray(lam, dtype=float), dc)
-        if mod_vec is None:
-            return np.zeros(np.broadcast(np.asarray(x)[..., 0], p).shape)
-        return mod_vec[1 + ax] * np.ones(np.asarray(x)[..., 0].shape) * p
-
-    return FluxComponent(
-        axis=axis,
-        value=value,
-        lambda_derivative=lam_deriv,
-        x_derivative_of_lambda_derivative=mixed,
-        poly_lambda=tuple(c.tolist()),
-        x_modulation=(m_of if mod_vec is not None else None),
-        modulation_spec=mod_spec,
-    )
+    p = Polynomial(tuple(map(float, coeffs)), None if modulation is None else tuple(map(float, modulation)))
+    return FluxComponent(axis, p.value, p.lambda_derivative, p.mixed_derivative, poly=p)
 
 
 # ---------------------------------------------------------------------------

@@ -461,7 +461,7 @@ def _stacked_derivative_max(model, radius, state_bound, n_lambda, n_x, which) ->
     unique = []
     seen = set()
     for comp in tuple(model.left) + tuple(model.right):
-        key = comp.dedup_key()
+        key = (comp.axis, comp.poly) if comp.poly is not None else id(comp)
         if key not in seen:
             seen.add(key)
             unique.append(comp)

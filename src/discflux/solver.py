@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flux import DEFAULT_PROFILE, PiecewiseFlux, SmoothingProfile
+from .flux import DEFAULT_PROFILE, PiecewiseFlux, SmoothingProfile, horner
 from .geometry import Box
 
 CFL_SPEED_FLOOR = 1e-12
@@ -169,86 +169,10 @@ def cfl_timestep(config: RunConfig, grid: Grid, speed: float) -> float:
     return config.cfl * min(conv, diff)
 
 
-def grid_speed_bound(config: RunConfig, grid: Grid, n_lambda: int = 65, max_faces: int = 512) -> float:
-    """Max smoothed wave speed over (subsampled) face positions and a state
-    grid; this is the bound the time step is derived from."""
-    model = config.flux
-    lam = np.linspace(model.a, model.b, n_lambda)
-    worst = 0.0
-    for axis in range(grid.d):
-        pts = grid.interior_face_points(axis).reshape(-1, grid.d)
-        if pts.shape[0] > max_faces:
-            idx = np.unique(np.linspace(0, pts.shape[0] - 1, max_faces).astype(int))
-            pts = pts[idx]
-        dF = model.component_lambda_derivative_smoothed(
-            axis, pts[:, None, :], lam[None, :], config.eps_smoothing, config.profile
-        )
-        worst = max(worst, float(np.abs(dF).max()))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# face caches: geometry and the polynomial fast path are fixed per run
-
-
-class _FaceFlux:
-    """Smoothed flux and wave speed of one axis component on the interior
-    faces, with the spatial factors precomputed."""
-
-    N_SPEED_STATES = 5
-
-    def __init__(self, model: PiecewiseFlux, axis: int, pts: np.ndarray, eps: float, profile: SmoothingProfile):
-        self.model = model
-        self.axis = axis
-        self.pts = pts
-        if model.interface is None:
-            self.wl = None
-            self.wr = None
-        else:
-            self.wl, self.wr = profile.weights(model.interface.offset(pts), eps)
-        self.left = self._prep(model.left[axis])
-        self.right = self._prep(model.right[axis]) if model.right[axis] is not model.left[axis] else self.left
-
-    def _prep(self, comp):
-        if comp.poly_lambda is not None:
-            c = np.asarray(comp.poly_lambda)
-            dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-            m = comp.x_modulation(self.pts) if comp.x_modulation is not None else None
-            return ("poly", c, dc, m)
-        return ("generic", comp)
-
-    def _eval(self, prep, u, deriv: bool):
-        if prep[0] == "poly":
-            _, c, dc, m = prep
-            v = np.polynomial.polynomial.polyval(u, dc if deriv else c)
-            return v if m is None else m * v
-        comp = prep[1]
-        fn = comp.lambda_derivative if deriv else comp.value
-        return fn(self.pts, u)
-
-    def value(self, u):
-        if self.wl is None:
-            return self._eval(self.left, u, False)
-        return self.wl * self._eval(self.left, u, False) + self.wr * self._eval(self.right, u, False)
-
-    def lambda_derivative(self, u):
-        if self.wl is None:
-            return self._eval(self.left, u, True)
-        return self.wl * self._eval(self.left, u, True) + self.wr * self._eval(self.right, u, True)
-
-    def wave_speed(self, ul, ur):
-        """Rusanov coefficient: max |dF/du| over states sampled between the
-        face neighbors (endpoints included)."""
-        alpha = None
-        for frac in np.linspace(0.0, 1.0, self.N_SPEED_STATES):
-            s = ul + (ur - ul) * frac
-            a = np.abs(self.lambda_derivative(s))
-            alpha = a if alpha is None else np.maximum(alpha, a)
-        return alpha
-
-
-def _face_caches(model, grid, eps, profile):
-    return [_FaceFlux(model, k, grid.interior_face_points(k), eps, profile) for k in range(grid.d)]
+def grid_speed_bound(config: RunConfig, grid: Grid) -> float:
+    """Max smoothed wave speed |dF/du| over the interior faces and the state
+    interval [a, b]; this is the bound the time step is derived from."""
+    return max(_Faces(config, grid, k).bound for k in range(grid.d))
 
 
 def _axslice(ndim, axis, sl):
@@ -257,21 +181,132 @@ def _axslice(ndim, axis, sl):
     return tuple(out)
 
 
-def _advance(values: np.ndarray, config: RunConfig, grid: Grid, dt: float, faces) -> np.ndarray:
+def _sign_changes(c: np.ndarray, a: float, b: float) -> np.ndarray:
+    """States in [a, b] where each row of polynomials c (ascending) changes
+    sign, NaN padded.  Between the sign changes of its derivative a row is
+    monotone, so each such piece holds at most one; it is bisected to full
+    precision."""
+    n, k = c.shape
+    if k < 2:
+        return np.empty((n, 0))
+    inner = _sign_changes(c[:, 1:] * np.arange(1, k), a, b)
+    knots = np.nan_to_num(np.sort(np.hstack([np.full((n, 1), a), inner, np.full((n, 1), b)])), nan=b)
+    lo, hi = knots[:, :-1], knots[:, 1:]
+    rows = [c[:, j, None] for j in range(k)]
+    found = horner(lo, rows) * horner(hi, rows) <= 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        right = horner(mid, rows) * horner(lo, rows) > 0
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return np.where(found, lo, np.nan)
+
+
+class _Faces:
+    """Smoothed flux F = sum over sides of w * (m * f_side) of one axis on
+    the interior faces; smoothing weights w and modulations m are fixed.
+
+    Polynomial sides: P and P' are evaluated once per cell per step, by
+    Horner, and sliced onto the faces.  The Rusanov coefficient is the exact
+    max of |F'| over [ul, ur] (an E-scheme for any degree): it sits at an
+    endpoint or at a sign change of F'' inside, and those depend only on the
+    face, so they and |F'| there are tabulated once per run.  The bound is
+    the same max over [a, b].  Sides known only as callables (mollified,
+    flattened, radially extended) sample max |F'| at N_SPEED_STATES states of
+    [ul, ur] and the bound on a (face, state) grid."""
+
+    N_SPEED_STATES = 5
+    N_BOUND_STATES = 65
+    MAX_BOUND_FACES = 512
+
+    def __init__(self, config: RunConfig, grid: Grid, axis: int):
+        model = config.flux
+        self.pts = grid.interior_face_points(axis)
+        self.lo = _axslice(grid.d, axis, slice(None, -1))
+        self.hi = _axslice(grid.d, axis, slice(1, None))
+        comps, weights = (model.left[axis],), (None,)
+        if model.interface is not None:
+            comps = (model.left[axis], model.right[axis])
+            weights = config.profile.weights(model.interface.offset(self.pts), config.eps_smoothing)
+        self.poly = all(c.poly is not None for c in comps)
+        # the factors of each side, applied in this order: modulation, weight
+        self.sides = [
+            (c, [f for f in (c.poly.modulation_at(self.pts) if self.poly else None, w) if f is not None])
+            for c, w in zip(comps, weights)
+        ]
+        self.crit = []  # (state, |F'| there) per candidate column, face arrays
+        if not self.poly:
+            flat = self.pts.reshape(-1, grid.d)
+            flat = flat[np.unique(np.linspace(0, len(flat) - 1, self.MAX_BOUND_FACES).astype(int))]
+            lam = np.linspace(model.a, model.b, self.N_BOUND_STATES)
+            dF = model.component_lambda_derivative_smoothed(
+                axis, flat[:, None, :], lam[None, :], config.eps_smoothing, config.profile
+            )
+            self.bound = float(np.abs(dF).max())
+            return
+        shape = self.pts.shape[:-1]
+        width = max(len(c.poly.dcoeffs) for c in comps)
+        if width > 2:  # F'' is not constant
+            dF = np.broadcast_to(self._sum(
+                lambda c: np.pad(c.poly.dcoeffs, (0, width - len(c.poly.dcoeffs))).reshape((-1,) + (1,) * len(shape))
+            ), (width,) + shape)
+            rows, inverse = np.unique(dF.reshape(width, -1).T, axis=0, return_inverse=True)
+            states = _sign_changes(rows[:, 1:] * np.arange(1, width), model.a, model.b)[inverse.ravel()]
+            for col in states.T:
+                if not np.isnan(col).all():
+                    col = col.reshape(shape)
+                    self.crit.append((col, np.nan_to_num(np.abs(self._sum(lambda c: horner(col, c.poly.dcoeffs))))))
+        ends = [np.abs(self._sum(lambda c: horner(np.full(shape, s), c.poly.dcoeffs))) for s in (model.a, model.b)]
+        self.bound = float(max(x.max() for x in ends + [speed for _, speed in self.crit]))
+
+    def _sum(self, at):
+        """sum over sides of w * (m * at(component)), in that order."""
+        total = None
+        for comp, factors in self.sides:
+            v = at(comp)
+            for f in factors:
+                v = f * v
+            total = v if total is None else total + v
+        return total
+
+    def rusanov(self, values: np.ndarray, cells: dict):
+        """Rusanov flux 0.5 (F(ul) + F(ur)) - 0.5 alpha (ur - ul) on the faces
+        and its coefficient alpha; `cells` keeps P and P' of `values` per
+        polynomial for the other axes."""
+        lo, hi = self.lo, self.hi
+        ul, ur = values[lo], values[hi]
+        if not self.poly:
+            alpha = 0.0
+            for frac in np.linspace(0.0, 1.0, self.N_SPEED_STATES):
+                s = ul + (ur - ul) * frac
+                alpha = np.maximum(alpha, np.abs(self._sum(lambda c: c.lambda_derivative(self.pts, s))))
+            fl, fr = self._sum(lambda c: c.value(self.pts, ul)), self._sum(lambda c: c.value(self.pts, ur))
+        else:
+            for c, _ in self.sides:
+                if c.poly.coeffs not in cells:
+                    cells[c.poly.coeffs] = (horner(values, c.poly.coeffs), horner(values, c.poly.dcoeffs))
+            fl, fr, dl, dr = (self._sum(lambda c: cells[c.poly.coeffs][j][sl]) for j in (0, 1) for sl in (lo, hi))
+            alpha = np.maximum(np.abs(dl), np.abs(dr))
+            if self.crit:
+                smin, smax = np.minimum(ul, ur), np.maximum(ul, ur)
+                for state, speed in self.crit:
+                    alpha = np.maximum(alpha, np.where((state >= smin) & (state <= smax), speed, 0.0))
+        return 0.5 * (fl + fr) - 0.5 * alpha * (ur - ul), alpha
+
+
+def _advance(values: np.ndarray, config: RunConfig, grid: Grid, dt: float, faces) -> tuple[np.ndarray, float]:
+    """One explicit step; returns the new state and the largest Rusanov
+    coefficient it used."""
     d = grid.d
     eps = config.epsilon
     interior = tuple(slice(1, -1) for _ in range(d))
     acc = np.zeros(tuple(n - 2 for n in grid.counts))
     alpha_max = 0.0
+    cells = {}
     for k in range(d):
         dx = grid.dx[k]
-        ul = values[_axslice(d, k, slice(None, -1))]
-        ur = values[_axslice(d, k, slice(1, None))]
-        ff = faces[k]
-        alpha = ff.wave_speed(ul, ur)
+        fhat, alpha = faces[k].rusanov(values, cells)
         alpha_max = max(alpha_max, float(alpha.max()))
-        fhat = 0.5 * (ff.value(ul) + ff.value(ur)) - 0.5 * alpha * (ur - ul)
-        div = (fhat[_axslice(d, k, slice(1, None))] - fhat[_axslice(d, k, slice(None, -1))]) / dx
+        div = (fhat[faces[k].hi] - fhat[faces[k].lo]) / dx
         lap = (
             values[_axslice(d, k, slice(2, None))]
             - 2.0 * values[_axslice(d, k, slice(1, -1))]
@@ -292,7 +327,7 @@ def _advance(values: np.ndarray, config: RunConfig, grid: Grid, dt: float, faces
     out = values.copy()
     out[interior] = values[interior] + dt * acc
     _pin_boundary(out, config.boundary_pairs)
-    return out
+    return out, alpha_max
 
 
 def _pin_boundary(values: np.ndarray, pairs):
@@ -306,11 +341,11 @@ def step(field: Field, config: RunConfig, dt: float) -> Field:
     """Single explicit update; refuses time steps above the CFL bound."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    limit = cfl_timestep(config, field.grid, grid_speed_bound(config, field.grid))
+    faces = [_Faces(config, field.grid, k) for k in range(field.grid.d)]
+    limit = cfl_timestep(config, field.grid, max(f.bound for f in faces))
     if dt > limit * (1.0 + 1e-9):
         raise ValueError(f"dt {dt:.6g} exceeds the CFL bound {limit:.6g}")
-    faces = _face_caches(config.flux, field.grid, config.eps_smoothing, config.profile)
-    new = _advance(field.values, config, field.grid, dt, faces)
+    new, _ = _advance(field.values, config, field.grid, dt, faces)
     return Field(field.grid, new, field.time + dt)
 
 
@@ -333,19 +368,23 @@ def run(u0: Field, config: RunConfig) -> Trajectory:
     if grid.d != config.flux.d:
         raise ValueError("grid and flux dimension mismatch")
     t0 = time.perf_counter()
-    speed = grid_speed_bound(config, grid)
+    faces = [_Faces(config, grid, k) for k in range(grid.d)]
+    speed = max(f.bound for f in faces)
     dt_base = cfl_timestep(config, grid, speed)
-    faces = _face_caches(config.flux, grid, config.eps_smoothing, config.profile)
     out_times = _normalize_output_times(config)
 
     values = np.array(u0.values, dtype=float, copy=True)
     recorded = [values.copy()]
     t = 0.0
     n_steps = 0
+    alpha_max = 0.0
+    dt_min, dt_max = np.inf, 0.0
     for target in out_times[1:]:
         while t < target - 1e-13:
             dt = min(dt_base, target - t)
-            values = _advance(values, config, grid, dt, faces)
+            values, alpha = _advance(values, config, grid, dt, faces)
+            alpha_max = max(alpha_max, alpha)
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
             t += dt
             n_steps += 1
             if not np.isfinite(values).all():
@@ -362,6 +401,11 @@ def run(u0: Field, config: RunConfig) -> Trajectory:
         "speed_bound": speed,
         "dt_base": dt_base,
         "n_steps": n_steps,
+        "dt_min": dt_min,
+        "dt_max": dt_max,
+        "alpha_max": alpha_max,
+        # <= 1: no step's coefficient exceeded the bound dt_base came from
+        "cfl_margin": alpha_max / speed if speed > 0 else 0.0,
         "output_times": out_times,
         "wall_time_s": time.perf_counter() - t0,
     }

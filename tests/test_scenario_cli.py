@@ -314,6 +314,9 @@ def test_cli_runtime_error_exits_one(tmp_path, capsys):
     path = _write(tmp_path, doc)
     assert main(["germ", path, "--out", str(tmp_path / "out")]) == 1
     assert "budget" in capsys.readouterr().err
+    # --debug re-raises the same error with its traceback
+    with pytest.raises(ValueError, match="budget"):
+        main(["germ", path, "--out", str(tmp_path / "out"), "--debug"])
 
 
 # ---------------------------------------------------------------------------

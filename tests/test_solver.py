@@ -96,10 +96,14 @@ def test_run_hits_output_times_exactly(burgers_model):
 
 def test_run_manifest_records_parameters(burgers_shock_traj):
     man = burgers_shock_traj.manifest
-    for key in ("epsilon", "smoothing_width", "cfl", "speed_bound", "dt_base", "n_steps", "wall_time_s"):
+    for key in ("epsilon", "smoothing_width", "cfl", "speed_bound", "dt_base", "n_steps", "wall_time_s",
+                "dt_min", "dt_max", "alpha_max", "cfl_margin"):
         assert key in man
     assert man["epsilon"] == 1e-3
     assert man["n_steps"] >= 1
+    assert 0.0 < man["dt_min"] <= man["dt_max"] <= man["dt_base"]
+    assert man["cfl_margin"] == man["alpha_max"] / man["speed_bound"]
+    assert 0.0 < man["cfl_margin"] <= 1.0
     assert man["grid"]["counts"] == [400]
 
 
@@ -181,8 +185,10 @@ def test_max_principle_on_random_data_all_presets():
         grid = dx.Grid(model.domain.lows, model.domain.highs, counts)
         u0 = dx.Field(grid, rng.uniform(model.a, model.b, counts), 0.0)
         config = dx.RunConfig(flux=model, epsilon=2e-2, final_time=0.02, boundary=model.a)
-        report = dx.max_principle_check(dx.run(u0, config), model.a, model.b)
+        traj = dx.run(u0, config)
+        report = dx.max_principle_check(traj, model.a, model.b)
         assert report.passed, name
+        assert traj.manifest["cfl_margin"] <= 1.0, name
 
 
 def test_max_principle_witness_mechanics():
