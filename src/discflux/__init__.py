@@ -69,7 +69,6 @@ from .entropy import (
     l1_distance,
     lambda_battery,
     transformed_entropy_residual,
-    transformed_workspace,
 )
 from .germ import (
     CompletenessReport,

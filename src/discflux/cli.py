@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -43,12 +44,33 @@ def _interface_is_flat(model) -> bool:
     return spec.get("kind") == "zero" or all(v == 0.0 for v in spec.get("coeffs", [0.0]))
 
 
+class _PhaseClock:
+    """Seconds one scenario command spends solving, verifying and writing
+    artifacts, for the `timings` block of report.json.  Time outside the
+    three phases (parsing, initial data, interpolation) counts only in
+    total_s."""
+
+    def __init__(self):
+        self.start = time.perf_counter()
+        self.seconds = {"solve_s": 0.0, "verify_s": 0.0, "io_s": 0.0}
+
+    def __call__(self, phase: str, fn, *args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self.seconds[phase] += time.perf_counter() - start
+
+    def timings(self) -> dict:
+        return dict(self.seconds, total_s=time.perf_counter() - self.start)
+
+
 def _check(checks, name: str, ok: bool, detail: str):
     checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
 
-def _max_principle(checks, traj: Trajectory, model, label: str = "max_principle"):
-    rep = max_principle_check(traj, model.a, model.b)
+def _max_principle(clock, checks, traj: Trajectory, model, label: str = "max_principle"):
+    rep = clock("verify_s", max_principle_check, traj, model.a, model.b)
     _check(checks, label, rep.passed,
            f"values stay in [{rep.min_value:.6g}, {rep.max_value:.6g}] against [{model.a}, {model.b}]")
     return rep
@@ -61,15 +83,14 @@ def _battery_check(checks, report, label: str):
            f"min residual {report.min_residual:.3e} (worst at lambda={lam_txt}, {phi})")
 
 
-def _write_trace(sc: Scenario, traj: Trajectory, model, out: str, artifacts: dict):
+def _write_trace(clock, traj: Trajectory, model, out: str, artifacts: dict):
     if model.interface is None:
         return
     try:
-        trace = interface_trace(traj, model.interface, bounds=(model.a, model.b))
+        trace = clock("verify_s", interface_trace, traj, model.interface, bounds=(model.a, model.b))
     except ValueError as exc:
         raise RuntimeError(f"interface trace unavailable: {exc}") from exc
-    path = os.path.join(out, "trace.csv")
-    storage.write_trace_csv(path, trace)
+    clock("io_s", storage.write_trace_csv, os.path.join(out, "trace.csv"), trace)
     artifacts["trace"] = "trace.csv"
 
 
@@ -77,13 +98,13 @@ def _write_trace(sc: Scenario, traj: Trajectory, model, out: str, artifacts: dic
 # subcommand bodies; each returns (checks, manifest_extras)
 
 
-def _exec_run(sc: Scenario, out: str, args) -> tuple[list, dict]:
+def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     checks: list = []
     artifacts: dict = {}
-    traj = run(sc.initial_field(), sc.config)
-    storage.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
+    traj = clock("solve_s", run, sc.initial_field(), sc.config)
+    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory.csv"), traj)
     artifacts["trajectory"] = "trajectory.csv"
-    _max_principle(checks, traj, sc.model)
+    _max_principle(clock, checks, traj, sc.model)
     extras = {"solver": traj.manifest, "artifacts": artifacts}
 
     if sc.chart is None:
@@ -117,10 +138,10 @@ def _exec_run(sc: Scenario, out: str, args) -> tuple[list, dict]:
         output_times=sc.config.output_times,
         smoothing_width=sc.config.smoothing_width,
     )
-    traj_flat = run(u0_flat, config_flat)
-    storage.write_trajectory_csv(os.path.join(out, "flattened_trajectory.csv"), traj_flat)
+    traj_flat = clock("solve_s", run, u0_flat, config_flat)
+    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "flattened_trajectory.csv"), traj_flat)
     artifacts["flattened_trajectory"] = "flattened_trajectory.csv"
-    _max_principle(checks, traj_flat, model, "max_principle_flattened")
+    _max_principle(clock, checks, traj_flat, model, "max_principle_flattened")
 
     # pull the flattened solution back onto the original grid
     from scipy.interpolate import RegularGridInterpolator
@@ -134,16 +155,16 @@ def _exec_run(sc: Scenario, out: str, args) -> tuple[list, dict]:
         mapped[i] = itp(query).reshape(grid.counts)
     mapped_traj = Trajectory(grid=grid, times=traj_flat.times, states=mapped,
                              manifest={"mapped_from": "flattened_trajectory.csv"})
-    storage.write_trajectory_csv(os.path.join(out, "mapped_trajectory.csv"), mapped_traj)
+    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "mapped_trajectory.csv"), mapped_traj)
     artifacts["mapped_trajectory"] = "mapped_trajectory.csv"
 
-    gap = l1_distance(traj.final, mapped_traj.final)
+    gap = clock("verify_s", l1_distance, traj.final, mapped_traj.final)
     tol = args.tol if args.tol is not None else 2e-2
     _check(checks, "flatten_roundtrip", gap <= tol,
            f"L1 gap {gap:.3e} vs tol {tol:.3e} at t={traj.times[-1]:.6g}")
 
-    report = entropy_battery(traj_flat, ext, tol_factor=sc.study.get("tol_factor", 1e-2))
-    report.save(os.path.join(out, "entropy_report.json"))
+    report = clock("verify_s", entropy_battery, traj_flat, ext, tol_factor=sc.study.get("tol_factor", 1e-2))
+    clock("io_s", storage.write_manifest, os.path.join(out, "entropy_report.json"), report.to_json())
     artifacts["entropy_report"] = "entropy_report.json"
     _battery_check(checks, report, "entropy_battery_flattened")
 
@@ -151,7 +172,7 @@ def _exec_run(sc: Scenario, out: str, args) -> tuple[list, dict]:
     return checks, extras
 
 
-def _exec_entropy(sc: Scenario, out: str, args) -> tuple[list, dict]:
+def _exec_entropy(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     checks: list = []
     artifacts: dict = {}
     transformed = bool(sc.study.get("transformed", False))
@@ -159,53 +180,52 @@ def _exec_entropy(sc: Scenario, out: str, args) -> tuple[list, dict]:
         raise RuntimeError(
             "transformed residuals on a curved interface need the charted run pipeline"
         )
-    traj = run(sc.initial_field(), sc.config)
-    storage.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
+    traj = clock("solve_s", run, sc.initial_field(), sc.config)
+    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory.csv"), traj)
     artifacts["trajectory"] = "trajectory.csv"
-    _max_principle(checks, traj, sc.model)
+    _max_principle(clock, checks, traj, sc.model)
 
     phis = None
     if "bumps" in sc.study:
         from .entropy import bump_battery
 
         phis = bump_battery(traj.grid.box, traj.times[-1], count=int(sc.study["bumps"]))
-    report = entropy_battery(traj, sc.model, phis=phis,
-                             tol_factor=sc.study.get("tol_factor", 1e-3),
-                             transformed=transformed)
-    report.save(os.path.join(out, "entropy_report.json"))
+    report = clock("verify_s", entropy_battery, traj, sc.model, phis=phis,
+                   tol_factor=sc.study.get("tol_factor", 1e-3), transformed=transformed)
+    clock("io_s", storage.write_manifest, os.path.join(out, "entropy_report.json"), report.to_json())
     artifacts["entropy_report"] = "entropy_report.json"
     _battery_check(checks, report, "entropy_battery")
-    _write_trace(sc, traj, sc.model, out, artifacts)
+    _write_trace(clock, traj, sc.model, out, artifacts)
     return checks, {"solver": traj.manifest, "artifacts": artifacts}
 
 
-def _exec_kato(sc: Scenario, out: str, args) -> tuple[list, dict]:
+def _exec_kato(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     checks: list = []
     artifacts: dict = {}
-    traj_a = run(sc.initial_field(), sc.config)
-    traj_b = run(sc.field_from_spec(sc.study["initial_b"]), sc.config)
-    storage.write_trajectory_csv(os.path.join(out, "trajectory_a.csv"), traj_a)
-    storage.write_trajectory_csv(os.path.join(out, "trajectory_b.csv"), traj_b)
+    traj_a = clock("solve_s", run, sc.initial_field(), sc.config)
+    traj_b = clock("solve_s", run, sc.field_from_spec(sc.study["initial_b"]), sc.config)
+    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory_a.csv"), traj_a)
+    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory_b.csv"), traj_b)
     artifacts["trajectory_a"] = "trajectory_a.csv"
     artifacts["trajectory_b"] = "trajectory_b.csv"
-    _max_principle(checks, traj_a, sc.model, "max_principle_a")
-    _max_principle(checks, traj_b, sc.model, "max_principle_b")
+    _max_principle(clock, checks, traj_a, sc.model, "max_principle_a")
+    _max_principle(clock, checks, traj_b, sc.model, "max_principle_b")
 
     phis = None
     if "bumps" in sc.study:
         from .entropy import bump_battery
 
         phis = bump_battery(traj_a.grid.box, traj_a.times[-1], count=int(sc.study["bumps"]))
-    report = kato_battery(traj_a, traj_b, sc.model, phis=phis,
-                          tol_factor=sc.study.get("tol_factor", 1e-3))
-    report.save(os.path.join(out, "kato_report.json"))
+    report = clock("verify_s", kato_battery, traj_a, traj_b, sc.model, phis=phis,
+                   tol_factor=sc.study.get("tol_factor", 1e-3))
+    clock("io_s", storage.write_manifest, os.path.join(out, "kato_report.json"), report.to_json())
     artifacts["kato_report"] = "kato_report.json"
     _battery_check(checks, report, "kato_battery")
     return checks, {"solver_a": traj_a.manifest, "solver_b": traj_b.manifest,
                     "artifacts": artifacts}
 
 
-def _exec_cone(sc: Scenario, out: str, args) -> tuple[list, dict]:
+def _exec_cone(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     checks: list = []
     artifacts: dict = {}
     model = sc.model
@@ -234,17 +254,17 @@ def _exec_cone(sc: Scenario, out: str, args) -> tuple[list, dict]:
     _check(checks, "perturbation_outside_base", not clash,
            f"perturbation support vs cone base B(center, {cone.radius:.6g})")
 
-    traj_a = run(u0, sc.config)
-    traj_b = run(u0_b, sc.config)
-    storage.write_trajectory_csv(os.path.join(out, "trajectory_base.csv"), traj_a)
-    storage.write_trajectory_csv(os.path.join(out, "trajectory_perturbed.csv"), traj_b)
+    traj_a = clock("solve_s", run, u0, sc.config)
+    traj_b = clock("solve_s", run, u0_b, sc.config)
+    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory_base.csv"), traj_a)
+    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory_perturbed.csv"), traj_b)
     artifacts["trajectory_base"] = "trajectory_base.csv"
     artifacts["trajectory_perturbed"] = "trajectory_perturbed.csv"
-    _max_principle(checks, traj_a, model, "max_principle_base")
-    _max_principle(checks, traj_b, model, "max_principle_perturbed")
+    _max_principle(clock, checks, traj_a, model, "max_principle_base")
+    _max_principle(clock, checks, traj_b, model, "max_principle_perturbed")
 
     tol = args.tol if args.tol is not None else float(sc.study.get("tol", 1e-2))
-    rep = cone_locality_check(traj_a, traj_b, cone, tol=tol)
+    rep = clock("verify_s", cone_locality_check, traj_a, traj_b, cone, tol=tol)
     _check(checks, "cone_locality", rep.passed,
            f"kappa {rep.kappa:.3e} vs tol {tol:.3e} (speed {bound.value:.6g})")
     return checks, {"solver_base": traj_a.manifest, "solver_perturbed": traj_b.manifest,
@@ -254,7 +274,7 @@ def _exec_cone(sc: Scenario, out: str, args) -> tuple[list, dict]:
                     "artifacts": artifacts}
 
 
-def _exec_converge(sc: Scenario, out: str, args) -> tuple[list, dict]:
+def _exec_converge(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     checks: list = []
     artifacts: dict = {}
     model = sc.model
@@ -267,13 +287,12 @@ def _exec_converge(sc: Scenario, out: str, args) -> tuple[list, dict]:
         return initial_values_at(sc.initial, pts, model.a, model.b, model.d, seed=sc.seed)
 
     boundary = sc.config.boundary
-    record = germ_mod.run_sequence(u0_fn, epsilons, model, model.domain,
-                                   sc.config.final_time, boundary=boundary,
-                                   cell_budget=budget, cfl=sc.config.cfl,
-                                   member_id=sc.name)
-    storage.write_deltas_csv(os.path.join(out, "deltas.csv"), record.epsilons, record.deltas)
+    record = clock("solve_s", germ_mod.run_sequence, u0_fn, epsilons, model, model.domain,
+                   sc.config.final_time, boundary=boundary, cell_budget=budget,
+                   cfl=sc.config.cfl, member_id=sc.name)
+    clock("io_s", storage.write_deltas_csv, os.path.join(out, "deltas.csv"), record.epsilons, record.deltas)
     artifacts["deltas"] = "deltas.csv"
-    storage.write_field_csv(os.path.join(out, "finest_endpoint.csv"), record.endpoints[-1])
+    clock("io_s", storage.write_field_csv, os.path.join(out, "finest_endpoint.csv"), record.endpoints[-1])
     artifacts["finest_endpoint"] = "finest_endpoint.csv"
 
     tail = record.deltas[1:]
@@ -285,7 +304,7 @@ def _exec_converge(sc: Scenario, out: str, args) -> tuple[list, dict]:
                     "artifacts": artifacts}
 
 
-def _exec_germ(sc: Scenario, out: str, args) -> tuple[list, dict]:
+def _exec_germ(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     level = int(sc.study["level"])
@@ -294,7 +313,7 @@ def _exec_germ(sc: Scenario, out: str, args) -> tuple[list, dict]:
                                [float(e) for e in sc.study["epsilons"]],
                                cell_budget=budget, cfl=sc.config.cfl,
                                threshold=sc.study.get("threshold"))
-    result = study.level_result(level)
+    result = clock("solve_s", study.level_result, level)
     sel = result.selection
     if sel.passed:
         detail = f"indices {list(sel.indices)} under threshold {sel.threshold:.3e}"
@@ -309,8 +328,8 @@ def _exec_germ(sc: Scenario, out: str, args) -> tuple[list, dict]:
     extra: dict = {"family_size": len(result.records)}
     target_spec = sc.study.get("solve_target", sc.initial)
     target = sc.field_from_spec(target_spec, grid=study.comparison_grid)
-    est = study.solve(target, level)
-    storage.write_field_csv(os.path.join(out, "estimate.csv"), est.limit)
+    est = clock("solve_s", study.solve, target, level)
+    clock("io_s", storage.write_field_csv, os.path.join(out, "estimate.csv"), est.limit)
     extra["estimate"] = {
         "member_id": est.member_id,
         "error_bar": est.error_bar,
@@ -318,7 +337,7 @@ def _exec_germ(sc: Scenario, out: str, args) -> tuple[list, dict]:
         "delta_tail": est.delta_tail,
         "file": "estimate.csv",
     }
-    germ_mod.save_level_result(result, out, extra=extra)
+    clock("io_s", germ_mod.save_level_result, result, out, extra=extra)
     return checks, extra
 
 
@@ -340,6 +359,7 @@ def _resolve_scenario(value: str) -> str:
 
 
 def _run_scenario_command(args) -> int:
+    clock = _PhaseClock()
     sc = parse_scenario(_resolve_scenario(args.scenario), seed=args.seed)
     if sc.kind != args.command:
         print(f"error: scenario {sc.name!r} has kind {sc.kind!r}, "
@@ -347,7 +367,7 @@ def _run_scenario_command(args) -> int:
         return 1
     out = args.out or os.path.join(DEFAULT_OUT_ROOT, sc.name)
     storage.ensure_dir(out)
-    checks, extras = _EXECUTORS[sc.kind](sc, out, args)
+    checks, extras = _EXECUTORS[sc.kind](sc, out, args, clock)
     for entry in checks:
         if not args.quiet:
             verdict = "PASS" if entry["pass"] else "FAIL"
@@ -356,6 +376,7 @@ def _run_scenario_command(args) -> int:
     manifest = {"scenario": sc.raw, "name": sc.name, "kind": sc.kind,
                 "checks": checks, "pass": ok}
     manifest.update(extras)
+    manifest["timings"] = clock.timings()
     storage.write_manifest(os.path.join(out, "report.json"), manifest)
     n_pass = sum(1 for e in checks if e["pass"])
     print(f"scenario {sc.name}: {'PASS' if ok else 'FAIL'} ({n_pass}/{len(checks)} checks)")

@@ -11,7 +11,6 @@ smallness alone.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -258,12 +257,35 @@ def _time_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) over two (times, points) tables in numpy's own loop.  BLAS
+    ddot threads: on two cores it ran up to 80x slower, and its summation
+    order depends on the thread count."""
+    return np.einsum("ij,ij->", a, b)
+
+
+def _phi_tables(phi, times: np.ndarray, tw: np.ndarray, points: np.ndarray):
+    """One grad phi component per axis, phi_t and phi on every (recorded
+    time, cell), each from one call broadcast over times[:, None] and
+    multiplied by the trapezoid weights; plus the unweighted phi at t = 0
+    for the initial-data term."""
+    t = times[:, None]
+    w = tw[:, None]
+    grad = phi.gradient(t, points)
+    tables = [grad[..., k] * w for k in range(points.shape[-1])]
+    del grad  # the unweighted tables never outlive their weighting
+    tables.append(phi.time_derivative(t, points) * w)
+    tables.append(phi.value(t, points) * w)
+    return tables, phi.value(times[0], points)
+
+
 class ResidualWorkspace:
     """Per-trajectory tables shared across a (lambda, phi) battery.
 
-    Holds the state stack, the sharp flux evaluated at the solution, the
-    interface traces, and a one-entry cache of test-function tables so a
-    battery that loops phi outermost never re-evaluates phi.
+    Holds the state stack, the sharp flux at the solution, the interface
+    traces, and per lambda the flux, the smooth
+    divergence and the interface jump at that state, so that a battery
+    evaluates each of them once.
     """
 
     def __init__(self, trajectory: Trajectory, model: PiecewiseFlux, traces: TraceField | None = None,
@@ -279,15 +301,13 @@ class ResidualWorkspace:
         self.tw = _time_weights(self.times)
         self.points = grid.points().reshape(-1, grid.d)
         self.cell_volume = grid.cell_volume
-        nt = len(self.times)
-        self.states = trajectory.states.reshape(nt, -1)
-        self.flux_u = np.stack([model.evaluate(self.points, self.states[i]) for i in range(nt)])
+        self.states = trajectory.states.reshape(len(self.times), -1)
+        self.flux_u = model.evaluate(self.points, self.states)
         self.eps = eps if eps is not None else trajectory.manifest.get("smoothing_width")
         self._traces = traces
         self._jump_left = None
         self._jump_right = None
-        self._lam_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._phi_cache: tuple[int, dict] | None = None
+        self._lam_cache: dict[float, tuple] = {}
 
     @property
     def traces(self) -> TraceField | None:
@@ -299,25 +319,17 @@ class ResidualWorkspace:
         return self._traces
 
     def _lam_tables(self, lam: float):
+        """(flux (n_cells, d), smooth divergence (n_cells,), interface jump
+        or None) at the frozen state lam."""
         key = float(lam)
         if key not in self._lam_cache:
-            flux_lam = self.model.evaluate(self.points, np.full(self.points.shape[0], key))
-            div_lam = self.model.smooth_divergence_at_state(self.points, np.full(self.points.shape[0], key))
-            self._lam_cache[key] = (flux_lam, div_lam)
+            if not (self.model.a <= key <= self.model.b):
+                raise ValueError(f"lambda = {lam} outside [{self.model.a}, {self.model.b}]")
+            state = np.full(self.points.shape[0], key)
+            jump = self._interface_jump(key) if self.traces is not None else None
+            self._lam_cache[key] = (self.model.evaluate(self.points, state),
+                                    self.model.smooth_divergence_at_state(self.points, state), jump)
         return self._lam_cache[key]
-
-    def _phi_tables(self, phi) -> dict:
-        if self._phi_cache is not None and self._phi_cache[0] == id(phi):
-            return self._phi_cache[1]
-        vals = np.stack([phi.value(t, self.points) for t in self.times])
-        dts = np.stack([phi.time_derivative(t, self.points) for t in self.times])
-        grads = np.stack([phi.gradient(t, self.points) for t in self.times])
-        tables = {"vals": vals, "dts": dts, "grads": grads}
-        tr = self.traces
-        if tr is not None:
-            tables["surf_vals"] = np.stack([phi.value(t, tr.surface_points) for t in self.times])
-        self._phi_cache = (id(phi), tables)
-        return tables
 
     def _interface_jump(self, lam: float) -> np.ndarray:
         """(F_R - F_L)(x, lam) on the interface, in transformed normal form."""
@@ -331,31 +343,46 @@ class ResidualWorkspace:
             self._jump_right.value(pts, lam_arr) - self._jump_left.value(pts, lam_arr), dtype=float
         )
 
-    def kruzhkov(self, lam: float, phi) -> float:
-        """E(lam, phi); admissibility asks E >= -tol."""
-        if not (self.model.a <= lam <= self.model.b):
-            raise ValueError(f"lambda = {lam} outside [{self.model.a}, {self.model.b}]")
-        tables = self._phi_tables(phi)
-        flux_lam, div_lam = self._lam_tables(lam)
-        diff = self.states - lam
-        sgn = np.sign(diff)
+    def residuals(self, lambdas: Sequence[float], phi) -> np.ndarray:
+        """E(lam, phi) for every lam of `lambdas`; admissibility asks E >= -tol.
 
-        term_time = np.einsum("t,tc,tc->", self.tw, np.abs(diff), tables["dts"])
-        conv = ((self.flux_u - flux_lam[None]) * tables["grads"]).sum(axis=-1)
-        term_conv = np.einsum("t,tc,tc->", self.tw, sgn, conv)
-        term_div = np.einsum("t,tc,c,tc->", self.tw, sgn, div_lam, tables["vals"])
-        total = self.cell_volume * (term_time + term_conv - term_div)
-
+        E = |Q| sum_t tw [ |u - lam| phi_t + sgn(u - lam) (F(u) - F(lam)) . grad phi
+                           - sgn(u - lam) div F(lam) phi ]
+            + |Q| |u_0 - lam| . phi(0) - tangential weight * interface term.
+        """
+        lam_tables = [self._lam_tables(lam) for lam in lambdas]
+        tables, phi0 = _phi_tables(phi, self.times, self.tw, self.points)
+        # phi vanishes off its support: keep the block of times x cells where
+        # any table is nonzero, which is what every sum below runs over
+        live = np.logical_or.reduce([tab != 0 for tab in tables])
+        cells = np.flatnonzero(live.any(axis=0))
+        block = np.ix_(np.flatnonzero(live.any(axis=1)), cells)
+        *wg, wdt, wv = [tab[block] for tab in tables]
+        del tables
+        conv_u = sum(self.flux_u[..., k][block] * g for k, g in enumerate(wg))
         tr = self.traces
         if tr is not None:
-            jump = self._interface_jump(lam)
-            sgn_p = np.sign(tr.averaged - lam)
-            delta = np.einsum("t,tm,m,tm->", self.tw, sgn_p, jump, tables["surf_vals"])
-            total -= tr.tangential_weight * delta
+            surf = phi.value(self.times[:, None], tr.surface_points) * self.tw[:, None]
 
-        init = np.abs(self.states[0] - lam) @ tables["vals"][0]
-        total += self.cell_volume * init
-        return float(total)
+        out = np.empty(len(lam_tables))
+        for i, (lam, (flux_lam, div_lam, jump)) in enumerate(zip(lambdas, lam_tables)):
+            diff = self.states[block]
+            diff -= lam
+            conv = wv * div_lam[cells]
+            np.subtract(conv_u, conv, out=conv)
+            for k, g in enumerate(wg):
+                conv -= g * flux_lam[cells, k]
+            total = _dot(np.sign(diff), conv)
+            total += _dot(np.abs(diff, out=diff), wdt)
+            total = self.cell_volume * (total + np.abs(self.states[0] - lam) @ phi0)
+            if tr is not None:
+                total -= tr.tangential_weight * _dot(np.sign(tr.averaged - lam), jump * surf)
+            out[i] = total
+        return out
+
+    def kruzhkov(self, lam: float, phi) -> float:
+        """E(lam, phi); admissibility asks E >= -tol."""
+        return float(self.residuals([lam], phi)[0])
 
 
 def kruzhkov_residual(trajectory: Trajectory, model: PiecewiseFlux, lam: float, phi,
@@ -377,15 +404,10 @@ def transformed_entropy_residual(trajectory: Trajectory, model: PiecewiseFlux, l
     return kruzhkov_residual(trajectory, flat, lam, phi, traces=traces)
 
 
-def transformed_workspace(trajectory: Trajectory, model: PiecewiseFlux,
-                          traces: TraceField | None = None) -> ResidualWorkspace:
-    return ResidualWorkspace(trajectory, flatten_model(model), traces=traces)
-
-
-def kato_residual(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phi,
-                  eps: float | None = None) -> float:
-    """Kato form for two solutions of the same (smoothed) equation; the
-    interface terms cancel pairwise, so no trace term appears."""
+def _kato_residuals(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phis, eps: float | None) -> list[float]:
+    """Kato residual of each phi.  The phi-independent tables (|u1 - u2|,
+    and sgn(u1 - u2) times the smoothed flux and divergence differences) are
+    built once for all of them."""
     if u1.grid != u2.grid:
         raise ValueError("kato residual needs a shared grid")
     if len(u1.times) != len(u2.times) or not np.allclose(u1.times, u2.times):
@@ -405,25 +427,26 @@ def kato_residual(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phi,
     s1 = u1.states.reshape(nt, -1)
     s2 = u2.states.reshape(nt, -1)
 
-    total = 0.0
-    for i in range(nt):
-        diff = s1[i] - s2[i]
-        sgn = np.sign(diff)
-        f1 = model.evaluate_smoothed(pts, s1[i], eps)
-        f2 = model.evaluate_smoothed(pts, s2[i], eps)
-        d1 = model.smooth_divergence_at_state(pts, s1[i])
-        d2 = model.smooth_divergence_at_state(pts, s2[i])
-        dt_phi = phi.time_derivative(times[i], pts)
-        grad_phi = phi.gradient(times[i], pts)
-        val_phi = phi.value(times[i], pts)
-        contrib = (
-            np.abs(diff) @ dt_phi
-            + (sgn * ((f1 - f2) * grad_phi).sum(axis=-1)).sum()
-            - (sgn * (d1 - d2) * val_phi).sum()
-        )
-        total += tw[i] * contrib
-    total += np.abs(s1[0] - s2[0]) @ phi.value(times[0], pts)
-    return float(total * grid.cell_volume)
+    dist = np.abs(s1 - s2)
+    sgn = np.sign(s1 - s2)
+    flux_diff = model.evaluate_smoothed(pts, s1, eps) - model.evaluate_smoothed(pts, s2, eps)
+    conv = [sgn * flux_diff[..., k] for k in range(grid.d)]
+    div = sgn * (model.smooth_divergence_at_state(pts, s1) - model.smooth_divergence_at_state(pts, s2))
+    del flux_diff, sgn
+
+    out = []
+    for phi in phis:
+        (*wg, wdt, wv), phi0 = _phi_tables(phi, times, tw, pts)
+        total = _dot(dist, wdt) + sum(_dot(c, g) for c, g in zip(conv, wg)) - _dot(div, wv)
+        out.append(float((total + dist[0] @ phi0) * grid.cell_volume))
+    return out
+
+
+def kato_residual(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phi,
+                  eps: float | None = None) -> float:
+    """Kato form for two solutions of the same (smoothed) equation; the
+    interface terms cancel pairwise, so no trace term appears."""
+    return _kato_residuals(u1, u2, model, [phi], eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +484,6 @@ class EntropyReport:
             },
         }
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _assemble_report(rows: list[EntropyEntry]) -> EntropyReport:
     worst_row = min(rows, key=lambda e: e.residual)
@@ -494,14 +512,14 @@ def entropy_battery(trajectory: Trajectory, model: PiecewiseFlux,
         lambdas = lambda_battery(model.a, model.b)
     if phis is None:
         phis = bump_battery(box, trajectory.times[-1])
+    lambdas = [float(lam) for lam in lambdas]
     volume = box.volume
     rows = []
     for phi in phis:
         phi.validate(box, trajectory.times[-1])
         tol = float(tol_factor * phi.c1_norm * volume)
-        for lam in lambdas:
-            r = ws.kruzhkov(float(lam), phi)
-            rows.append(EntropyEntry(float(lam), phi.label, r, tol, bool(r >= -tol)))
+        for lam, r in zip(lambdas, ws.residuals(lambdas, phi).tolist()):
+            rows.append(EntropyEntry(lam, phi.label, r, tol, bool(r >= -tol)))
     return _assemble_report(rows)
 
 
@@ -513,11 +531,11 @@ def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
     if phis is None:
         phis = bump_battery(box, u1.times[-1])
     volume = box.volume
-    rows = []
     for phi in phis:
         phi.validate(box, u1.times[-1])
+    rows = []
+    for phi, r in zip(phis, _kato_residuals(u1, u2, model, phis, eps)):
         tol = float(tol_factor * phi.c1_norm * volume)
-        r = kato_residual(u1, u2, model, phi, eps=eps)
         rows.append(EntropyEntry(None, phi.label, r, tol, bool(r >= -tol)))
     return _assemble_report(rows)
 

@@ -2,11 +2,14 @@
 JSON manifests.
 
 Floats are written with repr(), the shortest round-tripping form, so repeated
-runs of the same study produce byte-identical files.
+runs of the same study produce byte-identical files.  Writers format whole
+rows in bulk: `repr` of an element of `ndarray.tolist()` is the same string
+as `repr(float(x))` of the array element.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -14,8 +17,9 @@ import numpy as np
 from .solver import Field, Grid, Trajectory
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _reprs(values) -> list[str]:
+    """repr() of each value as a Python float, in bulk."""
+    return list(map(repr, np.asarray(values, dtype=float).reshape(-1).tolist()))
 
 
 def _header(d: int) -> str:
@@ -31,14 +35,29 @@ def write_trajectory_csv(path, trajectory: Trajectory):
 
 
 def write_trajectory_rows(path, grid: Grid, times, states):
-    pts = grid.points().reshape(-1, grid.d)
+    # ",x1,...,xd," per cell, formatted once for every time level
+    coords = ["," + ",".join(map(repr, row)) + ","
+              for row in grid.points().reshape(-1, grid.d).tolist()]
     with open(path, "w") as fh:
         fh.write(_header(grid.d) + "\n")
-        for i, t in enumerate(times):
-            ts = _fmt(t)
-            flat = np.asarray(states[i]).reshape(-1)
-            for row, value in zip(pts, flat):
-                fh.write(ts + "," + ",".join(_fmt(c) for c in row) + "," + _fmt(value) + "\n")
+        for t, values in zip(_reprs(times), states):
+            fh.write("".join([f"{t}{c}{v}\n" for c, v in zip(coords, _reprs(values))]))
+
+
+def _axis_bounds(centers: np.ndarray) -> tuple[float, float]:
+    """Bounds of a uniform axis with these cell centers.  The midpoint
+    estimate can be off in its last bits, so take the shortest decimals
+    (relative to the extent) that reproduce every center exactly: bounds
+    stated as short decimals come back as written."""
+    n = centers.size
+    step = (centers[-1] - centers[0]) / (n - 1)
+    lo, hi = float(centers[0] - step / 2), float(centers[-1] + step / 2)
+    scale = math.floor(math.log10(hi - lo))
+    for digits in range(18):
+        a, b = round(lo, digits - scale), round(hi, digits - scale)
+        if a < b and np.array_equal(Grid((a,), (b,), (n,)).centers(0), centers):
+            return a, b
+    return lo, hi
 
 
 def _grid_from_columns(columns: list[np.ndarray]) -> Grid:
@@ -50,20 +69,23 @@ def _grid_from_columns(columns: list[np.ndarray]) -> Grid:
         dx = np.diff(centers)
         if not np.allclose(dx, dx[0], rtol=1e-9, atol=1e-12):
             raise ValueError("field CSV is not on a uniform grid")
-        step = float(dx[0])
-        lows.append(float(centers[0] - step / 2))
-        highs.append(float(centers[-1] + step / 2))
+        lo, hi = _axis_bounds(centers)
+        lows.append(lo)
+        highs.append(hi)
         counts.append(centers.size)
     return Grid(tuple(lows), tuple(highs), tuple(counts))
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
+    with open(path) as fh:
+        names = fh.readline().strip().split(",")
     d = len(names) - 2
-    t_col = np.asarray(data["t"], dtype=float)
-    x_cols = [np.asarray(data[f"x{k + 1}"], dtype=float) for k in range(d)]
-    u_col = np.asarray(data["u"], dtype=float)
+    if d < 1 or names != _header(d).split(","):
+        raise ValueError(f"not a trajectory CSV: header {','.join(names)!r}")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    t_col = data[:, 0]
+    x_cols = [data[:, 1 + k] for k in range(d)]
+    u_col = data[:, -1]
 
     times = np.unique(t_col)
     grid = _grid_from_columns(x_cols)
@@ -92,13 +114,12 @@ def read_field_csv(path) -> Field:
 def write_trace_csv(path, trace):
     """Interface trace as t,s,p_u with s the tangential parameter (0 in 1D)."""
     p = trace.averaged
+    tang = trace.tangential_points
+    s_cols = [f",{s}," for s in _reprs(tang[:, 0] if tang.shape[1] else np.zeros(p.shape[1]))]
     with open(path, "w") as fh:
         fh.write("t,s,p_u\n")
-        for i, t in enumerate(trace.times):
-            ts = _fmt(t)
-            for m in range(p.shape[1]):
-                s = trace.tangential_points[m, 0] if trace.tangential_points.shape[1] else 0.0
-                fh.write(ts + "," + _fmt(s) + "," + _fmt(p[i, m]) + "\n")
+        for t, values in zip(_reprs(trace.times), p):
+            fh.write("".join([f"{t}{s}{v}\n" for s, v in zip(s_cols, _reprs(values))]))
 
 
 def write_manifest(path, data: dict):
@@ -113,11 +134,11 @@ def read_manifest(path) -> dict:
 
 
 def write_matrix_csv(path, ids, matrix):
-    matrix = np.asarray(matrix)
+    matrix = np.asarray(matrix, dtype=float)
     with open(path, "w") as fh:
         fh.write("id," + ",".join(ids) + "\n")
-        for i, row_id in enumerate(ids):
-            fh.write(row_id + "," + ",".join(_fmt(v) for v in matrix[i]) + "\n")
+        for row_id, row in zip(ids, matrix):
+            fh.write(row_id + "," + ",".join(_reprs(row)) + "\n")
 
 
 def read_matrix_csv(path):
@@ -134,8 +155,9 @@ def read_matrix_csv(path):
 def write_deltas_csv(path, epsilons, deltas):
     with open(path, "w") as fh:
         fh.write("eps_coarse,eps_fine,delta\n")
-        for k, delta in enumerate(deltas):
-            fh.write(_fmt(epsilons[k]) + "," + _fmt(epsilons[k + 1]) + "," + _fmt(delta) + "\n")
+        eps = _reprs(epsilons)
+        for coarse, fine, delta in zip(eps, eps[1:], _reprs(deltas)):
+            fh.write(f"{coarse},{fine},{delta}\n")
 
 
 def ensure_dir(path) -> str:

@@ -368,6 +368,168 @@ def test_kato_two_flux_shifted_steps(two_flux_block_traj, two_flux_model, fine_g
 
 
 # ---------------------------------------------------------------------------
+# the table-once batteries against the per-pair formulas they replaced
+
+
+def _trapezoid(times):
+    t = np.asarray(times, dtype=float)
+    w = np.empty_like(t)
+    w[0] = 0.5 * (t[1] - t[0])
+    w[-1] = 0.5 * (t[-1] - t[-2])
+    w[1:-1] = 0.5 * (t[2:] - t[:-2])
+    return w
+
+
+def _per_pair_kruzhkov(traj, model, lam, phi):
+    """E(lam, phi) with per-time tables and 3-operand einsums, one pair at a time."""
+    from discflux.geometry import transformed_normal_flux
+
+    grid = traj.grid
+    pts = grid.points().reshape(-1, grid.d)
+    times = np.asarray(traj.times)
+    tw = _trapezoid(times)
+    nt = len(times)
+    states = traj.states.reshape(nt, -1)
+    flux_u = np.stack([model.evaluate(pts, states[i]) for i in range(nt)])
+    lam_arr = np.full(pts.shape[0], lam)
+    flux_lam = model.evaluate(pts, lam_arr)
+    div_lam = model.smooth_divergence_at_state(pts, lam_arr)
+    vals = np.stack([phi.value(t, pts) for t in times])
+    dts = np.stack([phi.time_derivative(t, pts) for t in times])
+    grads = np.stack([phi.gradient(t, pts) for t in times])
+
+    diff = states - lam
+    sgn = np.sign(diff)
+    term_time = np.einsum("t,tc,tc->", tw, np.abs(diff), dts)
+    conv = ((flux_u - flux_lam[None]) * grads).sum(axis=-1)
+    term_conv = np.einsum("t,tc,tc->", tw, sgn, conv)
+    term_div = np.einsum("t,tc,c,tc->", tw, sgn, div_lam, vals)
+    total = grid.cell_volume * (term_time + term_conv - term_div)
+    if model.interface is not None:
+        tr = interface_trace(traj, model.interface, eps=traj.manifest["smoothing_width"],
+                             bounds=(model.a, model.b))
+        surf = tr.surface_points
+        m_lam = np.full(surf.shape[0], lam)
+        jump = (transformed_normal_flux(model, model.interface, "right").value(surf, m_lam)
+                - transformed_normal_flux(model, model.interface, "left").value(surf, m_lam))
+        surf_vals = np.stack([phi.value(t, surf) for t in times])
+        delta = np.einsum("t,tm,m,tm->", tw, np.sign(tr.averaged - lam), jump, surf_vals)
+        total -= tr.tangential_weight * delta
+    return float(total + grid.cell_volume * (np.abs(states[0] - lam) @ vals[0]))
+
+
+def _per_time_kato(u1, u2, model, phi):
+    """Kato residual re-evaluating the fluxes and divergences at every time."""
+    eps = u1.manifest.get("smoothing_width") or u2.manifest.get("smoothing_width") or 1.0
+    grid = u1.grid
+    pts = grid.points().reshape(-1, grid.d)
+    times = np.asarray(u1.times)
+    tw = _trapezoid(times)
+    nt = len(times)
+    s1 = u1.states.reshape(nt, -1)
+    s2 = u2.states.reshape(nt, -1)
+    total = 0.0
+    for i in range(nt):
+        diff = s1[i] - s2[i]
+        sgn = np.sign(diff)
+        f1 = model.evaluate_smoothed(pts, s1[i], eps)
+        f2 = model.evaluate_smoothed(pts, s2[i], eps)
+        d1 = model.smooth_divergence_at_state(pts, s1[i])
+        d2 = model.smooth_divergence_at_state(pts, s2[i])
+        contrib = (
+            np.abs(diff) @ phi.time_derivative(times[i], pts)
+            + (sgn * ((f1 - f2) * phi.gradient(times[i], pts)).sum(axis=-1)).sum()
+            - (sgn * (d1 - d2) * phi.value(times[i], pts)).sum()
+        )
+        total += tw[i] * contrib
+    total += np.abs(s1[0] - s2[0]) @ phi.value(times[0], pts)
+    return float(total * grid.cell_volume)
+
+
+def _assert_same_battery(report, reference):
+    """Residuals within 1e-12 relative, the same verdicts and the same worst pair."""
+    assert [(e.lam, e.phi_id) for e in report.entries] == [key for key, _ in reference]
+    for entry, (_, ref) in zip(report.entries, reference):
+        assert abs(entry.residual - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert entry.passed == (ref >= -entry.tol)
+    worst_key, _ = min(reference, key=lambda item: item[1])
+    assert report.worst == worst_key
+
+
+def _flattened_2d_fixture():
+    """An analytic field on the flattened tilted_2d box: interface traces and
+    two flux components, no solve."""
+    from discflux.geometry import flattened_box
+
+    model = dx.preset("tilted_2d")
+    fbox = flattened_box(model.domain, model.interface)
+    grid = dx.Grid(fbox.lows, fbox.highs, (32, 32))
+    times = tuple(np.linspace(0.0, 0.4, 9))
+    pts = grid.points()
+    r = np.clip(np.linalg.norm(pts, axis=-1) / 0.6, 0.0, 1.0)
+    states = np.stack([0.2 + 0.5 * (1.0 - r**2) ** 2 * (1.0 - t) for t in times])
+    return model, dx.Trajectory(grid, times, states, {"smoothing_width": 0.05})
+
+
+def _x_ramp_fixture(grid, phase_speed):
+    """x-dependent flux, so the smooth divergence terms are nonzero."""
+    times = tuple(np.linspace(0.0, 0.2, 17))
+    x = grid.points()[..., 0]
+    states = np.stack([np.clip(0.5 + 0.4 * np.sin(6.0 * x + phase_speed * t), 0.0, 1.0) for t in times])
+    return dx.Trajectory(grid, times, states, {})
+
+
+@pytest.mark.parametrize("case", ["burgers_shock", "x_ramp", "two_flux_interface", "flattened_2d"])
+def test_entropy_battery_matches_per_pair_formula(case, request, fine_grid):
+    if case == "burgers_shock":
+        model, traj, transformed = (request.getfixturevalue("burgers_model"),
+                                    request.getfixturevalue("burgers_shock_traj"), False)
+    elif case == "x_ramp":
+        model, traj, transformed = dx.preset("x_ramp"), _x_ramp_fixture(fine_grid, 1.0), False
+    elif case == "two_flux_interface":
+        model, traj, transformed = (request.getfixturevalue("two_flux_model"),
+                                    request.getfixturevalue("two_flux_block_traj"), True)
+    else:
+        (model, traj), transformed = _flattened_2d_fixture(), True
+    # a recorded interior state as lambda: sgn(u - lambda) is 0 on that cell
+    nt = len(traj.times)
+    recorded = float(traj.states.reshape(nt, -1)[nt // 2, traj.states[0].size // 2 + 3])
+    assert model.a < recorded < model.b
+    lambdas = list(lambda_battery(model.a, model.b)) + [recorded]
+    phis = bump_battery(traj.grid.box, traj.times[-1], count=4)
+
+    report = dx.entropy_battery(traj, model, lambdas=lambdas, phis=phis, transformed=transformed)
+    work_model = dx.flatten_model(model) if transformed else model
+    reference = [((float(lam), phi.label), _per_pair_kruzhkov(traj, work_model, float(lam), phi))
+                 for phi in phis for lam in lambdas]
+    _assert_same_battery(report, reference)
+
+
+@pytest.mark.parametrize("case", ["burgers", "x_ramp", "two_flux_interface"])
+def test_kato_battery_matches_per_time_formula(case, request, fine_grid):
+    if case == "burgers":
+        model = request.getfixturevalue("burgers_model")
+        u1 = request.getfixturevalue("burgers_shock_traj")
+        u2 = request.getfixturevalue("burgers_rarefaction_traj")
+    elif case == "x_ramp":
+        model = dx.preset("x_ramp")
+        u1, u2 = _x_ramp_fixture(fine_grid, 1.0), _x_ramp_fixture(fine_grid, -3.0)
+    else:
+        model = request.getfixturevalue("two_flux_model")
+        u1 = request.getfixturevalue("two_flux_block_traj")
+        # same data on the right half only: sgn(u1 - u2) is 0 on half the cells
+        x = u1.grid.points()[..., 0]
+        u2 = dx.Trajectory(u1.grid, u1.times, np.where(x > 0, u1.states, 0.5 * u1.states[::-1]),
+                           u1.manifest)
+    phis = bump_battery(u1.grid.box, u1.times[-1], count=6)
+    report = dx.kato_battery(u1, u2, model, phis=phis)
+    reference = [((None, phi.label), _per_time_kato(u1, u2, model, phi)) for phi in phis]
+    _assert_same_battery(report, reference)
+    for phi, (_, ref) in zip(phis, reference):
+        assert abs(dx.kato_residual(u1, u2, model, phi) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+# ---------------------------------------------------------------------------
 # distances, contraction, cone locality
 
 

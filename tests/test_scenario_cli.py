@@ -337,6 +337,11 @@ def test_cli_run_writes_report_and_trajectory(tmp_path, capsys):
     assert [c["name"] for c in report["checks"]] == ["max_principle"]
     assert (out / "trajectory.csv").is_file()
     assert report["solver"]["epsilon"] == 0.008
+    timings = report["timings"]
+    assert set(timings) == {"solve_s", "verify_s", "io_s", "total_s"}
+    phases = [timings["solve_s"], timings["verify_s"], timings["io_s"]]
+    assert min(phases) > 0.0
+    assert sum(phases) <= timings["total_s"]
 
 
 def test_cli_quiet_suppresses_check_lines(tmp_path, capsys):
@@ -354,7 +359,10 @@ def test_cli_shock_battery_spec_example(tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is True
+    assert report["timings"]["verify_s"] > 0.0
     battery = json.loads((out / "entropy_report.json").read_text())
+    # timings live in report.json only: the battery file must repeat byte for byte
+    assert set(battery) == {"entries", "summary"}
     assert battery["summary"]["pass"] is True
     assert battery["summary"]["count"] == 220
     worst_tol = max(e["tol"] for e in battery["entries"])
@@ -559,12 +567,23 @@ def test_cli_outputs_are_deterministic(tmp_path):
                         study={"epsilons": [0.016, 0.008, 0.004]})
     conv_doc["run"] = {"epsilon": 0.004, "final_time": 0.05, "boundary": [[1.0, 0.0]]}
     conv_path = _write(tmp_path, conv_doc, "conv.json")
+    run_2d_path = _write(tmp_path, {
+        "name": "run_2d", "kind": "run", "flux": "tilted_2d", "grid": {"counts": [24, 24]},
+        "run": {"epsilon": 0.04, "final_time": 0.02, "boundary": 0.0, "output_count": 3},
+        "initial": {"kind": "bump", "base": 0.0, "amplitude": 0.4,
+                    "center": [0.0, 0.0], "radius": 0.25},
+    }, "run_2d.json")
+    entropy_path = _write(tmp_path, _run_doc(name="entropy_cheap", kind="entropy-check",
+                                             study={"bumps": 4}), "entropy.json")
 
-    for cmd, path, name in (("run", run_path, "trajectory.csv"),
-                            ("converge", conv_path, "deltas.csv"),
-                            ("converge", conv_path, "finest_endpoint.csv")):
-        out1 = tmp_path / f"{cmd}_{name}_1"
-        out2 = tmp_path / f"{cmd}_{name}_2"
+    for cmd, path, names in (("run", run_path, ["trajectory.csv"]),
+                             ("converge", conv_path, ["deltas.csv", "finest_endpoint.csv"]),
+                             ("run", run_2d_path, ["trajectory.csv"]),
+                             ("entropy-check", entropy_path,
+                              ["trajectory.csv", "entropy_report.json"])):
+        out1 = tmp_path / f"{cmd}_{names[0]}_1"
+        out2 = tmp_path / f"{cmd}_{names[0]}_2"
         assert main([cmd, path, "--out", str(out1), "--quiet"]) == 0
         assert main([cmd, path, "--out", str(out2), "--quiet"]) == 0
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

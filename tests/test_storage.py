@@ -154,6 +154,121 @@ def test_float_formatting_roundtrips_shortest_repr(tmp_path):
     assert_array_equal(storage.read_field_csv(a).values, tricky)
 
 
+# ---------------------------------------------------------------------------
+# the bulk writers against the row-by-row writers they replaced
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def _rows_trajectory(grid, times, states) -> str:
+    pts = grid.points().reshape(-1, grid.d)
+    out = ["t," + ",".join(f"x{k + 1}" for k in range(grid.d)) + ",u\n"]
+    for i, t in enumerate(times):
+        flat = np.asarray(states[i]).reshape(-1)
+        for row, value in zip(pts, flat):
+            out.append(_fmt(t) + "," + ",".join(_fmt(c) for c in row) + "," + _fmt(value) + "\n")
+    return "".join(out)
+
+
+def _rows_trace(trace) -> str:
+    p = trace.averaged
+    out = ["t,s,p_u\n"]
+    for i, t in enumerate(trace.times):
+        for m in range(p.shape[1]):
+            s = trace.tangential_points[m, 0] if trace.tangential_points.shape[1] else 0.0
+            out.append(_fmt(t) + "," + _fmt(s) + "," + _fmt(p[i, m]) + "\n")
+    return "".join(out)
+
+
+def _rows_matrix(ids, matrix) -> str:
+    out = ["id," + ",".join(ids) + "\n"]
+    for i, row_id in enumerate(ids):
+        out.append(row_id + "," + ",".join(_fmt(v) for v in matrix[i]) + "\n")
+    return "".join(out)
+
+
+def _rows_deltas(epsilons, deltas) -> str:
+    out = ["eps_coarse,eps_fine,delta\n"]
+    for k, delta in enumerate(deltas):
+        out.append(_fmt(epsilons[k]) + "," + _fmt(epsilons[k + 1]) + "," + _fmt(delta) + "\n")
+    return "".join(out)
+
+
+# signed zero, extreme exponents, the classic rounding case, integral floats
+TRICKY = np.array([-0.0, 0.0, 1e-300, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1.0, -2.0,
+                   1e16, 123456789.0, 2.0 ** -1074 * 3, -1e300])
+
+
+def _tricky_states(n_times, counts, seed=3):
+    states = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_times,) + counts).reshape(n_times, -1)
+    states[:, :TRICKY.size] = np.roll(TRICKY, 1)[None, :]
+    states[-1, -TRICKY.size:] = TRICKY
+    return states.reshape((n_times,) + counts)
+
+
+@pytest.mark.parametrize("lows, highs, counts, times", [
+    ((-0.5,), (0.5,), (16,), (0.0, 0.1 + 0.2, 1.0)),
+    ((-0.5, 0.0), (0.5, 1.0), (6, 5), (0.0, 1e-300, 0.25, 2.0)),
+    ((0.0, -1.0), (1.0, 1.0), (7, 4), (0.30000000000000004,)),
+    ((-0.662, 0.0), (0.0, 0.3), (199, 6), (0.0,)),
+])
+def test_trajectory_writer_matches_row_writer_and_reads_back(tmp_path, lows, highs, counts, times):
+    grid = Grid(lows, highs, counts)
+    states = _tricky_states(len(times), counts)
+    path = tmp_path / "traj.csv"
+    if len(times) == 1:
+        storage.write_field_csv(path, Field(grid, states[0], times[0]))
+    else:
+        storage.write_trajectory_csv(path, Trajectory(grid=grid, times=times, states=states, manifest={}))
+    assert path.read_bytes() == _rows_trajectory(grid, times, states).encode()
+
+    back = storage.read_trajectory_csv(path)
+    assert back.grid == grid
+    assert back.times == times
+    assert_array_equal(back.states, states)
+    # bit for bit, including the sign of zero
+    assert back.states.tobytes() == states.tobytes()
+
+
+def test_read_rejects_foreign_header(tmp_path):
+    path = tmp_path / "foreign.csv"
+    path.write_text("time,x,u\n0.0,0.0,1.0\n0.0,0.5,1.0\n")
+    with pytest.raises(ValueError, match="not a trajectory CSV"):
+        storage.read_trajectory_csv(path)
+
+
+def test_trace_matrix_deltas_writers_match_row_writers(tmp_path):
+    for tang in (np.zeros((1, 0)), np.array([[-0.25], [0.0], [0.1 + 0.2]])):
+        m = tang.shape[0]
+        left = np.vstack([TRICKY[:m], TRICKY[-m:], np.full(m, 0.5)])
+        trace = TraceField(
+            times=(0.0, 0.1 + 0.2, 1.0),
+            tangential_points=tang,
+            surface_points=np.zeros((m, 1 + tang.shape[1])),
+            left=left,
+            right=left[::-1],
+            tangential_weight=1.0,
+            stencil={},
+        )
+        path = tmp_path / "trace.csv"
+        storage.write_trace_csv(path, trace)
+        assert path.read_bytes() == _rows_trace(trace).encode()
+
+    ids = ["L1-00", "L1-01", "L1-02", "L1-03"]
+    matrix = np.resize(TRICKY, (4, 4))
+    path = tmp_path / "matrix.csv"
+    storage.write_matrix_csv(path, ids, matrix)
+    assert path.read_bytes() == _rows_matrix(ids, matrix).encode()
+
+    epsilons = [4e-3, 2e-3, 1e-3, 5e-4]
+    deltas = [0.1 + 0.2, 1.0, -0.0]
+    path = tmp_path / "deltas.csv"
+    storage.write_deltas_csv(path, epsilons, deltas)
+    assert path.read_bytes() == _rows_deltas(epsilons, deltas).encode()
+
+
 def test_ensure_dir_creates_and_returns(tmp_path):
     target = tmp_path / "a" / "b"
     assert storage.ensure_dir(target) == target
