@@ -19,15 +19,10 @@ from .flux import (
 )
 from .geometry import (
     Box,
-    Chart,
     Cone,
-    ExclusionSets,
     Interface,
     SpeedBound,
     ball_sample,
-    cone_cutoff_chi,
-    cone_cylinder_intersection_height,
-    cone_pair_intersection_height,
     flatten_model,
     flattened_box,
     mixed_derivative_bound,
@@ -86,7 +81,6 @@ from .germ import (
     contraction_matrix,
     diagonal_select,
     dyadic_values,
-    germ_solve,
     grid_for_epsilon,
     member_count,
     run_sequence,

@@ -9,7 +9,7 @@ against the leading shape, results have the broadcast leading shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -57,40 +57,23 @@ def horner(u, coeffs):
     return out
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """f(x, lam) = m(x) * sum_j coeffs[j] lam^j with the affine modulation
-    m(x) = mod[0] + sum_k mod[1 + k] x_k, or m = 1 when it is None.  Equal
-    descriptions are one coefficient field: the solver and the speed bounds
-    merge identical side components by hashing this."""
+@lru_cache(maxsize=None)
+def derivative_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """Ascending coefficients of the state derivative of sum_j coeffs[j] lam^j."""
+    return tuple(j * c for j, c in enumerate(coeffs))[1:] or (0.0,)
 
-    coeffs: tuple[float, ...]
-    modulation: tuple[float, ...] | None = None
 
-    @cached_property
-    def dcoeffs(self) -> tuple[float, ...]:
-        return tuple(j * c for j, c in enumerate(self.coeffs))[1:] or (0.0,)
-
-    def modulation_at(self, x):
-        """m(x) on points (..., d); None without modulation."""
-        if self.modulation is not None:
-            return self.modulation[0] + np.asarray(x, dtype=float) @ np.asarray(self.modulation[1:])
-
-    def _times_m(self, x, v):
-        m = self.modulation_at(x)
-        return v if m is None else m * v
-
-    def value(self, x, lam):
-        return self._times_m(x, horner(np.asarray(lam, dtype=float), self.coeffs))
-
-    def lambda_derivative(self, x, lam):
-        return self._times_m(x, horner(np.asarray(lam, dtype=float), self.dcoeffs))
-
-    def mixed_derivative(self, x, lam, axis: int):
-        p = horner(np.asarray(lam, dtype=float), self.dcoeffs)
-        if self.modulation is None:
-            return np.zeros(np.broadcast(np.asarray(x)[..., 0], p).shape)
-        return self.modulation[1 + axis] * np.ones(np.asarray(x)[..., 0].shape) * p
+def term_sum(terms, lam, derivative: bool = False):
+    """sum_i factor_i * P_i(lam) (or P_i'(lam)) over terms ((coeffs, factor),
+    ...); each term is factor * horner(lam, coeffs), a None factor is 1."""
+    lam = np.asarray(lam, dtype=float)
+    total = None
+    for coeffs, factor in terms:
+        v = horner(lam, derivative_coeffs(coeffs) if derivative else coeffs)
+        if factor is not None:
+            v = factor * v
+        total = v if total is None else total + v
+    return total
 
 
 @dataclass(frozen=True)
@@ -98,15 +81,20 @@ class FluxComponent:
     """One directional component f_k(x, lam) of a flux, with its state
     derivative and (optionally) the mixed x-state derivative.
 
-    poly is set by the polynomial family: the solver and the speed bounds
-    then work on its coefficients.  Generic components leave it None.
+    terms, when set, is the component's one description as a sum of state
+    polynomials with spatial factors: terms(x) returns ((coeffs, factor),
+    ...) with f(x, lam) = sum_i factor_i * P_i(lam), P_i the ascending
+    coefficient tuple and factor_i an array over the points x or None (1).
+    The solver, the speed bounds and the flattening and radial-extension
+    transformations work on it; components without terms (mollified or
+    hand-made callables) can be evaluated but not solved.
     """
 
     axis: int
     value: Callable
     lambda_derivative: Callable
     x_derivative_of_lambda_derivative: Callable | None = None
-    poly: Polynomial | None = None
+    terms: Callable | None = None
 
     def mixed_derivative(self, x, lam, axis: int):
         """d^2 f / (dx_axis dlam); central difference fallback when no
@@ -121,11 +109,37 @@ class FluxComponent:
         return (self.lambda_derivative(xp, lam) - self.lambda_derivative(xm, lam)) / (2.0 * h)
 
 
+def term_component(axis: int, terms: Callable, mixed: Callable | None = None) -> FluxComponent:
+    """Component described by terms(x) -> ((coeffs, factor), ...); its value
+    and state derivative are term sums."""
+    return FluxComponent(axis, lambda x, lam: term_sum(terms(x), lam),
+                         lambda x, lam: term_sum(terms(x), lam, derivative=True), mixed, terms)
+
+
+def require_terms(comp: FluxComponent, side: str) -> Callable:
+    """The terms of a component that is to be solved or transformed."""
+    if comp.terms is None:
+        raise ValueError(f"the {side} flux component of axis {comp.axis} has no polynomial terms: "
+                         "mollified or callable-only fluxes cannot be solved")
+    return comp.terms
+
+
 def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[float] | None = None) -> FluxComponent:
     """Polynomial-in-state component, optionally scaled by an affine spatial
-    modulation m(x) = mod[0] + sum mod[1 + k] * x_k."""
-    p = Polynomial(tuple(map(float, coeffs)), None if modulation is None else tuple(map(float, modulation)))
-    return FluxComponent(axis, p.value, p.lambda_derivative, p.mixed_derivative, poly=p)
+    modulation m(x) = mod[0] + sum mod[1 + k] * x_k: one term (coeffs, m)."""
+    coeffs = tuple(map(float, coeffs))
+    mod = None if modulation is None else np.asarray(modulation, dtype=float)
+
+    def terms(x):
+        return ((coeffs, None if mod is None else mod[0] + np.asarray(x, dtype=float) @ mod[1:]),)
+
+    def mixed(x, lam, k):
+        p = horner(np.asarray(lam, dtype=float), derivative_coeffs(coeffs))
+        if mod is None:
+            return np.zeros(np.broadcast(np.asarray(x)[..., 0], p).shape)
+        return mod[1 + k] * np.ones(np.asarray(x)[..., 0].shape) * p
+
+    return term_component(axis, terms, mixed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Interface geometry: flattening maps, charts, radial extension, cones.
+"""Interface geometry: flattening maps, radial extension, speed bounds, cones.
 
 Coordinates are cell-centered numpy points of shape (..., d).  An interface is
 the graph x_j = zeta(x_hat) over the remaining coordinates; flattening
@@ -6,7 +6,6 @@ subtracts zeta so the interface becomes the hyperplane {x_j = 0}.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -209,65 +208,6 @@ class Interface:
 
 
 # ---------------------------------------------------------------------------
-# charts and exclusion sets
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Ball B(center, radius) in original coordinates whose flattened image
-    must contain B(flatten(center), flattened_radius)."""
-
-    center: tuple[float, ...]
-    radius: float
-    interface: Interface
-    flattened_radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0 or self.flattened_radius <= 0:
-            raise ValueError("chart radii must be positive")
-
-    @property
-    def flattened_center(self) -> np.ndarray:
-        return self.interface.flatten(np.asarray(self.center, dtype=float))
-
-    def validate(self, n: int = 256) -> dict:
-        """Sampled check that unflatten(B(x_tilde, R)) lies inside B(center, r)."""
-        ctil = self.flattened_center
-        pts = ball_sample(ctil, self.flattened_radius, n)
-        back = self.interface.unflatten(pts)
-        dist = np.linalg.norm(back - np.asarray(self.center), axis=-1)
-        worst = float(dist.max())
-        return {"ok": bool(worst < self.radius), "worst_distance": worst, "radius": self.radius}
-
-
-@dataclass(frozen=True)
-class ExclusionSets:
-    """Finite unions of balls around the structure-failure sets, one union per
-    interface axis, with a shared neighborhood width epsilon."""
-
-    balls: dict
-    epsilon: float
-
-    def validate(self) -> dict:
-        """Pairwise disjointness of the epsilon-fattened unions across axes."""
-        worst = math.inf
-        worst_pair = None
-        axes = sorted(self.balls)
-        for i, ja in enumerate(axes):
-            for jb in axes[i + 1 :]:
-                for ca, ra in self.balls[ja]:
-                    for cb, rb in self.balls[jb]:
-                        gap = float(np.linalg.norm(np.asarray(ca) - np.asarray(cb))) - (
-                            ra + rb + 2.0 * self.epsilon
-                        )
-                        if gap < worst:
-                            worst = gap
-                            worst_pair = (ja, jb, tuple(ca), tuple(cb))
-        ok = worst_pair is None or worst > 0.0
-        return {"ok": bool(ok), "worst_gap": None if worst_pair is None else worst, "pair": worst_pair}
-
-
-# ---------------------------------------------------------------------------
 # radial extension
 
 
@@ -303,46 +243,29 @@ def transformed_normal_flux(model, interface: Interface, side: str):
 
         F_j(x, lam) = f_j(x, lam) - sum_k zeta_grad_k(x_hat) * f_k(x, lam)
 
-    over the tangential axes k.  Coefficients are read directly in the
-    flattened coordinates, matching the local analysis they serve.
+    over the tangential axes k: the normal component's terms followed by
+    each tangential component's terms with their factors scaled by
+    -zeta_grad_k.  Coefficients are read directly in the flattened
+    coordinates, matching the local analysis they serve.
     """
-    from .flux import FluxComponent
+    from .flux import require_terms, term_component
 
     comps = _side_components(model, side)
     j = interface.axis
     normal = comps[j]
-    tang = [comps[k] for k in interface.tangential_axes]
-    if interface.d == 1 or not tang:
+    tangential = [require_terms(comps[k], side) for k in interface.tangential_axes]
+    if interface.d == 1 or not tangential:
         return normal
+    normal_terms = require_terms(normal, side)
 
-    def value(x, lam):
+    def terms(x):
         g = interface.zeta_gradient(interface.tangential(x))
-        out = normal.value(x, lam)
-        for m, comp in enumerate(tang):
-            out = out - g[..., m] * comp.value(x, lam)
-        return out
+        out = list(normal_terms(x))
+        for m, tangential_terms in enumerate(tangential):
+            out += [(c, -g[..., m] if f is None else -g[..., m] * f) for c, f in tangential_terms(x)]
+        return tuple(out)
 
-    def lam_deriv(x, lam):
-        g = interface.zeta_gradient(interface.tangential(x))
-        out = normal.lambda_derivative(x, lam)
-        for m, comp in enumerate(tang):
-            out = out - g[..., m] * comp.lambda_derivative(x, lam)
-        return out
-
-    def mixed(x, lam, axis):
-        # exact for affine zeta; curvature of zeta is not differentiated here
-        g = interface.zeta_gradient(interface.tangential(x))
-        out = normal.mixed_derivative(x, lam, axis)
-        for m, comp in enumerate(tang):
-            out = out - g[..., m] * comp.mixed_derivative(x, lam, axis)
-        return out
-
-    return FluxComponent(
-        axis=j,
-        value=value,
-        lambda_derivative=lam_deriv,
-        x_derivative_of_lambda_derivative=mixed,
-    )
+    return term_component(j, terms)
 
 
 def _side_components(model, side: str):
@@ -400,33 +323,19 @@ def flatten_model(model):
 
 
 def radial_extend_model(model, center, radius: float):
-    """Radially extend every side coefficient field about `center`.
+    """Radially extend every side coefficient field about `center`: each
+    component's terms are evaluated at the radial projection onto the ball,
+    so the state polynomials are unchanged and every spatial factor keeps
+    its sup bound."""
+    from .flux import PiecewiseFlux, require_terms, term_component
 
-    Derivative fields are extended by the same composition, which preserves
-    the sup bounds the estimates use."""
-    from .flux import FluxComponent, PiecewiseFlux
-
-    def ext_comp(comp):
-        mixed = comp.x_derivative_of_lambda_derivative
-        return FluxComponent(
-            axis=comp.axis,
-            value=radial_extend(comp.value, center, radius),
-            lambda_derivative=radial_extend(comp.lambda_derivative, center, radius),
-            x_derivative_of_lambda_derivative=None if mixed is None else radial_extend(mixed, center, radius),
-        )
-
-    cache = {}
-
-    def ext_cached(comp):
-        key = id(comp)
-        if key not in cache:
-            cache[key] = ext_comp(comp)
-        return cache[key]
+    def extend(comp, side):
+        return term_component(comp.axis, radial_extend(require_terms(comp, side), center, radius))
 
     return PiecewiseFlux(
         d=model.d,
-        left=tuple(ext_cached(c) for c in model.left),
-        right=tuple(ext_cached(c) for c in model.right),
+        left=tuple(extend(c, "left") for c in model.left),
+        right=tuple(extend(c, "right") for c in model.right),
         interface=model.interface,
         a=model.a,
         b=model.b,
@@ -457,19 +366,18 @@ def _stacked_derivative_max(model, radius, state_bound, n_lambda, n_x, which) ->
     lam = np.linspace(lo, hi, n_lambda)
     xs = ball_sample(np.zeros(model.d), radius, n_x)
 
-    # identical side components are one coefficient field and enter once
-    unique = []
-    seen = set()
+    # identical side components are one coefficient field and enter once:
+    # equal terms at every sampled point (components without terms by identity)
+    unique = {}
     for comp in tuple(model.left) + tuple(model.right):
-        key = (comp.axis, comp.poly) if comp.poly is not None else id(comp)
-        if key not in seen:
-            seen.add(key)
-            unique.append(comp)
+        key = id(comp) if comp.terms is None else (comp.axis, tuple(
+            (c, None if f is None else np.asarray(f, dtype=float).tobytes()) for c, f in comp.terms(xs)))
+        unique.setdefault(key, comp)
 
     total = np.zeros((xs.shape[0], lam.shape[0]))
     X = xs[:, None, :]
     L = lam[None, :]
-    for comp in unique:
+    for comp in unique.values():
         if which == "lambda":
             g = comp.lambda_derivative(X, L)
         else:
@@ -529,45 +437,3 @@ class Cone:
         pts = as_points(x, len(self.center))
         dist = np.linalg.norm(pts - np.asarray(self.center), axis=-1)
         return (dist < self.radius - self.speed * t) & (t < self.height)
-
-
-def cone_pair_intersection_height(a: Cone, b: Cone) -> float:
-    """Largest time at which the two cone sections still intersect."""
-    dist = float(np.linalg.norm(np.asarray(a.center) - np.asarray(b.center)))
-    t = (a.radius + b.radius - dist) / (a.speed + b.speed)
-    return float(min(max(t, 0.0), a.height, b.height))
-
-
-def cone_cylinder_intersection_height(cone: Cone, center, radius: float, margin: float = 0.0) -> float:
-    """Largest time at which the cone section meets B(center, radius + margin)."""
-    dist = float(np.linalg.norm(np.asarray(cone.center) - np.asarray(center)))
-    t = (cone.radius + radius + margin - dist) / cone.speed
-    return float(min(max(t, 0.0), cone.height))
-
-
-def cone_cutoff_chi(cone_i: Cone, cone_j: Cone, eps: float, t, x, raw: bool = False):
-    """Smoothed cutoff for a pair of cones.
-
-    raw=True evaluates the bare product formula
-        1 - omega(z_i) * omega(z_j),   z = (|x - c| + N t - R + eps) / eps,
-    which is 1 far outside both cones.  The default multiplies by the smoothed
-    indicator of each cone so the cutoff is supported in the cone
-    intersection: chi > 0 implies strict membership in both cones.
-    """
-    from .flux import smoothstep
-
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    t = np.asarray(t, dtype=float)
-    pts = as_points(x, len(cone_i.center))
-
-    def z(cone):
-        dist = np.linalg.norm(pts - np.asarray(cone.center), axis=-1)
-        return (dist + cone.speed * t - cone.radius + eps) / eps
-
-    wi = smoothstep(z(cone_i))
-    wj = smoothstep(z(cone_j))
-    chi = 1.0 - wi * wj
-    if raw:
-        return chi
-    return chi * (1.0 - wi) * (1.0 - wj)

@@ -400,7 +400,7 @@ class GermLevelResult:
 
 class GermStudy:
     """Caches one GermRecord per datum so family sweeps, diagonal selection,
-    stability matrices and germ_solve reuse each viscous run."""
+    stability matrices and limit estimates (solve) reuse each viscous run."""
 
     def __init__(self, model: PiecewiseFlux, final_time: float, epsilons,
                  box: Box | None = None, cell_budget: int = DEFAULT_CELL_BUDGET,
@@ -455,7 +455,7 @@ class GermStudy:
         that member's sequence, and report the triangle-inequality error bar
         approx_error + delta_tail."""
         if u0.grid != self.comparison_grid:
-            raise ValueError("germ_solve data must live on the comparison grid")
+            raise ValueError("data to solve must live on the comparison grid")
         family = self.family(level)
         member = family.project(u0)
         record = self.record_for(member)
@@ -463,12 +463,6 @@ class GermStudy:
         tail = _delta_tail(record.deltas)
         return GermEstimate(limit=record.endpoints[-1], error_bar=approx + tail,
                             member_id=member.label, approx_error=approx, delta_tail=tail)
-
-
-def germ_solve(u0: Field, family: DenseFamily, study: GermStudy,
-               selection: SelectionResult | None = None) -> GermEstimate:
-    del selection  # the estimate always uses the finest recorded endpoint
-    return study.solve(u0, family.level)
 
 
 @dataclass(frozen=True)

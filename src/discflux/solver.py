@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flux import DEFAULT_PROFILE, PiecewiseFlux, SmoothingProfile, horner
+from .flux import DEFAULT_PROFILE, PiecewiseFlux, SmoothingProfile, derivative_coeffs, horner, require_terms
 from .geometry import Box
 
 CFL_SPEED_FLOOR = 1e-12
@@ -202,94 +202,78 @@ def _sign_changes(c: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 class _Faces:
-    """Smoothed flux F = sum over sides of w * (m * f_side) of one axis on
-    the interior faces; smoothing weights w and modulations m are fixed.
+    """Smoothed flux F = sum over sides and their terms of w * (factor * P)
+    of one axis on the interior faces; smoothing weights w and term factors
+    are fixed for the run, so each term is a row (coeffs, factors).
 
-    Polynomial sides: P and P' are evaluated once per cell per step, by
-    Horner, and sliced onto the faces.  The Rusanov coefficient is the exact
-    max of |F'| over [ul, ur] (an E-scheme for any degree): it sits at an
-    endpoint or at a sign change of F'' inside, and those depend only on the
-    face, so they and |F'| there are tabulated once per run.  The bound is
-    the same max over [a, b].  Sides known only as callables (mollified,
-    flattened, radially extended) sample max |F'| at N_SPEED_STATES states of
-    [ul, ur] and the bound on a (face, state) grid."""
-
-    N_SPEED_STATES = 5
-    N_BOUND_STATES = 65
-    MAX_BOUND_FACES = 512
+    Each distinct P and P' is evaluated once per cell per step, by Horner,
+    and sliced onto the faces.  The Rusanov coefficient is the exact max of
+    |F'| over [ul, ur] (an E-scheme for any degree): it sits at an endpoint
+    or at a sign change of F'' inside, and those depend only on the face, so
+    they and |F'| there are tabulated once per run.  The bound is the same
+    max over [a, b]."""
 
     def __init__(self, config: RunConfig, grid: Grid, axis: int):
         model = config.flux
         self.pts = grid.interior_face_points(axis)
         self.lo = _axslice(grid.d, axis, slice(None, -1))
         self.hi = _axslice(grid.d, axis, slice(1, None))
-        comps, weights = (model.left[axis],), (None,)
+        sides = (("left", model.left[axis], None),)
         if model.interface is not None:
-            comps = (model.left[axis], model.right[axis])
-            weights = config.profile.weights(model.interface.offset(self.pts), config.eps_smoothing)
-        self.poly = all(c.poly is not None for c in comps)
-        # the factors of each side, applied in this order: modulation, weight
-        self.sides = [
-            (c, [f for f in (c.poly.modulation_at(self.pts) if self.poly else None, w) if f is not None])
-            for c, w in zip(comps, weights)
+            wl, wr = config.profile.weights(model.interface.offset(self.pts), config.eps_smoothing)
+            sides = (("left", model.left[axis], wl), ("right", model.right[axis], wr))
+        # the factors of each term, applied in this order: term factor, weight
+        self.rows = [
+            (coeffs, [f for f in (factor, w) if f is not None])
+            for side, comp, w in sides
+            for coeffs, factor in require_terms(comp, side)(self.pts)
         ]
         self.crit = []  # (state, |F'| there) per candidate column, face arrays
-        if not self.poly:
-            flat = self.pts.reshape(-1, grid.d)
-            flat = flat[np.unique(np.linspace(0, len(flat) - 1, self.MAX_BOUND_FACES).astype(int))]
-            lam = np.linspace(model.a, model.b, self.N_BOUND_STATES)
-            dF = model.component_lambda_derivative_smoothed(
-                axis, flat[:, None, :], lam[None, :], config.eps_smoothing, config.profile
-            )
-            self.bound = float(np.abs(dF).max())
-            return
         shape = self.pts.shape[:-1]
-        width = max(len(c.poly.dcoeffs) for c in comps)
+        width = max(len(derivative_coeffs(c)) for c, _ in self.rows)
         if width > 2:  # F'' is not constant
+            column = (-1,) + (1,) * len(shape)
             dF = np.broadcast_to(self._sum(
-                lambda c: np.pad(c.poly.dcoeffs, (0, width - len(c.poly.dcoeffs))).reshape((-1,) + (1,) * len(shape))
+                lambda c: np.pad(derivative_coeffs(c), (0, width - len(derivative_coeffs(c)))).reshape(column)
             ), (width,) + shape)
-            rows, inverse = np.unique(dF.reshape(width, -1).T, axis=0, return_inverse=True)
-            states = _sign_changes(rows[:, 1:] * np.arange(1, width), model.a, model.b)[inverse.ravel()]
+            table, inverse = np.unique(dF.reshape(width, -1).T, axis=0, return_inverse=True)
+            states = _sign_changes(table[:, 1:] * np.arange(1, width), model.a, model.b)[inverse.ravel()]
             for col in states.T:
                 if not np.isnan(col).all():
                     col = col.reshape(shape)
-                    self.crit.append((col, np.nan_to_num(np.abs(self._sum(lambda c: horner(col, c.poly.dcoeffs))))))
-        ends = [np.abs(self._sum(lambda c: horner(np.full(shape, s), c.poly.dcoeffs))) for s in (model.a, model.b)]
+                    self.crit.append((col, np.nan_to_num(self._speed(col))))
+        ends = [self._speed(np.full(shape, s)) for s in (model.a, model.b)]
         self.bound = float(max(x.max() for x in ends + [speed for _, speed in self.crit]))
 
     def _sum(self, at):
-        """sum over sides of w * (m * at(component)), in that order."""
+        """sum over rows of w * (factor * at(coeffs)), in that order."""
         total = None
-        for comp, factors in self.sides:
-            v = at(comp)
+        for coeffs, factors in self.rows:
+            v = at(coeffs)
             for f in factors:
                 v = f * v
             total = v if total is None else total + v
         return total
 
+    def _speed(self, states):
+        """|F'| at per-face states."""
+        return np.abs(self._sum(lambda c: horner(states, derivative_coeffs(c))))
+
     def rusanov(self, values: np.ndarray, cells: dict):
         """Rusanov flux 0.5 (F(ul) + F(ur)) - 0.5 alpha (ur - ul) on the faces
         and its coefficient alpha; `cells` keeps P and P' of `values` per
-        polynomial for the other axes."""
+        coefficient tuple for the other axes."""
         lo, hi = self.lo, self.hi
         ul, ur = values[lo], values[hi]
-        if not self.poly:
-            alpha = 0.0
-            for frac in np.linspace(0.0, 1.0, self.N_SPEED_STATES):
-                s = ul + (ur - ul) * frac
-                alpha = np.maximum(alpha, np.abs(self._sum(lambda c: c.lambda_derivative(self.pts, s))))
-            fl, fr = self._sum(lambda c: c.value(self.pts, ul)), self._sum(lambda c: c.value(self.pts, ur))
-        else:
-            for c, _ in self.sides:
-                if c.poly.coeffs not in cells:
-                    cells[c.poly.coeffs] = (horner(values, c.poly.coeffs), horner(values, c.poly.dcoeffs))
-            fl, fr, dl, dr = (self._sum(lambda c: cells[c.poly.coeffs][j][sl]) for j in (0, 1) for sl in (lo, hi))
-            alpha = np.maximum(np.abs(dl), np.abs(dr))
-            if self.crit:
-                smin, smax = np.minimum(ul, ur), np.maximum(ul, ur)
-                for state, speed in self.crit:
-                    alpha = np.maximum(alpha, np.where((state >= smin) & (state <= smax), speed, 0.0))
+        for coeffs, _ in self.rows:
+            if coeffs not in cells:
+                cells[coeffs] = (horner(values, coeffs), horner(values, derivative_coeffs(coeffs)))
+        fl, fr, dl, dr = (self._sum(lambda c: cells[c][j][sl]) for j in (0, 1) for sl in (lo, hi))
+        alpha = np.maximum(np.abs(dl), np.abs(dr))
+        if self.crit:
+            smin, smax = np.minimum(ul, ur), np.maximum(ul, ur)
+            for state, speed in self.crit:
+                alpha = np.maximum(alpha, np.where((state >= smin) & (state <= smax), speed, 0.0))
         return 0.5 * (fl + fr) - 0.5 * alpha * (ur - ul), alpha
 
 

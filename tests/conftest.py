@@ -20,6 +20,24 @@ def block_field(grid: dx.Grid, lo: float, hi: float, inside: float, outside: flo
     return dx.Field(grid, vals, 0.0)
 
 
+# a 2d flux with a curved interface x1 = 0.1 x2 + 0.3 x2^2 and affine
+# modulations on both sides, so flattening gives a normal flux whose terms
+# carry spatially varying factors; zeta(0) = 0 keeps a chart centred at the
+# origin centred there after flattening
+CURVED_MODULATED_SPEC = {
+    "d": 2, "a": 0.0, "b": 1.0,
+    "interface": {"axis": 1, "zeta": {"kind": "poly", "coeffs": [0.0, 0.1, 0.3]}},
+    "left": [
+        {"poly_lambda": [0.0, 1.0, -1.0], "x_modulation": "affine", "x_modulation_coeffs": [1.0, 0.2, -0.1]},
+        {"poly_lambda": [0.0, 0.0, 0.3, -0.3], "x_modulation": "affine", "x_modulation_coeffs": [1.0, -0.1, 0.2]},
+    ],
+    "right": [
+        {"poly_lambda": [0.0, 2.0, -2.0], "x_modulation": "affine", "x_modulation_coeffs": [1.0, 0.1, 0.1]},
+        {"poly_lambda": [0.0, 0.0, 0.3, -0.3], "x_modulation": "none"},
+    ],
+}
+
+
 @pytest.fixture(scope="session")
 def burgers_model():
     return dx.preset("burgers")

@@ -1,12 +1,15 @@
 """Polynomial face-flux kernel of the solver: face values against
 numpy's polyval, the exact Rusanov coefficient against dense sampling, and
 the run's speed bound against every coefficient a step can use."""
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discflux as dx
+from conftest import CURVED_MODULATED_SPEC
 from discflux.solver import _Faces
 
 N_DENSE = 2001
@@ -110,6 +113,22 @@ def test_rusanov_coefficient_exact_on_tilted_2d():
     config = dx.RunConfig(flux=model, epsilon=0.2, final_time=1.0, boundary=0.0)
     values = np.random.default_rng(7).uniform(0.0, 1.0, grid.counts)
     values[:, ::2] = 0.25
+    _check_exact_alpha(config, grid, values)
+
+
+@pytest.mark.parametrize("name, radius", [("tilted_2d", 1.2), ("curved_modulated", 0.6)])
+def test_rusanov_coefficient_exact_on_charted_2d(name, radius):
+    # the flattened, radially extended flux of a charted run: the normal
+    # component gains the tangential terms scaled by -grad zeta, and outside
+    # the chart ball every factor is frozen at the projection
+    model = dx.preset(name) if name == "tilted_2d" else dx.flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
+    flat = dx.flatten_model(model)
+    ext = dx.radial_extend_model(flat, model.interface.flatten(np.zeros(2)), radius)
+    grid = dx.Grid(flat.domain.lows, flat.domain.highs, (8, 8))
+    assert np.linalg.norm(grid.points(), axis=-1).max() > radius
+    config = dx.RunConfig(flux=ext, epsilon=0.2, final_time=1.0, boundary=0.0)
+    values = np.random.default_rng(11).uniform(0.0, 1.0, grid.counts)
+    values[::2, :] = 0.25
     _check_exact_alpha(config, grid, values)
 
 

@@ -1,14 +1,14 @@
-"""Interfaces, flattening, radial extension, speed bounds, cones and cutoffs."""
+"""Interfaces, flattening, radial extension, speed bounds and cones."""
+import copy
+
 import numpy as np
 import pytest
 
 import discflux as dx
+from conftest import CURVED_MODULATED_SPEC
 from discflux.flux import poly_component
 from discflux.geometry import (
-    ExclusionSets,
     ball_sample,
-    cone_cylinder_intersection_height,
-    cone_pair_intersection_height,
     flattened_box,
     project_to_ball,
     transformed_normal_flux,
@@ -211,6 +211,59 @@ def test_radial_extend_model_agrees_inside(burgers_model):
 
 
 # ---------------------------------------------------------------------------
+# the term transformations against the closure formulas they replace
+
+
+def _closure_transformed(model, itf, side, which):
+    """F_j = f_j - sum_k zeta_grad_k f_k, evaluated component by component."""
+    comps = model.left if side == "left" else model.right
+
+    def fn(x, lam):
+        g = itf.zeta_gradient(itf.tangential(x))
+        out = getattr(comps[itf.axis], which)(x, lam)
+        for m, k in enumerate(itf.tangential_axes):
+            out = out - g[..., m] * getattr(comps[k], which)(x, lam)
+        return out
+
+    return fn
+
+
+def test_transformations_match_their_closure_formulas():
+    model = dx.flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
+    itf = model.interface
+    flat = dx.flatten_model(model)
+    center, radius = itf.flatten(np.zeros(2)), 0.6
+    ext = dx.radial_extend_model(flat, center, radius)
+
+    rng = np.random.default_rng(41)
+    pts = rng.uniform(-1.5, 1.5, (2000, 2))
+    lam = rng.uniform(0.0, 1.0, 2000)
+    inside = np.linalg.norm(pts - center, axis=-1) <= radius
+    assert 0 < inside.sum() < len(pts)
+    for side in ("left", "right"):
+        for which in ("value", "lambda_derivative"):
+            closure = _closure_transformed(model, itf, side, which)
+            np.testing.assert_allclose(getattr(getattr(flat, side)[itf.axis], which)(pts, lam),
+                                       closure(pts, lam), rtol=1e-14, atol=1e-14)
+            for k in range(2):
+                flat_fn = getattr(getattr(flat, side)[k], which)
+                ext_fn = getattr(getattr(ext, side)[k], which)
+                got = ext_fn(pts, lam)
+                # identity inside the ball, the field at the projection outside
+                np.testing.assert_array_equal(got[inside], flat_fn(pts[inside], lam[inside]))
+                field = closure if k == itf.axis else flat_fn
+                extended = dx.radial_extend(field, center, radius)(pts, lam)
+                np.testing.assert_allclose(got[~inside], extended[~inside], rtol=1e-14, atol=1e-14)
+
+
+def test_transformations_need_polynomial_terms():
+    rough = dx.GeneralBVFlux(d=2, components=(lambda x, lam: lam * (1 - lam),) * 2, a=0.0, b=1.0,
+                             domain=dx.Box((-1.0, -1.0), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="no polynomial terms"):
+        dx.radial_extend_model(dx.mollify_flux(rough, 0.1, n_nodes=3), np.zeros(2), 0.5)
+
+
+# ---------------------------------------------------------------------------
 # speed bounds
 
 
@@ -305,90 +358,3 @@ def test_cone_sections_nest():
     later = cone.contains(t2, pts)
     earlier = cone.contains(t1, pts)
     assert np.all(~later | earlier)
-
-
-def test_cone_intersection_heights():
-    a = dx.Cone(center=(0.0,), radius=1.0, speed=1.0)
-    b = dx.Cone(center=(1.0,), radius=1.0, speed=1.0)
-    np.testing.assert_allclose(cone_pair_intersection_height(a, b), 0.5, atol=1e-15)
-    c = dx.Cone(center=(0.5,), radius=1.0, speed=2.0)
-    np.testing.assert_allclose(cone_cylinder_intersection_height(c, (0.0,), 0.2), 0.35, atol=1e-15)
-
-
-def test_cone_cutoff_deep_inside_is_one():
-    ci = dx.Cone(center=(0.0,), radius=1.0, speed=1.0)
-    cj = dx.Cone(center=(0.5,), radius=1.2, speed=1.0)
-    chi = dx.cone_cutoff_chi(ci, cj, eps=0.01, t=0.0, x=np.array([0.25]))
-    np.testing.assert_allclose(chi, 1.0, atol=1e-15)
-
-
-def test_cone_cutoff_raw_outside_one_cone():
-    eps = 0.05
-    ci = dx.Cone(center=(0.0,), radius=0.2, speed=1.0)
-    cj = dx.Cone(center=(1.0,), radius=0.95, speed=1.0)
-    t = 0.1
-    # place x outside cone i by exactly 2 eps, in the smoothing collar of j
-    x = np.array([ci.radius - ci.speed * t + 2 * eps])
-
-    # oracle first: direct evaluation of the displayed formula
-    zj = (abs(float(x[0]) - 1.0) + cj.speed * t - cj.radius + eps) / eps
-    oracle = 1.0 - 1.0 * dx.smoothstep(zj)
-    assert 0.0 < dx.smoothstep(zj) < 1.0  # the collar is actually exercised
-
-    chi_raw = dx.cone_cutoff_chi(ci, cj, eps, t, x, raw=True)
-    np.testing.assert_allclose(chi_raw, oracle, atol=1e-14)
-
-
-def test_cone_cutoff_outside_one_cone_unsupported_raw_supported_zero():
-    # deep inside cone j but outside cone i: the bare formula stays at 1,
-    # the supported version vanishes
-    eps = 0.01
-    ci = dx.Cone(center=(0.0,), radius=0.2, speed=1.0)
-    cj = dx.Cone(center=(0.0,), radius=2.0, speed=1.0)
-    x = np.array([0.5])
-    raw = dx.cone_cutoff_chi(ci, cj, eps, 0.0, x, raw=True)
-    supported = dx.cone_cutoff_chi(ci, cj, eps, 0.0, x)
-    np.testing.assert_allclose(raw, 1.0, atol=1e-15)
-    np.testing.assert_allclose(supported, 0.0, atol=1e-15)
-
-
-def test_cone_cutoff_outside_both_is_zero():
-    eps = 0.01
-    ci = dx.Cone(center=(0.0,), radius=0.2, speed=1.0)
-    cj = dx.Cone(center=(0.1,), radius=0.2, speed=1.0)
-    x = np.array([5.0])
-    np.testing.assert_allclose(dx.cone_cutoff_chi(ci, cj, eps, 0.0, x), 0.0, atol=1e-15)
-    np.testing.assert_allclose(dx.cone_cutoff_chi(ci, cj, eps, 0.0, x, raw=True), 0.0, atol=1e-15)
-
-
-def test_cone_cutoff_support_in_intersection():
-    ci = dx.Cone(center=(0.0,), radius=1.0, speed=1.0)
-    cj = dx.Cone(center=(0.6,), radius=0.8, speed=1.5)
-    rng = np.random.default_rng(37)
-    pts = rng.uniform(-2.0, 2.5, (2000, 1))
-    t = 0.15
-    chi = dx.cone_cutoff_chi(ci, cj, eps=0.05, t=t, x=pts)
-    pos = chi > 0
-    assert np.all(ci.contains(t, pts[pos]))
-    assert np.all(cj.contains(t, pts[pos]))
-
-
-# ---------------------------------------------------------------------------
-# charts and exclusion sets
-
-
-def test_chart_validate_tilted():
-    itf = dx.Interface.affine(0, 2, [0.0, 0.2])
-    chart = dx.Chart(center=(0.0, 0.0), radius=1.2, interface=itf, flattened_radius=0.9)
-    report = chart.validate()
-    assert report["ok"]
-    assert report["worst_distance"] < chart.radius
-
-
-def test_exclusion_sets_disjointness():
-    ok = ExclusionSets(balls={0: [((0.0, 0.0), 0.1)], 1: [((1.0, 0.0), 0.1)]}, epsilon=0.05)
-    assert ok.validate()["ok"]
-    bad = ExclusionSets(balls={0: [((0.0, 0.0), 0.3)], 1: [((0.5, 0.0), 0.3)]}, epsilon=0.05)
-    report = bad.validate()
-    assert not report["ok"]
-    assert report["pair"][0] == 0 and report["pair"][1] == 1

@@ -18,7 +18,6 @@ from discflux.germ import (
     contraction_matrix,
     diagonal_select,
     dyadic_values,
-    germ_solve,
     grid_for_epsilon,
     load_record,
     member_count,
@@ -435,7 +434,7 @@ def test_study_rejects_a_final_time_that_empties_the_cone(burgers_model):
 
 
 # ---------------------------------------------------------------------------
-# germ_solve
+# GermStudy.solve
 
 
 def test_in_family_data_reuses_the_member_run(burgers_study):
@@ -495,17 +494,6 @@ def test_nearby_data_give_nearby_limits(burgers_study):
     assert out <= eta + ea.error_bar + eb.error_bar + 1e-12
     # the constant projections are steady, so this instance is tight
     assert out == pytest.approx(1.0, rel=1e-12)
-
-
-def test_germ_solve_wrapper_matches_the_study(burgers_study):
-    fam = burgers_study.family(1)
-    grid = burgers_study.comparison_grid
-    u0 = Field(grid, np.full(grid.counts, 0.4), 0.0)
-    direct = burgers_study.solve(u0, 1)
-    wrapped = germ_solve(u0, fam, burgers_study, selection=None)
-    assert wrapped.member_id == direct.member_id
-    assert wrapped.error_bar == direct.error_bar
-    assert_array_equal(wrapped.limit.values, direct.limit.values)
 
 
 def test_solve_requires_the_comparison_grid(burgers_study):

@@ -1,11 +1,13 @@
 """Scenario file validation and the command line front end."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import CURVED_MODULATED_SPEC
 from discflux import storage
 from discflux.cli import main
 from discflux.geometry import Box
@@ -483,18 +485,21 @@ def test_cli_germ_scenario(tmp_path):
     assert level_manifest["contraction_cone"]["speed"] == pytest.approx(1.0)
 
 
-def test_cli_charted_run(tmp_path):
-    doc = {
+def _charted_doc(flux, radius):
+    return {
         "name": "chart_mini",
         "kind": "run",
-        "flux": "tilted_2d",
+        "flux": flux,
         "grid": {"counts": [48, 48]},
         "run": {"epsilon": 0.04, "final_time": 0.02, "boundary": 0.0, "output_count": 3},
         "initial": {"kind": "bump", "base": 0.0, "amplitude": 0.4,
                     "center": [0.0, 0.0], "radius": 0.25},
-        "chart": {"center": [0.0, 0.0], "radius": 1.2},
+        "chart": {"center": [0.0, 0.0], "radius": radius},
         "study": {"tol_factor": 0.05},
     }
+
+
+def _charted_report(tmp_path, doc):
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -507,6 +512,21 @@ def test_cli_charted_run(tmp_path):
         assert (out / artifact).is_file()
     gap_check = report["checks"][2]
     assert "L1 gap" in gap_check["detail"]
+    # the flattened solve used no coefficient above the bound its dt came from
+    assert report["flattened_solver"]["cfl_margin"] <= 1.0
+    return report
+
+
+def test_cli_charted_run(tmp_path):
+    report = _charted_report(tmp_path, _charted_doc("tilted_2d", 1.2))
+    assert report["flattened_solver"]["n_steps"] == 10
+    assert report["flattened_solver"]["speed_bound"] == 2.0
+
+
+def test_cli_charted_run_curved_modulated(tmp_path):
+    # curved interface, modulated sides, a chart ball inside the grid: the
+    # flattened normal flux has per-face factors and is extended outside
+    _charted_report(tmp_path, _charted_doc(copy.deepcopy(CURVED_MODULATED_SPEC), 0.6))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,22 @@ def test_step_keeps_constant_state_for_homogeneous_flux(burgers_model):
 # full runs
 
 
+def test_fluxes_without_terms_fail_fast():
+    def rough(x, lam):
+        return np.where(np.asarray(x)[..., 0] < 0, 1.0, 2.0) * lam * (1.0 - lam)
+
+    model = dx.mollify_flux(dx.GeneralBVFlux(d=1, components=(rough,), a=0.0, b=1.0,
+                                             domain=dx.Box((-1.0,), (1.0,))), eps=0.1, n_nodes=5)
+    grid = dx.Grid((-1.0,), (1.0,), (16,))
+    config = dx.RunConfig(flux=model, epsilon=0.1, final_time=0.1, boundary=0.0)
+    u0 = dx.Field(grid, np.full(grid.counts, 0.5), 0.0)
+    message = "left flux component of axis 0 has no polynomial terms: mollified or callable-only"
+    for call in (lambda: dx.run(u0, config), lambda: dx.step(u0, config, 1e-4),
+                 lambda: dx.grid_speed_bound(config, grid)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_run_constant_endpoint_trajectory(two_flux_model):
     grid = dx.Grid((-0.5,), (0.5,), (64,))
     config = dx.RunConfig(flux=two_flux_model, epsilon=1e-2, final_time=0.05, boundary=0.0)
