@@ -338,7 +338,8 @@ def _exec_germ(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
         "file": "estimate.csv",
     }
     clock("io_s", germ_mod.save_level_result, result, out, extra=extra)
-    return checks, extra
+    # report.json only: run times would make the level manifest differ per run
+    return checks, {**extra, "solver": result.solver_counters()}
 
 
 _EXECUTORS = {

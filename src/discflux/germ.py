@@ -160,6 +160,9 @@ class GermRecord:
     endpoints: tuple[Field, ...]  # u_eps(T) per eps, on the comparison grid
     deltas: tuple[float, ...]  # l1(endpoint[k+1], endpoint[k])
     grid_counts: tuple[tuple[int, ...], ...]
+    # (n_steps, wall_time_s) of each epsilon's solve; not saved, so records
+    # loaded from disk have none
+    runs: tuple[tuple[int, float], ...] = ()
 
 
 def _interp_to(field_values: np.ndarray, src: Grid, dst: Grid) -> np.ndarray:
@@ -205,6 +208,7 @@ def run_sequence(u0_fn, epsilons, model: PiecewiseFlux, box: Box, final_time: fl
 
     endpoints = []
     counts = []
+    runs = []
     for eps in eps_list:
         grid = grid_for_epsilon(box, eps, cell_budget)
         config = RunConfig(flux=model, epsilon=eps, final_time=final_time,
@@ -213,10 +217,12 @@ def run_sequence(u0_fn, epsilons, model: PiecewiseFlux, box: Box, final_time: fl
         traj = run(u0, config)
         endpoints.append(Field(comparison_grid, _interp_to(traj.final.values, grid, comparison_grid), final_time))
         counts.append(tuple(grid.counts))
+        runs.append((traj.manifest["n_steps"], traj.manifest["wall_time_s"]))
     deltas = tuple(l1_distance(endpoints[k + 1], endpoints[k]) for k in range(len(endpoints) - 1))
     initial = Field(comparison_grid, np.asarray(u0_fn(comparison_grid.points()), dtype=float), 0.0)
     return GermRecord(member_id=member_id, epsilons=tuple(eps_list), initial=initial,
-                      endpoints=tuple(endpoints), deltas=deltas, grid_counts=tuple(counts))
+                      endpoints=tuple(endpoints), deltas=deltas, grid_counts=tuple(counts),
+                      runs=tuple(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +398,33 @@ class GermLevelResult:
     selection: SelectionResult
     matrix: ContractionMatrix
     stability: StabilityReport
+    workers: int = 1  # processes that solved the uncached members
 
     @property
     def passed(self) -> bool:
         return self.selection.passed and self.stability.passed
+
+    def solver_counters(self) -> dict:
+        """Step counts and summed run time of the solves behind the records."""
+        runs = [(n, s, math.prod(c)) for r in self.records
+                for (n, s), c in zip(r.runs, r.grid_counts)]
+        return {"runs": len(runs), "steps": sum(n for n, _, _ in runs),
+                "cell_steps": sum(n * c for n, _, c in runs),
+                "solve_s": sum(s for _, s, _ in runs), "workers": self.workers}
+
+
+# set in each pool worker by _init_worker: the study and the members to solve
+_worker_job = None
+
+
+def _init_worker(study, members):
+    global _worker_job
+    _worker_job = (study, members)
+
+
+def _worker_record(index: int) -> GermRecord:
+    study, members = _worker_job
+    return study.record_for(members[index])
 
 
 class GermStudy:
@@ -429,8 +458,12 @@ class GermStudy:
     def family(self, level: int) -> DenseFamily:
         return build_dense_family(level, self.model.a, self.model.b, self.box)
 
+    @staticmethod
+    def _key(member: StepFunction):
+        return member.level, member.values
+
     def record_for(self, member: StepFunction) -> GermRecord:
-        key = (member.level, member.values)
+        key = self._key(member)
         if key not in self._records:
             self._records[key] = run_sequence(
                 member, self.epsilons, self.model, self.box, self.final_time,
@@ -440,15 +473,37 @@ class GermStudy:
         return self._records[key]
 
     def level_result(self, level: int) -> GermLevelResult:
+        """Records, selection and stability of every member of a level.
+
+        Uncached members are solved one per task on a fork process pool
+        with one worker per usable CPU (the flux model holds closures, so
+        the study reaches the workers by fork, not by pickling).  Each
+        member's arithmetic stays in one process, so the records equal a
+        sequential run bit for bit; with one CPU or one member no pool is
+        started.  A worker's exception re-raises here with its type; a
+        worker that dies raises BrokenProcessPool (a RuntimeError) instead
+        of leaving the call waiting."""
         family = self.family(level)
         if not family.enumerable:
             raise ValueError(f"family level {level} has {family.count} members, too many to enumerate")
+        todo = [m for m in family.members if self._key(m) not in self._records]
+        workers = max(1, min(len(todo), len(os.sched_getaffinity(0))))
+        if workers > 1:
+            # imported here so that runs which start no pool do not load them
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_init_worker, initargs=(self, todo)) as pool:
+                fresh = list(pool.map(_worker_record, range(len(todo)), chunksize=1))
+            for member, record in zip(todo, fresh):
+                self._records[self._key(member)] = record
         records = tuple(self.record_for(m) for m in family.members)
         selection = diagonal_select(records, self.threshold)
         matrix = contraction_matrix(records, cone=self.cone)
         stability = stability_report(matrix)
         return GermLevelResult(level=level, records=records, selection=selection,
-                               matrix=matrix, stability=stability)
+                               matrix=matrix, stability=stability, workers=workers)
 
     def solve(self, u0: Field, level: int) -> GermEstimate:
         """Limit estimate for arbitrary data: project onto the family, reuse

@@ -8,6 +8,7 @@ as `repr(float(x))` of the array element.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -34,10 +35,16 @@ def write_trajectory_csv(path, trajectory: Trajectory):
     write_trajectory_rows(path, trajectory.grid, trajectory.times, trajectory.states)
 
 
+@functools.lru_cache(maxsize=1)
+def _coordinate_strings(grid: Grid) -> tuple[str, ...]:
+    """",x1,...,xd," per cell.  One entry: consecutive files usually share
+    their grid (a germ study writes every field on its comparison grid)."""
+    return tuple("," + ",".join(map(repr, row)) + ","
+                 for row in grid.points().reshape(-1, grid.d).tolist())
+
+
 def write_trajectory_rows(path, grid: Grid, times, states):
-    # ",x1,...,xd," per cell, formatted once for every time level
-    coords = ["," + ",".join(map(repr, row)) + ","
-              for row in grid.points().reshape(-1, grid.d).tolist()]
+    coords = _coordinate_strings(grid)
     with open(path, "w") as fh:
         fh.write(_header(grid.d) + "\n")
         for t, values in zip(_reprs(times), states):

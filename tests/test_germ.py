@@ -1,11 +1,16 @@
 """Dyadic dense families, epsilon-sequence runs, diagonal selection, and germ limits."""
 
 import math
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from discflux import germ
 from discflux.entropy import l1_distance
 from discflux.geometry import Box, Cone
 from discflux.germ import (
@@ -270,6 +275,8 @@ def test_deltas_recomputable_from_saved_artifacts(step_record, tmp_path):
     assert loaded.grid_counts == step_record.grid_counts
     assert loaded.deltas == step_record.deltas
     assert_array_equal(loaded.initial.values, step_record.initial.values)
+    # solver counters are not saved
+    assert len(step_record.runs) == 4 and loaded.runs == ()
 
     recomputed = tuple(
         l1_distance(loaded.endpoints[k + 1], loaded.endpoints[k])
@@ -546,6 +553,102 @@ def test_certification_failure_is_reported_not_raised(mini_study):
     assert not report.passed
     assert report.first_failed_level == 1
     assert report.levels == ()
+
+
+# ---------------------------------------------------------------------------
+# members solved on the process pool
+
+
+def _tiny_study(model):
+    return GermStudy(model, final_time=0.01, epsilons=(3.2e-2, 1.6e-2, 8e-3, 4e-3))
+
+
+def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
+    # three usable CPUs, whatever this host has, so the pool path runs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    study = _tiny_study(two_flux_model)
+    result = study.level_result(1)
+    assert result.workers == 3
+
+    members = study.family(1).members
+    assert [r.member_id for r in result.records] == [m.label for m in members]
+    for member, record in zip(members, result.records):
+        expected = run_sequence(member, study.epsilons, study.model, study.box,
+                                study.final_time, cell_budget=study.cell_budget,
+                                cfl=study.cfl, comparison_grid=study.comparison_grid,
+                                member_id=member.label)
+        assert record.deltas == expected.deltas
+        assert record.grid_counts == expected.grid_counts
+        assert [n for n, _ in record.runs] == [n for n, _ in expected.runs]
+        assert_array_equal(record.initial.values, expected.initial.values)
+        for got, want in zip(record.endpoints, expected.endpoints):
+            assert got.grid == want.grid and got.time == want.time
+            assert_array_equal(got.values, want.values)
+
+    # a second call solves nothing: no pool, the cached record objects
+    monkeypatch.setattr(multiprocessing, "get_context", None)
+    again = study.level_result(1)
+    assert again.workers == 1
+    assert all(a is b for a, b in zip(again.records, result.records))
+
+    counters = result.solver_counters()
+    assert counters["runs"] == 9 * 4
+    assert counters["steps"] == sum(n for r in result.records for n, _ in r.runs)
+    assert counters["cell_steps"] == sum(n * c[0] for r in result.records
+                                         for (n, _), c in zip(r.runs, r.grid_counts))
+    assert counters["solve_s"] > 0.0 and counters["workers"] == 3
+
+
+def test_one_cpu_or_one_member_starts_no_pool(two_flux_model, monkeypatch):
+    # starting a pool would call None and fail
+    monkeypatch.setattr(multiprocessing, "get_context", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _tiny_study(two_flux_model).level_result(0).workers == 1
+
+    # four CPUs, but only one of level 0's two members is uncached
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    study = _tiny_study(two_flux_model)
+    study.record_for(study.family(0).members[0])
+    assert study.level_result(0).workers == 1
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_worker_errors_reraise_with_their_type(two_flux_model, monkeypatch, error):
+    real_run = germ.run
+
+    def failing_run(u0, config):
+        # member L1-02 only: 0 on the left half, 1 on the right
+        if u0.values[0] == 0.0 and u0.values[-1] == 1.0:
+            raise error("planted failure")
+        return real_run(u0, config)
+
+    monkeypatch.setattr(germ, "run", failing_run)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(error, match="planted failure"):
+        _tiny_study(two_flux_model).level_result(1)
+
+
+def test_a_dead_worker_fails_the_level_instead_of_hanging(two_flux_model, monkeypatch):
+    real_run = germ.run
+
+    def dying_run(u0, config):
+        if u0.values[0] == 0.0 and u0.values[-1] == 1.0:
+            os._exit(1)
+        return real_run(u0, config)
+
+    def on_alarm(*_):
+        raise TimeoutError("level_result kept waiting on a dead worker")
+
+    monkeypatch.setattr(germ, "run", dying_run)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            _tiny_study(two_flux_model).level_result(1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

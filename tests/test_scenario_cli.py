@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
@@ -466,6 +467,11 @@ def test_cli_germ_scenario(tmp_path):
     assert report["family_size"] == 9
     assert report["estimate"]["member_id"] == "L1-11"
     assert report["estimate"]["error_bar"] == pytest.approx(0.1, rel=1e-12)
+    solver = report["solver"]
+    assert solver["runs"] == 9 * 4
+    assert solver["cell_steps"] >= solver["steps"] * 256 > 0
+    assert solver["solve_s"] > 0.0
+    assert 1 <= solver["workers"] <= len(os.sched_getaffinity(0))
     assert (out / "estimate.csv").is_file()
 
     # one record directory per family member
@@ -480,6 +486,7 @@ def test_cli_germ_scenario(tmp_path):
     assert_array_equal(np.diag(ratios), np.zeros(9))
 
     level_manifest = json.loads((out / "manifest.json").read_text())
+    assert "solver" not in level_manifest
     assert level_manifest["selection"]["pass"] is True
     assert level_manifest["stability"]["pass"] is True
     assert level_manifest["contraction_cone"]["speed"] == pytest.approx(1.0)
@@ -607,3 +614,16 @@ def test_cli_outputs_are_deterministic(tmp_path):
         assert main([cmd, path, "--out", str(out2), "--quiet"]) == 0
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    germ_doc = _run_doc(name="germ_cheap", kind="germ",
+                        study={"level": 1, "epsilons": [0.032, 0.016, 0.008, 0.004]})
+    germ_doc["run"] = {"epsilon": 0.004, "final_time": 0.01, "boundary": 0.0}
+    germ_path = _write(tmp_path, germ_doc, "germ.json")
+    outs = [tmp_path / f"germ_{k}" for k in (1, 2)]
+    for out in outs:
+        assert main(["germ", germ_path, "--out", str(out), "--quiet"]) == 0
+    names = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*")
+                   if p.suffix == ".csv" or p.parent.parent.name == "records")
+    assert len(names) == 3 + 1 + 9 * (1 + 4 + 1)  # matrices, estimate, records
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
