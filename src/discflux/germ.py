@@ -160,9 +160,9 @@ class GermRecord:
     endpoints: tuple[Field, ...]  # u_eps(T) per eps, on the comparison grid
     deltas: tuple[float, ...]  # l1(endpoint[k+1], endpoint[k])
     grid_counts: tuple[tuple[int, ...], ...]
-    # (n_steps, wall_time_s) of each epsilon's solve; not saved, so records
-    # loaded from disk have none
-    runs: tuple[tuple[int, float], ...] = ()
+    # (n_steps, wall_time_s, cell_updates) of each epsilon's solve; not
+    # saved, so records loaded from disk have none
+    runs: tuple[tuple[int, float, int], ...] = ()
 
 
 def _interp_to(field_values: np.ndarray, src: Grid, dst: Grid) -> np.ndarray:
@@ -217,7 +217,7 @@ def run_sequence(u0_fn, epsilons, model: PiecewiseFlux, box: Box, final_time: fl
         traj = run(u0, config)
         endpoints.append(Field(comparison_grid, _interp_to(traj.final.values, grid, comparison_grid), final_time))
         counts.append(tuple(grid.counts))
-        runs.append((traj.manifest["n_steps"], traj.manifest["wall_time_s"]))
+        runs.append(tuple(traj.manifest[k] for k in ("n_steps", "wall_time_s", "cell_updates")))
     deltas = tuple(l1_distance(endpoints[k + 1], endpoints[k]) for k in range(len(endpoints) - 1))
     initial = Field(comparison_grid, np.asarray(u0_fn(comparison_grid.points()), dtype=float), 0.0)
     return GermRecord(member_id=member_id, epsilons=tuple(eps_list), initial=initial,
@@ -405,12 +405,14 @@ class GermLevelResult:
         return self.selection.passed and self.stability.passed
 
     def solver_counters(self) -> dict:
-        """Step counts and summed run time of the solves behind the records."""
-        runs = [(n, s, math.prod(c)) for r in self.records
-                for (n, s), c in zip(r.runs, r.grid_counts)]
-        return {"runs": len(runs), "steps": sum(n for n, _, _ in runs),
-                "cell_steps": sum(n * c for n, _, c in runs),
-                "solve_s": sum(s for _, s, _ in runs), "workers": self.workers}
+        """Step and cell-update counts and summed run time of the solves behind
+        the records."""
+        runs = [(n, s, u, math.prod(c)) for r in self.records
+                for (n, s, u), c in zip(r.runs, r.grid_counts)]
+        return {"runs": len(runs), "steps": sum(n for n, _, _, _ in runs),
+                "cell_steps": sum(n * c for n, _, _, c in runs),
+                "cell_updates": sum(u for _, _, u, _ in runs),
+                "solve_s": sum(s for _, s, _, _ in runs), "workers": self.workers}
 
 
 # set in each pool worker by _init_worker: the study and the members to solve

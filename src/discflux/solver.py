@@ -9,6 +9,7 @@ output times.  Boundary cells are held at the far-field state.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -218,23 +219,26 @@ class _Faces:
         self.pts = grid.interior_face_points(axis)
         self.lo = _axslice(grid.d, axis, slice(None, -1))
         self.hi = _axslice(grid.d, axis, slice(1, None))
+        shape = self.pts.shape[:-1]
         sides = (("left", model.left[axis], None),)
         if model.interface is not None:
             wl, wr = config.profile.weights(model.interface.offset(self.pts), config.eps_smoothing)
             sides = (("left", model.left[axis], wl), ("right", model.right[axis], wr))
-        # the factors of each term, applied in this order: term factor, weight
+        # the factors of each term, applied in this order: term factor, weight;
+        # array factors span every face so that a window of faces can be cut
         self.rows = [
-            (coeffs, [f for f in (factor, w) if f is not None])
+            (coeffs, [float(f) if np.ndim(f) == 0 else np.broadcast_to(f, shape)
+                      for f in (factor, w) if f is not None])
             for side, comp, w in sides
             for coeffs, factor in require_terms(comp, side)(self.pts)
         ]
         self.crit = []  # (state, |F'| there) per candidate column, face arrays
-        shape = self.pts.shape[:-1]
         width = max(len(derivative_coeffs(c)) for c, _ in self.rows)
         if width > 2:  # F'' is not constant
             column = (-1,) + (1,) * len(shape)
             dF = np.broadcast_to(self._sum(
-                lambda c: np.pad(derivative_coeffs(c), (0, width - len(derivative_coeffs(c)))).reshape(column)
+                self.rows,
+                lambda c: np.pad(derivative_coeffs(c), (0, width - len(derivative_coeffs(c)))).reshape(column),
             ), (width,) + shape)
             table, inverse = np.unique(dF.reshape(width, -1).T, axis=0, return_inverse=True)
             states = _sign_changes(table[:, 1:] * np.arange(1, width), model.a, model.b)[inverse.ravel()]
@@ -245,10 +249,11 @@ class _Faces:
         ends = [self._speed(np.full(shape, s)) for s in (model.a, model.b)]
         self.bound = float(max(x.max() for x in ends + [speed for _, speed in self.crit]))
 
-    def _sum(self, at):
+    @staticmethod
+    def _sum(rows, at):
         """sum over rows of w * (factor * at(coeffs)), in that order."""
         total = None
-        for coeffs, factors in self.rows:
+        for coeffs, factors in rows:
             v = at(coeffs)
             for f in factors:
                 v = f * v
@@ -257,61 +262,116 @@ class _Faces:
 
     def _speed(self, states):
         """|F'| at per-face states."""
-        return np.abs(self._sum(lambda c: horner(states, derivative_coeffs(c))))
+        return np.abs(self._sum(self.rows, lambda c: horner(states, derivative_coeffs(c))))
 
-    def rusanov(self, values: np.ndarray, cells: dict):
+    def rusanov(self, values: np.ndarray, cells: dict, window: tuple = ()):
         """Rusanov flux 0.5 (F(ul) + F(ur)) - 0.5 alpha (ur - ul) on the faces
-        and its coefficient alpha; `cells` keeps P and P' of `values` per
-        coefficient tuple for the other axes."""
+        between the cells of `values` and its coefficient alpha; `values` is
+        the block of cells whose faces are the slice `window` of this axis's
+        face tables (all of them by default).  `cells` keeps P and P' of
+        `values` per coefficient tuple for the other axes."""
         lo, hi = self.lo, self.hi
         ul, ur = values[lo], values[hi]
-        for coeffs, _ in self.rows:
+        rows = [(coeffs, [f[window] if isinstance(f, np.ndarray) else f for f in factors])
+                for coeffs, factors in self.rows]
+        for coeffs, _ in rows:
             if coeffs not in cells:
                 cells[coeffs] = (horner(values, coeffs), horner(values, derivative_coeffs(coeffs)))
-        fl, fr, dl, dr = (self._sum(lambda c: cells[c][j][sl]) for j in (0, 1) for sl in (lo, hi))
+        fl, fr, dl, dr = (self._sum(rows, lambda c: cells[c][j][sl]) for j in (0, 1) for sl in (lo, hi))
         alpha = np.maximum(np.abs(dl), np.abs(dr))
         if self.crit:
             smin, smax = np.minimum(ul, ur), np.maximum(ul, ur)
             for state, speed in self.crit:
-                alpha = np.maximum(alpha, np.where((state >= smin) & (state <= smax), speed, 0.0))
+                state = state[window]
+                alpha = np.maximum(alpha, np.where((state >= smin) & (state <= smax), speed[window], 0.0))
         return 0.5 * (fl + fr) - 0.5 * alpha * (ur - ul), alpha
 
 
-def _advance(values: np.ndarray, config: RunConfig, grid: Grid, dt: float, faces) -> tuple[np.ndarray, float]:
-    """One explicit step; returns the new state and the largest Rusanov
-    coefficient it used."""
-    d = grid.d
-    eps = config.epsilon
-    interior = tuple(slice(1, -1) for _ in range(d))
-    acc = np.zeros(tuple(n - 2 for n in grid.counts))
-    alpha_max = 0.0
-    cells = {}
-    for k in range(d):
-        dx = grid.dx[k]
-        fhat, alpha = faces[k].rusanov(values, cells)
-        alpha_max = max(alpha_max, float(alpha.max()))
-        div = (fhat[faces[k].hi] - fhat[faces[k].lo]) / dx
-        lap = (
-            values[_axslice(d, k, slice(2, None))]
-            - 2.0 * values[_axslice(d, k, slice(1, -1))]
-            + values[_axslice(d, k, slice(None, -2))]
-        ) / (dx * dx)
-        shrink = tuple(slice(1, -1) if m != k else slice(None) for m in range(d))
-        acc += -div[shrink] + eps * lap[shrink]
+class _Stepper:
+    """An explicit step restricted to a window of interior cells, one
+    [lo, hi) range of array indices per axis; the full step is the window of
+    the whole interior.  Everything but the state and dt is fixed for a run
+    and set up once: the face tables, the spacing and the diffusion limit
+    of the CFL guard, the boundary pairs and the stencil slices.
 
-    # the step must respect the same bound the run derived dt from
-    dx_min = min(grid.dx)
-    limit = config.cfl * min(
-        dx_min / (2.0 * d * max(alpha_max, CFL_SPEED_FLOOR)),
-        dx_min * dx_min / (2.0 * d * eps),
-    )
-    if dt > limit * (1.0 + 1e-9):
-        raise ValueError(f"time step {dt:.3e} violates the CFL bound {limit:.3e} (wave speed {alpha_max:.3e})")
+    The window is read with a one-cell halo and written back in place.  A
+    step of a cell reads only its 3-cell stencil along each axis, so a cell
+    none of whose stencil changed at the last step gets the same increment
+    again, which left it unchanged; at the same or a shorter dt (rounding is
+    monotone) it stays unchanged.  The next window is therefore the bounding
+    box of the cells whose bits changed, widened by one cell: the numerical
+    domain of dependence.  A longer dt than the last step's needs a full step
+    again, and so does the first step, whose boundary pin moves the
+    boundary cells."""
 
-    out = values.copy()
-    out[interior] = values[interior] + dt * acc
-    _pin_boundary(out, config.boundary_pairs)
-    return out, alpha_max
+    def __init__(self, config: RunConfig, grid: Grid):
+        d = grid.d
+        self.faces = [_Faces(config, grid, k) for k in range(d)]
+        self.bound = max(f.bound for f in self.faces)
+        self.d, self.eps, self.cfl = d, config.epsilon, config.cfl
+        self.dx = grid.dx
+        self.dx_min = min(self.dx)
+        self.diff_limit = self.dx_min * self.dx_min / (2.0 * d * self.eps)
+        self.pairs = config.boundary_pairs
+        self.full = tuple((1, n - 1) for n in grid.counts)
+        self.other_axes = [tuple(m for m in range(d) if m != k) for k in range(d)]
+        # per axis, on a block with its halo: the cells above, at and below
+        # each cell, and the cut of the other axes' halo
+        self.stencil = [
+            (_axslice(d, k, slice(2, None)), _axslice(d, k, slice(1, -1)), _axslice(d, k, slice(None, -2)),
+             tuple(slice(1, -1) if m != k else slice(None) for m in range(d)))
+            for k in range(d)
+        ]
+
+    def advance(self, values: np.ndarray, window, dt: float):
+        """Step the cells of `window` in place; returns the largest Rusanov
+        coefficient on the window's faces and the window of the next step
+        (None when no bit changed)."""
+        d = self.d
+        block = values[tuple(slice(lo - 1, hi + 1) for lo, hi in window)]
+        cells = tuple(slice(lo, hi) for lo, hi in window)
+        acc = np.zeros(tuple(hi - lo for lo, hi in window))
+        alpha_max = 0.0
+        kernel = {}
+        for k, (faces, dx, (up, mid, down, shrink)) in enumerate(zip(self.faces, self.dx, self.stencil)):
+            # the faces between the block's cells along k, in every row of it
+            fwin = tuple(slice(lo - 1, hi + (m != k)) for m, (lo, hi) in enumerate(window))
+            fhat, alpha = faces.rusanov(block, kernel, fwin)
+            alpha_max = max(alpha_max, float(alpha.max()))
+            div = (fhat[faces.hi] - fhat[faces.lo]) / dx
+            lap = (block[up] - 2.0 * block[mid] + block[down]) / (dx * dx)
+            acc += -div[shrink] + self.eps * lap[shrink]
+
+        # the step must respect the same bound the run derived dt from; a
+        # face outside the window passed with the same coefficient at a dt at
+        # least as long, since only a full step follows a shorter one
+        limit = self.cfl * min(self.dx_min / (2.0 * d * max(alpha_max, CFL_SPEED_FLOOR)), self.diff_limit)
+        if dt > limit * (1.0 + 1e-9):
+            raise ValueError(f"time step {dt:.3e} violates the CFL bound {limit:.3e} (wave speed {alpha_max:.3e})")
+
+        new = values[cells] + dt * acc
+        # bits compared as int64, so a flip of the sign of zero is a change
+        if window == self.full:
+            # the pin can move boundary cells: compare the whole grid
+            old, offsets = values.copy(), (0,) * d
+            values[cells] = new
+            _pin_boundary(values, self.pairs)
+            changed = values.view(np.int64) != old.view(np.int64)
+        else:
+            changed, offsets = new.view(np.int64) != values[cells].view(np.int64), [lo for lo, _ in window]
+            values[cells] = new
+        return alpha_max, self._widened(changed, offsets)
+
+    def _widened(self, changed: np.ndarray, offsets):
+        """Bounding box of the changed cells, widened by one cell and clipped
+        to the interior; None when none changed."""
+        window = []
+        for offset, other, (first, stop) in zip(offsets, self.other_axes, self.full):
+            hit = (changed.any(axis=other) if other else changed).nonzero()[0]
+            if hit.size == 0:
+                return None
+            window.append((max(offset + int(hit[0]) - 1, first), min(offset + int(hit[-1]) + 2, stop)))
+        return tuple(window)
 
 
 def _pin_boundary(values: np.ndarray, pairs):
@@ -325,12 +385,13 @@ def step(field: Field, config: RunConfig, dt: float) -> Field:
     """Single explicit update; refuses time steps above the CFL bound."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    faces = [_Faces(config, field.grid, k) for k in range(field.grid.d)]
-    limit = cfl_timestep(config, field.grid, max(f.bound for f in faces))
+    stepper = _Stepper(config, field.grid)
+    limit = cfl_timestep(config, field.grid, stepper.bound)
     if dt > limit * (1.0 + 1e-9):
         raise ValueError(f"dt {dt:.6g} exceeds the CFL bound {limit:.6g}")
-    new, _ = _advance(field.values, config, field.grid, dt, faces)
-    return Field(field.grid, new, field.time + dt)
+    values = np.array(field.values, dtype=float, copy=True)
+    stepper.advance(values, stepper.full, dt)
+    return Field(field.grid, values, field.time + dt)
 
 
 def _normalize_output_times(config: RunConfig) -> list[float]:
@@ -352,27 +413,36 @@ def run(u0: Field, config: RunConfig) -> Trajectory:
     if grid.d != config.flux.d:
         raise ValueError("grid and flux dimension mismatch")
     t0 = time.perf_counter()
-    faces = [_Faces(config, grid, k) for k in range(grid.d)]
-    speed = max(f.bound for f in faces)
+    stepper = _Stepper(config, grid)
+    speed = stepper.bound
     dt_base = cfl_timestep(config, grid, speed)
     out_times = _normalize_output_times(config)
 
     values = np.array(u0.values, dtype=float, copy=True)
     recorded = [values.copy()]
     t = 0.0
-    n_steps = 0
+    n_steps = cell_updates = clipped_steps = 0
     alpha_max = 0.0
     dt_min, dt_max = np.inf, 0.0
+    window, dt_last = stepper.full, np.inf
     for target in out_times[1:]:
         while t < target - 1e-13:
             dt = min(dt_base, target - t)
-            values, alpha = _advance(values, config, grid, dt, faces)
-            alpha_max = max(alpha_max, alpha)
-            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+            if dt > dt_last:
+                window = stepper.full
             t += dt
+            if window is not None:
+                cells = tuple(slice(lo, hi) for lo, hi in window)
+                cell_updates += math.prod(hi - lo for lo, hi in window)
+                alpha, window = stepper.advance(values, window, dt)
+                alpha_max = max(alpha_max, alpha)
+                # only the stepped cells can have left the finite range
+                if not np.isfinite(values[cells]).all():
+                    raise RuntimeError(f"non-finite solver state at t = {t:.6g}")
+            clipped_steps += dt < dt_base
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+            dt_last = dt
             n_steps += 1
-            if not np.isfinite(values).all():
-                raise RuntimeError(f"non-finite solver state at t = {t:.6g}")
         recorded.append(values.copy())
     manifest = {
         "flux": config.flux.name or "custom",
@@ -385,6 +455,10 @@ def run(u0: Field, config: RunConfig) -> Trajectory:
         "speed_bound": speed,
         "dt_base": dt_base,
         "n_steps": n_steps,
+        # interior cells actually stepped, and the output-clipped substeps
+        # (a longer step after one steps the whole grid)
+        "cell_updates": cell_updates,
+        "clipped_steps": clipped_steps,
         "dt_min": dt_min,
         "dt_max": dt_max,
         "alpha_max": alpha_max,

@@ -1,5 +1,6 @@
 """Dyadic dense families, epsilon-sequence runs, diagonal selection, and germ limits."""
 
+import json
 import math
 import multiprocessing
 import os
@@ -275,7 +276,10 @@ def test_deltas_recomputable_from_saved_artifacts(step_record, tmp_path):
     assert loaded.grid_counts == step_record.grid_counts
     assert loaded.deltas == step_record.deltas
     assert_array_equal(loaded.initial.values, step_record.initial.values)
-    # solver counters are not saved
+    # solver counters are not saved: the record manifest keeps its keys, and
+    # loaded records have no runs
+    manifest = json.loads((tmp_path / "step" / "manifest.json").read_text())
+    assert sorted(manifest) == ["deltas", "epsilons", "files", "grid_counts", "member_id"]
     assert len(step_record.runs) == 4 and loaded.runs == ()
 
     recomputed = tuple(
@@ -579,7 +583,8 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
                                 member_id=member.label)
         assert record.deltas == expected.deltas
         assert record.grid_counts == expected.grid_counts
-        assert [n for n, _ in record.runs] == [n for n, _ in expected.runs]
+        # step and cell-update counts, not the run times
+        assert [(n, u) for n, _, u in record.runs] == [(n, u) for n, _, u in expected.runs]
         assert_array_equal(record.initial.values, expected.initial.values)
         for got, want in zip(record.endpoints, expected.endpoints):
             assert got.grid == want.grid and got.time == want.time
@@ -593,9 +598,11 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
 
     counters = result.solver_counters()
     assert counters["runs"] == 9 * 4
-    assert counters["steps"] == sum(n for r in result.records for n, _ in r.runs)
+    assert counters["steps"] == sum(n for r in result.records for n, _, _ in r.runs)
     assert counters["cell_steps"] == sum(n * c[0] for r in result.records
-                                         for (n, _), c in zip(r.runs, r.grid_counts))
+                                         for (n, _, _), c in zip(r.runs, r.grid_counts))
+    assert counters["cell_updates"] == sum(u for r in result.records for _, _, u in r.runs)
+    assert 0 < counters["cell_updates"] <= counters["cell_steps"]
     assert counters["solve_s"] > 0.0 and counters["workers"] == 3
 
 

@@ -470,6 +470,8 @@ def test_cli_germ_scenario(tmp_path):
     solver = report["solver"]
     assert solver["runs"] == 9 * 4
     assert solver["cell_steps"] >= solver["steps"] * 256 > 0
+    # the frozen-cell windows skip the cells no wave has reached
+    assert 0 < solver["cell_updates"] < solver["cell_steps"]
     assert solver["solve_s"] > 0.0
     assert 1 <= solver["workers"] <= len(os.sched_getaffinity(0))
     assert (out / "estimate.csv").is_file()

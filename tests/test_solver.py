@@ -1,10 +1,14 @@
 """Viscous solver: CFL rule, single steps, full runs, maximum principle,
 conservation and the viscous-level L1 contraction."""
+import math
+
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import discflux as dx
 from conftest import block_field, riemann_field
+from discflux.solver import _Faces
 
 
 def _bump_field(grid: dx.Grid, base: float, amp: float, center: float, radius: float) -> dx.Field:
@@ -178,6 +182,87 @@ def test_epsilon_self_convergence(burgers_model):
         float(np.sum(np.abs(b - a)) * grid.dx[0]) for a, b in zip(states[:-1], states[1:])
     ]
     assert deltas[1] >= deltas[2]
+
+
+# ---------------------------------------------------------------------------
+# frozen-cell window: run() steps only the cells whose stencil changed
+
+
+def _stepped_run(u0: dx.Field, config: dx.RunConfig, times):
+    """run()'s dt schedule as a loop of public full-grid step() calls: the
+    states at `times` and the manifest's step statistics."""
+    grid = u0.grid
+    faces = [_Faces(config, grid, k) for k in range(grid.d)]
+    dt_base = dx.cfl_timestep(config, grid, dx.grid_speed_bound(config, grid))
+    field, states, dts, alpha_max = u0, [u0.values], [], 0.0
+    for target in times[1:]:
+        while field.time < target - 1e-13:
+            dt = min(dt_base, target - field.time)
+            alpha_max = max([alpha_max] + [float(f.rusanov(field.values, {})[1].max()) for f in faces])
+            field = dx.step(field, config, dt)
+            dts.append(dt)
+        states.append(field.values)
+    stats = {"n_steps": len(dts), "dt_min": min(dts), "dt_max": max(dts), "alpha_max": alpha_max}
+    return np.stack(states), stats
+
+
+def _assert_window_exact(u0: dx.Field, config: dx.RunConfig) -> dict:
+    traj = dx.run(u0, config)
+    states, stats = _stepped_run(u0, config, traj.times)
+    # int64 views: equal bits, signed zeros included
+    assert_array_equal(traj.states.view(np.int64), states.view(np.int64))
+    assert {k: traj.manifest[k] for k in stats} == stats
+    man = traj.manifest
+    assert 0 < man["cell_updates"] <= man["n_steps"] * math.prod(n - 2 for n in u0.grid.counts)
+    return man
+
+
+def _random_steps(grid: dx.Grid, base: float, rng) -> dx.Field:
+    x = grid.centers(0)
+    breaks = np.sort(rng.uniform(-0.3, 0.3, 5))
+    vals = np.full(x.shape, base)
+    for lo, hi, v in zip(breaks[:-1], breaks[1:], rng.uniform(0.0, 1.0, 4)):
+        vals[(x >= lo) & (x < hi)] = v
+    return dx.Field(grid, vals, 0.0)
+
+
+@pytest.mark.parametrize("base", [0.0, 0.25])
+@pytest.mark.parametrize("name", ["burgers", "two_flux"])
+def test_windowed_run_equals_full_steps_1d(name, base):
+    grid = dx.Grid((-0.5,), (0.5,), (96,))
+    config = dx.RunConfig(flux=dx.preset(name), epsilon=4e-3, final_time=0.04, boundary=base,
+                          output_times=(0.013, 0.04))
+    man = _assert_window_exact(_random_steps(grid, base, np.random.default_rng(int(base * 4) + 7)), config)
+    # the tails stay still for a while: the window is smaller than the grid
+    assert man["cell_updates"] < man["n_steps"] * 94
+
+
+def test_windowed_run_equals_full_steps_2d():
+    model = dx.preset("tilted_2d")
+    grid = dx.Grid(model.domain.lows, model.domain.highs, (20, 16))
+    values = np.zeros(grid.counts)
+    values[6:11, 5:9] = np.random.default_rng(11).uniform(0.0, 1.0, (5, 4))
+    config = dx.RunConfig(flux=model, epsilon=2e-2, final_time=0.03, boundary=0.0, output_times=(0.011,))
+    _assert_window_exact(dx.Field(grid, values, 0.0), config)
+
+
+def test_frozen_run_steps_the_grid_once(burgers_model):
+    # constant data equal to the boundary state: after the first full step
+    # no bit changes, and only t, n_steps and the dt statistics advance
+    grid = dx.Grid((-0.5,), (0.5,), (64,))
+    config = dx.RunConfig(flux=burgers_model, epsilon=1e-2, final_time=0.2, boundary=0.3, output_times=(0.2,))
+    man = _assert_window_exact(dx.Field(grid, np.full(grid.counts, 0.3), 0.0), config)
+    assert man["n_steps"] > 1
+    assert man["cell_updates"] == 62
+    assert man["clipped_steps"] <= 1
+
+
+def test_windowed_shock_with_clipped_outputs(burgers_model, fine_grid):
+    # nine output times: the step after each output-clipped substep is a
+    # longer one, and it must step the whole grid again
+    config = dx.RunConfig(flux=burgers_model, epsilon=1e-3, final_time=0.5, boundary=((0.0, 1.0),))
+    man = _assert_window_exact(riemann_field(fine_grid, 0.0, 1.0), config)
+    assert man["clipped_steps"] >= 1
 
 
 # ---------------------------------------------------------------------------
