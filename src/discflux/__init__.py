@@ -59,14 +59,11 @@ from .entropy import (
     entropy_battery,
     interface_trace,
     kato_battery,
-    kato_residual,
     kruzhkov_residual,
     l1_distance,
     lambda_battery,
-    transformed_entropy_residual,
 )
 from .germ import (
-    CompletenessReport,
     ContractionMatrix,
     DenseFamily,
     GermEstimate,
@@ -77,7 +74,6 @@ from .germ import (
     StabilityReport,
     StepFunction,
     build_dense_family,
-    certify_completeness,
     contraction_matrix,
     diagonal_select,
     dyadic_values,

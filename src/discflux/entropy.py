@@ -392,18 +392,6 @@ def kruzhkov_residual(trajectory: Trajectory, model: PiecewiseFlux, lam: float, 
     return ws.kruzhkov(lam, phi)
 
 
-def transformed_entropy_residual(trajectory: Trajectory, model: PiecewiseFlux, lam: float, phi,
-                                 workspace: ResidualWorkspace | None = None,
-                                 traces: TraceField | None = None) -> float:
-    """Entropy residual in flattened coordinates: the trajectory must live on
-    a grid where the interface is the hyperplane x_j = 0; the model is
-    flattened here (transformed normal flux per side, flat interface)."""
-    if workspace is not None:
-        return workspace.kruzhkov(lam, phi)
-    flat = flatten_model(model)
-    return kruzhkov_residual(trajectory, flat, lam, phi, traces=traces)
-
-
 def _kato_residuals(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phis, eps: float | None) -> list[float]:
     """Kato residual of each phi.  The phi-independent tables (|u1 - u2|,
     and sgn(u1 - u2) times the smoothed flux and divergence differences) are
@@ -440,13 +428,6 @@ def _kato_residuals(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phis, 
         total = _dot(dist, wdt) + sum(_dot(c, g) for c, g in zip(conv, wg)) - _dot(div, wv)
         out.append(float((total + dist[0] @ phi0) * grid.cell_volume))
     return out
-
-
-def kato_residual(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phi,
-                  eps: float | None = None) -> float:
-    """Kato form for two solutions of the same (smoothed) equation; the
-    interface terms cancel pairwise, so no trace term appears."""
-    return _kato_residuals(u1, u2, model, [phi], eps)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -78,50 +78,36 @@ def term_sum(terms, lam, derivative: bool = False):
 
 @dataclass(frozen=True)
 class FluxComponent:
-    """One directional component f_k(x, lam) of a flux, with its state
-    derivative and (optionally) the mixed x-state derivative.
-
-    terms, when set, is the component's one description as a sum of state
-    polynomials with spatial factors: terms(x) returns ((coeffs, factor),
-    ...) with f(x, lam) = sum_i factor_i * P_i(lam), P_i the ascending
-    coefficient tuple and factor_i an array over the points x or None (1).
-    The solver, the speed bounds and the flattening and radial-extension
-    transformations work on it; components without terms (mollified or
-    hand-made callables) can be evaluated but not solved.
+    """One directional component f_k(x, lam) of a flux, described as a sum of
+    state polynomials with spatial factors: terms(x) returns ((coeffs,
+    factor), ...) with f(x, lam) = sum_i factor_i * P_i(lam), P_i the
+    ascending coefficient tuple and factor_i an array over the points x or
+    None (1).  The solver, the speed bounds and the flattening, extension and
+    mollification transformations all work on the terms.  mixed, when given,
+    is the analytic d^2 f / (dx_axis dlam) as mixed(x, lam, axis).
     """
 
     axis: int
-    value: Callable
-    lambda_derivative: Callable
-    x_derivative_of_lambda_derivative: Callable | None = None
-    terms: Callable | None = None
+    terms: Callable
+    mixed: Callable | None = None
+
+    def value(self, x, lam):
+        return term_sum(self.terms(x), lam)
+
+    def lambda_derivative(self, x, lam):
+        return term_sum(self.terms(x), lam, derivative=True)
 
     def mixed_derivative(self, x, lam, axis: int):
-        """d^2 f / (dx_axis dlam); central difference fallback when no
-        analytic form was supplied."""
-        if self.x_derivative_of_lambda_derivative is not None:
-            return self.x_derivative_of_lambda_derivative(x, lam, axis)
+        """d^2 f / (dx_axis dlam); central difference when no analytic form
+        was supplied."""
+        if self.mixed is not None:
+            return self.mixed(x, lam, axis)
         h = 1e-5
         xp = np.array(np.asarray(x, dtype=float), copy=True)
         xm = np.array(xp, copy=True)
         xp[..., axis] += h
         xm[..., axis] -= h
         return (self.lambda_derivative(xp, lam) - self.lambda_derivative(xm, lam)) / (2.0 * h)
-
-
-def term_component(axis: int, terms: Callable, mixed: Callable | None = None) -> FluxComponent:
-    """Component described by terms(x) -> ((coeffs, factor), ...); its value
-    and state derivative are term sums."""
-    return FluxComponent(axis, lambda x, lam: term_sum(terms(x), lam),
-                         lambda x, lam: term_sum(terms(x), lam, derivative=True), mixed, terms)
-
-
-def require_terms(comp: FluxComponent, side: str) -> Callable:
-    """The terms of a component that is to be solved or transformed."""
-    if comp.terms is None:
-        raise ValueError(f"the {side} flux component of axis {comp.axis} has no polynomial terms: "
-                         "mollified or callable-only fluxes cannot be solved")
-    return comp.terms
 
 
 def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[float] | None = None) -> FluxComponent:
@@ -139,7 +125,7 @@ def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[floa
             return np.zeros(np.broadcast(np.asarray(x)[..., 0], p).shape)
         return mod[1 + k] * np.ones(np.asarray(x)[..., 0].shape) * p
 
-    return term_component(axis, terms, mixed)
+    return FluxComponent(axis, terms, mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +250,17 @@ class PiecewiseFlux:
 # rough fluxes and mollification
 
 
-def _identity_radius(eps: float) -> float:
-    return eps
-
-
 @dataclass(frozen=True)
 class GeneralBVFlux:
-    """Flux given by d raw component callables (x, lam) -> value, possibly
-    discontinuous in x, smooth in lam, together with the rule tying the
-    mollification radius to the interface-smoothing width."""
+    """Rough flux f in BV(R^d; C^1): d terms callables like FluxComponent's,
+    whose spatial factors c_i(x) may jump; mollify_flux smooths them at
+    radius eps."""
 
     d: int
     components: tuple[Callable, ...]
     a: float
     b: float
     domain: Box
-    mollification_radius_policy: Callable[[float], float] = _identity_radius
 
     def __post_init__(self):
         if len(self.components) != self.d:
@@ -306,33 +287,22 @@ def _mollifier_nodes(d: int, radius: float, n: int = 21):
 
 
 def mollify_flux(model: GeneralBVFlux, eps: float, n_nodes: int = 21) -> PiecewiseFlux:
-    """Spatially mollify every component of a rough flux at the radius given
-    by the model's policy.  Returns a jump-free PiecewiseFlux so the smooth
-    result plugs into everything downstream; state derivatives come from
-    central differences of the mollified values."""
+    """Spatially mollify every component of a rough flux at radius eps: each
+    term keeps its state polynomial and its factor becomes (c_i * rho)(x) on
+    the quadrature nodes (a None factor stays None).  Returns a jump-free
+    PiecewiseFlux, solved like any other."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    radius = model.mollification_radius_policy(eps)
-    if radius <= 0:
-        raise ValueError("mollification radius must be positive")
-    offsets, weights = _mollifier_nodes(model.d, radius, n_nodes)
-    hl = 1e-6 * (model.b - model.a)
+    offsets, weights = _mollifier_nodes(model.d, eps, n_nodes)
 
     def make(k: int) -> FluxComponent:
-        raw = model.components[k]
+        rough = model.components[k]
 
-        def value(x, lam):
-            pts = as_points(x, model.d)
-            lam = np.asarray(lam, dtype=float)
-            shifted = pts[..., None, :] - offsets
-            vals = raw(shifted, lam[..., None] if lam.ndim else lam)
-            return np.asarray(vals) @ weights
+        def terms(x):
+            shifted = as_points(x, model.d)[..., None, :] - offsets
+            return tuple((c, None if f is None else f @ weights) for c, f in rough(shifted))
 
-        def lam_deriv(x, lam):
-            lam = np.asarray(lam, dtype=float)
-            return (value(x, lam + hl) - value(x, lam - hl)) / (2.0 * hl)
-
-        return FluxComponent(axis=k, value=value, lambda_derivative=lam_deriv)
+        return FluxComponent(k, terms)
 
     comps = tuple(make(k) for k in range(model.d))
     return PiecewiseFlux(
@@ -360,18 +330,16 @@ class BoundaryReport:
     witness_state: float | None
 
 
-def check_boundary_zero(model, n_samples: int = 256, tol: float = 1e-12) -> BoundaryReport:
+def check_boundary_zero(model: PiecewiseFlux, n_samples: int = 256, tol: float = 1e-12) -> BoundaryReport:
     """Sampled check that every component of every side vanishes at both
     endpoint states a and b over the domain box."""
     xs = model.domain.sample(n_samples)
-    sides = [model.left, model.right] if isinstance(model, PiecewiseFlux) else [model.components]
     worst = 0.0
     witness = (None, None)
-    for comps in sides:
+    for comps in (model.left, model.right):
         for comp in comps:
-            fn = comp.value if isinstance(comp, FluxComponent) else comp
             for state in (model.a, model.b):
-                vals = np.abs(np.asarray(fn(xs, state), dtype=float))
+                vals = np.abs(np.asarray(comp.value(xs, state), dtype=float))
                 i = int(vals.argmax())
                 if vals.flat[i] > worst:
                     worst = float(vals.flat[i])

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 
 def as_points(x, d: int) -> np.ndarray:
@@ -63,6 +62,8 @@ class Box:
 
     def sample(self, n: int) -> np.ndarray:
         """Deterministic quasi-random sample of n points, shape (n, d)."""
+        from scipy.stats import qmc
+
         # Unscrambled Halton: reproducible without any seed plumbing.
         h = qmc.Halton(d=self.d, scramble=False)
         u = h.random(n)
@@ -72,6 +73,8 @@ class Box:
 def ball_sample(center, radius: float, n: int) -> np.ndarray:
     """Deterministic sample of the closed ball, always containing the center
     and the axis-aligned sphere points."""
+    from scipy.stats import qmc
+
     c = np.asarray(center, dtype=float)
     d = c.shape[0]
     if radius <= 0:
@@ -248,31 +251,25 @@ def transformed_normal_flux(model, interface: Interface, side: str):
     -zeta_grad_k.  Coefficients are read directly in the flattened
     coordinates, matching the local analysis they serve.
     """
-    from .flux import require_terms, term_component
+    from .flux import FluxComponent
 
-    comps = _side_components(model, side)
-    j = interface.axis
-    normal = comps[j]
-    tangential = [require_terms(comps[k], side) for k in interface.tangential_axes]
-    if interface.d == 1 or not tangential:
-        return normal
-    normal_terms = require_terms(normal, side)
-
-    def terms(x):
-        g = interface.zeta_gradient(interface.tangential(x))
-        out = list(normal_terms(x))
-        for m, tangential_terms in enumerate(tangential):
-            out += [(c, -g[..., m] if f is None else -g[..., m] * f) for c, f in tangential_terms(x)]
-        return tuple(out)
-
-    return term_component(j, terms)
-
-
-def _side_components(model, side: str):
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     comps = model.left if side == "left" else model.right
-    return comps
+    j = interface.axis
+    normal = comps[j]
+    tangential = [comps[k] for k in interface.tangential_axes]
+    if not tangential:
+        return normal
+
+    def terms(x):
+        g = interface.zeta_gradient(interface.tangential(x))
+        out = list(normal.terms(x))
+        for m, comp in enumerate(tangential):
+            out += [(c, -g[..., m] if f is None else -g[..., m] * f) for c, f in comp.terms(x)]
+        return tuple(out)
+
+    return FluxComponent(j, terms)
 
 
 def flattened_box(box: Box, interface: Interface, n: int = 512) -> Box:
@@ -327,15 +324,15 @@ def radial_extend_model(model, center, radius: float):
     component's terms are evaluated at the radial projection onto the ball,
     so the state polynomials are unchanged and every spatial factor keeps
     its sup bound."""
-    from .flux import PiecewiseFlux, require_terms, term_component
+    from .flux import FluxComponent, PiecewiseFlux
 
-    def extend(comp, side):
-        return term_component(comp.axis, radial_extend(require_terms(comp, side), center, radius))
+    def extend(comp):
+        return FluxComponent(comp.axis, radial_extend(comp.terms, center, radius))
 
     return PiecewiseFlux(
         d=model.d,
-        left=tuple(extend(c, "left") for c in model.left),
-        right=tuple(extend(c, "right") for c in model.right),
+        left=tuple(map(extend, model.left)),
+        right=tuple(map(extend, model.right)),
         interface=model.interface,
         a=model.a,
         b=model.b,
@@ -367,11 +364,11 @@ def _stacked_derivative_max(model, radius, state_bound, n_lambda, n_x, which) ->
     xs = ball_sample(np.zeros(model.d), radius, n_x)
 
     # identical side components are one coefficient field and enter once:
-    # equal terms at every sampled point (components without terms by identity)
+    # equal terms at every sampled point
     unique = {}
     for comp in tuple(model.left) + tuple(model.right):
-        key = id(comp) if comp.terms is None else (comp.axis, tuple(
-            (c, None if f is None else np.asarray(f, dtype=float).tobytes()) for c, f in comp.terms(xs)))
+        key = (comp.axis, tuple((c, None if f is None else np.asarray(f, dtype=float).tobytes())
+                                for c, f in comp.terms(xs)))
         unique.setdefault(key, comp)
 
     total = np.zeros((xs.shape[0], lam.shape[0]))

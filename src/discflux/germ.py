@@ -522,34 +522,6 @@ class GermStudy:
                             member_id=member.label, approx_error=approx, delta_tail=tail)
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    levels: tuple[GermLevelResult, ...]
-    first_failed_level: int | None
-
-    @property
-    def passed(self) -> bool:
-        return self.first_failed_level is None
-
-
-def certify_completeness(study: GermStudy, max_level: int = 1) -> CompletenessReport:
-    """Level-by-level certification; stops at the first failing level (a
-    finite machine certifies up to a level and a budget, nothing more)."""
-    results = []
-    failed = None
-    for level in range(1, max_level + 1):
-        try:
-            res = study.level_result(level)
-        except ValueError:
-            failed = level
-            break
-        results.append(res)
-        if not res.passed:
-            failed = level
-            break
-    return CompletenessReport(levels=tuple(results), first_failed_level=failed)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flux import DEFAULT_PROFILE, PiecewiseFlux, SmoothingProfile, derivative_coeffs, horner, require_terms
+from .flux import DEFAULT_PROFILE, PiecewiseFlux, SmoothingProfile, derivative_coeffs, horner
 from .geometry import Box
 
 CFL_SPEED_FLOOR = 1e-12
@@ -94,9 +94,10 @@ class Field:
 class RunConfig:
     """Everything a viscous run needs besides the initial field.
 
-    smoothing_width defaults to epsilon: one parameter drives the viscosity,
-    the interface smoothing and (for rough fluxes) the mollification radius.
-    Setting it explicitly enables the optional two-parameter sweep.
+    smoothing_width defaults to epsilon: one parameter drives the viscosity
+    and the interface smoothing, and a rough flux is mollified at radius
+    epsilon (mollify_flux(model, epsilon)).  Setting it explicitly enables
+    the optional two-parameter sweep.
 
     boundary is the pinned far-field state: a single number, or one
     (low side, high side) pair per axis when the data has unequal tails.
@@ -220,17 +221,17 @@ class _Faces:
         self.lo = _axslice(grid.d, axis, slice(None, -1))
         self.hi = _axslice(grid.d, axis, slice(1, None))
         shape = self.pts.shape[:-1]
-        sides = (("left", model.left[axis], None),)
+        sides = ((model.left[axis], None),)
         if model.interface is not None:
             wl, wr = config.profile.weights(model.interface.offset(self.pts), config.eps_smoothing)
-            sides = (("left", model.left[axis], wl), ("right", model.right[axis], wr))
+            sides = ((model.left[axis], wl), (model.right[axis], wr))
         # the factors of each term, applied in this order: term factor, weight;
         # array factors span every face so that a window of faces can be cut
         self.rows = [
             (coeffs, [float(f) if np.ndim(f) == 0 else np.broadcast_to(f, shape)
                       for f in (factor, w) if f is not None])
-            for side, comp, w in sides
-            for coeffs, factor in require_terms(comp, side)(self.pts)
+            for comp, w in sides
+            for coeffs, factor in comp.terms(self.pts)
         ]
         self.crit = []  # (state, |F'| there) per candidate column, face arrays
         width = max(len(derivative_coeffs(c)) for c, _ in self.rows)

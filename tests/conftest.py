@@ -38,6 +38,23 @@ CURVED_MODULATED_SPEC = {
 }
 
 
+def step_bv_flux(vl: float, vr: float, d: int = 1) -> dx.GeneralBVFlux:
+    """Rough flux on [-1, 1]^d: component k is c(x) P_k(lam) with the step
+    coefficient c = vl left of x1 = 0, vr right of it and their mean on it;
+    P_1 = lam (1 - lam), P_2 = lam^2 (1 - lam)."""
+
+    def component(coeffs):
+        def terms(x):
+            x1 = np.asarray(x)[..., 0]
+            return ((coeffs, np.where(x1 < 0, vl, np.where(x1 > 0, vr, 0.5 * (vl + vr)))),)
+
+        return terms
+
+    polys = ((0.0, 1.0, -1.0), (0.0, 0.0, 1.0, -1.0))
+    return dx.GeneralBVFlux(d=d, components=tuple(map(component, polys[:d])), a=0.0, b=1.0,
+                            domain=dx.Box((-1.0,) * d, (1.0,) * d))
+
+
 @pytest.fixture(scope="session")
 def burgers_model():
     return dx.preset("burgers")

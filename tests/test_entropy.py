@@ -210,7 +210,7 @@ def test_transformed_residual_equals_plain_in_flat_1d(two_flux_block_traj, two_f
     phi = _phi(0.045, 0.04, 0.05, 0.2)
     for lam in (0.3, 0.6):
         plain = dx.kruzhkov_residual(two_flux_block_traj, two_flux_model, lam, phi)
-        transf = dx.transformed_entropy_residual(two_flux_block_traj, two_flux_model, lam, phi)
+        transf = dx.kruzhkov_residual(two_flux_block_traj, dx.flatten_model(two_flux_model), lam, phi)
         assert plain == transf
 
 
@@ -230,12 +230,13 @@ def test_constant_field_interface_residual_closed_form(two_flux_model, fine_grid
     fl_c = c * (1 - c)
     fr_c = 2 * c * (1 - c)
 
+    flat = dx.flatten_model(two_flux_model)
     for lam in (0.3, 0.7):
         oracle = np.sign(c - lam) * (fl_c - fr_c) * phi_on_interface
-        resid = dx.transformed_entropy_residual(traj, two_flux_model, lam, phi)
+        resid = dx.kruzhkov_residual(traj, flat, lam, phi)
         np.testing.assert_allclose(resid, oracle, rtol=1e-3, atol=1e-6)
-    assert dx.transformed_entropy_residual(traj, two_flux_model, 0.3, phi) < 0
-    assert dx.transformed_entropy_residual(traj, two_flux_model, 0.7, phi) > 0
+    assert dx.kruzhkov_residual(traj, flat, 0.3, phi) < 0
+    assert dx.kruzhkov_residual(traj, flat, 0.7, phi) > 0
 
 
 def test_transformed_residual_change_of_variables_2d():
@@ -284,8 +285,9 @@ def test_transformed_residual_change_of_variables_2d():
             return out
 
     tol = 1e-3 * phi_flat.c1_norm * ogrid.box.volume
+    flat = dx.flatten_model(model)
     for lam in (0.25, 0.4, 0.6):
-        r_flat = dx.transformed_entropy_residual(ftraj, model, lam, phi_flat)
+        r_flat = dx.kruzhkov_residual(ftraj, flat, lam, phi_flat)
         r_orig = dx.kruzhkov_residual(otraj, model, lam, PhiOriginal())
         assert abs(r_flat) > 1e-4  # comparison is not vacuous
         assert abs(r_flat - r_orig) <= tol
@@ -328,7 +330,8 @@ def test_entropy_report_json_layout(burgers_shock_traj, burgers_model):
 
 def test_kato_identical_runs_is_exactly_zero(burgers_shock_traj, burgers_model):
     phi = _phi(0.25, 0.2, 0.0, 0.3)
-    assert dx.kato_residual(burgers_shock_traj, burgers_shock_traj, burgers_model, phi) == 0.0
+    report = dx.kato_battery(burgers_shock_traj, burgers_shock_traj, burgers_model, phis=[phi])
+    assert [e.residual for e in report.entries] == [0.0]
 
 
 def test_kato_grid_mismatch_raises(burgers_shock_traj, burgers_model):
@@ -336,7 +339,7 @@ def test_kato_grid_mismatch_raises(burgers_shock_traj, burgers_model):
     other = _constant_trajectory(grid, 0.0, np.asarray(burgers_shock_traj.times))
     phi = _phi(0.25, 0.2, 0.0, 0.3)
     with pytest.raises(ValueError, match="grid"):
-        dx.kato_residual(burgers_shock_traj, other, burgers_model, phi)
+        dx.kato_battery(burgers_shock_traj, other, burgers_model, phis=[phi])
 
 
 def test_kato_nested_burgers_battery(burgers_model):
@@ -525,8 +528,6 @@ def test_kato_battery_matches_per_time_formula(case, request, fine_grid):
     report = dx.kato_battery(u1, u2, model, phis=phis)
     reference = [((None, phi.label), _per_time_kato(u1, u2, model, phi)) for phi in phis]
     _assert_same_battery(report, reference)
-    for phi, (_, ref) in zip(phis, reference):
-        assert abs(dx.kato_residual(u1, u2, model, phi) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 # ---------------------------------------------------------------------------

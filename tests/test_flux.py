@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import discflux as dx
+from conftest import step_bv_flux
 from discflux.flux import FluxComponent, GeneralBVFlux, poly_component
 
 
@@ -115,32 +116,22 @@ def test_lambda_derivative_crosscheck(two_flux_model):
 # mollification of rough fluxes
 
 
-def _step_flux(vl: float, vr: float) -> GeneralBVFlux:
-    def comp(x, lam):
-        x1 = np.asarray(x)[..., 0]
-        lam = np.asarray(lam, dtype=float)
-        base = np.where(x1 < 0, vl, np.where(x1 > 0, vr, 0.5 * (vl + vr)))
-        return base * lam * (1.0 - lam)
-
-    return GeneralBVFlux(d=1, components=(comp,), a=0.0, b=1.0, domain=dx.Box((-1.0,), (1.0,)))
-
-
 def test_mollify_constant_flux_unchanged():
-    rough = GeneralBVFlux(
-        d=1,
-        components=(lambda x, lam: np.broadcast_to(np.asarray(lam) * (1 - np.asarray(lam)), np.asarray(x)[..., 0].shape),),
-        a=0.0,
-        b=1.0,
-        domain=dx.Box((-1.0,), (1.0,)),
-    )
-    smooth = dx.mollify_flux(rough, eps=0.1)
+    def terms(x):
+        return (((0.0, 1.0, -1.0), np.ones(np.asarray(x).shape[:-1])),)
+
+    box = dx.Box((-1.0,), (1.0,))
+    smooth = dx.mollify_flux(GeneralBVFlux(d=1, components=(terms,), a=0.0, b=1.0, domain=box), eps=0.1)
     xs = np.linspace(-0.9, 0.9, 19)[:, None]
     np.testing.assert_allclose(smooth.evaluate(xs, 0.3)[..., 0], 0.21, atol=1e-13)
+    # a factor of None (1) stays None
+    bare = GeneralBVFlux(d=1, components=(lambda x: (((0.0, 1.0, -1.0), None),),), a=0.0, b=1.0, domain=box)
+    assert dx.mollify_flux(bare, eps=0.1).left[0].terms(xs) == (((0.0, 1.0, -1.0), None),)
 
 
 def test_mollify_away_from_jump_keeps_side_value():
     eps = 0.05
-    rough = _step_flux(1.0, 3.0)
+    rough = step_bv_flux(1.0, 3.0)
     smooth = dx.mollify_flux(rough, eps)
     # kernel support has radius eps, so 2 eps inside the left region the
     # convolution never sees the jump
@@ -158,20 +149,20 @@ def test_mollify_at_jump_gives_mean_of_sides():
     raw = np.where(-s < 0, vl, np.where(-s > 0, vr, 0.5 * (vl + vr)))
     oracle = np.trapezoid(raw * kern, s) / np.trapezoid(kern, s) * 0.25
 
-    smooth = dx.mollify_flux(_step_flux(vl, vr), eps)
+    smooth = dx.mollify_flux(step_bv_flux(vl, vr), eps)
     val = float(smooth.evaluate(np.array([0.0]), 0.5)[..., 0])
     np.testing.assert_allclose(val, oracle, atol=1e-6)
     np.testing.assert_allclose(val, 0.5 * (vl + vr) * 0.25, atol=1e-12)
 
 
 def test_mollify_preserves_zero_boundary_flux():
-    smooth = dx.mollify_flux(_step_flux(1.0, 3.0), eps=0.05)
+    smooth = dx.mollify_flux(step_bv_flux(1.0, 3.0), eps=0.05)
     assert dx.check_boundary_zero(smooth).passed
 
 
 def test_mollify_rejects_bad_width():
     with pytest.raises(ValueError):
-        dx.mollify_flux(_step_flux(1.0, 3.0), eps=0.0)
+        dx.mollify_flux(step_bv_flux(1.0, 3.0), eps=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +208,9 @@ def test_nondegeneracy_burgers_with_analytic_oracle(burgers_model):
 
 
 def test_nondegeneracy_fails_on_locally_flat_flux():
-    # derivative vanishes identically for lam <= 0.4, so the subintervals
-    # below 0.4 must be flagged
-    def value(x, lam):
-        lam = np.asarray(lam, dtype=float)
-        return np.maximum(lam - 0.4, 0.0) ** 2 * np.ones(np.asarray(x)[..., 0].shape)
-
-    def deriv(x, lam):
-        lam = np.asarray(lam, dtype=float)
-        return 2.0 * np.maximum(lam - 0.4, 0.0) * np.ones(np.asarray(x)[..., 0].shape)
-
-    comp = FluxComponent(axis=0, value=value, lambda_derivative=deriv)
+    # the spatial factor vanishes for x1 <= 0, so there the state derivative
+    # vanishes identically and every subinterval is flagged
+    comp = FluxComponent(0, lambda x: (((0.0, 1.0, -1.0), np.maximum(np.asarray(x)[..., 0], 0.0)),))
     model = dx.PiecewiseFlux(
         d=1, left=(comp,), right=(comp,), interface=None, a=0.0, b=1.0, domain=dx.Box((-1.0,), (1.0,))
     )
@@ -236,6 +219,7 @@ def test_nondegeneracy_fails_on_locally_flat_flux():
     assert report.worst_max == 0.0
     lo, hi = report.witness["subinterval"]
     assert hi <= 0.4 + 1e-12
+    assert report.witness["x"][0] <= 0.0
 
 
 def test_nondegeneracy_2d_direction_sweep():

@@ -256,13 +256,6 @@ def test_transformations_match_their_closure_formulas():
                 np.testing.assert_allclose(got[~inside], extended[~inside], rtol=1e-14, atol=1e-14)
 
 
-def test_transformations_need_polynomial_terms():
-    rough = dx.GeneralBVFlux(d=2, components=(lambda x, lam: lam * (1 - lam),) * 2, a=0.0, b=1.0,
-                             domain=dx.Box((-1.0, -1.0), (1.0, 1.0)))
-    with pytest.raises(ValueError, match="no polynomial terms"):
-        dx.radial_extend_model(dx.mollify_flux(rough, 0.1, n_nodes=3), np.zeros(2), 0.5)
-
-
 # ---------------------------------------------------------------------------
 # speed bounds
 

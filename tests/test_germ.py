@@ -20,7 +20,6 @@ from discflux.germ import (
     GermStudy,
     StepFunction,
     build_dense_family,
-    certify_completeness,
     contraction_matrix,
     diagonal_select,
     dyadic_values,
@@ -544,19 +543,15 @@ def test_steady_member_has_zero_error_bar(mini_study):
 
 
 def test_certify_completeness_passes_level_one(burgers_study):
-    report = certify_completeness(burgers_study, max_level=1)
-    assert report.passed
-    assert report.first_failed_level is None
-    assert len(report.levels) == 1
-    assert report.levels[0].level == 1
+    result = burgers_study.level_result(1)
+    assert result.passed
+    assert result.level == 1
 
 
-def test_certification_failure_is_reported_not_raised(mini_study):
+def test_certification_failure_raises(mini_study):
     # a three-epsilon ladder cannot feed the diagonal argument
-    report = certify_completeness(mini_study, max_level=1)
-    assert not report.passed
-    assert report.first_failed_level == 1
-    assert report.levels == ()
+    with pytest.raises(ValueError):
+        mini_study.level_result(1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import discflux
 from conftest import CURVED_MODULATED_SPEC
 from discflux import storage
 from discflux.cli import main
@@ -286,6 +289,16 @@ def test_cli_usage_errors():
     assert main(["frobnicate"]) == 1
     assert main(["run"]) == 1
     assert main(["--help"]) == 0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats alone took most of the CLI's import time; the quasi-random
+    # samplers and interpolators import their scipy module when first used
+    src = os.path.dirname(os.path.dirname(discflux.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, discflux.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_missing_scenario_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import discflux as dx
-from conftest import block_field, riemann_field
+from conftest import block_field, riemann_field, step_bv_flux
 from discflux.solver import _Faces
 
 
@@ -80,20 +80,19 @@ def test_step_keeps_constant_state_for_homogeneous_flux(burgers_model):
 # full runs
 
 
-def test_fluxes_without_terms_fail_fast():
-    def rough(x, lam):
-        return np.where(np.asarray(x)[..., 0] < 0, 1.0, 2.0) * lam * (1.0 - lam)
-
-    model = dx.mollify_flux(dx.GeneralBVFlux(d=1, components=(rough,), a=0.0, b=1.0,
-                                             domain=dx.Box((-1.0,), (1.0,))), eps=0.1, n_nodes=5)
-    grid = dx.Grid((-1.0,), (1.0,), (16,))
-    config = dx.RunConfig(flux=model, epsilon=0.1, final_time=0.1, boundary=0.0)
-    u0 = dx.Field(grid, np.full(grid.counts, 0.5), 0.0)
-    message = "left flux component of axis 0 has no polynomial terms: mollified or callable-only"
-    for call in (lambda: dx.run(u0, config), lambda: dx.step(u0, config, 1e-4),
-                 lambda: dx.grid_speed_bound(config, grid)):
-        with pytest.raises(ValueError, match=message):
-            call()
+@pytest.mark.parametrize("d, cells", [(1, 128), (2, 24)])
+def test_mollified_step_flux_runs_through_the_kernel(d, cells):
+    model = dx.mollify_flux(step_bv_flux(1.0, 2.0, d), eps=0.05)
+    grid = dx.Grid(model.domain.lows, model.domain.highs, (cells,) * d)
+    config = dx.RunConfig(flux=model, epsilon=0.05, final_time=0.2, boundary=0.0)
+    inside = np.all(np.abs(grid.points() - 0.1) < 0.4, axis=-1)
+    traj = dx.run(dx.Field(grid, np.where(inside, 0.9, 0.0), 0.0), config)
+    # away from the jump the mollified coefficient is vr = 2, and on [0, 1]
+    # |P_1'| = |1 - 2 lam| and |P_2'| = |2 lam - 3 lam^2| both peak at 1
+    assert abs(traj.manifest["speed_bound"] - 2.0) <= 1e-12
+    assert 0.0 < traj.manifest["cfl_margin"] <= 1.0
+    assert dx.max_principle_check(traj, model.a, model.b).passed
+    assert not np.array_equal(traj.states[-1], traj.states[0])
 
 
 def test_run_constant_endpoint_trajectory(two_flux_model):
