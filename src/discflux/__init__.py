@@ -4,17 +4,16 @@ contraction residual batteries, cone-of-dependence locality checks, and
 dyadic-family vanishing-viscosity studies."""
 
 from .flux import (
-    DEFAULT_PROFILE,
     BoundaryReport,
     FluxComponent,
     GeneralBVFlux,
     NondegeneracyReport,
     PiecewiseFlux,
-    SmoothingProfile,
     check_boundary_zero,
     check_nondegeneracy,
     mollify_flux,
     poly_component,
+    smoothing_weights,
     smoothstep,
 )
 from .geometry import (

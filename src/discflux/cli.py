@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -129,30 +130,14 @@ def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     vals = initial_values_at(sc.initial, itf.unflatten(flat_grid.points()), model.a, model.b,
                              model.d, seed=sc.seed)
     u0_flat = Field(flat_grid, vals, 0.0)
-    config_flat = sc.config.__class__(
-        flux=ext,
-        epsilon=sc.config.epsilon,
-        final_time=sc.config.final_time,
-        boundary=sc.config.boundary,
-        cfl=sc.config.cfl,
-        output_times=sc.config.output_times,
-        smoothing_width=sc.config.smoothing_width,
-    )
+    config_flat = dataclasses.replace(sc.config, flux=ext)
     traj_flat = clock("solve_s", run, u0_flat, config_flat)
     clock("io_s", storage.write_trajectory_csv, os.path.join(out, "flattened_trajectory.csv"), traj_flat)
     artifacts["flattened_trajectory"] = "flattened_trajectory.csv"
     _max_principle(clock, checks, traj_flat, model, "max_principle_flattened")
 
     # pull the flattened solution back onto the original grid
-    from scipy.interpolate import RegularGridInterpolator
-
-    axes = [flat_grid.centers(k) for k in range(flat_grid.d)]
-    query = itf.flatten(grid.points()).reshape(-1, grid.d)
-    mapped = np.empty((len(traj_flat.times),) + grid.counts)
-    for i in range(len(traj_flat.times)):
-        itp = RegularGridInterpolator(axes, traj_flat.states[i], method="linear",
-                                      bounds_error=False, fill_value=None)
-        mapped[i] = itp(query).reshape(grid.counts)
+    mapped = flat_grid.interpolate(traj_flat.states, itf.flatten(grid.points()))
     mapped_traj = Trajectory(grid=grid, times=traj_flat.times, states=mapped,
                              manifest={"mapped_from": "flattened_trajectory.csv"})
     clock("io_s", storage.write_trajectory_csv, os.path.join(out, "mapped_trajectory.csv"), mapped_traj)

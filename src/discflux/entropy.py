@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .flux import PiecewiseFlux
-from .geometry import Cone, Interface, flatten_model, transformed_normal_flux
+from .geometry import Cone, Interface, flatten_model, halton, transformed_normal_flux
 from .solver import Field, Trajectory
 
 BUMP_SLOPE_MAX = 8.0 / (3.0 * math.sqrt(3.0))  # max |d/ds (1-s^2)^2|
@@ -120,8 +120,6 @@ def lambda_battery(a: float, b: float) -> np.ndarray:
 def bump_battery(box, final_time: float, count: int = 20) -> list[TestFunction]:
     """Deterministic battery: one large bump centered in space-time (its
     support spans [0, T]), the rest scattered on a Halton lattice."""
-    from scipy.stats import qmc
-
     d = box.d
     widths = box.widths
     phis = [
@@ -136,9 +134,7 @@ def bump_battery(box, final_time: float, count: int = 20) -> list[TestFunction]:
     if count > 1:
         rt = 0.3 * final_time
         radii = tuple(0.25 * w for w in widths)
-        sampler = qmc.Halton(d=1 + d, scramble=False)
-        pts = sampler.random(count - 1)
-        for i, p in enumerate(pts):
+        for i, p in enumerate(halton(count - 1, 1 + d)):
             tc = p[0] * (final_time - rt)
             center = tuple(
                 lo + r + p[1 + k] * (w - 2 * r)

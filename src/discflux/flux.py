@@ -1,5 +1,5 @@
 """Flux models: piecewise-smooth fluxes with a Heaviside jump across an
-interface, the smoothing profile that regularizes the jump, mollification of
+interface, the smoothing weights that regularize the jump, mollification of
 rough fluxes, and the structural checkers (zero boundary flux,
 non-degeneracy).
 
@@ -30,21 +30,13 @@ def smoothstep(z):
     return out
 
 
-@dataclass(frozen=True)
-class SmoothingProfile:
-    """Profile omega used to smear the interface Heaviside over width eps."""
-
-    omega: Callable = smoothstep
-
-    def weights(self, offset, eps: float):
-        """(left, right) weights omega(-offset/eps), omega(offset/eps)."""
-        if eps <= 0:
-            raise ValueError("smoothing width eps must be positive")
-        z = np.asarray(offset, dtype=float) / eps
-        return self.omega(-z), self.omega(z)
-
-
-DEFAULT_PROFILE = SmoothingProfile()
+def smoothing_weights(offset, eps: float):
+    """(left, right) weights smoothstep(-offset/eps), smoothstep(offset/eps)
+    that smear the interface Heaviside over width eps."""
+    if eps <= 0:
+        raise ValueError("smoothing width eps must be positive")
+    z = np.asarray(offset, dtype=float) / eps
+    return smoothstep(-z), smoothstep(z)
 
 
 def horner(u, coeffs):
@@ -191,30 +183,26 @@ class PiecewiseFlux:
         """Sharp flux vector, shape (..., d)."""
         return np.stack([self.evaluate_component(k, x, lam) for k in range(self.d)], axis=-1)
 
-    def evaluate_component_smoothed(self, k: int, x, lam, eps: float, profile: SmoothingProfile = DEFAULT_PROFILE):
+    def evaluate_component_smoothed(self, k: int, x, lam, eps: float):
         """Smoothed-Heaviside evaluation
-        left * omega(-offset/eps) + right * omega(offset/eps); coincides with
+        left * smoothstep(-offset/eps) + right * smoothstep(offset/eps); coincides with
         the sharp flux wherever |offset| >= eps."""
         lam = self._check_state(lam)
         pts = as_points(x, self.d)
         if self.interface is None:
             return self.left[k].value(pts, lam)
-        wl, wr = profile.weights(self.interface.offset(pts), eps)
+        wl, wr = smoothing_weights(self.interface.offset(pts), eps)
         return wl * self.left[k].value(pts, lam) + wr * self.right[k].value(pts, lam)
 
-    def evaluate_smoothed(self, x, lam, eps: float, profile: SmoothingProfile = DEFAULT_PROFILE):
-        return np.stack(
-            [self.evaluate_component_smoothed(k, x, lam, eps, profile) for k in range(self.d)], axis=-1
-        )
+    def evaluate_smoothed(self, x, lam, eps: float):
+        return np.stack([self.evaluate_component_smoothed(k, x, lam, eps) for k in range(self.d)], axis=-1)
 
-    def component_lambda_derivative_smoothed(
-        self, k: int, x, lam, eps: float, profile: SmoothingProfile = DEFAULT_PROFILE
-    ):
+    def component_lambda_derivative_smoothed(self, k: int, x, lam, eps: float):
         lam = self._check_state(lam)
         pts = as_points(x, self.d)
         if self.interface is None:
             return self.left[k].lambda_derivative(pts, lam)
-        wl, wr = profile.weights(self.interface.offset(pts), eps)
+        wl, wr = smoothing_weights(self.interface.offset(pts), eps)
         return wl * self.left[k].lambda_derivative(pts, lam) + wr * self.right[k].lambda_derivative(pts, lam)
 
     def side_components(self, x) -> np.ndarray:

@@ -62,19 +62,29 @@ class Box:
 
     def sample(self, n: int) -> np.ndarray:
         """Deterministic quasi-random sample of n points, shape (n, d)."""
-        from scipy.stats import qmc
+        return np.asarray(self.lows) + halton(n, self.d) * self.widths
 
-        # Unscrambled Halton: reproducible without any seed plumbing.
-        h = qmc.Halton(d=self.d, scramble=False)
-        u = h.random(n)
-        return np.asarray(self.lows) + u * self.widths
+
+def halton(n: int, d: int, start: int = 0) -> np.ndarray:
+    """Points start .. start + n - 1 of the unscrambled Halton sequence in
+    [0, 1)^d (Halton 1960), shape (n, d): coordinate k is the radical inverse
+    of the index in the k-th prime base, its digits added from the lowest,
+    as scipy's qmc.Halton(scramble=False) adds them, so the bits agree."""
+    if not 1 <= d <= 3:
+        raise ValueError(f"Halton points need d in 1..3, got {d}")
+    out = np.zeros((n, d))
+    for k, b in enumerate((2, 3, 5)[:d]):
+        i, f = np.arange(start, start + n), 1.0
+        while i.any():
+            f /= b
+            out[:, k] += f * (i % b)
+            i //= b
+    return out
 
 
 def ball_sample(center, radius: float, n: int) -> np.ndarray:
     """Deterministic sample of the closed ball, always containing the center
     and the axis-aligned sphere points."""
-    from scipy.stats import qmc
-
     c = np.asarray(center, dtype=float)
     d = c.shape[0]
     if radius <= 0:
@@ -85,12 +95,13 @@ def ball_sample(center, radius: float, n: int) -> np.ndarray:
         e[k] = radius
         pts.append(c + e)
         pts.append(c - e)
-    h = qmc.Halton(d=d, scramble=False)
-    # rejection from the bounding cube; Halton fills space evenly so the
-    # acceptance rate is the ball/cube volume ratio
-    need = max(n - len(pts), 0)
+    # rejection from the bounding cube, continuing one Halton sequence; it
+    # fills space evenly, so the acceptance rate is the ball/cube volume ratio
+    need, drawn = max(n - len(pts), 0), 0
     while need > 0:
-        cand = (2.0 * h.random(max(2 * need, 8)) - 1.0) * radius
+        m = max(2 * need, 8)
+        cand = (2.0 * halton(m, d, start=drawn) - 1.0) * radius
+        drawn += m
         keep = cand[np.linalg.norm(cand, axis=-1) <= radius]
         for p in keep[:need]:
             pts.append(c + p)
@@ -170,11 +181,14 @@ class Interface:
         if d > 2:
             raise ValueError("polynomial interfaces are supported for d <= 2 only")
         c = np.asarray([float(v) for v in coeffs])
+        if c.size == 0 or (d == 1 and c.size > 1):
+            raise ValueError(f"polynomial interface in d={d} needs {'one' if d == 1 else 'at least one'} "
+                             f"coefficient, got {c.size}")
         dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
 
         def zeta(xh: np.ndarray) -> np.ndarray:
             if xh.shape[-1] == 0:
-                return np.full(xh.shape[:-1], c[0] if c.size else 0.0)
+                return np.full(xh.shape[:-1], c[0])
             return np.polynomial.polynomial.polyval(xh[..., 0], c)
 
         def zeta_grad(xh: np.ndarray) -> np.ndarray:
@@ -199,6 +213,8 @@ class Interface:
         kind = z["kind"]
         coeffs = z.get("coeffs", [])
         if kind == "zero":
+            if any(coeffs):
+                raise ValueError(f"zero interface with nonzero coefficients {coeffs}")
             return Interface.zero(axis, d)
         if kind == "affine":
             return Interface.affine(axis, d, coeffs)

@@ -168,13 +168,7 @@ class GermRecord:
 def _interp_to(field_values: np.ndarray, src: Grid, dst: Grid) -> np.ndarray:
     if src == dst:
         return np.array(field_values, copy=True)
-    from scipy.interpolate import RegularGridInterpolator
-
-    axes = [src.centers(k) for k in range(src.d)]
-    itp = RegularGridInterpolator(axes, field_values, method="linear",
-                                  bounds_error=False, fill_value=None)
-    pts = dst.points().reshape(-1, dst.d)
-    return itp(pts).reshape(dst.counts)
+    return src.interpolate(field_values, dst.points())
 
 
 def _edge_boundary(u0_fn, box: Box):

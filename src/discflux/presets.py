@@ -16,6 +16,7 @@ field, which is only allowed (and then required) when x_modulation is
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 from .flux import PiecewiseFlux, poly_component
 from .geometry import Box, Interface
@@ -152,19 +153,7 @@ def resolve_flux(value, domain: Box | None = None) -> PiecewiseFlux:
     """Accept a preset name or an inline flux spec dict."""
     if isinstance(value, str):
         model = preset(value)
-        if domain is not None:
-            model = PiecewiseFlux(
-                d=model.d,
-                left=model.left,
-                right=model.right,
-                interface=model.interface,
-                a=model.a,
-                b=model.b,
-                domain=domain,
-                name=model.name,
-                spec=model.spec,
-            )
-        return model
+        return model if domain is None else dataclasses.replace(model, domain=domain)
     if isinstance(value, dict):
         return flux_from_spec(value, domain=domain)
     raise ValueError("flux must be a preset name or a spec object")

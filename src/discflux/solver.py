@@ -9,6 +9,7 @@ output times.  Boundary cells are held at the far-field state.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flux import DEFAULT_PROFILE, PiecewiseFlux, SmoothingProfile, derivative_coeffs, horner
+from .flux import PiecewiseFlux, derivative_coeffs, horner, smoothing_weights
 from .geometry import Box
 
 CFL_SPEED_FLOOR = 1e-12
@@ -78,6 +79,28 @@ class Grid:
         """Evaluate a callable of points on the cell centers."""
         return np.asarray(fn(self.points()), dtype=float)
 
+    def interpolate(self, values: np.ndarray, points) -> np.ndarray:
+        """Multilinear interpolation of cell-center values, shape
+        (..., *counts), at points (..., d), extrapolated linearly beyond the
+        outer centers; leading axes of values (times, say) lead the result.
+        The corner terms are added in the order of scipy's
+        RegularGridInterpolator (method "linear", fill_value=None), so both
+        give the same bits."""
+        pts = np.asarray(points, dtype=float)
+        cells, fractions = [], []
+        for k in range(self.d):
+            c, x = self.centers(k), pts[..., k]
+            i = np.clip(np.searchsorted(c, x, side="right") - 1, 0, len(c) - 2)
+            cells.append(i)
+            fractions.append((x - c[i]) / (c[i + 1] - c[i]))
+        out = 0.0
+        for corner in itertools.product((0, 1), repeat=self.d):
+            term = values[(...,) + tuple(i + up for i, up in zip(cells, corner))]
+            for up, y in zip(corner, fractions):
+                term = term * (y if up else 1 - y)
+            out = out + term
+        return out
+
 
 @dataclass(frozen=True)
 class Field:
@@ -110,7 +133,6 @@ class RunConfig:
     cfl: float = 0.45
     output_times: tuple[float, ...] | None = None
     smoothing_width: float | None = None
-    profile: SmoothingProfile = DEFAULT_PROFILE
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -223,7 +245,7 @@ class _Faces:
         shape = self.pts.shape[:-1]
         sides = ((model.left[axis], None),)
         if model.interface is not None:
-            wl, wr = config.profile.weights(model.interface.offset(self.pts), config.eps_smoothing)
+            wl, wr = smoothing_weights(model.interface.offset(self.pts), config.eps_smoothing)
             sides = ((model.left[axis], wl), (model.right[axis], wr))
         # the factors of each term, applied in this order: term factor, weight;
         # array factors span every face so that a window of faces can be cut
@@ -398,7 +420,7 @@ def step(field: Field, config: RunConfig, dt: float) -> Field:
 def _normalize_output_times(config: RunConfig) -> list[float]:
     T = config.final_time
     if config.output_times is None:
-        times = list(np.linspace(0.0, T, 9))
+        times = np.linspace(0.0, T, 9).tolist()
     else:
         times = [float(t) for t in config.output_times]
         if any(t < 0 or t > T * (1 + 1e-12) for t in times):

@@ -29,9 +29,8 @@ def test_smoothstep_monotone_on_sorted_sample():
 
 
 def test_profile_weights_partition_unity():
-    prof = dx.DEFAULT_PROFILE
     offs = np.linspace(-3e-3, 3e-3, 101)
-    wl, wr = prof.weights(offs, 1e-3)
+    wl, wr = dx.smoothing_weights(offs, 1e-3)
     np.testing.assert_allclose(wl + wr, 1.0, atol=1e-14)
 
 

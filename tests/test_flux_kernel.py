@@ -52,7 +52,7 @@ def _check_exact_alpha(config, grid, values):
         for x, lo, hi, a in zip(pts, ul, ur, alpha.ravel()):
 
             def dF(s):
-                return model.component_lambda_derivative_smoothed(k, x, s, config.eps_smoothing, config.profile)
+                return model.component_lambda_derivative_smoothed(k, x, s, config.eps_smoothing)
 
             dense, finest = _finest_max(dF, min(lo, hi), max(lo, hi))
             assert a >= dense - ROUNDING
@@ -165,7 +165,7 @@ def test_face_fluxes_match_polyval_bit_for_bit(name):
         left = side_terms(model.spec["left"][0], u, deriv)
         if model.interface is None:
             return left
-        wl, wr = config.profile.weights(model.interface.offset(pts), config.eps_smoothing)
+        wl, wr = dx.smoothing_weights(model.interface.offset(pts), config.eps_smoothing)
         return wl * left + wr * side_terms(model.spec["right"][0], u, deriv)
 
     fhat, alpha = _Faces(config, grid, 0).rusanov(values, {})

@@ -3,6 +3,7 @@ import copy
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import discflux as dx
 from conftest import CURVED_MODULATED_SPEC
@@ -10,6 +11,7 @@ from discflux.flux import poly_component
 from discflux.geometry import (
     ball_sample,
     flattened_box,
+    halton,
     project_to_ball,
     transformed_normal_flux,
 )
@@ -73,6 +75,13 @@ def test_interface_spec_roundtrip():
 def test_interface_rejects_out_of_range_axis():
     with pytest.raises(ValueError, match="axis"):
         dx.Interface.from_spec({"axis": 3, "zeta": {"kind": "zero", "coeffs": []}}, d=2)
+
+
+def test_zero_interface_specs_read_back():
+    # with or without their zero coefficients (nonzero ones are refused)
+    for spec in ({"axis": 1, "zeta": {"kind": "zero", "coeffs": [0.0]}}, dx.Interface.zero(0, 1).to_spec(),
+                 {"axis": 1, "zeta": {"kind": "zero"}}):
+        assert dx.Interface.from_spec(spec, d=1).spec == {"kind": "zero", "coeffs": [0.0]}
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +360,34 @@ def test_cone_sections_nest():
     later = cone.contains(t2, pts)
     earlier = cone.contains(t1, pts)
     assert np.all(~later | earlier)
+
+
+# ---------------------------------------------------------------------------
+# Halton points, against scipy's unscrambled qmc.Halton
+
+
+def test_halton_matches_scipy_bit_for_bit():
+    from scipy.stats import qmc
+
+    for d in (1, 2, 3):
+        for n in (1, 8, 137, 2001):
+            sampler = qmc.Halton(d=d, scramble=False)
+            first, more = sampler.random(n), sampler.random(n + 5)
+            assert_array_equal(halton(n, d).view(np.int64), first.view(np.int64))
+            # a second draw continues the sequence
+            assert_array_equal(halton(n + 5, d, start=n).view(np.int64), more.view(np.int64))
+
+
+def test_samplers_match_their_scipy_form():
+    from scipy.stats import qmc
+
+    box = dx.Box((-1.0, 0.5), (2.0, 0.75))
+    expected = np.asarray(box.lows) + qmc.Halton(d=2, scramble=False).random(300) * box.widths
+    assert_array_equal(box.sample(300).view(np.int64), expected.view(np.int64))
+    # the ball's rejection loop draws batches from one sequence
+    center, radius, n = np.array([0.2, -0.1, 0.4]), 0.3, 200
+    sampler, pts = qmc.Halton(d=3, scramble=False), list(ball_sample(center, radius, 7))
+    while len(pts) < n:
+        cand = (2.0 * sampler.random(max(2 * (n - len(pts)), 8)) - 1.0) * radius
+        pts.extend(center + p for p in cand[np.linalg.norm(cand, axis=-1) <= radius][: n - len(pts)])
+    assert_array_equal(ball_sample(center, radius, n).view(np.int64), np.stack(pts).view(np.int64))

@@ -291,14 +291,30 @@ def test_cli_usage_errors():
     assert main(["--help"]) == 0
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.stats alone took most of the CLI's import time; the quasi-random
-    # samplers and interpolators import their scipy module when first used
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test-only dependency: the Halton points and the grid
+    # interpolation are numpy, so neither importing the CLI nor running the
+    # samplers (batteries, cone speed), the charted pull-back or a converge
+    # sweep's interpolation onto the finest grid loads a scipy module
+    conv_doc = _run_doc(name="conv_cheap", kind="converge",
+                        initial={"kind": "riemann", "left": 1.0, "right": 0.0, "position": 0.0},
+                        study={"epsilons": [0.016, 0.008, 0.004]})
+    conv_doc["run"] = {"epsilon": 0.004, "final_time": 0.05, "boundary": [[1.0, 0.0]]}
+    runs = [["entropy-check", "burgers_shock"], ["kato-check", "kato_burgers"], ["cone-check", "cone_burgers"],
+            ["run", "tilted_flatten_2d"], ["converge", _write(tmp_path, conv_doc, "conv.json")]]
+    argvs = [argv + ["--out", str(tmp_path / argv[0]), "--quiet"] for argv in runs]
     src = os.path.dirname(os.path.dirname(discflux.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, discflux.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    code = ("import json, sys, discflux.cli\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            "codes = [discflux.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, scipy())\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True)
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == f"{[0] * len(runs)} []"
 
 
 def test_cli_missing_scenario_file(tmp_path, capsys):
@@ -335,6 +351,22 @@ def test_cli_runtime_error_exits_one(tmp_path, capsys):
         main(["germ", path, "--out", str(tmp_path / "out"), "--debug"])
 
 
+@pytest.mark.parametrize("d, zeta", [
+    (1, {"kind": "poly", "coeffs": [0.1, 0.5]}),  # only the constant would act in d = 1
+    (1, {"kind": "zero", "coeffs": [0.4]}),
+    (2, {"kind": "poly", "coeffs": []}),
+], ids=["poly-1d-two-coeffs", "zero-nonzero-coeff", "poly-2d-empty"])
+def test_cli_refuses_ignored_interface_coefficients(tmp_path, capsys, d, zeta):
+    component = {"poly_lambda": [0.0, 1.0, -1.0]}
+    doc = _run_doc(flux={"d": d, "a": 0.0, "b": 1.0, "interface": {"axis": 1, "zeta": zeta},
+                         "left": [component] * d, "right": None},
+                   grid={"counts": [16] * d}, initial={"kind": "constant", "value": 0.3})
+    del doc["domain"]
+    doc["run"] = {"epsilon": 0.05, "final_time": 0.01, "boundary": 0.0}
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert "scenario error: /flux: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI runs
 
@@ -358,6 +390,18 @@ def test_cli_run_writes_report_and_trajectory(tmp_path, capsys):
     phases = [timings["solve_s"], timings["verify_s"], timings["io_s"]]
     assert min(phases) > 0.0
     assert sum(phases) <= timings["total_s"]
+
+
+def test_cli_run_with_default_output_times(tmp_path):
+    # no output times: nine equally spaced ones, and a report of plain numbers
+    doc = {"kind": "run", "flux": "burgers", "grid": {"counts": [64]},
+           "run": {"epsilon": 0.05, "final_time": 0.01, "boundary": 0.0},
+           "initial": {"kind": "constant", "value": 0.3}}
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+    solver = json.loads((out / "report.json").read_text())["solver"]
+    assert type(solver["clipped_steps"]) is int and solver["clipped_steps"] > 0
+    assert len(solver["output_times"]) == 9
 
 
 def test_cli_quiet_suppresses_check_lines(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Viscous solver: CFL rule, single steps, full runs, maximum principle,
 conservation and the viscous-level L1 contraction."""
+import json
 import math
 
 import numpy as np
@@ -111,6 +112,15 @@ def test_run_hits_output_times_exactly(burgers_model):
     traj = dx.run(_bump_field(grid, 0.0, 0.5, 0.0, 0.2), config)
     assert traj.times == times
     assert traj.states.shape == (4, 64)
+
+
+def test_run_default_output_times_manifest_serializes(burgers_model):
+    grid = dx.Grid((-0.5,), (0.5,), (64,))
+    config = dx.RunConfig(flux=burgers_model, epsilon=0.05, final_time=0.01, boundary=0.0)
+    traj = dx.run(dx.Field(grid, np.full(grid.counts, 0.3), 0.0), config)
+    assert traj.times == tuple(np.linspace(0.0, 0.01, 9).tolist())
+    assert all(type(t) is float for t in traj.times)
+    assert json.loads(json.dumps(traj.manifest))["clipped_steps"] == traj.manifest["clipped_steps"] > 0
 
 
 def test_run_manifest_records_parameters(burgers_shock_traj):
@@ -324,3 +334,61 @@ def test_viscous_l1_contraction_under_refinement(burgers_model):
         after = dx.l1_distance(dx.run(u1, config).final, dx.run(u2, config).final)
         excesses.append(after - before)
     assert all(e <= 1e-10 for e in excesses)
+
+
+# ---------------------------------------------------------------------------
+# interpolation onto other grids, against scipy's RegularGridInterpolator
+
+
+def _rgi(grid, values, points):
+    from scipy.interpolate import RegularGridInterpolator
+
+    axes = [grid.centers(k) for k in range(grid.d)]
+    itp = RegularGridInterpolator(axes, values, method="linear", bounds_error=False, fill_value=None)
+    return itp(points.reshape(-1, grid.d)).reshape(points.shape[:-1])
+
+
+def _signed_values(rng, shape):
+    # random values with signed zeros among them, so the sum order shows
+    values = rng.normal(size=shape)
+    flat = values.reshape(-1)
+    flat[::7], flat[3::7], flat[4::7] = 0.0, -0.0, -0.0
+    return values
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("cells", [512, 1024, 2048, 4096])
+def test_interpolate_matches_scipy_1d(cells):
+    rng = np.random.default_rng(cells)
+    src, dst = dx.Grid((-1.0,), (1.0,), (cells,)), dx.Grid((-1.0,), (1.0,), (8192,))
+    values = _signed_values(rng, src.counts)
+    # the finest grid (extrapolating at both ends), the nodes themselves and
+    # points beyond the box on either side
+    beyond = np.array([-1.7, -1.0, -1.0 + 0.25 * src.dx[0], 1.0 - 0.25 * src.dx[0], 1.0, 1.3])
+    for points in (dst.points(), src.points(), beyond[:, None]):
+        _assert_same_bits(src.interpolate(values, points), _rgi(src, values, points))
+
+
+def test_interpolate_matches_scipy_2d():
+    rng = np.random.default_rng(20)
+    grid = dx.Grid((-1.0, -0.5), (1.0, 0.5), (40, 24))
+    values = _signed_values(rng, grid.counts)
+    points = rng.uniform((-1.3, -0.8), (1.3, 0.8), size=(20_000, 2))
+    points[:50] = grid.points().reshape(-1, 2)[:50]
+    _assert_same_bits(grid.interpolate(values, points), _rgi(grid, values, points))
+
+
+def test_interpolate_matches_scipy_on_the_chart_pullback():
+    # the query of the charted tilted_flatten_2d run: the original grid's
+    # centers, flattened, on the flattened grid, for a stack of states
+    sc = dx.parse_scenario(dx.builtin_scenario_path("tilted_flatten_2d"))
+    flat = dx.flatten_model(sc.model)
+    flat_grid = dx.Grid(flat.domain.lows, flat.domain.highs, sc.grid.counts)
+    query = sc.model.interface.flatten(sc.grid.points())
+    states = _signed_values(np.random.default_rng(2), (3,) + flat_grid.counts)
+    expected = np.stack([_rgi(flat_grid, values, query) for values in states])
+    _assert_same_bits(flat_grid.interpolate(states, query), expected)
