@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -49,11 +50,16 @@ class _PhaseClock:
     """Seconds one scenario command spends solving, verifying and writing
     artifacts, for the `timings` block of report.json.  Time outside the
     three phases (parsing, initial data, interpolation) counts only in
-    total_s."""
+    total_s.
+
+    The clock owns the command's artifact writers: `write` hands a CSV to a
+    forked child as soon as its data exists, so io_s counts the fork, not
+    the formatting, and report.json is written after the children finish."""
 
     def __init__(self):
         self.start = time.perf_counter()
         self.seconds = {"solve_s": 0.0, "verify_s": 0.0, "io_s": 0.0}
+        self.writers = storage.Writers()
 
     def __call__(self, phase: str, fn, *args, **kwargs):
         start = time.perf_counter()
@@ -61,6 +67,9 @@ class _PhaseClock:
             return fn(*args, **kwargs)
         finally:
             self.seconds[phase] += time.perf_counter() - start
+
+    def write(self, write, path, *args):
+        self("io_s", self.writers.submit, write, path, *args)
 
     def timings(self) -> dict:
         return dict(self.seconds, total_s=time.perf_counter() - self.start)
@@ -91,7 +100,7 @@ def _write_trace(clock, traj: Trajectory, model, out: str, artifacts: dict):
         trace = clock("verify_s", interface_trace, traj, model.interface, bounds=(model.a, model.b))
     except ValueError as exc:
         raise RuntimeError(f"interface trace unavailable: {exc}") from exc
-    clock("io_s", storage.write_trace_csv, os.path.join(out, "trace.csv"), trace)
+    clock.write(storage.write_trace_csv, os.path.join(out, "trace.csv"), trace)
     artifacts["trace"] = "trace.csv"
 
 
@@ -103,7 +112,7 @@ def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     checks: list = []
     artifacts: dict = {}
     traj = clock("solve_s", run, sc.initial_field(), sc.config)
-    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory.csv"), traj)
+    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory.csv"), traj)
     artifacts["trajectory"] = "trajectory.csv"
     _max_principle(clock, checks, traj, sc.model)
     extras = {"solver": traj.manifest, "artifacts": artifacts}
@@ -132,7 +141,7 @@ def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     u0_flat = Field(flat_grid, vals, 0.0)
     config_flat = dataclasses.replace(sc.config, flux=ext)
     traj_flat = clock("solve_s", run, u0_flat, config_flat)
-    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "flattened_trajectory.csv"), traj_flat)
+    clock.write(storage.write_trajectory_csv, os.path.join(out, "flattened_trajectory.csv"), traj_flat)
     artifacts["flattened_trajectory"] = "flattened_trajectory.csv"
     _max_principle(clock, checks, traj_flat, model, "max_principle_flattened")
 
@@ -140,7 +149,7 @@ def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     mapped = flat_grid.interpolate(traj_flat.states, itf.flatten(grid.points()))
     mapped_traj = Trajectory(grid=grid, times=traj_flat.times, states=mapped,
                              manifest={"mapped_from": "flattened_trajectory.csv"})
-    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "mapped_trajectory.csv"), mapped_traj)
+    clock.write(storage.write_trajectory_csv, os.path.join(out, "mapped_trajectory.csv"), mapped_traj)
     artifacts["mapped_trajectory"] = "mapped_trajectory.csv"
 
     gap = clock("verify_s", l1_distance, traj.final, mapped_traj.final)
@@ -166,7 +175,7 @@ def _exec_entropy(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
             "transformed residuals on a curved interface need the charted run pipeline"
         )
     traj = clock("solve_s", run, sc.initial_field(), sc.config)
-    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory.csv"), traj)
+    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory.csv"), traj)
     artifacts["trajectory"] = "trajectory.csv"
     _max_principle(clock, checks, traj, sc.model)
 
@@ -188,9 +197,9 @@ def _exec_kato(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     checks: list = []
     artifacts: dict = {}
     traj_a = clock("solve_s", run, sc.initial_field(), sc.config)
+    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory_a.csv"), traj_a)
     traj_b = clock("solve_s", run, sc.field_from_spec(sc.study["initial_b"]), sc.config)
-    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory_a.csv"), traj_a)
-    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory_b.csv"), traj_b)
+    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory_b.csv"), traj_b)
     artifacts["trajectory_a"] = "trajectory_a.csv"
     artifacts["trajectory_b"] = "trajectory_b.csv"
     _max_principle(clock, checks, traj_a, sc.model, "max_principle_a")
@@ -240,9 +249,9 @@ def _exec_cone(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
            f"perturbation support vs cone base B(center, {cone.radius:.6g})")
 
     traj_a = clock("solve_s", run, u0, sc.config)
+    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory_base.csv"), traj_a)
     traj_b = clock("solve_s", run, u0_b, sc.config)
-    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory_base.csv"), traj_a)
-    clock("io_s", storage.write_trajectory_csv, os.path.join(out, "trajectory_perturbed.csv"), traj_b)
+    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory_perturbed.csv"), traj_b)
     artifacts["trajectory_base"] = "trajectory_base.csv"
     artifacts["trajectory_perturbed"] = "trajectory_perturbed.csv"
     _max_principle(clock, checks, traj_a, model, "max_principle_base")
@@ -353,17 +362,25 @@ def _run_scenario_command(args) -> int:
         return 1
     out = args.out or os.path.join(DEFAULT_OUT_ROOT, sc.name)
     storage.ensure_dir(out)
-    checks, extras = _EXECUTORS[sc.kind](sc, out, args, clock)
-    for entry in checks:
-        if not args.quiet:
-            verdict = "PASS" if entry["pass"] else "FAIL"
-            print(f"[check] {entry['name']}: {verdict} {entry['detail']}")
-    ok = all(entry["pass"] for entry in checks)
-    manifest = {"scenario": sc.raw, "name": sc.name, "kind": sc.kind,
-                "checks": checks, "pass": ok}
-    manifest.update(extras)
-    manifest["timings"] = clock.timings()
-    storage.write_manifest(os.path.join(out, "report.json"), manifest)
+    try:
+        checks, extras = _EXECUTORS[sc.kind](sc, out, args, clock)
+        for entry in checks:
+            if not args.quiet:
+                verdict = "PASS" if entry["pass"] else "FAIL"
+                print(f"[check] {entry['name']}: {verdict} {entry['detail']}")
+        ok = all(entry["pass"] for entry in checks)
+        manifest = {"scenario": sc.raw, "name": sc.name, "kind": sc.kind,
+                    "checks": checks, "pass": ok}
+        manifest.update(extras)
+        manifest["timings"] = clock.timings()
+        # the join sits inside write_manifest, so report.json appears only
+        # once every artifact it lists is complete
+        storage.write_manifest(os.path.join(out, "report.json"), manifest, after=clock.writers)
+    except BaseException:
+        # leave no child behind; the original error is the one to report
+        with contextlib.suppress(RuntimeError):
+            clock.writers.wait()
+        raise
     n_pass = sum(1 for e in checks if e["pass"])
     print(f"scenario {sc.name}: {'PASS' if ok else 'FAIL'} ({n_pass}/{len(checks)} checks)")
     return 0 if ok else 2

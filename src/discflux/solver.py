@@ -141,6 +141,9 @@ class RunConfig:
             raise ValueError("final_time must be positive")
         if not (0.0 < self.cfl < 1.0):
             raise ValueError("cfl must lie in (0, 1)")
+        if self.output_times is not None and not all(
+                0.0 <= t <= self.final_time * (1 + 1e-12) for t in self.output_times):
+            raise ValueError("output times must lie in [0, final_time]")
         for lo, hi in self.boundary_pairs:
             if not (self.flux.a <= lo <= self.flux.b and self.flux.a <= hi <= self.flux.b):
                 raise ValueError("boundary states must lie in [a, b]")
@@ -422,10 +425,7 @@ def _normalize_output_times(config: RunConfig) -> list[float]:
     if config.output_times is None:
         times = np.linspace(0.0, T, 9).tolist()
     else:
-        times = [float(t) for t in config.output_times]
-        if any(t < 0 or t > T * (1 + 1e-12) for t in times):
-            raise ValueError("output times must lie in [0, final_time]")
-        times = sorted(set(times) | {0.0, T})
+        times = sorted({float(t) for t in config.output_times} | {0.0, T})
     return times
 
 
@@ -488,6 +488,9 @@ def run(u0: Field, config: RunConfig) -> Trajectory:
         # <= 1: no step's coefficient exceeded the bound dt_base came from
         "cfl_margin": alpha_max / speed if speed > 0 else 0.0,
         "output_times": out_times,
+        # cell_volume * sum(state) at the first and last recorded time
+        "mass_start": grid.cell_volume * float(recorded[0].sum()),
+        "mass_end": grid.cell_volume * float(recorded[-1].sum()),
         "wall_time_s": time.perf_counter() - t0,
     }
     return Trajectory(grid=grid, times=tuple(out_times), states=np.stack(recorded), manifest=manifest)

@@ -5,6 +5,10 @@ Floats are written with repr(), the shortest round-tripping form, so repeated
 runs of the same study produce byte-identical files.  Writers format whole
 rows in bulk: `repr` of an element of `ndarray.tolist()` is the same string
 as `repr(float(x))` of the array element.
+
+`Writers` runs such writes in forked children (POSIX only) while the caller
+goes on computing; `write_manifest(..., after=writers)` joins them first, so
+a manifest exists only once the artifacts it lists are complete.
 """
 from __future__ import annotations
 
@@ -129,7 +133,49 @@ def write_trace_csv(path, trace):
             fh.write("".join([f"{t}{s}{v}\n" for s, v in zip(s_cols, _reprs(values))]))
 
 
-def write_manifest(path, data: dict):
+class Writers:
+    """Artifact writes in forked children.  `submit(write, path, *args)`
+    forks; the child runs `write(path, *args)` and always leaves through
+    `os._exit`, so it never returns into the caller's stack and never flushes
+    what the parent had buffered.  A failing child reports on file
+    descriptor 2 and exits 1.  `wait` reaps the children in the order they
+    were submitted and raises naming every file whose writer failed.
+
+    A fork copies only the calling thread, so a write function must not
+    need other threads of the parent; the CSV writers format floats and
+    write a file, nothing else."""
+
+    def __init__(self):
+        self._children: list[tuple[int, str]] = []
+
+    def submit(self, write, path, *args):
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                write(path, *args)
+                status = 0
+            except BaseException as exc:
+                os.write(2, f"error: writing {path}: {type(exc).__name__}: {exc}\n".encode())
+            finally:
+                os._exit(status)
+        self._children.append((pid, str(path)))
+
+    def wait(self):
+        failed = []
+        children, self._children = self._children, []
+        for pid, path in children:
+            _, status = os.waitpid(pid, 0)
+            if os.waitstatus_to_exitcode(status) != 0:
+                failed.append(path)
+        if failed:
+            raise RuntimeError("artifact writers failed: " + ", ".join(failed))
+
+
+def write_manifest(path, data: dict, after: Writers | None = None):
+    """JSON manifest; with `after`, once those writers have finished."""
+    if after is not None:
+        after.wait()
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

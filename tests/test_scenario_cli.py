@@ -367,6 +367,15 @@ def test_cli_refuses_ignored_interface_coefficients(tmp_path, capsys, d, zeta):
     assert "scenario error: /flux: " in capsys.readouterr().err
 
 
+def test_cli_refuses_output_times_beyond_final_time(tmp_path, capsys):
+    doc = _run_doc()
+    doc["run"] = {"epsilon": 0.008, "final_time": 0.01, "boundary": 0.0, "output_times": [0.02]}
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert "scenario error: /run: output times must lie in [0, final_time]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI runs
 
@@ -640,6 +649,120 @@ def test_cli_diff_refined_versus_coarse(tmp_path, burgers_model):
         storage.write_field_csv(p, traj.final)
         paths.append(p)
     assert main(["diff", paths[0], paths[1], "--tol", "2e-2", "--quiet"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# forked artifact writers
+
+
+def _small_check_docs():
+    """(command, scenario) for a small run, entropy check with an interface
+    (so a trace is written), Kato check and cone check."""
+    run_doc = _run_doc()
+    entropy_doc = _run_doc(name="entropy_interface", kind="entropy-check", flux="two_flux",
+                           initial={"kind": "block", "inside": 1.0, "outside": 0.0,
+                                    "lows": [0.1], "highs": [0.3]},
+                           study={"bumps": 4})
+    entropy_doc["run"] = {"epsilon": 0.008, "final_time": 0.02, "boundary": 0.0, "output_count": 5}
+    kato_doc = _run_doc(name="kato_small", kind="kato-check",
+                        study={"initial_b": {"kind": "riemann", "left": 0.0, "right": 1.0,
+                                             "position": 0.05},
+                               "bumps": 4})
+    cone_doc = _run_doc(name="cone_small", kind="cone-check",
+                        initial={"kind": "bump", "base": 0.25, "amplitude": 0.5,
+                                 "center": [0.0], "radius": 0.1},
+                        study={"cone": {"center": [0.0], "radius": 0.2},
+                               "perturbation": {"kind": "block", "inside": 0.2, "outside": 0.0,
+                                                "lows": [0.3], "highs": [0.4]}})
+    cone_doc["run"] = {"epsilon": 0.008, "final_time": 0.01, "boundary": 0.25, "output_count": 3}
+    return (("run", run_doc), ("entropy-check", entropy_doc),
+            ("kato-check", kato_doc), ("cone-check", cone_doc))
+
+
+SMALL_CHECKS = _small_check_docs()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command, doc", SMALL_CHECKS, ids=[command for command, _ in SMALL_CHECKS])
+def test_cli_forked_csvs_equal_in_process_writes(tmp_path, monkeypatch, command, doc):
+    path = _write(tmp_path, doc)
+    forked = tmp_path / "forked"
+    assert main([command, path, "--out", str(forked), "--quiet"]) == 0
+    _assert_no_child_left()
+
+    # the same command with every CSV written here, in the test process
+    written = []
+
+    def in_process(self, write, path, *args):
+        written.append((write.__name__, os.path.basename(path)))
+        write(path, *args)
+
+    monkeypatch.setattr(storage.Writers, "submit", in_process)
+    local = tmp_path / "local"
+    assert main([command, path, "--out", str(local), "--quiet"]) == 0
+
+    expected = {
+        "run": [("write_trajectory_csv", "trajectory.csv")],
+        "entropy-check": [("write_trajectory_csv", "trajectory.csv"),
+                          ("write_trace_csv", "trace.csv")],
+        "kato-check": [("write_trajectory_csv", "trajectory_a.csv"),
+                       ("write_trajectory_csv", "trajectory_b.csv")],
+        "cone-check": [("write_trajectory_csv", "trajectory_base.csv"),
+                       ("write_trajectory_csv", "trajectory_perturbed.csv")],
+    }[command]
+    assert written == expected
+    assert sorted(p.name for p in forked.glob("*.csv")) == sorted(name for _, name in expected)
+    for _, name in expected:
+        assert (forked / name).read_bytes() == (local / name).read_bytes(), name
+    report = json.loads((forked / "report.json").read_text())
+    assert set(report["artifacts"].values()) >= {name for _, name in expected}
+
+
+def test_cli_failing_writer_leaves_no_report_and_no_child(tmp_path, monkeypatch, capfd):
+    def broken(path, *args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(storage, "write_trajectory_rows", broken)
+    out = tmp_path / "out"
+    assert main(["entropy-check", "burgers_shock", "--out", str(out), "--quiet"]) == 1
+    err = capfd.readouterr().err
+    assert f"error: writing {out / 'trajectory.csv'}: OSError: disk full" in err
+    assert "trajectory.csv" in err.splitlines()[-1]
+    assert not (out / "report.json").exists()
+    _assert_no_child_left()
+
+
+def test_cli_error_after_a_submitted_write_reaps_the_writer(tmp_path, capsys):
+    # the chart is refused only after trajectory.csv went to its writer
+    doc = _run_doc(chart={"center": [0.0], "radius": 0.2})
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert "error: RuntimeError: a chart needs a flux with an interface" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    _assert_no_child_left()
+
+
+def test_cli_joins_writers_only_inside_write_manifest(tmp_path, monkeypatch):
+    # report.json waits for the writers inside write_manifest; a join
+    # anywhere else on the success path would fall outside the span a
+    # tracer wraps around write_manifest
+    callers = []
+    wait = storage.Writers.wait
+
+    def recording_wait(self):
+        caller = sys._getframe(1).f_code
+        callers.append((os.path.basename(caller.co_filename), caller.co_name))
+        return wait(self)
+
+    monkeypatch.setattr(storage.Writers, "wait", recording_wait)
+    for k, (command, doc) in enumerate(SMALL_CHECKS):
+        path = _write(tmp_path, doc, f"{k}.json")
+        assert main([command, path, "--out", str(tmp_path / f"out{k}"), "--quiet"]) == 0
+    assert callers == [("storage.py", "write_manifest")] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,18 @@ def test_discrete_conservation_with_quiet_boundary(burgers_model):
     assert np.max(np.abs(mass - mass[0])) <= 1e-8
 
 
+def test_manifest_mass_balance_with_quiet_boundary(burgers_model):
+    # the manifest's mass at the first and last recorded time: a compact
+    # bump far from the pinned boundary loses nothing through it
+    grid = dx.Grid((-0.5,), (0.5,), (200,))
+    config = dx.RunConfig(flux=burgers_model, epsilon=1e-3, final_time=0.1, boundary=0.0)
+    traj = dx.run(_bump_field(grid, 0.0, 0.6, 0.0, 0.15), config)
+    manifest = traj.manifest
+    assert manifest["mass_start"] == grid.cell_volume * float(traj.states[0].sum())
+    assert manifest["mass_start"] > 0.0
+    assert manifest["mass_end"] == pytest.approx(manifest["mass_start"], rel=1e-12)
+
+
 def test_viscous_l1_contraction_under_refinement(burgers_model):
     # monotone scheme: the discrete L1 distance of two runs must not grow
     excesses = []
