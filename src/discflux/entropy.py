@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .flux import PiecewiseFlux
-from .geometry import Cone, Interface, flatten_model, halton, transformed_normal_flux
+from .flux import PiecewiseFlux, term_sum
+from .geometry import Cone, Interface, flatten_model, halton
 from .solver import Field, Trajectory
 
 BUMP_SLOPE_MAX = 8.0 / (3.0 * math.sqrt(3.0))  # max |d/ds (1-s^2)^2|
@@ -263,8 +263,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _phi_tables(phi, times: np.ndarray, tw: np.ndarray, points: np.ndarray):
     """One grad phi component per axis, phi_t and phi on every (recorded
     time, cell), each from one call broadcast over times[:, None] and
-    multiplied by the trapezoid weights; plus the unweighted phi at t = 0
-    for the initial-data term."""
+    multiplied by the trapezoid weights; plus the unweighted phi at t = 0,
+    a (1, cells) row for the initial-data term."""
     t = times[:, None]
     w = tw[:, None]
     grad = phi.gradient(t, points)
@@ -272,20 +272,20 @@ def _phi_tables(phi, times: np.ndarray, tw: np.ndarray, points: np.ndarray):
     del grad  # the unweighted tables never outlive their weighting
     tables.append(phi.time_derivative(t, points) * w)
     tables.append(phi.value(t, points) * w)
-    return tables, phi.value(times[0], points)
+    return tables, phi.value(times[:1, None], points)
 
 
 class ResidualWorkspace:
     """Per-trajectory tables shared across a (lambda, phi) battery.
 
-    Holds the state stack, the sharp flux at the solution, the interface
-    traces, and per lambda the flux, the smooth
-    divergence and the interface jump at that state, so that a battery
-    evaluates each of them once.
+    Holds the state stack, the flux at the cell centers (one FluxAt for the
+    solution and every lambda), the sharp flux at the solution, the
+    interface traces, and per lambda the flux, the smooth divergence and the
+    interface jump at that state, so that a battery evaluates each of them
+    once.
     """
 
-    def __init__(self, trajectory: Trajectory, model: PiecewiseFlux, traces: TraceField | None = None,
-                 eps: float | None = None):
+    def __init__(self, trajectory: Trajectory, model: PiecewiseFlux):
         if trajectory.grid.d != model.d:
             raise ValueError("trajectory and model dimension mismatch")
         if abs(trajectory.times[0]) > 1e-14:
@@ -298,11 +298,11 @@ class ResidualWorkspace:
         self.points = grid.points().reshape(-1, grid.d)
         self.cell_volume = grid.cell_volume
         self.states = trajectory.states.reshape(len(self.times), -1)
-        self.flux_u = model.evaluate(self.points, self.states)
-        self.eps = eps if eps is not None else trajectory.manifest.get("smoothing_width")
-        self._traces = traces
-        self._jump_left = None
-        self._jump_right = None
+        self.flux = model.at(self.points)
+        self.flux_u = self.flux.value(self.states)
+        self.eps = trajectory.manifest.get("smoothing_width")
+        self._traces = None
+        self._jump = None
         self._lam_cache: dict[float, tuple] = {}
 
     @property
@@ -323,21 +323,15 @@ class ResidualWorkspace:
                 raise ValueError(f"lambda = {lam} outside [{self.model.a}, {self.model.b}]")
             state = np.full(self.points.shape[0], key)
             jump = self._interface_jump(key) if self.traces is not None else None
-            self._lam_cache[key] = (self.model.evaluate(self.points, state),
-                                    self.model.smooth_divergence_at_state(self.points, state), jump)
+            self._lam_cache[key] = (self.flux.value(state), self.flux.divergence(state), jump)
         return self._lam_cache[key]
 
     def _interface_jump(self, lam: float) -> np.ndarray:
         """(F_R - F_L)(x, lam) on the interface, in transformed normal form."""
-        if self._jump_left is None:
-            itf = self.model.interface
-            self._jump_left = transformed_normal_flux(self.model, itf, "left")
-            self._jump_right = transformed_normal_flux(self.model, itf, "right")
-        pts = self.traces.surface_points
-        lam_arr = np.full(pts.shape[0], float(lam))
-        return np.asarray(
-            self._jump_right.value(pts, lam_arr) - self._jump_left.value(pts, lam_arr), dtype=float
-        )
+        if self._jump is None:
+            self._jump = flatten_model(self.model).at(self.traces.surface_points)
+        j, lam_arr = self.model.interface.axis, np.full(self._jump.points.shape[0], float(lam))
+        return term_sum(self._jump.terms(1, j), lam_arr) - term_sum(self._jump.terms(0, j), lam_arr)
 
     def residuals(self, lambdas: Sequence[float], phi) -> np.ndarray:
         """E(lam, phi) for every lam of `lambdas`; admissibility asks E >= -tol.
@@ -370,7 +364,7 @@ class ResidualWorkspace:
                 conv -= g * flux_lam[cells, k]
             total = _dot(np.sign(diff), conv)
             total += _dot(np.abs(diff, out=diff), wdt)
-            total = self.cell_volume * (total + np.abs(self.states[0] - lam) @ phi0)
+            total = self.cell_volume * (total + _dot(np.abs(self.states[:1] - lam), phi0))
             if tr is not None:
                 total -= tr.tangential_weight * _dot(np.sign(tr.averaged - lam), jump * surf)
             out[i] = total
@@ -381,14 +375,11 @@ class ResidualWorkspace:
         return float(self.residuals([lam], phi)[0])
 
 
-def kruzhkov_residual(trajectory: Trajectory, model: PiecewiseFlux, lam: float, phi,
-                      workspace: ResidualWorkspace | None = None,
-                      traces: TraceField | None = None) -> float:
-    ws = workspace if workspace is not None else ResidualWorkspace(trajectory, model, traces=traces)
-    return ws.kruzhkov(lam, phi)
+def kruzhkov_residual(trajectory: Trajectory, model: PiecewiseFlux, lam: float, phi) -> float:
+    return ResidualWorkspace(trajectory, model).kruzhkov(lam, phi)
 
 
-def _kato_residuals(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phis, eps: float | None) -> list[float]:
+def _kato_residuals(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phis) -> list[float]:
     """Kato residual of each phi.  The phi-independent tables (|u1 - u2|,
     and sgn(u1 - u2) times the smoothed flux and divergence differences) are
     built once for all of them."""
@@ -396,12 +387,9 @@ def _kato_residuals(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phis, 
         raise ValueError("kato residual needs a shared grid")
     if len(u1.times) != len(u2.times) or not np.allclose(u1.times, u2.times):
         raise ValueError("kato residual needs matching output times")
-    if eps is None:
-        eps = u1.manifest.get("smoothing_width") or u2.manifest.get("smoothing_width")
-    if eps is None:
-        if model.interface is not None:
-            raise ValueError("kato residual needs the smoothing width for an interface model")
-        eps = 1.0
+    eps = u1.manifest.get("smoothing_width") or u2.manifest.get("smoothing_width")
+    if eps is None and model.interface is not None:
+        raise ValueError("kato residual needs the smoothing width for an interface model")
 
     grid = u1.grid
     pts = grid.points().reshape(-1, grid.d)
@@ -413,16 +401,17 @@ def _kato_residuals(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phis, 
 
     dist = np.abs(s1 - s2)
     sgn = np.sign(s1 - s2)
-    flux_diff = model.evaluate_smoothed(pts, s1, eps) - model.evaluate_smoothed(pts, s2, eps)
+    flux = model.at(pts, eps)
+    flux_diff = flux.smoothed(s1) - flux.smoothed(s2)
     conv = [sgn * flux_diff[..., k] for k in range(grid.d)]
-    div = sgn * (model.smooth_divergence_at_state(pts, s1) - model.smooth_divergence_at_state(pts, s2))
+    div = sgn * (flux.divergence(s1) - flux.divergence(s2))
     del flux_diff, sgn
 
     out = []
     for phi in phis:
         (*wg, wdt, wv), phi0 = _phi_tables(phi, times, tw, pts)
         total = _dot(dist, wdt) + sum(_dot(c, g) for c, g in zip(conv, wg)) - _dot(div, wv)
-        out.append(float((total + dist[0] @ phi0) * grid.cell_volume))
+        out.append(float((total + _dot(dist[:1], phi0)) * grid.cell_volume))
     return out
 
 
@@ -502,8 +491,7 @@ def entropy_battery(trajectory: Trajectory, model: PiecewiseFlux,
 
 def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
                  phis: Sequence[TestFunction] | None = None,
-                 tol_factor: float = 1e-3,
-                 eps: float | None = None) -> EntropyReport:
+                 tol_factor: float = 1e-3) -> EntropyReport:
     box = u1.grid.box
     if phis is None:
         phis = bump_battery(box, u1.times[-1])
@@ -511,7 +499,7 @@ def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
     for phi in phis:
         phi.validate(box, u1.times[-1])
     rows = []
-    for phi, r in zip(phis, _kato_residuals(u1, u2, model, phis, eps)):
+    for phi, r in zip(phis, _kato_residuals(u1, u2, model, phis)):
         tol = float(tol_factor * phi.c1_norm * volume)
         rows.append(EntropyEntry(None, phi.label, r, tol, bool(r >= -tol)))
     return _assemble_report(rows)

@@ -3,8 +3,11 @@ interface, the smoothing weights that regularize the jump, mollification of
 rough fluxes, and the structural checkers (zero boundary flux,
 non-degeneracy).
 
-Evaluation contract: spatial points have shape (..., d), states broadcast
-against the leading shape, results have the broadcast leading shape.
+Evaluation contract: PiecewiseFlux.at(points) evaluates the spatial half once
+at points of shape (..., d); its sharp, smoothed and divergence evaluations
+take states broadcast against the leading shape and return the broadcast
+leading shape (sharp and smoothed values keep the states' own shape where no
+term has a spatial factor).
 """
 from __future__ import annotations
 
@@ -18,6 +21,10 @@ from .geometry import Box, as_points
 
 if TYPE_CHECKING:
     from .geometry import Interface
+
+DIVERGENCE_STEP = 1e-6  # central-difference step of FluxAt.divergence
+MOLLIFIER_NODES = 21  # Gauss-Legendre nodes per axis of mollify_flux
+NONDEGENERACY_POINTS = 8  # sampled positions of check_nondegeneracy
 
 
 def smoothstep(z):
@@ -55,17 +62,24 @@ def derivative_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(j * c for j, c in enumerate(coeffs))[1:] or (0.0,)
 
 
-def term_sum(terms, lam, derivative: bool = False):
-    """sum_i factor_i * P_i(lam) (or P_i'(lam)) over terms ((coeffs, factor),
-    ...); each term is factor * horner(lam, coeffs), a None factor is 1."""
-    lam = np.asarray(lam, dtype=float)
+def rows_sum(rows, at):
+    """sum over rows (coeffs, factors) of at(coeffs) times each factor in
+    turn: f_2 * (f_1 * at(coeffs)), added in row order."""
     total = None
-    for coeffs, factor in terms:
-        v = horner(lam, derivative_coeffs(coeffs) if derivative else coeffs)
-        if factor is not None:
-            v = factor * v
+    for coeffs, factors in rows:
+        v = at(coeffs)
+        for f in factors:
+            v = f * v
         total = v if total is None else total + v
     return total
+
+
+def term_sum(terms, lam, derivative: bool = False):
+    """sum_i factor_i * P_i(lam) (or P_i'(lam)) over terms ((coeffs, factor),
+    ...); a None factor is 1."""
+    lam = np.asarray(lam, dtype=float)
+    return rows_sum([(c, () if f is None else (f,)) for c, f in terms],
+                    lambda c: horner(lam, derivative_coeffs(c) if derivative else c))
 
 
 @dataclass(frozen=True)
@@ -150,8 +164,6 @@ class PiecewiseFlux:
         if self.domain.d != self.d:
             raise ValueError("domain dimension mismatch")
 
-    # -- state domain checks -------------------------------------------------
-
     def _check_state(self, lam):
         lam = np.asarray(lam, dtype=float)
         slack = 1e-6 * (self.b - self.a)
@@ -160,76 +172,91 @@ class PiecewiseFlux:
             raise ValueError(f"state {bad} outside [{self.a}, {self.b}]")
         return lam
 
-    # -- evaluation ------------------------------------------------------------
+    def at(self, points, eps: float | None = None) -> "FluxAt":
+        """The flux at fixed points, ready for evaluation at any states; eps,
+        when given, is the width of the smoothed interface."""
+        return FluxAt(self, points, eps)
 
-    def evaluate_component(self, k: int, x, lam):
-        """Sharp evaluation of component k: left where the interface offset is
-        negative, right where positive, the mean of the sides exactly on the
-        interface."""
-        lam = self._check_state(lam)
-        pts = as_points(x, self.d)
-        if self.interface is None:
-            return self.left[k].value(pts, lam)
-        off = self.interface.offset(pts)
-        fl = self.left[k].value(pts, lam)
-        fr = self.right[k].value(pts, lam)
-        out = np.where(off < 0, fl, fr)
-        on = off == 0
-        if np.any(on):
-            out = np.where(on, 0.5 * (fl + fr), out)
-        return out
 
-    def evaluate(self, x, lam):
-        """Sharp flux vector, shape (..., d)."""
-        return np.stack([self.evaluate_component(k, x, lam) for k in range(self.d)], axis=-1)
+class FluxAt:
+    """A PiecewiseFlux with its spatial half evaluated once at fixed points:
+    the interface offset, the smoothing weights when eps is given, and each
+    side's component terms on first use (also at the shifts the divergence
+    needs).  Every evaluation takes states broadcast against the points'
+    leading shape."""
 
-    def evaluate_component_smoothed(self, k: int, x, lam, eps: float):
-        """Smoothed-Heaviside evaluation
-        left * smoothstep(-offset/eps) + right * smoothstep(offset/eps); coincides with
-        the sharp flux wherever |offset| >= eps."""
-        lam = self._check_state(lam)
-        pts = as_points(x, self.d)
-        if self.interface is None:
-            return self.left[k].value(pts, lam)
-        wl, wr = smoothing_weights(self.interface.offset(pts), eps)
-        return wl * self.left[k].value(pts, lam) + wr * self.right[k].value(pts, lam)
+    def __init__(self, model: PiecewiseFlux, points, eps: float | None):
+        self.model = model
+        self.points = as_points(points, model.d)
+        self.offset = None if model.interface is None else model.interface.offset(self.points)
+        self.weights = None if eps is None or self.offset is None else smoothing_weights(self.offset, eps)
+        self._terms = {}
 
-    def evaluate_smoothed(self, x, lam, eps: float):
-        return np.stack([self.evaluate_component_smoothed(k, x, lam, eps) for k in range(self.d)], axis=-1)
+    def terms(self, side: int, k: int, shift: float = 0.0):
+        """Terms of component k of side 0 (left) or 1 (right) at the points
+        moved by shift along axis k."""
+        key = (side, k, shift)
+        if key not in self._terms:
+            pts = self.points
+            if shift:
+                pts = pts.copy()
+                pts[..., k] += shift
+            self._terms[key] = (self.model.left, self.model.right)[side][k].terms(pts)
+        return self._terms[key]
 
-    def component_lambda_derivative_smoothed(self, k: int, x, lam, eps: float):
-        lam = self._check_state(lam)
-        pts = as_points(x, self.d)
-        if self.interface is None:
-            return self.left[k].lambda_derivative(pts, lam)
-        wl, wr = smoothing_weights(self.interface.offset(pts), eps)
-        return wl * self.left[k].lambda_derivative(pts, lam) + wr * self.right[k].lambda_derivative(pts, lam)
+    def value(self, lam):
+        """Sharp flux vector (..., d): the left side where the interface
+        offset is negative, the right where positive, the mean of the sides
+        exactly on the interface."""
+        lam = self.model._check_state(lam)
 
-    def side_components(self, x) -> np.ndarray:
-        """Side selector: -1 left of the interface, +1 right, 0 on it."""
-        pts = as_points(x, self.d)
-        if self.interface is None:
-            return np.full(pts.shape[:-1], -1.0)
-        return np.sign(self.interface.offset(pts))
+        def sharp(k):
+            fl = term_sum(self.terms(0, k), lam)
+            if self.offset is None:
+                return fl
+            fr = term_sum(self.terms(1, k), lam)
+            return np.where(self.offset == 0, 0.5 * (fl + fr), np.where(self.offset < 0, fl, fr))
 
-    def smooth_divergence_at_state(self, x, lam, h: float = 1e-6):
-        """Per-side smooth part of div_x f(x, lam) at frozen state: the sum of
-        central differences of the side component k along axis k.  The
-        interface jump contribution is handled separately by the residuals."""
-        lam = self._check_state(lam)
-        pts = as_points(x, self.d)
-        side = self.side_components(pts)
-        out = np.zeros(np.broadcast(pts[..., 0], np.asarray(lam, dtype=float)).shape)
-        for comps, mask in ((self.left, side <= 0), (self.right, side > 0)):
-            if not np.any(mask):
-                continue
+        return np.stack([sharp(k) for k in range(self.model.d)], axis=-1)
+
+    def rows(self, k: int):
+        """Component k of the smoothed flux sum over sides of w * (factor *
+        P) as rows (coeffs, factors), one per term of each side, its factors
+        applied in this order: term factor, weight.  Array factors span the
+        points, so that a block of them can be cut."""
+        sides = ((0, None),)
+        if self.offset is not None:
+            if self.weights is None:
+                raise ValueError("the smoothed flux across an interface needs eps")
+            sides = ((0, self.weights[0]), (1, self.weights[1]))
+        shape = self.points.shape[:-1]
+        return [
+            (coeffs, [float(f) if np.ndim(f) == 0 else np.broadcast_to(f, shape)
+                      for f in (factor, w) if f is not None])
+            for side, w in sides
+            for coeffs, factor in self.terms(side, k)
+        ]
+
+    def smoothed(self, lam, derivative: bool = False):
+        """Smoothed flux vector (..., d), or its state derivative, summed in
+        the order of rows; it equals the sharp flux wherever |offset| >= eps."""
+        lam = self.model._check_state(lam)
+        return np.stack([rows_sum(self.rows(k), lambda c: horner(lam, derivative_coeffs(c) if derivative else c))
+                         for k in range(self.model.d)], axis=-1)
+
+    def divergence(self, lam):
+        """Per-side smooth part of div_x f at the states: the sum over k of
+        central differences of component k along axis k, the left side where
+        the offset is <= 0 and the right where it is > 0.  The interface jump
+        contribution is handled separately by the residuals."""
+        lam = self.model._check_state(lam)
+        h = DIVERGENCE_STEP
+        out = np.zeros(np.broadcast(self.points[..., 0], lam).shape)
+        masks = ((0, True),) if self.offset is None else ((0, self.offset <= 0), (1, self.offset > 0))
+        for side, mask in masks:
             acc = np.zeros_like(out)
-            for k in range(self.d):
-                xp = np.array(pts, copy=True)
-                xm = np.array(pts, copy=True)
-                xp[..., k] += h
-                xm[..., k] -= h
-                acc = acc + (comps[k].value(xp, lam) - comps[k].value(xm, lam)) / (2.0 * h)
+            for k in range(self.model.d):
+                acc = acc + (term_sum(self.terms(side, k, h), lam) - term_sum(self.terms(side, k, -h), lam)) / (2.0 * h)
             out = np.where(mask, acc, out)
         return out
 
@@ -255,11 +282,11 @@ class GeneralBVFlux:
             raise ValueError(f"need {self.d} components")
 
 
-def _mollifier_nodes(d: int, radius: float, n: int = 21):
+def _mollifier_nodes(d: int, radius: float):
     """Tensor Gauss-Legendre nodes/weights against the C1 bump
     (1 - |s|^2)^2 restricted to the unit ball, scaled to `radius` and
     normalized discretely so constants are reproduced exactly."""
-    nodes1, w1 = np.polynomial.legendre.leggauss(n)
+    nodes1, w1 = np.polynomial.legendre.leggauss(MOLLIFIER_NODES)
     grids = np.meshgrid(*([nodes1] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     w = np.ones(pts.shape[0])
@@ -274,14 +301,14 @@ def _mollifier_nodes(d: int, radius: float, n: int = 21):
     return pts * radius, w
 
 
-def mollify_flux(model: GeneralBVFlux, eps: float, n_nodes: int = 21) -> PiecewiseFlux:
+def mollify_flux(model: GeneralBVFlux, eps: float) -> PiecewiseFlux:
     """Spatially mollify every component of a rough flux at radius eps: each
     term keeps its state polynomial and its factor becomes (c_i * rho)(x) on
     the quadrature nodes (a None factor stays None).  Returns a jump-free
     PiecewiseFlux, solved like any other."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    offsets, weights = _mollifier_nodes(model.d, eps, n_nodes)
+    offsets, weights = _mollifier_nodes(model.d, eps)
 
     def make(k: int) -> FluxComponent:
         rough = model.components[k]
@@ -362,21 +389,20 @@ def check_nondegeneracy(
     directions: int = 64,
     subintervals: int = 8,
     threshold: float = 1e-8,
-    n_x: int = 8,
     n_lambda: int = 33,
 ) -> NondegeneracyReport:
     """For sampled positions and unit directions, the map
     lam -> xi . d_lam f(x, lam) must not vanish on any state subinterval:
     each subinterval's sampled max of |xi . d_lam f| must clear the
     threshold.  Isolated roots inside a subinterval are harmless."""
-    xs = model.domain.sample(n_x)
+    xs = model.domain.sample(NONDEGENERACY_POINTS)
     dirs = _unit_directions(model.d, directions)
     edges = np.linspace(model.a, model.b, subintervals + 1)
-    side = model.side_components(xs)
+    offset = np.zeros(len(xs)) if model.interface is None else model.interface.offset(xs)
     worst = np.inf
     witness = None
     for i, x in enumerate(xs):
-        comps = model.left if side[i] <= 0 else model.right
+        comps = model.left if offset[i] <= 0 else model.right
         for s in range(subintervals):
             lam = np.linspace(edges[s], edges[s + 1], n_lambda)
             dflam = np.stack([comps[k].lambda_derivative(x[None], lam) for k in range(model.d)], axis=-1)

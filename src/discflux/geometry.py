@@ -361,6 +361,10 @@ def radial_extend_model(model, center, radius: float):
 # speed bounds and cones
 
 
+SPEED_BOUND_POINTS = 33  # sampled positions in the ball of the speed bounds
+SPEED_BOUND_STATES = 2001  # default sampled states of the speed bounds
+
+
 @dataclass(frozen=True)
 class SpeedBound:
     value: float
@@ -371,13 +375,13 @@ class SpeedBound:
     n_x: int
 
 
-def _stacked_derivative_max(model, radius, state_bound, n_lambda, n_x, which) -> SpeedBound:
+def _stacked_derivative_max(model, radius, state_bound, n_lambda, which) -> SpeedBound:
     lo = max(model.a, -state_bound)
     hi = min(model.b, state_bound)
     if not (lo < hi):
         raise ValueError(f"empty lambda sample: [a,b]=[{model.a},{model.b}] against |lam|<={state_bound}")
     lam = np.linspace(lo, hi, n_lambda)
-    xs = ball_sample(np.zeros(model.d), radius, n_x)
+    xs = ball_sample(np.zeros(model.d), radius, SPEED_BOUND_POINTS)
 
     # identical side components are one coefficient field and enter once:
     # equal terms at every sampled point
@@ -406,20 +410,20 @@ def _stacked_derivative_max(model, radius, state_bound, n_lambda, n_x, which) ->
     )
 
 
-def speed_bound(model, radius: float, state_bound: float, n_lambda: int = 2001, n_x: int = 33) -> SpeedBound:
+def speed_bound(model, radius: float, state_bound: float, n_lambda: int = SPEED_BOUND_STATES) -> SpeedBound:
     """Finite speed of propagation: max over sampled x in B(0, radius) and
     admissible lambda of the stacked left/right lambda-derivative norm."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return _stacked_derivative_max(model, radius, state_bound, n_lambda, n_x, "lambda")
+    return _stacked_derivative_max(model, radius, state_bound, n_lambda, "lambda")
 
 
-def mixed_derivative_bound(model, radius: float, state_bound: float, n_lambda: int = 2001, n_x: int = 33) -> SpeedBound:
+def mixed_derivative_bound(model, radius: float, state_bound: float) -> SpeedBound:
     """Growth constant: same stacked max over the mixed derivatives
     d^2 f_j / (dx_j dlam), used by the cone growth estimate."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return _stacked_derivative_max(model, radius, state_bound, n_lambda, n_x, "mixed")
+    return _stacked_derivative_max(model, radius, state_bound, SPEED_BOUND_STATES, "mixed")
 
 
 @dataclass(frozen=True)

@@ -117,12 +117,12 @@ class DenseFamily:
                             label=f"L{self.level}-{key}")
 
 
-def build_dense_family(level: int, a: float, b: float, box: Box, member_cap: int = MEMBER_CAP) -> DenseFamily:
+def build_dense_family(level: int, a: float, b: float, box: Box) -> DenseFamily:
     if level < 0:
         raise ValueError("level must be >= 0")
     count = member_count(level, box.d)
     members = None
-    if count <= member_cap:
+    if count <= MEMBER_CAP:
         vals = dyadic_values(a, b, level)
         pieces = (2 ** level) ** box.d
         members = []

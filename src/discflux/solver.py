@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flux import PiecewiseFlux, derivative_coeffs, horner, smoothing_weights
+from .flux import PiecewiseFlux, derivative_coeffs, horner, rows_sum
 from .geometry import Box
 
 CFL_SPEED_FLOOR = 1e-12
@@ -230,8 +230,9 @@ def _sign_changes(c: np.ndarray, a: float, b: float) -> np.ndarray:
 
 class _Faces:
     """Smoothed flux F = sum over sides and their terms of w * (factor * P)
-    of one axis on the interior faces; smoothing weights w and term factors
-    are fixed for the run, so each term is a row (coeffs, factors).
+    of one axis on the interior faces, as the rows (coeffs, factors) of
+    PiecewiseFlux.at: smoothing weights and term factors are fixed for the
+    run.
 
     Each distinct P and P' is evaluated once per cell per step, by Horner,
     and sliced onto the faces.  The Rusanov coefficient is the exact max of
@@ -246,23 +247,12 @@ class _Faces:
         self.lo = _axslice(grid.d, axis, slice(None, -1))
         self.hi = _axslice(grid.d, axis, slice(1, None))
         shape = self.pts.shape[:-1]
-        sides = ((model.left[axis], None),)
-        if model.interface is not None:
-            wl, wr = smoothing_weights(model.interface.offset(self.pts), config.eps_smoothing)
-            sides = ((model.left[axis], wl), (model.right[axis], wr))
-        # the factors of each term, applied in this order: term factor, weight;
-        # array factors span every face so that a window of faces can be cut
-        self.rows = [
-            (coeffs, [float(f) if np.ndim(f) == 0 else np.broadcast_to(f, shape)
-                      for f in (factor, w) if f is not None])
-            for comp, w in sides
-            for coeffs, factor in comp.terms(self.pts)
-        ]
+        self.rows = model.at(self.pts, config.eps_smoothing).rows(axis)
         self.crit = []  # (state, |F'| there) per candidate column, face arrays
         width = max(len(derivative_coeffs(c)) for c, _ in self.rows)
         if width > 2:  # F'' is not constant
             column = (-1,) + (1,) * len(shape)
-            dF = np.broadcast_to(self._sum(
+            dF = np.broadcast_to(rows_sum(
                 self.rows,
                 lambda c: np.pad(derivative_coeffs(c), (0, width - len(derivative_coeffs(c)))).reshape(column),
             ), (width,) + shape)
@@ -275,20 +265,9 @@ class _Faces:
         ends = [self._speed(np.full(shape, s)) for s in (model.a, model.b)]
         self.bound = float(max(x.max() for x in ends + [speed for _, speed in self.crit]))
 
-    @staticmethod
-    def _sum(rows, at):
-        """sum over rows of w * (factor * at(coeffs)), in that order."""
-        total = None
-        for coeffs, factors in rows:
-            v = at(coeffs)
-            for f in factors:
-                v = f * v
-            total = v if total is None else total + v
-        return total
-
     def _speed(self, states):
         """|F'| at per-face states."""
-        return np.abs(self._sum(self.rows, lambda c: horner(states, derivative_coeffs(c))))
+        return np.abs(rows_sum(self.rows, lambda c: horner(states, derivative_coeffs(c))))
 
     def rusanov(self, values: np.ndarray, cells: dict, window: tuple = ()):
         """Rusanov flux 0.5 (F(ul) + F(ur)) - 0.5 alpha (ur - ul) on the faces
@@ -303,7 +282,7 @@ class _Faces:
         for coeffs, _ in rows:
             if coeffs not in cells:
                 cells[coeffs] = (horner(values, coeffs), horner(values, derivative_coeffs(coeffs)))
-        fl, fr, dl, dr = (self._sum(rows, lambda c: cells[c][j][sl]) for j in (0, 1) for sl in (lo, hi))
+        fl, fr, dl, dr = (rows_sum(rows, lambda c: cells[c][j][sl]) for j in (0, 1) for sl in (lo, hi))
         alpha = np.maximum(np.abs(dl), np.abs(dr))
         if self.crit:
             smin, smax = np.minimum(ul, ur), np.maximum(ul, ur)
@@ -421,12 +400,12 @@ def step(field: Field, config: RunConfig, dt: float) -> Field:
 
 
 def _normalize_output_times(config: RunConfig) -> list[float]:
+    """The sorted output times with 0 and T; a time in the slack RunConfig
+    allows beyond T is T, so that no step runs past it."""
     T = config.final_time
     if config.output_times is None:
-        times = np.linspace(0.0, T, 9).tolist()
-    else:
-        times = sorted({float(t) for t in config.output_times} | {0.0, T})
-    return times
+        return np.linspace(0.0, T, 9).tolist()
+    return sorted({min(float(t), T) for t in config.output_times} | {0.0, T})
 
 
 def run(u0: Field, config: RunConfig) -> Trajectory:

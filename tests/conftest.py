@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import discflux as dx
+from discflux.geometry import as_points
 
 
 def riemann_field(grid: dx.Grid, left: float, right: float, position: float = 0.0) -> dx.Field:
@@ -53,6 +54,61 @@ def step_bv_flux(vl: float, vr: float, d: int = 1) -> dx.GeneralBVFlux:
     polys = ((0.0, 1.0, -1.0), (0.0, 0.0, 1.0, -1.0))
     return dx.GeneralBVFlux(d=d, components=tuple(map(component, polys[:d])), a=0.0, b=1.0,
                             domain=dx.Box((-1.0,) * d, (1.0,) * d))
+
+
+# the flux evaluations as per-call formulas on the side components, oracles
+# for PiecewiseFlux.at: every call evaluates the terms afresh
+
+
+def sharp_flux(model, x, lam):
+    """Flux vector (..., d): left where the interface offset is negative,
+    right where positive, the mean of the sides on the interface."""
+    pts = as_points(x, model.d)
+    cols = []
+    for k in range(model.d):
+        out = model.left[k].value(pts, lam)
+        if model.interface is not None:
+            off = model.interface.offset(pts)
+            fl, fr = out, model.right[k].value(pts, lam)
+            out = np.where(off < 0, fl, fr)
+            on = off == 0
+            if np.any(on):
+                out = np.where(on, 0.5 * (fl + fr), out)
+        cols.append(out)
+    return np.stack(cols, axis=-1)
+
+
+def smoothed_flux(model, x, lam, eps, derivative=False):
+    """w_L f_L + w_R f_R (..., d), or its state derivative."""
+    pts = as_points(x, model.d)
+
+    def side(comp):
+        return comp.lambda_derivative(pts, lam) if derivative else comp.value(pts, lam)
+
+    if model.interface is None:
+        return np.stack([side(c) for c in model.left], axis=-1)
+    wl, wr = dx.smoothing_weights(model.interface.offset(pts), eps)
+    return np.stack([wl * side(fl) + wr * side(fr) for fl, fr in zip(model.left, model.right)], axis=-1)
+
+
+def smooth_divergence(model, x, lam, h=1e-6):
+    """Per-side sum of central differences of component k along axis k."""
+    pts = as_points(x, model.d)
+    lam = np.asarray(lam, dtype=float)
+    side = np.full(pts.shape[:-1], -1.0) if model.interface is None else np.sign(model.interface.offset(pts))
+    out = np.zeros(np.broadcast(pts[..., 0], lam).shape)
+    for comps, mask in ((model.left, side <= 0), (model.right, side > 0)):
+        if not np.any(mask):
+            continue
+        acc = np.zeros_like(out)
+        for k in range(model.d):
+            xp = np.array(pts, copy=True)
+            xm = np.array(pts, copy=True)
+            xp[..., k] += h
+            xm[..., k] -= h
+            acc = acc + (comps[k].value(xp, lam) - comps[k].value(xm, lam)) / (2.0 * h)
+        out = np.where(mask, acc, out)
+    return out
 
 
 @pytest.fixture(scope="session")

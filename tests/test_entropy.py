@@ -1,13 +1,16 @@
 """Entropy machinery: test functions, interface traces, admissibility and
 Kato residuals, L1 contraction and cone locality."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import discflux as dx
 from discflux.entropy import ResidualWorkspace, bump_battery, interface_trace, lambda_battery
-from conftest import block_field
+from conftest import block_field, sharp_flux, smooth_divergence, smoothed_flux
 
 
 def _phi(t_center, t_radius, center, radius, label="phi"):
@@ -393,10 +396,10 @@ def _per_pair_kruzhkov(traj, model, lam, phi):
     tw = _trapezoid(times)
     nt = len(times)
     states = traj.states.reshape(nt, -1)
-    flux_u = np.stack([model.evaluate(pts, states[i]) for i in range(nt)])
+    flux_u = np.stack([sharp_flux(model, pts, states[i]) for i in range(nt)])
     lam_arr = np.full(pts.shape[0], lam)
-    flux_lam = model.evaluate(pts, lam_arr)
-    div_lam = model.smooth_divergence_at_state(pts, lam_arr)
+    flux_lam = sharp_flux(model, pts, lam_arr)
+    div_lam = smooth_divergence(model, pts, lam_arr)
     vals = np.stack([phi.value(t, pts) for t in times])
     dts = np.stack([phi.time_derivative(t, pts) for t in times])
     grads = np.stack([phi.gradient(t, pts) for t in times])
@@ -435,10 +438,10 @@ def _per_time_kato(u1, u2, model, phi):
     for i in range(nt):
         diff = s1[i] - s2[i]
         sgn = np.sign(diff)
-        f1 = model.evaluate_smoothed(pts, s1[i], eps)
-        f2 = model.evaluate_smoothed(pts, s2[i], eps)
-        d1 = model.smooth_divergence_at_state(pts, s1[i])
-        d2 = model.smooth_divergence_at_state(pts, s2[i])
+        f1 = smoothed_flux(model, pts, s1[i], eps)
+        f2 = smoothed_flux(model, pts, s2[i], eps)
+        d1 = smooth_divergence(model, pts, s1[i])
+        d2 = smooth_divergence(model, pts, s2[i])
         contrib = (
             np.abs(diff) @ phi.time_derivative(times[i], pts)
             + (sgn * ((f1 - f2) * phi.gradient(times[i], pts)).sum(axis=-1)).sum()
@@ -605,3 +608,36 @@ def test_cone_locality_identical_and_inversion(burgers_model):
     report = dx.cone_locality_check(ta, tb, cone)
     assert not report.passed
     assert report.kappa > report.tol
+
+
+# ---------------------------------------------------------------------------
+# determinism
+
+
+_BLAS_PROBE = """
+import numpy as np
+import discflux as dx
+
+model = dx.preset("tilted_2d")
+grid = dx.Grid(model.domain.lows, model.domain.highs, (128, 128))
+rng = np.random.default_rng(5)
+times = tuple(np.linspace(0.0, 0.1, 5))
+u1, u2 = (dx.Trajectory(grid, times, rng.uniform(model.a, model.b, (5, 128, 128)), {"smoothing_width": 0.05})
+          for _ in range(2))
+entries = dx.entropy_battery(u1, model).entries + dx.kato_battery(u1, u2, model).entries
+print(" ".join(e.residual.hex() for e in entries))
+"""
+
+
+def test_battery_residuals_do_not_depend_on_blas_threads():
+    # 16,384 cells: past the size where OpenBLAS threads a 1-d dot product,
+    # whose summation order then follows the thread count
+    src = os.path.dirname(os.path.dirname(dx.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [
+        subprocess.run([sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outs[0].split()) == 20 * 11 + 20
+    assert outs[0] == outs[1]

@@ -39,15 +39,15 @@ def test_profile_weights_partition_unity():
 
 
 def test_burgers_pointwise_value(burgers_model):
-    val = burgers_model.evaluate(np.array([0.3]), 0.5)
+    val = burgers_model.at(np.array([0.3])).value(0.5)
     np.testing.assert_allclose(val, [0.25], atol=1e-15)
 
 
 def test_two_flux_sides_and_interface_mean(two_flux_model):
     # left piece lam(1-lam), right piece 2 lam(1-lam), jump at x = 0
-    left = two_flux_model.evaluate(np.array([-0.1]), 0.5)
-    right = two_flux_model.evaluate(np.array([0.1]), 0.5)
-    on = two_flux_model.evaluate(np.array([0.0]), 0.5)
+    left = two_flux_model.at(np.array([-0.1])).value(0.5)
+    right = two_flux_model.at(np.array([0.1])).value(0.5)
+    on = two_flux_model.at(np.array([0.0])).value(0.5)
     np.testing.assert_allclose(left, [0.25], atol=1e-15)
     np.testing.assert_allclose(right, [0.5], atol=1e-15)
     np.testing.assert_allclose(on, [0.375], atol=1e-15)
@@ -55,7 +55,7 @@ def test_two_flux_sides_and_interface_mean(two_flux_model):
 
 def test_x_ramp_modulation():
     model = dx.preset("x_ramp")
-    val = model.evaluate(np.array([0.5]), 0.5)
+    val = model.at(np.array([0.5])).value(0.5)
     np.testing.assert_allclose(val, [(1.0 + 0.3 * 0.5) * 0.25], atol=1e-15)
 
 
@@ -64,12 +64,12 @@ def test_endpoint_states_give_zero_flux():
         model = dx.preset(name)
         xs = model.domain.sample(64)
         for state in (model.a, model.b):
-            np.testing.assert_allclose(model.evaluate(xs, state), 0.0, atol=1e-14)
+            np.testing.assert_allclose(model.at(xs).value(state), 0.0, atol=1e-14)
 
 
 def test_state_outside_interval_rejected(burgers_model):
     with pytest.raises(ValueError, match="outside"):
-        burgers_model.evaluate(np.array([0.0]), 1.1)
+        burgers_model.at(np.array([0.0])).value(1.1)
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +78,9 @@ def test_state_outside_interval_rejected(burgers_model):
 
 def test_smoothed_weights_at_two_eps(two_flux_model):
     eps = 1e-3
-    pure_left = two_flux_model.evaluate_smoothed(np.array([-2 * eps]), 0.5, eps)
-    pure_right = two_flux_model.evaluate_smoothed(np.array([2 * eps]), 0.5, eps)
-    mid = two_flux_model.evaluate_smoothed(np.array([0.0]), 0.5, eps)
+    pure_left = two_flux_model.at(np.array([-2 * eps]), eps).smoothed(0.5)
+    pure_right = two_flux_model.at(np.array([2 * eps]), eps).smoothed(0.5)
+    mid = two_flux_model.at(np.array([0.0]), eps).smoothed(0.5)
     np.testing.assert_allclose(pure_left, [0.25], atol=1e-15)
     np.testing.assert_allclose(pure_right, [0.5], atol=1e-15)
     np.testing.assert_allclose(mid, [0.375], atol=1e-15)
@@ -92,8 +92,9 @@ def test_smoothed_matches_sharp_off_the_layer(two_flux_model):
     x = rng.uniform(-0.5, 0.5, (500, 1))
     x = x[np.abs(x[:, 0]) >= eps]
     lam = rng.uniform(0.0, 1.0, x.shape[0])
-    smoothed = two_flux_model.evaluate_smoothed(x, lam, eps)
-    sharp = two_flux_model.evaluate(x, lam)
+    flux = two_flux_model.at(x, eps)
+    smoothed = flux.smoothed(lam)
+    sharp = flux.value(lam)
     np.testing.assert_array_equal(smoothed, sharp)
 
 
@@ -103,11 +104,9 @@ def test_lambda_derivative_crosscheck(two_flux_model):
     rng = np.random.default_rng(5)
     x = rng.uniform(-0.5, 0.5, (1000, 1))
     lam = rng.uniform(0.01, 0.99, 1000)
-    analytic = two_flux_model.component_lambda_derivative_smoothed(0, x, lam, eps)
-    fd = (
-        two_flux_model.evaluate_component_smoothed(0, x, lam + h, eps)
-        - two_flux_model.evaluate_component_smoothed(0, x, lam - h, eps)
-    ) / (2 * h)
+    flux = two_flux_model.at(x, eps)
+    analytic = flux.smoothed(lam, derivative=True)[..., 0]
+    fd = (flux.smoothed(lam + h)[..., 0] - flux.smoothed(lam - h)[..., 0]) / (2 * h)
     assert np.all(np.abs(analytic - fd) <= 1e-6 * (1.0 + np.abs(analytic)))
 
 
@@ -122,7 +121,7 @@ def test_mollify_constant_flux_unchanged():
     box = dx.Box((-1.0,), (1.0,))
     smooth = dx.mollify_flux(GeneralBVFlux(d=1, components=(terms,), a=0.0, b=1.0, domain=box), eps=0.1)
     xs = np.linspace(-0.9, 0.9, 19)[:, None]
-    np.testing.assert_allclose(smooth.evaluate(xs, 0.3)[..., 0], 0.21, atol=1e-13)
+    np.testing.assert_allclose(smooth.at(xs).value(0.3)[..., 0], 0.21, atol=1e-13)
     # a factor of None (1) stays None
     bare = GeneralBVFlux(d=1, components=(lambda x: (((0.0, 1.0, -1.0), None),),), a=0.0, b=1.0, domain=box)
     assert dx.mollify_flux(bare, eps=0.1).left[0].terms(xs) == (((0.0, 1.0, -1.0), None),)
@@ -134,7 +133,7 @@ def test_mollify_away_from_jump_keeps_side_value():
     smooth = dx.mollify_flux(rough, eps)
     # kernel support has radius eps, so 2 eps inside the left region the
     # convolution never sees the jump
-    val = smooth.evaluate(np.array([-2 * eps]), 0.5)[..., 0]
+    val = smooth.at(np.array([-2 * eps])).value(0.5)[..., 0]
     np.testing.assert_allclose(val, 1.0 * 0.25, atol=1e-12)
 
 
@@ -149,7 +148,7 @@ def test_mollify_at_jump_gives_mean_of_sides():
     oracle = np.trapezoid(raw * kern, s) / np.trapezoid(kern, s) * 0.25
 
     smooth = dx.mollify_flux(step_bv_flux(vl, vr), eps)
-    val = float(smooth.evaluate(np.array([0.0]), 0.5)[..., 0])
+    val = float(smooth.at(np.array([0.0])).value(0.5)[..., 0])
     np.testing.assert_allclose(val, oracle, atol=1e-6)
     np.testing.assert_allclose(val, 0.5 * (vl + vr) * 0.25, atol=1e-12)
 

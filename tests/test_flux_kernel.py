@@ -52,7 +52,7 @@ def _check_exact_alpha(config, grid, values):
         for x, lo, hi, a in zip(pts, ul, ur, alpha.ravel()):
 
             def dF(s):
-                return model.component_lambda_derivative_smoothed(k, x, s, config.eps_smoothing)
+                return model.at(x, config.eps_smoothing).smoothed(s, derivative=True)[..., k]
 
             dense, finest = _finest_max(dF, min(lo, hi), max(lo, hi))
             assert a >= dense - ROUNDING

@@ -214,9 +214,9 @@ def test_project_to_ball_idempotent():
 def test_radial_extend_model_agrees_inside(burgers_model):
     ext = dx.radial_extend_model(burgers_model, np.zeros(1), 0.4)
     pts = np.linspace(-0.39, 0.39, 21)[:, None]
-    np.testing.assert_array_equal(ext.evaluate(pts, 0.3), burgers_model.evaluate(pts, 0.3))
+    np.testing.assert_array_equal(ext.at(pts).value(0.3), burgers_model.at(pts).value(0.3))
     far = np.array([[0.45]])
-    np.testing.assert_allclose(ext.evaluate(far, 0.3), burgers_model.evaluate(np.array([[0.4]]), 0.3), atol=1e-15)
+    np.testing.assert_allclose(ext.at(far).value(0.3), burgers_model.at(np.array([[0.4]])).value(0.3), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -404,3 +404,15 @@ def test_interpolate_matches_scipy_on_the_chart_pullback():
     states = _signed_values(np.random.default_rng(2), (3,) + flat_grid.counts)
     expected = np.stack([_rgi(flat_grid, values, query) for values in states])
     _assert_same_bits(flat_grid.interpolate(states, query), expected)
+
+
+def test_output_times_in_the_slack_past_final_time_add_no_step(burgers_model):
+    # RunConfig accepts output times up to final_time * (1 + 1e-12); the run
+    # records them at final_time and never steps past it
+    grid = dx.Grid((-0.5,), (0.5,), (16,))
+    config = dx.RunConfig(flux=burgers_model, epsilon=0.05, final_time=1.0, boundary=0.0,
+                          output_times=(0.5, 1.0000000000005))
+    traj = dx.run(dx.Field(grid, np.zeros(16), 0.0), config)
+    assert traj.times == (0.0, 0.5, 1.0)
+    assert traj.manifest["output_times"] == [0.0, 0.5, 1.0]
+    assert traj.manifest["dt_min"] > 1e-6
