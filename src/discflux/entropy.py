@@ -330,7 +330,8 @@ class ResidualWorkspace:
         """(F_R - F_L)(x, lam) on the interface, in transformed normal form."""
         if self._jump is None:
             self._jump = flatten_model(self.model).at(self.traces.surface_points)
-        j, lam_arr = self.model.interface.axis, np.full(self._jump.points.shape[0], float(lam))
+        j = self.model.interface.axis
+        lam_arr = np.full(self._jump.points.shape[0], float(lam))
         return term_sum(self._jump.terms(1, j), lam_arr) - term_sum(self._jump.terms(0, j), lam_arr)
 
     def residuals(self, lambdas: Sequence[float], phi) -> np.ndarray:

@@ -164,6 +164,8 @@ class PiecewiseFlux:
         if self.domain.d != self.d:
             raise ValueError("domain dimension mismatch")
 
+    # -- state domain checks -------------------------------------------------
+
     def _check_state(self, lam):
         lam = np.asarray(lam, dtype=float)
         slack = 1e-6 * (self.b - self.a)
@@ -171,6 +173,8 @@ class PiecewiseFlux:
             bad = float(lam.min()) if np.any(lam < self.a - slack) else float(lam.max())
             raise ValueError(f"state {bad} outside [{self.a}, {self.b}]")
         return lam
+
+    # -- evaluation ------------------------------------------------------------
 
     def at(self, points, eps: float | None = None) -> "FluxAt":
         """The flux at fixed points, ready for evaluation at any states; eps,
@@ -237,11 +241,11 @@ class FluxAt:
             for coeffs, factor in self.terms(side, k)
         ]
 
-    def smoothed(self, lam, derivative: bool = False):
-        """Smoothed flux vector (..., d), or its state derivative, summed in
-        the order of rows; it equals the sharp flux wherever |offset| >= eps."""
+    def smoothed(self, lam):
+        """Smoothed flux vector (..., d), summed in the order of rows; it
+        equals the sharp flux wherever |offset| >= eps."""
         lam = self.model._check_state(lam)
-        return np.stack([rows_sum(self.rows(k), lambda c: horner(lam, derivative_coeffs(c) if derivative else c))
+        return np.stack([rows_sum(self.rows(k), lambda c: horner(lam, c))
                          for k in range(self.model.d)], axis=-1)
 
     def divergence(self, lam):

@@ -320,9 +320,6 @@ def flatten_model(model):
     right = list(model.right)
     left[j] = transformed_normal_flux(model, itf, "left")
     right[j] = transformed_normal_flux(model, itf, "right")
-    for k in itf.tangential_axes:
-        left[k] = model.left[k]
-        right[k] = model.right[k]
     return PiecewiseFlux(
         d=model.d,
         left=tuple(left),

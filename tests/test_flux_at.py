@@ -9,7 +9,7 @@ import pytest
 import discflux as dx
 from conftest import CURVED_MODULATED_SPEC, sharp_flux, smooth_divergence, smoothed_flux, step_bv_flux
 from discflux.entropy import ResidualWorkspace
-from discflux.flux import derivative_coeffs, horner
+from discflux.flux import horner
 from discflux.geometry import transformed_normal_flux
 
 EPS = 0.05
@@ -82,12 +82,12 @@ def test_value_and_divergence_match_the_per_call_formulas(name):
         np.testing.assert_array_equal(_bits(flux.divergence(lam)), _bits(smooth_divergence(model, pts, lam)))
 
 
-def _abs_sum(flux, k, lam, derivative):
+def _abs_sum(flux, k, lam):
     """sum over the rows of |w * factor * P|, the scale of a re-association
     error: it bounds the value and exceeds it where the terms cancel."""
     total = 0.0
     for coeffs, factors in flux.rows(k):
-        v = horner(lam, derivative_coeffs(coeffs) if derivative else coeffs)
+        v = horner(lam, coeffs)
         for f in factors:
             v = f * v
         total = total + np.abs(v)
@@ -95,8 +95,7 @@ def _abs_sum(flux, k, lam, derivative):
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-@pytest.mark.parametrize("derivative", [False, True])
-def test_smoothed_matches_the_weighted_sides(name, derivative):
+def test_smoothed_matches_the_weighted_sides(name):
     # rows add w * (factor * P) term by term; the oracle adds the sides
     # w_L * sum(factor * P) + w_R * sum(...): the same operations for
     # single-term components, a re-association for multi-term ones, within
@@ -105,17 +104,16 @@ def test_smoothed_matches_the_weighted_sides(name, derivative):
     pts = _points(model)
     flux = model.at(pts, EPS)
     for lam in (_states(model, pts.shape[:-1]), _states(model, (3,) + pts.shape[:-1])):
-        got = flux.smoothed(lam, derivative=derivative)
-        want = smoothed_flux(model, pts, lam, EPS, derivative=derivative)
+        got = flux.smoothed(lam)
+        want = smoothed_flux(model, pts, lam, EPS)
         assert got.shape == want.shape
         for k in range(model.d):
             if _single_term(model, pts, k):
                 np.testing.assert_array_equal(_bits(got[..., k]), _bits(want[..., k]))
             else:
                 error = np.abs(got[..., k] - want[..., k])
-                assert np.all(error <= 1e-15 * _abs_sum(flux, k, lam, derivative))
-                if not derivative:
-                    assert np.all(error <= 1e-15 * np.abs(want[..., k]))
+                assert np.all(error <= 1e-15 * _abs_sum(flux, k, lam))
+                assert np.all(error <= 1e-15 * np.abs(want[..., k]))
 
 
 def test_multi_term_components_are_covered():

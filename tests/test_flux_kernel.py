@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discflux as dx
-from conftest import CURVED_MODULATED_SPEC, step_bv_flux
+from conftest import CURVED_MODULATED_SPEC, smoothed_flux, step_bv_flux
 from discflux.solver import _Faces
 
 N_DENSE = 2001
@@ -52,7 +52,7 @@ def _check_exact_alpha(config, grid, values):
         for x, lo, hi, a in zip(pts, ul, ur, alpha.ravel()):
 
             def dF(s):
-                return model.at(x, config.eps_smoothing).smoothed(s, derivative=True)[..., k]
+                return smoothed_flux(model, x, s, config.eps_smoothing, derivative=True)[..., k]
 
             dense, finest = _finest_max(dF, min(lo, hi), max(lo, hi))
             assert a >= dense - ROUNDING
