@@ -20,8 +20,6 @@ from .geometry import (
     Box,
     Cone,
     Interface,
-    SpeedBound,
-    ball_sample,
     flatten_model,
     flattened_box,
     mixed_derivative_bound,

@@ -38,14 +38,6 @@ from .solver import Field, Grid, Trajectory, max_principle_check, run
 DEFAULT_OUT_ROOT = "discflux_out"
 
 
-def _interface_is_flat(model) -> bool:
-    itf = model.interface
-    if itf is None:
-        return True
-    spec = itf.spec or {}
-    return spec.get("kind") == "zero" or all(v == 0.0 for v in spec.get("coeffs", [0.0]))
-
-
 class _PhaseClock:
     """Seconds one scenario command spends solving, verifying and writing
     artifacts, for the `timings` block of report.json.  Time outside the
@@ -170,7 +162,7 @@ def _exec_entropy(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     checks: list = []
     artifacts: dict = {}
     transformed = bool(sc.study.get("transformed", False))
-    if transformed and not _interface_is_flat(sc.model):
+    if transformed and sc.model.interface is not None and not sc.model.interface.flat:
         raise RuntimeError(
             "transformed residuals on a curved interface need the charted run pipeline"
         )
@@ -235,12 +227,7 @@ def _exec_cone(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     center = np.asarray(cone_spec["center"], dtype=float)
     if center.shape != (model.d,):
         raise RuntimeError(f"cone center needs {model.d} coordinates")
-    # propagation speed over a ball (about the origin) that covers the domain
-    corners = np.array(np.meshgrid(*[(lo, hi) for lo, hi in
-                                     zip(model.domain.lows, model.domain.highs)])).T.reshape(-1, model.d)
-    cover = float(np.linalg.norm(corners, axis=-1).max())
-    bound = speed_bound(model, cover, max(abs(model.a), abs(model.b)))
-    cone = Cone(tuple(float(v) for v in center), float(cone_spec["radius"]), bound.value)
+    cone = Cone(tuple(float(v) for v in center), float(cone_spec["radius"]), speed_bound(model, model.domain))
 
     dist = np.linalg.norm(sc.grid.points() - center, axis=-1)
     inside = np.abs(pert) > 1e-14
@@ -260,7 +247,7 @@ def _exec_cone(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     tol = args.tol if args.tol is not None else float(sc.study.get("tol", 1e-2))
     rep = clock("verify_s", cone_locality_check, traj_a, traj_b, cone, tol=tol)
     _check(checks, "cone_locality", rep.passed,
-           f"kappa {rep.kappa:.3e} vs tol {tol:.3e} (speed {bound.value:.6g})")
+           f"kappa {rep.kappa:.3e} vs tol {tol:.3e} (speed {cone.speed:.6g})")
     return checks, {"solver_base": traj_a.manifest, "solver_perturbed": traj_b.manifest,
                     "cone": {"center": list(cone.center), "radius": cone.radius,
                              "speed": cone.speed},

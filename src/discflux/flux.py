@@ -56,6 +56,26 @@ def horner(u, coeffs):
     return out
 
 
+def sign_changes(c: np.ndarray, a: float, b: float) -> np.ndarray:
+    """States in [a, b] where each row of polynomials c (ascending) changes
+    sign, NaN padded.  Between the sign changes of its derivative a row is
+    monotone, so each such piece holds at most one; it is bisected to full
+    precision."""
+    n, k = c.shape
+    if k < 2:
+        return np.empty((n, 0))
+    inner = sign_changes(c[:, 1:] * np.arange(1, k), a, b)
+    knots = np.nan_to_num(np.sort(np.hstack([np.full((n, 1), a), inner, np.full((n, 1), b)])), nan=b)
+    lo, hi = knots[:, :-1], knots[:, 1:]
+    rows = [c[:, j, None] for j in range(k)]
+    found = horner(lo, rows) * horner(hi, rows) <= 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        right = horner(mid, rows) * horner(lo, rows) > 0
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return np.where(found, lo, np.nan)
+
+
 @lru_cache(maxsize=None)
 def derivative_coeffs(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     """Ascending coefficients of the state derivative of sum_j coeffs[j] lam^j."""
@@ -89,31 +109,17 @@ class FluxComponent:
     factor), ...) with f(x, lam) = sum_i factor_i * P_i(lam), P_i the
     ascending coefficient tuple and factor_i an array over the points x or
     None (1).  The solver, the speed bounds and the flattening, extension and
-    mollification transformations all work on the terms.  mixed, when given,
-    is the analytic d^2 f / (dx_axis dlam) as mixed(x, lam, axis).
+    mollification transformations all work on the terms.
     """
 
     axis: int
     terms: Callable
-    mixed: Callable | None = None
 
     def value(self, x, lam):
         return term_sum(self.terms(x), lam)
 
     def lambda_derivative(self, x, lam):
         return term_sum(self.terms(x), lam, derivative=True)
-
-    def mixed_derivative(self, x, lam, axis: int):
-        """d^2 f / (dx_axis dlam); central difference when no analytic form
-        was supplied."""
-        if self.mixed is not None:
-            return self.mixed(x, lam, axis)
-        h = 1e-5
-        xp = np.array(np.asarray(x, dtype=float), copy=True)
-        xm = np.array(xp, copy=True)
-        xp[..., axis] += h
-        xm[..., axis] -= h
-        return (self.lambda_derivative(xp, lam) - self.lambda_derivative(xm, lam)) / (2.0 * h)
 
 
 def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[float] | None = None) -> FluxComponent:
@@ -125,13 +131,7 @@ def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[floa
     def terms(x):
         return ((coeffs, None if mod is None else mod[0] + np.asarray(x, dtype=float) @ mod[1:]),)
 
-    def mixed(x, lam, k):
-        p = horner(np.asarray(lam, dtype=float), derivative_coeffs(coeffs))
-        if mod is None:
-            return np.zeros(np.broadcast(np.asarray(x)[..., 0], p).shape)
-        return mod[1 + k] * np.ones(np.asarray(x)[..., 0].shape) * p
-
-    return FluxComponent(axis, terms, mixed)
+    return FluxComponent(axis, terms)
 
 
 # ---------------------------------------------------------------------------

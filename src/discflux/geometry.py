@@ -60,53 +60,32 @@ class Box:
         hi = np.asarray(self.highs)
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
+    @property
+    def corners(self) -> np.ndarray:
+        """The 2^d corners, shape (2, ..., 2, d): index 0 or 1 along axis k
+        picks lows[k] or highs[k]."""
+        return np.stack(np.meshgrid(*zip(self.lows, self.highs), indexing="ij"), axis=-1)
+
     def sample(self, n: int) -> np.ndarray:
         """Deterministic quasi-random sample of n points, shape (n, d)."""
         return np.asarray(self.lows) + halton(n, self.d) * self.widths
 
 
-def halton(n: int, d: int, start: int = 0) -> np.ndarray:
-    """Points start .. start + n - 1 of the unscrambled Halton sequence in
-    [0, 1)^d (Halton 1960), shape (n, d): coordinate k is the radical inverse
-    of the index in the k-th prime base, its digits added from the lowest,
-    as scipy's qmc.Halton(scramble=False) adds them, so the bits agree."""
+def halton(n: int, d: int) -> np.ndarray:
+    """The first n points of the unscrambled Halton sequence in [0, 1)^d
+    (Halton 1960), shape (n, d): coordinate k is the radical inverse of the
+    index in the k-th prime base, its digits added from the lowest, as
+    scipy's qmc.Halton(scramble=False) adds them, so the bits agree."""
     if not 1 <= d <= 3:
         raise ValueError(f"Halton points need d in 1..3, got {d}")
     out = np.zeros((n, d))
     for k, b in enumerate((2, 3, 5)[:d]):
-        i, f = np.arange(start, start + n), 1.0
+        i, f = np.arange(n), 1.0
         while i.any():
             f /= b
             out[:, k] += f * (i % b)
             i //= b
     return out
-
-
-def ball_sample(center, radius: float, n: int) -> np.ndarray:
-    """Deterministic sample of the closed ball, always containing the center
-    and the axis-aligned sphere points."""
-    c = np.asarray(center, dtype=float)
-    d = c.shape[0]
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
-    pts = [c]
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = radius
-        pts.append(c + e)
-        pts.append(c - e)
-    # rejection from the bounding cube, continuing one Halton sequence; it
-    # fills space evenly, so the acceptance rate is the ball/cube volume ratio
-    need, drawn = max(n - len(pts), 0), 0
-    while need > 0:
-        m = max(2 * need, 8)
-        cand = (2.0 * halton(m, d, start=drawn) - 1.0) * radius
-        drawn += m
-        keep = cand[np.linalg.norm(cand, axis=-1) <= radius]
-        for p in keep[:need]:
-            pts.append(c + p)
-        need = n - len(pts)
-    return np.stack(pts[: max(n, len(pts))])
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +128,11 @@ class Interface:
     @property
     def tangential_axes(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.d) if k != self.axis)
+
+    @property
+    def flat(self) -> bool:
+        """zeta is identically 0 by its spec, so the interface is {x_j = 0}."""
+        return self.spec is not None and all(v == 0.0 for v in self.spec["coeffs"])
 
     # -- constructors ------------------------------------------------------
 
@@ -288,8 +272,13 @@ def transformed_normal_flux(model, interface: Interface, side: str):
     return FluxComponent(j, terms)
 
 
-def flattened_box(box: Box, interface: Interface, n: int = 512) -> Box:
-    """A box covering the image of `box` under the flattening map."""
+FLATTENED_BOX_POINTS = 512  # sampled points of flattened_box besides the corners
+
+
+def flattened_box(box: Box, interface: Interface) -> Box:
+    """A box covering the image of `box` under the flattening map: the
+    interface's range over the corners and FLATTENED_BOX_POINTS sampled
+    points."""
     j = interface.axis
     if box.d == 1:
         z = float(interface.zeta(np.zeros((1, 0)))[0])
@@ -297,9 +286,7 @@ def flattened_box(box: Box, interface: Interface, n: int = 512) -> Box:
         lows[j] -= z
         highs[j] -= z
         return Box(tuple(lows), tuple(highs))
-    pts = box.sample(n)
-    corners = np.array(np.meshgrid(*[(lo, hi) for lo, hi in zip(box.lows, box.highs)])).T.reshape(-1, box.d)
-    pts = np.concatenate([pts, corners])
+    pts = np.concatenate([box.sample(FLATTENED_BOX_POINTS), box.corners.reshape(-1, box.d)])
     z = interface.zeta(np.delete(pts, j, axis=-1))
     lows, highs = list(box.lows), list(box.highs)
     lows[j] = float(lows[j] - z.max())
@@ -309,11 +296,12 @@ def flattened_box(box: Box, interface: Interface, n: int = 512) -> Box:
 
 def flatten_model(model):
     """PiecewiseFlux in flattened coordinates: the interface becomes flat, the
-    normal component is replaced by the transformed normal flux per side."""
+    normal component is replaced by the transformed normal flux per side.  A
+    model without an interface or with a flat one is returned as it is."""
     from .flux import PiecewiseFlux
 
     itf = model.interface
-    if itf is None:
+    if itf is None or itf.flat:
         return model
     j = itf.axis
     left = list(model.left)
@@ -358,69 +346,57 @@ def radial_extend_model(model, center, radius: float):
 # speed bounds and cones
 
 
-SPEED_BOUND_POINTS = 33  # sampled positions in the ball of the speed bounds
-SPEED_BOUND_STATES = 2001  # default sampled states of the speed bounds
+def _separable_bound(model, box: Box, slope: bool) -> float:
+    """sqrt of the sum over the distinct side components of (sum_i S_i *
+    max_[a,b] |P_i'|)^2 over their terms s_i(x) P_i(lam): a bound on the
+    stacked norm of the components' state derivatives over the box and
+    [a, b] with S_i = sup |s_i| (slope False), or of their mixed
+    derivatives d^2 f_k / (dx_k dlam) with S_i = sup |d s_i / dx_k| (slope
+    True, from differences of corners along x_k).
 
+    The spatial sups read each factor at the 2^d corners of the box, which
+    is exact for factors affine in x: the only kind a preset or a flux spec
+    states, and the flattening of an affine interface keeps them affine.
+    max |P_i'| is exact: P_i' at a, b and at the sign changes of P_i''.
+    Identical side components are one coefficient field and count once.
+    """
+    from .flux import derivative_coeffs, horner, sign_changes
 
-@dataclass(frozen=True)
-class SpeedBound:
-    value: float
-    radius: float
-    state_bound: float
-    lambda_range: tuple[float, float]
-    n_lambda: int
-    n_x: int
-
-
-def _stacked_derivative_max(model, radius, state_bound, n_lambda, which) -> SpeedBound:
-    lo = max(model.a, -state_bound)
-    hi = min(model.b, state_bound)
-    if not (lo < hi):
-        raise ValueError(f"empty lambda sample: [a,b]=[{model.a},{model.b}] against |lam|<={state_bound}")
-    lam = np.linspace(lo, hi, n_lambda)
-    xs = ball_sample(np.zeros(model.d), radius, SPEED_BOUND_POINTS)
-
-    # identical side components are one coefficient field and enter once:
-    # equal terms at every sampled point
+    corners = box.corners
     unique = {}
     for comp in tuple(model.left) + tuple(model.right):
-        key = (comp.axis, tuple((c, None if f is None else np.asarray(f, dtype=float).tobytes())
-                                for c, f in comp.terms(xs)))
-        unique.setdefault(key, comp)
+        terms = tuple((c, None if f is None else np.broadcast_to(np.asarray(f, dtype=float), corners.shape[:-1]))
+                      for c, f in comp.terms(corners))
+        key = (comp.axis, tuple((c, None if f is None else f.tobytes()) for c, f in terms))
+        unique.setdefault(key, terms)
 
-    total = np.zeros((xs.shape[0], lam.shape[0]))
-    X = xs[:, None, :]
-    L = lam[None, :]
-    for comp in unique.values():
-        if which == "lambda":
-            g = comp.lambda_derivative(X, L)
-        else:
-            g = comp.mixed_derivative(X, L, comp.axis)
-        total += np.broadcast_to(np.asarray(g, dtype=float), total.shape) ** 2
-    return SpeedBound(
-        value=float(np.sqrt(total.max())),
-        radius=float(radius),
-        state_bound=float(state_bound),
-        lambda_range=(float(lo), float(hi)),
-        n_lambda=n_lambda,
-        n_x=xs.shape[0],
-    )
+    total = 0.0
+    for (k, _), terms in unique.items():
+        s = 0.0
+        for coeffs, f in terms:
+            if f is None:
+                sup = 0.0 if slope else 1.0
+            else:
+                sup = np.abs(np.diff(f, axis=k) / box.widths[k] if slope else f).max()
+            dc = derivative_coeffs(coeffs)
+            crit = sign_changes(np.asarray([dc[1:]]) * np.arange(1, len(dc)), model.a, model.b)
+            s += sup * np.abs(horner(np.append(crit[~np.isnan(crit)], (model.a, model.b)), dc)).max()
+        total += s * s
+    return float(np.sqrt(total))
 
 
-def speed_bound(model, radius: float, state_bound: float, n_lambda: int = SPEED_BOUND_STATES) -> SpeedBound:
-    """Finite speed of propagation: max over sampled x in B(0, radius) and
-    admissible lambda of the stacked left/right lambda-derivative norm."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return _stacked_derivative_max(model, radius, state_bound, n_lambda, "lambda")
+def speed_bound(model, box: Box) -> float:
+    """Finite speed of propagation (Kruzhkov 1970): an upper bound on the
+    stacked left/right lambda-derivative norm over x in the box and lam in
+    [a, b]; it equals that sup when every term peaks at one common corner
+    and state, as in every preset."""
+    return _separable_bound(model, box, slope=False)
 
 
-def mixed_derivative_bound(model, radius: float, state_bound: float) -> SpeedBound:
-    """Growth constant: same stacked max over the mixed derivatives
-    d^2 f_j / (dx_j dlam), used by the cone growth estimate."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return _stacked_derivative_max(model, radius, state_bound, SPEED_BOUND_STATES, "mixed")
+def mixed_derivative_bound(model, box: Box) -> float:
+    """Growth constant of the cone estimate: the same bound on the mixed
+    derivatives d^2 f_k / (dx_k dlam)."""
+    return _separable_bound(model, box, slope=True)
 
 
 @dataclass(frozen=True)

@@ -440,8 +440,7 @@ class GermStudy:
         self.threshold = (0.05 * (model.b - model.a) * self.box.volume
                           if threshold is None else float(threshold))
         # contraction is certified on the largest cone the box supports
-        circum = float(np.linalg.norm(self.box.widths) / 2.0)
-        speed = speed_bound(model, circum, max(abs(model.a), abs(model.b))).value
+        speed = speed_bound(model, self.box)
         inradius = float(self.box.widths.min() / 2.0)
         self.cone = Cone(tuple(float(v) for v in self.box.center), inradius, max(speed, 1e-12))
         if self.cone.section_radius(self.final_time) <= 0:

@@ -59,14 +59,10 @@ def flux_from_spec(spec: dict, domain: Box | None = None, name: str | None = Non
 
     left = tuple(_component_from_spec(k, spec["left"][k], d) for k in range(d))
     if spec.get("interface") is None:
-        interface = None
-        right = left
+        # an explicit right family must repeat the left one
         if spec.get("right") not in (None, spec["left"]):
-            # allow an explicit identical right family; anything else is a
-            # contradiction with the missing interface
-            if spec["right"] != spec["left"]:
-                raise ValueError("jump-free flux (interface null) with a distinct right family")
-            right = left
+            raise ValueError("jump-free flux (interface null) with a distinct right family")
+        interface, right = None, left
     else:
         interface = Interface.from_spec(spec["interface"], d)
         if spec.get("right") is None:

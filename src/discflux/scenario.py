@@ -403,18 +403,13 @@ class Scenario:
     chart: dict | None
     seed: int = 0
 
-    def initial_field(self, grid: Grid | None = None, seed: int | None = None) -> Field:
-        grid = grid if grid is not None else self.grid
-        use = self.seed if seed is None else seed
-        vals = initial_values_at(self.initial, grid.points(), self.model.a, self.model.b,
-                                 self.model.d, seed=use)
-        return Field(grid, vals, 0.0)
+    def initial_field(self) -> Field:
+        return self.field_from_spec(self.initial)
 
-    def field_from_spec(self, spec: dict, grid: Grid | None = None, seed: int | None = None) -> Field:
+    def field_from_spec(self, spec: dict, grid: Grid | None = None) -> Field:
         grid = grid if grid is not None else self.grid
-        use = self.seed if seed is None else seed
         vals = initial_values_at(spec, grid.points(), self.model.a, self.model.b,
-                                 self.model.d, seed=use)
+                                 self.model.d, seed=self.seed)
         return Field(grid, vals, 0.0)
 
 

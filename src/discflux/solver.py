@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flux import PiecewiseFlux, derivative_coeffs, horner, rows_sum
+from .flux import PiecewiseFlux, derivative_coeffs, horner, rows_sum, sign_changes
 from .geometry import Box
 
 CFL_SPEED_FLOOR = 1e-12
@@ -208,26 +208,6 @@ def _axslice(ndim, axis, sl):
     return tuple(out)
 
 
-def _sign_changes(c: np.ndarray, a: float, b: float) -> np.ndarray:
-    """States in [a, b] where each row of polynomials c (ascending) changes
-    sign, NaN padded.  Between the sign changes of its derivative a row is
-    monotone, so each such piece holds at most one; it is bisected to full
-    precision."""
-    n, k = c.shape
-    if k < 2:
-        return np.empty((n, 0))
-    inner = _sign_changes(c[:, 1:] * np.arange(1, k), a, b)
-    knots = np.nan_to_num(np.sort(np.hstack([np.full((n, 1), a), inner, np.full((n, 1), b)])), nan=b)
-    lo, hi = knots[:, :-1], knots[:, 1:]
-    rows = [c[:, j, None] for j in range(k)]
-    found = horner(lo, rows) * horner(hi, rows) <= 0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        right = horner(mid, rows) * horner(lo, rows) > 0
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    return np.where(found, lo, np.nan)
-
-
 class _Faces:
     """Smoothed flux F = sum over sides and their terms of w * (factor * P)
     of one axis on the interior faces, as the rows (coeffs, factors) of
@@ -257,7 +237,7 @@ class _Faces:
                 lambda c: np.pad(derivative_coeffs(c), (0, width - len(derivative_coeffs(c)))).reshape(column),
             ), (width,) + shape)
             table, inverse = np.unique(dF.reshape(width, -1).T, axis=0, return_inverse=True)
-            states = _sign_changes(table[:, 1:] * np.arange(1, width), model.a, model.b)[inverse.ravel()]
+            states = sign_changes(table[:, 1:] * np.arange(1, width), model.a, model.b)[inverse.ravel()]
             for col in states.T:
                 if not np.isnan(col).all():
                     col = col.reshape(shape)

@@ -201,7 +201,7 @@ def test_criterion_6_cone_locality(burgers_model):
     base = dx.Field(grid, _quartic_bump(pts, (0.0,), 0.1, 0.25, 0.5), 0.0)
     config = dx.RunConfig(flux=burgers_model, epsilon=1e-3, final_time=0.15,
                           boundary=0.25, output_times=tuple(np.linspace(0.0, 0.15, 16)))
-    cone = dx.Cone((0.0,), 0.25, dx.speed_bound(burgers_model, 0.25, 1.0).value)
+    cone = dx.Cone((0.0,), 0.25, dx.speed_bound(burgers_model, dx.Box((-0.25,), (0.25,))))
     ref = dx.run(base, config)
 
     x = pts[..., 0]
@@ -304,8 +304,9 @@ def test_criterion_9_speed_bound_and_growth():
     oracle_burgers = float(g_single.max())
     oracle_two = float(np.sqrt(g_single ** 2 + g_double ** 2).max())
 
-    n_burgers = dx.speed_bound(dx.preset("burgers"), 1.0, 1.0).value
-    n_two = dx.speed_bound(dx.preset("two_flux"), 1.0, 1.0).value
+    unit = dx.Box((-1.0,), (1.0,))
+    n_burgers = dx.speed_bound(dx.preset("burgers"), unit)
+    n_two = dx.speed_bound(dx.preset("two_flux"), unit)
     speeds_ok = abs(n_burgers - oracle_burgers) <= 1e-6 \
         and abs(n_two - oracle_two) <= 1e-6 \
         and abs(oracle_burgers - 1.0) <= 1e-9 \
@@ -318,8 +319,10 @@ def test_criterion_9_speed_bound_and_growth():
         d = model.d
         center = np.zeros(d)
         radius = 0.6
-        speed = dx.speed_bound(model, radius, 1.0).value
-        growth_c = dx.mixed_derivative_bound(model, radius, 1.0).value
+        # the cube about the cone's base ball
+        base_box = dx.Box((-radius,) * d, (radius,) * d)
+        speed = dx.speed_bound(model, base_box)
+        growth_c = dx.mixed_derivative_bound(model, base_box)
         final_time = 0.15 if d == 1 else 0.06
         assert radius - speed * final_time > 0.05
 

@@ -3,13 +3,14 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import discflux as dx
 from conftest import CURVED_MODULATED_SPEC
 from discflux.flux import poly_component
 from discflux.geometry import (
-    ball_sample,
     flattened_box,
     halton,
     project_to_ball,
@@ -124,6 +125,15 @@ def test_transformed_flux_quadratic_zeta_matches_symbolic_oracle():
     np.testing.assert_allclose(comp.lambda_derivative(pts, lam), fd, atol=1e-7)
 
 
+def test_flatten_model_keeps_a_flat_model():
+    # flattening an already flat model would append each tangential
+    # component's terms again, with -0.0 factors
+    flat = dx.flatten_model(dx.preset("tilted_2d"))
+    assert flat.interface.flat and not dx.preset("tilted_2d").interface.flat
+    assert dx.flatten_model(flat) is flat
+    assert len(dx.flatten_model(flat).left[0].terms(np.zeros((1, 2)))) == 2
+
+
 def test_flatten_model_kills_interface_offset():
     model = dx.preset("tilted_2d")
     flat = dx.flatten_model(model)
@@ -152,10 +162,22 @@ def _smooth_field(x):
     return np.sin(pts[..., 0]) + 0.5 * np.cos(2.0 * pts[..., 1])
 
 
+def _ball_points(center, radius, n, seed):
+    """n points of the closed ball B(center, radius): the center, the sphere
+    points on the axes, then uniform draws."""
+    c = np.asarray(center, dtype=float)
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n, c.size))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    pts = c + dirs * radius * rng.uniform(size=(n, 1)) ** (1.0 / c.size)
+    fixed = np.concatenate([c[None], c + radius * np.eye(c.size), c - radius * np.eye(c.size)])
+    return np.concatenate([fixed, pts])[:n]
+
+
 def test_radial_extend_identity_inside():
     center = np.array([0.3, -0.2])
     ext = dx.radial_extend(_smooth_field, center, 0.8)
-    pts = ball_sample(center, 0.79, 100)
+    pts = _ball_points(center, 0.79, 100, seed=3)
     np.testing.assert_array_equal(ext(pts), _smooth_field(pts))
 
 
@@ -186,7 +208,7 @@ def test_radial_extend_lipschitz_not_inflated():
     R = 0.8
 
     # oracle first: gradient max of the field over a dense sample of the ball
-    pts = ball_sample(center, R, 4000)
+    pts = _ball_points(center, R, 4000, seed=5)
     grad_norm = np.sqrt(np.cos(pts[..., 0]) ** 2 + np.sin(2.0 * pts[..., 1]) ** 2)
     lip_ball = float(grad_norm.max())
 
@@ -275,8 +297,8 @@ def test_speed_bound_burgers_dense_oracle(burgers_model):
     oracle = float(np.abs(1.0 - 2.0 * lam).max())
     assert oracle == 1.0
 
-    bound = dx.speed_bound(burgers_model, radius=1.0, state_bound=2.0)
-    np.testing.assert_allclose(bound.value, oracle, atol=1e-12)
+    bound = dx.speed_bound(burgers_model, dx.Box((-1.0,), (1.0,)))
+    np.testing.assert_allclose(bound, oracle, atol=1e-12)
 
 
 def test_speed_bound_two_flux_stacked_norm(two_flux_model):
@@ -286,55 +308,178 @@ def test_speed_bound_two_flux_stacked_norm(two_flux_model):
     oracle = float(stacked.max())
     np.testing.assert_allclose(oracle, np.sqrt(5.0), atol=1e-12)
 
-    bound = dx.speed_bound(two_flux_model, radius=1.0, state_bound=2.0)
-    np.testing.assert_allclose(bound.value, np.sqrt(5.0), atol=1e-12)
+    bound = dx.speed_bound(two_flux_model, dx.Box((-1.0,), (1.0,)))
+    np.testing.assert_allclose(bound, np.sqrt(5.0), atol=1e-12)
 
 
 def test_speed_bound_scales_homogeneously():
     c = 3.7
     base = _model_2d([0.0, 1.0, -1.0], [0.0, 0.0, 0.3], dx.Interface.zero(0, 2))
     scaled = _model_2d([0.0, c, -c], [0.0, 0.0, 0.3 * c], dx.Interface.zero(0, 2))
-    nb = dx.speed_bound(base, 1.0, 2.0, n_lambda=501).value
-    ns = dx.speed_bound(scaled, 1.0, 2.0, n_lambda=501).value
+    nb = dx.speed_bound(base, base.domain)
+    ns = dx.speed_bound(scaled, scaled.domain)
     np.testing.assert_allclose(ns, c * nb, rtol=1e-12)
 
 
 def test_speed_bound_monotone_in_state_bound():
-    model = dx.PiecewiseFlux(
-        d=1,
-        left=(poly_component(0, [0.0, 0.0, 0.5]),),
-        right=(poly_component(0, [0.0, 0.0, 0.5]),),
-        interface=None,
-        a=0.0,
-        b=1.0,
-        domain=dx.Box((-1.0,), (1.0,)),
-    )
-    n_small = dx.speed_bound(model, 1.0, 0.3).value
-    n_large = dx.speed_bound(model, 1.0, 0.8).value
+    def model(b):
+        return dx.PiecewiseFlux(
+            d=1,
+            left=(poly_component(0, [0.0, 0.0, 0.5]),),
+            right=(poly_component(0, [0.0, 0.0, 0.5]),),
+            interface=None,
+            a=0.0,
+            b=b,
+            domain=dx.Box((-1.0,), (1.0,)),
+        )
+
+    n_small = dx.speed_bound(model(0.3), dx.Box((-1.0,), (1.0,)))
+    n_large = dx.speed_bound(model(0.8), dx.Box((-1.0,), (1.0,)))
     np.testing.assert_allclose(n_small, 0.3, atol=1e-12)
     np.testing.assert_allclose(n_large, 0.8, atol=1e-12)
     assert n_small <= n_large
 
 
-def test_speed_bound_empty_state_sample_raises():
-    model = dx.PiecewiseFlux(
-        d=1,
-        left=(poly_component(0, [0.0, 1.0]),),
-        right=(poly_component(0, [0.0, 1.0]),),
-        interface=None,
-        a=2.0,
-        b=3.0,
-        domain=dx.Box((-1.0,), (1.0,)),
-    )
-    with pytest.raises(ValueError, match="empty"):
-        dx.speed_bound(model, 1.0, 1.0)
-
-
 def test_mixed_derivative_bound_reads_spatial_modulation():
     x_ramp = dx.preset("x_ramp")
-    np.testing.assert_allclose(dx.mixed_derivative_bound(x_ramp, 1.0, 2.0).value, 0.3, atol=1e-12)
+    box = dx.Box((-1.0,), (1.0,))
+    np.testing.assert_allclose(dx.mixed_derivative_bound(x_ramp, box), 0.3, atol=1e-12)
     burgers = dx.preset("burgers")
-    np.testing.assert_allclose(dx.mixed_derivative_bound(burgers, 1.0, 2.0).value, 0.0, atol=1e-12)
+    np.testing.assert_allclose(dx.mixed_derivative_bound(burgers, box), 0.0, atol=1e-12)
+
+
+N_STATES = 401
+# both sides evaluate the same polynomials in double precision, the bound at
+# a bisected critical state and the oracle at a state next to it
+ROUNDING = 1e-12
+
+
+def _box_grid(box, n):
+    axes = [np.linspace(lo, hi, n) for lo, hi in zip(box.lows, box.highs)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.d)
+
+
+def _distinct_components(model, xs, lam):
+    """The side components, those with equal lambda derivatives at every
+    (x, lam) of the grid taken once."""
+    out, seen = [], []
+    for comp in model.left + model.right:
+        g = np.asarray(comp.lambda_derivative(xs[:, None, :], lam[None, :]), dtype=float)
+        g = np.broadcast_to(g, (xs.shape[0], lam.size))
+        if not any(comp.axis == k and np.array_equal(g, h) for k, h in seen):
+            seen.append((comp.axis, g))
+            out.append(comp)
+    return out
+
+
+def _dense_max(norm, xs, a, b):
+    """max of norm(x, lam) (arrays (m, 1, d) and (m, L)) over the points xs
+    and lam in [a, b]: N_STATES states per point, then three zooms onto each
+    local max in lam."""
+    lam = np.linspace(a, b, N_STATES)
+    v = norm(xs[:, None, :], np.broadcast_to(lam, (xs.shape[0], N_STATES)))
+    best = float(v.max())
+    left = np.concatenate([np.ones((v.shape[0], 1), bool), v[:, 1:] > v[:, :-1]], axis=1)
+    right = np.concatenate([v[:, :-1] >= v[:, 1:], np.ones((v.shape[0], 1), bool)], axis=1)
+    rows, cols = np.nonzero(left & right)
+    lo, hi = lam[np.maximum(cols - 1, 0)], lam[np.minimum(cols + 1, N_STATES - 1)]
+    for _ in range(3):
+        z = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, N_STATES)
+        w = norm(xs[rows][:, None, :], z)
+        j = w.argmax(axis=1)
+        best = max(best, float(w.max()))
+        pick = np.arange(len(rows))
+        lo, hi = z[pick, np.maximum(j - 1, 0)], z[pick, np.minimum(j + 1, N_STATES - 1)]
+    return best
+
+
+def _dense_bounds(model, box, n_x):
+    """Dense (speed, mixed) maxima of the stacked norms over the box and
+    [a, b]; the mixed derivative is a difference quotient, exact for the
+    affine factors of a flux spec."""
+    xs = _box_grid(box, n_x)
+    comps = _distinct_components(model, xs, np.linspace(model.a, model.b, N_STATES))
+    h = 0.25
+
+    def speed(x, lam):
+        return np.sqrt(sum(np.broadcast_to(c.lambda_derivative(x, lam), lam.shape) ** 2 for c in comps))
+
+    def mixed(x, lam):
+        total = 0.0
+        for c in comps:
+            e = h * np.eye(model.d)[c.axis]
+            total = total + ((c.lambda_derivative(x + e, lam) - c.lambda_derivative(x - e, lam)) / (2 * h)) ** 2
+        return np.sqrt(np.broadcast_to(total, lam.shape))
+
+    return _dense_max(speed, xs, model.a, model.b), _dense_max(mixed, xs, model.a, model.b)
+
+
+def _assert_certified(model, box, n_x):
+    speed, mixed = _dense_bounds(model, box, n_x)
+    assert dx.speed_bound(model, box) >= speed - ROUNDING * (1.0 + speed)
+    assert dx.mixed_derivative_bound(model, box) >= mixed - ROUNDING * (1.0 + mixed)
+
+
+_coeff = st.floats(-2.0, 2.0, allow_nan=False)
+_component = st.tuples(
+    st.lists(_coeff, min_size=1, max_size=4),  # q, so f = (u - a)(u - b) q has degree 2..5
+    st.none() | st.lists(_coeff, min_size=3, max_size=3),  # affine modulation m0 + m . x
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    a=st.floats(-1.0, 0.5),
+    width=st.floats(0.5, 2.0),
+    left=st.lists(_component, min_size=2, max_size=2),
+    right=st.none() | st.lists(_component, min_size=2, max_size=2),
+    slope=st.none() | st.floats(-0.8, 0.8),
+    lows=st.lists(st.floats(-2.0, 1.0), min_size=2, max_size=2),
+    widths=st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2),
+)
+def test_speed_bounds_dominate_the_dense_box_state_max(d, a, width, left, right, slope, lows, widths):
+    b = a + width
+    root_factor = np.polynomial.polynomial.polyfromroots([a, b])
+
+    def family(side):
+        out = []
+        for q, m in side[:d]:
+            comp = {"poly_lambda": np.polynomial.polynomial.polymul(root_factor, q).tolist()}
+            if m is not None:
+                comp.update({"x_modulation": "affine", "x_modulation_coeffs": m[: d + 1]})
+            out.append(comp)
+        return out
+
+    box = dx.Box(tuple(lows[:d]), tuple(lo + w for lo, w in zip(lows, widths[:d])))
+    interface = None
+    if right is not None:
+        coeffs = [0.0] if d == 1 else [0.1, 0.0 if slope is None else slope]
+        interface = {"axis": 1, "zeta": {"kind": "affine", "coeffs": coeffs}}
+    model = dx.flux_from_spec({"d": d, "a": a, "b": b, "interface": interface,
+                               "left": family(left), "right": None if right is None else family(right)},
+                              domain=box)
+    _assert_certified(model, box, 33 if d == 1 else 9)
+    if d == 2 and interface is not None:
+        # the flattened normal flux has a term per component, factors -zeta' m
+        flat = dx.flatten_model(model)
+        _assert_certified(flat, flat.domain, 9)
+
+
+def test_speed_bound_certified_where_the_ball_sample_was_not():
+    # a 2d inline flux whose stacked norm peaks at a box corner at lam = 0:
+    # the sampled ball x lambda-grid gave 1.7832, below the dense 1.8200
+    model = dx.flux_from_spec({
+        "d": 2, "a": 0.0, "b": 1.0, "interface": None, "right": None,
+        "left": [{"poly_lambda": [0.0, 1.0, -1.0], "x_modulation": "affine", "x_modulation_coeffs": [1.0, 0.3, 0.4]},
+                 {"poly_lambda": [0.0, 0.5, -0.5], "x_modulation": "affine", "x_modulation_coeffs": [1.0, -0.2, 0.5]}],
+    })
+    box = dx.Box((-1.0, -1.0), (1.0, 1.0))
+    speed, _ = _dense_bounds(model, box, 41)
+    assert round(speed, 4) == 1.8200
+    bound = dx.speed_bound(model, box)
+    assert bound >= speed
+    np.testing.assert_allclose(bound, np.hypot(1.7 * 1.0, 1.7 * 0.5), rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +520,7 @@ def test_halton_matches_scipy_bit_for_bit():
             first, more = sampler.random(n), sampler.random(n + 5)
             assert_array_equal(halton(n, d).view(np.int64), first.view(np.int64))
             # a second draw continues the sequence
-            assert_array_equal(halton(n + 5, d, start=n).view(np.int64), more.view(np.int64))
+            assert_array_equal(halton(2 * n + 5, d)[n:].view(np.int64), more.view(np.int64))
 
 
 def test_samplers_match_their_scipy_form():
@@ -384,10 +529,3 @@ def test_samplers_match_their_scipy_form():
     box = dx.Box((-1.0, 0.5), (2.0, 0.75))
     expected = np.asarray(box.lows) + qmc.Halton(d=2, scramble=False).random(300) * box.widths
     assert_array_equal(box.sample(300).view(np.int64), expected.view(np.int64))
-    # the ball's rejection loop draws batches from one sequence
-    center, radius, n = np.array([0.2, -0.1, 0.4]), 0.3, 200
-    sampler, pts = qmc.Halton(d=3, scramble=False), list(ball_sample(center, radius, 7))
-    while len(pts) < n:
-        cand = (2.0 * sampler.random(max(2 * (n - len(pts)), 8)) - 1.0) * radius
-        pts.extend(center + p for p in cand[np.linalg.norm(cand, axis=-1) <= radius][: n - len(pts)])
-    assert_array_equal(ball_sample(center, radius, n).view(np.int64), np.stack(pts).view(np.int64))

@@ -351,15 +351,18 @@ def test_cli_runtime_error_exits_one(tmp_path, capsys):
         main(["germ", path, "--out", str(tmp_path / "out"), "--debug"])
 
 
-@pytest.mark.parametrize("d, zeta", [
-    (1, {"kind": "poly", "coeffs": [0.1, 0.5]}),  # only the constant would act in d = 1
-    (1, {"kind": "zero", "coeffs": [0.4]}),
-    (2, {"kind": "poly", "coeffs": []}),
-], ids=["poly-1d-two-coeffs", "zero-nonzero-coeff", "poly-2d-empty"])
-def test_cli_refuses_ignored_interface_coefficients(tmp_path, capsys, d, zeta):
+@pytest.mark.parametrize("d, zeta, right", [
+    (1, {"kind": "poly", "coeffs": [0.1, 0.5]}, None),  # only the constant would act in d = 1
+    (1, {"kind": "zero", "coeffs": [0.4]}, None),
+    (2, {"kind": "poly", "coeffs": []}, None),
+    # without an interface (zeta None) a right family distinct from the left one never acts
+    (1, None, [{"poly_lambda": [0.0, 2.0, -2.0]}]),
+], ids=["poly-1d-two-coeffs", "zero-nonzero-coeff", "poly-2d-empty", "jump-free-distinct-right"])
+def test_cli_refuses_ignored_interface_coefficients(tmp_path, capsys, d, zeta, right):
     component = {"poly_lambda": [0.0, 1.0, -1.0]}
-    doc = _run_doc(flux={"d": d, "a": 0.0, "b": 1.0, "interface": {"axis": 1, "zeta": zeta},
-                         "left": [component] * d, "right": None},
+    interface = None if zeta is None else {"axis": 1, "zeta": zeta}
+    doc = _run_doc(flux={"d": d, "a": 0.0, "b": 1.0, "interface": interface,
+                         "left": [component] * d, "right": right},
                    grid={"counts": [16] * d}, initial={"kind": "constant", "value": 0.3})
     del doc["domain"]
     doc["run"] = {"epsilon": 0.05, "final_time": 0.01, "boundary": 0.0}
