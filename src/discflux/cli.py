@@ -19,6 +19,7 @@ import numpy as np
 from . import germ as germ_mod
 from . import storage
 from .entropy import (
+    bump_battery,
     cone_locality_check,
     entropy_battery,
     interface_trace,
@@ -124,13 +125,9 @@ def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     flat_center = itf.flatten(center)
     ext = radial_extend_model(flat, flat_center, sc.chart["radius"])
 
-    from .scenario import initial_values_at
-
     grid = sc.grid
     flat_grid = Grid(flat.domain.lows, flat.domain.highs, grid.counts)
-    vals = initial_values_at(sc.initial, itf.unflatten(flat_grid.points()), model.a, model.b,
-                             model.d, seed=sc.seed)
-    u0_flat = Field(flat_grid, vals, 0.0)
+    u0_flat = Field(flat_grid, sc.values_at(sc.initial, itf.unflatten(flat_grid.points())), 0.0)
     config_flat = dataclasses.replace(sc.config, flux=ext)
     traj_flat = clock("solve_s", run, u0_flat, config_flat)
     clock.write(storage.write_trajectory_csv, os.path.join(out, "flattened_trajectory.csv"), traj_flat)
@@ -161,11 +158,6 @@ def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
 def _exec_entropy(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     checks: list = []
     artifacts: dict = {}
-    transformed = bool(sc.study.get("transformed", False))
-    if transformed and sc.model.interface is not None and not sc.model.interface.flat:
-        raise RuntimeError(
-            "transformed residuals on a curved interface need the charted run pipeline"
-        )
     traj = clock("solve_s", run, sc.initial_field(), sc.config)
     clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory.csv"), traj)
     artifacts["trajectory"] = "trajectory.csv"
@@ -173,11 +165,9 @@ def _exec_entropy(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
 
     phis = None
     if "bumps" in sc.study:
-        from .entropy import bump_battery
-
         phis = bump_battery(traj.grid.box, traj.times[-1], count=int(sc.study["bumps"]))
     report = clock("verify_s", entropy_battery, traj, sc.model, phis=phis,
-                   tol_factor=sc.study.get("tol_factor", 1e-3), transformed=transformed)
+                   tol_factor=sc.study.get("tol_factor", 1e-3))
     clock("io_s", storage.write_manifest, os.path.join(out, "entropy_report.json"), report.to_json())
     artifacts["entropy_report"] = "entropy_report.json"
     _battery_check(checks, report, "entropy_battery")
@@ -199,8 +189,6 @@ def _exec_kato(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
 
     phis = None
     if "bumps" in sc.study:
-        from .entropy import bump_battery
-
         phis = bump_battery(traj_a.grid.box, traj_a.times[-1], count=int(sc.study["bumps"]))
     report = clock("verify_s", kato_battery, traj_a, traj_b, sc.model, phis=phis,
                    tol_factor=sc.study.get("tol_factor", 1e-3))
@@ -216,17 +204,12 @@ def _exec_cone(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     artifacts: dict = {}
     model = sc.model
     u0 = sc.initial_field()
-    from .scenario import initial_values_at
-
-    pert = initial_values_at(sc.study["perturbation"], sc.grid.points(), model.a, model.b,
-                             model.d, seed=sc.seed)
+    pert = sc.values_at(sc.study["perturbation"], sc.grid.points())
     perturbed = np.clip(u0.values + pert, model.a, model.b)
     u0_b = Field(sc.grid, perturbed, 0.0)
 
     cone_spec = sc.study["cone"]
     center = np.asarray(cone_spec["center"], dtype=float)
-    if center.shape != (model.d,):
-        raise RuntimeError(f"cone center needs {model.d} coordinates")
     cone = Cone(tuple(float(v) for v in center), float(cone_spec["radius"]), speed_bound(model, model.domain))
 
     dist = np.linalg.norm(sc.grid.points() - center, axis=-1)
@@ -263,9 +246,7 @@ def _exec_converge(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     budget = int(sc.study.get("cell_budget", args.cell_budget))
 
     def u0_fn(pts):
-        from .scenario import initial_values_at
-
-        return initial_values_at(sc.initial, pts, model.a, model.b, model.d, seed=sc.seed)
+        return sc.values_at(sc.initial, pts)
 
     boundary = sc.config.boundary
     record = clock("solve_s", germ_mod.run_sequence, u0_fn, epsilons, model, model.domain,

@@ -1,7 +1,7 @@
 """Admissibility verification: interface traces, Kruzhkov-type entropy
-residuals (with the interface jump term), the transformed-coordinate variant,
-the Kato inequality for solution pairs, L1 contraction and cone-of-dependence
-checks.
+residuals (with the interface jump term; a flattened model gives them in
+transformed coordinates), the Kato inequality for solution pairs, L1
+contraction and cone-of-dependence checks.
 
 All residuals are evaluated as space-time quadratures over recorded
 trajectories: midpoint rule in space (cell centers), trapezoid in time.  A
@@ -465,15 +465,14 @@ def _assemble_report(rows: list[EntropyEntry]) -> EntropyReport:
 def entropy_battery(trajectory: Trajectory, model: PiecewiseFlux,
                     lambdas: Sequence[float] | None = None,
                     phis: Sequence[TestFunction] | None = None,
-                    tol_factor: float = 1e-3,
-                    transformed: bool = False) -> EntropyReport:
+                    tol_factor: float = 1e-3) -> EntropyReport:
     """Evaluate the admissibility residual over the full battery.
 
     tol per pair = tol_factor * ||phi||_C1 * |domain| (Design note: scaling
-    with the test function bars tiny bumps from passing trivially).
+    with the test function bars tiny bumps from passing trivially).  Pass
+    flatten_model(model) for the residuals in flattened coordinates.
     """
-    work_model = flatten_model(model) if transformed else model
-    ws = ResidualWorkspace(trajectory, work_model)
+    ws = ResidualWorkspace(trajectory, model)
     box = trajectory.grid.box
     if lambdas is None:
         lambdas = lambda_battery(model.a, model.b)

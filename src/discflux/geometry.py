@@ -7,7 +7,7 @@ subtracts zeta so the interface becomes the hyperplane {x_j = 0}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -94,7 +94,9 @@ def halton(n: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Interface:
-    """Graph interface x_j = zeta(x_hat).
+    """Graph interface x_j = zeta(x_hat) with zeta the polynomial
+    sum_k coeffs[k] s^k of the one tangential coordinate s in d = 2, the
+    constant coeffs[0] in d = 1.
 
     axis is 0-based internally; the JSON form uses 1-based axes.  zeta and
     zeta_gradient act on tangential points of shape (..., d-1).
@@ -102,9 +104,23 @@ class Interface:
 
     axis: int
     d: int
-    zeta: Callable[[np.ndarray], np.ndarray]
-    zeta_gradient: Callable[[np.ndarray], np.ndarray]
-    spec: dict | None = None
+    coeffs: tuple[float, ...]
+
+    def zeta(self, xh) -> np.ndarray:
+        from .flux import horner
+
+        xh = np.asarray(xh, dtype=float)
+        if self.d == 1:
+            return np.full(xh.shape[:-1], self.coeffs[0])
+        return horner(xh[..., 0], self.coeffs)
+
+    def zeta_gradient(self, xh) -> np.ndarray:
+        from .flux import derivative_coeffs, horner
+
+        xh = np.asarray(xh, dtype=float)
+        if self.d == 1:
+            return np.zeros(xh.shape[:-1] + (0,))
+        return horner(xh[..., 0], derivative_coeffs(self.coeffs))[..., None]
 
     def tangential(self, x) -> np.ndarray:
         pts = as_points(x, self.d)
@@ -131,83 +147,35 @@ class Interface:
 
     @property
     def flat(self) -> bool:
-        """zeta is identically 0 by its spec, so the interface is {x_j = 0}."""
-        return self.spec is not None and all(v == 0.0 for v in self.spec["coeffs"])
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(axis: int, d: int) -> "Interface":
-        return Interface.affine(axis, d, [0.0] * d)
-
-    @staticmethod
-    def affine(axis: int, d: int, coeffs: Sequence[float]) -> "Interface":
-        """zeta(x_hat) = coeffs[0] + sum coeffs[1 + m] * x_hat[m]."""
-        c = tuple(float(v) for v in coeffs)
-        if len(c) != d:
-            raise ValueError(f"affine interface in d={d} needs {d} coefficients, got {len(c)}")
-        c0 = c[0]
-        grad = np.asarray(c[1:], dtype=float)
-
-        def zeta(xh: np.ndarray) -> np.ndarray:
-            return c0 + xh @ grad if grad.size else np.full(xh.shape[:-1], c0)
-
-        def zeta_grad(xh: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(grad, xh.shape[:-1] + (d - 1,))
-
-        kind = "zero" if all(v == 0.0 for v in c) else "affine"
-        spec = {"kind": kind, "coeffs": list(c)}
-        return Interface(axis=axis, d=d, zeta=zeta, zeta_gradient=zeta_grad, spec=spec)
-
-    @staticmethod
-    def polynomial(axis: int, d: int, coeffs: Sequence[float]) -> "Interface":
-        """Single-variable polynomial zeta, for d = 2 (or a constant in d = 1)."""
-        if d > 2:
-            raise ValueError("polynomial interfaces are supported for d <= 2 only")
-        c = np.asarray([float(v) for v in coeffs])
-        if c.size == 0 or (d == 1 and c.size > 1):
-            raise ValueError(f"polynomial interface in d={d} needs {'one' if d == 1 else 'at least one'} "
-                             f"coefficient, got {c.size}")
-        dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-
-        def zeta(xh: np.ndarray) -> np.ndarray:
-            if xh.shape[-1] == 0:
-                return np.full(xh.shape[:-1], c[0])
-            return np.polynomial.polynomial.polyval(xh[..., 0], c)
-
-        def zeta_grad(xh: np.ndarray) -> np.ndarray:
-            if xh.shape[-1] == 0:
-                return np.zeros(xh.shape[:-1] + (0,))
-            g = np.polynomial.polynomial.polyval(xh[..., 0], dc)
-            return g[..., None]
-
-        spec = {"kind": "poly", "coeffs": [float(v) for v in c]}
-        return Interface(axis=axis, d=d, zeta=zeta, zeta_gradient=zeta_grad, spec=spec)
-
-    # -- JSON form ---------------------------------------------------------
+        """zeta is identically 0, so the interface is {x_j = 0}."""
+        return not any(self.coeffs)
 
     @staticmethod
     def from_spec(spec: dict, d: int) -> "Interface":
-        """Build from {"axis": 1-based int, "zeta": {"kind": ..., "coeffs": [...]}}."""
+        """Build from {"axis": 1-based int, "zeta": {"kind": ..., "coeffs": [...]}}.
+        Kind "zero" takes no nonzero coefficient, "affine" exactly d (zeta =
+        c0 + c1 s), "poly" (d <= 2) one in d = 1 and at least one in d = 2."""
         axis1 = spec["axis"]
         if not (1 <= axis1 <= d):
             raise ValueError(f"interface axis {axis1} outside 1..{d}")
-        axis = axis1 - 1
-        z = spec["zeta"]
-        kind = z["kind"]
-        coeffs = z.get("coeffs", [])
+        kind = spec["zeta"]["kind"]
+        c = tuple(float(v) for v in spec["zeta"].get("coeffs", []))
         if kind == "zero":
-            if any(coeffs):
-                raise ValueError(f"zero interface with nonzero coefficients {coeffs}")
-            return Interface.zero(axis, d)
-        if kind == "affine":
-            return Interface.affine(axis, d, coeffs)
-        if kind == "poly":
-            return Interface.polynomial(axis, d, coeffs)
-        raise ValueError(f"unknown zeta kind {kind!r}")
-
-    def to_spec(self) -> dict:
-        return {"axis": self.axis + 1, "zeta": dict(self.spec or {"kind": "zero", "coeffs": []})}
+            if any(c):
+                raise ValueError(f"zero interface with nonzero coefficients {list(c)}")
+            c = (0.0,)
+        elif kind == "affine":
+            if len(c) != d:
+                raise ValueError(f"affine interface in d={d} needs {d} coefficients, got {len(c)}")
+        elif kind == "poly":
+            if d > 2:
+                raise ValueError("polynomial interfaces are supported for d <= 2 only")
+            if not c or (d == 1 and len(c) > 1):
+                raise ValueError(f"polynomial interface in d={d} needs {'one' if d == 1 else 'at least one'} "
+                                 f"coefficient, got {len(c)}")
+        else:
+            raise ValueError(f"unknown zeta kind {kind!r}")
+        return Interface(axis1 - 1, d, c)
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +240,20 @@ def transformed_normal_flux(model, interface: Interface, side: str):
     return FluxComponent(j, terms)
 
 
-FLATTENED_BOX_POINTS = 512  # sampled points of flattened_box besides the corners
-
-
 def flattened_box(box: Box, interface: Interface) -> Box:
-    """A box covering the image of `box` under the flattening map: the
-    interface's range over the corners and FLATTENED_BOX_POINTS sampled
-    points."""
+    """The smallest box covering the image of `box` under the flattening
+    map: the normal extent less the range of zeta over the tangential
+    extent, which zeta takes at the box corners or at the sign changes of
+    zeta' between them (flux.sign_changes)."""
+    from .flux import derivative_coeffs, sign_changes
+
+    xh = interface.tangential(box.corners.reshape(-1, box.d))
+    if box.d == 2:
+        (k,) = interface.tangential_axes
+        crit = sign_changes(np.asarray([derivative_coeffs(interface.coeffs)]), box.lows[k], box.highs[k])
+        xh = np.concatenate([xh, crit[~np.isnan(crit)][:, None]])
+    z = interface.zeta(xh)
     j = interface.axis
-    if box.d == 1:
-        z = float(interface.zeta(np.zeros((1, 0)))[0])
-        lows, highs = list(box.lows), list(box.highs)
-        lows[j] -= z
-        highs[j] -= z
-        return Box(tuple(lows), tuple(highs))
-    pts = np.concatenate([box.sample(FLATTENED_BOX_POINTS), box.corners.reshape(-1, box.d)])
-    z = interface.zeta(np.delete(pts, j, axis=-1))
     lows, highs = list(box.lows), list(box.highs)
     lows[j] = float(lows[j] - z.max())
     highs[j] = float(highs[j] - z.min())
@@ -312,7 +278,7 @@ def flatten_model(model):
         d=model.d,
         left=tuple(left),
         right=tuple(right),
-        interface=Interface.zero(j, model.d),
+        interface=Interface(j, model.d, (0.0,)),
         a=model.a,
         b=model.b,
         domain=flattened_box(model.domain, itf),

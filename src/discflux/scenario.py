@@ -203,7 +203,6 @@ _STUDY_SCHEMAS = {
         "properties": {
             "tol_factor": _POSITIVE,
             "bumps": {"type": "integer", "minimum": 1},
-            "transformed": {"type": "boolean"},
         },
     },
     "kato-check": {
@@ -326,8 +325,8 @@ def builtin_scenario_names() -> tuple[str, ...]:
 
 
 def initial_values_at(spec: dict, pts, a: float, b: float, d: int, seed: int = 0) -> np.ndarray:
-    """Evaluate an initial-data spec at points of shape (..., d).  Values are
-    required to stay inside [a, b]."""
+    """Evaluate an initial-data spec, checked by validate_initial, at points
+    of shape (..., d).  Values are required to stay inside [a, b]."""
     pts = as_points(pts, d)
     kind = spec["kind"]
     if kind == "constant":
@@ -339,30 +338,18 @@ def initial_values_at(spec: dict, pts, a: float, b: float, d: int, seed: int = 0
     elif kind == "block":
         lows = np.asarray(spec["lows"], dtype=float)
         highs = np.asarray(spec["highs"], dtype=float)
-        if lows.shape != (d,) or highs.shape != (d,):
-            raise ScenarioError(f"/initial: block bounds must have length {d}")
         inside = np.all((pts >= lows) & (pts < highs), axis=-1)
         out = np.where(inside, float(spec["inside"]), float(spec["outside"]))
     elif kind == "bump":
         center = np.asarray(spec["center"], dtype=float)
-        if center.shape != (d,):
-            raise ScenarioError(f"/initial: bump center must have length {d}")
         r = np.linalg.norm(pts - center, axis=-1) / float(spec["radius"])
         profile = np.where(r < 1.0, (1.0 - np.minimum(r, 1.0) ** 2) ** 2, 0.0)
         out = float(spec["base"]) + float(spec["amplitude"]) * profile
     elif kind == "steps":
-        if d != 1:
-            raise ScenarioError("/initial: steps data is one-dimensional")
         breaks = np.asarray(spec["breakpoints"], dtype=float)
         values = np.asarray(spec["values"], dtype=float)
-        if values.size != breaks.size + 1:
-            raise ScenarioError("/initial: steps needs exactly one more value than breakpoints")
-        if (np.diff(breaks) <= 0).any():
-            raise ScenarioError("/initial: steps breakpoints must increase")
         out = values[np.searchsorted(breaks, pts[..., 0], side="right")]
     elif kind == "random_steps":
-        if d != 1:
-            raise ScenarioError("/initial: random_steps data is one-dimensional")
         pieces = int(spec["pieces"])
         rng = np.random.default_rng(int(spec.get("seed", seed)))
         values = rng.uniform(a, b, size=pieces)
@@ -380,9 +367,27 @@ def initial_values_at(spec: dict, pts, a: float, b: float, d: int, seed: int = 0
     return np.clip(out, a, b)
 
 
-def validate_initial(spec, prefix: str = "/initial"):
+def validate_initial(spec, d: int, prefix: str):
+    """Check an initial-data spec for a flux in d dimensions: its schema,
+    the lengths of block bounds and bump centres, the riemann axis, steps
+    kinds only in 1d, and the steps values and breakpoints.  Errors carry
+    `prefix`, the spec's JSON pointer."""
     _validate(spec, _INITIAL_ENVELOPE, prefix)
-    _validate(spec, _INITIAL_SCHEMAS[spec["kind"]], prefix)
+    kind = spec["kind"]
+    _validate(spec, _INITIAL_SCHEMAS[kind], prefix)
+    if kind == "block" and not len(spec["lows"]) == len(spec["highs"]) == d:
+        raise ScenarioError(f"{prefix}: block bounds must have length {d}")
+    if kind == "bump" and len(spec["center"]) != d:
+        raise ScenarioError(f"{prefix}: bump center must have length {d}")
+    if kind == "riemann" and spec.get("axis", 1) > d:
+        raise ScenarioError(f"{prefix}/axis: riemann axis {spec['axis']} outside 1..{d}")
+    if kind in ("steps", "random_steps") and d != 1:
+        raise ScenarioError(f"{prefix}: {kind} data is one-dimensional")
+    if kind == "steps":
+        if len(spec["values"]) != len(spec["breakpoints"]) + 1:
+            raise ScenarioError(f"{prefix}: steps needs exactly one more value than breakpoints")
+        if (np.diff(spec["breakpoints"]) <= 0).any():
+            raise ScenarioError(f"{prefix}: steps breakpoints must increase")
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +411,14 @@ class Scenario:
     def initial_field(self) -> Field:
         return self.field_from_spec(self.initial)
 
+    def values_at(self, spec: dict, points) -> np.ndarray:
+        """An initial-data spec at points (..., d), on the flux's state
+        interval and with the scenario's seed."""
+        return initial_values_at(spec, points, self.model.a, self.model.b, self.model.d, seed=self.seed)
+
     def field_from_spec(self, spec: dict, grid: Grid | None = None) -> Field:
         grid = grid if grid is not None else self.grid
-        vals = initial_values_at(spec, grid.points(), self.model.a, self.model.b,
-                                 self.model.d, seed=self.seed)
-        return Field(grid, vals, 0.0)
+        return Field(grid, self.values_at(spec, grid.points()), 0.0)
 
 
 def _boundary_from_json(value):
@@ -478,16 +486,18 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
     except ValueError as exc:
         raise ScenarioError(f"/run: {exc}") from None
 
-    validate_initial(raw["initial"])
+    validate_initial(raw["initial"], model.d, "/initial")
 
     study = raw.get("study", {})
     _validate(study, _STUDY_SCHEMAS[kind], "/study")
     if kind == "kato-check":
-        validate_initial(study["initial_b"], "/study/initial_b")
+        validate_initial(study["initial_b"], model.d, "/study/initial_b")
     if kind == "cone-check":
-        validate_initial(study["perturbation"], "/study/perturbation")
+        validate_initial(study["perturbation"], model.d, "/study/perturbation")
+        if len(study["cone"]["center"]) != model.d:
+            raise ScenarioError(f"/study/cone/center: expected {model.d} coordinates")
     if kind == "germ" and "solve_target" in study:
-        validate_initial(study["solve_target"], "/study/solve_target")
+        validate_initial(study["solve_target"], model.d, "/study/solve_target")
 
     chart = None
     if "chart" in raw:

@@ -75,10 +75,6 @@ class Grid:
         mesh = np.meshgrid(*coords, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def evaluate(self, fn) -> np.ndarray:
-        """Evaluate a callable of points on the cell centers."""
-        return np.asarray(fn(self.points()), dtype=float)
-
     def interpolate(self, values: np.ndarray, points) -> np.ndarray:
         """Multilinear interpolation of cell-center values, shape
         (..., *counts), at points (..., d), extrapolated linearly beyond the

@@ -146,8 +146,8 @@ def test_criterion_3_entropy_residuals(burgers_shock_traj, burgers_rarefaction_t
 
 def test_criterion_4_interface_admissibility(two_flux_model, fine_grid,
                                              two_flux_block_traj):
-    report = dx.entropy_battery(two_flux_block_traj, two_flux_model,
-                                tol_factor=1e-2, transformed=True)
+    report = dx.entropy_battery(two_flux_block_traj, dx.flatten_model(two_flux_model),
+                                tol_factor=1e-2)
 
     mins = []
     for eps in (4e-3, 2e-3, 1e-3):
@@ -158,8 +158,8 @@ def test_criterion_4_interface_admissibility(two_flux_model, fine_grid,
                                   boundary=0.0,
                                   output_times=tuple(np.linspace(0.0, 0.09, 129)))
             traj = dx.run(block_field(fine_grid, 0.1, 0.3, 1.0), config)
-        mins.append(dx.entropy_battery(traj, two_flux_model, tol_factor=1e-2,
-                                       transformed=True).min_residual)
+        mins.append(dx.entropy_battery(traj, dx.flatten_model(two_flux_model),
+                                       tol_factor=1e-2).min_residual)
 
     monotone = mins[0] < mins[1] < mins[2] < 0.0 or mins[2] >= 0.0
     _verdict(4, "interface admissibility", report.passed and monotone,

@@ -148,7 +148,7 @@ def test_trace_unresolved_interface_raises(two_flux_model, fine_grid):
 
 
 def test_trace_interface_near_boundary_raises(fine_grid):
-    itf = dx.Interface.affine(0, 1, [0.499])
+    itf = dx.Interface(0, 1, (0.499,))
     states = np.zeros((2,) + fine_grid.counts)
     traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"smoothing_width": 1e-2})
     with pytest.raises(ValueError, match="boundary"):
@@ -488,15 +488,14 @@ def _x_ramp_fixture(grid, phase_speed):
 @pytest.mark.parametrize("case", ["burgers_shock", "x_ramp", "two_flux_interface", "flattened_2d"])
 def test_entropy_battery_matches_per_pair_formula(case, request, fine_grid):
     if case == "burgers_shock":
-        model, traj, transformed = (request.getfixturevalue("burgers_model"),
-                                    request.getfixturevalue("burgers_shock_traj"), False)
+        model, traj = request.getfixturevalue("burgers_model"), request.getfixturevalue("burgers_shock_traj")
     elif case == "x_ramp":
-        model, traj, transformed = dx.preset("x_ramp"), _x_ramp_fixture(fine_grid, 1.0), False
+        model, traj = dx.preset("x_ramp"), _x_ramp_fixture(fine_grid, 1.0)
     elif case == "two_flux_interface":
-        model, traj, transformed = (request.getfixturevalue("two_flux_model"),
-                                    request.getfixturevalue("two_flux_block_traj"), True)
+        model, traj = request.getfixturevalue("two_flux_model"), request.getfixturevalue("two_flux_block_traj")
     else:
-        (model, traj), transformed = _flattened_2d_fixture(), True
+        model, traj = _flattened_2d_fixture()
+        model = dx.flatten_model(model)
     # a recorded interior state as lambda: sgn(u - lambda) is 0 on that cell
     nt = len(traj.times)
     recorded = float(traj.states.reshape(nt, -1)[nt // 2, traj.states[0].size // 2 + 3])
@@ -504,9 +503,8 @@ def test_entropy_battery_matches_per_pair_formula(case, request, fine_grid):
     lambdas = list(lambda_battery(model.a, model.b)) + [recorded]
     phis = bump_battery(traj.grid.box, traj.times[-1], count=4)
 
-    report = dx.entropy_battery(traj, model, lambdas=lambdas, phis=phis, transformed=transformed)
-    work_model = dx.flatten_model(model) if transformed else model
-    reference = [((float(lam), phi.label), _per_pair_kruzhkov(traj, work_model, float(lam), phi))
+    report = dx.entropy_battery(traj, model, lambdas=lambdas, phis=phis)
+    reference = [((float(lam), phi.label), _per_pair_kruzhkov(traj, model, float(lam), phi))
                  for phi in phis for lam in lambdas]
     _assert_same_battery(report, reference)
 

@@ -35,19 +35,19 @@ def _model_2d(f1_coeffs, f2_coeffs, interface):
 
 
 def test_flatten_zero_interface_is_identity():
-    itf = dx.Interface.zero(0, 2)
+    itf = dx.Interface(0, 2, (0.0,))
     pts = np.array([[0.3, -0.7], [1.0, 2.0]])
     np.testing.assert_array_equal(itf.flatten(pts), pts)
 
 
 def test_flatten_quadratic_interface_point():
-    itf = dx.Interface.polynomial(0, 2, [0.0, 0.0, 1.0])  # zeta(s) = s^2
+    itf = dx.Interface(0, 2, (0.0, 0.0, 1.0))  # zeta(s) = s^2
     out = itf.flatten(np.array([1.0, 2.0]))
     np.testing.assert_allclose(out, [-3.0, 2.0], atol=1e-15)
 
 
 def test_flatten_roundtrip_on_random_points():
-    itf = dx.Interface.polynomial(0, 2, [0.1, -0.4, 0.8])
+    itf = dx.Interface(0, 2, (0.1, -0.4, 0.8))
     rng = np.random.default_rng(2)
     pts = rng.uniform(-2.0, 2.0, (1000, 2))
     back = itf.unflatten(itf.flatten(pts))
@@ -55,7 +55,7 @@ def test_flatten_roundtrip_on_random_points():
 
 
 def test_zeta_gradient_crosschecks_central_differences():
-    itf = dx.Interface.polynomial(0, 2, [0.1, -0.4, 0.8])
+    itf = dx.Interface(0, 2, (0.1, -0.4, 0.8))
     rng = np.random.default_rng(4)
     xh = rng.uniform(-2.0, 2.0, (200, 1))
     h = 1e-6
@@ -67,8 +67,10 @@ def test_zeta_gradient_crosschecks_central_differences():
 def test_interface_spec_roundtrip():
     itf = dx.Interface.from_spec({"axis": 2, "zeta": {"kind": "affine", "coeffs": [0.1, 0.5]}}, d=2)
     assert itf.axis == 1
-    assert itf.to_spec()["axis"] == 2
-    again = dx.Interface.from_spec(itf.to_spec(), d=2)
+    assert itf == dx.Interface(1, 2, (0.1, 0.5))
+    # an affine zeta is the polynomial with the same coefficients
+    again = dx.Interface.from_spec({"axis": 2, "zeta": {"kind": "poly", "coeffs": [0.1, 0.5]}}, d=2)
+    assert again == itf
     pts = np.array([[0.2, 0.3], [-1.0, 0.7]])
     np.testing.assert_array_equal(again.flatten(pts), itf.flatten(pts))
 
@@ -80,9 +82,12 @@ def test_interface_rejects_out_of_range_axis():
 
 def test_zero_interface_specs_read_back():
     # with or without their zero coefficients (nonzero ones are refused)
-    for spec in ({"axis": 1, "zeta": {"kind": "zero", "coeffs": [0.0]}}, dx.Interface.zero(0, 1).to_spec(),
+    for spec in ({"axis": 1, "zeta": {"kind": "zero", "coeffs": [0.0]}},
+                 {"axis": 1, "zeta": {"kind": "zero", "coeffs": []}},
                  {"axis": 1, "zeta": {"kind": "zero"}}):
-        assert dx.Interface.from_spec(spec, d=1).spec == {"kind": "zero", "coeffs": [0.0]}
+        assert dx.Interface.from_spec(spec, d=1) == dx.Interface(0, 1, (0.0,))
+    with pytest.raises(ValueError, match="nonzero"):
+        dx.Interface.from_spec({"axis": 1, "zeta": {"kind": "zero", "coeffs": [0.4]}}, d=1)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +95,7 @@ def test_zero_interface_specs_read_back():
 
 
 def test_transformed_flux_constant_zeta_is_normal_component():
-    itf = dx.Interface.affine(0, 2, [0.7, 0.0])
+    itf = dx.Interface(0, 2, (0.7, 0.0))
     model = _model_2d([0.0, 1.0], [0.0, 0.0, 1.0], itf)
     comp = transformed_normal_flux(model, itf, "left")
     pts = np.array([[0.9, -0.3], [0.7, 1.4]])
@@ -100,7 +105,7 @@ def test_transformed_flux_constant_zeta_is_normal_component():
 
 def test_transformed_flux_unit_slope():
     # zeta(s) = s, f1 = lam, f2 = lam^2, so the normal flux becomes lam - lam^2
-    itf = dx.Interface.affine(0, 2, [0.0, 1.0])
+    itf = dx.Interface(0, 2, (0.0, 1.0))
     model = _model_2d([0.0, 1.0], [0.0, 0.0, 1.0], itf)
     comp = transformed_normal_flux(model, itf, "right")
     lam = np.linspace(0.0, 1.0, 11)
@@ -110,7 +115,7 @@ def test_transformed_flux_unit_slope():
 
 def test_transformed_flux_quadratic_zeta_matches_symbolic_oracle():
     alpha, beta, gamma = 0.3, -0.1, 0.05
-    itf = dx.Interface.polynomial(0, 2, [gamma, beta, alpha])
+    itf = dx.Interface(0, 2, (gamma, beta, alpha))
     model = _model_2d([0.0, 2.0], [0.0, 0.0, 1.0], itf)
     comp = transformed_normal_flux(model, itf, "left")
 
@@ -137,7 +142,7 @@ def test_flatten_model_keeps_a_flat_model():
 def test_flatten_model_kills_interface_offset():
     model = dx.preset("tilted_2d")
     flat = dx.flatten_model(model)
-    assert flat.interface.spec["kind"] == "zero"
+    assert flat.interface == dx.Interface(0, 2, (0.0,))
     # normal flux on the left picks up -0.2 * f2
     pts = np.array([[-0.4, 0.5]])
     lam = 0.6
@@ -145,12 +150,60 @@ def test_flatten_model_kills_interface_offset():
     np.testing.assert_allclose(flat.left[0].value(pts, lam), expected, atol=1e-14)
 
 
-def test_flattened_box_covers_image():
-    itf = dx.Interface.polynomial(0, 2, [0.0, 0.0, 0.5])
-    box = dx.Box((-1.0, -1.0), (1.0, 1.0))
+def test_flattened_box_takes_an_interior_minimum_exactly():
+    # zeta = 0.5 s^2 is 0 at s = 0, between the corners, where it is 0.5
+    fbox = flattened_box(dx.Box((-1.0, -1.0), (1.0, 1.0)), dx.Interface(0, 2, (0.0, 0.0, 0.5)))
+    assert fbox == dx.Box((-1.5, -1.0), (1.0, 1.0))
+    # a constant zeta in 1d shifts the interval
+    assert flattened_box(dx.Box((-1.0,), (1.0,)), dx.Interface(0, 1, (0.25,))) == dx.Box((-1.25,), (0.75,))
+
+
+def test_flattened_box_reaches_both_interior_extremes():
+    # zeta = s - s^3 is +-2 / (3 sqrt 3) at s = +-1 / sqrt 3 and 0 at the corners
+    fbox = flattened_box(dx.Box((-1.0, -1.0), (1.0, 1.0)), dx.Interface(0, 2, (0.0, 1.0, 0.0, -1.0)))
+    edge = 1.0 + 2.0 / (3.0 * np.sqrt(3.0))
+    np.testing.assert_allclose([fbox.lows[0], fbox.highs[0]], [-edge, edge], rtol=0, atol=1e-15)
+    assert (fbox.lows[1], fbox.highs[1]) == (-1.0, 1.0)
+
+
+def _dense_tangential(itf, lo, hi):
+    """A dense grid on [lo, hi] plus grids refined four times, 100-fold
+    each, around every discrete local extremum of zeta on it."""
+    s = np.linspace(lo, hi, 2001)
+    out = [s]
+    for sign in (1.0, -1.0):
+        v = sign * itf.zeta(s[:, None])
+        for c in s[np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1]:
+            h = s[1] - s[0]
+            for _ in range(4):
+                t = np.linspace(max(lo, c - h), min(hi, c + h), 201)
+                c, h = t[np.argmax(sign * itf.zeta(t[:, None]))], t[1] - t[0]
+                out.append(t)
+    return np.concatenate(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axis=st.integers(0, 1),
+    coeffs=st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=1, max_size=5),
+    lows=st.tuples(st.floats(-2.0, 1.0), st.floats(-2.0, 1.0)),
+    widths=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+)
+def test_flattened_box_is_the_hull_of_a_dense_flattened_grid(axis, coeffs, lows, widths):
+    itf = dx.Interface(axis, 2, tuple(coeffs))
+    box = dx.Box(lows, tuple(lo + w for lo, w in zip(lows, widths)))
     fbox = flattened_box(box, itf)
-    pts = box.sample(500)
-    assert np.all(fbox.contains(itf.flatten(pts)))
+    k = 1 - axis
+    s = _dense_tangential(itf, box.lows[k], box.highs[k])
+    pts = np.zeros((5, s.size, 2))
+    pts[..., axis] = np.linspace(box.lows[axis], box.highs[axis], 5)[:, None]
+    pts[..., k] = s
+    flat = itf.flatten(pts).reshape(-1, 2)
+    tol = 1e-12 * (1.0 + np.abs(flat).max())
+    lows, highs = np.asarray(fbox.lows), np.asarray(fbox.highs)
+    # every dense point lies in the box, and the dense points reach each edge
+    assert np.all((flat >= lows - tol) & (flat <= highs + tol))
+    assert np.all(flat.min(axis=0) <= lows + tol) and np.all(flat.max(axis=0) >= highs - tol)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +367,8 @@ def test_speed_bound_two_flux_stacked_norm(two_flux_model):
 
 def test_speed_bound_scales_homogeneously():
     c = 3.7
-    base = _model_2d([0.0, 1.0, -1.0], [0.0, 0.0, 0.3], dx.Interface.zero(0, 2))
-    scaled = _model_2d([0.0, c, -c], [0.0, 0.0, 0.3 * c], dx.Interface.zero(0, 2))
+    base = _model_2d([0.0, 1.0, -1.0], [0.0, 0.0, 0.3], dx.Interface(0, 2, (0.0,)))
+    scaled = _model_2d([0.0, c, -c], [0.0, 0.0, 0.3 * c], dx.Interface(0, 2, (0.0,)))
     nb = dx.speed_bound(base, base.domain)
     ns = dx.speed_bound(scaled, scaled.domain)
     np.testing.assert_allclose(ns, c * nb, rtol=1e-12)

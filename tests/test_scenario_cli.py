@@ -258,17 +258,37 @@ def test_initial_data_validation_errors():
     pts = np.zeros((3, 1))
     with pytest.raises(ScenarioError, match="outside the state interval"):
         initial_values_at({"kind": "constant", "value": 1.5}, pts, 0.0, 1.0, 1)
-    with pytest.raises(ScenarioError, match="increase"):
-        initial_values_at({"kind": "steps", "breakpoints": [0.2, 0.1],
-                           "values": [0.1, 0.2, 0.3]}, pts, 0.0, 1.0, 1)
-    with pytest.raises(ScenarioError, match="one more value"):
-        initial_values_at({"kind": "steps", "breakpoints": [0.0],
-                           "values": [0.1, 0.2, 0.3]}, pts, 0.0, 1.0, 1)
-    with pytest.raises(ScenarioError, match="length 1"):
-        initial_values_at({"kind": "block", "inside": 1.0, "outside": 0.0,
-                           "lows": [0.1, 0.1], "highs": [0.3, 0.3]}, pts, 0.0, 1.0, 1)
+    # the structure of the data is checked at parse time, under the spec's own pointer
+    with pytest.raises(ScenarioError, match="^/initial: .*increase"):
+        scenario_from_dict(_run_doc(initial={"kind": "steps", "breakpoints": [0.2, 0.1],
+                                             "values": [0.1, 0.2, 0.3]}))
+    with pytest.raises(ScenarioError, match="^/initial: .*one more value"):
+        scenario_from_dict(_run_doc(initial={"kind": "steps", "breakpoints": [0.0],
+                                             "values": [0.1, 0.2, 0.3]}))
+    with pytest.raises(ScenarioError, match="^/initial: .*length 1"):
+        scenario_from_dict(_run_doc(initial={"kind": "block", "inside": 1.0, "outside": 0.0,
+                                             "lows": [0.1, 0.1], "highs": [0.3, 0.3]}))
     with pytest.raises(ScenarioError, match="blob"):
         scenario_from_dict(_run_doc(initial={"kind": "blob"}))
+
+
+def test_study_initial_data_is_checked_under_its_own_pointer():
+    bump = {"kind": "bump", "base": 0.1, "amplitude": 0.5, "center": [0.0, 0.0], "radius": 0.2}
+    with pytest.raises(ScenarioError, match="^/study/initial_b: bump center must have length 1"):
+        scenario_from_dict(_run_doc(kind="kato-check", study={"initial_b": bump}))
+    with pytest.raises(ScenarioError, match="^/study/perturbation: bump center must have length 1"):
+        scenario_from_dict(_run_doc(kind="cone-check", study={
+            "cone": {"center": [0.0], "radius": 0.2}, "perturbation": bump}))
+    with pytest.raises(ScenarioError, match="^/study/solve_target/axis: riemann axis 2 outside 1..1"):
+        scenario_from_dict(_run_doc(kind="germ", study={
+            "level": 1, "epsilons": [0.032, 0.016],
+            "solve_target": {"kind": "riemann", "left": 0.2, "right": 0.8, "position": 0.0, "axis": 2}}))
+    steps_2d = _run_doc(flux="tilted_2d", grid={"counts": [16, 16]},
+                        initial={"kind": "random_steps", "pieces": 4})
+    del steps_2d["domain"]
+    steps_2d["run"] = dict(steps_2d["run"], boundary=0.2)
+    with pytest.raises(ScenarioError, match="^/initial: random_steps data is one-dimensional"):
+        scenario_from_dict(steps_2d)
 
 
 def test_initial_field_seed_plumbing(tmp_path):
@@ -376,6 +396,25 @@ def test_cli_refuses_output_times_beyond_final_time(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
     assert "scenario error: /run: output times must lie in [0, final_time]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_bad_study_initial_data_before_solving(tmp_path, capsys):
+    doc = _run_doc(kind="kato-check", study={"initial_b": {
+        "kind": "bump", "base": 0.1, "amplitude": 0.5, "center": [0.0, 0.0], "radius": 0.2}})
+    out = tmp_path / "out"
+    assert main(["kato-check", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert "scenario error: /study/initial_b: bump center must have length 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_cone_center_of_the_wrong_length(tmp_path, capsys):
+    doc = _run_doc(kind="cone-check", study={
+        "cone": {"center": [0.0, 0.0], "radius": 0.2},
+        "perturbation": {"kind": "block", "inside": 0.2, "outside": 0.0, "lows": [0.3], "highs": [0.4]}})
+    out = tmp_path / "out"
+    assert main(["cone-check", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert "scenario error: /study/cone/center: expected 1 coordinates" in capsys.readouterr().err
     assert not out.exists()
 
 
