@@ -37,7 +37,6 @@ from .solver import (
     RunConfig,
     Trajectory,
     cfl_timestep,
-    grid_speed_bound,
     max_principle_check,
     run,
     step,
@@ -56,7 +55,6 @@ from .entropy import (
     entropy_battery,
     interface_trace,
     kato_battery,
-    kruzhkov_residual,
     l1_distance,
     lambda_battery,
 )
@@ -85,7 +83,6 @@ from .scenario import (
     ScenarioError,
     builtin_scenario_names,
     builtin_scenario_path,
-    canonical_json,
     initial_values_at,
     parse_scenario,
     scenario_from_dict,

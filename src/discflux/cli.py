@@ -90,7 +90,7 @@ def _write_trace(clock, traj: Trajectory, model, out: str, artifacts: dict):
     if model.interface is None:
         return
     try:
-        trace = clock("verify_s", interface_trace, traj, model.interface, bounds=(model.a, model.b))
+        trace = clock("verify_s", interface_trace, traj, model)
     except ValueError as exc:
         raise RuntimeError(f"interface trace unavailable: {exc}") from exc
     clock.write(storage.write_trace_csv, os.path.join(out, "trace.csv"), trace)
@@ -117,8 +117,6 @@ def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     # is defined on the whole flattened box, re-solve, and map the flattened
     # solution back for a side-by-side comparison
     model = sc.model
-    if model.interface is None:
-        raise RuntimeError("a chart needs a flux with an interface")
     itf = model.interface
     flat = flatten_model(model)
     center = np.asarray(sc.chart["center"], dtype=float)

@@ -18,11 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .flux import PiecewiseFlux, term_sum
-from .geometry import Cone, Interface, flatten_model, halton
+from .geometry import Cone, flatten_model, halton
 from .solver import Field, Trajectory
 
 BUMP_SLOPE_MAX = 8.0 / (3.0 * math.sqrt(3.0))  # max |d/ds (1-s^2)^2|
 BUMP_MASS = 16.0 / 15.0  # integral of (1-s^2)^2 over [-1, 1]
+CONTRACTION_SLACK = 0.05  # share by which an L1 contraction ratio may exceed 1
 
 
 def _bump(s: np.ndarray) -> np.ndarray:
@@ -158,8 +159,8 @@ def bump_battery(box, final_time: float, count: int = 20) -> list[TestFunction]:
 
 @dataclass(frozen=True)
 class TraceField:
-    """One-sided interface limits per recorded time, estimated by linear
-    extrapolation from the 2nd and 3rd cells on each side of the interface."""
+    """One-sided interface limits per recorded time, extrapolated linearly
+    from the 2nd and 3rd cells on each side of the interface, in [a, b]."""
 
     times: tuple[float, ...]
     tangential_points: np.ndarray  # (m, d-1)
@@ -167,26 +168,25 @@ class TraceField:
     left: np.ndarray  # (n_times, m)
     right: np.ndarray
     tangential_weight: float
-    stencil: dict
 
     @property
     def averaged(self) -> np.ndarray:
         return 0.5 * (self.left + self.right)
 
 
-def interface_trace(trajectory: Trajectory, interface: Interface, eps: float | None = None,
-                    bounds: tuple[float, float] | None = None) -> TraceField:
-    """Extract p_u along the interface.
+def interface_trace(trajectory: Trajectory, model: PiecewiseFlux) -> TraceField:
+    """Extract p_u along the interface of `model`, clamped to [a, b].
 
     Requires the layer to be resolved: at least 4 cells (in total) within
-    normal distance 4*eps of the interface on every tangential row.
+    normal distance 4*eps of the interface on every tangential row, eps the
+    run's epsilon from the trajectory manifest.
     """
     grid = trajectory.grid
+    interface = model.interface
     j = interface.axis
+    eps = trajectory.manifest.get("epsilon")
     if eps is None:
-        eps = trajectory.manifest.get("smoothing_width")
-    if eps is None:
-        raise ValueError("interface_trace needs the smoothing width (not found in the trajectory manifest)")
+        raise ValueError("interface_trace needs the run's epsilon (not found in the trajectory manifest)")
 
     centers_j = grid.centers(j)
     nj = grid.counts[j]
@@ -221,11 +221,8 @@ def interface_trace(trajectory: Trajectory, interface: Interface, eps: float | N
         v2 = vn[:, rows, i_far]
         return v1 - o1 * (v2 - v1) / (o2 - o1)
 
-    left = extrapolate(split - 2, split - 3)
-    right = extrapolate(split + 1, split + 2)
-    if bounds is not None:
-        left = np.clip(left, bounds[0], bounds[1])
-        right = np.clip(right, bounds[0], bounds[1])
+    left = np.clip(extrapolate(split - 2, split - 3), model.a, model.b)
+    right = np.clip(extrapolate(split + 1, split + 2), model.a, model.b)
 
     surface = np.insert(tang_pts, j, zeta_rows, axis=-1)
     weight = float(np.prod([grid.dx[k] for k in tang_axes])) if tang_axes else 1.0
@@ -236,7 +233,6 @@ def interface_trace(trajectory: Trajectory, interface: Interface, eps: float | N
         left=left,
         right=right,
         tangential_weight=weight,
-        stencil={"cells_per_side": (2, 3), "eps": float(eps), "clamped": bounds is not None},
     )
 
 
@@ -300,7 +296,6 @@ class ResidualWorkspace:
         self.states = trajectory.states.reshape(len(self.times), -1)
         self.flux = model.at(self.points)
         self.flux_u = self.flux.value(self.states)
-        self.eps = trajectory.manifest.get("smoothing_width")
         self._traces = None
         self._jump = None
         self._lam_cache: dict[float, tuple] = {}
@@ -308,10 +303,7 @@ class ResidualWorkspace:
     @property
     def traces(self) -> TraceField | None:
         if self._traces is None and self.model.interface is not None:
-            self._traces = interface_trace(
-                self.trajectory, self.model.interface, eps=self.eps,
-                bounds=(self.model.a, self.model.b),
-            )
+            self._traces = interface_trace(self.trajectory, self.model)
         return self._traces
 
     def _lam_tables(self, lam: float):
@@ -371,14 +363,6 @@ class ResidualWorkspace:
             out[i] = total
         return out
 
-    def kruzhkov(self, lam: float, phi) -> float:
-        """E(lam, phi); admissibility asks E >= -tol."""
-        return float(self.residuals([lam], phi)[0])
-
-
-def kruzhkov_residual(trajectory: Trajectory, model: PiecewiseFlux, lam: float, phi) -> float:
-    return ResidualWorkspace(trajectory, model).kruzhkov(lam, phi)
-
 
 def _kato_residuals(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phis) -> list[float]:
     """Kato residual of each phi.  The phi-independent tables (|u1 - u2|,
@@ -388,9 +372,9 @@ def _kato_residuals(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phis) 
         raise ValueError("kato residual needs a shared grid")
     if len(u1.times) != len(u2.times) or not np.allclose(u1.times, u2.times):
         raise ValueError("kato residual needs matching output times")
-    eps = u1.manifest.get("smoothing_width") or u2.manifest.get("smoothing_width")
+    eps = u1.manifest.get("epsilon") or u2.manifest.get("epsilon")
     if eps is None and model.interface is not None:
-        raise ValueError("kato residual needs the smoothing width for an interface model")
+        raise ValueError("kato residual needs the run's epsilon for an interface model")
 
     grid = u1.grid
     pts = grid.points().reshape(-1, grid.d)
@@ -463,10 +447,10 @@ def _assemble_report(rows: list[EntropyEntry]) -> EntropyReport:
 
 
 def entropy_battery(trajectory: Trajectory, model: PiecewiseFlux,
-                    lambdas: Sequence[float] | None = None,
                     phis: Sequence[TestFunction] | None = None,
                     tol_factor: float = 1e-3) -> EntropyReport:
-    """Evaluate the admissibility residual over the full battery.
+    """Evaluate the admissibility residual over the full battery: every
+    state of lambda_battery(a, b) against every test function.
 
     tol per pair = tol_factor * ||phi||_C1 * |domain| (Design note: scaling
     with the test function bars tiny bumps from passing trivially).  Pass
@@ -474,11 +458,9 @@ def entropy_battery(trajectory: Trajectory, model: PiecewiseFlux,
     """
     ws = ResidualWorkspace(trajectory, model)
     box = trajectory.grid.box
-    if lambdas is None:
-        lambdas = lambda_battery(model.a, model.b)
     if phis is None:
         phis = bump_battery(box, trajectory.times[-1])
-    lambdas = [float(lam) for lam in lambdas]
+    lambdas = lambda_battery(model.a, model.b).tolist()
     volume = box.volume
     rows = []
     for phi in phis:
@@ -522,9 +504,10 @@ class ContractionReport:
     passed: bool
 
 
-def contraction_check(pairs: Sequence[tuple[Trajectory, Trajectory]], slack: float = 0.05) -> ContractionReport:
-    """L1 distance at every recorded time must not exceed (1 + slack) times
-    the initial distance.  Identical data passes by convention (0/0)."""
+def contraction_check(pairs: Sequence[tuple[Trajectory, Trajectory]]) -> ContractionReport:
+    """L1 distance at every recorded time must not exceed (1 +
+    CONTRACTION_SLACK) times the initial distance.  Identical data passes by
+    convention (0/0)."""
     entries = []
     worst = 0.0
     for idx, (ta, tb) in enumerate(pairs):
@@ -539,7 +522,7 @@ def contraction_check(pairs: Sequence[tuple[Trajectory, Trajectory]], slack: flo
                 ratio = dt_ / d0
             worst = max(worst, ratio)
             entries.append({"pair": idx, "time": float(t), "initial": d0, "distance": dt_, "ratio": ratio})
-    return ContractionReport(entries=tuple(entries), worst_ratio=worst, passed=worst <= 1.0 + slack)
+    return ContractionReport(entries=tuple(entries), worst_ratio=worst, passed=worst <= 1.0 + CONTRACTION_SLACK)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ if TYPE_CHECKING:
 DIVERGENCE_STEP = 1e-6  # central-difference step of FluxAt.divergence
 MOLLIFIER_NODES = 21  # Gauss-Legendre nodes per axis of mollify_flux
 NONDEGENERACY_POINTS = 8  # sampled positions of check_nondegeneracy
+BOUNDARY_SAMPLES = 256  # sampled positions of check_boundary_zero
+BOUNDARY_TOL = 1e-12  # largest |f| at a or b that check_boundary_zero passes
 
 
 def smoothstep(z):
@@ -154,7 +156,6 @@ class PiecewiseFlux:
     b: float
     domain: Box
     name: str | None = None
-    spec: dict | None = None
 
     def __post_init__(self):
         if len(self.left) != self.d or len(self.right) != self.d:
@@ -349,10 +350,10 @@ class BoundaryReport:
     witness_state: float | None
 
 
-def check_boundary_zero(model: PiecewiseFlux, n_samples: int = 256, tol: float = 1e-12) -> BoundaryReport:
+def check_boundary_zero(model: PiecewiseFlux) -> BoundaryReport:
     """Sampled check that every component of every side vanishes at both
     endpoint states a and b over the domain box."""
-    xs = model.domain.sample(n_samples)
+    xs = model.domain.sample(BOUNDARY_SAMPLES)
     worst = 0.0
     witness = (None, None)
     for comps in (model.left, model.right):
@@ -363,11 +364,11 @@ def check_boundary_zero(model: PiecewiseFlux, n_samples: int = 256, tol: float =
                 if vals.flat[i] > worst:
                     worst = float(vals.flat[i])
                     witness = (tuple(xs[i]), float(state))
-    passed = worst <= tol
+    passed = worst <= BOUNDARY_TOL
     return BoundaryReport(
         passed=bool(passed),
         max_abs=worst,
-        tol=tol,
+        tol=BOUNDARY_TOL,
         witness_x=None if passed else witness[0],
         witness_state=None if passed else witness[1],
     )

@@ -54,12 +54,6 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (np.asarray(self.lows) + np.asarray(self.highs))
 
-    def contains(self, x) -> np.ndarray:
-        pts = as_points(x, self.d)
-        lo = np.asarray(self.lows)
-        hi = np.asarray(self.highs)
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
-
     @property
     def corners(self) -> np.ndarray:
         """The 2^d corners, shape (2, ..., 2, d): index 0 or 1 along axis k
@@ -378,18 +372,5 @@ class Cone:
         if self.radius <= 0 or self.speed <= 0:
             raise ValueError("cone radius and speed must be positive")
 
-    @property
-    def height(self) -> float:
-        return self.radius / self.speed
-
     def section_radius(self, t: float) -> float:
         return self.radius - self.speed * t
-
-    def contains(self, t, x) -> np.ndarray:
-        """Strict membership |x - c| < R - N t with t < R / N."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("cone membership requires t >= 0")
-        pts = as_points(x, len(self.center))
-        dist = np.linalg.norm(pts - np.asarray(self.center), axis=-1)
-        return (dist < self.radius - self.speed * t) & (t < self.height)

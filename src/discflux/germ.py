@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import l1_distance
+from .entropy import CONTRACTION_SLACK, l1_distance
 from .flux import PiecewiseFlux
 from .geometry import Box, Cone, as_points, speed_bound
 from .solver import Field, Grid, RunConfig, run
@@ -187,16 +187,15 @@ def _edge_boundary(u0_fn, box: Box):
 
 def run_sequence(u0_fn, epsilons, model: PiecewiseFlux, box: Box, final_time: float,
                  boundary=None, cell_budget: int = DEFAULT_CELL_BUDGET, cfl: float = 0.45,
-                 comparison_grid: Grid | None = None, member_id: str = "datum") -> GermRecord:
+                 member_id: str = "datum") -> GermRecord:
     """Run the viscous solver for each epsilon and collect endpoints on the
-    comparison grid (default: the grid of the finest epsilon)."""
+    comparison grid, the grid of the finest epsilon."""
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 2:
         raise ValueError("need at least two epsilons")
     if any(e <= 0 for e in eps_list) or any(b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
         raise ValueError("epsilon sequence must be positive and strictly decreasing")
-    if comparison_grid is None:
-        comparison_grid = grid_for_epsilon(box, eps_list[-1], cell_budget)
+    comparison_grid = grid_for_epsilon(box, eps_list[-1], cell_budget)
     if boundary is None:
         boundary = _edge_boundary(u0_fn, box)
 
@@ -233,11 +232,12 @@ class SelectionResult:
     failed_step: int | None = None
 
 
-def diagonal_select(records, threshold: float, n_steps: int | None = None) -> SelectionResult:
+def diagonal_select(records, threshold: float) -> SelectionResult:
     """Numerical diagonal argument: pick strictly increasing delta indices
     k_1 < k_2 < ... with max-over-members delta_k <= threshold * 2^-j at step
-    j (and non-increasing along the selection).  Failure is an outcome, not
-    an error; the report names the blocking datum."""
+    j = 1, 2, ..., one step per delta (and non-increasing along the
+    selection).  Failure is an outcome, not an error; the report names the
+    blocking datum."""
     records = list(records)
     if not records:
         raise ValueError("no records")
@@ -246,8 +246,6 @@ def diagonal_select(records, threshold: float, n_steps: int | None = None) -> Se
         raise ValueError("records disagree on the number of deltas")
     if n_deltas < 3:
         raise ValueError("need at least 4 epsilons (3 deltas) per record")
-    if n_steps is None:
-        n_steps = n_deltas
 
     table = np.array([r.deltas for r in records])  # (members, deltas)
     worst = table.max(axis=0)
@@ -255,7 +253,7 @@ def diagonal_select(records, threshold: float, n_steps: int | None = None) -> Se
     steps = []
     prev = -1
     prev_delta = math.inf
-    for j in range(1, n_steps + 1):
+    for j in range(1, n_deltas + 1):
         bound = threshold * 2.0 ** (-j)
         cap = min(bound, prev_delta)
         chosen = None
@@ -290,7 +288,7 @@ class ContractionMatrix:
     data_distances: np.ndarray
     limit_distances: np.ndarray
     ratios: np.ndarray
-    cone: Cone | None = None
+    cone: Cone
 
 
 def _ball_l1(u: Field, v: Field, center, radius: float) -> float:
@@ -301,32 +299,26 @@ def _ball_l1(u: Field, v: Field, center, radius: float) -> float:
     return float(np.abs(u.values - v.values)[mask].sum() * u.grid.cell_volume)
 
 
-def contraction_matrix(records, cone: Cone | None = None) -> ContractionMatrix:
+def contraction_matrix(records, cone: Cone) -> ContractionMatrix:
     """Pairwise initial and endpoint distances with their ratios.
 
     On the whole space the endpoint/data ratio is at most 1; a truncated box
-    leaks mass through its open boundary at member-dependent rates, so when a
-    cone is given the endpoint distance is measured on the cone section at the
-    endpoint time and the data distance on the cone base, which is the portion
-    of the whole-space inequality the box can certify."""
+    leaks mass through its open boundary at member-dependent rates, so the
+    endpoint distance is measured on the cone section at the endpoint time
+    and the data distance on the cone base, which is the portion of the
+    whole-space inequality the box can certify."""
     records = list(records)
     n = len(records)
     data = np.zeros((n, n))
     limit = np.zeros((n, n))
-    if cone is not None:
-        t_end = records[0].endpoints[-1].time if records else 0.0
-        section = cone.section_radius(t_end)
-        if section <= 0:
-            raise ValueError("cone section is empty at the endpoint time; shorten the run")
+    t_end = records[0].endpoints[-1].time if records else 0.0
+    section = cone.section_radius(t_end)
+    if section <= 0:
+        raise ValueError("cone section is empty at the endpoint time; shorten the run")
     for i in range(n):
         for j in range(i + 1, n):
-            if cone is None:
-                dd = l1_distance(records[i].initial, records[j].initial)
-                ld = l1_distance(records[i].endpoints[-1], records[j].endpoints[-1])
-            else:
-                dd = _ball_l1(records[i].initial, records[j].initial, cone.center, cone.radius)
-                ld = _ball_l1(records[i].endpoints[-1], records[j].endpoints[-1],
-                              cone.center, section)
+            dd = _ball_l1(records[i].initial, records[j].initial, cone.center, cone.radius)
+            ld = _ball_l1(records[i].endpoints[-1], records[j].endpoints[-1], cone.center, section)
             data[i, j] = data[j, i] = dd
             limit[i, j] = limit[j, i] = ld
     ratios = np.zeros((n, n))
@@ -346,7 +338,7 @@ class StabilityReport:
     pairs: int
 
 
-def stability_report(matrix: ContractionMatrix, slack: float = 0.05) -> StabilityReport:
+def stability_report(matrix: ContractionMatrix) -> StabilityReport:
     n = len(matrix.ids)
     worst = 0.0
     worst_pair = None
@@ -360,7 +352,8 @@ def stability_report(matrix: ContractionMatrix, slack: float = 0.05) -> Stabilit
             if r > worst:
                 worst = float(r)
                 worst_pair = (matrix.ids[i], matrix.ids[j])
-    return StabilityReport(worst_ratio=worst, worst_pair=worst_pair, passed=worst <= 1.0 + slack, pairs=pairs)
+    return StabilityReport(worst_ratio=worst, worst_pair=worst_pair, passed=worst <= 1.0 + CONTRACTION_SLACK,
+                           pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +455,7 @@ class GermStudy:
         if key not in self._records:
             self._records[key] = run_sequence(
                 member, self.epsilons, self.model, self.box, self.final_time,
-                cell_budget=self.cell_budget, cfl=self.cfl,
-                comparison_grid=self.comparison_grid, member_id=member.label,
+                cell_budget=self.cell_budget, cfl=self.cfl, member_id=member.label,
             )
         return self._records[key]
 
@@ -495,7 +487,7 @@ class GermStudy:
                 self._records[self._key(member)] = record
         records = tuple(self.record_for(m) for m in family.members)
         selection = diagonal_select(records, self.threshold)
-        matrix = contraction_matrix(records, cone=self.cone)
+        matrix = contraction_matrix(records, self.cone)
         stability = stability_report(matrix)
         return GermLevelResult(level=level, records=records, selection=selection,
                                matrix=matrix, stability=stability, workers=workers)
@@ -580,11 +572,8 @@ def save_level_result(result: GermLevelResult, dirpath, extra: dict | None = Non
             "pass": result.stability.passed,
         },
     }
-    if result.matrix.cone is not None:
-        cone = result.matrix.cone
-        manifest["contraction_cone"] = {
-            "center": list(cone.center), "radius": cone.radius, "speed": cone.speed,
-        }
+    cone = result.matrix.cone
+    manifest["contraction_cone"] = {"center": list(cone.center), "radius": cone.radius, "speed": cone.speed}
     if extra:
         manifest.update(extra)
     storage.write_manifest(os.path.join(dirpath, "manifest.json"), manifest)

@@ -15,7 +15,6 @@ field, which is only allowed (and then required) when x_modulation is
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 
 from .flux import PiecewiseFlux, poly_component
@@ -56,6 +55,10 @@ def flux_from_spec(spec: dict, domain: Box | None = None, name: str | None = Non
     if domain is None:
         dom = spec.get("domain")
         domain = Box(tuple(dom["lows"]), tuple(dom["highs"])) if dom else Box((-1.0,) * d, (1.0,) * d)
+    for side in ("left", "right"):
+        family = spec.get(side)
+        if family is not None and len(family) != d:
+            raise ValueError(f"the {side} family has {len(family)} components, a flux in d={d} needs {d}")
 
     left = tuple(_component_from_spec(k, spec["left"][k], d) for k in range(d))
     if spec.get("interface") is None:
@@ -78,7 +81,6 @@ def flux_from_spec(spec: dict, domain: Box | None = None, name: str | None = Non
         b=b,
         domain=domain,
         name=name,
-        spec=copy.deepcopy(spec),
     )
 
 
@@ -142,7 +144,7 @@ def preset(name: str) -> PiecewiseFlux:
         spec = _PRESET_SPECS[name]
     except KeyError:
         raise ValueError(f"unknown flux preset {name!r}; available: {', '.join(PRESET_NAMES)}") from None
-    return flux_from_spec(copy.deepcopy(spec), name=name)
+    return flux_from_spec(spec, name=name)
 
 
 def resolve_flux(value, domain: Box | None = None) -> PiecewiseFlux:

@@ -101,7 +101,6 @@ _RUN_SCHEMA = {
         "final_time": _POSITIVE,
         "boundary": _BOUNDARY_SCHEMA,
         "cfl": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "smoothing_width": _POSITIVE,
         "output_count": {"type": "integer", "minimum": 2},
         "output_times": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
     },
@@ -302,10 +301,6 @@ def _validate(instance, schema, prefix: str = ""):
         raise ScenarioError(f"{_json_pointer(err, prefix)}: {err.message}")
 
 
-def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def builtin_scenario_path(name: str) -> str:
     if not name.endswith(".json"):
         name = name + ".json"
@@ -322,6 +317,9 @@ def builtin_scenario_names() -> tuple[str, ...]:
 
 # ---------------------------------------------------------------------------
 # initial data
+
+# the keys holding the values of the kinds that state them one by one
+_STATED_KEYS = {"constant": ("value",), "riemann": ("left", "right"), "block": ("inside", "outside")}
 
 
 def initial_values_at(spec: dict, pts, a: float, b: float, d: int, seed: int = 0) -> np.ndarray:
@@ -367,14 +365,25 @@ def initial_values_at(spec: dict, pts, a: float, b: float, d: int, seed: int = 0
     return np.clip(out, a, b)
 
 
-def validate_initial(spec, d: int, prefix: str):
-    """Check an initial-data spec for a flux in d dimensions: its schema,
-    the lengths of block bounds and bump centres, the riemann axis, steps
-    kinds only in 1d, and the steps values and breakpoints.  Errors carry
-    `prefix`, the spec's JSON pointer."""
+def validate_initial(spec, d: int, a: float, b: float, prefix: str):
+    """Check an initial-data spec for a flux in d dimensions on the state
+    interval [a, b]: its schema, the values it states (random_steps draws
+    its own inside [a, b]), the lengths of block bounds and bump centres,
+    the riemann axis, steps kinds only in 1d, and the steps values and
+    breakpoints.  Errors carry `prefix`, the spec's JSON pointer."""
     _validate(spec, _INITIAL_ENVELOPE, prefix)
     kind = spec["kind"]
     _validate(spec, _INITIAL_SCHEMAS[kind], prefix)
+    if kind == "bump":
+        stated = [spec["base"], spec["base"] + spec["amplitude"]]
+    elif kind == "steps":
+        stated = spec["values"]
+    else:
+        stated = [spec[key] for key in _STATED_KEYS.get(kind, ())]
+    if stated and (min(stated) < a - 1e-12 or max(stated) > b + 1e-12):
+        raise ScenarioError(
+            f"{prefix}: values reach [{min(stated)}, {max(stated)}], outside the state interval [{a}, {b}]"
+        )
     if kind == "block" and not len(spec["lows"]) == len(spec["highs"]) == d:
         raise ScenarioError(f"{prefix}: block bounds must have length {d}")
     if kind == "bump" and len(spec["center"]) != d:
@@ -480,27 +489,27 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
             boundary=_boundary_from_json(run_block["boundary"]),
             cfl=float(run_block.get("cfl", 0.45)),
             output_times=_output_times(run_block, float(run_block["final_time"])),
-            smoothing_width=(float(run_block["smoothing_width"])
-                             if "smoothing_width" in run_block else None),
         )
     except ValueError as exc:
         raise ScenarioError(f"/run: {exc}") from None
 
-    validate_initial(raw["initial"], model.d, "/initial")
+    validate_initial(raw["initial"], model.d, model.a, model.b, "/initial")
 
     study = raw.get("study", {})
     _validate(study, _STUDY_SCHEMAS[kind], "/study")
     if kind == "kato-check":
-        validate_initial(study["initial_b"], model.d, "/study/initial_b")
+        validate_initial(study["initial_b"], model.d, model.a, model.b, "/study/initial_b")
     if kind == "cone-check":
-        validate_initial(study["perturbation"], model.d, "/study/perturbation")
+        validate_initial(study["perturbation"], model.d, model.a, model.b, "/study/perturbation")
         if len(study["cone"]["center"]) != model.d:
             raise ScenarioError(f"/study/cone/center: expected {model.d} coordinates")
     if kind == "germ" and "solve_target" in study:
-        validate_initial(study["solve_target"], model.d, "/study/solve_target")
+        validate_initial(study["solve_target"], model.d, model.a, model.b, "/study/solve_target")
 
     chart = None
     if "chart" in raw:
+        if model.interface is None:
+            raise ScenarioError("/chart: a chart needs a flux with an interface")
         center = raw["chart"]["center"]
         if len(center) != model.d:
             raise ScenarioError(f"/chart/center: expected {model.d} coordinates")

@@ -21,6 +21,7 @@ from .flux import PiecewiseFlux, derivative_coeffs, horner, rows_sum, sign_chang
 from .geometry import Box
 
 CFL_SPEED_FLOOR = 1e-12
+MAX_PRINCIPLE_TOL = 1e-10  # slack of max_principle_check on [a, b]
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,9 @@ class Field:
 class RunConfig:
     """Everything a viscous run needs besides the initial field.
 
-    smoothing_width defaults to epsilon: one parameter drives the viscosity
-    and the interface smoothing, and a rough flux is mollified at radius
-    epsilon (mollify_flux(model, epsilon)).  Setting it explicitly enables
-    the optional two-parameter sweep.
+    One epsilon drives the viscosity and the interface smoothing, and a
+    rough flux is mollified at the same radius (mollify_flux(model,
+    epsilon)).
 
     boundary is the pinned far-field state: a single number, or one
     (low side, high side) pair per axis when the data has unequal tails.
@@ -128,7 +128,6 @@ class RunConfig:
     boundary: float | Sequence
     cfl: float = 0.45
     output_times: tuple[float, ...] | None = None
-    smoothing_width: float | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -143,8 +142,6 @@ class RunConfig:
         for lo, hi in self.boundary_pairs:
             if not (self.flux.a <= lo <= self.flux.b and self.flux.a <= hi <= self.flux.b):
                 raise ValueError("boundary states must lie in [a, b]")
-        if self.smoothing_width is not None and self.smoothing_width <= 0:
-            raise ValueError("smoothing_width must be positive")
 
     @property
     def boundary_pairs(self) -> tuple[tuple[float, float], ...]:
@@ -162,10 +159,6 @@ class RunConfig:
         if len(pairs) != d:
             raise ValueError("need one boundary entry per axis")
         return tuple(pairs)
-
-    @property
-    def eps_smoothing(self) -> float:
-        return self.epsilon if self.smoothing_width is None else self.smoothing_width
 
 
 @dataclass(frozen=True)
@@ -190,12 +183,6 @@ def cfl_timestep(config: RunConfig, grid: Grid, speed: float) -> float:
     conv = dx_min / (2.0 * d * max(speed, CFL_SPEED_FLOOR))
     diff = dx_min * dx_min / (2.0 * d * config.epsilon)
     return config.cfl * min(conv, diff)
-
-
-def grid_speed_bound(config: RunConfig, grid: Grid) -> float:
-    """Max smoothed wave speed |dF/du| over the interior faces and the state
-    interval [a, b]; this is the bound the time step is derived from."""
-    return max(_Faces(config, grid, k).bound for k in range(grid.d))
 
 
 def _axslice(ndim, axis, sl):
@@ -223,7 +210,7 @@ class _Faces:
         self.lo = _axslice(grid.d, axis, slice(None, -1))
         self.hi = _axslice(grid.d, axis, slice(1, None))
         shape = self.pts.shape[:-1]
-        self.rows = model.at(self.pts, config.eps_smoothing).rows(axis)
+        self.rows = model.at(self.pts, config.epsilon).rows(axis)
         self.crit = []  # (state, |F'| there) per candidate column, face arrays
         width = max(len(derivative_coeffs(c)) for c, _ in self.rows)
         if width > 2:  # F'' is not constant
@@ -425,7 +412,6 @@ def run(u0: Field, config: RunConfig) -> Trajectory:
     manifest = {
         "flux": config.flux.name or "custom",
         "epsilon": config.epsilon,
-        "smoothing_width": config.eps_smoothing,
         "final_time": config.final_time,
         "cfl": config.cfl,
         "boundary": [list(p) for p in config.boundary_pairs],
@@ -460,7 +446,8 @@ class MaxPrincipleReport:
     witness: dict | None
 
 
-def max_principle_check(trajectory: Trajectory, a: float, b: float, tol: float = 1e-10) -> MaxPrincipleReport:
+def max_principle_check(trajectory: Trajectory, a: float, b: float) -> MaxPrincipleReport:
+    tol = MAX_PRINCIPLE_TOL
     lo = float(trajectory.states.min())
     hi = float(trajectory.states.max())
     passed = lo >= a - tol and hi <= b + tol

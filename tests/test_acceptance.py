@@ -96,7 +96,7 @@ def test_criterion_2_l1_contraction():
                 burgers_fns.append((fa, fb))
             pairs.append((dx.run(dx.Field(grid, fa(grid.points()), 0.0), config),
                           dx.run(dx.Field(grid, fb(grid.points()), 0.0), config)))
-        report = dx.contraction_check(pairs, slack=0.05)
+        report = dx.contraction_check(pairs)
         worst[name] = report.worst_ratio
 
     # 4x refinement on burgers with the very same data samples
@@ -108,7 +108,7 @@ def test_criterion_2_l1_contraction():
     fine_pairs = [(dx.run(dx.Field(fine, fa(fine.points()), 0.0), config),
                    dx.run(dx.Field(fine, fb(fine.points()), 0.0), config))
                   for fa, fb in burgers_fns]
-    fine_worst = dx.contraction_check(fine_pairs, slack=0.05).worst_ratio
+    fine_worst = dx.contraction_check(fine_pairs).worst_ratio
 
     coarse_excess = max(worst["burgers"] - 1.0, 0.0)
     fine_excess = max(fine_worst - 1.0, 0.0)
@@ -132,7 +132,7 @@ def test_criterion_3_entropy_residuals(burgers_shock_traj, burgers_rarefaction_t
     planted = dx.Trajectory(fine_grid, times, states, {})
     phi = dx.TestFunction(time_center=0.25, time_radius=0.25,
                           space_center=(0.0,), space_radius=(0.45,))
-    resid = dx.kruzhkov_residual(planted, burgers_model, 0.5, phi)
+    resid = dx.ResidualWorkspace(planted, burgers_model).residuals([0.5], phi)[0]
     scale = phi.c1_norm * fine_grid.box.volume
     detected = resid < -0.01 * scale
 

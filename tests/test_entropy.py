@@ -1,5 +1,6 @@
 """Entropy machinery: test functions, interface traces, admissibility and
 Kato residuals, L1 contraction and cone locality."""
+import dataclasses
 import math
 import os
 import subprocess
@@ -23,10 +24,15 @@ def _phi(t_center, t_radius, center, radius, label="phi"):
     )
 
 
+def _residual(traj, model, lam, phi):
+    """E(lam, phi) of one pair."""
+    return ResidualWorkspace(traj, model).residuals([lam], phi)[0]
+
+
 def _constant_trajectory(grid, value, times, eps=1e-3):
     states = np.tile(np.full(grid.counts, float(value)), (len(times),) + (1,) * grid.d)
     return dx.Trajectory(grid=grid, times=tuple(times), states=states,
-                         manifest={"smoothing_width": eps})
+                         manifest={"epsilon": eps})
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +99,16 @@ def test_bump_battery_layout(burgers_model):
 def test_trace_continuous_field(two_flux_model, fine_grid):
     x = fine_grid.points()[..., 0]
     states = np.tile(0.4 + 0.3 * np.sin(2.0 * x), (2, 1))
-    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"smoothing_width": 1e-3})
-    trace = interface_trace(traj, two_flux_model.interface)
+    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"epsilon": 1e-3})
+    trace = interface_trace(traj, two_flux_model)
     np.testing.assert_allclose(trace.averaged, 0.4, atol=1e-4)
 
 
 def test_trace_two_state_average(two_flux_model, fine_grid):
     x = fine_grid.points()[..., 0]
     states = np.tile(np.where(x < 0, 0.2, 0.8), (2, 1))
-    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"smoothing_width": 1e-3})
-    trace = interface_trace(traj, two_flux_model.interface)
+    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"epsilon": 1e-3})
+    trace = interface_trace(traj, two_flux_model)
     np.testing.assert_allclose(trace.left, 0.2, atol=1e-13)
     np.testing.assert_allclose(trace.right, 0.8, atol=1e-13)
     np.testing.assert_allclose(trace.averaged, 0.5, atol=1e-13)
@@ -113,8 +119,8 @@ def test_trace_viscous_layer_between_sides(two_flux_model, fine_grid):
     x = fine_grid.points()[..., 0]
     profile = 0.1 + 0.8 * dx.smoothstep(x / eps)
     states = np.tile(profile, (2, 1))
-    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"smoothing_width": eps})
-    trace = interface_trace(traj, two_flux_model.interface)
+    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"epsilon": eps})
+    trace = interface_trace(traj, two_flux_model)
     assert np.all(trace.left >= 0.1 - 1e-12) and np.all(trace.right <= 0.9 + 1e-12)
     assert np.all(trace.averaged >= 0.1) and np.all(trace.averaged <= 0.9)
 
@@ -132,27 +138,26 @@ def test_trace_viscous_layer_between_sides(two_flux_model, fine_grid):
 def test_trace_clamps_to_bounds(two_flux_model, fine_grid):
     x = fine_grid.points()[..., 0]
     states = np.tile(np.where(x < 0, 0.2, 0.8), (2, 1))
-    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"smoothing_width": 1e-3})
-    trace = interface_trace(traj, two_flux_model.interface, bounds=(0.4, 0.6))
+    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"epsilon": 1e-3})
+    trace = interface_trace(traj, dataclasses.replace(two_flux_model, a=0.4, b=0.6))
     np.testing.assert_allclose(trace.left, 0.4, atol=1e-13)
     np.testing.assert_allclose(trace.right, 0.6, atol=1e-13)
 
 
 def test_trace_unresolved_interface_raises(two_flux_model, fine_grid):
     states = np.zeros((2,) + fine_grid.counts)
-    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {})
     with pytest.raises(ValueError, match="not resolved"):
-        interface_trace(traj, two_flux_model.interface, eps=1e-4)
-    with pytest.raises(ValueError, match="smoothing width"):
-        interface_trace(traj, two_flux_model.interface)
+        interface_trace(dx.Trajectory(fine_grid, (0.0, 0.1), states, {"epsilon": 1e-4}), two_flux_model)
+    with pytest.raises(ValueError, match="epsilon"):
+        interface_trace(dx.Trajectory(fine_grid, (0.0, 0.1), states, {}), two_flux_model)
 
 
-def test_trace_interface_near_boundary_raises(fine_grid):
-    itf = dx.Interface(0, 1, (0.499,))
+def test_trace_interface_near_boundary_raises(two_flux_model, fine_grid):
+    model = dataclasses.replace(two_flux_model, interface=dx.Interface(0, 1, (0.499,)))
     states = np.zeros((2,) + fine_grid.counts)
-    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"smoothing_width": 1e-2})
+    traj = dx.Trajectory(fine_grid, (0.0, 0.1), states, {"epsilon": 1e-2})
     with pytest.raises(ValueError, match="boundary"):
-        interface_trace(traj, itf, eps=1e-2)
+        interface_trace(traj, model)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +168,14 @@ def test_endpoint_lambdas_reduce_to_weak_form(burgers_shock_traj, burgers_model)
     phi = _phi(0.25, 0.2, 0.0, 0.4)
     ws = ResidualWorkspace(burgers_shock_traj, burgers_model)
     tol = 1e-3 * phi.c1_norm * burgers_model.domain.volume
-    assert abs(ws.kruzhkov(0.0, phi)) <= tol
-    assert abs(ws.kruzhkov(1.0, phi)) <= tol
+    assert abs(ws.residuals([0.0], phi)[0]) <= tol
+    assert abs(ws.residuals([1.0], phi)[0]) <= tol
 
 
 def test_kruzhkov_rejects_lambda_outside_interval(burgers_shock_traj, burgers_model):
     phi = _phi(0.25, 0.2, 0.0, 0.4)
     with pytest.raises(ValueError, match="lambda"):
-        dx.kruzhkov_residual(burgers_shock_traj, burgers_model, 1.5, phi)
+        _residual(burgers_shock_traj, burgers_model, 1.5, phi)
 
 
 def test_stationary_shock_battery_admissible(burgers_shock_traj, burgers_model):
@@ -200,20 +205,20 @@ def test_expansion_shock_detected(burgers_model, fine_grid):
     oracle = -2.0 * f_lam * 0.25 * 16.0 / 15.0
     np.testing.assert_allclose(oracle, -2.0 / 15.0, rtol=1e-15)
 
-    resid = dx.kruzhkov_residual(traj, burgers_model, lam, phi)
+    resid = _residual(traj, burgers_model, lam, phi)
     np.testing.assert_allclose(resid, oracle, rtol=1e-3, atol=1e-5)
     scale = phi.c1_norm * fine_grid.box.volume
     assert resid < -0.01 * scale
 
     # the same field is still a weak solution: endpoint residuals vanish
-    assert abs(dx.kruzhkov_residual(traj, burgers_model, 0.0, phi)) <= 1e-3 * scale
+    assert abs(_residual(traj, burgers_model, 0.0, phi)) <= 1e-3 * scale
 
 
 def test_transformed_residual_equals_plain_in_flat_1d(two_flux_block_traj, two_flux_model):
     phi = _phi(0.045, 0.04, 0.05, 0.2)
     for lam in (0.3, 0.6):
-        plain = dx.kruzhkov_residual(two_flux_block_traj, two_flux_model, lam, phi)
-        transf = dx.kruzhkov_residual(two_flux_block_traj, dx.flatten_model(two_flux_model), lam, phi)
+        plain = _residual(two_flux_block_traj, two_flux_model, lam, phi)
+        transf = _residual(two_flux_block_traj, dx.flatten_model(two_flux_model), lam, phi)
         assert plain == transf
 
 
@@ -236,10 +241,10 @@ def test_constant_field_interface_residual_closed_form(two_flux_model, fine_grid
     flat = dx.flatten_model(two_flux_model)
     for lam in (0.3, 0.7):
         oracle = np.sign(c - lam) * (fl_c - fr_c) * phi_on_interface
-        resid = dx.kruzhkov_residual(traj, flat, lam, phi)
+        resid = _residual(traj, flat, lam, phi)
         np.testing.assert_allclose(resid, oracle, rtol=1e-3, atol=1e-6)
-    assert dx.kruzhkov_residual(traj, flat, 0.3, phi) < 0
-    assert dx.kruzhkov_residual(traj, flat, 0.7, phi) > 0
+    assert _residual(traj, flat, 0.3, phi) < 0
+    assert _residual(traj, flat, 0.7, phi) > 0
 
 
 def test_transformed_residual_change_of_variables_2d():
@@ -259,12 +264,12 @@ def test_transformed_residual_change_of_variables_2d():
     fbox = flattened_box(model.domain, itf)
     fgrid = dx.Grid(fbox.lows, fbox.highs, (64, 64))
     ftraj = dx.Trajectory(
-        fgrid, times, np.stack([field(t, fgrid.points()) for t in times]), {"smoothing_width": eps}
+        fgrid, times, np.stack([field(t, fgrid.points()) for t in times]), {"epsilon": eps}
     )
     ogrid = dx.Grid(model.domain.lows, model.domain.highs, (64, 64))
     opts = ogrid.points()
     otraj = dx.Trajectory(
-        ogrid, times, np.stack([field(t, itf.flatten(opts)) for t in times]), {"smoothing_width": eps}
+        ogrid, times, np.stack([field(t, itf.flatten(opts)) for t in times]), {"epsilon": eps}
     )
 
     phi_flat = dx.TestFunction(
@@ -290,8 +295,8 @@ def test_transformed_residual_change_of_variables_2d():
     tol = 1e-3 * phi_flat.c1_norm * ogrid.box.volume
     flat = dx.flatten_model(model)
     for lam in (0.25, 0.4, 0.6):
-        r_flat = dx.kruzhkov_residual(ftraj, flat, lam, phi_flat)
-        r_orig = dx.kruzhkov_residual(otraj, model, lam, PhiOriginal())
+        r_flat = _residual(ftraj, flat, lam, phi_flat)
+        r_orig = _residual(otraj, model, lam, PhiOriginal())
         assert abs(r_flat) > 1e-4  # comparison is not vacuous
         assert abs(r_flat - r_orig) <= tol
 
@@ -313,14 +318,14 @@ def test_residual_linear_in_phi(two_flux_block_traj, two_flux_model):
 
     ws = ResidualWorkspace(two_flux_block_traj, two_flux_model)
     lam = 0.4
-    combined = ws.kruzhkov(lam, Combo())
-    separate = alpha * ws.kruzhkov(lam, phi1) + beta * ws.kruzhkov(lam, phi2)
+    combined = ws.residuals([lam], Combo())[0]
+    separate = alpha * ws.residuals([lam], phi1)[0] + beta * ws.residuals([lam], phi2)[0]
     np.testing.assert_allclose(combined, separate, atol=1e-12)
 
 
 def test_entropy_report_json_layout(burgers_shock_traj, burgers_model):
     phi = _phi(0.25, 0.2, 0.0, 0.3)
-    report = dx.entropy_battery(burgers_shock_traj, burgers_model, lambdas=[0.5], phis=[phi])
+    report = dx.entropy_battery(burgers_shock_traj, burgers_model, phis=[phi])
     blob = report.to_json()
     entry = blob["entries"][0]
     assert set(entry) == {"lambda", "phi_id", "residual", "tol", "pass"}
@@ -412,8 +417,7 @@ def _per_pair_kruzhkov(traj, model, lam, phi):
     term_div = np.einsum("t,tc,c,tc->", tw, sgn, div_lam, vals)
     total = grid.cell_volume * (term_time + term_conv - term_div)
     if model.interface is not None:
-        tr = interface_trace(traj, model.interface, eps=traj.manifest["smoothing_width"],
-                             bounds=(model.a, model.b))
+        tr = interface_trace(traj, model)
         surf = tr.surface_points
         m_lam = np.full(surf.shape[0], lam)
         jump = (transformed_normal_flux(model, model.interface, "right").value(surf, m_lam)
@@ -426,7 +430,7 @@ def _per_pair_kruzhkov(traj, model, lam, phi):
 
 def _per_time_kato(u1, u2, model, phi):
     """Kato residual re-evaluating the fluxes and divergences at every time."""
-    eps = u1.manifest.get("smoothing_width") or u2.manifest.get("smoothing_width") or 1.0
+    eps = u1.manifest.get("epsilon") or u2.manifest.get("epsilon") or 1.0
     grid = u1.grid
     pts = grid.points().reshape(-1, grid.d)
     times = np.asarray(u1.times)
@@ -474,7 +478,7 @@ def _flattened_2d_fixture():
     pts = grid.points()
     r = np.clip(np.linalg.norm(pts, axis=-1) / 0.6, 0.0, 1.0)
     states = np.stack([0.2 + 0.5 * (1.0 - r**2) ** 2 * (1.0 - t) for t in times])
-    return model, dx.Trajectory(grid, times, states, {"smoothing_width": 0.05})
+    return model, dx.Trajectory(grid, times, states, {"epsilon": 0.05})
 
 
 def _x_ramp_fixture(grid, phase_speed):
@@ -500,13 +504,16 @@ def test_entropy_battery_matches_per_pair_formula(case, request, fine_grid):
     nt = len(traj.times)
     recorded = float(traj.states.reshape(nt, -1)[nt // 2, traj.states[0].size // 2 + 3])
     assert model.a < recorded < model.b
-    lambdas = list(lambda_battery(model.a, model.b)) + [recorded]
     phis = bump_battery(traj.grid.box, traj.times[-1], count=4)
 
-    report = dx.entropy_battery(traj, model, lambdas=lambdas, phis=phis)
+    report = dx.entropy_battery(traj, model, phis=phis)
     reference = [((float(lam), phi.label), _per_pair_kruzhkov(traj, model, float(lam), phi))
-                 for phi in phis for lam in lambdas]
+                 for phi in phis for lam in lambda_battery(model.a, model.b)]
     _assert_same_battery(report, reference)
+    ws = ResidualWorkspace(traj, model)
+    for phi in phis:
+        ref = _per_pair_kruzhkov(traj, model, recorded, phi)
+        assert abs(ws.residuals([recorded], phi)[0] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("case", ["burgers", "x_ramp", "two_flux_interface"])
@@ -620,7 +627,7 @@ model = dx.preset("tilted_2d")
 grid = dx.Grid(model.domain.lows, model.domain.highs, (128, 128))
 rng = np.random.default_rng(5)
 times = tuple(np.linspace(0.0, 0.1, 5))
-u1, u2 = (dx.Trajectory(grid, times, rng.uniform(model.a, model.b, (5, 128, 128)), {"smoothing_width": 0.05})
+u1, u2 = (dx.Trajectory(grid, times, rng.uniform(model.a, model.b, (5, 128, 128)), {"epsilon": 0.05})
           for _ in range(2))
 entries = dx.entropy_battery(u1, model).entries + dx.kato_battery(u1, u2, model).entries
 print(" ".join(e.residual.hex() for e in entries))

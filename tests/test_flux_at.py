@@ -130,7 +130,7 @@ def test_interface_jump_matches_the_transformed_normal_fluxes(name):
     grid = dx.Grid(model.domain.lows, model.domain.highs, (64,) * model.d)
     times = (0.0, 0.05, 0.1)
     states = np.full((len(times),) + grid.counts, 0.5)
-    ws = ResidualWorkspace(dx.Trajectory(grid, times, states, {"smoothing_width": 0.1}), model)
+    ws = ResidualWorkspace(dx.Trajectory(grid, times, states, {"epsilon": 0.1}), model)
     surf = ws.traces.surface_points
     for lam in (-0.0, 0.3, model.b):
         lam_arr = np.full(surf.shape[0], lam)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import discflux as dx
 from conftest import CURVED_MODULATED_SPEC, smoothed_flux, step_bv_flux
+from discflux.presets import _PRESET_SPECS
 from discflux.solver import _Faces
 
 N_DENSE = 2001
@@ -52,7 +53,7 @@ def _check_exact_alpha(config, grid, values):
         for x, lo, hi, a in zip(pts, ul, ur, alpha.ravel()):
 
             def dF(s):
-                return smoothed_flux(model, x, s, config.eps_smoothing, derivative=True)[..., k]
+                return smoothed_flux(model, x, s, config.epsilon, derivative=True)[..., k]
 
             dense, finest = _finest_max(dF, min(lo, hi), max(lo, hi))
             assert a >= dense - ROUNDING
@@ -101,7 +102,7 @@ def test_rusanov_coefficient_is_the_exact_max(a, width, left, right, shift, smoo
         "left": [sides[0]], "right": [sides[1]],
     })
     grid = dx.Grid((-1.0,), (1.0,), (len(fractions),))
-    config = dx.RunConfig(flux=model, epsilon=1e-2, final_time=1.0, boundary=a, smoothing_width=smoothing)
+    config = dx.RunConfig(flux=model, epsilon=smoothing, final_time=1.0, boundary=a)
     values = np.clip(a + np.asarray(fractions) * width, a, b)
     _check_exact_alpha(config, grid, values)
 
@@ -162,11 +163,11 @@ def test_face_fluxes_match_polyval_bit_for_bit(name):
         return v
 
     def smoothed(u, deriv=False):
-        left = side_terms(model.spec["left"][0], u, deriv)
+        left = side_terms(_PRESET_SPECS[name]["left"][0], u, deriv)
         if model.interface is None:
             return left
-        wl, wr = dx.smoothing_weights(model.interface.offset(pts), config.eps_smoothing)
-        return wl * left + wr * side_terms(model.spec["right"][0], u, deriv)
+        wl, wr = dx.smoothing_weights(model.interface.offset(pts), config.epsilon)
+        return wl * left + wr * side_terms(_PRESET_SPECS[name]["right"][0], u, deriv)
 
     fhat, alpha = _Faces(config, grid, 0).rusanov(values, {})
     ul, ur = values[:-1], values[1:]

@@ -536,31 +536,6 @@ def test_speed_bound_certified_where_the_ball_sample_was_not():
 
 
 # ---------------------------------------------------------------------------
-# cones
-
-
-def test_cone_membership():
-    cone = dx.Cone(center=(0.0, 0.0), radius=1.0, speed=2.0)
-    assert cone.height == 0.5
-    assert bool(cone.contains(0.0, np.zeros(2)))
-    assert not bool(cone.contains(cone.height, np.zeros(2)))
-    t = cone.height / 2
-    r = cone.section_radius(t)
-    assert bool(cone.contains(t, np.array([r - 1e-6, 0.0])))
-    assert not bool(cone.contains(t, np.array([r, 0.0])))
-
-
-def test_cone_sections_nest():
-    cone = dx.Cone(center=(0.3,), radius=0.9, speed=1.5)
-    rng = np.random.default_rng(31)
-    pts = rng.uniform(-1.0, 1.5, (500, 1))
-    t1, t2 = 0.1, 0.4
-    later = cone.contains(t2, pts)
-    earlier = cone.contains(t1, pts)
-    assert np.all(~later | earlier)
-
-
-# ---------------------------------------------------------------------------
 # Halton points, against scipy's unscrambled qmc.Halton
 
 

@@ -36,6 +36,11 @@ from discflux.solver import Field, Grid
 UNIT_BOX = Box((0.0,), (1.0,))
 
 
+# base and endpoint section (radius 0.9 at t = 0.1) cover the whole [0, 1]
+# of the fake records, so distances on the cone are distances on the box
+COVERING_CONE = Cone((0.5,), 1.0, 1.0)
+
+
 def _fake_record(member_id, deltas, initial_values=None, endpoint_values=None, time=0.1):
     """Record with hand-set deltas and fields; enough for the selection and
     matrix mechanics, no solver involved."""
@@ -311,16 +316,15 @@ def test_adversarial_record_fails_and_is_named():
 
 def test_selection_skips_forward_and_respects_the_cap():
     record = _fake_record("datum", (0.2, 0.04, 0.02, 0.01))
-    result = diagonal_select([record], threshold=0.2, n_steps=2)
-    assert result.passed
+    result = diagonal_select([record], threshold=0.2)
     # step 1 bound is 0.1, so the 0.2 delta is skipped
-    assert result.indices == (1, 2)
+    assert result.indices == (1, 2, 3)
     assert result.steps[0]["index"] == 1
 
-    # the default step count exhausts the indices and reports the datum
-    exhausted = diagonal_select([record], threshold=0.2)
-    assert not exhausted.passed
-    assert exhausted.failed_member == "datum"
+    # one step per delta exhausts the indices and reports the datum
+    assert not result.passed
+    assert result.failed_member == "datum"
+    assert result.failed_step == 4
 
 
 def test_selection_input_validation():
@@ -371,7 +375,7 @@ def test_contraction_matrix_hand_oracle():
             expected_data[i, j] = math.fsum(abs(a - b) for a, b in zip(fields[i][0], fields[j][0])) * vol
             expected_limit[i, j] = math.fsum(abs(a - b) for a, b in zip(fields[i][1], fields[j][1])) * vol
 
-    matrix = contraction_matrix([r1, r2, r3])
+    matrix = contraction_matrix([r1, r2, r3], COVERING_CONE)
     assert matrix.ids == ("r1", "r2", "r3")
     assert_allclose(matrix.data_distances, expected_data, rtol=1e-14, atol=0.0)
     assert_allclose(matrix.limit_distances, expected_limit, rtol=1e-14, atol=0.0)
@@ -388,7 +392,7 @@ def test_contraction_matrix_hand_oracle():
 def test_zero_data_distance_pairs_are_skipped():
     r1 = _fake_record("r1", (0.01, 0.005, 0.002), np.zeros(8), np.zeros(8))
     r4 = _fake_record("r4", (0.01, 0.005, 0.002), np.zeros(8), np.full(8, 0.1))
-    matrix = contraction_matrix([r1, r4])
+    matrix = contraction_matrix([r1, r4], COVERING_CONE)
     assert matrix.ratios[0, 1] == math.inf
     report = stability_report(matrix)
     assert report.pairs == 0
@@ -574,8 +578,8 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
     for member, record in zip(members, result.records):
         expected = run_sequence(member, study.epsilons, study.model, study.box,
                                 study.final_time, cell_budget=study.cell_budget,
-                                cfl=study.cfl, comparison_grid=study.comparison_grid,
-                                member_id=member.label)
+                                cfl=study.cfl, member_id=member.label)
+        assert expected.initial.grid == study.comparison_grid
         assert record.deltas == expected.deltas
         assert record.grid_counts == expected.grid_counts
         # step and cell-update counts, not the run times

@@ -20,7 +20,6 @@ from discflux.scenario import (
     ScenarioError,
     builtin_scenario_names,
     builtin_scenario_path,
-    canonical_json,
     initial_values_at,
     parse_scenario,
     scenario_from_dict,
@@ -71,17 +70,19 @@ def test_builtin_scenarios_parse_and_roundtrip():
         assert sc.kind in SCENARIO_KINDS
         assert sc.name == name
         with open(path) as fh:
-            assert canonical_json(sc.raw) == canonical_json(json.load(fh))
+            assert sc.raw == json.load(fh)
     with pytest.raises(ScenarioError, match="no builtin scenario"):
         builtin_scenario_path("not_a_scenario")
 
 
 def test_unknown_key_is_named_with_a_pointer():
-    doc = _run_doc()
-    doc["run"] = {"epslon": 0.01, "final_time": 0.02, "boundary": 0.0, "epsilon": 0.008}
-    with pytest.raises(ScenarioError, match="epslon") as err:
-        scenario_from_dict(doc)
-    assert "/run" in str(err.value)
+    # smoothing_width: one epsilon drives both the viscosity and the interface smoothing
+    for key in ("epslon", "smoothing_width"):
+        doc = _run_doc()
+        doc["run"] = {key: 0.01, "final_time": 0.02, "boundary": 0.0, "epsilon": 0.008}
+        with pytest.raises(ScenarioError, match=key) as err:
+            scenario_from_dict(doc)
+        assert "/run" in str(err.value)
 
 
 def test_nonpositive_epsilon_cites_the_field():
@@ -166,6 +167,9 @@ def test_chart_center_needs_the_flux_dimension():
     doc["initial"] = {"kind": "constant", "value": 0.2}
     with pytest.raises(ScenarioError, match="/chart/center"):
         scenario_from_dict(doc)
+    # burgers has no interface to flatten
+    with pytest.raises(ScenarioError, match="^/chart: a chart needs a flux with an interface"):
+        scenario_from_dict(_run_doc(chart={"center": [0.0], "radius": 0.2}))
 
 
 def test_study_schemas_are_kind_specific():
@@ -283,6 +287,16 @@ def test_study_initial_data_is_checked_under_its_own_pointer():
         scenario_from_dict(_run_doc(kind="germ", study={
             "level": 1, "epsilons": [0.032, 0.016],
             "solve_target": {"kind": "riemann", "left": 0.2, "right": 0.8, "position": 0.0, "axis": 2}}))
+    # the values a spec states lie in [a, b] = [0, 1]
+    with pytest.raises(ScenarioError, match=r"^/study/perturbation: values reach \[0.0, 1.2\]"):
+        scenario_from_dict(_run_doc(kind="cone-check", study={
+            "cone": {"center": [0.0], "radius": 0.2},
+            "perturbation": {"kind": "block", "inside": 1.2, "outside": 0.0, "lows": [0.3], "highs": [0.4]}}))
+    with pytest.raises(ScenarioError, match=r"^/study/solve_target: values reach \[0.6, 1.1\]"):
+        scenario_from_dict(_run_doc(kind="germ", study={
+            "level": 1, "epsilons": [0.032, 0.016], "solve_target": dict(bump, center=[0.0], base=0.6)}))
+    with pytest.raises(ScenarioError, match=r"^/initial: values reach \[-0.1, 0.5\]"):
+        scenario_from_dict(_run_doc(initial={"kind": "steps", "breakpoints": [0.0], "values": [-0.1, 0.5]}))
     steps_2d = _run_doc(flux="tilted_2d", grid={"counts": [16, 16]},
                         initial={"kind": "random_steps", "pieces": 4})
     del steps_2d["domain"]
@@ -371,18 +385,22 @@ def test_cli_runtime_error_exits_one(tmp_path, capsys):
         main(["germ", path, "--out", str(tmp_path / "out"), "--debug"])
 
 
-@pytest.mark.parametrize("d, zeta, right", [
-    (1, {"kind": "poly", "coeffs": [0.1, 0.5]}, None),  # only the constant would act in d = 1
-    (1, {"kind": "zero", "coeffs": [0.4]}, None),
-    (2, {"kind": "poly", "coeffs": []}, None),
+@pytest.mark.parametrize("d, zeta, right, components", [
+    (1, {"kind": "poly", "coeffs": [0.1, 0.5]}, None, 1),  # only the constant would act in d = 1
+    (1, {"kind": "zero", "coeffs": [0.4]}, None, 1),
+    (2, {"kind": "poly", "coeffs": []}, None, 2),
     # without an interface (zeta None) a right family distinct from the left one never acts
-    (1, None, [{"poly_lambda": [0.0, 2.0, -2.0]}]),
-], ids=["poly-1d-two-coeffs", "zero-nonzero-coeff", "poly-2d-empty", "jump-free-distinct-right"])
-def test_cli_refuses_ignored_interface_coefficients(tmp_path, capsys, d, zeta, right):
+    (1, None, [{"poly_lambda": [0.0, 2.0, -2.0]}], 1),
+    # a family needs exactly d components: a second one in d = 1 would never act
+    (1, None, None, 2),
+    (2, None, None, 1),
+], ids=["poly-1d-two-coeffs", "zero-nonzero-coeff", "poly-2d-empty", "jump-free-distinct-right",
+        "1d-two-components", "2d-one-component"])
+def test_cli_refuses_ignored_interface_coefficients(tmp_path, capsys, d, zeta, right, components):
     component = {"poly_lambda": [0.0, 1.0, -1.0]}
     interface = None if zeta is None else {"axis": 1, "zeta": zeta}
     doc = _run_doc(flux={"d": d, "a": 0.0, "b": 1.0, "interface": interface,
-                         "left": [component] * d, "right": right},
+                         "left": [component] * components, "right": right},
                    grid={"counts": [16] * d}, initial={"kind": "constant", "value": 0.3})
     del doc["domain"]
     doc["run"] = {"epsilon": 0.05, "final_time": 0.01, "boundary": 0.0}
@@ -400,12 +418,16 @@ def test_cli_refuses_output_times_beyond_final_time(tmp_path, capsys):
 
 
 def test_cli_refuses_bad_study_initial_data_before_solving(tmp_path, capsys):
-    doc = _run_doc(kind="kato-check", study={"initial_b": {
-        "kind": "bump", "base": 0.1, "amplitude": 0.5, "center": [0.0, 0.0], "radius": 0.2}})
-    out = tmp_path / "out"
-    assert main(["kato-check", _write(tmp_path, doc), "--out", str(out)]) == 1
-    assert "scenario error: /study/initial_b: bump center must have length 1" in capsys.readouterr().err
-    assert not out.exists()
+    for initial_b, message in [
+        ({"kind": "bump", "base": 0.1, "amplitude": 0.5, "center": [0.0, 0.0], "radius": 0.2},
+         "bump center must have length 1"),
+        ({"kind": "constant", "value": 1.5}, "values reach [1.5, 1.5], outside the state interval [0.0, 1.0]"),
+    ]:
+        doc = _run_doc(kind="kato-check", study={"initial_b": initial_b})
+        out = tmp_path / "out"
+        assert main(["kato-check", _write(tmp_path, doc), "--out", str(out)]) == 1
+        assert f"scenario error: /study/initial_b: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_refuses_a_cone_center_of_the_wrong_length(tmp_path, capsys):
@@ -779,11 +801,14 @@ def test_cli_failing_writer_leaves_no_report_and_no_child(tmp_path, monkeypatch,
 
 
 def test_cli_error_after_a_submitted_write_reaps_the_writer(tmp_path, capsys):
-    # the chart is refused only after trajectory.csv went to its writer
-    doc = _run_doc(chart={"center": [0.0], "radius": 0.2})
+    # the interface at x = 0 sits on the edge of [0, 1]: the trace is refused
+    # only after trajectory.csv went to its writer
+    doc = _run_doc(kind="entropy-check", flux="two_flux", domain={"lows": [0.0], "highs": [1.0]},
+                   initial={"kind": "constant", "value": 0.3})
+    doc["run"] = dict(doc["run"], epsilon=0.05, boundary=0.3)
     out = tmp_path / "out"
-    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
-    assert "error: RuntimeError: a chart needs a flux with an interface" in capsys.readouterr().err
+    assert main(["entropy-check", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert "interface too close to the domain boundary" in capsys.readouterr().err
     assert not (out / "report.json").exists()
     _assert_no_child_left()
 

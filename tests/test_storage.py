@@ -111,7 +111,6 @@ def test_trace_csv_one_dimensional(tmp_path):
         left=np.array([[0.2], [0.4]]),
         right=np.array([[0.6], [0.8]]),
         tangential_weight=1.0,
-        stencil={},
     )
     path = tmp_path / "trace.csv"
     storage.write_trace_csv(path, trace)
@@ -132,7 +131,6 @@ def test_trace_csv_tangential_column(tmp_path):
         left=np.array([[0.1, 0.2, 0.3]]),
         right=np.array([[0.1, 0.2, 0.3]]),
         tangential_weight=0.5,
-        stencil={},
     )
     path = tmp_path / "trace.csv"
     storage.write_trace_csv(path, trace)
@@ -250,7 +248,6 @@ def test_trace_matrix_deltas_writers_match_row_writers(tmp_path):
             left=left,
             right=left[::-1],
             tangential_weight=1.0,
-            stencil={},
         )
         path = tmp_path / "trace.csv"
         storage.write_trace_csv(path, trace)
