@@ -41,18 +41,22 @@ DEFAULT_OUT_ROOT = "discflux_out"
 
 class _PhaseClock:
     """Seconds one scenario command spends solving, verifying and writing
-    artifacts, for the `timings` block of report.json.  Time outside the
-    three phases (parsing, initial data, interpolation) counts only in
-    total_s.
+    artifacts, for report.json's `timings` block, and the artifacts it
+    wrote, for its `artifacts` block.  Time outside the three phases
+    (parsing, initial data, interpolation) counts only in total_s, which
+    runs from `start`.
 
-    The clock owns the command's artifact writers: `write` hands a CSV to a
-    forked child as soon as its data exists, so io_s counts the fork, not
-    the formatting, and report.json is written after the children finish."""
+    `write(name, write, *args)` hands `write(out/name, *args)` to a forked
+    child as soon as its data exists, so io_s counts the fork, not the
+    formatting, and records `name` under its stem.  report.json is written
+    after the children finish."""
 
-    def __init__(self):
-        self.start = time.perf_counter()
+    def __init__(self, out: str, start: float):
+        self.start = start
         self.seconds = {"solve_s": 0.0, "verify_s": 0.0, "io_s": 0.0}
+        self.out = out
         self.writers = storage.Writers()
+        self.artifacts: dict = {}
 
     def __call__(self, phase: str, fn, *args, **kwargs):
         start = time.perf_counter()
@@ -61,8 +65,9 @@ class _PhaseClock:
         finally:
             self.seconds[phase] += time.perf_counter() - start
 
-    def write(self, write, path, *args):
-        self("io_s", self.writers.submit, write, path, *args)
+    def write(self, name: str, write, *args):
+        self("io_s", self.writers.submit, write, os.path.join(self.out, name), *args)
+        self.artifacts |= {os.path.splitext(name)[0]: name}
 
     def timings(self) -> dict:
         return dict(self.seconds, total_s=time.perf_counter() - self.start)
@@ -72,43 +77,44 @@ def _check(checks, name: str, ok: bool, detail: str):
     checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
 
-def _max_principle(clock, checks, traj: Trajectory, model, label: str = "max_principle"):
+def _solve(clock, checks, sc: Scenario, u0: Field, config, name: str, label: str) -> Trajectory:
+    """Run, hand the trajectory to its writer as `name`, and check the max
+    principle on the scenario's [a, b] as `label`."""
+    traj = clock("solve_s", run, u0, config)
+    clock.write(name, storage.write_trajectory_csv, traj)
+    model = sc.model
     rep = clock("verify_s", max_principle_check, traj, model.a, model.b)
     _check(checks, label, rep.passed,
            f"values stay in [{rep.min_value:.6g}, {rep.max_value:.6g}] against [{model.a}, {model.b}]")
-    return rep
+    return traj
 
 
-def _battery_check(checks, report, label: str):
+def _battery(clock, checks, sc: Scenario, battery, trajs, model, tol_factor: float,
+             name: str, label: str):
+    """`battery(*trajs, model)` on the study's bumps (the battery's own test
+    functions without `bumps`) and its `tol_factor` (`tol_factor` without),
+    its JSON handed to a writer as `name` and its check line as `label`."""
+    phis = None
+    if "bumps" in sc.study:
+        phis = bump_battery(trajs[0].grid.box, trajs[0].times[-1], count=int(sc.study["bumps"]))
+    report = clock("verify_s", battery, *trajs, model, phis=phis,
+                   tol_factor=sc.study.get("tol_factor", tol_factor))
+    clock.write(name, storage.write_manifest, report.to_json())
     lam, phi = report.worst
     lam_txt = "none" if lam is None else f"{lam:.6g}"
     _check(checks, label, report.passed,
            f"min residual {report.min_residual:.3e} (worst at lambda={lam_txt}, {phi})")
 
 
-def _write_trace(clock, traj: Trajectory, model, out: str, artifacts: dict):
-    if model.interface is None:
-        return
-    try:
-        trace = clock("verify_s", interface_trace, traj, model)
-    except ValueError as exc:
-        raise RuntimeError(f"interface trace unavailable: {exc}") from exc
-    clock.write(storage.write_trace_csv, os.path.join(out, "trace.csv"), trace)
-    artifacts["trace"] = "trace.csv"
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies; each returns (checks, manifest_extras)
 
 
-def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
+def _exec_run(sc: Scenario, args, clock) -> tuple[list, dict]:
     checks: list = []
-    artifacts: dict = {}
-    traj = clock("solve_s", run, sc.initial_field(), sc.config)
-    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory.csv"), traj)
-    artifacts["trajectory"] = "trajectory.csv"
-    _max_principle(clock, checks, traj, sc.model)
-    extras = {"solver": traj.manifest, "artifacts": artifacts}
+    model = sc.model
+    traj = _solve(clock, checks, sc, sc.initial_field(), sc.config, "trajectory.csv", "max_principle")
+    extras = {"solver": traj.manifest}
 
     if sc.chart is None:
         return checks, extras
@@ -116,7 +122,6 @@ def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     # charted pipeline: flatten the interface, extend the flux radially so it
     # is defined on the whole flattened box, re-solve, and map the flattened
     # solution back for a side-by-side comparison
-    model = sc.model
     itf = model.interface
     flat = flatten_model(model)
     center = np.asarray(sc.chart["center"], dtype=float)
@@ -127,84 +132,58 @@ def _exec_run(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     flat_grid = Grid(flat.domain.lows, flat.domain.highs, grid.counts)
     u0_flat = Field(flat_grid, sc.values_at(sc.initial, itf.unflatten(flat_grid.points())), 0.0)
     config_flat = dataclasses.replace(sc.config, flux=ext)
-    traj_flat = clock("solve_s", run, u0_flat, config_flat)
-    clock.write(storage.write_trajectory_csv, os.path.join(out, "flattened_trajectory.csv"), traj_flat)
-    artifacts["flattened_trajectory"] = "flattened_trajectory.csv"
-    _max_principle(clock, checks, traj_flat, model, "max_principle_flattened")
+    traj_flat = _solve(clock, checks, sc, u0_flat, config_flat,
+                       "flattened_trajectory.csv", "max_principle_flattened")
 
     # pull the flattened solution back onto the original grid
     mapped = flat_grid.interpolate(traj_flat.states, itf.flatten(grid.points()))
     mapped_traj = Trajectory(grid=grid, times=traj_flat.times, states=mapped,
                              manifest={"mapped_from": "flattened_trajectory.csv"})
-    clock.write(storage.write_trajectory_csv, os.path.join(out, "mapped_trajectory.csv"), mapped_traj)
-    artifacts["mapped_trajectory"] = "mapped_trajectory.csv"
+    clock.write("mapped_trajectory.csv", storage.write_trajectory_csv, mapped_traj)
 
     gap = clock("verify_s", l1_distance, traj.final, mapped_traj.final)
     tol = args.tol if args.tol is not None else 2e-2
     _check(checks, "flatten_roundtrip", gap <= tol,
            f"L1 gap {gap:.3e} vs tol {tol:.3e} at t={traj.times[-1]:.6g}")
 
-    report = clock("verify_s", entropy_battery, traj_flat, ext, tol_factor=sc.study.get("tol_factor", 1e-2))
-    clock("io_s", storage.write_manifest, os.path.join(out, "entropy_report.json"), report.to_json())
-    artifacts["entropy_report"] = "entropy_report.json"
-    _battery_check(checks, report, "entropy_battery_flattened")
-
+    _battery(clock, checks, sc, entropy_battery, [traj_flat], ext, 1e-2,
+             "entropy_report.json", "entropy_battery_flattened")
     extras["flattened_solver"] = traj_flat.manifest
     return checks, extras
 
 
-def _exec_entropy(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
+def _exec_entropy(sc: Scenario, args, clock) -> tuple[list, dict]:
     checks: list = []
-    artifacts: dict = {}
-    traj = clock("solve_s", run, sc.initial_field(), sc.config)
-    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory.csv"), traj)
-    artifacts["trajectory"] = "trajectory.csv"
-    _max_principle(clock, checks, traj, sc.model)
-
-    phis = None
-    if "bumps" in sc.study:
-        phis = bump_battery(traj.grid.box, traj.times[-1], count=int(sc.study["bumps"]))
-    report = clock("verify_s", entropy_battery, traj, sc.model, phis=phis,
-                   tol_factor=sc.study.get("tol_factor", 1e-3))
-    clock("io_s", storage.write_manifest, os.path.join(out, "entropy_report.json"), report.to_json())
-    artifacts["entropy_report"] = "entropy_report.json"
-    _battery_check(checks, report, "entropy_battery")
-    _write_trace(clock, traj, sc.model, out, artifacts)
-    return checks, {"solver": traj.manifest, "artifacts": artifacts}
+    model = sc.model
+    traj = _solve(clock, checks, sc, sc.initial_field(), sc.config, "trajectory.csv", "max_principle")
+    _battery(clock, checks, sc, entropy_battery, [traj], model, 1e-3,
+             "entropy_report.json", "entropy_battery")
+    if model.interface is not None:
+        try:
+            trace = clock("verify_s", interface_trace, traj, model)
+        except ValueError as exc:
+            raise RuntimeError(f"interface trace unavailable: {exc}") from exc
+        clock.write("trace.csv", storage.write_trace_csv, trace)
+    return checks, {"solver": traj.manifest}
 
 
-def _exec_kato(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
+def _exec_kato(sc: Scenario, args, clock) -> tuple[list, dict]:
     checks: list = []
-    artifacts: dict = {}
-    traj_a = clock("solve_s", run, sc.initial_field(), sc.config)
-    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory_a.csv"), traj_a)
-    traj_b = clock("solve_s", run, sc.field_from_spec(sc.study["initial_b"]), sc.config)
-    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory_b.csv"), traj_b)
-    artifacts["trajectory_a"] = "trajectory_a.csv"
-    artifacts["trajectory_b"] = "trajectory_b.csv"
-    _max_principle(clock, checks, traj_a, sc.model, "max_principle_a")
-    _max_principle(clock, checks, traj_b, sc.model, "max_principle_b")
-
-    phis = None
-    if "bumps" in sc.study:
-        phis = bump_battery(traj_a.grid.box, traj_a.times[-1], count=int(sc.study["bumps"]))
-    report = clock("verify_s", kato_battery, traj_a, traj_b, sc.model, phis=phis,
-                   tol_factor=sc.study.get("tol_factor", 1e-3))
-    clock("io_s", storage.write_manifest, os.path.join(out, "kato_report.json"), report.to_json())
-    artifacts["kato_report"] = "kato_report.json"
-    _battery_check(checks, report, "kato_battery")
-    return checks, {"solver_a": traj_a.manifest, "solver_b": traj_b.manifest,
-                    "artifacts": artifacts}
+    traj_a = _solve(clock, checks, sc, sc.initial_field(), sc.config,
+                    "trajectory_a.csv", "max_principle_a")
+    traj_b = _solve(clock, checks, sc, sc.field_from_spec(sc.study["initial_b"]), sc.config,
+                    "trajectory_b.csv", "max_principle_b")
+    _battery(clock, checks, sc, kato_battery, [traj_a, traj_b], sc.model, 1e-3,
+             "kato_report.json", "kato_battery")
+    return checks, {"solver_a": traj_a.manifest, "solver_b": traj_b.manifest}
 
 
-def _exec_cone(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
+def _exec_cone(sc: Scenario, args, clock) -> tuple[list, dict]:
     checks: list = []
-    artifacts: dict = {}
     model = sc.model
     u0 = sc.initial_field()
-    pert = sc.values_at(sc.study["perturbation"], sc.grid.points())
-    perturbed = np.clip(u0.values + pert, model.a, model.b)
-    u0_b = Field(sc.grid, perturbed, 0.0)
+    pert = sc.perturbation()
+    u0_b = Field(sc.grid, np.clip(u0.values + pert, model.a, model.b), 0.0)
 
     cone_spec = sc.study["cone"]
     center = np.asarray(cone_spec["center"], dtype=float)
@@ -216,14 +195,9 @@ def _exec_cone(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     _check(checks, "perturbation_outside_base", not clash,
            f"perturbation support vs cone base B(center, {cone.radius:.6g})")
 
-    traj_a = clock("solve_s", run, u0, sc.config)
-    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory_base.csv"), traj_a)
-    traj_b = clock("solve_s", run, u0_b, sc.config)
-    clock.write(storage.write_trajectory_csv, os.path.join(out, "trajectory_perturbed.csv"), traj_b)
-    artifacts["trajectory_base"] = "trajectory_base.csv"
-    artifacts["trajectory_perturbed"] = "trajectory_perturbed.csv"
-    _max_principle(clock, checks, traj_a, model, "max_principle_base")
-    _max_principle(clock, checks, traj_b, model, "max_principle_perturbed")
+    traj_a = _solve(clock, checks, sc, u0, sc.config, "trajectory_base.csv", "max_principle_base")
+    traj_b = _solve(clock, checks, sc, u0_b, sc.config,
+                    "trajectory_perturbed.csv", "max_principle_perturbed")
 
     tol = args.tol if args.tol is not None else float(sc.study.get("tol", 1e-2))
     rep = clock("verify_s", cone_locality_check, traj_a, traj_b, cone, tol=tol)
@@ -232,13 +206,11 @@ def _exec_cone(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     return checks, {"solver_base": traj_a.manifest, "solver_perturbed": traj_b.manifest,
                     "cone": {"center": list(cone.center), "radius": cone.radius,
                              "speed": cone.speed},
-                    "locality": {"kappa": rep.kappa, "per_time": list(rep.per_time)},
-                    "artifacts": artifacts}
+                    "locality": {"kappa": rep.kappa, "per_time": list(rep.per_time)}}
 
 
-def _exec_converge(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
+def _exec_converge(sc: Scenario, args, clock) -> tuple[list, dict]:
     checks: list = []
-    artifacts: dict = {}
     model = sc.model
     epsilons = [float(e) for e in sc.study["epsilons"]]
     budget = int(sc.study.get("cell_budget", args.cell_budget))
@@ -246,14 +218,11 @@ def _exec_converge(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     def u0_fn(pts):
         return sc.values_at(sc.initial, pts)
 
-    boundary = sc.config.boundary
     record = clock("solve_s", germ_mod.run_sequence, u0_fn, epsilons, model, model.domain,
-                   sc.config.final_time, boundary=boundary, cell_budget=budget,
+                   sc.config.final_time, boundary=sc.config.boundary, cell_budget=budget,
                    cfl=sc.config.cfl, member_id=sc.name)
-    clock("io_s", storage.write_deltas_csv, os.path.join(out, "deltas.csv"), record.epsilons, record.deltas)
-    artifacts["deltas"] = "deltas.csv"
-    clock("io_s", storage.write_field_csv, os.path.join(out, "finest_endpoint.csv"), record.endpoints[-1])
-    artifacts["finest_endpoint"] = "finest_endpoint.csv"
+    clock.write("deltas.csv", storage.write_deltas_csv, record.epsilons, record.deltas)
+    clock.write("finest_endpoint.csv", storage.write_field_csv, record.endpoints[-1])
 
     tail = record.deltas[1:]
     monotone = all(b < a for a, b in zip(tail, tail[1:])) if len(tail) > 1 else True
@@ -261,10 +230,10 @@ def _exec_converge(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     _check(checks, "delta_tail_decreasing", monotone, f"deltas [{txt}]")
     return checks, {"epsilons": list(record.epsilons), "deltas": list(record.deltas),
                     "grid_counts": [list(c) for c in record.grid_counts],
-                    "artifacts": artifacts}
+                    "solver": germ_mod.solver_counters([record], 1)}
 
 
-def _exec_germ(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
+def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     level = int(sc.study["level"])
@@ -285,21 +254,17 @@ def _exec_germ(sc: Scenario, out: str, args, clock) -> tuple[list, dict]:
     _check(checks, "germ_stability", st.passed,
            f"worst contraction ratio {st.worst_ratio:.4f} over {st.pairs} pairs (pair {pair})")
 
-    extra: dict = {"family_size": len(result.records)}
-    target_spec = sc.study.get("solve_target", sc.initial)
-    target = sc.field_from_spec(target_spec, grid=study.comparison_grid)
+    target = sc.field_from_spec(sc.study.get("solve_target", sc.initial), grid=study.comparison_grid)
     est = clock("solve_s", study.solve, target, level)
-    clock("io_s", storage.write_field_csv, os.path.join(out, "estimate.csv"), est.limit)
-    extra["estimate"] = {
-        "member_id": est.member_id,
-        "error_bar": est.error_bar,
-        "approx_error": est.approx_error,
-        "delta_tail": est.delta_tail,
-        "file": "estimate.csv",
-    }
-    clock("io_s", germ_mod.save_level_result, result, out, extra=extra)
+    clock.write("estimate.csv", storage.write_field_csv, est.limit)
+    extra = {"family_size": len(result.records),
+             "estimate": {"member_id": est.member_id, "error_bar": est.error_bar,
+                          "approx_error": est.approx_error, "delta_tail": est.delta_tail,
+                          "file": "estimate.csv"}}
+    # the level pool is shut down by now, so the fork copies no thread of it
+    clock.write("manifest.json", germ_mod.save_level_result, result, extra)
     # report.json only: run times would make the level manifest differ per run
-    return checks, {**extra, "solver": result.solver_counters()}
+    return checks, {**extra, "solver": germ_mod.solver_counters(result.records, result.workers)}
 
 
 _EXECUTORS = {
@@ -320,16 +285,15 @@ def _resolve_scenario(value: str) -> str:
 
 
 def _run_scenario_command(args) -> int:
-    clock = _PhaseClock()
+    start = time.perf_counter()
     sc = parse_scenario(_resolve_scenario(args.scenario), seed=args.seed)
     if sc.kind != args.command:
         print(f"error: scenario {sc.name!r} has kind {sc.kind!r}, "
               f"but the {args.command!r} subcommand was invoked", file=sys.stderr)
         return 1
-    out = args.out or os.path.join(DEFAULT_OUT_ROOT, sc.name)
-    storage.ensure_dir(out)
+    clock = _PhaseClock(storage.ensure_dir(args.out or os.path.join(DEFAULT_OUT_ROOT, sc.name)), start)
     try:
-        checks, extras = _EXECUTORS[sc.kind](sc, out, args, clock)
+        checks, extras = _EXECUTORS[sc.kind](sc, args, clock)
         for entry in checks:
             if not args.quiet:
                 verdict = "PASS" if entry["pass"] else "FAIL"
@@ -337,11 +301,10 @@ def _run_scenario_command(args) -> int:
         ok = all(entry["pass"] for entry in checks)
         manifest = {"scenario": sc.raw, "name": sc.name, "kind": sc.kind,
                     "checks": checks, "pass": ok}
-        manifest.update(extras)
-        manifest["timings"] = clock.timings()
+        manifest.update(extras, artifacts=clock.artifacts, timings=clock.timings())
         # the join sits inside write_manifest, so report.json appears only
         # once every artifact it lists is complete
-        storage.write_manifest(os.path.join(out, "report.json"), manifest, after=clock.writers)
+        storage.write_manifest(os.path.join(clock.out, "report.json"), manifest, after=clock.writers)
     except BaseException:
         # leave no child behind; the original error is the one to report
         with contextlib.suppress(RuntimeError):
@@ -376,14 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "laws with an interface flux jump",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output directory (default discflux_out/<name>)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized initial data")
-    common.add_argument("--tol", type=float, default=None, help="override the headline check tolerance")
-    common.add_argument("--cell-budget", type=int, default=germ_mod.DEFAULT_CELL_BUDGET,
-                        help="refuse epsilon sweeps needing more cells than this")
     common.add_argument("--quiet", action="store_true", help="suppress per-check lines")
     common.add_argument("--debug", action="store_true",
                         help="re-raise errors with their traceback instead of one error line")
+    scenario = argparse.ArgumentParser(add_help=False, parents=[common])
+    scenario.add_argument("--out", help="output directory (default discflux_out/<name>)")
+    scenario.add_argument("--seed", type=int, default=0, help="seed for randomized initial data")
+    # the flags below reach only the commands that read them; any other refuses them
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None, help="override the headline check tolerance")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--cell-budget", type=int, default=germ_mod.DEFAULT_CELL_BUDGET,
+                        help="refuse epsilon sweeps needing more cells than this")
+    flags = {"run": [tol], "cone-check": [tol], "converge": [budget], "germ": [budget]}
 
     sub = parser.add_subparsers(dest="command")
     helps = {
@@ -395,12 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
         "germ": "run a dyadic family study with diagonal selection and stability",
     }
     for kind in _EXECUTORS:
-        p = sub.add_parser(kind, parents=[common], help=helps[kind])
-        p.add_argument("scenario",
-                       help="path to a scenario JSON file, or a shipped scenario name")
+        p = sub.add_parser(kind, parents=[scenario, *flags.get(kind, [])], help=helps[kind])
+        p.add_argument("scenario", help="path to a scenario JSON file, or a shipped scenario name")
         p.set_defaults(func=_run_scenario_command)
 
-    pd = sub.add_parser("diff", parents=[common], help="compare two single-time field CSV files")
+    pd = sub.add_parser("diff", parents=[common, tol], help="compare two single-time field CSV files")
     pd.add_argument("field_a")
     pd.add_argument("field_b")
     pd.add_argument("--sup-tol", type=float, default=None, help="sup-norm tolerance")

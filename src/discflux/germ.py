@@ -391,15 +391,16 @@ class GermLevelResult:
     def passed(self) -> bool:
         return self.selection.passed and self.stability.passed
 
-    def solver_counters(self) -> dict:
-        """Step and cell-update counts and summed run time of the solves behind
-        the records."""
-        runs = [(n, s, u, math.prod(c)) for r in self.records
-                for (n, s, u), c in zip(r.runs, r.grid_counts)]
-        return {"runs": len(runs), "steps": sum(n for n, _, _, _ in runs),
-                "cell_steps": sum(n * c for n, _, _, c in runs),
-                "cell_updates": sum(u for _, _, u, _ in runs),
-                "solve_s": sum(s for _, s, _, _ in runs), "workers": self.workers}
+
+def solver_counters(records, workers: int) -> dict:
+    """Step and cell-update counts and summed run time of the solves behind
+    `records`, solved by `workers` processes."""
+    runs = [(n, s, u, math.prod(c)) for r in records
+            for (n, s, u), c in zip(r.runs, r.grid_counts)]
+    return {"runs": len(runs), "steps": sum(n for n, _, _, _ in runs),
+            "cell_steps": sum(n * c for n, _, _, c in runs),
+            "cell_updates": sum(u for _, _, u, _ in runs),
+            "solve_s": sum(s for _, s, _, _ in runs), "workers": workers}
 
 
 # set in each pool worker by _init_worker: the study and the members to solve
@@ -546,8 +547,10 @@ def load_record(dirpath) -> GermRecord:
     )
 
 
-def save_level_result(result: GermLevelResult, dirpath, extra: dict | None = None):
-    storage.ensure_dir(dirpath)
+def save_level_result(path, result: GermLevelResult, extra: dict):
+    """The level manifest at `path`, with `extra` merged in; the member
+    records and the distance matrices go beside it, into its directory."""
+    dirpath = os.path.dirname(path)
     for record in result.records:
         save_record(record, os.path.join(dirpath, "records", record.member_id))
     storage.write_matrix_csv(os.path.join(dirpath, "data_distances.csv"),
@@ -574,6 +577,5 @@ def save_level_result(result: GermLevelResult, dirpath, extra: dict | None = Non
     }
     cone = result.matrix.cone
     manifest["contraction_cone"] = {"center": list(cone.center), "radius": cone.radius, "speed": cone.speed}
-    if extra:
-        manifest.update(extra)
-    storage.write_manifest(os.path.join(dirpath, "manifest.json"), manifest)
+    manifest.update(extra)
+    storage.write_manifest(path, manifest)

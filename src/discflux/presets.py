@@ -137,6 +137,7 @@ _PRESET_SPECS: dict[str, dict] = {
 }
 
 PRESET_NAMES = tuple(sorted(_PRESET_SPECS))
+PRESET_DIMENSIONS = {name: spec["d"] for name, spec in _PRESET_SPECS.items()}
 
 
 def preset(name: str) -> PiecewiseFlux:

@@ -14,7 +14,7 @@ from jsonschema.exceptions import best_match
 
 from .flux import PiecewiseFlux
 from .geometry import Box, as_points
-from .presets import PRESET_NAMES, resolve_flux
+from .presets import PRESET_DIMENSIONS, PRESET_NAMES, resolve_flux
 from .solver import Field, Grid, RunConfig
 
 SCENARIO_KINDS = ("run", "entropy-check", "kato-check", "cone-check", "converge", "germ")
@@ -425,6 +425,13 @@ class Scenario:
         interval and with the scenario's seed."""
         return initial_values_at(spec, points, self.model.a, self.model.b, self.model.d, seed=self.seed)
 
+    def perturbation(self) -> np.ndarray:
+        """The cone-check perturbation at the grid's cells, on [a - b, b - a]
+        so that it may lower the state as well as raise it."""
+        span = self.model.b - self.model.a
+        return initial_values_at(self.study["perturbation"], self.grid.points(), -span, span,
+                                 self.model.d, seed=self.seed)
+
     def field_from_spec(self, spec: dict, grid: Grid | None = None) -> Field:
         grid = grid if grid is not None else self.grid
         return Field(grid, self.values_at(spec, grid.points()), 0.0)
@@ -454,8 +461,10 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
             raise ScenarioError(
                 f"/flux: unknown preset {flux_value!r}; available: {', '.join(PRESET_NAMES)}"
             )
+        d = PRESET_DIMENSIONS[flux_value]
     else:
         _validate(flux_value, _FLUX_OBJECT_SCHEMA, "/flux")
+        d = flux_value["d"]
 
     domain = None
     if "domain" in raw:
@@ -463,6 +472,8 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
         highs = raw["domain"]["highs"]
         if len(lows) != len(highs):
             raise ScenarioError("/domain: lows and highs must have equal length")
+        if len(lows) != d:
+            raise ScenarioError(f"/domain: expected {d} coordinates")
         try:
             domain = Box(tuple(float(v) for v in lows), tuple(float(v) for v in highs))
         except ValueError as exc:
@@ -500,7 +511,8 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
     if kind == "kato-check":
         validate_initial(study["initial_b"], model.d, model.a, model.b, "/study/initial_b")
     if kind == "cone-check":
-        validate_initial(study["perturbation"], model.d, model.a, model.b, "/study/perturbation")
+        span = model.b - model.a
+        validate_initial(study["perturbation"], model.d, -span, span, "/study/perturbation")
         if len(study["cone"]["center"]) != model.d:
             raise ScenarioError(f"/study/cone/center: expected {model.d} coordinates")
     if kind == "germ" and "solve_target" in study:

@@ -29,6 +29,7 @@ from discflux.germ import (
     run_sequence,
     save_level_result,
     save_record,
+    solver_counters,
     stability_report,
 )
 from discflux.solver import Field, Grid
@@ -595,7 +596,7 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
     assert again.workers == 1
     assert all(a is b for a, b in zip(again.records, result.records))
 
-    counters = result.solver_counters()
+    counters = solver_counters(result.records, result.workers)
     assert counters["runs"] == 9 * 4
     assert counters["steps"] == sum(n for r in result.records for n, _, _ in r.runs)
     assert counters["cell_steps"] == sum(n * c[0] for r in result.records
@@ -676,7 +677,8 @@ def test_level_result_persisted_layout(tmp_path):
                              matrix=matrix, stability=stability_report(matrix))
 
     out = tmp_path / "level1"
-    save_level_result(result, out, extra={"note": "unit"})
+    out.mkdir()
+    save_level_result(str(out / "manifest.json"), result, {"note": "unit"})
 
     manifest_path = out / "manifest.json"
     assert manifest_path.is_file()

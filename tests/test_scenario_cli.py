@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import discflux
 from conftest import CURVED_MODULATED_SPEC
 from discflux import storage
-from discflux.cli import main
+from discflux.cli import build_parser, main
 from discflux.geometry import Box
 from discflux.scenario import (
     SCENARIO_KINDS,
@@ -120,6 +120,13 @@ def test_grid_counts_must_match_the_flux_dimension():
     del doc["domain"]
     with pytest.raises(ScenarioError, match="/grid/counts"):
         scenario_from_dict(doc)
+    # a domain is checked against the flux's dimension before the flux is built
+    with pytest.raises(ScenarioError, match="^/domain: expected 1 coordinates$"):
+        scenario_from_dict(_run_doc(domain={"lows": [-0.5, -0.5], "highs": [0.5, 0.5]}))
+    inline = {"d": 2, "a": 0.0, "b": 1.0, "interface": None,
+              "left": [{"poly_lambda": [0.0, 1.0, -1.0]}] * 2}
+    with pytest.raises(ScenarioError, match="^/domain: expected 2 coordinates$"):
+        scenario_from_dict(_run_doc(flux=inline, grid={"counts": [16, 16]}))
 
 
 def test_domain_override_boundary_and_output_times():
@@ -287,11 +294,22 @@ def test_study_initial_data_is_checked_under_its_own_pointer():
         scenario_from_dict(_run_doc(kind="germ", study={
             "level": 1, "epsilons": [0.032, 0.016],
             "solve_target": {"kind": "riemann", "left": 0.2, "right": 0.8, "position": 0.0, "axis": 2}}))
-    # the values a spec states lie in [a, b] = [0, 1]
+    # the values a spec states lie in [a, b] = [0, 1]; a perturbation's in
+    # [a - b, b - a] = [-1, 1], so that it may lower the state
     with pytest.raises(ScenarioError, match=r"^/study/perturbation: values reach \[0.0, 1.2\]"):
         scenario_from_dict(_run_doc(kind="cone-check", study={
             "cone": {"center": [0.0], "radius": 0.2},
             "perturbation": {"kind": "block", "inside": 1.2, "outside": 0.0, "lows": [0.3], "highs": [0.4]}}))
+    with pytest.raises(ScenarioError, match=r"^/study/perturbation: values reach \[-1.2, 0.0\]"):
+        scenario_from_dict(_run_doc(kind="cone-check", study={
+            "cone": {"center": [0.0], "radius": 0.2},
+            "perturbation": dict(bump, center=[0.45], base=0.0, amplitude=-1.2)}))
+    cone_doc = json.loads(open(builtin_scenario_path("cone_burgers")).read())
+    cone_doc["study"]["perturbation"] = {"kind": "bump", "base": 0.0, "amplitude": -0.2,
+                                         "center": [0.45], "radius": 0.04}
+    lowered = scenario_from_dict(cone_doc)
+    assert lowered.perturbation().min() == pytest.approx(-0.2, abs=1e-3)
+    assert lowered.perturbation().max() == 0.0
     with pytest.raises(ScenarioError, match=r"^/study/solve_target: values reach \[0.6, 1.1\]"):
         scenario_from_dict(_run_doc(kind="germ", study={
             "level": 1, "epsilons": [0.032, 0.016], "solve_target": dict(bump, center=[0.0], base=0.6)}))
@@ -318,11 +336,34 @@ def test_initial_field_seed_plumbing(tmp_path):
 # CLI exit contract
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(tmp_path, capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["run"]) == 1
     assert main(["--help"]) == 0
+    # --tol reaches run, cone-check and diff, --cell-budget converge and
+    # germ, --out and --seed the scenario commands; elsewhere they are refused
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["entropy-check", "burgers_shock", "--tol", "1e-30", *out],
+                 ["entropy-check", "burgers_shock", "--cell-budget", "1", *out],
+                 ["kato-check", "kato_burgers", "--tol", "1e-30", *out],
+                 ["run", "tilted_flatten_2d", "--cell-budget", "1", *out],
+                 ["cone-check", "cone_burgers", "--cell-budget", "1", *out],
+                 ["converge", "two_flux_interface", "--tol", "1e-30", *out],
+                 ["germ", "germ_level1", "--tol", "1e-30", *out],
+                 ["diff", "a.csv", "b.csv", *out],
+                 ["diff", "a.csv", "b.csv", "--seed", "1"],
+                 ["diff", "a.csv", "b.csv", "--cell-budget", "1"]):
+        assert main(argv) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert not (tmp_path / "out").exists()
+    parser = build_parser()
+    for argv, flag, value in ((["run", "x", "--tol", "0.5"], "tol", 0.5),
+                              (["cone-check", "x", "--tol", "0.5"], "tol", 0.5),
+                              (["diff", "a", "b", "--tol", "0.5"], "tol", 0.5),
+                              (["converge", "x", "--cell-budget", "64"], "cell_budget", 64),
+                              (["germ", "x", "--cell-budget", "64"], "cell_budget", 64)):
+        assert getattr(parser.parse_args(argv), flag) == value
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
@@ -525,6 +566,11 @@ def test_cli_converge_spec_example(tmp_path):
     assert report["checks"][0]["name"] == "delta_tail_decreasing"
     assert report["pass"] is True
     assert report["grid_counts"] == [[1024], [2048], [4096], [8192]]
+    solver = report["solver"]
+    assert solver["runs"] == 4 and solver["workers"] == 1
+    assert 0 < solver["cell_updates"] <= solver["cell_steps"]
+    assert solver["solve_s"] > 0.0
+    assert report["artifacts"] == {"deltas": "deltas.csv", "finest_endpoint": "finest_endpoint.csv"}
 
     lines = (out / "deltas.csv").read_text().strip().splitlines()
     assert lines[0] == "eps_coarse,eps_fine,delta"
@@ -570,6 +616,13 @@ def test_cli_cone_check_and_inversion(tmp_path):
     assert report["pass"] is True
     assert report["locality"]["kappa"] <= 1e-2
 
+    # a perturbation may lower the state as well
+    doc["study"]["perturbation"] = {"kind": "block", "inside": -0.2, "outside": 0.0,
+                                    "lows": [0.3], "highs": [0.4]}
+    out_low = tmp_path / "out_low"
+    assert main(["cone-check", _write(tmp_path, doc, "lower.json"), "--out", str(out_low), "--quiet"]) == 0
+    assert json.loads((out_low / "report.json").read_text())["locality"]["kappa"] <= 1e-2
+
     # moving the same perturbation inside the base must fail the scenario
     doc["study"]["perturbation"] = {"kind": "block", "inside": 0.4, "outside": 0.0,
                                     "lows": [0.0], "highs": [0.1]}
@@ -604,6 +657,7 @@ def test_cli_germ_scenario(tmp_path):
     assert 0 < solver["cell_updates"] < solver["cell_steps"]
     assert solver["solve_s"] > 0.0
     assert 1 <= solver["workers"] <= len(os.sched_getaffinity(0))
+    assert report["artifacts"] == {"estimate": "estimate.csv", "manifest": "manifest.json"}
     assert (out / "estimate.csv").is_file()
 
     # one record directory per family member
@@ -746,19 +800,39 @@ def _small_check_docs():
 SMALL_CHECKS = _small_check_docs()
 
 
+def _small_sweep_docs():
+    """(command, scenario) for a small converge sweep and a small level-1 germ study."""
+    conv_doc = _run_doc(name="conv_cheap", kind="converge",
+                        initial={"kind": "riemann", "left": 1.0, "right": 0.0, "position": 0.0},
+                        study={"epsilons": [0.016, 0.008, 0.004]})
+    conv_doc["run"] = {"epsilon": 0.004, "final_time": 0.05, "boundary": [[1.0, 0.0]]}
+    germ_doc = _run_doc(name="germ_cheap", kind="germ",
+                        study={"level": 1, "epsilons": [0.032, 0.016, 0.008, 0.004]})
+    germ_doc["run"] = {"epsilon": 0.004, "final_time": 0.01, "boundary": 0.0}
+    return ("converge", conv_doc), ("germ", germ_doc)
+
+
+SMALL_COMMANDS = SMALL_CHECKS + _small_sweep_docs()
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("command, doc", SMALL_CHECKS, ids=[command for command, _ in SMALL_CHECKS])
+def _files(root):
+    """Every file under root but its report.json, relative to root."""
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()} - {"report.json"}
+
+
+@pytest.mark.parametrize("command, doc", SMALL_COMMANDS, ids=[command for command, _ in SMALL_COMMANDS])
 def test_cli_forked_csvs_equal_in_process_writes(tmp_path, monkeypatch, command, doc):
     path = _write(tmp_path, doc)
     forked = tmp_path / "forked"
     assert main([command, path, "--out", str(forked), "--quiet"]) == 0
     _assert_no_child_left()
 
-    # the same command with every CSV written here, in the test process
+    # the same command with every artifact written here, in the test process
     written = []
 
     def in_process(self, write, path, *args):
@@ -772,18 +846,30 @@ def test_cli_forked_csvs_equal_in_process_writes(tmp_path, monkeypatch, command,
     expected = {
         "run": [("write_trajectory_csv", "trajectory.csv")],
         "entropy-check": [("write_trajectory_csv", "trajectory.csv"),
+                          ("write_manifest", "entropy_report.json"),
                           ("write_trace_csv", "trace.csv")],
         "kato-check": [("write_trajectory_csv", "trajectory_a.csv"),
-                       ("write_trajectory_csv", "trajectory_b.csv")],
+                       ("write_trajectory_csv", "trajectory_b.csv"),
+                       ("write_manifest", "kato_report.json")],
         "cone-check": [("write_trajectory_csv", "trajectory_base.csv"),
                        ("write_trajectory_csv", "trajectory_perturbed.csv")],
+        "converge": [("write_deltas_csv", "deltas.csv"),
+                     ("write_field_csv", "finest_endpoint.csv")],
+        # the level manifest brings the matrices and the member records beside it
+        "germ": [("write_field_csv", "estimate.csv"),
+                 ("save_level_result", "manifest.json")],
     }[command]
     assert written == expected
-    assert sorted(p.name for p in forked.glob("*.csv")) == sorted(name for _, name in expected)
-    for _, name in expected:
+    files = _files(forked)
+    assert files == _files(local)
+    beside = 3 + 9 * (1 + 4 + 1) if command == "germ" else 0  # matrices, records
+    assert {name for _, name in expected} <= files and len(files) == len(expected) + beside
+    for name in files:
         assert (forked / name).read_bytes() == (local / name).read_bytes(), name
-    report = json.loads((forked / "report.json").read_text())
-    assert set(report["artifacts"].values()) >= {name for _, name in expected}
+    # the artifacts block lists exactly the files handed to the writers
+    for out in (forked, local):
+        report = json.loads((out / "report.json").read_text())
+        assert report["artifacts"] == {os.path.splitext(name)[0]: name for _, name in written}
 
 
 def test_cli_failing_writer_leaves_no_report_and_no_child(tmp_path, monkeypatch, capfd):
