@@ -186,12 +186,10 @@ def _exec_cone(sc: Scenario, args, clock) -> tuple[list, dict]:
     u0_b = Field(sc.grid, np.clip(u0.values + pert, model.a, model.b), 0.0)
 
     cone_spec = sc.study["cone"]
-    center = np.asarray(cone_spec["center"], dtype=float)
-    cone = Cone(tuple(float(v) for v in center), float(cone_spec["radius"]), speed_bound(model, model.domain))
+    cone = Cone(tuple(float(v) for v in cone_spec["center"]), float(cone_spec["radius"]),
+                speed_bound(model, model.domain))
 
-    dist = np.linalg.norm(sc.grid.points() - center, axis=-1)
-    inside = np.abs(pert) > 1e-14
-    clash = bool((dist[inside] <= cone.radius).any()) if inside.any() else False
+    clash = bool((cone.cells(sc.grid, 0.0) & (np.abs(pert) > 1e-14)).any())
     _check(checks, "perturbation_outside_base", not clash,
            f"perturbation support vs cone base B(center, {cone.radius:.6g})")
 
@@ -209,11 +207,17 @@ def _exec_cone(sc: Scenario, args, clock) -> tuple[list, dict]:
                     "locality": {"kappa": rep.kappa, "per_time": list(rep.per_time)}}
 
 
+def _cell_budget(sc: Scenario, args) -> int:
+    """--cell-budget when given, else the study's cell_budget, else the default."""
+    return (args.cell_budget if args.cell_budget is not None
+            else int(sc.study.get("cell_budget", germ_mod.DEFAULT_CELL_BUDGET)))
+
+
 def _exec_converge(sc: Scenario, args, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     epsilons = [float(e) for e in sc.study["epsilons"]]
-    budget = int(sc.study.get("cell_budget", args.cell_budget))
+    budget = _cell_budget(sc, args)
 
     def u0_fn(pts):
         return sc.values_at(sc.initial, pts)
@@ -237,7 +241,7 @@ def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     level = int(sc.study["level"])
-    budget = int(sc.study.get("cell_budget", args.cell_budget))
+    budget = _cell_budget(sc, args)
     study = germ_mod.GermStudy(model, sc.config.final_time,
                                [float(e) for e in sc.study["epsilons"]],
                                cell_budget=budget, cfl=sc.config.cfl,
@@ -349,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=None, help="override the headline check tolerance")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--cell-budget", type=int, default=germ_mod.DEFAULT_CELL_BUDGET,
-                        help="refuse epsilon sweeps needing more cells than this")
+    budget.add_argument("--cell-budget", type=int, default=None,
+                        help="refuse epsilon sweeps needing more cells than this "
+                             f"(default: the study's cell_budget, else {germ_mod.DEFAULT_CELL_BUDGET})")
     flags = {"run": [tol], "cone-check": [tol], "converge": [budget], "germ": [budget]}
 
     sub = parser.add_subparsers(dest="command")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -257,25 +258,26 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _phi_tables(phi, times: np.ndarray, tw: np.ndarray, points: np.ndarray):
-    """One grad phi component per axis, phi_t and phi on every (recorded
-    time, cell), each from one call broadcast over times[:, None] and
-    multiplied by the trapezoid weights; plus the unweighted phi at t = 0,
-    a (1, cells) row for the initial-data term."""
+    """One grad phi component per axis and phi_t on every (recorded time,
+    cell), each from one call broadcast over times[:, None] and multiplied
+    by the trapezoid weights; plus the unweighted phi at t = 0, a (1, cells)
+    row for the initial-data term."""
     t = times[:, None]
     w = tw[:, None]
     grad = phi.gradient(t, points)
     tables = [grad[..., k] * w for k in range(points.shape[-1])]
     del grad  # the unweighted tables never outlive their weighting
     tables.append(phi.time_derivative(t, points) * w)
-    tables.append(phi.value(t, points) * w)
     return tables, phi.value(times[:1, None], points)
 
 
 class ResidualWorkspace:
-    """Per-trajectory tables shared across a (lambda, phi) battery.
+    """Per-trajectory tables shared across a (lambda, phi) battery and the
+    Kato residuals against other trajectories.
 
-    Holds the state stack, the flux at the cell centers (one FluxAt for the
-    solution and every lambda), the sharp flux at the solution, the
+    Holds the state stack, the flux at the cell centers (one FluxAt, smoothed
+    at the run's epsilon, for the solution, every lambda and every other
+    trajectory), and on first use the sharp flux at the solution, the
     interface traces, and per lambda the flux, the smooth divergence and the
     interface jump at that state, so that a battery evaluates each of them
     once.
@@ -294,17 +296,20 @@ class ResidualWorkspace:
         self.points = grid.points().reshape(-1, grid.d)
         self.cell_volume = grid.cell_volume
         self.states = trajectory.states.reshape(len(self.times), -1)
-        self.flux = model.at(self.points)
-        self.flux_u = self.flux.value(self.states)
-        self._traces = None
-        self._jump = None
+        self.flux = model.at(self.points, trajectory.manifest.get("epsilon"))
         self._lam_cache: dict[float, tuple] = {}
 
-    @property
+    @cached_property
+    def flux_u(self) -> np.ndarray:
+        return self.flux.value(self.states)
+
+    @cached_property
     def traces(self) -> TraceField | None:
-        if self._traces is None and self.model.interface is not None:
-            self._traces = interface_trace(self.trajectory, self.model)
-        return self._traces
+        return None if self.model.interface is None else interface_trace(self.trajectory, self.model)
+
+    @cached_property
+    def _jump(self):
+        return flatten_model(self.model).at(self.traces.surface_points)
 
     def _lam_tables(self, lam: float):
         """(flux (n_cells, d), smooth divergence (n_cells,), interface jump
@@ -320,8 +325,6 @@ class ResidualWorkspace:
 
     def _interface_jump(self, lam: float) -> np.ndarray:
         """(F_R - F_L)(x, lam) on the interface, in transformed normal form."""
-        if self._jump is None:
-            self._jump = flatten_model(self.model).at(self.traces.surface_points)
         j = self.model.interface.axis
         lam_arr = np.full(self._jump.points.shape[0], float(lam))
         return term_sum(self._jump.terms(1, j), lam_arr) - term_sum(self._jump.terms(0, j), lam_arr)
@@ -335,6 +338,7 @@ class ResidualWorkspace:
         """
         lam_tables = [self._lam_tables(lam) for lam in lambdas]
         tables, phi0 = _phi_tables(phi, self.times, self.tw, self.points)
+        tables.append(phi.value(self.times[:, None], self.points) * self.tw[:, None])
         # phi vanishes off its support: keep the block of times x cells where
         # any table is nonzero, which is what every sum below runs over
         live = np.logical_or.reduce([tab != 0 for tab in tables])
@@ -363,41 +367,33 @@ class ResidualWorkspace:
             out[i] = total
         return out
 
+    def kato(self, other: Trajectory, phis) -> list[float]:
+        """K(phi) of this trajectory u against `other` v for every phi; the
+        Kato inequality asks K >= -tol.
 
-def _kato_residuals(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux, phis) -> list[float]:
-    """Kato residual of each phi.  The phi-independent tables (|u1 - u2|,
-    and sgn(u1 - u2) times the smoothed flux and divergence differences) are
-    built once for all of them."""
-    if u1.grid != u2.grid:
-        raise ValueError("kato residual needs a shared grid")
-    if len(u1.times) != len(u2.times) or not np.allclose(u1.times, u2.times):
-        raise ValueError("kato residual needs matching output times")
-    eps = u1.manifest.get("epsilon") or u2.manifest.get("epsilon")
-    if eps is None and model.interface is not None:
-        raise ValueError("kato residual needs the run's epsilon for an interface model")
+        K = |Q| sum_t tw [ |u - v| phi_t + sgn(u - v) (F_eps(u) - F_eps(v)) . grad phi ]
+            + |Q| |u_0 - v_0| . phi(0).
 
-    grid = u1.grid
-    pts = grid.points().reshape(-1, grid.d)
-    times = np.asarray(u1.times)
-    tw = _time_weights(times)
-    nt = len(times)
-    s1 = u1.states.reshape(nt, -1)
-    s2 = u2.states.reshape(nt, -1)
+        No divergence term: sgn(u - v) (F(x, u) - F(x, v)) is the whole Kato
+        flux (Kruzhkov 1970).  The phi-independent tables are built once for
+        all phis and every sum runs over the full tables."""
+        if other.grid != self.trajectory.grid:
+            raise ValueError("kato residual needs a shared grid")
+        if len(other.times) != len(self.times) or not np.allclose(other.times, self.times):
+            raise ValueError("kato residual needs matching output times")
+        v = other.states.reshape(len(self.times), -1)
+        dist = np.abs(self.states - v)
+        sgn = np.sign(self.states - v)
+        flux_diff = self.flux.smoothed(self.states) - self.flux.smoothed(v)
+        conv = [sgn * flux_diff[..., k] for k in range(self.model.d)]
+        del flux_diff, sgn
 
-    dist = np.abs(s1 - s2)
-    sgn = np.sign(s1 - s2)
-    flux = model.at(pts, eps)
-    flux_diff = flux.smoothed(s1) - flux.smoothed(s2)
-    conv = [sgn * flux_diff[..., k] for k in range(grid.d)]
-    div = sgn * (flux.divergence(s1) - flux.divergence(s2))
-    del flux_diff, sgn
-
-    out = []
-    for phi in phis:
-        (*wg, wdt, wv), phi0 = _phi_tables(phi, times, tw, pts)
-        total = _dot(dist, wdt) + sum(_dot(c, g) for c, g in zip(conv, wg)) - _dot(div, wv)
-        out.append(float((total + _dot(dist[:1], phi0)) * grid.cell_volume))
-    return out
+        out = []
+        for phi in phis:
+            (*wg, wdt), phi0 = _phi_tables(phi, self.times, self.tw, self.points)
+            total = _dot(dist, wdt) + sum(_dot(c, g) for c, g in zip(conv, wg))
+            out.append(float((total + _dot(dist[:1], phi0)) * self.cell_volume))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +432,21 @@ class EntropyReport:
         }
 
 
-def _assemble_report(rows: list[EntropyEntry]) -> EntropyReport:
+def _battery(trajectory: Trajectory, phis, tol_factor: float, residuals) -> EntropyReport:
+    """The report of `residuals(phis)`, which yields per test function its
+    (lambda, residual) rows, on the default bump battery when phis is None.
+
+    tol per row = tol_factor * ||phi||_C1 * |domain| (Design note: scaling
+    with the test function bars tiny bumps from passing trivially)."""
+    box = trajectory.grid.box
+    if phis is None:
+        phis = bump_battery(box, trajectory.times[-1])
+    for phi in phis:
+        phi.validate(box, trajectory.times[-1])
+    rows = []
+    for phi, found in zip(phis, residuals(phis)):
+        tol = float(tol_factor * phi.c1_norm * box.volume)
+        rows.extend(EntropyEntry(lam, phi.label, r, tol, bool(r >= -tol)) for lam, r in found)
     worst_row = min(rows, key=lambda e: e.residual)
     return EntropyReport(
         entries=tuple(rows),
@@ -449,52 +459,36 @@ def _assemble_report(rows: list[EntropyEntry]) -> EntropyReport:
 def entropy_battery(trajectory: Trajectory, model: PiecewiseFlux,
                     phis: Sequence[TestFunction] | None = None,
                     tol_factor: float = 1e-3) -> EntropyReport:
-    """Evaluate the admissibility residual over the full battery: every
-    state of lambda_battery(a, b) against every test function.
-
-    tol per pair = tol_factor * ||phi||_C1 * |domain| (Design note: scaling
-    with the test function bars tiny bumps from passing trivially).  Pass
-    flatten_model(model) for the residuals in flattened coordinates.
-    """
+    """The admissibility residual of every state of lambda_battery(a, b)
+    against every test function.  Pass flatten_model(model) for the
+    residuals in flattened coordinates."""
     ws = ResidualWorkspace(trajectory, model)
-    box = trajectory.grid.box
-    if phis is None:
-        phis = bump_battery(box, trajectory.times[-1])
     lambdas = lambda_battery(model.a, model.b).tolist()
-    volume = box.volume
-    rows = []
-    for phi in phis:
-        phi.validate(box, trajectory.times[-1])
-        tol = float(tol_factor * phi.c1_norm * volume)
-        for lam, r in zip(lambdas, ws.residuals(lambdas, phi).tolist()):
-            rows.append(EntropyEntry(lam, phi.label, r, tol, bool(r >= -tol)))
-    return _assemble_report(rows)
+    return _battery(trajectory, phis, tol_factor,
+                    lambda phis: (zip(lambdas, ws.residuals(lambdas, phi).tolist()) for phi in phis))
 
 
 def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
                  phis: Sequence[TestFunction] | None = None,
                  tol_factor: float = 1e-3) -> EntropyReport:
-    box = u1.grid.box
-    if phis is None:
-        phis = bump_battery(box, u1.times[-1])
-    volume = box.volume
-    for phi in phis:
-        phi.validate(box, u1.times[-1])
-    rows = []
-    for phi, r in zip(phis, _kato_residuals(u1, u2, model, phis)):
-        tol = float(tol_factor * phi.c1_norm * volume)
-        rows.append(EntropyEntry(None, phi.label, r, tol, bool(r >= -tol)))
-    return _assemble_report(rows)
+    """The Kato residual of the pair (u1, u2) against every test function."""
+    ws = ResidualWorkspace(u1, model)
+    return _battery(u1, phis, tol_factor, lambda phis: ([(None, r)] for r in ws.kato(u2, phis)))
 
 
 # ---------------------------------------------------------------------------
 # distances, contraction, cones
 
 
-def l1_distance(u1: Field, u2: Field) -> float:
+def l1_distance(u1: Field, u2: Field, cells: np.ndarray | None = None) -> float:
+    """L1 distance over the grid, or over the cells a boolean mask of the
+    grid's shape selects (a cone section, say: Cone.cells)."""
     if u1.grid != u2.grid:
         raise ValueError("l1_distance needs a shared grid")
-    return float(np.abs(u1.values - u2.values).sum() * u1.grid.cell_volume)
+    diff = np.abs(u1.values - u2.values)
+    if cells is not None:
+        diff = diff[cells]
+    return float(diff.sum() * u1.grid.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -533,26 +527,22 @@ class ConeLocalityReport:
     per_time: tuple[dict, ...]
 
 
-def cone_locality_check(ta: Trajectory, tb: Trajectory, cone: Cone, tol: float = 1e-2) -> ConeLocalityReport:
-    """In-cone L1 difference at each recorded time; kappa is the worst.
+def cone_locality_check(ta: Trajectory, tb: Trajectory, cone: Cone, tol: float) -> ConeLocalityReport:
+    """L1 difference on the cone section at each recorded time; kappa is
+    the worst.
 
     The strict cone property holds only in the vanishing-viscosity limit, so
     the check passes on a parabolic-leak tolerance rather than exactly.
     """
     if ta.grid != tb.grid or len(ta.times) != len(tb.times):
         raise ValueError("cone check needs comparable trajectories")
-    grid = ta.grid
-    pts = grid.points().reshape(-1, grid.d)
-    dist = np.linalg.norm(pts - np.asarray(cone.center, dtype=float), axis=-1)
     rows = []
     kappa = 0.0
     for i, t in enumerate(ta.times):
         radius = cone.section_radius(t)
         if radius <= 0:
             break
-        mask = dist <= radius
-        diff = np.abs(ta.states[i].reshape(-1) - tb.states[i].reshape(-1))
-        l1 = float(diff[mask].sum() * grid.cell_volume)
+        l1 = l1_distance(ta.field(i), tb.field(i), cone.cells(ta.grid, t))
         kappa = max(kappa, l1)
         rows.append({"time": float(t), "section_radius": float(radius), "l1": l1})
     return ConeLocalityReport(kappa=kappa, tol=tol, passed=kappa <= tol, per_time=tuple(rows))

@@ -374,3 +374,9 @@ class Cone:
 
     def section_radius(self, t: float) -> float:
         return self.radius - self.speed * t
+
+    def cells(self, grid, t: float) -> np.ndarray:
+        """Boolean mask, of the grid's shape, of the cells whose centers lie
+        in the section at time t (the base at t = 0)."""
+        dist = np.linalg.norm(grid.points() - np.asarray(self.center, dtype=float), axis=-1)
+        return dist <= self.section_radius(t)

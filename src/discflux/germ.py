@@ -291,14 +291,6 @@ class ContractionMatrix:
     cone: Cone
 
 
-def _ball_l1(u: Field, v: Field, center, radius: float) -> float:
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    dist = np.linalg.norm(u.grid.points() - np.asarray(center), axis=-1)
-    mask = dist <= radius
-    return float(np.abs(u.values - v.values)[mask].sum() * u.grid.cell_volume)
-
-
 def contraction_matrix(records, cone: Cone) -> ContractionMatrix:
     """Pairwise initial and endpoint distances with their ratios.
 
@@ -312,15 +304,14 @@ def contraction_matrix(records, cone: Cone) -> ContractionMatrix:
     data = np.zeros((n, n))
     limit = np.zeros((n, n))
     t_end = records[0].endpoints[-1].time if records else 0.0
-    section = cone.section_radius(t_end)
-    if section <= 0:
+    if cone.section_radius(t_end) <= 0:
         raise ValueError("cone section is empty at the endpoint time; shorten the run")
-    for i in range(n):
-        for j in range(i + 1, n):
-            dd = _ball_l1(records[i].initial, records[j].initial, cone.center, cone.radius)
-            ld = _ball_l1(records[i].endpoints[-1], records[j].endpoints[-1], cone.center, section)
-            data[i, j] = data[j, i] = dd
-            limit[i, j] = limit[j, i] = ld
+    for table, fields, t in ((data, [r.initial for r in records], 0.0),
+                             (limit, [r.endpoints[-1] for r in records], t_end)):
+        cells = cone.cells(fields[0].grid, t) if fields else None
+        for i in range(n):
+            for j in range(i + 1, n):
+                table[i, j] = table[j, i] = l1_distance(fields[i], fields[j], cells)
     ratios = np.zeros((n, n))
     off = ~np.eye(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -339,21 +330,20 @@ class StabilityReport:
 
 
 def stability_report(matrix: ContractionMatrix) -> StabilityReport:
-    n = len(matrix.ids)
+    """The worst ratio over the pairs with distinct data, the first in row
+    order of the upper triangle when it ties."""
+    rows, cols = np.triu_indices(len(matrix.ids), 1)
+    keep = matrix.data_distances[rows, cols] > 0
+    rows, cols = rows[keep], cols[keep]
+    ratios = matrix.ratios[rows, cols]
     worst = 0.0
     worst_pair = None
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix.data_distances[i, j] <= 0:
-                continue
-            pairs += 1
-            r = matrix.ratios[i, j]
-            if r > worst:
-                worst = float(r)
-                worst_pair = (matrix.ids[i], matrix.ids[j])
+    if ratios.size and ratios.max() > 0:
+        k = int(ratios.argmax())
+        worst = float(ratios[k])
+        worst_pair = (matrix.ids[rows[k]], matrix.ids[cols[k]])
     return StabilityReport(worst_ratio=worst, worst_pair=worst_pair, passed=worst <= 1.0 + CONTRACTION_SLACK,
-                           pairs=pairs)
+                           pairs=int(keep.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from .flux import PiecewiseFlux
+from .flux import PiecewiseFlux, check_boundary_zero
 from .geometry import Box, as_points
 from .presets import PRESET_DIMENSIONS, PRESET_NAMES, resolve_flux
 from .solver import Field, Grid, RunConfig
@@ -483,6 +483,11 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
         model = resolve_flux(flux_value, domain=domain)
     except (ValueError, KeyError) as exc:
         raise ScenarioError(f"/flux: {exc}") from None
+    zero = check_boundary_zero(model)
+    if not zero.passed:
+        x = ", ".join(f"{v:.6g}" for v in zero.witness_x)
+        raise ScenarioError(f"/flux: the flux must vanish at a = {model.a} and b = {model.b}, but "
+                            f"|f| = {zero.max_abs:.6g} at state {zero.witness_state} and x = ({x})")
 
     counts = raw["grid"]["counts"]
     if len(counts) != model.d:

@@ -378,6 +378,53 @@ def test_kato_two_flux_shifted_steps(two_flux_block_traj, two_flux_model, fine_g
     assert report.passed
 
 
+def test_kato_stationary_x_ramp_pair_is_quadrature_zero():
+    # (1 + 0.3 x) u (1 - u) = C is an exact stationary solution of x_ramp for
+    # each C: the Kato flux |C1 - C2| is constant, so K(phi) = 0 up to the
+    # quadrature error for every bump
+    model = dx.preset("x_ramp")
+    grid = dx.Grid((-1.0,), (1.0,), (400,))
+    x = grid.points()[..., 0]
+    times = tuple(np.linspace(0.0, 1.0, 257))
+
+    def stationary(c):
+        u = 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * c / (1.0 + 0.3 * x)))
+        return dx.Trajectory(grid, times, np.tile(u, (len(times), 1)), {})
+
+    report = dx.kato_battery(stationary(0.1), stationary(0.15), model,
+                             phis=bump_battery(grid.box, times[-1], count=6))
+    assert len(report.entries) == 6
+    assert max(abs(e.residual) for e in report.entries) <= 1e-5
+
+
+def test_kato_refuses_trajectories_that_start_after_zero(burgers_shock_traj, burgers_model):
+    late = dx.Trajectory(burgers_shock_traj.grid, burgers_shock_traj.times[1:],
+                         burgers_shock_traj.states[1:], burgers_shock_traj.manifest)
+    phi = _phi(0.3, 0.15, 0.0, 0.3)
+    with pytest.raises(ValueError, match="t = 0"):
+        dx.kato_battery(late, late, burgers_model, phis=[phi])
+
+
+def test_kato_battery_rejects_a_pair_with_a_planted_bump():
+    from discflux.scenario import builtin_scenario_path, parse_scenario
+
+    sc = parse_scenario(builtin_scenario_path("kato_burgers"))
+    u = dx.run(sc.initial_field(), sc.config)
+    v = dx.run(sc.field_from_spec(sc.study["initial_b"]), sc.config)
+    assert dx.kato_battery(u, v, sc.model).passed
+
+    # from the recorded time 0.15 on, v carries a bump no solution creates,
+    # where u and v are both still 0, so |u - v| grows from nothing
+    late = 3 * (len(v.times) - 1) // 4
+    x = v.grid.points()[..., 0]
+    planted = np.array(v.states)
+    planted[late:] += 0.8 * np.clip(1.0 - ((x + 0.25) / 0.2) ** 2, 0.0, None) ** 2
+    v_planted = dx.Trajectory(v.grid, v.times, np.clip(planted, 0.0, 1.0), v.manifest)
+    report = dx.kato_battery(u, v_planted, sc.model)
+    assert not report.passed
+    assert min(e.residual / e.tol for e in report.entries) < -2.0
+
+
 # ---------------------------------------------------------------------------
 # the table-once batteries against the per-pair formulas they replaced
 
@@ -429,7 +476,9 @@ def _per_pair_kruzhkov(traj, model, lam, phi):
 
 
 def _per_time_kato(u1, u2, model, phi):
-    """Kato residual re-evaluating the fluxes and divergences at every time."""
+    """Kato residual re-evaluating the smoothed fluxes at every time.  The
+    Kato flux is sgn(u1 - u2) (F(x, u1) - F(x, u2)) alone: no divergence
+    source enters (Kruzhkov 1970)."""
     eps = u1.manifest.get("epsilon") or u2.manifest.get("epsilon") or 1.0
     grid = u1.grid
     pts = grid.points().reshape(-1, grid.d)
@@ -444,12 +493,9 @@ def _per_time_kato(u1, u2, model, phi):
         sgn = np.sign(diff)
         f1 = smoothed_flux(model, pts, s1[i], eps)
         f2 = smoothed_flux(model, pts, s2[i], eps)
-        d1 = smooth_divergence(model, pts, s1[i])
-        d2 = smooth_divergence(model, pts, s2[i])
         contrib = (
             np.abs(diff) @ phi.time_derivative(times[i], pts)
             + (sgn * ((f1 - f2) * phi.gradient(times[i], pts)).sum(axis=-1)).sum()
-            - (sgn * (d1 - d2) * phi.value(times[i], pts)).sum()
         )
         total += tw[i] * contrib
     total += np.abs(s1[0] - s2[0]) @ phi.value(times[0], pts)
@@ -602,7 +648,7 @@ def test_cone_locality_identical_and_inversion(burgers_model):
     cone = dx.Cone(center=(0.0,), radius=0.25, speed=1.0)
 
     ta = dx.run(dx.Field(grid, base, 0.0), config)
-    same = dx.cone_locality_check(ta, ta, cone)
+    same = dx.cone_locality_check(ta, ta, cone, tol=1e-2)
     assert same.passed and same.kappa == 0.0
 
     # perturbation inside the base must be flagged as non-local
@@ -610,7 +656,7 @@ def test_cone_locality_identical_and_inversion(burgers_model):
     s2 = np.clip(np.abs(x - 0.05) / 0.05, 0.0, 1.0)
     inside += 0.2 * (1.0 - s2**2) ** 2
     tb = dx.run(dx.Field(grid, np.clip(inside, 0.0, 1.0), 0.0), config)
-    report = dx.cone_locality_check(ta, tb, cone)
+    report = dx.cone_locality_check(ta, tb, cone, tol=1e-2)
     assert not report.passed
     assert report.kappa > report.tol
 

@@ -390,6 +390,23 @@ def test_contraction_matrix_hand_oracle():
     assert report.worst_ratio == pytest.approx(0.5)
 
 
+def test_stability_rejects_a_planted_non_contractive_pair():
+    # r2 and r3 start 0.1 apart and end 0.5 apart: ratio 5.  r4 repeats r3,
+    # so (r2, r4) ties with (r2, r3) and (r3, r4) has no data distance
+    deltas = (0.01, 0.005, 0.002)
+    r1 = _fake_record("r1", deltas, np.zeros(8), np.zeros(8))
+    r2 = _fake_record("r2", deltas, np.ones(8), np.full(8, 0.5))
+    r3 = _fake_record("r3", deltas, np.full(8, 0.9), np.zeros(8))
+    r4 = _fake_record("r4", deltas, np.full(8, 0.9), np.zeros(8))
+    report = stability_report(contraction_matrix([r1, r2, r3, r4], COVERING_CONE))
+    assert not report.passed
+    assert report.worst_pair == ("r2", "r3")
+    assert report.worst_ratio == pytest.approx(5.0)
+    assert report.pairs == 5
+    # without the planted members the same records contract
+    assert stability_report(contraction_matrix([r1, r2], COVERING_CONE)).passed
+
+
 def test_zero_data_distance_pairs_are_skipped():
     r1 = _fake_record("r1", (0.01, 0.005, 0.002), np.zeros(8), np.zeros(8))
     r4 = _fake_record("r4", (0.01, 0.005, 0.002), np.zeros(8), np.full(8, 0.1))

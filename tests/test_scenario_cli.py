@@ -144,7 +144,7 @@ def test_domain_override_boundary_and_output_times():
     assert pairs.config.boundary == ((0.0, 1.0),)
 
 
-def test_inline_flux_object():
+def test_inline_flux_object(tmp_path, capsys):
     doc = _run_doc(flux={
         "d": 1,
         "a": 0.0,
@@ -164,6 +164,16 @@ def test_inline_flux_object():
     bad["flux"] = dict(doc["flux"], d=3)
     with pytest.raises(ScenarioError, match="/flux"):
         scenario_from_dict(bad)
+
+    # the paper's hypothesis f(x, a) = f(x, b) = 0: here f(x, 0) = 1
+    bad["flux"] = {"d": 1, "a": 0, "b": 1, "interface": None, "left": [{"poly_lambda": [1, 1, -1]}]}
+    with pytest.raises(ScenarioError, match=r"^/flux: the flux must vanish at a = 0.0 and b = 1.0, "
+                                            r"but \|f\| = 1 at state 0.0 and x = \(-1\)$"):
+        scenario_from_dict(bad)
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, bad), "--out", str(out)]) == 1
+    assert "scenario error: /flux: the flux must vanish" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_chart_center_needs_the_flux_dimension():
@@ -424,6 +434,18 @@ def test_cli_runtime_error_exits_one(tmp_path, capsys):
     # --debug re-raises the same error with its traceback
     with pytest.raises(ValueError, match="budget"):
         main(["germ", path, "--out", str(tmp_path / "out"), "--debug"])
+
+
+def test_cli_cell_budget_flag_wins_over_the_study(tmp_path, capsys):
+    doc = _run_doc(kind="converge", study={"epsilons": [0.032, 0.016], "cell_budget": 64})
+    path = _write(tmp_path, doc)
+    assert main(["converge", path, "--out", str(tmp_path / "study"), "--quiet"]) == 1
+    assert "above the cell budget 64" in capsys.readouterr().err
+    assert main(["converge", path, "--out", str(tmp_path / "flag"), "--quiet",
+                 "--cell-budget", "100000"]) == 0
+    assert main(["converge", path, "--out", str(tmp_path / "small_flag"), "--quiet",
+                 "--cell-budget", "32"]) == 1
+    assert "above the cell budget 32" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d, zeta, right, components", [
