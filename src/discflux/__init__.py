@@ -39,6 +39,7 @@ from .solver import (
     cfl_timestep,
     max_principle_check,
     run,
+    run_lockstep,
     step,
 )
 from .entropy import (

@@ -222,9 +222,10 @@ def _exec_converge(sc: Scenario, args, clock) -> tuple[list, dict]:
     def u0_fn(pts):
         return sc.values_at(sc.initial, pts)
 
-    record = clock("solve_s", germ_mod.run_sequence, u0_fn, epsilons, model, model.domain,
-                   sc.config.final_time, boundary=sc.config.boundary, cell_budget=budget,
-                   cfl=sc.config.cfl, member_id=sc.name)
+    records, workers = clock("solve_s", germ_mod.run_sequence, {sc.name: u0_fn}, epsilons, model,
+                             model.domain, sc.config.final_time, boundary=sc.config.boundary,
+                             cell_budget=budget, cfl=sc.config.cfl)
+    record, = records
     clock.write("deltas.csv", storage.write_deltas_csv, record.epsilons, record.deltas)
     clock.write("finest_endpoint.csv", storage.write_field_csv, record.endpoints[-1])
 
@@ -234,7 +235,7 @@ def _exec_converge(sc: Scenario, args, clock) -> tuple[list, dict]:
     _check(checks, "delta_tail_decreasing", monotone, f"deltas [{txt}]")
     return checks, {"epsilons": list(record.epsilons), "deltas": list(record.deltas),
                     "grid_counts": [list(c) for c in record.grid_counts],
-                    "solver": germ_mod.solver_counters([record], 1)}
+                    "solver": germ_mod.solver_counters(records, workers)}
 
 
 def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:

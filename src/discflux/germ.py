@@ -18,7 +18,8 @@ import numpy as np
 from .entropy import CONTRACTION_SLACK, l1_distance
 from .flux import PiecewiseFlux
 from .geometry import Box, Cone, as_points, speed_bound
-from .solver import Field, Grid, RunConfig, run
+# run stays importable here: bench/tracer.py wraps discflux.germ.run
+from .solver import Field, Grid, RunConfig, run, run_lockstep  # noqa: F401
 from . import storage
 
 DEFAULT_CELL_BUDGET = 32768
@@ -160,8 +161,9 @@ class GermRecord:
     endpoints: tuple[Field, ...]  # u_eps(T) per eps, on the comparison grid
     deltas: tuple[float, ...]  # l1(endpoint[k+1], endpoint[k])
     grid_counts: tuple[tuple[int, ...], ...]
-    # (n_steps, wall_time_s, cell_updates) of each epsilon's solve; not
-    # saved, so records loaded from disk have none
+    # (n_steps, wall_time_s, cell_updates) of each epsilon's solve, the
+    # wall time of a lockstep run shared evenly among its data; not saved,
+    # so records loaded from disk have none
     runs: tuple[tuple[int, float, int], ...] = ()
 
 
@@ -185,37 +187,83 @@ def _edge_boundary(u0_fn, box: Box):
     return tuple(pairs)
 
 
-def run_sequence(u0_fn, epsilons, model: PiecewiseFlux, box: Box, final_time: float,
-                 boundary=None, cell_budget: int = DEFAULT_CELL_BUDGET, cfl: float = 0.45,
-                 member_id: str = "datum") -> GermRecord:
-    """Run the viscous solver for each epsilon and collect endpoints on the
-    comparison grid, the grid of the finest epsilon."""
+# set in each pool worker by _init_worker: the solve of one task
+_worker_job = None
+
+
+def _init_worker(job):
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_task(index: int):
+    return _worker_job(index)
+
+
+def _map(job, count: int) -> tuple[list, int]:
+    """[job(0), ..., job(count - 1)] and the number of processes that ran
+    them: a fork process pool with one worker per usable CPU, tasks handed
+    out in index order (job reaches the workers by fork, not by pickling, so
+    it may hold closures).  With one CPU or one task no pool is started.  A
+    worker's exception re-raises here with its type; a worker that dies
+    raises BrokenProcessPool (a RuntimeError) instead of leaving the call
+    waiting.  The pool is shut down on return, before anything else forks."""
+    workers = max(1, min(count, len(os.sched_getaffinity(0))))
+    if workers == 1:
+        return [job(i) for i in range(count)], 1
+    # imported here so that runs which start no pool do not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(job,)) as pool:
+        return list(pool.map(_worker_task, range(count), chunksize=1)), workers
+
+
+def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_time: float,
+                 boundary=None, cell_budget: int = DEFAULT_CELL_BUDGET,
+                 cfl: float = 0.45) -> tuple[list[GermRecord], int]:
+    """Run the viscous solver for each datum of `data` (member id -> initial
+    function) and each epsilon, and collect endpoints on the comparison grid,
+    the grid of the finest epsilon.  Returns the records, in the order of
+    `data`, and the number of processes that solved them.
+
+    A task is one epsilon: run_lockstep over every datum, on the pool of
+    _map, finest epsilon (the longest task) first.  Each run's arithmetic
+    stays in one process, so the records equal separate runs bit for bit."""
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 2:
         raise ValueError("need at least two epsilons")
     if any(e <= 0 for e in eps_list) or any(b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
         raise ValueError("epsilon sequence must be positive and strictly decreasing")
     comparison_grid = grid_for_epsilon(box, eps_list[-1], cell_budget)
-    if boundary is None:
-        boundary = _edge_boundary(u0_fn, box)
+    ids, fns = list(data), list(data.values())
+    bounds = [_edge_boundary(fn, box) if boundary is None else boundary for fn in fns]
 
-    endpoints = []
-    counts = []
-    runs = []
-    for eps in eps_list:
+    def solve(task: int):
+        eps = eps_list[-1 - task]
         grid = grid_for_epsilon(box, eps, cell_budget)
-        config = RunConfig(flux=model, epsilon=eps, final_time=final_time,
-                           boundary=boundary, cfl=cfl, output_times=(final_time,))
-        u0 = Field(grid, np.asarray(u0_fn(grid.points()), dtype=float), 0.0)
-        traj = run(u0, config)
-        endpoints.append(Field(comparison_grid, _interp_to(traj.final.values, grid, comparison_grid), final_time))
-        counts.append(tuple(grid.counts))
-        runs.append(tuple(traj.manifest[k] for k in ("n_steps", "wall_time_s", "cell_updates")))
-    deltas = tuple(l1_distance(endpoints[k + 1], endpoints[k]) for k in range(len(endpoints) - 1))
-    initial = Field(comparison_grid, np.asarray(u0_fn(comparison_grid.points()), dtype=float), 0.0)
-    return GermRecord(member_id=member_id, epsilons=tuple(eps_list), initial=initial,
-                      endpoints=tuple(endpoints), deltas=deltas, grid_counts=tuple(counts),
-                      runs=tuple(runs))
+        configs = [RunConfig(flux=model, epsilon=eps, final_time=final_time, boundary=b, cfl=cfl,
+                             output_times=(final_time,)) for b in bounds]
+        trajs = run_lockstep([Field(grid, np.asarray(fn(grid.points()), dtype=float), 0.0) for fn in fns],
+                             configs)
+        # the lockstep wall time is shared evenly among the data
+        return [(_interp_to(tr.final.values, grid, comparison_grid),
+                 (tr.manifest["n_steps"], tr.manifest["wall_time_s"] / len(fns), tr.manifest["cell_updates"]))
+                for tr in trajs]
+
+    solved, workers = _map(solve, len(eps_list))
+    solved.reverse()
+    counts = tuple(tuple(grid_for_epsilon(box, e, cell_budget).counts) for e in eps_list)
+    records = []
+    for m, (member_id, fn) in enumerate(zip(ids, fns)):
+        endpoints = [Field(comparison_grid, task[m][0], final_time) for task in solved]
+        deltas = tuple(l1_distance(endpoints[k + 1], endpoints[k]) for k in range(len(endpoints) - 1))
+        initial = Field(comparison_grid, np.asarray(fn(comparison_grid.points()), dtype=float), 0.0)
+        records.append(GermRecord(member_id=member_id, epsilons=tuple(eps_list), initial=initial,
+                                  endpoints=tuple(endpoints), deltas=deltas, grid_counts=counts,
+                                  runs=tuple(task[m][1] for task in solved)))
+    return records, workers
 
 
 # ---------------------------------------------------------------------------
@@ -384,27 +432,14 @@ class GermLevelResult:
 
 def solver_counters(records, workers: int) -> dict:
     """Step and cell-update counts and summed run time of the solves behind
-    `records`, solved by `workers` processes."""
+    `records`, solved by `workers` processes; each lockstep run counts its
+    wall time once, through its data's shares."""
     runs = [(n, s, u, math.prod(c)) for r in records
             for (n, s, u), c in zip(r.runs, r.grid_counts)]
     return {"runs": len(runs), "steps": sum(n for n, _, _, _ in runs),
             "cell_steps": sum(n * c for n, _, _, c in runs),
             "cell_updates": sum(u for _, _, u, _ in runs),
             "solve_s": sum(s for _, s, _, _ in runs), "workers": workers}
-
-
-# set in each pool worker by _init_worker: the study and the members to solve
-_worker_job = None
-
-
-def _init_worker(study, members):
-    global _worker_job
-    _worker_job = (study, members)
-
-
-def _worker_record(index: int) -> GermRecord:
-    study, members = _worker_job
-    return study.record_for(members[index])
 
 
 class GermStudy:
@@ -441,41 +476,30 @@ class GermStudy:
     def _key(member: StepFunction):
         return member.level, member.values
 
+    def _solve(self, members) -> int:
+        """Solve and cache the records of `members` in one run_sequence;
+        returns its worker count."""
+        records, workers = run_sequence({m.label: m for m in members}, self.epsilons, self.model,
+                                        self.box, self.final_time, cell_budget=self.cell_budget,
+                                        cfl=self.cfl)
+        for member, record in zip(members, records):
+            self._records[self._key(member)] = record
+        return workers
+
     def record_for(self, member: StepFunction) -> GermRecord:
-        key = self._key(member)
-        if key not in self._records:
-            self._records[key] = run_sequence(
-                member, self.epsilons, self.model, self.box, self.final_time,
-                cell_budget=self.cell_budget, cfl=self.cfl, member_id=member.label,
-            )
-        return self._records[key]
+        if self._key(member) not in self._records:
+            self._solve([member])
+        return self._records[self._key(member)]
 
     def level_result(self, level: int) -> GermLevelResult:
-        """Records, selection and stability of every member of a level.
-
-        Uncached members are solved one per task on a fork process pool
-        with one worker per usable CPU (the flux model holds closures, so
-        the study reaches the workers by fork, not by pickling).  Each
-        member's arithmetic stays in one process, so the records equal a
-        sequential run bit for bit; with one CPU or one member no pool is
-        started.  A worker's exception re-raises here with its type; a
-        worker that dies raises BrokenProcessPool (a RuntimeError) instead
-        of leaving the call waiting."""
+        """Records, selection and stability of every member of a level; the
+        uncached members are solved together by run_sequence, one lockstep
+        task per epsilon."""
         family = self.family(level)
         if not family.enumerable:
             raise ValueError(f"family level {level} has {family.count} members, too many to enumerate")
         todo = [m for m in family.members if self._key(m) not in self._records]
-        workers = max(1, min(len(todo), len(os.sched_getaffinity(0))))
-        if workers > 1:
-            # imported here so that runs which start no pool do not load them
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_init_worker, initargs=(self, todo)) as pool:
-                fresh = list(pool.map(_worker_record, range(len(todo)), chunksize=1))
-            for member, record in zip(todo, fresh):
-                self._records[self._key(member)] = record
+        workers = self._solve(todo) if todo else 1
         records = tuple(self.record_for(m) for m in family.members)
         selection = diagonal_select(records, self.threshold)
         matrix = contraction_matrix(records, self.cone)

@@ -9,6 +9,10 @@ output times.  Boundary cells are held at the far-field state.
 """
 from __future__ import annotations
 
+import bisect
+import contextlib
+import dataclasses
+import functools
 import itertools
 import math
 import time
@@ -22,6 +26,11 @@ from .geometry import Box
 
 CFL_SPEED_FLOOR = 1e-12
 MAX_PRINCIPLE_TOL = 1e-10  # slack of max_principle_check on [a, b]
+# a run of more interior cells times base steps is refused before its first step
+MAX_CELL_STEPS = 1e9
+# glibc's mallopt parameter number, and the free heap top the solver keeps
+M_TOP_PAD = -2
+HEAP_TOP_PAD = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -211,13 +220,14 @@ class _Faces:
         self.hi = _axslice(grid.d, axis, slice(1, None))
         shape = self.pts.shape[:-1]
         self.rows = model.at(self.pts, config.epsilon).rows(axis)
+        self.derivatives = {c: derivative_coeffs(c) for c, _ in self.rows}
         self.crit = []  # (state, |F'| there) per candidate column, face arrays
-        width = max(len(derivative_coeffs(c)) for c, _ in self.rows)
+        width = max(len(dc) for dc in self.derivatives.values())
         if width > 2:  # F'' is not constant
             column = (-1,) + (1,) * len(shape)
             dF = np.broadcast_to(rows_sum(
                 self.rows,
-                lambda c: np.pad(derivative_coeffs(c), (0, width - len(derivative_coeffs(c)))).reshape(column),
+                lambda c: np.pad(self.derivatives[c], (0, width - len(self.derivatives[c]))).reshape(column),
             ), (width,) + shape)
             table, inverse = np.unique(dF.reshape(width, -1).T, axis=0, return_inverse=True)
             states = sign_changes(table[:, 1:] * np.arange(1, width), model.a, model.b)[inverse.ravel()]
@@ -230,21 +240,22 @@ class _Faces:
 
     def _speed(self, states):
         """|F'| at per-face states."""
-        return np.abs(rows_sum(self.rows, lambda c: horner(states, derivative_coeffs(c))))
+        return np.abs(rows_sum(self.rows, lambda c: horner(states, self.derivatives[c])))
 
     def rusanov(self, values: np.ndarray, cells: dict, window: tuple = ()):
         """Rusanov flux 0.5 (F(ul) + F(ur)) - 0.5 alpha (ur - ul) on the faces
         between the cells of `values` and its coefficient alpha; `values` is
-        the block of cells whose faces are the slice `window` of this axis's
-        face tables (all of them by default).  `cells` keeps P and P' of
-        `values` per coefficient tuple for the other axes."""
+        the block of cells whose faces are `window` of this axis's face
+        tables (a tuple of slices or row indices; all of them by default).
+        `cells` keeps P and P' of `values` per coefficient tuple for the
+        other axes."""
         lo, hi = self.lo, self.hi
         ul, ur = values[lo], values[hi]
         rows = [(coeffs, [f[window] if isinstance(f, np.ndarray) else f for f in factors])
                 for coeffs, factors in self.rows]
         for coeffs, _ in rows:
             if coeffs not in cells:
-                cells[coeffs] = (horner(values, coeffs), horner(values, derivative_coeffs(coeffs)))
+                cells[coeffs] = (horner(values, coeffs), horner(values, self.derivatives[coeffs]))
         fl, fr, dl, dr = (rows_sum(rows, lambda c: cells[c][j][sl]) for j in (0, 1) for sl in (lo, hi))
         alpha = np.maximum(np.abs(dl), np.abs(dr))
         if self.crit:
@@ -256,33 +267,42 @@ class _Faces:
 
 
 class _Stepper:
-    """An explicit step restricted to a window of interior cells, one
-    [lo, hi) range of array indices per axis; the full step is the window of
-    the whole interior.  Everything but the state and dt is fixed for a run
-    and set up once: the face tables, the spacing and the diffusion limit
-    of the CFL guard, the boundary pairs and the stencil slices.
+    """An explicit step of fields that share a grid, each restricted to its
+    own window of interior cells, one [lo, hi) range of array indices per
+    axis; the full step is the window of the whole interior.  Everything but
+    the states and dt is fixed for a run and set up once: the face tables,
+    the spacing and the diffusion limit of the CFL guard, each field's
+    boundary pairs and the stencil slices.
 
-    The window is read with a one-cell halo and written back in place.  A
-    step of a cell reads only its 3-cell stencil along each axis, so a cell
+    A step of a cell reads only its 3-cell stencil along each axis, so a cell
     none of whose stencil changed at the last step gets the same increment
     again, which left it unchanged; at the same or a shorter dt (rounding is
-    monotone) it stays unchanged.  The next window is therefore the bounding
-    box of the cells whose bits changed, widened by one cell: the numerical
-    domain of dependence.  A longer dt than the last step's needs a full step
-    again, and so does the first step, whose boundary pin moves the
-    boundary cells."""
+    monotone) it stays unchanged.  A field's next window is therefore the
+    bounding box of its cells whose bits changed, widened by one cell: the
+    numerical domain of dependence.  A longer dt than the last step's needs
+    a full step again, and so does the first step, whose boundary pin moves
+    the boundary cells.
 
-    def __init__(self, config: RunConfig, grid: Grid):
+    The fields are stepped as one block: each window's rows along axis 0
+    with a one-cell halo, stacked along axis 0, over the union of the
+    windows' ranges on the other axes.  By the argument above, the cells of
+    the union outside a field's own window keep their bits.  The face
+    between two stacked segments and the halo rows beside it are junk:
+    their increments are dropped and their coefficients ignored.  A lone
+    field's block is a view of its window with its halo."""
+
+    def __init__(self, config: RunConfig, grid: Grid, pairs):
         d = grid.d
         self.faces = [_Faces(config, grid, k) for k in range(d)]
         self.bound = max(f.bound for f in self.faces)
         self.d, self.eps, self.cfl = d, config.epsilon, config.cfl
+        self.counts = grid.counts
         self.dx = grid.dx
         self.dx_min = min(self.dx)
         self.diff_limit = self.dx_min * self.dx_min / (2.0 * d * self.eps)
-        self.pairs = config.boundary_pairs
+        self.pairs = pairs  # the boundary pairs of each field
         self.full = tuple((1, n - 1) for n in grid.counts)
-        self.other_axes = [tuple(m for m in range(d) if m != k) for k in range(d)]
+        self.inner = (slice(1, -1),) * d
         # per axis, on a block with its halo: the cells above, at and below
         # each cell, and the cut of the other axes' halo
         self.stencil = [
@@ -291,55 +311,113 @@ class _Stepper:
             for k in range(d)
         ]
 
-    def advance(self, values: np.ndarray, window, dt: float):
-        """Step the cells of `window` in place; returns the largest Rusanov
-        coefficient on the window's faces and the window of the next step
+    def advance(self, values: np.ndarray, live, windows, dt: float, t: float):
+        """Step the window `windows[i]` of each field `live[i]` of `values`,
+        shape (fields, *counts), in place to time t; returns the largest
+        Rusanov coefficient on each such field's faces and its next window
         (None when no bit changed)."""
-        d = self.d
-        block = values[tuple(slice(lo - 1, hi + 1) for lo, hi in window)]
-        cells = tuple(slice(lo, hi) for lo, hi in window)
-        acc = np.zeros(tuple(hi - lo for lo, hi in window))
-        alpha_max = 0.0
+        d, n0 = self.d, self.counts[0]
+        rows = [(w[0][0] - 1, w[0][1] + 1) for w in windows]
+        across = tuple(slice(min(w[k][0] for w in windows) - 1, max(w[k][1] for w in windows) + 1)
+                       for k in range(1, d)) if d > 1 else ()
+        stacked = values.reshape((-1,) + self.counts[1:])
+        if len(live) == 1:
+            (lo, hi), = rows
+            starts, seams = [0, hi - lo], None
+            cell_rows, face_rows = slice(lo, hi), slice(lo, hi - 1)
+            take = slice(live[0] * n0 + lo, live[0] * n0 + hi)
+        else:
+            sizes = [hi - lo for lo, hi in rows]
+            starts = list(itertools.accumulate(sizes, initial=0))
+            # the first block row of each segment but the first
+            seams = np.array(starts[1:-1])
+            cell_rows = np.arange(starts[-1]) + np.repeat([lo - s for (lo, _), s in zip(rows, starts)], sizes)
+            take = cell_rows + np.repeat([j * n0 for j in live], sizes)
+            # the junk face after a segment reads any valid row
+            face_rows = np.minimum(cell_rows[:-1], n0 - 2)
+        block = stacked[(take,) + across]
+        acc = np.zeros(block[self.inner].shape)
+        alpha = None
         kernel = {}
         for k, (faces, dx, (up, mid, down, shrink)) in enumerate(zip(self.faces, self.dx, self.stencil)):
             # the faces between the block's cells along k, in every row of it
-            fwin = tuple(slice(lo - 1, hi + (m != k)) for m, (lo, hi) in enumerate(window))
-            fhat, alpha = faces.rusanov(block, kernel, fwin)
-            alpha_max = max(alpha_max, float(alpha.max()))
+            fwin = (face_rows if k == 0 else cell_rows,) + tuple(
+                slice(s.start, s.stop - (m == k)) for m, s in enumerate(across, 1))
+            fhat, coeff = faces.rusanov(block, kernel, fwin)
+            if seams is not None:
+                rows_max = coeff.max(axis=tuple(range(1, d))) if d > 1 else coeff
+                if k == 0:
+                    rows_max[seams - 1] = 0.0
+                maxima = np.maximum.reduceat(rows_max, starts[:-1]).tolist()
+            else:
+                maxima = [float(coeff.max())]
+            alpha = maxima if alpha is None else [max(a, b) for a, b in zip(alpha, maxima)]
             div = (fhat[faces.hi] - fhat[faces.lo]) / dx
             lap = (block[up] - 2.0 * block[mid] + block[down]) / (dx * dx)
-            acc += -div[shrink] + self.eps * lap[shrink]
+            # eps lap - div: the same bits as -div + eps lap, one negation fewer
+            acc += self.eps * lap[shrink] - div[shrink]
 
         # the step must respect the same bound the run derived dt from; a
-        # face outside the window passed with the same coefficient at a dt at
+        # face outside a window passed with the same coefficient at a dt at
         # least as long, since only a full step follows a shorter one
-        limit = self.cfl * min(self.dx_min / (2.0 * d * max(alpha_max, CFL_SPEED_FLOOR)), self.diff_limit)
-        if dt > limit * (1.0 + 1e-9):
-            raise ValueError(f"time step {dt:.3e} violates the CFL bound {limit:.3e} (wave speed {alpha_max:.3e})")
+        for i, speed in enumerate(alpha):
+            limit = self.cfl * min(self.dx_min / (2.0 * d * max(speed, CFL_SPEED_FLOOR)), self.diff_limit)
+            if dt > limit * (1.0 + 1e-9):
+                raise ValueError(f"{_which(values, live[i])}time step {dt:.3e} violates the CFL bound {limit:.3e} "
+                                 f"(wave speed {speed:.3e})")
 
-        new = values[cells] + dt * acc
+        new = block.copy()
+        new[self.inner] += dt * acc
+        if seams is not None:
+            halo = np.concatenate([seams - 1, seams])
+            new[halo] = block[halo]
+        for i, (j, w) in enumerate(zip(live, windows)):
+            if w == self.full:
+                # the pin can move boundary cells
+                _pin_boundary(new[starts[i]:starts[i + 1]], self.pairs[j])
+        # only the stepped cells can have left the finite range
+        finite = np.isfinite(new)
+        if not finite.all():
+            row = int(np.argwhere(~finite)[0][0])
+            i = bisect.bisect_right(starts, row) - 1
+            raise RuntimeError(f"{_which(values, live[i])}non-finite solver state at t = {t:.6g}")
         # bits compared as int64, so a flip of the sign of zero is a change
-        if window == self.full:
-            # the pin can move boundary cells: compare the whole grid
-            old, offsets = values.copy(), (0,) * d
-            values[cells] = new
-            _pin_boundary(values, self.pairs)
-            changed = values.view(np.int64) != old.view(np.int64)
-        else:
-            changed, offsets = new.view(np.int64) != values[cells].view(np.int64), [lo for lo, _ in window]
-            values[cells] = new
-        return alpha_max, self._widened(changed, offsets)
+        changed = new.view(np.int64) != block.view(np.int64)
+        stacked[(take,) + across] = new
+        return alpha, self._widened(changed, rows, starts, across)
 
-    def _widened(self, changed: np.ndarray, offsets):
-        """Bounding box of the changed cells, widened by one cell and clipped
-        to the interior; None when none changed."""
-        window = []
-        for offset, other, (first, stop) in zip(offsets, self.other_axes, self.full):
-            hit = (changed.any(axis=other) if other else changed).nonzero()[0]
-            if hit.size == 0:
-                return None
-            window.append((max(offset + int(hit[0]) - 1, first), min(offset + int(hit[-1]) + 2, stop)))
-        return tuple(window)
+    def _widened(self, changed: np.ndarray, rows, starts, across):
+        """Per segment of the block, the bounding box of its changed cells,
+        widened by one cell and clipped to the interior; None when none
+        changed."""
+        d = self.d
+        hits = (changed.any(axis=tuple(range(1, d))) if d > 1 else changed).nonzero()[0]
+        if len(rows) > 1:
+            bounds = np.searchsorted(hits, starts).tolist()
+            segments = np.logical_or.reduceat(changed, starts[:-1], axis=0) if d > 1 else None
+        else:
+            bounds = [0, len(hits)]
+            segments = changed.any(axis=0, keepdims=True) if d > 1 else None
+        windows = []
+        for i, (lo, _) in enumerate(rows):
+            first, stop = bounds[i], bounds[i + 1]
+            if first == stop:
+                windows.append(None)
+                continue
+            # block row r is grid row r + offset
+            offset = lo - starts[i]
+            window = [(max(int(hits[first]) + offset - 1, 1), min(int(hits[stop - 1]) + offset + 2, self.counts[0] - 1))]
+            for k in range(1, d):
+                hit = np.flatnonzero(segments[i].any(axis=tuple(m for m in range(d - 1) if m != k - 1)))
+                offset = across[k - 1].start
+                window.append((max(int(hit[0]) + offset - 1, 1), min(int(hit[-1]) + offset + 2, self.counts[k] - 1)))
+            windows.append(tuple(window))
+        return windows
+
+
+def _which(values: np.ndarray, j: int) -> str:
+    """The prefix naming field j in an error, when there are several."""
+    return f"field {j}: " if len(values) > 1 else ""
 
 
 def _pin_boundary(values: np.ndarray, pairs):
@@ -353,13 +431,13 @@ def step(field: Field, config: RunConfig, dt: float) -> Field:
     """Single explicit update; refuses time steps above the CFL bound."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    stepper = _Stepper(config, field.grid)
+    stepper = _Stepper(config, field.grid, [config.boundary_pairs])
     limit = cfl_timestep(config, field.grid, stepper.bound)
     if dt > limit * (1.0 + 1e-9):
         raise ValueError(f"dt {dt:.6g} exceeds the CFL bound {limit:.6g}")
-    values = np.array(field.values, dtype=float, copy=True)
-    stepper.advance(values, stepper.full, dt)
-    return Field(field.grid, values, field.time + dt)
+    values = np.array(field.values[None], dtype=float, copy=True)
+    stepper.advance(values, [0], [stepper.full], dt, field.time + dt)
+    return Field(field.grid, values[0], field.time + dt)
 
 
 def _normalize_output_times(config: RunConfig) -> list[float]:
@@ -373,68 +451,112 @@ def _normalize_output_times(config: RunConfig) -> list[float]:
 
 def run(u0: Field, config: RunConfig) -> Trajectory:
     """Advance u0 to final_time, recording the state at the requested output
-    times (t = 0 and T always included).  Aborts on non-finite values."""
-    grid = u0.grid
+    times (t = 0 and T always included): run_lockstep of one field."""
+    return run_lockstep([u0], [config])[0]
+
+
+@functools.cache
+def _keep_heap_top():
+    """Have glibc keep HEAP_TOP_PAD bytes free at the top of the heap.  By
+    default it hands the free top back to the system once 128 kB are free
+    there, and a step's temporaries on a block of some thousand cells free
+    more than that, so every step faulted its pages back in: a 16,384-cell
+    run spent about 40% of its time in the kernel.  Where mallopt is
+    missing this does nothing."""
+    import ctypes
+
+    with contextlib.suppress(OSError, AttributeError, TypeError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_TOP_PAD, HEAP_TOP_PAD)
+
+
+def run_lockstep(u0s: Sequence[Field], configs: Sequence[RunConfig]) -> list[Trajectory]:
+    """Advance fields on one grid under configs that differ only in their
+    boundary, one trajectory each, in lockstep: they share the dt schedule,
+    and each step is one _Stepper block over all their windows.  Every
+    field keeps its own window, pin, CFL guard and manifest, and its
+    trajectory equals a run of it alone bit for bit; wall_time_s is the
+    whole lockstep run's.
+
+    Refuses, before the first step, a run whose interior cells times base
+    steps exceed MAX_CELL_STEPS, and aborts on non-finite values; either
+    error names the field when there are several."""
+    grid, config = u0s[0].grid, configs[0]
+    if len(u0s) != len(configs) or any(u.grid != grid for u in u0s[1:]) or any(
+            dataclasses.replace(c, boundary=config.boundary) != config for c in configs[1:]):
+        raise ValueError("lockstep fields need one grid and configs that differ only in boundary")
     if grid.d != config.flux.d:
         raise ValueError("grid and flux dimension mismatch")
+    _keep_heap_top()
     t0 = time.perf_counter()
-    stepper = _Stepper(config, grid)
+    stepper = _Stepper(config, grid, [c.boundary_pairs for c in configs])
     speed = stepper.bound
     dt_base = cfl_timestep(config, grid, speed)
+    estimate = math.prod(n - 2 for n in grid.counts) * math.ceil(config.final_time / dt_base)
+    if estimate > MAX_CELL_STEPS:
+        raise ValueError(
+            f"epsilon {config.epsilon:.6g} on dx {min(grid.dx):.6g} gives dt_base {dt_base:.3e}: about "
+            f"{estimate:.3e} cell-steps, above the limit of {MAX_CELL_STEPS:.0e}")
     out_times = _normalize_output_times(config)
 
-    values = np.array(u0.values, dtype=float, copy=True)
+    values = np.array([u.values for u in u0s], dtype=float)
     recorded = [values.copy()]
     t = 0.0
-    n_steps = cell_updates = clipped_steps = 0
-    alpha_max = 0.0
+    n_steps = clipped_steps = 0
+    cell_updates = [0] * len(u0s)
+    alpha_max = [0.0] * len(u0s)
     dt_min, dt_max = np.inf, 0.0
-    window, dt_last = stepper.full, np.inf
+    windows, dt_last = [stepper.full] * len(u0s), np.inf
     for target in out_times[1:]:
         while t < target - 1e-13:
             dt = min(dt_base, target - t)
             if dt > dt_last:
-                window = stepper.full
+                windows = [stepper.full] * len(u0s)
             t += dt
-            if window is not None:
-                cells = tuple(slice(lo, hi) for lo, hi in window)
-                cell_updates += math.prod(hi - lo for lo, hi in window)
-                alpha, window = stepper.advance(values, window, dt)
-                alpha_max = max(alpha_max, alpha)
-                # only the stepped cells can have left the finite range
-                if not np.isfinite(values[cells]).all():
-                    raise RuntimeError(f"non-finite solver state at t = {t:.6g}")
+            live = [j for j, w in enumerate(windows) if w is not None]
+            if live:
+                alpha, fresh = stepper.advance(values, live, [windows[j] for j in live], dt, t)
+                for j, w, a in zip(live, fresh, alpha):
+                    cell_updates[j] += math.prod(hi - lo for lo, hi in windows[j])
+                    windows[j] = w
+                    alpha_max[j] = max(alpha_max[j], a)
             clipped_steps += dt < dt_base
             dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
             dt_last = dt
             n_steps += 1
         recorded.append(values.copy())
-    manifest = {
-        "flux": config.flux.name or "custom",
-        "epsilon": config.epsilon,
-        "final_time": config.final_time,
-        "cfl": config.cfl,
-        "boundary": [list(p) for p in config.boundary_pairs],
-        "grid": {"lows": list(grid.lows), "highs": list(grid.highs), "counts": list(grid.counts)},
-        "speed_bound": speed,
-        "dt_base": dt_base,
-        "n_steps": n_steps,
-        # interior cells actually stepped, and the output-clipped substeps
-        # (a longer step after one steps the whole grid)
-        "cell_updates": cell_updates,
-        "clipped_steps": clipped_steps,
-        "dt_min": dt_min,
-        "dt_max": dt_max,
-        "alpha_max": alpha_max,
-        # <= 1: no step's coefficient exceeded the bound dt_base came from
-        "cfl_margin": alpha_max / speed if speed > 0 else 0.0,
-        "output_times": out_times,
-        # cell_volume * sum(state) at the first and last recorded time
-        "mass_start": grid.cell_volume * float(recorded[0].sum()),
-        "mass_end": grid.cell_volume * float(recorded[-1].sum()),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    return Trajectory(grid=grid, times=tuple(out_times), states=np.stack(recorded), manifest=manifest)
+    states = np.stack(recorded, axis=1)
+    wall = time.perf_counter() - t0
+    trajectories = []
+    for c, s, updates, alpha in zip(configs, states, cell_updates, alpha_max):
+        manifest = {
+            "flux": config.flux.name or "custom",
+            "epsilon": config.epsilon,
+            "final_time": config.final_time,
+            "cfl": config.cfl,
+            "boundary": [list(p) for p in c.boundary_pairs],
+            "grid": {"lows": list(grid.lows), "highs": list(grid.highs), "counts": list(grid.counts)},
+            "speed_bound": speed,
+            "dt_base": dt_base,
+            "n_steps": n_steps,
+            # interior cells actually stepped, and the output-clipped substeps
+            # (a longer step after one steps the whole grid)
+            "cell_updates": updates,
+            "clipped_steps": clipped_steps,
+            "dt_min": dt_min,
+            "dt_max": dt_max,
+            "alpha_max": alpha,
+            # <= 1: no step's coefficient exceeded the bound dt_base came from
+            "cfl_margin": alpha / speed if speed > 0 else 0.0,
+            "output_times": out_times,
+            # cell_volume * sum(state) at the first and last recorded time
+            "mass_start": grid.cell_volume * float(s[0].sum()),
+            "mass_end": grid.cell_volume * float(s[-1].sum()),
+            "wall_time_s": wall,
+        }
+        trajectories.append(Trajectory(grid=grid, times=tuple(out_times), states=s, manifest=manifest))
+    return trajectories
 
 
 @dataclass(frozen=True)

@@ -77,14 +77,14 @@ def mini_study(two_flux_model):
 
 @pytest.fixture(scope="module")
 def constant_record(two_flux_model):
-    return run_sequence(
-        lambda pts: np.zeros(pts.shape[:-1]),
+    (record,), _ = run_sequence(
+        {"const-a": lambda pts: np.zeros(pts.shape[:-1])},
         (3.2e-2, 1.6e-2, 8e-3, 4e-3),
         two_flux_model,
         two_flux_model.domain,
         final_time=0.05,
-        member_id="const-a",
     )
+    return record
 
 
 @pytest.fixture(scope="module")
@@ -93,14 +93,14 @@ def step_record(two_flux_model):
         x = pts[..., 0]
         return np.where((x >= 0.1) & (x < 0.3), 1.0, 0.0)
 
-    return run_sequence(
-        step_fn,
+    (record,), _ = run_sequence(
+        {"step": step_fn},
         (1.6e-2, 8e-3, 4e-3, 2e-3),
         two_flux_model,
         two_flux_model.domain,
         final_time=0.09,
-        member_id="step",
     )
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_cell_budget_guard():
         grid_for_epsilon(Box((-0.5,), (0.5,)), 2e-5)
     with pytest.raises(ValueError, match="budget"):
         run_sequence(
-            lambda pts: np.zeros(pts.shape[:-1]),
+            {"zero": lambda pts: np.zeros(pts.shape[:-1])},
             (1.6e-2, 2e-5),
             model=None,
             box=Box((-0.5,), (0.5,)),
@@ -243,7 +243,7 @@ def test_cell_budget_guard():
 
 
 def test_run_sequence_validates_the_epsilon_ladder(two_flux_model):
-    u0 = lambda pts: np.zeros(pts.shape[:-1])
+    u0 = {"zero": lambda pts: np.zeros(pts.shape[:-1])}
     box = two_flux_model.domain
     with pytest.raises(ValueError, match="two epsilons"):
         run_sequence(u0, (1e-3,), two_flux_model, box, 0.01)
@@ -262,8 +262,8 @@ def test_constant_datum_has_zero_deltas(constant_record):
 
 def test_rarefaction_deltas_decrease(burgers_model):
     u0 = lambda pts: np.where(pts[..., 0] < 0.0, 1.0, 0.0)
-    record = run_sequence(u0, (1.6e-2, 8e-3, 4e-3), burgers_model,
-                          burgers_model.domain, final_time=0.15, member_id="fan")
+    (record,), _ = run_sequence({"fan": u0}, (1.6e-2, 8e-3, 4e-3), burgers_model,
+                                burgers_model.domain, final_time=0.15)
     assert record.deltas[0] > record.deltas[1] > 0.0
 
 
@@ -585,18 +585,22 @@ def _tiny_study(model):
 
 
 def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
-    # three usable CPUs, whatever this host has, so the pool path runs
+    # three usable CPUs, whatever this host has, so the pool path runs: one
+    # task per epsilon, every member in lockstep
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     study = _tiny_study(two_flux_model)
     result = study.level_result(1)
     assert result.workers == 3
 
+    # the reference: each member alone, in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     members = study.family(1).members
     assert [r.member_id for r in result.records] == [m.label for m in members]
     for member, record in zip(members, result.records):
-        expected = run_sequence(member, study.epsilons, study.model, study.box,
-                                study.final_time, cell_budget=study.cell_budget,
-                                cfl=study.cfl, member_id=member.label)
+        (expected,), workers = run_sequence({member.label: member}, study.epsilons, study.model,
+                                            study.box, study.final_time,
+                                            cell_budget=study.cell_budget, cfl=study.cfl)
+        assert workers == 1
         assert expected.initial.grid == study.comparison_grid
         assert record.deltas == expected.deltas
         assert record.grid_counts == expected.grid_counts
@@ -605,7 +609,7 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
         assert_array_equal(record.initial.values, expected.initial.values)
         for got, want in zip(record.endpoints, expected.endpoints):
             assert got.grid == want.grid and got.time == want.time
-            assert_array_equal(got.values, want.values)
+            assert_array_equal(got.values.view(np.int64), want.values.view(np.int64))
 
     # a second call solves nothing: no pool, the cached record objects
     monkeypatch.setattr(multiprocessing, "get_context", None)
@@ -621,49 +625,88 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
     assert counters["cell_updates"] == sum(u for r in result.records for _, _, u in r.runs)
     assert 0 < counters["cell_updates"] <= counters["cell_steps"]
     assert counters["solve_s"] > 0.0 and counters["workers"] == 3
+    # each epsilon is one lockstep run, its wall time shared evenly by the
+    # nine members, so solve_s counts it once
+    shares = [{r.runs[k][1] for r in result.records} for k in range(4)]
+    assert all(len(share) == 1 for share in shares)
+    assert counters["solve_s"] == pytest.approx(sum(9 * share.pop() for share in shares))
 
 
-def test_one_cpu_or_one_member_starts_no_pool(two_flux_model, monkeypatch):
+def test_one_cpu_or_one_task_starts_no_pool(two_flux_model, monkeypatch):
     # starting a pool would call None and fail
     monkeypatch.setattr(multiprocessing, "get_context", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert _tiny_study(two_flux_model).level_result(0).workers == 1
 
-    # four CPUs, but only one of level 0's two members is uncached
+    # four CPUs, but one task
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert germ._map(lambda i: i + 10, 1) == ([10], 1)
+
+
+class _InlinePool:
+    """ProcessPoolExecutor's part that _map uses, run in this process."""
+
+    def __init__(self, workers, mp_context=None, initializer=None, initargs=()):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(i) for i in items]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_tasks_are_submitted_finest_epsilon_first(two_flux_model, monkeypatch, cpus):
+    import concurrent.futures
+
+    order = []
+    real = germ.run_lockstep
+
+    def recording(u0s, configs):
+        order.append((configs[0].epsilon, len(u0s)))
+        return real(u0s, configs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(germ, "run_lockstep", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     study = _tiny_study(two_flux_model)
-    study.record_for(study.family(0).members[0])
-    assert study.level_result(0).workers == 1
+    assert study.level_result(1).workers == len(cpus)
+    # one task per epsilon, each stepping all nine members
+    assert order == [(eps, 9) for eps in sorted(study.epsilons)]
+
+
+def _planted(real, action):
+    """run_lockstep that calls action() when member L1-02 (0 on the left
+    half, 1 on the right) is among the fields."""
+
+    def run_lockstep(u0s, configs):
+        if any(u0.values[0] == 0.0 and u0.values[-1] == 1.0 for u0 in u0s):
+            action()
+        return real(u0s, configs)
+
+    return run_lockstep
 
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])
 def test_worker_errors_reraise_with_their_type(two_flux_model, monkeypatch, error):
-    real_run = germ.run
+    def fail():
+        raise error("planted failure")
 
-    def failing_run(u0, config):
-        # member L1-02 only: 0 on the left half, 1 on the right
-        if u0.values[0] == 0.0 and u0.values[-1] == 1.0:
-            raise error("planted failure")
-        return real_run(u0, config)
-
-    monkeypatch.setattr(germ, "run", failing_run)
+    monkeypatch.setattr(germ, "run_lockstep", _planted(germ.run_lockstep, fail))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(error, match="planted failure"):
         _tiny_study(two_flux_model).level_result(1)
 
 
 def test_a_dead_worker_fails_the_level_instead_of_hanging(two_flux_model, monkeypatch):
-    real_run = germ.run
-
-    def dying_run(u0, config):
-        if u0.values[0] == 0.0 and u0.values[-1] == 1.0:
-            os._exit(1)
-        return real_run(u0, config)
-
     def on_alarm(*_):
         raise TimeoutError("level_result kept waiting on a dead worker")
 
-    monkeypatch.setattr(germ, "run", dying_run)
+    monkeypatch.setattr(germ, "run_lockstep", _planted(germ.run_lockstep, lambda: os._exit(1)))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     previous = signal.signal(signal.SIGALRM, on_alarm)
     signal.alarm(60)

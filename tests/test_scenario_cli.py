@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -376,6 +377,21 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert getattr(parser.parse_args(argv), flag) == value
 
 
+def test_cli_refuses_a_run_whose_cost_estimate_is_too_high(tmp_path, capsys):
+    # burgers on 400 cells with eps = 10: dt_base = 1.4e-7, so T = 1 would
+    # take 7.1 million steps; it is refused before the first one
+    doc = json.loads(open(builtin_scenario_path("burgers_shock")).read())
+    doc["run"].update(epsilon=10.0, final_time=1.0)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["entropy-check", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: epsilon 10 on dx 0.0025 gives dt_base 1.406e-07")
+    assert "cell-steps, above the limit of 1e+09" in err
+    assert not (out / "trajectory.csv").exists() and not (out / "report.json").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # scipy is a test-only dependency: the Halton points and the grid
     # interpolation are numpy, so neither importing the CLI nor running the
@@ -589,7 +605,8 @@ def test_cli_converge_spec_example(tmp_path):
     assert report["pass"] is True
     assert report["grid_counts"] == [[1024], [2048], [4096], [8192]]
     solver = report["solver"]
-    assert solver["runs"] == 4 and solver["workers"] == 1
+    # the four epsilons are four pool tasks on one worker per usable CPU
+    assert solver["runs"] == 4 and 1 <= solver["workers"] <= len(os.sched_getaffinity(0))
     assert 0 < solver["cell_updates"] <= solver["cell_steps"]
     assert solver["solve_s"] > 0.0
     assert report["artifacts"] == {"deltas": "deltas.csv", "finest_endpoint": "finest_endpoint.csv"}

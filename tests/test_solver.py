@@ -1,5 +1,6 @@
 """Viscous solver: CFL rule, single steps, full runs, maximum principle,
 conservation and the viscous-level L1 contraction."""
+import dataclasses
 import json
 import math
 
@@ -272,6 +273,142 @@ def test_windowed_shock_with_clipped_outputs(burgers_model, fine_grid):
     config = dx.RunConfig(flux=burgers_model, epsilon=1e-3, final_time=0.5, boundary=((0.0, 1.0),))
     man = _assert_window_exact(riemann_field(fine_grid, 0.0, 1.0), config)
     assert man["clipped_steps"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# lockstep: fields on one grid stepped as one block equal separate runs
+
+
+def _assert_lockstep_exact(u0s, configs) -> list:
+    together = dx.run_lockstep(u0s, configs)
+    assert len(together) == len(u0s)
+    for u0, config, traj in zip(u0s, configs, together):
+        alone = dx.run(u0, config)
+        assert traj.times == alone.times
+        # int64 views: equal bits at every output time, signed zeros included
+        assert_array_equal(traj.states.view(np.int64), alone.states.view(np.int64))
+        assert ({k: v for k, v in traj.manifest.items() if k != "wall_time_s"}
+                == {k: v for k, v in alone.manifest.items() if k != "wall_time_s"})
+    return together
+
+
+def _germ_members(grid: dx.Grid, model, epsilon: float, final_time: float, output_times):
+    """The level-1 step data on [-0.5, 0.5], each pinned to its own edge
+    values, as in a germ study."""
+    box = dx.Box((-0.5,), (0.5,))
+    members = dx.build_dense_family(1, model.a, model.b, box).members
+    u0s, configs = [], []
+    for m in members:
+        lo, hi = m.values
+        u0s.append(dx.Field(grid, m(grid.points()), 0.0))
+        configs.append(dx.RunConfig(flux=model, epsilon=epsilon, final_time=final_time,
+                                    boundary=((lo, hi),), output_times=output_times))
+    return u0s, configs
+
+
+@pytest.mark.parametrize("output_times", [(0.04,), (0.013, 0.0205, 0.04)])
+def test_lockstep_germ_members_equal_separate_runs(output_times):
+    grid = dx.Grid((-0.5,), (0.5,), (128,))
+    u0s, configs = _germ_members(grid, dx.preset("two_flux"), 1 / 32, 0.04, output_times)
+    assert len({c.boundary for c in configs}) == 9
+    trajs = _assert_lockstep_exact(u0s, configs)
+    # the two constants equal to their pins freeze after the first step,
+    # and only an output-clipped step's longer successor steps them again
+    full = trajs[0].manifest["cell_updates"]
+    assert full == trajs[-1].manifest["cell_updates"] == 126 * (1 + len(output_times) - 1)
+    if len(output_times) > 1:
+        assert trajs[0].manifest["clipped_steps"] >= len(output_times) - 1
+
+
+def test_lockstep_windows_that_empty_at_different_steps(burgers_model, monkeypatch):
+    from discflux import solver
+
+    grid = dx.Grid((-0.5,), (0.5,), (64,))
+    config = dx.RunConfig(flux=burgers_model, epsilon=1e-2, final_time=0.3, boundary=0.3,
+                          output_times=(0.3,))
+    # a constant equal to the pin, bumps that relax to it after some steps,
+    # one that never does, and boundary cells that only the pin moves
+    u0s = []
+    for amp in (0.0, 1e-16, 1e-15, 1e-14, 0.2):
+        values = np.full(grid.counts, 0.3)
+        values[30:33] += amp
+        u0s.append(dx.Field(grid, values, 0.0))
+    off_pin = np.full(grid.counts, 0.3)
+    off_pin[[0, -1]] = 0.9
+    u0s.append(dx.Field(grid, off_pin, 0.0))
+    calls = []
+    advance = solver._Stepper.advance
+
+    def recording(self, values, live, windows, dt, t):
+        calls.append(tuple(live))
+        return advance(self, values, live, windows, dt, t)
+
+    monkeypatch.setattr(solver._Stepper, "advance", recording)
+    trajs = _assert_lockstep_exact(u0s, [config] * len(u0s))
+    monkeypatch.undo()
+    lockstep = calls[:trajs[0].manifest["n_steps"]]
+    last_live = [max(i for i, live in enumerate(lockstep) if j in live) for j in range(len(u0s))]
+    # each window empties at its own step; the last field stays live
+    assert last_live[0] == 0 and last_live[:4] == sorted(set(last_live[:4]))
+    assert last_live[3] < last_live[4] == len(lockstep) - 1
+    assert trajs[0].manifest["cell_updates"] == 62
+    assert (trajs[5].states[-1, [0, -1]] == 0.3).all() and trajs[5].manifest["cell_updates"] > 62
+
+
+def test_lockstep_2d_fields_equal_separate_runs():
+    model = dx.preset("tilted_2d")
+    grid = dx.Grid(model.domain.lows, model.domain.highs, (24, 24))
+    rng = np.random.default_rng(5)
+    u0s = []
+    for rows, cols in ((slice(4, 9), slice(14, 19)), (slice(12, 18), slice(5, 9))):
+        values = np.zeros(grid.counts)
+        values[rows, cols] = rng.uniform(0.0, 1.0, (rows.stop - rows.start, cols.stop - cols.start))
+        u0s.append(dx.Field(grid, values, 0.0))
+    config = dx.RunConfig(flux=model, epsilon=2e-2, final_time=0.03, boundary=0.0,
+                          output_times=(0.011,))
+    trajs = _assert_lockstep_exact(u0s, [config, config])
+    assert all(t.manifest["cell_updates"] < t.manifest["n_steps"] * 22 * 22 for t in trajs)
+
+
+def test_lockstep_failures_name_the_field(burgers_model):
+    grid = dx.Grid((-0.5,), (0.5,), (64,))
+    config = dx.RunConfig(flux=burgers_model, epsilon=1e-3, final_time=0.05, boundary=0.0)
+    calm = dx.Field(grid, np.zeros(grid.counts), 0.0)
+    # a state far outside [a, b] has |F'| = 9 against the bound 1
+    fast = np.zeros(grid.counts)
+    fast[30] = 5.0
+    with pytest.raises(ValueError, match="field 1: time step .* violates the CFL bound"):
+        dx.run_lockstep([calm, dx.Field(grid, fast, 0.0), calm], [config] * 3)
+    broken = np.zeros(grid.counts)
+    broken[20] = np.nan
+    with pytest.raises(RuntimeError, match="field 2: non-finite solver state at t = "):
+        dx.run_lockstep([calm, calm, dx.Field(grid, broken, 0.0)], [config] * 3)
+    # a lone run keeps its plain messages
+    with pytest.raises(RuntimeError, match="^non-finite solver state"):
+        dx.run(dx.Field(grid, broken, 0.0), config)
+
+
+def test_lockstep_needs_one_grid_and_one_config_up_to_the_boundary(burgers_model):
+    grid = dx.Grid((-0.5,), (0.5,), (64,))
+    u0 = dx.Field(grid, np.zeros(grid.counts), 0.0)
+    config = dx.RunConfig(flux=burgers_model, epsilon=1e-2, final_time=0.05, boundary=0.0)
+    other = dx.Grid((-0.5,), (0.5,), (32,))
+    for u0s, configs in (
+            ([u0, dx.Field(other, np.zeros(32), 0.0)], [config, config]),
+            ([u0, u0], [config, dataclasses.replace(config, epsilon=2e-2)]),
+            ([u0, u0], [config])):
+        with pytest.raises(ValueError, match="one grid"):
+            dx.run_lockstep(u0s, configs)
+
+
+def test_run_refuses_an_estimated_cost_above_the_limit(burgers_model):
+    # eps = 10 on 400 cells: dt_base = 0.45 dx^2 / 20 = 1.4e-7, about 7.1
+    # million steps of 398 interior cells
+    grid = dx.Grid((-0.5,), (0.5,), (400,))
+    config = dx.RunConfig(flux=burgers_model, epsilon=10.0, final_time=1.0, boundary=0.0)
+    with pytest.raises(ValueError, match=r"epsilon 10 on dx 0\.0025 gives dt_base 1\.406e-07: "
+                                         r"about 2\.83.e\+09 cell-steps, above the limit of 1e\+09"):
+        dx.run(dx.Field(grid, np.zeros(400), 0.0), config)
 
 
 # ---------------------------------------------------------------------------
