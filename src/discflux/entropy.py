@@ -97,6 +97,18 @@ class TestFunction:
             cols.append(col)
         return np.stack(cols, axis=-1)
 
+    def support(self, grid, times) -> tuple[slice, ...]:
+        """Index slices of the recorded `times` and of each axis's cell
+        centers of `grid` where |s| < 1, s as the bump computes it; off that
+        box the bump and both its derivatives are exactly zero."""
+        def inside(coords, center, radius):
+            hit = np.flatnonzero(np.abs((np.asarray(coords, dtype=float) - center) / radius) < 1.0)
+            return slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0)
+
+        return (inside(times, self.time_center, self.time_radius),
+                *(inside(grid.centers(k), c, r)
+                  for k, (c, r) in enumerate(zip(self.space_center, self.space_radius))))
+
     @property
     def c1_norm(self) -> float:
         """sup|phi| + sum of sup|partial phi| (attained, not estimated)."""
@@ -257,18 +269,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return np.einsum("ij,ij->", a, b)
 
 
-def _phi_tables(phi, times: np.ndarray, tw: np.ndarray, points: np.ndarray):
-    """One grad phi component per axis and phi_t on every (recorded time,
-    cell), each from one call broadcast over times[:, None] and multiplied
-    by the trapezoid weights; plus the unweighted phi at t = 0, a (1, cells)
-    row for the initial-data term."""
-    t = times[:, None]
-    w = tw[:, None]
+def _phi_tables(phi, t: np.ndarray, w: np.ndarray, points: np.ndarray) -> list[np.ndarray]:
+    """One grad phi component per axis and phi_t at the times t (a column)
+    and the cells `points`, each from one broadcast call and multiplied by
+    the trapezoid weights w (a column)."""
     grad = phi.gradient(t, points)
     tables = [grad[..., k] * w for k in range(points.shape[-1])]
     del grad  # the unweighted tables never outlive their weighting
     tables.append(phi.time_derivative(t, points) * w)
-    return tables, phi.value(times[:1, None], points)
+    return tables
+
+
+def _box(table: np.ndarray, counts: tuple[int, ...], box: tuple[slice, ...]) -> np.ndarray:
+    """The block `box` (one slice over the first axis, then one per grid
+    axis) of a (rows, cells, ...) table whose cells run over a grid of
+    `counts` in C order: a view of shape (rows, *block counts, ...)."""
+    return table.reshape(table.shape[:1] + counts + table.shape[2:])[box]
 
 
 class ResidualWorkspace:
@@ -280,7 +296,7 @@ class ResidualWorkspace:
     trajectory), and on first use the sharp flux at the solution, the
     interface traces, and per lambda the flux, the smooth divergence and the
     interface jump at that state, so that a battery evaluates each of them
-    once.
+    once.  A residual reads these tables on its test function's support box.
     """
 
     def __init__(self, trajectory: Trajectory, model: PiecewiseFlux):
@@ -291,6 +307,7 @@ class ResidualWorkspace:
         self.trajectory = trajectory
         self.model = model
         grid = trajectory.grid
+        self.counts = tuple(grid.counts)
         self.times = np.asarray(trajectory.times)
         self.tw = _time_weights(self.times)
         self.points = grid.points().reshape(-1, grid.d)
@@ -329,36 +346,58 @@ class ResidualWorkspace:
         lam_arr = np.full(self._jump.points.shape[0], float(lam))
         return term_sum(self._jump.terms(1, j), lam_arr) - term_sum(self._jump.terms(0, j), lam_arr)
 
+    def _phi_box(self, phi):
+        """phi's support box (the whole grid for a phi without `support`)
+        and, on it, its trapezoid-weighted tables grad phi per axis, phi_t
+        and phi."""
+        support = getattr(phi, "support", None)
+        box = support(self.trajectory.grid, self.times) if support else (slice(None),) * (1 + len(self.counts))
+        t, w = self.times[box[0], None], self.tw[box[0], None]
+        points = _box(self.points[None], self.counts, (slice(None),) + box[1:]).reshape(-1, len(self.counts))
+        tables = _phi_tables(phi, t, w, points)
+        tables.append(phi.value(t, points) * w)
+        return box, tables
+
+    def _initial(self, phi) -> np.ndarray:
+        """phi at t = 0 on every cell, a (1, cells) row."""
+        return phi.value(self.times[:1, None], self.points)
+
+    def _surface(self, phi) -> np.ndarray:
+        """phi on the interface at every recorded time, trapezoid-weighted."""
+        return phi.value(self.times[:, None], self.traces.surface_points) * self.tw[:, None]
+
     def residuals(self, lambdas: Sequence[float], phi) -> np.ndarray:
         """E(lam, phi) for every lam of `lambdas`; admissibility asks E >= -tol.
 
         E = |Q| sum_t tw [ |u - lam| phi_t + sgn(u - lam) (F(u) - F(lam)) . grad phi
                            - sgn(u - lam) div F(lam) phi ]
             + |Q| |u_0 - lam| . phi(0) - tangential weight * interface term.
-        """
+
+        The space-time sums run over phi's support box, where the tables hold
+        the values, in the same order, of the block of times x cells on which
+        phi is nonzero; the t = 0 row and the interface term run over their
+        full tables, since an einsum over a sub-block of them sums in
+        another order."""
         lam_tables = [self._lam_tables(lam) for lam in lambdas]
-        tables, phi0 = _phi_tables(phi, self.times, self.tw, self.points)
-        tables.append(phi.value(self.times[:, None], self.points) * self.tw[:, None])
-        # phi vanishes off its support: keep the block of times x cells where
-        # any table is nonzero, which is what every sum below runs over
-        live = np.logical_or.reduce([tab != 0 for tab in tables])
-        cells = np.flatnonzero(live.any(axis=0))
-        block = np.ix_(np.flatnonzero(live.any(axis=1)), cells)
-        *wg, wdt, wv = [tab[block] for tab in tables]
-        del tables
-        conv_u = sum(self.flux_u[..., k][block] * g for k, g in enumerate(wg))
+        box, (*wg, wdt, wv) = self._phi_box(phi)
+        # views of the box, read into (times, cells) in C order where used
+        shape, row, cells = wdt.shape, (1, wdt.shape[1]), (slice(None),) + box[1:]
+        states = _box(self.states, self.counts, box)
+        flux_u = _box(self.flux_u, self.counts, box)
+        conv_u = sum(flux_u[..., k].reshape(shape) * g for k, g in enumerate(wg))
+        phi0 = self._initial(phi)
         tr = self.traces
         if tr is not None:
-            surf = phi.value(self.times[:, None], tr.surface_points) * self.tw[:, None]
+            surf = self._surface(phi)
 
         out = np.empty(len(lam_tables))
         for i, (lam, (flux_lam, div_lam, jump)) in enumerate(zip(lambdas, lam_tables)):
-            diff = self.states[block]
-            diff -= lam
-            conv = wv * div_lam[cells]
+            diff = (states - lam).reshape(shape)
+            conv = wv * _box(div_lam[None], self.counts, cells).reshape(row)
             np.subtract(conv_u, conv, out=conv)
+            flux_lam = _box(flux_lam[None], self.counts, cells)
             for k, g in enumerate(wg):
-                conv -= g * flux_lam[cells, k]
+                conv -= g * flux_lam[..., k].reshape(row)
             total = _dot(np.sign(diff), conv)
             total += _dot(np.abs(diff, out=diff), wdt)
             total = self.cell_volume * (total + _dot(np.abs(self.states[:1] - lam), phi0))
@@ -367,9 +406,38 @@ class ResidualWorkspace:
             out[i] = total
         return out
 
-    def kato(self, other: Trajectory, phis) -> list[float]:
-        """K(phi) of this trajectory u against `other` v for every phi; the
-        Kato inequality asks K >= -tol.
+    def terms(self, lam: float, phi) -> dict[str, float]:
+        """The terms of E(lam, phi), each summed on its own: time,
+        convection, divergence (with its minus sign), interface (with its
+        minus sign, 0 without an interface) and initial.  They add up to
+        residuals()'s value up to rounding."""
+        flux_lam, div_lam, jump = self._lam_tables(lam)
+        box, (*wg, wdt, wv) = self._phi_box(phi)
+        shape, row, cells = wdt.shape, (1, wdt.shape[1]), (slice(None),) + box[1:]
+        diff = (_box(self.states, self.counts, box) - lam).reshape(shape)
+        sgn = np.sign(diff)
+        flux_u = _box(self.flux_u, self.counts, box)
+        flux_lam = _box(flux_lam[None], self.counts, cells)
+        convection = sum(_dot(sgn, g * (flux_u[..., k].reshape(shape) - flux_lam[..., k].reshape(row)))
+                         for k, g in enumerate(wg))
+        vol = self.cell_volume
+        interface = 0.0
+        if jump is not None:
+            tr = self.traces
+            interface = -tr.tangential_weight * _dot(np.sign(tr.averaged - lam), jump * self._surface(phi))
+        split = {
+            "time": vol * _dot(np.abs(diff), wdt),
+            "convection": vol * convection,
+            "divergence": -vol * _dot(sgn, wv * _box(div_lam[None], self.counts, cells).reshape(row)),
+            "interface": interface,
+            "initial": vol * _dot(np.abs(self.states[:1] - lam), self._initial(phi)),
+        }
+        return {name: float(value) for name, value in split.items()}
+
+    def kato(self, other: Trajectory, phis) -> list[tuple[float, dict[str, float]]]:
+        """K(phi) of this trajectory u against `other` v for every phi, with
+        its time, convection and initial terms; the Kato inequality asks
+        K >= -tol.
 
         K = |Q| sum_t tw [ |u - v| phi_t + sgn(u - v) (F_eps(u) - F_eps(v)) . grad phi ]
             + |Q| |u_0 - v_0| . phi(0).
@@ -389,10 +457,14 @@ class ResidualWorkspace:
         del flux_diff, sgn
 
         out = []
+        vol = self.cell_volume
         for phi in phis:
-            (*wg, wdt), phi0 = _phi_tables(phi, self.times, self.tw, self.points)
-            total = _dot(dist, wdt) + sum(_dot(c, g) for c, g in zip(conv, wg))
-            out.append(float((total + _dot(dist[:1], phi0)) * self.cell_volume))
+            *wg, wdt = _phi_tables(phi, self.times[:, None], self.tw[:, None], self.points)
+            time, convection = _dot(dist, wdt), sum(_dot(c, g) for c, g in zip(conv, wg))
+            initial = _dot(dist[:1], self._initial(phi))
+            out.append((float((time + convection + initial) * vol),
+                        {"time": float(time * vol), "convection": float(convection * vol),
+                         "initial": float(initial * vol)}))
         return out
 
 
@@ -407,6 +479,7 @@ class EntropyEntry:
     residual: float
     tol: float
     passed: bool
+    terms: dict[str, float] | None  # the residual's terms, on failing entries only
 
 
 @dataclass(frozen=True)
@@ -419,7 +492,8 @@ class EntropyReport:
     def to_json(self) -> dict:
         return {
             "entries": [
-                {"lambda": e.lam, "phi_id": e.phi_id, "residual": e.residual, "tol": e.tol, "pass": e.passed}
+                {"lambda": e.lam, "phi_id": e.phi_id, "residual": e.residual, "tol": e.tol, "pass": e.passed,
+                 **({} if e.terms is None else {"terms": e.terms})}
                 for e in self.entries
             ],
             "summary": {
@@ -432,9 +506,10 @@ class EntropyReport:
         }
 
 
-def _battery(trajectory: Trajectory, phis, tol_factor: float, residuals) -> EntropyReport:
+def _battery(trajectory: Trajectory, phis, tol_factor: float, residuals, terms) -> EntropyReport:
     """The report of `residuals(phis)`, which yields per test function its
     (lambda, residual) rows, on the default bump battery when phis is None.
+    A failing row carries `terms(lam, phi)`, its residual's terms.
 
     tol per row = tol_factor * ||phi||_C1 * |domain| (Design note: scaling
     with the test function bars tiny bumps from passing trivially)."""
@@ -446,7 +521,9 @@ def _battery(trajectory: Trajectory, phis, tol_factor: float, residuals) -> Entr
     rows = []
     for phi, found in zip(phis, residuals(phis)):
         tol = float(tol_factor * phi.c1_norm * box.volume)
-        rows.extend(EntropyEntry(lam, phi.label, r, tol, bool(r >= -tol)) for lam, r in found)
+        for lam, r in found:
+            passed = bool(r >= -tol)
+            rows.append(EntropyEntry(lam, phi.label, r, tol, passed, None if passed else terms(lam, phi)))
     worst_row = min(rows, key=lambda e: e.residual)
     return EntropyReport(
         entries=tuple(rows),
@@ -465,7 +542,8 @@ def entropy_battery(trajectory: Trajectory, model: PiecewiseFlux,
     ws = ResidualWorkspace(trajectory, model)
     lambdas = lambda_battery(model.a, model.b).tolist()
     return _battery(trajectory, phis, tol_factor,
-                    lambda phis: (zip(lambdas, ws.residuals(lambdas, phi).tolist()) for phi in phis))
+                    lambda phis: (zip(lambdas, ws.residuals(lambdas, phi).tolist()) for phi in phis),
+                    ws.terms)
 
 
 def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
@@ -473,7 +551,8 @@ def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
                  tol_factor: float = 1e-3) -> EntropyReport:
     """The Kato residual of the pair (u1, u2) against every test function."""
     ws = ResidualWorkspace(u1, model)
-    return _battery(u1, phis, tol_factor, lambda phis: ([(None, r)] for r in ws.kato(u2, phis)))
+    return _battery(u1, phis, tol_factor, lambda phis: ([(None, r)] for r, _ in ws.kato(u2, phis)),
+                    lambda _, phi: ws.kato(u2, [phi])[0][1])
 
 
 # ---------------------------------------------------------------------------

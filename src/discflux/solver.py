@@ -194,6 +194,22 @@ def cfl_timestep(config: RunConfig, grid: Grid, speed: float) -> float:
     return config.cfl * min(conv, diff)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, inverse) with table[inverse] == rows: the distinct rows of a
+    float table by their bits, found by a lexsort over the rows' int64 bit
+    patterns, so rows that differ only in the sign of a zero stay apart.
+    The order of the table's rows is unspecified."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    bits = rows.view(np.int64)
+    order = np.lexsort(bits.T)
+    ranked = bits[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[order[first]], inverse
+
+
 def _axslice(ndim, axis, sl):
     out = [slice(None)] * ndim
     out[axis] = sl
@@ -210,7 +226,9 @@ class _Faces:
     and sliced onto the faces.  The Rusanov coefficient is the exact max of
     |F'| over [ul, ur] (an E-scheme for any degree): it sits at an endpoint
     or at a sign change of F'' inside, and those depend only on the face, so
-    they and |F'| there are tabulated once per run.  The bound is the same
+    they and |F'| there are tabulated once per run: the sign changes are
+    found once per distinct row of F' coefficients (_distinct_rows, a lexsort
+    over their bits) and read back onto the faces.  The bound is the same
     max over [a, b]."""
 
     def __init__(self, config: RunConfig, grid: Grid, axis: int):
@@ -229,8 +247,8 @@ class _Faces:
                 self.rows,
                 lambda c: np.pad(self.derivatives[c], (0, width - len(self.derivatives[c]))).reshape(column),
             ), (width,) + shape)
-            table, inverse = np.unique(dF.reshape(width, -1).T, axis=0, return_inverse=True)
-            states = sign_changes(table[:, 1:] * np.arange(1, width), model.a, model.b)[inverse.ravel()]
+            table, inverse = _distinct_rows(dF.reshape(width, -1).T)
+            states = sign_changes(table[:, 1:] * np.arange(1, width), model.a, model.b)[inverse]
             for col in states.T:
                 if not np.isnan(col).all():
                     col = col.reshape(shape)

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import discflux as dx
 from discflux.entropy import ResidualWorkspace, bump_battery, interface_trace, lambda_battery
@@ -190,12 +191,15 @@ def test_rarefaction_battery_admissible(burgers_rarefaction_traj, burgers_model)
     assert report.passed
 
 
-def test_expansion_shock_detected(burgers_model, fine_grid):
-    # stationary expansion: RH speed is zero but the jump is non-entropic
-    x = fine_grid.points()[..., 0]
+def _expansion_shock(grid):
+    """Stationary expansion: RH speed is zero but the jump is non-entropic."""
+    x = grid.points()[..., 0]
     times = tuple(np.linspace(0.0, 0.5, 65))
-    states = np.tile(np.where(x < 0, 1.0, 0.0), (65, 1))
-    traj = dx.Trajectory(fine_grid, times, states, {})
+    return dx.Trajectory(grid, times, np.tile(np.where(x < 0, 1.0, 0.0), (65, 1)), {})
+
+
+def test_expansion_shock_detected(burgers_model, fine_grid):
+    traj = _expansion_shock(fine_grid)
     phi = _phi(0.25, 0.25, 0.0, 0.45)
 
     # oracle first: E(lam, phi) = -2 f(lam) * integral of phi(t, 0) dt, and the
@@ -332,6 +336,56 @@ def test_entropy_report_json_layout(burgers_shock_traj, burgers_model):
     assert set(blob["summary"]) == {"min_residual", "worst_lambda", "worst_phi", "pass", "count"}
 
 
+ENTROPY_TERMS = {"time", "convection", "divergence", "interface", "initial"}
+
+
+def _assert_terms_of_failing_entries(report, names):
+    """Failing entries carry their terms, which sum to the residual; passing
+    entries carry none, in the report and in its JSON."""
+    failing = [e for e in report.entries if not e.passed]
+    assert failing and len(failing) < len(report.entries)
+    for entry, blob in zip(report.entries, report.to_json()["entries"]):
+        if entry.passed:
+            assert entry.terms is None and "terms" not in blob
+            continue
+        assert set(entry.terms) == names and blob["terms"] == entry.terms
+        assert abs(math.fsum(entry.terms.values()) - entry.residual) <= 1e-12 * abs(entry.residual)
+
+
+def test_failing_entropy_entries_carry_their_terms(burgers_model, fine_grid):
+    traj = _expansion_shock(fine_grid)
+    phis = [_phi(0.25, 0.25, 0.0, 0.45, "shock"), _phi(0.1, 0.05, 0.0, 0.3, "early"),
+            _phi(0.3, 0.2, 0.25, 0.2, "right")]
+    report = dx.entropy_battery(traj, burgers_model, phis=phis)
+    _assert_terms_of_failing_entries(report, ENTROPY_TERMS)
+    # the bump on the jump fails through its convection term; the others pass
+    worst = min(report.entries, key=lambda e: e.residual)
+    assert worst.phi_id == "shock" and worst.terms["convection"] < 0
+    assert worst.terms["interface"] == worst.terms["divergence"] == 0.0
+    assert all(e.passed for e in report.entries if e.phi_id == "right")
+
+    # an x-dependent flux on a field that solves nothing: the divergence term shows
+    ramp = _x_ramp_fixture(fine_grid, 1.0)
+    report = dx.entropy_battery(ramp, dx.preset("x_ramp"), tol_factor=1e-9,
+                                phis=bump_battery(ramp.grid.box, ramp.times[-1], count=4))
+    _assert_terms_of_failing_entries(report, ENTROPY_TERMS)
+    assert any(e.terms["divergence"] != 0.0 for e in report.entries if not e.passed)
+
+
+def test_failing_interface_entries_carry_their_terms(two_flux_model, fine_grid):
+    # the constant field of test_constant_field_interface_residual_closed_form
+    # fails for lambda < c; the sides do not depend on x, so no divergence
+    # term, and the jump at lambda > 0 shows in the interface term
+    traj = _constant_trajectory(fine_grid, 0.5, np.linspace(0.0, 0.09, 33))
+    report = dx.entropy_battery(traj, dx.flatten_model(two_flux_model),
+                                phis=[_phi(0.045, 0.04, 0.0, 0.3)], tol_factor=1e-6)
+    _assert_terms_of_failing_entries(report, ENTROPY_TERMS)
+    failing = [e for e in report.entries if not e.passed]
+    assert [e.lam for e in failing] == [0.0, 0.1, 0.2, 0.3, 0.4]
+    assert all(e.terms["divergence"] == 0.0 for e in failing)
+    assert all(e.terms["interface"] < 0 for e in failing[1:])
+
+
 # ---------------------------------------------------------------------------
 # Kato residuals
 
@@ -423,6 +477,7 @@ def test_kato_battery_rejects_a_pair_with_a_planted_bump():
     report = dx.kato_battery(u, v_planted, sc.model)
     assert not report.passed
     assert min(e.residual / e.tol for e in report.entries) < -2.0
+    _assert_terms_of_failing_entries(report, {"time", "convection", "initial"})
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +615,137 @@ def test_entropy_battery_matches_per_pair_formula(case, request, fine_grid):
     for phi in phis:
         ref = _per_pair_kruzhkov(traj, model, recorded, phi)
         assert abs(ws.residuals([recorded], phi)[0] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _live_block_residuals(ws, lambdas, phi):
+    """ResidualWorkspace.residuals as it was before the support box: every
+    table over all recorded times x cells, then the block of times x cells
+    where any table is nonzero, picked by a mask and np.ix_."""
+    t, w = ws.times[:, None], ws.tw[:, None]
+    grad = phi.gradient(t, ws.points)
+    tables = [grad[..., k] * w for k in range(ws.points.shape[-1])]
+    tables.append(phi.time_derivative(t, ws.points) * w)
+    phi0 = phi.value(ws.times[:1, None], ws.points)
+    tables.append(phi.value(t, ws.points) * w)
+    live = np.logical_or.reduce([tab != 0 for tab in tables])
+    cells = np.flatnonzero(live.any(axis=0))
+    block = np.ix_(np.flatnonzero(live.any(axis=1)), cells)
+    *wg, wdt, wv = [tab[block] for tab in tables]
+    conv_u = sum(ws.flux_u[..., k][block] * g for k, g in enumerate(wg))
+    tr = ws.traces
+    if tr is not None:
+        surf = phi.value(ws.times[:, None], tr.surface_points) * ws.tw[:, None]
+    out = np.empty(len(lambdas))
+    for i, lam in enumerate(lambdas):
+        flux_lam, div_lam, jump = ws._lam_tables(lam)
+        diff = ws.states[block]
+        diff -= lam
+        conv = wv * div_lam[cells]
+        np.subtract(conv_u, conv, out=conv)
+        for k, g in enumerate(wg):
+            conv -= g * flux_lam[cells, k]
+        total = np.einsum("ij,ij->", np.sign(diff), conv)
+        total += np.einsum("ij,ij->", np.abs(diff, out=diff), wdt)
+        total = ws.cell_volume * (total + np.einsum("ij,ij->", np.abs(ws.states[:1] - lam), phi0))
+        if tr is not None:
+            total -= tr.tangential_weight * np.einsum("ij,ij->", np.sign(tr.averaged - lam), jump * surf)
+        out[i] = total
+    return out
+
+
+class _Everywhere:
+    """A phi without `support`, nonzero on every recorded time and cell, so
+    the live block of the old code is the whole grid too."""
+
+    def value(self, t, x):
+        return (2.0 + np.asarray(t)) * (3.0 + np.sum(x, axis=-1))
+
+    def time_derivative(self, t, x):
+        return np.broadcast_to(3.0 + np.sum(x, axis=-1), np.broadcast_shapes(np.shape(t), np.shape(x)[:-1]))
+
+    def gradient(self, t, x):
+        shape = np.broadcast_shapes(np.shape(t), np.shape(x)[:-1]) + np.shape(x)[-1:]
+        return np.broadcast_to((2.0 + np.asarray(t))[..., None], shape)
+
+
+def _edge_bumps(traj):
+    """Bumps at the edges of the support box: one whose time support falls
+    between two recorded times, one whose box reaches the first cell of
+    every axis and t = 0, one whose box reaches the last cell of every axis
+    and t = T (its support runs past T, which only a battery refuses)."""
+    grid, times = traj.grid, traj.times
+    box, gap = grid.box, times[1] - times[0]
+    between = dx.TestFunction(times[1] + 0.5 * gap, 0.25 * gap, box.center,
+                              tuple(0.3 * w for w in box.widths), "between")
+    first = dx.TestFunction(0.0, 0.25 * times[-1], tuple(lo + 0.2 * w for lo, w in zip(box.lows, box.widths)),
+                            tuple(0.2 * w for w in box.widths), "first")
+    last = dx.TestFunction(times[-1], 0.25 * times[-1],
+                           tuple(hi - 0.2 * w for hi, w in zip(box.highs, box.widths)),
+                           tuple(0.2 * w for w in box.widths), "last")
+    assert between.support(grid, times)[0] == slice(0, 0)
+    assert all(s.start == 0 for s in first.support(grid, times))
+    assert all(s.stop == n for s, n in zip(last.support(grid, times)[1:], grid.counts))
+    assert last.support(grid, times)[0].stop == len(times)
+    return [between, first, last]
+
+
+@pytest.mark.parametrize("case", ["burgers_shock", "x_ramp", "two_flux_interface", "flattened_2d"])
+def test_support_box_residuals_equal_the_live_block_bits(case, request, fine_grid):
+    if case == "burgers_shock":
+        model, traj = request.getfixturevalue("burgers_model"), request.getfixturevalue("burgers_shock_traj")
+    elif case == "x_ramp":
+        model, traj = dx.preset("x_ramp"), _x_ramp_fixture(fine_grid, 1.0)
+    elif case == "two_flux_interface":
+        model, traj = request.getfixturevalue("two_flux_model"), request.getfixturevalue("two_flux_block_traj")
+    else:
+        model, traj = _flattened_2d_fixture()
+        model = dx.flatten_model(model)
+    nt = len(traj.times)
+    lambdas = lambda_battery(model.a, model.b).tolist()
+    lambdas.append(float(traj.states.reshape(nt, -1)[nt // 2, traj.states[0].size // 2 + 3]))
+    phis = bump_battery(traj.grid.box, traj.times[-1], count=6) + _edge_bumps(traj) + [_Everywhere()]
+    ws = ResidualWorkspace(traj, model)
+    for phi in phis:
+        got = ws.residuals(lambdas, phi)
+        assert_array_equal(got.view(np.int64), _live_block_residuals(ws, lambdas, phi).view(np.int64))
+
+
+class _CountedBump(dx.TestFunction):
+    """A bump that counts the (time, cell) points it is evaluated at."""
+
+    points = [0]
+
+    def _count(self, t, x):
+        _CountedBump.points[0] += math.prod(np.broadcast_shapes(np.shape(t), np.shape(x)[:-1]))
+
+    def value(self, t, x):
+        self._count(t, x)
+        return super().value(t, x)
+
+    def time_derivative(self, t, x):
+        self._count(t, x)
+        return super().time_derivative(t, x)
+
+    def gradient(self, t, x):
+        self._count(t, x)
+        return super().gradient(t, x)
+
+
+def test_default_battery_reads_each_bump_on_its_support_box(burgers_shock_traj, burgers_model):
+    traj = burgers_shock_traj
+    grid, nt = traj.grid, len(traj.times)
+    plain = dx.entropy_battery(traj, burgers_model)
+    counted = [_CountedBump(*(getattr(p, f.name) for f in dataclasses.fields(p)))
+               for p in bump_battery(grid.box, traj.times[-1])]
+    _CountedBump.points[0] = 0
+    report = dx.entropy_battery(traj, burgers_model, phis=counted)
+    assert [e.residual for e in report.entries] == [e.residual for e in plain.entries]
+    # per bump: grad phi, phi_t and phi on its box, and phi on the t = 0 row
+    cells = math.prod(grid.counts)
+    boxes = [math.prod(len(range(n)[s]) for s, n in zip(p.support(grid, traj.times), (nt,) + grid.counts))
+             for p in counted]
+    assert _CountedBump.points[0] == sum(3 * box + cells for box in boxes)
+    assert sum(boxes) < 0.5 * len(boxes) * nt * cells  # far below the full tables
 
 
 @pytest.mark.parametrize("case", ["burgers", "x_ramp", "two_flux_interface"])

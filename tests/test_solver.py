@@ -553,3 +553,71 @@ def test_output_times_in_the_slack_past_final_time_add_no_step(burgers_model):
     assert traj.times == (0.0, 0.5, 1.0)
     assert traj.manifest["output_times"] == [0.0, 0.5, 1.0]
     assert traj.manifest["dt_min"] > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the faces' critical states: one sign-change search per distinct row
+
+
+def _unique_crit(faces: _Faces, model) -> list:
+    """_Faces.crit as built by np.unique(axis=0) over the faces' rows of F'
+    coefficients."""
+    from discflux.flux import rows_sum, sign_changes
+
+    shape = faces.pts.shape[:-1]
+    width = max(len(dc) for dc in faces.derivatives.values())
+    column = (-1,) + (1,) * len(shape)
+    dF = np.broadcast_to(rows_sum(
+        faces.rows,
+        lambda c: np.pad(faces.derivatives[c], (0, width - len(faces.derivatives[c]))).reshape(column),
+    ), (width,) + shape)
+    table, inverse = np.unique(dF.reshape(width, -1).T, axis=0, return_inverse=True)
+    states = sign_changes(table[:, 1:] * np.arange(1, width), model.a, model.b)[inverse.ravel()]
+    return [(col.reshape(shape), np.nan_to_num(faces._speed(col.reshape(shape))))
+            for col in states.T if not np.isnan(col).all()]
+
+
+def _faces_case(case):
+    if case == "tilted_2d":
+        model = dx.preset("tilted_2d")
+        return model, dx.Grid(model.domain.lows, model.domain.highs, (48, 40))
+    if case == "flattened_extension":
+        # the charted tilted_flatten_2d run's flux: flattened, then extended radially
+        sc = dx.parse_scenario(dx.builtin_scenario_path("tilted_flatten_2d"))
+        flat = dx.flatten_model(sc.model)
+        center = sc.model.interface.flatten(np.asarray(sc.chart["center"], dtype=float))
+        model = dx.radial_extend_model(flat, center, sc.chart["radius"])
+        return model, dx.Grid(flat.domain.lows, flat.domain.highs, sc.grid.counts)
+    model = dx.flux_from_spec({
+        "d": 1, "a": 0.0, "b": 1.0,
+        "interface": {"axis": 1, "zeta": {"kind": "zero", "coeffs": [0.0]}},
+        "left": [{"poly_lambda": [0.0, 1.0, 0.0, -1.0]}],
+        "right": [{"poly_lambda": [0.0, 2.0, -1.0, -1.0]}],
+    })
+    return model, dx.Grid((-0.5,), (0.5,), (200,))
+
+
+@pytest.mark.parametrize("case", ["tilted_2d", "flattened_extension", "inline_cubic"])
+def test_faces_critical_states_match_the_unique_dedupe(case):
+    model, grid = _faces_case(case)
+    config = dx.RunConfig(flux=model, epsilon=0.02, final_time=0.1, boundary=0.0)
+    columns = 0
+    for axis in range(grid.d):
+        faces = _Faces(config, grid, axis)
+        reference = _unique_crit(faces, model)
+        assert len(faces.crit) == len(reference)
+        for (state, speed), (ref_state, ref_speed) in zip(faces.crit, reference):
+            _assert_same_bits(state, ref_state)
+            _assert_same_bits(speed, ref_speed)
+        columns += len(faces.crit)
+    assert columns > 0  # some axis has a critical state inside [a, b]
+
+
+def test_distinct_rows_keep_signed_zeros_apart():
+    from discflux.solver import _distinct_rows
+
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, 2.0], [0.0, 1.0], [0.5, -2.0], [-0.0, 1.0]])
+    table, inverse = _distinct_rows(rows)
+    assert len(table) == 4
+    _assert_same_bits(table[inverse], rows)
+    assert inverse[0] == inverse[3] and inverse[1] == inverse[5] and inverse[0] != inverse[1]
