@@ -6,7 +6,6 @@ dyadic-family vanishing-viscosity studies."""
 from .flux import (
     BoundaryReport,
     FluxComponent,
-    GeneralBVFlux,
     NondegeneracyReport,
     PiecewiseFlux,
     check_boundary_zero,

@@ -1,7 +1,8 @@
 """Flux models: piecewise-smooth fluxes with a Heaviside jump across an
 interface, the smoothing weights that regularize the jump, mollification of
 rough fluxes, and the structural checkers (zero boundary flux,
-non-degeneracy).
+non-degeneracy).  This is the package's bottom layer: it imports no other
+module of it at run time.
 
 Evaluation contract: PiecewiseFlux.at(points) evaluates the spatial half once
 at points of shape (..., d); its sharp, smoothed and divergence evaluations
@@ -11,22 +12,32 @@ term has a spatial factor).
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .geometry import Box, as_points
-
 if TYPE_CHECKING:
-    from .geometry import Interface
+    from .geometry import Box, Interface
 
 DIVERGENCE_STEP = 1e-6  # central-difference step of FluxAt.divergence
 MOLLIFIER_NODES = 21  # Gauss-Legendre nodes per axis of mollify_flux
 NONDEGENERACY_POINTS = 8  # sampled positions of check_nondegeneracy
-BOUNDARY_SAMPLES = 256  # sampled positions of check_boundary_zero
 BOUNDARY_TOL = 1e-12  # largest |f| at a or b that check_boundary_zero passes
+
+
+def as_points(x, d: int) -> np.ndarray:
+    """Coerce x to a float array of shape (..., d)."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        if d != 1:
+            raise ValueError(f"scalar point given for d={d}")
+        return arr.reshape(1)
+    if arr.shape[-1] != d:
+        raise ValueError(f"points have trailing dimension {arr.shape[-1]}, expected {d}")
+    return arr
 
 
 def smoothstep(z):
@@ -96,12 +107,11 @@ def rows_sum(rows, at):
     return total
 
 
-def term_sum(terms, lam, derivative: bool = False):
-    """sum_i factor_i * P_i(lam) (or P_i'(lam)) over terms ((coeffs, factor),
-    ...); a None factor is 1."""
+def term_sum(terms, lam):
+    """sum_i factor_i * P_i(lam) over terms ((coeffs, factor), ...); a None
+    factor is 1."""
     lam = np.asarray(lam, dtype=float)
-    return rows_sum([(c, () if f is None else (f,)) for c, f in terms],
-                    lambda c: horner(lam, derivative_coeffs(c) if derivative else c))
+    return rows_sum([(c, () if f is None else (f,)) for c, f in terms], lambda c: horner(lam, c))
 
 
 @dataclass(frozen=True)
@@ -121,7 +131,7 @@ class FluxComponent:
         return term_sum(self.terms(x), lam)
 
     def lambda_derivative(self, x, lam):
-        return term_sum(self.terms(x), lam, derivative=True)
+        return term_sum(((derivative_coeffs(c), f) for c, f in self.terms(x)), lam)
 
 
 def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[float] | None = None) -> FluxComponent:
@@ -267,24 +277,7 @@ class FluxAt:
 
 
 # ---------------------------------------------------------------------------
-# rough fluxes and mollification
-
-
-@dataclass(frozen=True)
-class GeneralBVFlux:
-    """Rough flux f in BV(R^d; C^1): d terms callables like FluxComponent's,
-    whose spatial factors c_i(x) may jump; mollify_flux smooths them at
-    radius eps."""
-
-    d: int
-    components: tuple[Callable, ...]
-    a: float
-    b: float
-    domain: Box
-
-    def __post_init__(self):
-        if len(self.components) != self.d:
-            raise ValueError(f"need {self.d} components")
+# mollification
 
 
 def _mollifier_nodes(d: int, radius: float):
@@ -306,35 +299,25 @@ def _mollifier_nodes(d: int, radius: float):
     return pts * radius, w
 
 
-def mollify_flux(model: GeneralBVFlux, eps: float) -> PiecewiseFlux:
-    """Spatially mollify every component of a rough flux at radius eps: each
-    term keeps its state polynomial and its factor becomes (c_i * rho)(x) on
-    the quadrature nodes (a None factor stays None).  Returns a jump-free
-    PiecewiseFlux, solved like any other."""
+def mollify_flux(model: PiecewiseFlux, eps: float) -> PiecewiseFlux:
+    """Spatially mollify every side component at radius eps: each term keeps
+    its state polynomial and its factor becomes (c_i * rho)(x) on the
+    quadrature nodes (a None factor stays None); the interface, if any, stays
+    as it is.  A rough flux in BV(R^d; C^1) is a jump-free PiecewiseFlux whose
+    factors jump; mollified, it is solved like any other."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     offsets, weights = _mollifier_nodes(model.d, eps)
 
-    def make(k: int) -> FluxComponent:
-        rough = model.components[k]
-
+    def smooth(comp: FluxComponent) -> FluxComponent:
         def terms(x):
             shifted = as_points(x, model.d)[..., None, :] - offsets
-            return tuple((c, None if f is None else f @ weights) for c, f in rough(shifted))
+            return tuple((c, None if f is None else f @ weights) for c, f in comp.terms(shifted))
 
-        return FluxComponent(k, terms)
+        return FluxComponent(comp.axis, terms)
 
-    comps = tuple(make(k) for k in range(model.d))
-    return PiecewiseFlux(
-        d=model.d,
-        left=comps,
-        right=comps,
-        interface=None,
-        a=model.a,
-        b=model.b,
-        domain=model.domain,
-        name="mollified",
-    )
+    return dataclasses.replace(model, left=tuple(map(smooth, model.left)), right=tuple(map(smooth, model.right)),
+                               name=(model.name + "-mollified") if model.name else None)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +334,11 @@ class BoundaryReport:
 
 
 def check_boundary_zero(model: PiecewiseFlux) -> BoundaryReport:
-    """Sampled check that every component of every side vanishes at both
-    endpoint states a and b over the domain box."""
-    xs = model.domain.sample(BOUNDARY_SAMPLES)
+    """Check that every component of every side vanishes at both endpoint
+    states a and b over the domain box.  f(., a) and f(., b) are read at the
+    box corners, which gives their exact sup for factors affine in x, the
+    only kind a preset or a flux spec states."""
+    xs = model.domain.corners.reshape(-1, model.d)
     worst = 0.0
     witness = (None, None)
     for comps in (model.left, model.right):

@@ -6,22 +6,13 @@ subtracts zeta so the interface becomes the hyperplane {x_j = 0}.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-
-def as_points(x, d: int) -> np.ndarray:
-    """Coerce x to a float array of shape (..., d)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        if d != 1:
-            raise ValueError(f"scalar point given for d={d}")
-        return arr.reshape(1)
-    if arr.shape[-1] != d:
-        raise ValueError(f"points have trailing dimension {arr.shape[-1]}, expected {d}")
-    return arr
+from .flux import FluxComponent, as_points, derivative_coeffs, horner, sign_changes
 
 
 @dataclass(frozen=True)
@@ -101,16 +92,12 @@ class Interface:
     coeffs: tuple[float, ...]
 
     def zeta(self, xh) -> np.ndarray:
-        from .flux import horner
-
         xh = np.asarray(xh, dtype=float)
         if self.d == 1:
             return np.full(xh.shape[:-1], self.coeffs[0])
         return horner(xh[..., 0], self.coeffs)
 
     def zeta_gradient(self, xh) -> np.ndarray:
-        from .flux import derivative_coeffs, horner
-
         xh = np.asarray(xh, dtype=float)
         if self.d == 1:
             return np.zeros(xh.shape[:-1] + (0,))
@@ -200,7 +187,7 @@ def radial_extend(field: Callable, center, radius: float) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# transformed fluxes (imports deferred to avoid a hard cycle at class level)
+# transformed fluxes
 
 
 def transformed_normal_flux(model, interface: Interface, side: str):
@@ -213,8 +200,6 @@ def transformed_normal_flux(model, interface: Interface, side: str):
     -zeta_grad_k.  Coefficients are read directly in the flattened
     coordinates, matching the local analysis they serve.
     """
-    from .flux import FluxComponent
-
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     comps = model.left if side == "left" else model.right
@@ -239,8 +224,6 @@ def flattened_box(box: Box, interface: Interface) -> Box:
     map: the normal extent less the range of zeta over the tangential
     extent, which zeta takes at the box corners or at the sign changes of
     zeta' between them (flux.sign_changes)."""
-    from .flux import derivative_coeffs, sign_changes
-
     xh = interface.tangential(box.corners.reshape(-1, box.d))
     if box.d == 2:
         (k,) = interface.tangential_axes
@@ -258,8 +241,6 @@ def flatten_model(model):
     """PiecewiseFlux in flattened coordinates: the interface becomes flat, the
     normal component is replaced by the transformed normal flux per side.  A
     model without an interface or with a flat one is returned as it is."""
-    from .flux import PiecewiseFlux
-
     itf = model.interface
     if itf is None or itf.flat:
         return model
@@ -268,16 +249,9 @@ def flatten_model(model):
     right = list(model.right)
     left[j] = transformed_normal_flux(model, itf, "left")
     right[j] = transformed_normal_flux(model, itf, "right")
-    return PiecewiseFlux(
-        d=model.d,
-        left=tuple(left),
-        right=tuple(right),
-        interface=Interface(j, model.d, (0.0,)),
-        a=model.a,
-        b=model.b,
-        domain=flattened_box(model.domain, itf),
-        name=(model.name + "-flattened") if model.name else None,
-    )
+    return dataclasses.replace(model, left=tuple(left), right=tuple(right), interface=Interface(j, model.d, (0.0,)),
+                               domain=flattened_box(model.domain, itf),
+                               name=(model.name + "-flattened") if model.name else None)
 
 
 def radial_extend_model(model, center, radius: float):
@@ -285,21 +259,11 @@ def radial_extend_model(model, center, radius: float):
     component's terms are evaluated at the radial projection onto the ball,
     so the state polynomials are unchanged and every spatial factor keeps
     its sup bound."""
-    from .flux import FluxComponent, PiecewiseFlux
-
     def extend(comp):
         return FluxComponent(comp.axis, radial_extend(comp.terms, center, radius))
 
-    return PiecewiseFlux(
-        d=model.d,
-        left=tuple(map(extend, model.left)),
-        right=tuple(map(extend, model.right)),
-        interface=model.interface,
-        a=model.a,
-        b=model.b,
-        domain=model.domain,
-        name=(model.name + "-extended") if model.name else None,
-    )
+    return dataclasses.replace(model, left=tuple(map(extend, model.left)), right=tuple(map(extend, model.right)),
+                               name=(model.name + "-extended") if model.name else None)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +284,6 @@ def _separable_bound(model, box: Box, slope: bool) -> float:
     max |P_i'| is exact: P_i' at a, b and at the sign changes of P_i''.
     Identical side components are one coefficient field and count once.
     """
-    from .flux import derivative_coeffs, horner, sign_changes
-
     corners = box.corners
     unique = {}
     for comp in tuple(model.left) + tuple(model.right):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import CONTRACTION_SLACK, l1_distance
-from .flux import PiecewiseFlux
-from .geometry import Box, Cone, as_points, speed_bound
+from .flux import PiecewiseFlux, as_points
+from .geometry import Box, Cone, speed_bound
 # run stays importable here: bench/tracer.py wraps discflux.germ.run
-from .solver import Field, Grid, RunConfig, run, run_lockstep  # noqa: F401
+from .solver import DEFAULT_CFL, Field, Grid, RunConfig, run, run_lockstep  # noqa: F401
 from . import storage
 
 DEFAULT_CELL_BUDGET = 32768
@@ -222,7 +222,7 @@ def _map(job, count: int) -> tuple[list, int]:
 
 def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_time: float,
                  boundary=None, cell_budget: int = DEFAULT_CELL_BUDGET,
-                 cfl: float = 0.45) -> tuple[list[GermRecord], int]:
+                 cfl: float = DEFAULT_CFL) -> tuple[list[GermRecord], int]:
     """Run the viscous solver for each datum of `data` (member id -> initial
     function) and each epsilon, and collect endpoints on the comparison grid,
     the grid of the finest epsilon.  Returns the records, in the order of
@@ -448,7 +448,7 @@ class GermStudy:
 
     def __init__(self, model: PiecewiseFlux, final_time: float, epsilons,
                  box: Box | None = None, cell_budget: int = DEFAULT_CELL_BUDGET,
-                 cfl: float = 0.45, threshold: float | None = None):
+                 cfl: float = DEFAULT_CFL, threshold: float | None = None):
         self.model = model
         self.box = box if box is not None else model.domain
         self.final_time = float(final_time)

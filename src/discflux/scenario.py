@@ -12,10 +12,10 @@ import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from .flux import PiecewiseFlux, check_boundary_zero
-from .geometry import Box, as_points
+from .flux import PiecewiseFlux, as_points, check_boundary_zero
+from .geometry import Box
 from .presets import PRESET_DIMENSIONS, PRESET_NAMES, resolve_flux
-from .solver import Field, Grid, RunConfig
+from .solver import DEFAULT_CFL, Field, Grid, RunConfig
 
 SCENARIO_KINDS = ("run", "entropy-check", "kato-check", "cone-check", "converge", "germ")
 
@@ -322,10 +322,12 @@ def builtin_scenario_names() -> tuple[str, ...]:
 _STATED_KEYS = {"constant": ("value",), "riemann": ("left", "right"), "block": ("inside", "outside")}
 
 
-def initial_values_at(spec: dict, pts, a: float, b: float, d: int, seed: int = 0) -> np.ndarray:
+def initial_values_at(spec: dict, pts, a: float, b: float, box: Box, seed: int = 0) -> np.ndarray:
     """Evaluate an initial-data spec, checked by validate_initial, at points
-    of shape (..., d).  Values are required to stay inside [a, b]."""
-    pts = as_points(pts, d)
+    of shape (..., d) of the domain box.  Values are required to stay inside
+    [a, b].  random_steps cuts the box's first axis into equal pieces, so its
+    data do not depend on the points they are sampled at."""
+    pts = as_points(pts, box.d)
     kind = spec["kind"]
     if kind == "constant":
         out = np.full(pts.shape[:-1], float(spec["value"]))
@@ -351,9 +353,8 @@ def initial_values_at(spec: dict, pts, a: float, b: float, d: int, seed: int = 0
         pieces = int(spec["pieces"])
         rng = np.random.default_rng(int(spec.get("seed", seed)))
         values = rng.uniform(a, b, size=pieces)
-        lo = float(pts[..., 0].min())
-        hi = float(pts[..., 0].max())
-        width = (hi - lo) / pieces if hi > lo else 1.0
+        lo = box.lows[0]
+        width = (box.highs[0] - lo) / pieces
         idx = np.clip(np.floor((pts[..., 0] - lo) / width).astype(int), 0, pieces - 1)
         out = values[idx]
     else:
@@ -423,14 +424,14 @@ class Scenario:
     def values_at(self, spec: dict, points) -> np.ndarray:
         """An initial-data spec at points (..., d), on the flux's state
         interval and with the scenario's seed."""
-        return initial_values_at(spec, points, self.model.a, self.model.b, self.model.d, seed=self.seed)
+        return initial_values_at(spec, points, self.model.a, self.model.b, self.model.domain, seed=self.seed)
 
     def perturbation(self) -> np.ndarray:
         """The cone-check perturbation at the grid's cells, on [a - b, b - a]
         so that it may lower the state as well as raise it."""
         span = self.model.b - self.model.a
         return initial_values_at(self.study["perturbation"], self.grid.points(), -span, span,
-                                 self.model.d, seed=self.seed)
+                                 self.model.domain, seed=self.seed)
 
     def field_from_spec(self, spec: dict, grid: Grid | None = None) -> Field:
         grid = grid if grid is not None else self.grid
@@ -503,7 +504,7 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
             epsilon=float(run_block["epsilon"]),
             final_time=float(run_block["final_time"]),
             boundary=_boundary_from_json(run_block["boundary"]),
-            cfl=float(run_block.get("cfl", 0.45)),
+            cfl=float(run_block.get("cfl", DEFAULT_CFL)),
             output_times=_output_times(run_block, float(run_block["final_time"])),
         )
     except ValueError as exc:

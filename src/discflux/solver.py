@@ -119,13 +119,16 @@ class Field:
             raise ValueError(f"field shape {self.values.shape} does not match grid {self.grid.counts}")
 
 
+DEFAULT_CFL = 0.45  # the CFL number of a run, a germ study and a scenario that states none
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a viscous run needs besides the initial field.
 
-    One epsilon drives the viscosity and the interface smoothing, and a
-    rough flux is mollified at the same radius (mollify_flux(model,
-    epsilon)).
+    One epsilon drives the viscosity and the interface smoothing.  The flux
+    is solved as given: a rough flux is mollified by the caller
+    (mollify_flux) before it is put here.
 
     boundary is the pinned far-field state: a single number, or one
     (low side, high side) pair per axis when the data has unequal tails.
@@ -135,7 +138,7 @@ class RunConfig:
     epsilon: float
     final_time: float
     boundary: float | Sequence
-    cfl: float = 0.45
+    cfl: float = DEFAULT_CFL
     output_times: tuple[float, ...] | None = None
 
     def __post_init__(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import discflux as dx
-from discflux.geometry import as_points
+from discflux.flux import FluxComponent, as_points
 
 
 def riemann_field(grid: dx.Grid, left: float, right: float, position: float = 0.0) -> dx.Field:
@@ -39,20 +39,22 @@ CURVED_MODULATED_SPEC = {
 }
 
 
-def step_bv_flux(vl: float, vr: float, d: int = 1) -> dx.GeneralBVFlux:
-    """Rough flux on [-1, 1]^d: component k is c(x) P_k(lam) with the step
-    coefficient c = vl left of x1 = 0, vr right of it and their mean on it;
-    P_1 = lam (1 - lam), P_2 = lam^2 (1 - lam)."""
+def step_bv_flux(vl: float, vr: float, d: int = 1) -> dx.PiecewiseFlux:
+    """Rough flux on [-1, 1]^d, a jump-free PiecewiseFlux whose factors jump:
+    component k is c(x) P_k(lam) with the step coefficient c = vl left of
+    x1 = 0, vr right of it and their mean on it; P_1 = lam (1 - lam),
+    P_2 = lam^2 (1 - lam)."""
 
-    def component(coeffs):
+    def component(k, coeffs):
         def terms(x):
             x1 = np.asarray(x)[..., 0]
             return ((coeffs, np.where(x1 < 0, vl, np.where(x1 > 0, vr, 0.5 * (vl + vr)))),)
 
-        return terms
+        return FluxComponent(k, terms)
 
     polys = ((0.0, 1.0, -1.0), (0.0, 0.0, 1.0, -1.0))
-    return dx.GeneralBVFlux(d=d, components=tuple(map(component, polys[:d])), a=0.0, b=1.0,
+    comps = tuple(component(k, c) for k, c in enumerate(polys[:d]))
+    return dx.PiecewiseFlux(d=d, left=comps, right=comps, interface=None, a=0.0, b=1.0,
                             domain=dx.Box((-1.0,) * d, (1.0,) * d))
 
 

@@ -1,11 +1,16 @@
-"""Flux evaluation, smoothing profile, mollification and the two structural
-checkers (zero boundary flux, non-degeneracy)."""
+"""Flux evaluation, smoothing profile, mollification, the two structural
+checkers (zero boundary flux, non-degeneracy) and the import direction of
+the package."""
+import ast
+import copy
+import pathlib
+
 import numpy as np
 import pytest
 
 import discflux as dx
-from conftest import smoothed_flux, step_bv_flux
-from discflux.flux import FluxComponent, GeneralBVFlux, poly_component
+from conftest import CURVED_MODULATED_SPEC, smoothed_flux, step_bv_flux
+from discflux.flux import FluxComponent, poly_component
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +119,22 @@ def test_lambda_derivative_crosscheck(two_flux_model):
 # mollification of rough fluxes
 
 
+def _rough(terms) -> dx.PiecewiseFlux:
+    """A 1d rough flux: a jump-free PiecewiseFlux with one component."""
+    comps = (FluxComponent(0, terms),)
+    return dx.PiecewiseFlux(d=1, left=comps, right=comps, interface=None, a=0.0, b=1.0,
+                            domain=dx.Box((-1.0,), (1.0,)))
+
+
 def test_mollify_constant_flux_unchanged():
     def terms(x):
         return (((0.0, 1.0, -1.0), np.ones(np.asarray(x).shape[:-1])),)
 
-    box = dx.Box((-1.0,), (1.0,))
-    smooth = dx.mollify_flux(GeneralBVFlux(d=1, components=(terms,), a=0.0, b=1.0, domain=box), eps=0.1)
+    smooth = dx.mollify_flux(_rough(terms), eps=0.1)
     xs = np.linspace(-0.9, 0.9, 19)[:, None]
     np.testing.assert_allclose(smooth.at(xs).value(0.3)[..., 0], 0.21, atol=1e-13)
     # a factor of None (1) stays None
-    bare = GeneralBVFlux(d=1, components=(lambda x: (((0.0, 1.0, -1.0), None),),), a=0.0, b=1.0, domain=box)
+    bare = _rough(lambda x: (((0.0, 1.0, -1.0), None),))
     assert dx.mollify_flux(bare, eps=0.1).left[0].terms(xs) == (((0.0, 1.0, -1.0), None),)
 
 
@@ -161,6 +172,20 @@ def test_mollify_preserves_zero_boundary_flux():
 def test_mollify_rejects_bad_width():
     with pytest.raises(ValueError):
         dx.mollify_flux(step_bv_flux(1.0, 3.0), eps=0.0)
+
+
+def test_mollify_keeps_the_interface():
+    # affine factors are reproduced by the symmetric kernel, so each side
+    # keeps its values; the interface and the other fields stay as they are
+    model = dx.flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
+    smooth = dx.mollify_flux(model, eps=0.1)
+    assert smooth.interface is model.interface
+    assert (smooth.d, smooth.a, smooth.b, smooth.domain, smooth.name) == (
+        model.d, model.a, model.b, model.domain, None)
+    assert dx.mollify_flux(dx.preset("two_flux"), eps=0.1).name == "two_flux-mollified"
+    xs = np.random.default_rng(3).uniform(-0.8, 0.8, (20, 2))
+    for sm, raw in zip(smooth.left + smooth.right, model.left + model.right):
+        np.testing.assert_allclose(sm.value(xs, 0.3), raw.value(xs, 0.3), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +271,24 @@ def test_nondegeneracy_2d_direction_sweep():
     report = dx.check_nondegeneracy(model, directions=directions, subintervals=subintervals, n_lambda=n_lambda)
     assert report.passed
     np.testing.assert_allclose(report.worst_max, worst, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# import direction: flux.py is the bottom layer
+
+
+def test_imports_point_one_way():
+    src = pathlib.Path(dx.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [n for n in ast.walk(fn) if isinstance(n, ast.ImportFrom) and n.level]
+                assert not inner, f"{path.name}: relative import inside {fn.name}"
+    # flux.py imports no other module of the package at run time
+    tree = ast.parse((src / "flux.py").read_text())
+    guarded = [n for block in tree.body
+               if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+               for n in ast.walk(block)]
+    relative = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+    assert relative and all(n in guarded for n in relative)

@@ -560,6 +560,23 @@ def test_steady_member_has_zero_error_bar(mini_study):
     assert_array_equal(est.limit.values, np.zeros(grid.counts))
 
 
+def test_error_bar_covers_two_further_halvings(two_flux_model):
+    # a member's reported bar is its delta tail (its approx_error is 0); the
+    # tail extrapolated from the ladder 0.032 ... 0.004 must cover the L1
+    # distance from the 0.004 endpoint to a solve two halvings finer.  One
+    # run over all six epsilons puts every endpoint on the finest grid.
+    box = Box((-0.5,), (0.5,))
+    family = build_dense_family(1, two_flux_model.a, two_flux_model.b, box)
+    records, _ = run_sequence({m.label: m for m in family.members},
+                              (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3), two_flux_model, box, final_time=0.015)
+    moving = 0
+    for record in records:
+        gap = l1_distance(record.endpoints[3], record.endpoints[5])
+        assert germ._delta_tail(record.deltas[:3]) >= gap, record.member_id
+        moving += gap > 0
+    assert moving == 7  # every member but the two constants
+
+
 # ---------------------------------------------------------------------------
 # completeness certification
 

@@ -177,6 +177,19 @@ def test_inline_flux_object(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_boundary_zero_reads_the_box_corners():
+    # f(x, 0) = delta (1 + x) on [-1, 1] peaks at the corner x = 1 with
+    # 2 delta = 1.002e-12, just above the tolerance; sampled points inside
+    # the box stay below it
+    delta = 1e-12 / 1.996
+    doc = _run_doc(domain={"lows": [-1.0], "highs": [1.0]}, flux={
+        "d": 1, "a": 0, "b": 1, "interface": None,
+        "left": [{"poly_lambda": [delta, 1, -1], "x_modulation": "affine", "x_modulation_coeffs": [1, 1]}]})
+    with pytest.raises(ScenarioError, match=r"^/flux: the flux must vanish at a = 0.0 and b = 1.0, "
+                                            r"but \|f\| = 1.002e-12 at state 0.0 and x = \(1\)$"):
+        scenario_from_dict(doc)
+
+
 def test_chart_center_needs_the_flux_dimension():
     doc = _run_doc(flux="tilted_2d", chart={"center": [0.0], "radius": 1.2})
     del doc["domain"]
@@ -233,29 +246,31 @@ def test_scenario_name_defaults_to_the_file_stem(tmp_path):
 # ---------------------------------------------------------------------------
 # initial data evaluation
 
+BOX_1D = Box((-0.5,), (0.5,))
+
 
 def test_initial_kinds_evaluate():
     pts = np.array([[-0.3], [-0.1], [0.0], [0.1], [0.3]])
 
-    const = initial_values_at({"kind": "constant", "value": 0.4}, pts, 0.0, 1.0, 1)
+    const = initial_values_at({"kind": "constant", "value": 0.4}, pts, 0.0, 1.0, BOX_1D)
     assert_array_equal(const, np.full(5, 0.4))
 
     riem = initial_values_at({"kind": "riemann", "left": 0.2, "right": 0.8, "position": 0.0},
-                             pts, 0.0, 1.0, 1)
+                             pts, 0.0, 1.0, BOX_1D)
     assert_array_equal(riem, [0.2, 0.2, 0.8, 0.8, 0.8])
 
     block = initial_values_at({"kind": "block", "inside": 1.0, "outside": 0.0,
-                               "lows": [0.1], "highs": [0.3]}, pts, 0.0, 1.0, 1)
+                               "lows": [0.1], "highs": [0.3]}, pts, 0.0, 1.0, BOX_1D)
     assert_array_equal(block, [0.0, 0.0, 0.0, 1.0, 0.0])
 
     spec = {"kind": "bump", "base": 0.1, "amplitude": 0.5, "center": [0.0], "radius": 0.2}
-    bump = initial_values_at(spec, pts, 0.0, 1.0, 1)
+    bump = initial_values_at(spec, pts, 0.0, 1.0, BOX_1D)
     r = np.abs(pts[:, 0]) / 0.2
     oracle = 0.1 + 0.5 * np.where(r < 1, (1 - np.minimum(r, 1) ** 2) ** 2, 0.0)
     assert_allclose(bump, oracle, rtol=1e-15)
 
     steps = initial_values_at({"kind": "steps", "breakpoints": [0.0], "values": [1.0, 2.0]},
-                              pts, 0.0, 2.0, 1)
+                              pts, 0.0, 2.0, BOX_1D)
     # the breakpoint belongs to the right piece
     assert_array_equal(steps, [1.0, 1.0, 2.0, 2.0, 2.0])
 
@@ -263,23 +278,40 @@ def test_initial_kinds_evaluate():
 def test_random_steps_are_seeded():
     pts = np.linspace(-0.5, 0.5, 33)[:, None]
     spec = {"kind": "random_steps", "pieces": 8}
-    a = initial_values_at(spec, pts, 0.0, 1.0, 1, seed=3)
-    b = initial_values_at(spec, pts, 0.0, 1.0, 1, seed=3)
-    c = initial_values_at(spec, pts, 0.0, 1.0, 1, seed=4)
+    a = initial_values_at(spec, pts, 0.0, 1.0, BOX_1D, seed=3)
+    b = initial_values_at(spec, pts, 0.0, 1.0, BOX_1D, seed=3)
+    c = initial_values_at(spec, pts, 0.0, 1.0, BOX_1D, seed=4)
     assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.min() >= 0.0 and a.max() <= 1.0
 
     pinned = {"kind": "random_steps", "pieces": 8, "seed": 11}
-    d = initial_values_at(pinned, pts, 0.0, 1.0, 1, seed=3)
-    e = initial_values_at(pinned, pts, 0.0, 1.0, 1, seed=4)
+    d = initial_values_at(pinned, pts, 0.0, 1.0, BOX_1D, seed=3)
+    e = initial_values_at(pinned, pts, 0.0, 1.0, BOX_1D, seed=4)
     assert_array_equal(d, e)
+
+
+@pytest.mark.parametrize("pieces", [3, 5])
+def test_random_steps_do_not_depend_on_the_grid(pieces):
+    # the pieces cut the domain's first axis, not the extent of the points
+    # sampled, so every grid (and a single point) sees the same datum
+    spec = {"kind": "random_steps", "pieces": pieces, "seed": 5}
+    width = 1.0 / pieces
+    mids = -0.5 + width * (np.arange(pieces) + 0.5)
+    values = initial_values_at(spec, mids[:, None], 0.0, 1.0, BOX_1D)
+    assert len(set(values.tolist())) == pieces
+    for k, mid in enumerate(mids):
+        assert initial_values_at(spec, [[mid]], 0.0, 1.0, BOX_1D)[0] == values[k]
+    for n in (8, 64, 1024):
+        x = Grid((-0.5,), (0.5,), (n,)).points()
+        piece = np.searchsorted(-0.5 + width * np.arange(1, pieces), x[:, 0], side="right")
+        assert_array_equal(initial_values_at(spec, x, 0.0, 1.0, BOX_1D), values[piece])
 
 
 def test_initial_data_validation_errors():
     pts = np.zeros((3, 1))
     with pytest.raises(ScenarioError, match="outside the state interval"):
-        initial_values_at({"kind": "constant", "value": 1.5}, pts, 0.0, 1.0, 1)
+        initial_values_at({"kind": "constant", "value": 1.5}, pts, 0.0, 1.0, BOX_1D)
     # the structure of the data is checked at parse time, under the spec's own pointer
     with pytest.raises(ScenarioError, match="^/initial: .*increase"):
         scenario_from_dict(_run_doc(initial={"kind": "steps", "breakpoints": [0.2, 0.1],
@@ -542,6 +574,26 @@ def test_cli_run_writes_report_and_trajectory(tmp_path, capsys):
     phases = [timings["solve_s"], timings["verify_s"], timings["io_s"]]
     assert min(phases) > 0.0
     assert sum(phases) <= timings["total_s"]
+
+
+def test_cli_failing_max_principle_names_its_witness(tmp_path, capsys, monkeypatch):
+    from discflux import cli
+    from discflux.solver import MaxPrincipleReport
+
+    def failing(traj, a, b):
+        return MaxPrincipleReport(passed=False, min_value=-0.5, max_value=1.0, tol=1e-10,
+                                  witness={"time": traj.times[2], "cell": (17,)})
+
+    def detail(out):
+        return json.loads((tmp_path / out / "report.json").read_text())["checks"][0]["detail"]
+
+    path = _write(tmp_path, _run_doc())
+    assert main(["run", path, "--out", str(tmp_path / "pass")]) == 0
+    assert "worst at" not in detail("pass")
+    monkeypatch.setattr(cli, "max_principle_check", failing)
+    assert main(["run", path, "--out", str(tmp_path / "fail")]) == 2
+    assert detail("fail") == "values stay in [-0.5, 1] against [0.0, 1.0]; worst at t = 0.01, cell (17)"
+    assert f"[check] max_principle: FAIL {detail('fail')}" in capsys.readouterr().out
 
 
 def test_cli_run_with_default_output_times(tmp_path):
