@@ -84,10 +84,12 @@ def _solve(clock, checks, sc: Scenario, u0: Field, config, name: str, label: str
     clock.write(name, storage.write_trajectory_csv, traj)
     model = sc.model
     rep = clock("verify_s", max_principle_check, traj, model.a, model.b)
-    detail = f"values stay in [{rep.min_value:.6g}, {rep.max_value:.6g}] against [{model.a}, {model.b}]"
+    span = f"[{rep.min_value:.6g}, {rep.max_value:.6g}]"
+    detail = f"values stay in {span} against [{model.a}, {model.b}]"
     if rep.witness is not None:
         cell = ", ".join(map(str, rep.witness["cell"]))
-        detail += f"; worst at t = {rep.witness['time']:.6g}, cell ({cell})"
+        detail = (f"values reach {span} outside [{model.a}, {model.b}]; "
+                  f"worst at t = {rep.witness['time']:.6g}, cell ({cell})")
     _check(checks, label, rep.passed, detail)
     return traj
 

@@ -12,8 +12,7 @@ term has a spatial factor).
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -316,7 +315,7 @@ def mollify_flux(model: PiecewiseFlux, eps: float) -> PiecewiseFlux:
 
         return FluxComponent(comp.axis, terms)
 
-    return dataclasses.replace(model, left=tuple(map(smooth, model.left)), right=tuple(map(smooth, model.right)),
+    return replace(model, left=tuple(map(smooth, model.left)), right=tuple(map(smooth, model.right)),
                                name=(model.name + "-mollified") if model.name else None)
 
 
@@ -337,7 +336,14 @@ def check_boundary_zero(model: PiecewiseFlux) -> BoundaryReport:
     """Check that every component of every side vanishes at both endpoint
     states a and b over the domain box.  f(., a) and f(., b) are read at the
     box corners, which gives their exact sup for factors affine in x, the
-    only kind a preset or a flux spec states."""
+    only kind a preset or a flux spec states.
+
+    Precondition: a term whose state polynomial is nonzero at a or b has a
+    factor affine in x.  A term whose polynomial vanishes at a and b is zero
+    there whatever its factor, as with the step and mollified factors of a
+    rough BV flux.  A non-affine factor on any other term can exceed its
+    corner values inside the box, so such a factor kind needs more points
+    read here (its breakpoints, say) before a scenario can state it."""
     xs = model.domain.corners.reshape(-1, model.d)
     worst = 0.0
     witness = (None, None)

@@ -6,8 +6,7 @@ subtracts zeta so the interface becomes the hyperplane {x_j = 0}.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -249,7 +248,7 @@ def flatten_model(model):
     right = list(model.right)
     left[j] = transformed_normal_flux(model, itf, "left")
     right[j] = transformed_normal_flux(model, itf, "right")
-    return dataclasses.replace(model, left=tuple(left), right=tuple(right), interface=Interface(j, model.d, (0.0,)),
+    return replace(model, left=tuple(left), right=tuple(right), interface=Interface(j, model.d, (0.0,)),
                                domain=flattened_box(model.domain, itf),
                                name=(model.name + "-flattened") if model.name else None)
 
@@ -262,7 +261,7 @@ def radial_extend_model(model, center, radius: float):
     def extend(comp):
         return FluxComponent(comp.axis, radial_extend(comp.terms, center, radius))
 
-    return dataclasses.replace(model, left=tuple(map(extend, model.left)), right=tuple(map(extend, model.right)),
+    return replace(model, left=tuple(map(extend, model.left)), right=tuple(map(extend, model.right)),
                                name=(model.name + "-extended") if model.name else None)
 
 

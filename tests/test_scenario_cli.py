@@ -589,10 +589,11 @@ def test_cli_failing_max_principle_names_its_witness(tmp_path, capsys, monkeypat
 
     path = _write(tmp_path, _run_doc())
     assert main(["run", path, "--out", str(tmp_path / "pass")]) == 0
+    assert detail("pass").startswith("values stay in [")
     assert "worst at" not in detail("pass")
     monkeypatch.setattr(cli, "max_principle_check", failing)
     assert main(["run", path, "--out", str(tmp_path / "fail")]) == 2
-    assert detail("fail") == "values stay in [-0.5, 1] against [0.0, 1.0]; worst at t = 0.01, cell (17)"
+    assert detail("fail") == "values reach [-0.5, 1] outside [0.0, 1.0]; worst at t = 0.01, cell (17)"
     assert f"[check] max_principle: FAIL {detail('fail')}" in capsys.readouterr().out
 
 

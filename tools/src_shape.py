@@ -1,12 +1,8 @@
 """Print the two size numbers of the package: the lines of its Python
 sources, and its settable values (parameters with a default plus dataclass
-fields with a default, counted on the AST).
+fields with a default, counted on the AST) of src/discflux:
 
-Run from the root of the source tree:
-
-    python tools/src_shape.py [SRC_DIR]
-
-SRC_DIR defaults to src/discflux.
+    python tools/src_shape.py
 """
 from __future__ import annotations
 
@@ -36,13 +32,9 @@ def settable_values(tree: ast.AST) -> int:
     return count
 
 
-def main(argv: list[str]) -> int:
-    root = pathlib.Path(argv[1] if len(argv) > 1 else "src/discflux")
-    files = sorted(root.rglob("*.py"))
-    if not files:
-        print(f"no Python sources under {root}", file=sys.stderr)
-        return 1
-    texts = [f.read_text(encoding="utf-8") for f in files]
+def main() -> int:
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "discflux"
+    texts = [f.read_text(encoding="utf-8") for f in sorted(root.rglob("*.py"))]
     lines = sum(t.count("\n") for t in texts)
     values = sum(settable_values(ast.parse(t)) for t in texts)
     print(f"lines {lines}")
@@ -51,4 +43,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
