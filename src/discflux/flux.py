@@ -316,7 +316,7 @@ def mollify_flux(model: PiecewiseFlux, eps: float) -> PiecewiseFlux:
         return FluxComponent(comp.axis, terms)
 
     return replace(model, left=tuple(map(smooth, model.left)), right=tuple(map(smooth, model.right)),
-                               name=(model.name + "-mollified") if model.name else None)
+                   name=(model.name + "-mollified") if model.name else None)
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +334,11 @@ class BoundaryReport:
 
 def check_boundary_zero(model: PiecewiseFlux) -> BoundaryReport:
     """Check that every component of every side vanishes at both endpoint
-    states a and b over the domain box.  f(., a) and f(., b) are read at the
-    box corners, which gives their exact sup for factors affine in x, the
-    only kind a preset or a flux spec states.
-
-    Precondition: a term whose state polynomial is nonzero at a or b has a
-    factor affine in x.  A term whose polynomial vanishes at a and b is zero
-    there whatever its factor, as with the step and mollified factors of a
-    rough BV flux.  A non-affine factor on any other term can exceed its
-    corner values inside the box, so such a factor kind needs more points
-    read here (its breakpoints, say) before a scenario can state it."""
+    states a and b over the domain box, reading f(., a) and f(., b) at the
+    box corners.  Precondition: that is their exact sup only where each term
+    nonzero at a or b has a factor affine in x, as in every preset and flux
+    spec; a non-affine factor kind (steps, say) needs its breakpoints read
+    here too."""
     xs = model.domain.corners.reshape(-1, model.d)
     worst = 0.0
     witness = (None, None)

@@ -249,8 +249,8 @@ def flatten_model(model):
     left[j] = transformed_normal_flux(model, itf, "left")
     right[j] = transformed_normal_flux(model, itf, "right")
     return replace(model, left=tuple(left), right=tuple(right), interface=Interface(j, model.d, (0.0,)),
-                               domain=flattened_box(model.domain, itf),
-                               name=(model.name + "-flattened") if model.name else None)
+                   domain=flattened_box(model.domain, itf),
+                   name=(model.name + "-flattened") if model.name else None)
 
 
 def radial_extend_model(model, center, radius: float):
@@ -262,7 +262,7 @@ def radial_extend_model(model, center, radius: float):
         return FluxComponent(comp.axis, radial_extend(comp.terms, center, radius))
 
     return replace(model, left=tuple(map(extend, model.left)), right=tuple(map(extend, model.right)),
-                               name=(model.name + "-extended") if model.name else None)
+                   name=(model.name + "-extended") if model.name else None)
 
 
 # ---------------------------------------------------------------------------
