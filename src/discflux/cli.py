@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -273,8 +274,12 @@ def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:
                           "file": "estimate.csv"}}
     # the level pool is shut down by now, so the fork copies no thread of it
     clock.write("manifest.json", germ_mod.save_level_result, result, extra)
-    # report.json only: run times would make the level manifest differ per run
-    return checks, {**extra, "solver": germ_mod.solver_counters(result.records, result.workers)}
+    # each member's observed rates, log2(delta_k / delta_k+1), null where a delta is 0
+    rates = {r.member_id: [math.log2(a / b) if a and b else None for a, b in zip(r.deltas, r.deltas[1:])]
+             for r in result.records}
+    # report.json only: the level manifest keeps its bytes, which run times would vary
+    return checks, {**extra, "rates": rates,
+                    "solver": germ_mod.solver_counters(result.records, result.workers)}
 
 
 _EXECUTORS = {

@@ -1,16 +1,22 @@
 """Scenario files: one JSON document describes a flux, a grid, a viscous run
 and an optional study block for the chosen check.  Validation is strict
-(unknown keys are errors) and failures carry JSON-pointer paths."""
+(unknown keys are errors) and failures carry JSON-pointer paths.
+
+The schemas below are JSON Schema documents, checked by `_check`, which
+implements the 15 keywords they use with JSON Schema's semantics (a bool is
+no number, 64.0 is an integer, enum and const compare as JSON does), except
+that a number must be finite as a float.  The file itself is read with `json.load`,
+refusing the NaN and Infinity literals it would otherwise accept."""
 from __future__ import annotations
 
 import json
+import operator
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .flux import PiecewiseFlux, as_points, check_boundary_zero
 from .geometry import Box
@@ -19,286 +25,155 @@ from .solver import DEFAULT_CFL, Field, Grid, RunConfig
 
 SCENARIO_KINDS = ("run", "entropy-check", "kato-check", "cone-check", "converge", "germ")
 
-_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+
+def _closed(required: list, **properties) -> dict:
+    """An object schema with the given properties and no others."""
+    return {"type": "object", "required": required, "additionalProperties": False,
+            "properties": properties}
+
+
+_NUMBER = {"type": "number"}
+_NUMBER_ARRAY = {"type": "array", "items": _NUMBER, "minItems": 1}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_AXIS = {"type": "integer", "minimum": 1, "maximum": 2}
+_DOMAIN_SCHEMA = _closed(["lows", "highs"], lows=_NUMBER_ARRAY, highs=_NUMBER_ARRAY)
 
-_DOMAIN_SCHEMA = {
-    "type": "object",
-    "required": ["lows", "highs"],
-    "additionalProperties": False,
-    "properties": {"lows": _NUMBER_ARRAY, "highs": _NUMBER_ARRAY},
-}
-
-_COMPONENT_SCHEMA = {
-    "type": "object",
-    "required": ["poly_lambda"],
-    "additionalProperties": False,
-    "properties": {
-        "poly_lambda": _NUMBER_ARRAY,
-        "x_modulation": {"enum": ["none", "affine"]},
-        "x_modulation_coeffs": _NUMBER_ARRAY,
-    },
-}
-
-_INTERFACE_SCHEMA = {
-    "type": "object",
-    "required": ["axis", "zeta"],
-    "additionalProperties": False,
-    "properties": {
-        "axis": {"type": "integer", "minimum": 1, "maximum": 2},
-        "zeta": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["zero", "affine", "poly"]},
-                "coeffs": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-    },
-}
-
+_COMPONENT_SCHEMA = _closed(["poly_lambda"], poly_lambda=_NUMBER_ARRAY,
+                            x_modulation={"enum": ["none", "affine"]},
+                            x_modulation_coeffs=_NUMBER_ARRAY)
+_INTERFACE_SCHEMA = _closed(["axis", "zeta"], axis=_AXIS, zeta=_closed(
+    ["kind"], kind={"enum": ["zero", "affine", "poly"]}, coeffs={"type": "array", "items": _NUMBER}))
 _COMPONENT_LIST = {"type": "array", "items": _COMPONENT_SCHEMA, "minItems": 1, "maxItems": 2}
+_FLUX_OBJECT_SCHEMA = _closed(
+    ["d", "a", "b", "left"], d={"enum": [1, 2]}, a=_NUMBER, b=_NUMBER,
+    interface={"anyOf": [{"type": "null"}, _INTERFACE_SCHEMA]}, left=_COMPONENT_LIST,
+    right={"anyOf": [{"type": "null"}, _COMPONENT_LIST]}, domain=_DOMAIN_SCHEMA)
 
-_FLUX_OBJECT_SCHEMA = {
-    "type": "object",
-    "required": ["d", "a", "b", "left"],
-    "additionalProperties": False,
-    "properties": {
-        "d": {"enum": [1, 2]},
-        "a": {"type": "number"},
-        "b": {"type": "number"},
-        "interface": {"anyOf": [{"type": "null"}, _INTERFACE_SCHEMA]},
-        "left": _COMPONENT_LIST,
-        "right": {"anyOf": [{"type": "null"}, _COMPONENT_LIST]},
-        "domain": _DOMAIN_SCHEMA,
-    },
-}
-
-_BOUNDARY_SCHEMA = {
-    "anyOf": [
-        {"type": "number"},
-        {
-            "type": "array",
-            "minItems": 1,
-            "maxItems": 2,
-            "items": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-    ]
-}
-
-_RUN_SCHEMA = {
-    "type": "object",
-    "required": ["epsilon", "final_time", "boundary"],
-    "additionalProperties": False,
-    "properties": {
-        "epsilon": _POSITIVE,
-        "final_time": _POSITIVE,
-        "boundary": _BOUNDARY_SCHEMA,
-        "cfl": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "output_count": {"type": "integer", "minimum": 2},
-        "output_times": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
-    },
-}
+_BOUNDARY_SCHEMA = {"anyOf": [_NUMBER, {
+    "type": "array", "minItems": 1, "maxItems": 2,
+    "items": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}}]}
+_RUN_SCHEMA = _closed(
+    ["epsilon", "final_time", "boundary"], epsilon=_POSITIVE, final_time=_POSITIVE,
+    boundary=_BOUNDARY_SCHEMA, cfl={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    output_count={"type": "integer", "minimum": 2},
+    output_times={"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1})
 
 # initial data kinds; the envelope only fixes "kind", the per-kind schema is
 # applied afterwards so errors point into the right block
 _INITIAL_KINDS = ("constant", "riemann", "block", "bump", "steps", "random_steps")
+_INITIAL_ENVELOPE = {"type": "object", "required": ["kind"],
+                     "properties": {"kind": {"enum": list(_INITIAL_KINDS)}}}
+# per kind: its required properties besides "kind", then its optional ones
+_INITIAL_SCHEMAS = {kind: _closed(["kind", *required], kind={"const": kind}, **required, **optional)
+                    for kind, required, optional in (
+    ("constant", {"value": _NUMBER}, {}),
+    ("riemann", {"left": _NUMBER, "right": _NUMBER, "position": _NUMBER}, {"axis": _AXIS}),
+    ("block", {"inside": _NUMBER, "outside": _NUMBER, "lows": _NUMBER_ARRAY, "highs": _NUMBER_ARRAY}, {}),
+    ("bump", {"base": _NUMBER, "amplitude": _NUMBER, "center": _NUMBER_ARRAY, "radius": _POSITIVE}, {}),
+    ("steps", {"breakpoints": _NUMBER_ARRAY, "values": {"type": "array", "items": _NUMBER, "minItems": 2}}, {}),
+    ("random_steps", {"pieces": {"type": "integer", "minimum": 1}}, {"seed": {"type": "integer", "minimum": 0}}),
+)}
 
-_INITIAL_ENVELOPE = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {"kind": {"enum": list(_INITIAL_KINDS)}},
-}
-
-_INITIAL_SCHEMAS = {
-    "constant": {
-        "type": "object",
-        "required": ["kind", "value"],
-        "additionalProperties": False,
-        "properties": {"kind": {"const": "constant"}, "value": {"type": "number"}},
-    },
-    "riemann": {
-        "type": "object",
-        "required": ["kind", "left", "right", "position"],
-        "additionalProperties": False,
-        "properties": {
-            "kind": {"const": "riemann"},
-            "left": {"type": "number"},
-            "right": {"type": "number"},
-            "position": {"type": "number"},
-            "axis": {"type": "integer", "minimum": 1, "maximum": 2},
-        },
-    },
-    "block": {
-        "type": "object",
-        "required": ["kind", "inside", "outside", "lows", "highs"],
-        "additionalProperties": False,
-        "properties": {
-            "kind": {"const": "block"},
-            "inside": {"type": "number"},
-            "outside": {"type": "number"},
-            "lows": _NUMBER_ARRAY,
-            "highs": _NUMBER_ARRAY,
-        },
-    },
-    "bump": {
-        "type": "object",
-        "required": ["kind", "base", "amplitude", "center", "radius"],
-        "additionalProperties": False,
-        "properties": {
-            "kind": {"const": "bump"},
-            "base": {"type": "number"},
-            "amplitude": {"type": "number"},
-            "center": _NUMBER_ARRAY,
-            "radius": _POSITIVE,
-        },
-    },
-    "steps": {
-        "type": "object",
-        "required": ["kind", "breakpoints", "values"],
-        "additionalProperties": False,
-        "properties": {
-            "kind": {"const": "steps"},
-            "breakpoints": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            "values": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-        },
-    },
-    "random_steps": {
-        "type": "object",
-        "required": ["kind", "pieces"],
-        "additionalProperties": False,
-        "properties": {
-            "kind": {"const": "random_steps"},
-            "pieces": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer", "minimum": 0},
-        },
-    },
-}
-
-_CHART_SCHEMA = {
-    "type": "object",
-    "required": ["center", "radius"],
-    "additionalProperties": False,
-    "properties": {"center": _NUMBER_ARRAY, "radius": _POSITIVE},
-}
-
+_CHART_SCHEMA = _closed(["center", "radius"], center=_NUMBER_ARRAY, radius=_POSITIVE)
 _EPSILONS_SCHEMA = {"type": "array", "items": _POSITIVE, "minItems": 2}
-
+_BUMPS = {"type": "integer", "minimum": 1}
+_CELL_BUDGET = {"type": "integer", "minimum": 16}
 _STUDY_SCHEMAS = {
-    "run": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {"tol_factor": _POSITIVE},
-    },
-    "entropy-check": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "tol_factor": _POSITIVE,
-            "bumps": {"type": "integer", "minimum": 1},
-        },
-    },
-    "kato-check": {
-        "type": "object",
-        "required": ["initial_b"],
-        "additionalProperties": False,
-        "properties": {
-            "tol_factor": _POSITIVE,
-            "bumps": {"type": "integer", "minimum": 1},
-            "initial_b": _INITIAL_ENVELOPE,
-        },
-    },
-    "cone-check": {
-        "type": "object",
-        "required": ["cone", "perturbation"],
-        "additionalProperties": False,
-        "properties": {
-            "cone": {
-                "type": "object",
-                "required": ["center", "radius"],
-                "additionalProperties": False,
-                "properties": {"center": _NUMBER_ARRAY, "radius": _POSITIVE},
-            },
-            "perturbation": _INITIAL_ENVELOPE,
-            "tol": _POSITIVE,
-        },
-    },
-    "converge": {
-        "type": "object",
-        "required": ["epsilons"],
-        "additionalProperties": False,
-        "properties": {
-            "epsilons": _EPSILONS_SCHEMA,
-            "cell_budget": {"type": "integer", "minimum": 16},
-        },
-    },
-    "germ": {
-        "type": "object",
-        "required": ["level", "epsilons"],
-        "additionalProperties": False,
-        "properties": {
-            "level": {"type": "integer", "minimum": 0, "maximum": 3},
-            "epsilons": _EPSILONS_SCHEMA,
-            "threshold": _POSITIVE,
-            "cell_budget": {"type": "integer", "minimum": 16},
-            "solve_target": _INITIAL_ENVELOPE,
-        },
-    },
+    "run": _closed([], tol_factor=_POSITIVE),
+    "entropy-check": _closed([], tol_factor=_POSITIVE, bumps=_BUMPS),
+    "kato-check": _closed(["initial_b"], tol_factor=_POSITIVE, bumps=_BUMPS, initial_b=_INITIAL_ENVELOPE),
+    "cone-check": _closed(["cone", "perturbation"], cone=_CHART_SCHEMA,
+                          perturbation=_INITIAL_ENVELOPE, tol=_POSITIVE),
+    "converge": _closed(["epsilons"], epsilons=_EPSILONS_SCHEMA, cell_budget=_CELL_BUDGET),
+    "germ": _closed(["level", "epsilons"], level={"type": "integer", "minimum": 0, "maximum": 3},
+                    epsilons=_EPSILONS_SCHEMA, threshold=_POSITIVE, cell_budget=_CELL_BUDGET,
+                    solve_target=_INITIAL_ENVELOPE),
 }
 
-_BASE_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "flux", "grid", "run", "initial"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "kind": {"enum": list(SCENARIO_KINDS)},
-        "flux": {"type": ["string", "object"]},
-        "domain": _DOMAIN_SCHEMA,
-        "grid": {
-            "type": "object",
-            "required": ["counts"],
-            "additionalProperties": False,
-            "properties": {
-                "counts": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 4},
-                    "minItems": 1,
-                    "maxItems": 2,
-                }
-            },
-        },
-        "run": _RUN_SCHEMA,
-        "initial": _INITIAL_ENVELOPE,
-        "chart": _CHART_SCHEMA,
-        "study": {"type": "object"},
-    },
-}
+_BASE_SCHEMA = _closed(
+    ["kind", "flux", "grid", "run", "initial"], name={"type": "string", "minLength": 1},
+    kind={"enum": list(SCENARIO_KINDS)}, flux={"type": ["string", "object"]}, domain=_DOMAIN_SCHEMA,
+    grid=_closed(["counts"], counts={"type": "array", "items": {"type": "integer", "minimum": 4},
+                                     "minItems": 1, "maxItems": 2}),
+    run=_RUN_SCHEMA, initial=_INITIAL_ENVELOPE, chart=_CHART_SCHEMA, study={"type": "object"})
 
 
 class ScenarioError(ValueError):
     """Scenario file rejected; the message carries a JSON-pointer path."""
 
 
-def _json_pointer(error, prefix: str = "") -> str:
-    parts = "".join(f"/{p}" for p in error.absolute_path)
-    return (prefix + parts) or "/"
+_TYPES = {"object": dict, "array": list, "string": str, "null": type(None)}
+
+# keyword: (the type it applies to, fails(value or length, bound), message)
+_LIMITS = {
+    "minimum": ("number", operator.lt, "is less than the minimum of {}"),
+    "maximum": ("number", operator.gt, "is greater than the maximum of {}"),
+    "exclusiveMinimum": ("number", operator.le, "is less than or equal to the minimum of {}"),
+    "exclusiveMaximum": ("number", operator.ge, "is greater than or equal to the maximum of {}"),
+    "minItems": ("array", operator.lt, "is too short"),
+    "maxItems": ("array", operator.gt, "is too long"),
+    "minLength": ("string", operator.lt, "is too short"),
+}
 
 
-def _validate(instance, schema, prefix: str = ""):
-    validator = Draft202012Validator(schema)
-    err = best_match(validator.iter_errors(instance))
-    if err is not None:
-        # descend into anyOf context for a pointed message
-        while err.context:
-            err = best_match(err.context)
-        raise ScenarioError(f"{_json_pointer(err, prefix)}: {err.message}")
+def _is_type(value, name: str) -> bool:
+    if name not in ("number", "integer"):
+        return isinstance(value, _TYPES[name])
+    # finite as a float, so that no float() of a scenario number overflows
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and (name == "number" or float(value).is_integer()))
+
+
+def _fits(value, schema: dict) -> bool:
+    """Whether `value` has one of the types `schema` names (any, if none)."""
+    types = schema.get("type", ())
+    return not types or any(_is_type(value, t) for t in ([types] if isinstance(types, str) else types))
+
+
+def _json_equal(a, b) -> bool:
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _error(value, schema: dict, path: str) -> ScenarioError | None:
+    try:
+        _check(value, schema, path)
+    except ScenarioError as exc:
+        return exc
+    return None
+
+
+def _check(value, schema: dict, path: str):
+    """Raise ScenarioError, at JSON pointer `path` ("" is the root), for the
+    first keyword of `schema` that `value` breaks; a failed anyOf reports
+    the first branch of the value's type, else its first branch."""
+    def fail(message):
+        raise ScenarioError(f"{path or '/'}: {message}")
+    if not _fits(value, schema):
+        fail(f"{value!r} is not of type {schema['type']!r}")
+    if "enum" in schema and not any(_json_equal(value, v) for v in schema["enum"]):
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        fail(f"{schema['const']!r} was expected")
+    branches = [(_fits(value, b), _error(value, b, path)) for b in schema.get("anyOf", ())]
+    if branches and all(exc for _, exc in branches):
+        raise max(branches, key=lambda fit_exc: fit_exc[0])[1]
+    for key, (name, fails, words) in _LIMITS.items():
+        if key in schema and _is_type(value, name) and fails(
+                value if name == "number" else len(value), schema[key]):
+            fail(f"{value!r} {words.format(schema[key])}")
+    for i, item in enumerate(value if "items" in schema and isinstance(value, list) else ()):
+        _check(item, schema["items"], f"{path}/{i}")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        extra = [key for key in value if key not in properties]
+        if extra and schema.get("additionalProperties") is False:
+            fail(f"Additional properties are not allowed ({', '.join(map(repr, extra))} unexpected)")
+        for key, sub in properties.items():
+            if key in value:
+                _check(value[key], sub, f"{path}/{key}")
 
 
 def builtin_scenario_path(name: str) -> str:
@@ -372,9 +247,9 @@ def validate_initial(spec, d: int, a: float, b: float, prefix: str):
     its own inside [a, b]), the lengths of block bounds and bump centres,
     the riemann axis, steps kinds only in 1d, and the steps values and
     breakpoints.  Errors carry `prefix`, the spec's JSON pointer."""
-    _validate(spec, _INITIAL_ENVELOPE, prefix)
+    _check(spec, _INITIAL_ENVELOPE, prefix)
     kind = spec["kind"]
-    _validate(spec, _INITIAL_SCHEMAS[kind], prefix)
+    _check(spec, _INITIAL_SCHEMAS[kind], prefix)
     if kind == "bump":
         stated = [spec["base"], spec["base"] + spec["amplitude"]]
     elif kind == "steps":
@@ -453,7 +328,7 @@ def _output_times(run_block: dict, final_time: float):
 
 
 def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scenario:
-    _validate(raw, _BASE_SCHEMA)
+    _check(raw, _BASE_SCHEMA, "")
     kind = raw["kind"]
 
     flux_value = raw["flux"]
@@ -464,7 +339,7 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
             )
         d = PRESET_DIMENSIONS[flux_value]
     else:
-        _validate(flux_value, _FLUX_OBJECT_SCHEMA, "/flux")
+        _check(flux_value, _FLUX_OBJECT_SCHEMA, "/flux")
         d = flux_value["d"]
 
     domain = None
@@ -513,7 +388,7 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
     validate_initial(raw["initial"], model.d, model.a, model.b, "/initial")
 
     study = raw.get("study", {})
-    _validate(study, _STUDY_SCHEMAS[kind], "/study")
+    _check(study, _STUDY_SCHEMAS[kind], "/study")
     if kind == "kato-check":
         validate_initial(study["initial_b"], model.d, model.a, model.b, "/study/initial_b")
     if kind == "cone-check":
@@ -539,13 +414,17 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
                     chart=chart, seed=seed)
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_scenario(path, seed: int = 0) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_refuse_constant)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, NaN or Infinity, or not UTF-8
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be a JSON object")

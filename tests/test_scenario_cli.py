@@ -230,6 +230,9 @@ def test_parse_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ScenarioError, match="not valid JSON"):
         parse_scenario(bad)
+    bad.write_bytes(b'{"name": "\xff"}')
+    with pytest.raises(ScenarioError, match="not valid JSON: 'utf-8' codec can't decode"):
+        parse_scenario(bad)
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     with pytest.raises(ScenarioError, match="top level"):
@@ -424,30 +427,55 @@ def test_cli_refuses_a_run_whose_cost_estimate_is_too_high(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists() and not (out / "report.json").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # scipy is a test-only dependency: the Halton points and the grid
-    # interpolation are numpy, so neither importing the CLI nor running the
-    # samplers (batteries, cone speed), the charted pull-back or a converge
-    # sweep's interpolation onto the finest grid loads a scipy module
+def test_cli_import_leaves_test_only_dependencies_unloaded(tmp_path):
+    # scipy and jsonschema are test-only dependencies: the Halton points and
+    # the grid interpolation are numpy, and scenarios are validated by
+    # discflux.scenario itself, so neither importing the CLI nor running the
+    # samplers (batteries, cone speed), the charted pull-back, a converge
+    # sweep's interpolation onto the finest grid or a germ level loads a
+    # module of either
     conv_doc = _run_doc(name="conv_cheap", kind="converge",
                         initial={"kind": "riemann", "left": 1.0, "right": 0.0, "position": 0.0},
                         study={"epsilons": [0.016, 0.008, 0.004]})
     conv_doc["run"] = {"epsilon": 0.004, "final_time": 0.05, "boundary": [[1.0, 0.0]]}
+    germ_doc = _run_doc(name="germ_cheap", kind="germ", initial={"kind": "constant", "value": 0.4},
+                        study={"level": 0, "epsilons": [0.032, 0.016, 0.008, 0.004]})
+    germ_doc["run"] = {"epsilon": 0.004, "final_time": 0.05, "boundary": 0.0}
     runs = [["entropy-check", "burgers_shock"], ["kato-check", "kato_burgers"], ["cone-check", "cone_burgers"],
-            ["run", "tilted_flatten_2d"], ["converge", _write(tmp_path, conv_doc, "conv.json")]]
+            ["run", "tilted_flatten_2d"], ["converge", _write(tmp_path, conv_doc, "conv.json")],
+            ["germ", _write(tmp_path, germ_doc, "germ.json")]]
     argvs = [argv + ["--out", str(tmp_path / argv[0]), "--quiet"] for argv in runs]
     src = os.path.dirname(os.path.dirname(discflux.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import json, sys, discflux.cli\n"
-            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(scipy())\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema'))\n"
+            "print(loaded())\n"
             "codes = [discflux.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(codes, scipy())\n")
+            "print(codes, loaded())\n")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
                          capture_output=True, text=True, check=True)
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == f"{[0] * len(runs)} []"
+
+
+@pytest.mark.parametrize("block, key, literal", [("run", "epsilon", "NaN"),
+                                                 ("run", "final_time", "Infinity"),
+                                                 ("initial", "position", "NaN")])
+def test_cli_refuses_nan_and_infinity(tmp_path, capsys, block, key, literal):
+    # json.load would read these non-standard literals as floats: a NaN
+    # epsilon stepped into a non-finite state, an infinite final time into
+    # an OverflowError, and a NaN riemann position passed on all-zero data
+    doc = _run_doc(kind="entropy-check")
+    del doc["run"]["output_count"]
+    doc[block][key] = "@"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    out = tmp_path / "out"
+    assert main(["entropy-check", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"scenario error: {path} is not valid JSON: {literal} is not a JSON number"]
+    assert not out.exists()
 
 
 def test_cli_missing_scenario_file(tmp_path, capsys):
@@ -763,8 +791,17 @@ def test_cli_germ_scenario(tmp_path):
     assert_array_equal(ratios, ratios.T)
     assert_array_equal(np.diag(ratios), np.zeros(9))
 
+    # observed rates, log2 of successive delta ratios per member, with null
+    # where a delta is 0; the constant member's deltas are all 0
+    for member in members:
+        deltas = json.loads((out / "records" / member / "manifest.json").read_text())["deltas"]
+        expected = [None if a == 0 or b == 0 else np.log2(a / b) for a, b in zip(deltas, deltas[1:])]
+        assert report["rates"][member] == pytest.approx(expected, rel=1e-12), member
+    assert report["rates"]["L1-00"] == [None, None]
+    assert set(report["rates"]) == set(members)
+
     level_manifest = json.loads((out / "manifest.json").read_text())
-    assert "solver" not in level_manifest
+    assert "solver" not in level_manifest and "rates" not in level_manifest
     assert level_manifest["selection"]["pass"] is True
     assert level_manifest["stability"]["pass"] is True
     assert level_manifest["contraction_cone"]["speed"] == pytest.approx(1.0)
