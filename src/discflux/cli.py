@@ -49,7 +49,8 @@ class _PhaseClock:
 
     `write(name, write, *args)` hands `write(out/name, *args)` to a forked
     child as soon as its data exists, so io_s counts the fork, not the
-    formatting, and records `name` under its stem.  report.json is written
+    formatting, and records `name` under its stem (a germ level's record
+    CSVs are written by its pool tasks, in solve_s).  report.json is written
     after the children finish."""
 
     def __init__(self, out: str, start: float):
@@ -228,9 +229,9 @@ def _exec_converge(sc: Scenario, args, clock) -> tuple[list, dict]:
     def u0_fn(pts):
         return sc.values_at(sc.initial, pts)
 
-    records, workers = clock("solve_s", germ_mod.run_sequence, {sc.name: u0_fn}, epsilons, model,
-                             model.domain, sc.config.final_time, boundary=sc.config.boundary,
-                             cell_budget=budget, cfl=sc.config.cfl)
+    records, workers, tasks = clock("solve_s", germ_mod.run_sequence, {sc.name: u0_fn}, epsilons, model,
+                                    model.domain, sc.config.final_time, boundary=sc.config.boundary,
+                                    cell_budget=budget, cfl=sc.config.cfl)
     record, = records
     clock.write("deltas.csv", storage.write_deltas_csv, record.epsilons, record.deltas)
     clock.write("finest_endpoint.csv", storage.write_field_csv, record.endpoints[-1])
@@ -241,7 +242,7 @@ def _exec_converge(sc: Scenario, args, clock) -> tuple[list, dict]:
     _check(checks, "delta_tail_decreasing", monotone, f"deltas [{txt}]")
     return checks, {"epsilons": list(record.epsilons), "deltas": list(record.deltas),
                     "grid_counts": [list(c) for c in record.grid_counts],
-                    "solver": germ_mod.solver_counters(records, workers)}
+                    "solver": germ_mod.solver_counters(records, workers), "tasks": tasks}
 
 
 def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:
@@ -253,7 +254,7 @@ def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:
                                [float(e) for e in sc.study["epsilons"]],
                                cell_budget=budget, cfl=sc.config.cfl,
                                threshold=sc.study.get("threshold"))
-    result = clock("solve_s", study.level_result, level)
+    result = clock("solve_s", study.level_result, level, os.path.join(clock.out, "records"))
     sel = result.selection
     if sel.passed:
         detail = f"indices {list(sel.indices)} under threshold {sel.threshold:.3e}"
@@ -279,7 +280,7 @@ def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:
              for r in result.records}
     # report.json only: the level manifest keeps its bytes, which run times would vary
     return checks, {**extra, "rates": rates,
-                    "solver": germ_mod.solver_counters(result.records, result.workers)}
+                    "solver": germ_mod.solver_counters(result.records, result.workers), "tasks": result.tasks}
 
 
 _EXECUTORS = {
@@ -405,10 +406,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         if args.debug:
             raise
-        if isinstance(exc, ScenarioError):
-            print(f"scenario error: {exc}", file=sys.stderr)
-        else:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        prefixes = {ScenarioError: "scenario error: ", storage.WriteError: "error: "}
+        print(prefixes.get(type(exc), f"error: {type(exc).__name__}: ") + str(exc), file=sys.stderr)
         return 1
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,10 +168,9 @@ class GermRecord:
     runs: tuple[tuple[int, float, int], ...] = ()
 
 
-def _interp_to(field_values: np.ndarray, src: Grid, dst: Grid) -> np.ndarray:
-    if src == dst:
-        return np.array(field_values, copy=True)
-    return src.interpolate(field_values, dst.points())
+def _interp_to(field: Field, dst: Grid) -> Field:
+    values = field.values.copy() if field.grid == dst else field.grid.interpolate(field.values, dst.points())
+    return Field(dst, values, field.time)
 
 
 def _edge_boundary(u0_fn, box: Box):
@@ -221,16 +221,19 @@ def _map(job, count: int) -> tuple[list, int]:
 
 
 def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_time: float,
-                 boundary=None, cell_budget: int = DEFAULT_CELL_BUDGET,
-                 cfl: float = DEFAULT_CFL) -> tuple[list[GermRecord], int]:
+                 boundary=None, cell_budget: int = DEFAULT_CELL_BUDGET, cfl: float = DEFAULT_CFL,
+                 records_dir: str | None = None) -> tuple[list[GermRecord], int, list[dict]]:
     """Run the viscous solver for each datum of `data` (member id -> initial
     function) and each epsilon, and collect endpoints on the comparison grid,
     the grid of the finest epsilon.  Returns the records, in the order of
-    `data`, and the number of processes that solved them.
+    `data`, the number of processes that solved them, and each task's counters.
 
     A task is one epsilon: run_lockstep over every datum, on the pool of
     _map, finest epsilon (the longest task) first.  Each run's arithmetic
-    stays in one process, so the records equal separate runs bit for bit."""
+    stays in one process, so the records equal separate runs bit for bit.
+    With `records_dir`, each task writes its endpoints, and the coarsest the
+    initial data, as record CSVs there."""
+    start = time.perf_counter()
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 2:
         raise ValueError("need at least two epsilons")
@@ -239,31 +242,42 @@ def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_tim
     comparison_grid = grid_for_epsilon(box, eps_list[-1], cell_budget)
     ids, fns = list(data), list(data.values())
     bounds = [_edge_boundary(fn, box) if boundary is None else boundary for fn in fns]
+    initials = [Field(comparison_grid, np.asarray(fn(comparison_grid.points()), dtype=float), 0.0)
+                for fn in fns]
 
     def solve(task: int):
-        eps = eps_list[-1 - task]
-        grid = grid_for_epsilon(box, eps, cell_budget)
-        configs = [RunConfig(flux=model, epsilon=eps, final_time=final_time, boundary=b, cfl=cfl,
+        began = time.perf_counter()
+        k = len(eps_list) - 1 - task
+        grid = grid_for_epsilon(box, eps_list[k], cell_budget)
+        configs = [RunConfig(flux=model, epsilon=eps_list[k], final_time=final_time, boundary=b, cfl=cfl,
                              output_times=(final_time,)) for b in bounds]
         trajs = run_lockstep([Field(grid, np.asarray(fn(grid.points()), dtype=float), 0.0) for fn in fns],
                              configs)
+        ends = [_interp_to(tr.final, comparison_grid) for tr in trajs]
         # the lockstep wall time is shared evenly among the data
-        return [(_interp_to(tr.final.values, grid, comparison_grid),
-                 (tr.manifest["n_steps"], tr.manifest["wall_time_s"] / len(fns), tr.manifest["cell_updates"]))
+        runs = [(tr.manifest["n_steps"], tr.manifest["wall_time_s"] / len(fns), tr.manifest["cell_updates"])
                 for tr in trajs]
+        solved = time.perf_counter()
+        if records_dir:
+            for member_id, end, initial in zip(ids, ends, initials):
+                _write_csvs(os.path.join(records_dir, member_id), {"initial": initial, k: end} if k == 0 else {k: end})
+        return ends, runs, {"epsilon": eps_list[k], "data": len(fns), "steps": sum(r[0] for r in runs),
+                            "cell_updates": sum(r[2] for r in runs), "worker": os.getpid(),
+                            "start_s": began - start, "solve_s": solved - began,
+                            "write_s": time.perf_counter() - solved if records_dir else 0.0}
 
     solved, workers = _map(solve, len(eps_list))
+    pids = list(dict.fromkeys(task["worker"] for _, _, task in solved))  # in the order of their first task
     solved.reverse()
     counts = tuple(tuple(grid_for_epsilon(box, e, cell_budget).counts) for e in eps_list)
     records = []
-    for m, (member_id, fn) in enumerate(zip(ids, fns)):
-        endpoints = [Field(comparison_grid, task[m][0], final_time) for task in solved]
+    for m, (member_id, initial) in enumerate(zip(ids, initials)):
+        endpoints = [ends[m] for ends, _, _ in solved]
         deltas = tuple(l1_distance(endpoints[k + 1], endpoints[k]) for k in range(len(endpoints) - 1))
-        initial = Field(comparison_grid, np.asarray(fn(comparison_grid.points()), dtype=float), 0.0)
         records.append(GermRecord(member_id=member_id, epsilons=tuple(eps_list), initial=initial,
                                   endpoints=tuple(endpoints), deltas=deltas, grid_counts=counts,
-                                  runs=tuple(task[m][1] for task in solved)))
-    return records, workers
+                                  runs=tuple(runs[m] for _, runs, _ in solved)))
+    return records, workers, [dict(task, worker=pids.index(task["worker"])) for _, _, task in solved]
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +437,8 @@ class GermLevelResult:
     selection: SelectionResult
     matrix: ContractionMatrix
     stability: StabilityReport
+    written: frozenset[str]  # record directories whose CSVs the solving tasks wrote
+    tasks: tuple[dict, ...]  # run_sequence's task counters of the uncached members
     workers: int = 1  # processes that solved the uncached members
 
     @property
@@ -476,36 +492,35 @@ class GermStudy:
     def _key(member: StepFunction):
         return member.level, member.values
 
-    def _solve(self, members) -> int:
-        """Solve and cache the records of `members` in one run_sequence;
-        returns its worker count."""
-        records, workers = run_sequence({m.label: m for m in members}, self.epsilons, self.model,
-                                        self.box, self.final_time, cell_budget=self.cell_budget,
-                                        cfl=self.cfl)
-        for member, record in zip(members, records):
-            self._records[self._key(member)] = record
-        return workers
+    def _solve(self, members, records_dir: str | None) -> tuple[int, list[dict]]:
+        """Solve and cache `members` in one run_sequence; its worker count and task counters."""
+        records, workers, tasks = run_sequence({m.label: m for m in members}, self.epsilons, self.model,
+                                               self.box, self.final_time, cell_budget=self.cell_budget,
+                                               cfl=self.cfl, records_dir=records_dir)
+        self._records.update((self._key(m), record) for m, record in zip(members, records))
+        return workers, tasks
 
     def record_for(self, member: StepFunction) -> GermRecord:
         if self._key(member) not in self._records:
-            self._solve([member])
+            self._solve([member], None)
         return self._records[self._key(member)]
 
-    def level_result(self, level: int) -> GermLevelResult:
+    def level_result(self, level: int, records_dir: str | None = None) -> GermLevelResult:
         """Records, selection and stability of every member of a level; the
         uncached members are solved together by run_sequence, one lockstep
-        task per epsilon."""
+        task per epsilon, their record CSVs written into `records_dir`."""
         family = self.family(level)
         if not family.enumerable:
             raise ValueError(f"family level {level} has {family.count} members, too many to enumerate")
         todo = [m for m in family.members if self._key(m) not in self._records]
-        workers = self._solve(todo) if todo else 1
+        workers, tasks = self._solve(todo, records_dir) if todo else (1, [])
         records = tuple(self.record_for(m) for m in family.members)
         selection = diagonal_select(records, self.threshold)
         matrix = contraction_matrix(records, self.cone)
         stability = stability_report(matrix)
-        return GermLevelResult(level=level, records=records, selection=selection,
-                               matrix=matrix, stability=stability, workers=workers)
+        written = frozenset(os.path.normpath(os.path.join(records_dir, m.label)) for m in todo if records_dir)
+        return GermLevelResult(level=level, records=records, selection=selection, matrix=matrix,
+                               stability=stability, written=written, tasks=tuple(tasks), workers=workers)
 
     def solve(self, u0: Field, level: int) -> GermEstimate:
         """Limit estimate for arbitrary data: project onto the family, reuse
@@ -526,24 +541,34 @@ class GermStudy:
 # persistence
 
 
-def save_record(record: GermRecord, dirpath):
+def _csv_name(key) -> str:
+    return "initial.csv" if key == "initial" else f"endpoint_{key:02d}.csv"
+
+
+def _write_csvs(dirpath, fields: dict):
+    """Write `fields` into `dirpath` under their _csv_name; a failure raises storage.WriteError."""
     storage.ensure_dir(dirpath)
-    files = {}
-    storage.write_field_csv(os.path.join(dirpath, "initial.csv"), record.initial)
-    files["initial"] = "initial.csv"
-    endpoint_files = []
-    for k, fld in enumerate(record.endpoints):
-        name = f"endpoint_{k:02d}.csv"
-        storage.write_field_csv(os.path.join(dirpath, name), fld)
-        endpoint_files.append(name)
-    files["endpoints"] = endpoint_files
+    for key, fld in fields.items():
+        path = os.path.join(dirpath, _csv_name(key))
+        try:
+            storage.write_field_csv(path, fld)
+        except OSError as exc:
+            raise storage.WriteError(path, exc) from None
+
+
+def _save_manifest(record: GermRecord, dirpath):
     storage.write_manifest(os.path.join(dirpath, "manifest.json"), {
         "member_id": record.member_id,
         "epsilons": list(record.epsilons),
         "deltas": list(record.deltas),
         "grid_counts": [list(c) for c in record.grid_counts],
-        "files": files,
+        "files": {"initial": _csv_name("initial"), "endpoints": [_csv_name(k) for k in range(len(record.endpoints))]},
     })
+
+
+def save_record(record: GermRecord, dirpath):
+    _write_csvs(dirpath, {"initial": record.initial, **dict(enumerate(record.endpoints))})
+    _save_manifest(record, dirpath)
 
 
 def load_record(dirpath) -> GermRecord:
@@ -562,11 +587,12 @@ def load_record(dirpath) -> GermRecord:
 
 
 def save_level_result(path, result: GermLevelResult, extra: dict):
-    """The level manifest at `path`, with `extra` merged in; the member
-    records and the distance matrices go beside it, into its directory."""
+    """The level manifest at `path`, with `extra` merged in; the member records
+    (but the CSVs in `result.written`) and the distance matrices go beside it."""
     dirpath = os.path.dirname(path)
     for record in result.records:
-        save_record(record, os.path.join(dirpath, "records", record.member_id))
+        record_dir = os.path.join(dirpath, "records", record.member_id)
+        (_save_manifest if os.path.normpath(record_dir) in result.written else save_record)(record, record_dir)
     storage.write_matrix_csv(os.path.join(dirpath, "data_distances.csv"),
                              result.matrix.ids, result.matrix.data_distances)
     storage.write_matrix_csv(os.path.join(dirpath, "limit_distances.csv"),

@@ -10,6 +10,7 @@ refusing the NaN and Infinity literals it would otherwise accept."""
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 from .flux import PiecewiseFlux, as_points, check_boundary_zero
 from .geometry import Box
 from .presets import PRESET_DIMENSIONS, PRESET_NAMES, resolve_flux
-from .solver import DEFAULT_CFL, Field, Grid, RunConfig
+from .solver import DEFAULT_CFL, MAX_CELL_STEPS, Field, Grid, RunConfig
 
 SCENARIO_KINDS = ("run", "entropy-check", "kato-check", "cone-check", "converge", "germ")
 
@@ -373,6 +374,13 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
     run_block = raw["run"]
     if "output_times" in run_block and "output_count" in run_block:
         raise ScenarioError("/run: give output_times or output_count, not both")
+    # run_lockstep's cost refusal before any array exists: dt_base <= cfl dx^2 / (2 d eps), >= 1 step per output
+    dx, outputs = min(grid.dx), run_block.get("output_count", len(set(run_block.get("output_times", ()))))
+    steps = (float(run_block["final_time"]) * 2.0 * grid.d * float(run_block["epsilon"])
+             / float(run_block.get("cfl", DEFAULT_CFL)) / dx / dx)
+    estimate = math.prod(n - 2.0 for n in grid.counts) * max(steps, outputs - 1.0)
+    if estimate > MAX_CELL_STEPS:
+        raise ScenarioError(f"/run: about {estimate:.3e} cell-steps, above the limit of {MAX_CELL_STEPS:.0e}")
     try:
         config = RunConfig(
             flux=model,

@@ -133,6 +133,13 @@ def write_trace_csv(path, trace):
             fh.write("".join([f"{t}{s}{v}\n" for s, v in zip(s_cols, _reprs(values))]))
 
 
+class WriteError(RuntimeError):
+    """A failed write, from (path, its error): `writing <path>: <type>: <error>`."""
+
+    def __str__(self):
+        return f"writing {self.args[0]}: {type(self.args[1]).__name__}: {self.args[1]}"
+
+
 class Writers:
     """Artifact writes in forked children.  `submit(write, path, *args)`
     forks; the child runs `write(path, *args)` and always leaves through
@@ -156,7 +163,7 @@ class Writers:
                 write(path, *args)
                 status = 0
             except BaseException as exc:
-                os.write(2, f"error: writing {path}: {type(exc).__name__}: {exc}\n".encode())
+                os.write(2, f"error: {WriteError(path, exc)}\n".encode())
             finally:
                 os._exit(status)
         self._children.append((pid, str(path)))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from discflux import germ
+from discflux import germ, storage
 from discflux.entropy import l1_distance
 from discflux.geometry import Box, Cone
 from discflux.germ import (
@@ -77,7 +77,7 @@ def mini_study(two_flux_model):
 
 @pytest.fixture(scope="module")
 def constant_record(two_flux_model):
-    (record,), _ = run_sequence(
+    (record,), _, _ = run_sequence(
         {"const-a": lambda pts: np.zeros(pts.shape[:-1])},
         (3.2e-2, 1.6e-2, 8e-3, 4e-3),
         two_flux_model,
@@ -93,7 +93,7 @@ def step_record(two_flux_model):
         x = pts[..., 0]
         return np.where((x >= 0.1) & (x < 0.3), 1.0, 0.0)
 
-    (record,), _ = run_sequence(
+    (record,), _, _ = run_sequence(
         {"step": step_fn},
         (1.6e-2, 8e-3, 4e-3, 2e-3),
         two_flux_model,
@@ -262,8 +262,8 @@ def test_constant_datum_has_zero_deltas(constant_record):
 
 def test_rarefaction_deltas_decrease(burgers_model):
     u0 = lambda pts: np.where(pts[..., 0] < 0.0, 1.0, 0.0)
-    (record,), _ = run_sequence({"fan": u0}, (1.6e-2, 8e-3, 4e-3), burgers_model,
-                                burgers_model.domain, final_time=0.15)
+    (record,), _, _ = run_sequence({"fan": u0}, (1.6e-2, 8e-3, 4e-3), burgers_model,
+                                   burgers_model.domain, final_time=0.15)
     assert record.deltas[0] > record.deltas[1] > 0.0
 
 
@@ -567,8 +567,8 @@ def test_error_bar_covers_two_further_halvings(two_flux_model):
     # run over all six epsilons puts every endpoint on the finest grid.
     box = Box((-0.5,), (0.5,))
     family = build_dense_family(1, two_flux_model.a, two_flux_model.b, box)
-    records, _ = run_sequence({m.label: m for m in family.members},
-                              (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3), two_flux_model, box, final_time=0.015)
+    records, _, _ = run_sequence({m.label: m for m in family.members},
+                                 (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3), two_flux_model, box, final_time=0.015)
     moving = 0
     for record in records:
         gap = l1_distance(record.endpoints[3], record.endpoints[5])
@@ -614,9 +614,9 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
     members = study.family(1).members
     assert [r.member_id for r in result.records] == [m.label for m in members]
     for member, record in zip(members, result.records):
-        (expected,), workers = run_sequence({member.label: member}, study.epsilons, study.model,
-                                            study.box, study.final_time,
-                                            cell_budget=study.cell_budget, cfl=study.cfl)
+        (expected,), workers, _ = run_sequence({member.label: member}, study.epsilons, study.model,
+                                               study.box, study.final_time,
+                                               cell_budget=study.cell_budget, cfl=study.cfl)
         assert workers == 1
         assert expected.initial.grid == study.comparison_grid
         assert record.deltas == expected.deltas
@@ -750,8 +750,8 @@ def test_level_result_persisted_layout(tmp_path):
     selection = diagonal_select(records, threshold=0.1)
     cone = Cone((0.5,), 0.4, 1.0)
     matrix = contraction_matrix(records, cone=cone)
-    result = GermLevelResult(level=1, records=records, selection=selection,
-                             matrix=matrix, stability=stability_report(matrix))
+    result = GermLevelResult(level=1, records=records, selection=selection, matrix=matrix,
+                             stability=stability_report(matrix), written=frozenset(), tasks=())
 
     out = tmp_path / "level1"
     out.mkdir()
@@ -781,3 +781,31 @@ def test_level_result_persisted_layout(tmp_path):
 
     reloaded = load_record(out / "records" / "m1")
     assert reloaded.deltas == records[1].deltas
+
+
+def test_level_records_written_by_their_tasks_get_only_a_manifest(two_flux_model, tmp_path, monkeypatch):
+    study = _tiny_study(two_flux_model)
+    study.record_for(study.family(1).members[0])  # solved outside a level: no CSVs
+    result = study.level_result(1, str(tmp_path / "level" / "records"))
+    fresh = {str(tmp_path / "level" / "records" / r.member_id) for r in result.records[1:]}
+    assert result.written == fresh
+    assert sorted(p.name for p in (tmp_path / "level" / "records").iterdir()) == sorted(
+        os.path.basename(d) for d in fresh)
+    assert [len(result.tasks), sum(t["data"] for t in result.tasks)] == [4, 4 * 8]
+
+    # saved beside those CSVs, only the cached record's CSVs are written
+    written = []
+    monkeypatch.setattr(storage, "write_field_csv", lambda path, field: written.append(path))
+    save_level_result(str(tmp_path / "level" / "manifest.json"), result, {})
+    member = result.records[0].member_id
+    assert sorted(os.path.basename(p) for p in written) == ["endpoint_00.csv", "endpoint_01.csv",
+                                                            "endpoint_02.csv", "endpoint_03.csv", "initial.csv"]
+    assert {os.path.basename(os.path.dirname(p)) for p in written} == {member}
+    for record in result.records[1:]:
+        assert load_record(tmp_path / "level" / "records" / record.member_id).deltas == record.deltas
+
+    # saved anywhere else, every record is written whole
+    written.clear()
+    (tmp_path / "elsewhere").mkdir()
+    save_level_result(str(tmp_path / "elsewhere" / "manifest.json"), result, {})
+    assert len(written) == 9 * (1 + 4)

@@ -414,7 +414,8 @@ def test_cli_usage_errors(tmp_path, capsys):
 
 def test_cli_refuses_a_run_whose_cost_estimate_is_too_high(tmp_path, capsys):
     # burgers on 400 cells with eps = 10: dt_base = 1.4e-7, so T = 1 would
-    # take 7.1 million steps; it is refused before the first one
+    # take 7.1 million steps; the diffusion limit shows it at parse time,
+    # before --out is made (the solver's own refusal is in test_solver)
     doc = json.loads(open(builtin_scenario_path("burgers_shock")).read())
     doc["run"].update(epsilon=10.0, final_time=1.0)
     out = tmp_path / "out"
@@ -422,9 +423,34 @@ def test_cli_refuses_a_run_whose_cost_estimate_is_too_high(tmp_path, capsys):
     assert main(["entropy-check", _write(tmp_path, doc), "--out", str(out)]) == 1
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
-    assert err.startswith("error: ValueError: epsilon 10 on dx 0.0025 gives dt_base 1.406e-07")
-    assert "cell-steps, above the limit of 1e+09" in err
-    assert not (out / "trajectory.csv").exists() and not (out / "report.json").exists()
+    assert err == "scenario error: /run: about 2.830e+09 cell-steps, above the limit of 1e+09\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, run", [([64], {"output_count": 1000000000000}), ([4000000], {})],
+                         ids=["output_count", "cells"])
+def test_cli_refuses_huge_output_counts_and_grids_before_allocating(tmp_path, grid, run):
+    # np.linspace once asked for 7.28 TiB for the first, and the second
+    # reached 214 MiB of RSS before the solver refused it; the child's peak
+    # is read from VmHWM, which exec resets (ru_maxrss keeps the parent's)
+    doc = json.loads(open(builtin_scenario_path("burgers_shock")).read())
+    doc["grid"]["counts"] = grid
+    doc["run"].update(run)
+    out = tmp_path / "out"
+    argv = ["entropy-check", _write(tmp_path, doc), "--out", str(out)]
+    src = os.path.dirname(os.path.dirname(discflux.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import json, sys, discflux.cli\n"
+            "code = discflux.cli.main(json.loads(sys.argv[1]))\n"
+            "print(code, *[ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM')])\n")
+    child = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env,
+                           capture_output=True, text=True, check=True)
+    code, rss_kib = map(int, child.stdout.split())
+    assert code == 1 and rss_kib < 100 * 1024
+    err = child.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("scenario error: /run: about ")
+    assert err[0].endswith("cell-steps, above the limit of 1e+09")
+    assert not out.exists()
 
 
 def test_cli_import_leaves_test_only_dependencies_unloaded(tmp_path):
@@ -690,6 +716,12 @@ def test_cli_converge_spec_example(tmp_path):
     assert solver["runs"] == 4 and 1 <= solver["workers"] <= len(os.sched_getaffinity(0))
     assert 0 < solver["cell_updates"] <= solver["cell_steps"]
     assert solver["solve_s"] > 0.0
+    # one task per epsilon, whose counters sum to the solver block; converge writes no record
+    tasks = report["tasks"]
+    assert [t["epsilon"] for t in tasks] == [0.004, 0.002, 0.001, 0.0005]
+    assert [t["data"] for t in tasks] == [1] * 4 and [t["write_s"] for t in tasks] == [0.0] * 4
+    assert sum(t["steps"] for t in tasks) == solver["steps"]
+    assert sum(t["cell_updates"] for t in tasks) == solver["cell_updates"]
     assert report["artifacts"] == {"deltas": "deltas.csv", "finest_endpoint": "finest_endpoint.csv"}
 
     lines = (out / "deltas.csv").read_text().strip().splitlines()
@@ -777,6 +809,13 @@ def test_cli_germ_scenario(tmp_path):
     assert 0 < solver["cell_updates"] < solver["cell_steps"]
     assert solver["solve_s"] > 0.0
     assert 1 <= solver["workers"] <= len(os.sched_getaffinity(0))
+    # one task per epsilon, each writing its records' CSVs; the finest was handed out first
+    tasks = report["tasks"]
+    assert [t["epsilon"] for t in tasks] == [0.032, 0.016, 0.008, 0.004]
+    assert all(t["data"] == 9 and t["solve_s"] > 0 and t["write_s"] > 0 and t["start_s"] >= 0 for t in tasks)
+    assert sum(t["steps"] for t in tasks) == solver["steps"]
+    assert sum(t["cell_updates"] for t in tasks) == solver["cell_updates"]
+    assert tasks[-1]["worker"] == 0 and {t["worker"] for t in tasks} <= set(range(solver["workers"]))
     assert report["artifacts"] == {"estimate": "estimate.csv", "manifest": "manifest.json"}
     assert (out / "estimate.csv").is_file()
 
@@ -801,7 +840,7 @@ def test_cli_germ_scenario(tmp_path):
     assert set(report["rates"]) == set(members)
 
     level_manifest = json.loads((out / "manifest.json").read_text())
-    assert "solver" not in level_manifest and "rates" not in level_manifest
+    assert not {"solver", "rates", "tasks"} & set(level_manifest)
     assert level_manifest["selection"]["pass"] is True
     assert level_manifest["stability"]["pass"] is True
     assert level_manifest["contraction_cone"]["speed"] == pytest.approx(1.0)
@@ -984,7 +1023,8 @@ def test_cli_forked_csvs_equal_in_process_writes(tmp_path, monkeypatch, command,
                        ("write_trajectory_csv", "trajectory_perturbed.csv")],
         "converge": [("write_deltas_csv", "deltas.csv"),
                      ("write_field_csv", "finest_endpoint.csv")],
-        # the level manifest brings the matrices and the member records beside it
+        # the level manifest brings the matrices and the record manifests
+        # beside it; the record CSVs come from the level's solving tasks
         "germ": [("write_field_csv", "estimate.csv"),
                  ("save_level_result", "manifest.json")],
     }[command]
@@ -1011,6 +1051,47 @@ def test_cli_failing_writer_leaves_no_report_and_no_child(tmp_path, monkeypatch,
     err = capfd.readouterr().err
     assert f"error: writing {out / 'trajectory.csv'}: OSError: disk full" in err
     assert "trajectory.csv" in err.splitlines()[-1]
+    assert not (out / "report.json").exists()
+    _assert_no_child_left()
+
+
+GERM_DOC = dict(SMALL_COMMANDS)["germ"]
+
+
+def test_cli_pool_written_records_equal_in_process_ones(tmp_path, monkeypatch):
+    # the level's record CSVs come from the pool workers that solved them,
+    # or, with one usable CPU, from this process
+    path = _write(tmp_path, GERM_DOC)
+    outs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        outs.append(tmp_path / f"cpus{len(cpus)}")
+        assert main(["germ", path, "--out", str(outs[-1]), "--quiet"]) == 0
+        _assert_no_child_left()
+        assert json.loads((outs[-1] / "report.json").read_text())["solver"]["workers"] == len(cpus)
+    files = _files(outs[0])
+    assert files == _files(outs[1])
+    assert len(files) == 9 * (1 + 4 + 1) + 3 + 1 + 1  # records, matrices, manifest, estimate
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_cli_failing_record_write_in_a_worker(tmp_path, monkeypatch, capfd):
+    real = storage.write_field_csv
+
+    def failing(path, field):
+        if os.path.join("records", "L1-02") in str(path):
+            raise OSError("disk full")
+        real(path, field)
+
+    monkeypatch.setattr(storage, "write_field_csv", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "out"
+    assert main(["germ", _write(tmp_path, GERM_DOC), "--out", str(out), "--quiet"]) == 1
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: writing {out / 'records' / 'L1-02'}{os.sep}endpoint_")
+    assert err[0].endswith(".csv: OSError: disk full")
     assert not (out / "report.json").exists()
     _assert_no_child_left()
 

@@ -1,0 +1,40 @@
+"""Run one CLI command here and in another checkout, and compare every file
+both runs wrote under --out except report.json; print the first that
+differs (or exists on one side only) or `identical (N files)`, and exit 1
+on a difference or a failed run:
+
+    python tools/same_bytes.py germ germ_level1 --against ../parent"""
+import argparse
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+
+def _files(tree: pathlib.Path, command: str, scenario: str, out: pathlib.Path) -> dict:
+    argv = [sys.executable, "-m", "discflux.cli", command, scenario, "--out", str(out), "--quiet"]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    if subprocess.run(argv, env=env, cwd=tree, stdout=subprocess.DEVNULL).returncode not in (0, 2):
+        sys.exit(f"{command} {scenario} failed in {tree}")
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and p.name != "report.json"}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("command")
+    parser.add_argument("scenario", help="a scenario file or a shipped scenario name")
+    parser.add_argument("--against", required=True, help="root of the other checkout")
+    args = parser.parse_args()
+    scenario = os.path.abspath(args.scenario) if os.path.exists(args.scenario) else args.scenario
+    with tempfile.TemporaryDirectory() as tmp:
+        here, there = (_files(pathlib.Path(tree).resolve(), args.command, scenario, pathlib.Path(tmp, side))
+                       for tree, side in ((pathlib.Path(__file__).parents[1], "here"), (args.against, "there")))
+    diff = sorted(name for name in here.keys() | there.keys() if here.get(name) != there.get(name))
+    print(f"differs: {diff[0]}" if diff else f"identical ({len(here)} files)")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
