@@ -229,9 +229,9 @@ def _exec_converge(sc: Scenario, args, clock) -> tuple[list, dict]:
     def u0_fn(pts):
         return sc.values_at(sc.initial, pts)
 
-    records, workers, tasks = clock("solve_s", germ_mod.run_sequence, {sc.name: u0_fn}, epsilons, model,
-                                    model.domain, sc.config.final_time, boundary=sc.config.boundary,
-                                    cell_budget=budget, cfl=sc.config.cfl)
+    records, counters = clock("solve_s", germ_mod.run_sequence, {sc.name: u0_fn}, epsilons, model,
+                              model.domain, sc.config.final_time, boundary=sc.config.boundary,
+                              cell_budget=budget, cfl=sc.config.cfl)
     record, = records
     clock.write("deltas.csv", storage.write_deltas_csv, record.epsilons, record.deltas)
     clock.write("finest_endpoint.csv", storage.write_field_csv, record.endpoints[-1])
@@ -241,8 +241,7 @@ def _exec_converge(sc: Scenario, args, clock) -> tuple[list, dict]:
     txt = ", ".join(f"{d:.3e}" for d in record.deltas)
     _check(checks, "delta_tail_decreasing", monotone, f"deltas [{txt}]")
     return checks, {"epsilons": list(record.epsilons), "deltas": list(record.deltas),
-                    "grid_counts": [list(c) for c in record.grid_counts],
-                    "solver": germ_mod.solver_counters(records, workers), "tasks": tasks}
+                    "grid_counts": [list(c) for c in record.grid_counts], **counters}
 
 
 def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:
@@ -279,8 +278,7 @@ def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:
     rates = {r.member_id: [math.log2(a / b) if a and b else None for a, b in zip(r.deltas, r.deltas[1:])]
              for r in result.records}
     # report.json only: the level manifest keeps its bytes, which run times would vary
-    return checks, {**extra, "rates": rates,
-                    "solver": germ_mod.solver_counters(result.records, result.workers), "tasks": result.tasks}
+    return checks, {**extra, "rates": rates, **result.counters}
 
 
 _EXECUTORS = {

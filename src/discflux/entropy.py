@@ -347,11 +347,9 @@ class ResidualWorkspace:
         return term_sum(self._jump.terms(1, j), lam_arr) - term_sum(self._jump.terms(0, j), lam_arr)
 
     def _phi_box(self, phi):
-        """phi's support box (the whole grid for a phi without `support`)
-        and, on it, its trapezoid-weighted tables grad phi per axis, phi_t
-        and phi."""
-        support = getattr(phi, "support", None)
-        box = support(self.trajectory.grid, self.times) if support else (slice(None),) * (1 + len(self.counts))
+        """phi's support box and, on it, its trapezoid-weighted tables
+        grad phi per axis, phi_t and phi."""
+        box = phi.support(self.trajectory.grid, self.times)
         t, w = self.times[box[0], None], self.tw[box[0], None]
         points = _box(self.points[None], self.counts, (slice(None),) + box[1:]).reshape(-1, len(self.counts))
         tables = _phi_tables(phi, t, w, points)

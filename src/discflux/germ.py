@@ -35,6 +35,13 @@ def member_count(level: int, d: int) -> int:
     return (2 ** level + 1) ** ((2 ** level) ** d)
 
 
+def _pieces(box: Box, p: int, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per axis, the index of the piece of `pts` in the partition of `box`
+    into p equal pieces, clipped to [0, p - 1]."""
+    return tuple(np.clip(np.floor((pts[..., k] - box.lows[k]) / (box.widths[k] / p)).astype(int), 0, p - 1)
+                 for k in range(box.d))
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant datum on the dyadic partition of a box: 2^level
@@ -43,7 +50,7 @@ class StepFunction:
     box: Box
     level: int
     values: tuple[float, ...]  # row-major over pieces
-    label: str = "step"
+    label: str
 
     def __post_init__(self):
         if len(self.values) != (2 ** self.level) ** self.box.d:
@@ -58,14 +65,7 @@ class StepFunction:
         return np.asarray(self.values).reshape((p,) * self.box.d)
 
     def __call__(self, x) -> np.ndarray:
-        pts = as_points(x, self.box.d)
-        p = self.pieces_per_axis
-        idx = []
-        for k in range(self.box.d):
-            w = self.box.widths[k] / p
-            i = np.floor((pts[..., k] - self.box.lows[k]) / w).astype(int)
-            idx.append(np.clip(i, 0, p - 1))
-        return self.value_array()[tuple(idx)]
+        return self.value_array()[_pieces(self.box, self.pieces_per_axis, as_points(x, self.box.d))]
 
     def refine(self) -> "StepFunction":
         """Same function represented one level finer (each piece split)."""
@@ -97,17 +97,9 @@ class DenseFamily:
         piece, snapped to the nearest dyadic value (ties to the lower one)."""
         grid = u0.grid
         p = 2 ** self.level
-        counts = []
-        sums = []
-        pts = grid.points().reshape(-1, grid.d)
-        flat = u0.values.reshape(-1)
-        idx = np.zeros(pts.shape[0], dtype=int)
-        for k in range(grid.d):
-            w = self.box.widths[k] / p
-            i = np.clip(np.floor((pts[:, k] - self.box.lows[k]) / w).astype(int), 0, p - 1)
-            idx = idx * p + i
+        idx = np.ravel_multi_index(_pieces(self.box, p, grid.points().reshape(-1, grid.d)), (p,) * grid.d)
         n_pieces = p ** grid.d
-        sums = np.bincount(idx, weights=flat, minlength=n_pieces)
+        sums = np.bincount(idx, weights=u0.values.reshape(-1), minlength=n_pieces)
         counts = np.bincount(idx, minlength=n_pieces)
         if (counts == 0).any():
             raise ValueError("comparison grid too coarse for this family level")
@@ -162,10 +154,6 @@ class GermRecord:
     endpoints: tuple[Field, ...]  # u_eps(T) per eps, on the comparison grid
     deltas: tuple[float, ...]  # l1(endpoint[k+1], endpoint[k])
     grid_counts: tuple[tuple[int, ...], ...]
-    # (n_steps, wall_time_s, cell_updates) of each epsilon's solve, the
-    # wall time of a lockstep run shared evenly among its data; not saved,
-    # so records loaded from disk have none
-    runs: tuple[tuple[int, float, int], ...] = ()
 
 
 def _interp_to(field: Field, dst: Grid) -> Field:
@@ -222,11 +210,13 @@ def _map(job, count: int) -> tuple[list, int]:
 
 def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_time: float,
                  boundary=None, cell_budget: int = DEFAULT_CELL_BUDGET, cfl: float = DEFAULT_CFL,
-                 records_dir: str | None = None) -> tuple[list[GermRecord], int, list[dict]]:
+                 records_dir: str | None = None) -> tuple[list[GermRecord], dict]:
     """Run the viscous solver for each datum of `data` (member id -> initial
     function) and each epsilon, and collect endpoints on the comparison grid,
     the grid of the finest epsilon.  Returns the records, in the order of
-    `data`, the number of processes that solved them, and each task's counters.
+    `data`, and the counters of this call's solves: {"tasks": each task's
+    counters, in epsilon order, "solver": their sums and the number of
+    processes that ran them}.  Empty `data` solves nothing and starts no pool.
 
     A task is one epsilon: run_lockstep over every datum, on the pool of
     _map, finest epsilon (the longest task) first.  Each run's arithmetic
@@ -254,30 +244,32 @@ def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_tim
         trajs = run_lockstep([Field(grid, np.asarray(fn(grid.points()), dtype=float), 0.0) for fn in fns],
                              configs)
         ends = [_interp_to(tr.final, comparison_grid) for tr in trajs]
-        # the lockstep wall time is shared evenly among the data
-        runs = [(tr.manifest["n_steps"], tr.manifest["wall_time_s"] / len(fns), tr.manifest["cell_updates"])
-                for tr in trajs]
         solved = time.perf_counter()
         if records_dir:
             for member_id, end, initial in zip(ids, ends, initials):
                 _write_csvs(os.path.join(records_dir, member_id), {"initial": initial, k: end} if k == 0 else {k: end})
-        return ends, runs, {"epsilon": eps_list[k], "data": len(fns), "steps": sum(r[0] for r in runs),
-                            "cell_updates": sum(r[2] for r in runs), "worker": os.getpid(),
-                            "start_s": began - start, "solve_s": solved - began,
-                            "write_s": time.perf_counter() - solved if records_dir else 0.0}
+        return ends, {"epsilon": eps_list[k], "data": len(fns),
+                      "steps": sum(tr.manifest["n_steps"] for tr in trajs),
+                      "cell_updates": sum(tr.manifest["cell_updates"] for tr in trajs), "worker": os.getpid(),
+                      "start_s": began - start, "solve_s": solved - began,
+                      "write_s": time.perf_counter() - solved if records_dir else 0.0}
 
-    solved, workers = _map(solve, len(eps_list))
-    pids = list(dict.fromkeys(task["worker"] for _, _, task in solved))  # in the order of their first task
+    solved, workers = _map(solve, len(eps_list) if fns else 0)
+    pids = list(dict.fromkeys(task["worker"] for _, task in solved))  # in the order of their first task
     solved.reverse()
+    tasks = [dict(task, worker=pids.index(task["worker"])) for _, task in solved]
     counts = tuple(tuple(grid_for_epsilon(box, e, cell_budget).counts) for e in eps_list)
     records = []
     for m, (member_id, initial) in enumerate(zip(ids, initials)):
-        endpoints = [ends[m] for ends, _, _ in solved]
+        endpoints = [ends[m] for ends, _ in solved]
         deltas = tuple(l1_distance(endpoints[k + 1], endpoints[k]) for k in range(len(endpoints) - 1))
         records.append(GermRecord(member_id=member_id, epsilons=tuple(eps_list), initial=initial,
-                                  endpoints=tuple(endpoints), deltas=deltas, grid_counts=counts,
-                                  runs=tuple(runs[m] for _, runs, _ in solved)))
-    return records, workers, [dict(task, worker=pids.index(task["worker"])) for _, _, task in solved]
+                                  endpoints=tuple(endpoints), deltas=deltas, grid_counts=counts))
+    solver = {"runs": len(fns) * len(tasks), "steps": sum(t["steps"] for t in tasks),
+              "cell_steps": sum(t["steps"] * math.prod(c) for t, c in zip(tasks, counts)),
+              "cell_updates": sum(t["cell_updates"] for t in tasks),
+              "solve_s": sum(t["solve_s"] for t in tasks), "workers": workers}
+    return records, {"solver": solver, "tasks": tasks}
 
 
 # ---------------------------------------------------------------------------
@@ -438,24 +430,11 @@ class GermLevelResult:
     matrix: ContractionMatrix
     stability: StabilityReport
     written: frozenset[str]  # record directories whose CSVs the solving tasks wrote
-    tasks: tuple[dict, ...]  # run_sequence's task counters of the uncached members
-    workers: int = 1  # processes that solved the uncached members
+    counters: dict  # run_sequence's counters of the uncached members' solves
 
     @property
     def passed(self) -> bool:
         return self.selection.passed and self.stability.passed
-
-
-def solver_counters(records, workers: int) -> dict:
-    """Step and cell-update counts and summed run time of the solves behind
-    `records`, solved by `workers` processes; each lockstep run counts its
-    wall time once, through its data's shares."""
-    runs = [(n, s, u, math.prod(c)) for r in records
-            for (n, s, u), c in zip(r.runs, r.grid_counts)]
-    return {"runs": len(runs), "steps": sum(n for n, _, _, _ in runs),
-            "cell_steps": sum(n * c for n, _, _, c in runs),
-            "cell_updates": sum(u for _, _, u, _ in runs),
-            "solve_s": sum(s for _, s, _, _ in runs), "workers": workers}
 
 
 class GermStudy:
@@ -492,13 +471,13 @@ class GermStudy:
     def _key(member: StepFunction):
         return member.level, member.values
 
-    def _solve(self, members, records_dir: str | None) -> tuple[int, list[dict]]:
-        """Solve and cache `members` in one run_sequence; its worker count and task counters."""
-        records, workers, tasks = run_sequence({m.label: m for m in members}, self.epsilons, self.model,
-                                               self.box, self.final_time, cell_budget=self.cell_budget,
-                                               cfl=self.cfl, records_dir=records_dir)
+    def _solve(self, members, records_dir: str | None) -> dict:
+        """Solve and cache `members` in one run_sequence; its counters."""
+        records, counters = run_sequence({m.label: m for m in members}, self.epsilons, self.model,
+                                         self.box, self.final_time, cell_budget=self.cell_budget,
+                                         cfl=self.cfl, records_dir=records_dir)
         self._records.update((self._key(m), record) for m, record in zip(members, records))
-        return workers, tasks
+        return counters
 
     def record_for(self, member: StepFunction) -> GermRecord:
         if self._key(member) not in self._records:
@@ -513,14 +492,14 @@ class GermStudy:
         if not family.enumerable:
             raise ValueError(f"family level {level} has {family.count} members, too many to enumerate")
         todo = [m for m in family.members if self._key(m) not in self._records]
-        workers, tasks = self._solve(todo, records_dir) if todo else (1, [])
+        counters = self._solve(todo, records_dir)
         records = tuple(self.record_for(m) for m in family.members)
         selection = diagonal_select(records, self.threshold)
         matrix = contraction_matrix(records, self.cone)
         stability = stability_report(matrix)
         written = frozenset(os.path.normpath(os.path.join(records_dir, m.label)) for m in todo if records_dir)
         return GermLevelResult(level=level, records=records, selection=selection, matrix=matrix,
-                               stability=stability, written=written, tasks=tuple(tasks), workers=workers)
+                               stability=stability, written=written, counters=counters)
 
     def solve(self, u0: Field, level: int) -> GermEstimate:
         """Limit estimate for arbitrary data: project onto the family, reuse
@@ -553,7 +532,7 @@ def _write_csvs(dirpath, fields: dict):
         try:
             storage.write_field_csv(path, fld)
         except OSError as exc:
-            raise storage.WriteError(path, exc) from None
+            raise storage.WriteError.of(path, exc) from None
 
 
 def _save_manifest(record: GermRecord, dirpath):

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import select
 
 import numpy as np
 
@@ -134,19 +135,25 @@ def write_trace_csv(path, trace):
 
 
 class WriteError(RuntimeError):
-    """A failed write, from (path, its error): `writing <path>: <type>: <error>`."""
+    """A failed write of (path, detail): `writing <path>: <detail>`, the
+    detail `<type>: <error>` of the exception the write raised (`of`)."""
+
+    @classmethod
+    def of(cls, path, exc: BaseException) -> "WriteError":
+        return cls(str(path), f"{type(exc).__name__}: {exc}")
 
     def __str__(self):
-        return f"writing {self.args[0]}: {type(self.args[1]).__name__}: {self.args[1]}"
+        return f"writing {self.args[0]}: {self.args[1]}"
 
 
 class Writers:
     """Artifact writes in forked children.  `submit(write, path, *args)`
     forks; the child runs `write(path, *args)` and always leaves through
     `os._exit`, so it never returns into the caller's stack and never flushes
-    what the parent had buffered.  A failing child reports on file
-    descriptor 2 and exits 1.  `wait` reaps the children in the order they
-    were submitted and raises naming every file whose writer failed.
+    what the parent had buffered.  A failing child sends its submission
+    index and its error's detail, NUL-terminated, through a pipe the
+    `Writers` owns, and exits 1.  `wait` reaps every child and then raises
+    the WriteError of the first failed one in submission order.
 
     A fork copies only the calling thread, so a write function must not
     need other threads of the parent; the CSV writers format floats and
@@ -154,8 +161,12 @@ class Writers:
 
     def __init__(self):
         self._children: list[tuple[int, str]] = []
+        self._pipe: tuple[int, int] | None = None
 
     def submit(self, write, path, *args):
+        if self._pipe is None:
+            self._pipe = os.pipe()
+        index = len(self._children)
         pid = os.fork()
         if pid == 0:
             status = 1
@@ -163,20 +174,28 @@ class Writers:
                 write(path, *args)
                 status = 0
             except BaseException as exc:
-                os.write(2, f"error: {WriteError(path, exc)}\n".encode())
+                # one write of at most PIPE_BUF bytes is atomic: messages never interleave
+                message = f"{index} {WriteError.of(path, exc).args[1]}".encode()
+                os.write(self._pipe[1], message[:select.PIPE_BUF - 1] + b"\0")
             finally:
                 os._exit(status)
         self._children.append((pid, str(path)))
 
     def wait(self):
-        failed = []
         children, self._children = self._children, []
-        for pid, path in children:
-            _, status = os.waitpid(pid, 0)
-            if os.waitstatus_to_exitcode(status) != 0:
-                failed.append(path)
-        if failed:
-            raise RuntimeError("artifact writers failed: " + ", ".join(failed))
+        if self._pipe is None:
+            return
+        # the pipe reads to its end once every child has exited
+        read_end, write_end = self._pipe
+        self._pipe = None
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as fh:
+            sent = fh.read().decode(errors="replace")
+        details = dict(m.split(" ", 1) for m in sent.split("\0")[:-1])
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        for index, ((_, path), code) in enumerate(zip(children, codes)):
+            if code != 0:
+                raise WriteError(path, details.get(str(index), f"writer exited with code {code}"))
 
 
 def write_manifest(path, data: dict, after: Writers | None = None):

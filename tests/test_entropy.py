@@ -30,6 +30,11 @@ def _residual(traj, model, lam, phi):
     return ResidualWorkspace(traj, model).residuals([lam], phi)[0]
 
 
+def _whole_grid(grid, times):
+    """The support box of a test phi that is not a bump: every recorded time and cell."""
+    return (slice(None),) * (1 + grid.d)
+
+
 def _constant_trajectory(grid, value, times, eps=1e-3):
     states = np.tile(np.full(grid.counts, float(value)), (len(times),) + (1,) * grid.d)
     return dx.Trajectory(grid=grid, times=tuple(times), states=states,
@@ -284,6 +289,8 @@ def test_transformed_residual_change_of_variables_2d():
         """phi_flat composed with the flattening map; chain rule for the
         gradient with d(x1 - 0.2 x2)/dx2 = -0.2."""
 
+        support = staticmethod(_whole_grid)
+
         def value(self, t, x):
             return phi_flat.value(t, itf.flatten(x))
 
@@ -311,6 +318,8 @@ def test_residual_linear_in_phi(two_flux_block_traj, two_flux_model):
     alpha, beta = 0.7, 2.3
 
     class Combo:
+        support = staticmethod(_whole_grid)
+
         def value(self, t, x):
             return alpha * phi1.value(t, x) + beta * phi2.value(t, x)
 
@@ -654,8 +663,10 @@ def _live_block_residuals(ws, lambdas, phi):
 
 
 class _Everywhere:
-    """A phi without `support`, nonzero on every recorded time and cell, so
-    the live block of the old code is the whole grid too."""
+    """A phi nonzero on every recorded time and cell, its support box the
+    whole grid, so the live block of the old code is the whole grid too."""
+
+    support = staticmethod(_whole_grid)
 
     def value(self, t, x):
         return (2.0 + np.asarray(t)) * (3.0 + np.sum(x, axis=-1))

@@ -29,7 +29,6 @@ from discflux.germ import (
     run_sequence,
     save_level_result,
     save_record,
-    solver_counters,
     stability_report,
 )
 from discflux.solver import Field, Grid
@@ -77,7 +76,7 @@ def mini_study(two_flux_model):
 
 @pytest.fixture(scope="module")
 def constant_record(two_flux_model):
-    (record,), _, _ = run_sequence(
+    (record,), _ = run_sequence(
         {"const-a": lambda pts: np.zeros(pts.shape[:-1])},
         (3.2e-2, 1.6e-2, 8e-3, 4e-3),
         two_flux_model,
@@ -93,7 +92,7 @@ def step_record(two_flux_model):
         x = pts[..., 0]
         return np.where((x >= 0.1) & (x < 0.3), 1.0, 0.0)
 
-    (record,), _, _ = run_sequence(
+    (record,), _ = run_sequence(
         {"step": step_fn},
         (1.6e-2, 8e-3, 4e-3, 2e-3),
         two_flux_model,
@@ -156,7 +155,7 @@ def test_family_levels_nest_under_refinement():
 
 def test_step_function_evaluation_and_refinement():
     box = Box((-0.5,), (0.5,))
-    m = StepFunction(box, 1, (3.0, 7.0))
+    m = StepFunction(box, 1, (3.0, 7.0), "step")
     assert m((-0.25,)) == 3.0
     assert m((0.25,)) == 7.0
     # the breakpoint belongs to the right piece; the top edge is clipped in
@@ -170,7 +169,7 @@ def test_step_function_evaluation_and_refinement():
     assert_array_equal(m.refine()(pts), m(pts))
 
     with pytest.raises(ValueError, match="value count"):
-        StepFunction(box, 1, (1.0,))
+        StepFunction(box, 1, (1.0,), "step")
     with pytest.raises(ValueError, match="level"):
         build_dense_family(-1, 0.0, 1.0, box)
 
@@ -262,8 +261,8 @@ def test_constant_datum_has_zero_deltas(constant_record):
 
 def test_rarefaction_deltas_decrease(burgers_model):
     u0 = lambda pts: np.where(pts[..., 0] < 0.0, 1.0, 0.0)
-    (record,), _, _ = run_sequence({"fan": u0}, (1.6e-2, 8e-3, 4e-3), burgers_model,
-                                   burgers_model.domain, final_time=0.15)
+    (record,), _ = run_sequence({"fan": u0}, (1.6e-2, 8e-3, 4e-3), burgers_model,
+                                burgers_model.domain, final_time=0.15)
     assert record.deltas[0] > record.deltas[1] > 0.0
 
 
@@ -281,11 +280,9 @@ def test_deltas_recomputable_from_saved_artifacts(step_record, tmp_path):
     assert loaded.grid_counts == step_record.grid_counts
     assert loaded.deltas == step_record.deltas
     assert_array_equal(loaded.initial.values, step_record.initial.values)
-    # solver counters are not saved: the record manifest keeps its keys, and
-    # loaded records have no runs
+    # solver counters are not saved: the record manifest keeps its keys
     manifest = json.loads((tmp_path / "step" / "manifest.json").read_text())
     assert sorted(manifest) == ["deltas", "epsilons", "files", "grid_counts", "member_id"]
-    assert len(step_record.runs) == 4 and loaded.runs == ()
 
     recomputed = tuple(
         l1_distance(loaded.endpoints[k + 1], loaded.endpoints[k])
@@ -567,8 +564,8 @@ def test_error_bar_covers_two_further_halvings(two_flux_model):
     # run over all six epsilons puts every endpoint on the finest grid.
     box = Box((-0.5,), (0.5,))
     family = build_dense_family(1, two_flux_model.a, two_flux_model.b, box)
-    records, _, _ = run_sequence({m.label: m for m in family.members},
-                                 (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3), two_flux_model, box, final_time=0.015)
+    records, _ = run_sequence({m.label: m for m in family.members},
+                              (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3), two_flux_model, box, final_time=0.015)
     moving = 0
     for record in records:
         gap = l1_distance(record.endpoints[3], record.endpoints[5])
@@ -607,53 +604,72 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     study = _tiny_study(two_flux_model)
     result = study.level_result(1)
-    assert result.workers == 3
+    solver, tasks = result.counters["solver"], result.counters["tasks"]
+    assert solver["workers"] == 3
 
     # the reference: each member alone, in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     members = study.family(1).members
     assert [r.member_id for r in result.records] == [m.label for m in members]
+    alone = []
     for member, record in zip(members, result.records):
-        (expected,), workers, _ = run_sequence({member.label: member}, study.epsilons, study.model,
-                                               study.box, study.final_time,
-                                               cell_budget=study.cell_budget, cfl=study.cfl)
-        assert workers == 1
+        (expected,), counters = run_sequence({member.label: member}, study.epsilons, study.model,
+                                             study.box, study.final_time,
+                                             cell_budget=study.cell_budget, cfl=study.cfl)
+        assert counters["solver"]["workers"] == 1
+        alone.append(counters["tasks"])
         assert expected.initial.grid == study.comparison_grid
         assert record.deltas == expected.deltas
         assert record.grid_counts == expected.grid_counts
-        # step and cell-update counts, not the run times
-        assert [(n, u) for n, _, u in record.runs] == [(n, u) for n, _, u in expected.runs]
         assert_array_equal(record.initial.values, expected.initial.values)
         for got, want in zip(record.endpoints, expected.endpoints):
             assert got.grid == want.grid and got.time == want.time
             assert_array_equal(got.values.view(np.int64), want.values.view(np.int64))
 
+    # per epsilon, the pool's lockstep task counts the steps and cell updates
+    # of the nine single-datum sweeps, not their run times
+    assert [t["epsilon"] for t in tasks] == list(study.epsilons)
+    for k, task in enumerate(tasks):
+        assert task["data"] == 9
+        assert task["steps"] == sum(a[k]["steps"] for a in alone)
+        assert task["cell_updates"] == sum(a[k]["cell_updates"] for a in alone)
+
     # a second call solves nothing: no pool, the cached record objects
     monkeypatch.setattr(multiprocessing, "get_context", None)
     again = study.level_result(1)
-    assert again.workers == 1
+    assert again.counters["solver"]["runs"] == 0
     assert all(a is b for a, b in zip(again.records, result.records))
 
-    counters = solver_counters(result.records, result.workers)
-    assert counters["runs"] == 9 * 4
-    assert counters["steps"] == sum(n for r in result.records for n, _, _ in r.runs)
-    assert counters["cell_steps"] == sum(n * c[0] for r in result.records
-                                         for (n, _, _), c in zip(r.runs, r.grid_counts))
-    assert counters["cell_updates"] == sum(u for r in result.records for _, _, u in r.runs)
-    assert 0 < counters["cell_updates"] <= counters["cell_steps"]
-    assert counters["solve_s"] > 0.0 and counters["workers"] == 3
-    # each epsilon is one lockstep run, its wall time shared evenly by the
-    # nine members, so solve_s counts it once
-    shares = [{r.runs[k][1] for r in result.records} for k in range(4)]
-    assert all(len(share) == 1 for share in shares)
-    assert counters["solve_s"] == pytest.approx(sum(9 * share.pop() for share in shares))
+    # the solver block is folded from the tasks
+    assert solver["runs"] == 9 * 4
+    assert solver["steps"] == sum(t["steps"] for t in tasks)
+    assert solver["cell_steps"] == sum(t["steps"] * c[0] for t, c in zip(tasks, result.records[0].grid_counts))
+    assert solver["cell_updates"] == sum(t["cell_updates"] for t in tasks)
+    assert 0 < solver["cell_updates"] <= solver["cell_steps"]
+    assert solver["solve_s"] == sum(t["solve_s"] for t in tasks) > 0.0
+
+
+def test_a_cached_level_reports_no_solves(two_flux_model, monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    study = _tiny_study(two_flux_model)
+    first = study.level_result(0)
+    assert first.counters["solver"]["runs"] == 2 * 4 and len(first.counters["tasks"]) == 4
+
+    # three usable CPUs, but starting a pool would call None and fail
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(multiprocessing, "get_context", None)
+    again = study.level_result(0, str(tmp_path / "records"))
+    assert again.counters == {"solver": {"runs": 0, "steps": 0, "cell_steps": 0, "cell_updates": 0,
+                                         "solve_s": 0, "workers": 1}, "tasks": []}
+    assert again.written == frozenset() and not (tmp_path / "records").exists()
+    assert all(a is b for a, b in zip(again.records, first.records))
 
 
 def test_one_cpu_or_one_task_starts_no_pool(two_flux_model, monkeypatch):
     # starting a pool would call None and fail
     monkeypatch.setattr(multiprocessing, "get_context", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _tiny_study(two_flux_model).level_result(0).workers == 1
+    assert _tiny_study(two_flux_model).level_result(0).counters["solver"]["workers"] == 1
 
     # four CPUs, but one task
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -691,7 +707,7 @@ def test_tasks_are_submitted_finest_epsilon_first(two_flux_model, monkeypatch, c
     monkeypatch.setattr(germ, "run_lockstep", recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     study = _tiny_study(two_flux_model)
-    assert study.level_result(1).workers == len(cpus)
+    assert study.level_result(1).counters["solver"]["workers"] == len(cpus)
     # one task per epsilon, each stepping all nine members
     assert order == [(eps, 9) for eps in sorted(study.epsilons)]
 
@@ -751,7 +767,7 @@ def test_level_result_persisted_layout(tmp_path):
     cone = Cone((0.5,), 0.4, 1.0)
     matrix = contraction_matrix(records, cone=cone)
     result = GermLevelResult(level=1, records=records, selection=selection, matrix=matrix,
-                             stability=stability_report(matrix), written=frozenset(), tasks=())
+                             stability=stability_report(matrix), written=frozenset(), counters={})
 
     out = tmp_path / "level1"
     out.mkdir()
@@ -791,7 +807,8 @@ def test_level_records_written_by_their_tasks_get_only_a_manifest(two_flux_model
     assert result.written == fresh
     assert sorted(p.name for p in (tmp_path / "level" / "records").iterdir()) == sorted(
         os.path.basename(d) for d in fresh)
-    assert [len(result.tasks), sum(t["data"] for t in result.tasks)] == [4, 4 * 8]
+    tasks = result.counters["tasks"]
+    assert [len(tasks), sum(t["data"] for t in tasks)] == [4, 4 * 8]
 
     # saved beside those CSVs, only the cached record's CSVs are written
     written = []

@@ -1,6 +1,8 @@
 """CSV and manifest IO: exact roundtrips and byte-level determinism."""
 
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -271,3 +273,34 @@ def test_ensure_dir_creates_and_returns(tmp_path):
     assert storage.ensure_dir(target) == target
     assert target.is_dir()
     assert storage.ensure_dir(target) == target
+
+
+def _planted_write(path, action):
+    if action == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if action:
+        raise OSError(action)
+    with open(path, "w") as fh:
+        fh.write("ok\n")
+
+
+@pytest.mark.parametrize("actions, first", [
+    ((None, "disk full", None, "quota"), "OSError: disk full"),
+    ((None, "kill", "disk full"), "writer exited with code -9"),
+    (("x" * 10000, "disk full"), "OSError: " + "x" * 100),
+], ids=["two-failures", "killed", "long-reason"])
+def test_writers_raise_the_first_failure_in_submission_order(tmp_path, actions, first):
+    writers = storage.Writers()
+    for k, action in enumerate(actions):
+        writers.submit(_planted_write, tmp_path / f"f{k}", action)
+    with pytest.raises(storage.WriteError) as info:
+        writers.wait()
+    failed = next(k for k, action in enumerate(actions) if action)
+    assert str(info.value).startswith(f"writing {tmp_path / f'f{failed}'}: {first}")
+    assert len(str(info.value)) < 5000
+    # every child is reaped, the successful writes are complete, and the
+    # next join has nothing to wait for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert all((tmp_path / f"f{k}").read_text() == "ok\n" for k, action in enumerate(actions) if not action)
+    writers.wait()

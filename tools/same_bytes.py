@@ -1,10 +1,12 @@
 """Run one CLI command here and in another checkout, and compare every file
-both runs wrote under --out except report.json; print the first that
-differs (or exists on one side only) or `identical (N files)`, and exit 1
-on a difference or a failed run:
+both runs wrote under --out, report.json with its timings (every value
+whose key ends in `_s`) and its task `worker` ordinals masked; print the
+first that differs (or exists on one side only) or `identical (N files)`,
+and exit 1 on a difference or a failed run:
 
     python tools/same_bytes.py germ germ_level1 --against ../parent"""
 import argparse
+import json
 import os
 import pathlib
 import subprocess
@@ -12,13 +14,20 @@ import sys
 import tempfile
 
 
+def _masked(value):
+    """`value` with the timings and worker ordinals replaced, which vary from run to run."""
+    if isinstance(value, dict):
+        return {k: "*" if k.endswith("_s") or k == "worker" else _masked(v) for k, v in value.items()}
+    return [_masked(v) for v in value] if isinstance(value, list) else value
+
+
 def _files(tree: pathlib.Path, command: str, scenario: str, out: pathlib.Path) -> dict:
     argv = [sys.executable, "-m", "discflux.cli", command, scenario, "--out", str(out), "--quiet"]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     if subprocess.run(argv, env=env, cwd=tree, stdout=subprocess.DEVNULL).returncode not in (0, 2):
         sys.exit(f"{command} {scenario} failed in {tree}")
-    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
-            if p.is_file() and p.name != "report.json"}
+    return {str(p.relative_to(out)): _masked(json.loads(p.read_bytes())) if p.name == "report.json" else p.read_bytes()
+            for p in out.rglob("*") if p.is_file()}
 
 
 def main() -> int:
