@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -142,13 +143,13 @@ def _exec_run(sc: Scenario, args, clock) -> tuple[list, dict]:
     traj_flat = _solve(clock, checks, sc, u0_flat, config_flat,
                        "flattened_trajectory.csv", "max_principle_flattened")
 
-    # pull the flattened solution back onto the original grid
-    mapped = flat_grid.interpolate(traj_flat.states, itf.flatten(grid.points()))
-    mapped_traj = Trajectory(grid=grid, times=traj_flat.times, states=mapped,
-                             manifest={"mapped_from": "flattened_trajectory.csv"})
-    clock.write("mapped_trajectory.csv", storage.write_trajectory_csv, mapped_traj)
+    # pull the flattened solution back onto the original grid: every time in
+    # its writer, the final time here (interpolate is elementwise over times)
+    points = itf.flatten(grid.points())
+    clock.write("mapped_trajectory.csv", _write_pulled_back, flat_grid, traj_flat, points, grid)
+    mapped_final = Field(grid, flat_grid.interpolate(traj_flat.states[-1], points), traj_flat.times[-1])
 
-    gap = clock("verify_s", l1_distance, traj.final, mapped_traj.final)
+    gap = clock("verify_s", l1_distance, traj.final, mapped_final)
     tol = args.tol if args.tol is not None else 2e-2
     _check(checks, "flatten_roundtrip", gap <= tol,
            f"L1 gap {gap:.3e} vs tol {tol:.3e} at t={traj.times[-1]:.6g}")
@@ -157,6 +158,12 @@ def _exec_run(sc: Scenario, args, clock) -> tuple[list, dict]:
              "entropy_report.json", "entropy_battery_flattened")
     extras["flattened_solver"] = traj_flat.manifest
     return checks, extras
+
+
+def _write_pulled_back(path, flat_grid: Grid, traj_flat: Trajectory, points, grid: Grid):
+    """Write the flattened trajectory interpolated at `points`, the flattened
+    images of `grid`'s cell centers, as a trajectory on `grid`."""
+    storage.write_trajectory_rows(path, grid, traj_flat.times, flat_grid.interpolate(traj_flat.states, points))
 
 
 def _exec_entropy(sc: Scenario, args, clock) -> tuple[list, dict]:
@@ -346,7 +353,10 @@ def _cmd_diff(args) -> int:
     return 0 if ok else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first call and kept: parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="discflux",
         description="viscous runs and verification batteries for conservation "

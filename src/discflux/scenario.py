@@ -374,10 +374,10 @@ def scenario_from_dict(raw: dict, path: str = "<memory>", seed: int = 0) -> Scen
     run_block = raw["run"]
     if "output_times" in run_block and "output_count" in run_block:
         raise ScenarioError("/run: give output_times or output_count, not both")
-    # run_lockstep's cost refusal before any array exists: dt_base <= cfl dx^2 / (2 d eps), >= 1 step per output
-    dx, outputs = min(grid.dx), run_block.get("output_count", len(set(run_block.get("output_times", ()))))
-    steps = (float(run_block["final_time"]) * 2.0 * grid.d * float(run_block["epsilon"])
-             / float(run_block.get("cfl", DEFAULT_CFL)) / dx / dx)
+    # run_lockstep's cost refusal before any array exists: dt_base <= cfl / sum_k eps / dx_k^2, >= 1 step per output
+    outputs = run_block.get("output_count", len(set(run_block.get("output_times", ()))))
+    steps = (float(run_block["final_time"]) * float(run_block["epsilon"]) * sum(h ** -2 for h in grid.dx)
+             / float(run_block.get("cfl", DEFAULT_CFL)))
     estimate = math.prod(n - 2.0 for n in grid.counts) * max(steps, outputs - 1.0)
     if estimate > MAX_CELL_STEPS:
         raise ScenarioError(f"/run: about {estimate:.3e} cell-steps, above the limit of {MAX_CELL_STEPS:.0e}")

@@ -413,8 +413,8 @@ def test_cli_usage_errors(tmp_path, capsys):
 
 
 def test_cli_refuses_a_run_whose_cost_estimate_is_too_high(tmp_path, capsys):
-    # burgers on 400 cells with eps = 10: dt_base = 1.4e-7, so T = 1 would
-    # take 7.1 million steps; the diffusion limit shows it at parse time,
+    # burgers on 400 cells with eps = 10: dt_base = 2.8e-7, so T = 1 would
+    # take 3.6 million steps; the diffusion term shows it at parse time,
     # before --out is made (the solver's own refusal is in test_solver)
     doc = json.loads(open(builtin_scenario_path("burgers_shock")).read())
     doc["run"].update(epsilon=10.0, final_time=1.0)
@@ -423,8 +423,24 @@ def test_cli_refuses_a_run_whose_cost_estimate_is_too_high(tmp_path, capsys):
     assert main(["entropy-check", _write(tmp_path, doc), "--out", str(out)]) == 1
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
-    assert err == "scenario error: /run: about 2.830e+09 cell-steps, above the limit of 1e+09\n"
+    assert err == "scenario error: /run: about 1.415e+09 cell-steps, above the limit of 1e+09\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_parse_time_cost_estimate_is_a_lower_bound(name, monkeypatch):
+    # the parse-time estimate may refuse only runs the solver would: with
+    # the limit at the cell-steps the run block's run actually takes, every
+    # shipped scenario still parses; a tenth of them refuses it (the
+    # estimate reads 17-50% of the actual count)
+    sc = parse_scenario(builtin_scenario_path(name))
+    manifest = run(sc.initial_field(), sc.config).manifest
+    cell_steps = np.prod([n - 2 for n in sc.grid.counts]) * manifest["n_steps"]
+    monkeypatch.setattr("discflux.scenario.MAX_CELL_STEPS", cell_steps)
+    parse_scenario(builtin_scenario_path(name))
+    monkeypatch.setattr("discflux.scenario.MAX_CELL_STEPS", cell_steps // 10)
+    with pytest.raises(ScenarioError, match="cell-steps, above the limit"):
+        parse_scenario(builtin_scenario_path(name))
 
 
 @pytest.mark.parametrize("grid, run", [([64], {"output_count": 1000000000000}), ([4000000], {})],
@@ -880,7 +896,7 @@ def _charted_report(tmp_path, doc):
 
 def test_cli_charted_run(tmp_path):
     report = _charted_report(tmp_path, _charted_doc("tilted_2d", 1.2))
-    assert report["flattened_solver"]["n_steps"] == 10
+    assert report["flattened_solver"]["n_steps"] == 6
     assert report["flattened_solver"]["speed_bound"] == 2.0
 
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import discflux as dx
@@ -25,10 +27,13 @@ def _bump_field(grid: dx.Grid, base: float, amp: float, center: float, radius: f
 
 
 def test_cfl_timestep_frozen_example(burgers_model):
-    # oracle first: cfl * min(dx/(2 d N), dx^2/(2 d eps)) with the numbers
-    # dx = 0.01, eps = 0.01, d = 1, N = 1, cfl = 0.9
-    oracle = 0.9 * min(0.01 / 2.0, 0.01**2 / 0.02)
+    # oracle first: cfl / (N / dx + eps / dx^2) with the numbers dx = 0.01,
+    # eps = 0.01, d = 1, N = 1, cfl = 0.9; the two terms are equal, so this
+    # balanced case gives the same dt as the old cfl * min(dx / (2 d N),
+    # dx^2 / (2 d eps))
+    oracle = 0.9 / (1.0 / 0.01 + 0.01 / 0.01**2)
     np.testing.assert_allclose(oracle, 0.0045, rtol=1e-14)
+    np.testing.assert_allclose(0.9 * min(0.01 / 2.0, 0.01**2 / 0.02), oracle, rtol=1e-14)
 
     grid = dx.Grid((-0.5,), (0.5,), (100,))
     config = dx.RunConfig(flux=burgers_model, epsilon=0.01, final_time=1.0, boundary=0.0, cfl=0.9)
@@ -36,13 +41,23 @@ def test_cfl_timestep_frozen_example(burgers_model):
 
 
 def test_cfl_timestep_limits(burgers_model):
+    # dt = cfl / sum_k (speed / dx_k + eps / dx_k^2)
     grid = dx.Grid((-0.5,), (0.5,), (100,))
     dxm = 0.01
-    # convection-dominated: huge speed
     config = dx.RunConfig(flux=burgers_model, epsilon=1.0, final_time=1.0, boundary=0.0, cfl=0.5)
-    np.testing.assert_allclose(dx.cfl_timestep(config, grid, 100.0), 0.5 * dxm / 200.0, rtol=1e-14)
-    # diffusion-dominated: large viscosity
-    np.testing.assert_allclose(dx.cfl_timestep(config, grid, 0.0), 0.5 * dxm**2 / 2.0, rtol=1e-14)
+    # convection-dominated: huge speed
+    np.testing.assert_allclose(dx.cfl_timestep(config, grid, 1e8), 0.5 / (1e8 / dxm + 1.0 / dxm**2), rtol=1e-14)
+    np.testing.assert_allclose(dx.cfl_timestep(config, grid, 1e8), 0.5 * dxm / 1e8, rtol=1e-5)
+    np.testing.assert_allclose(dx.cfl_timestep(config, grid, 100.0), 0.5 / (100.0 / dxm + 1.0 / dxm**2), rtol=1e-14)
+    # diffusion-dominated: no wave speed at all
+    np.testing.assert_allclose(dx.cfl_timestep(config, grid, 0.0), 0.5 * dxm**2 / 1.0, rtol=1e-14)
+    # each axis adds its own terms, at its own spacing
+    model = dx.preset("tilted_2d")
+    grid2 = dx.Grid(model.domain.lows, model.domain.highs, (20, 40))
+    config2 = dx.RunConfig(flux=model, epsilon=0.1, final_time=1.0, boundary=0.0, cfl=0.5)
+    hx, hy = grid2.dx
+    np.testing.assert_allclose(dx.cfl_timestep(config2, grid2, 2.0),
+                               0.5 / (2.0 / hx + 0.1 / hx**2 + 2.0 / hy + 0.1 / hy**2), rtol=1e-14)
 
 
 def test_step_refuses_cfl_violation(burgers_model):
@@ -324,8 +339,8 @@ def test_lockstep_windows_that_empty_at_different_steps(burgers_model, monkeypat
     from discflux import solver
 
     grid = dx.Grid((-0.5,), (0.5,), (64,))
-    config = dx.RunConfig(flux=burgers_model, epsilon=1e-2, final_time=0.3, boundary=0.3,
-                          output_times=(0.3,))
+    config = dx.RunConfig(flux=burgers_model, epsilon=1e-2, final_time=0.4, boundary=0.3,
+                          output_times=(0.4,))
     # a constant equal to the pin, bumps that relax to it after some steps,
     # one that never does, and boundary cells that only the pin moves
     u0s = []
@@ -351,6 +366,7 @@ def test_lockstep_windows_that_empty_at_different_steps(burgers_model, monkeypat
     # each window empties at its own step; the last field stays live
     assert last_live[0] == 0 and last_live[:4] == sorted(set(last_live[:4]))
     assert last_live[3] < last_live[4] == len(lockstep) - 1
+    assert last_live == [0, 1, 14, 79, 93, 93]
     assert trajs[0].manifest["cell_updates"] == 62
     assert (trajs[5].states[-1, [0, -1]] == 0.3).all() and trajs[5].manifest["cell_updates"] > 62
 
@@ -402,12 +418,12 @@ def test_lockstep_needs_one_grid_and_one_config_up_to_the_boundary(burgers_model
 
 
 def test_run_refuses_an_estimated_cost_above_the_limit(burgers_model):
-    # eps = 10 on 400 cells: dt_base = 0.45 dx^2 / 20 = 1.4e-7, about 7.1
-    # million steps of 398 interior cells
+    # eps = 10 on 400 cells: dt_base = 0.45 / (1 / dx + 10 / dx^2) = 2.8e-7,
+    # about 3.6 million steps of 398 interior cells
     grid = dx.Grid((-0.5,), (0.5,), (400,))
     config = dx.RunConfig(flux=burgers_model, epsilon=10.0, final_time=1.0, boundary=0.0)
-    with pytest.raises(ValueError, match=r"epsilon 10 on dx 0\.0025 gives dt_base 1\.406e-07: "
-                                         r"about 2\.83.e\+09 cell-steps, above the limit of 1e\+09"):
+    with pytest.raises(ValueError, match=r"epsilon 10 on dx 0\.0025 gives dt_base 2\.812e-07: "
+                                         r"about 1\.415e\+09 cell-steps, above the limit of 1e\+09"):
         dx.run(dx.Field(grid, np.zeros(400), 0.0), config)
 
 
@@ -483,6 +499,40 @@ def test_viscous_l1_contraction_under_refinement(burgers_model):
         after = dx.l1_distance(dx.run(u1, config).final, dx.run(u2, config).final)
         excesses.append(after - before)
     assert all(e <= 1e-10 for e in excesses)
+
+
+_fraction = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(["burgers", "two_flux", "x_ramp"]),
+    eps_cells=st.floats(0.2, 4.0),
+    cfl=st.floats(0.05, 0.5),
+    pins=st.tuples(_fraction, _fraction),
+    lower=st.lists(_fraction, min_size=8, max_size=8),
+    gaps=st.lists(_fraction, min_size=8, max_size=8),
+)
+def test_ordered_pairs_stay_ordered_and_contract(name, eps_cells, cfl, pins, lower, gaps):
+    # a monotone scheme under its CFL rule, with equal pinned boundaries,
+    # keeps u <= v and contracts in L1 (Crandall-Tartar; Crandall and Majda
+    # 1980): at every cfl up to 0.5 every diagonal coefficient is >= 0
+    model = dx.preset(name)
+    grid = dx.Grid(model.domain.lows, model.domain.highs, (64,))
+    span = model.b - model.a
+    config = dx.RunConfig(flux=model, epsilon=eps_cells * grid.dx[0], final_time=0.2,
+                          boundary=[[model.a + p * span for p in pins]], cfl=cfl,
+                          output_times=(0.02, 0.05, 0.1))
+    # step data: eight pieces of eight cells, v above u by a fraction of the room left
+    u = model.a + span * np.repeat(lower, 8)
+    v = np.minimum(u + (model.b - u) * np.repeat(gaps, 8), model.b)
+    u[[0, -1]] = v[[0, -1]] = config.boundary_pairs[0]
+    lo, hi = dx.run_lockstep([dx.Field(grid, u, 0.0), dx.Field(grid, v, 0.0)], [config, config])
+    assert (lo.states <= hi.states).all()
+    l1 = (hi.states - lo.states).sum(axis=1)
+    assert (l1[1:] <= l1[:-1] * (1.0 + 8 * np.finfo(float).eps)).all()
+    for traj in (lo, hi):
+        assert dx.max_principle_check(traj, model.a, model.b).passed
 
 
 # ---------------------------------------------------------------------------
