@@ -1,7 +1,7 @@
 """Admissibility verification: interface traces, Kruzhkov-type entropy
 residuals (with the interface jump term; a flattened model gives them in
 transformed coordinates), the Kato inequality for solution pairs, L1
-contraction and cone-of-dependence checks.
+distances and cone-of-dependence checks.
 
 All residuals are evaluated as space-time quadratures over recorded
 trajectories: midpoint rule in space (cell centers), trapezoid in time.  A
@@ -24,7 +24,6 @@ from .solver import Field, Trajectory
 
 BUMP_SLOPE_MAX = 8.0 / (3.0 * math.sqrt(3.0))  # max |d/ds (1-s^2)^2|
 BUMP_MASS = 16.0 / 15.0  # integral of (1-s^2)^2 over [-1, 1]
-CONTRACTION_SLACK = 0.05  # share by which an L1 contraction ratio may exceed 1
 
 
 def _bump(s: np.ndarray) -> np.ndarray:
@@ -554,7 +553,7 @@ def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
 
 
 # ---------------------------------------------------------------------------
-# distances, contraction, cones
+# distances and cones
 
 
 def l1_distance(u1: Field, u2: Field, cells: np.ndarray | None = None) -> float:
@@ -566,34 +565,6 @@ def l1_distance(u1: Field, u2: Field, cells: np.ndarray | None = None) -> float:
     if cells is not None:
         diff = diff[cells]
     return float(diff.sum() * u1.grid.cell_volume)
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    entries: tuple[dict, ...]
-    worst_ratio: float
-    passed: bool
-
-
-def contraction_check(pairs: Sequence[tuple[Trajectory, Trajectory]]) -> ContractionReport:
-    """L1 distance at every recorded time must not exceed (1 +
-    CONTRACTION_SLACK) times the initial distance.  Identical data passes by
-    convention (0/0)."""
-    entries = []
-    worst = 0.0
-    for idx, (ta, tb) in enumerate(pairs):
-        if ta.grid != tb.grid or len(ta.times) != len(tb.times):
-            raise ValueError(f"pair {idx}: trajectories not comparable")
-        d0 = l1_distance(ta.field(0), tb.field(0))
-        for i, t in enumerate(ta.times):
-            dt_ = l1_distance(ta.field(i), tb.field(i))
-            if d0 <= 1e-14:
-                ratio = 0.0 if dt_ <= 1e-12 else math.inf
-            else:
-                ratio = dt_ / d0
-            worst = max(worst, ratio)
-            entries.append({"pair": idx, "time": float(t), "initial": d0, "distance": dt_, "ratio": ratio})
-    return ContractionReport(entries=tuple(entries), worst_ratio=worst, passed=worst <= 1.0 + CONTRACTION_SLACK)
 
 
 @dataclass(frozen=True)

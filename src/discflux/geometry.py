@@ -269,16 +269,16 @@ def radial_extend_model(model, center, radius: float):
 # speed bounds and cones
 
 
-def _separable_bound(model, box: Box, slope: bool) -> float:
-    """sqrt of the sum over the distinct side components of (sum_i S_i *
-    max_[a,b] |P_i'|)^2 over their terms s_i(x) P_i(lam): a bound on the
-    stacked norm of the components' state derivatives over the box and
-    [a, b] with S_i = sup |s_i| (slope False), or of their mixed
-    derivatives d^2 f_k / (dx_k dlam) with S_i = sup |d s_i / dx_k| (slope
-    True, from differences of corners along x_k).
+def speed_bound(model, box: Box) -> float:
+    """Finite speed of propagation (Kruzhkov 1970): sqrt of the sum over the
+    distinct side components of (sum_i sup_box |s_i| * max_[a,b] |P_i'|)^2
+    over their terms s_i(x) P_i(lam), an upper bound on the stacked
+    left/right lambda-derivative norm over x in the box and lam in [a, b].
+    It equals that sup when every term peaks at one common corner and
+    state, as in every preset.
 
-    The spatial sups read each factor at the 2^d corners of the box, which
-    is exact for factors affine in x: the only kind a preset or a flux spec
+    sup |s_i| reads each factor at the 2^d corners of the box, which is
+    exact for factors affine in x: the only kind a preset or a flux spec
     states, and the flattening of an affine interface keeps them affine.
     max |P_i'| is exact: P_i' at a, b and at the sign changes of P_i''.
     Identical side components are one coefficient field and count once.
@@ -292,32 +292,15 @@ def _separable_bound(model, box: Box, slope: bool) -> float:
         unique.setdefault(key, terms)
 
     total = 0.0
-    for (k, _), terms in unique.items():
+    for terms in unique.values():
         s = 0.0
         for coeffs, f in terms:
-            if f is None:
-                sup = 0.0 if slope else 1.0
-            else:
-                sup = np.abs(np.diff(f, axis=k) / box.widths[k] if slope else f).max()
+            sup = 1.0 if f is None else np.abs(f).max()
             dc = derivative_coeffs(coeffs)
             crit = sign_changes(np.asarray([dc[1:]]) * np.arange(1, len(dc)), model.a, model.b)
             s += sup * np.abs(horner(np.append(crit[~np.isnan(crit)], (model.a, model.b)), dc)).max()
         total += s * s
     return float(np.sqrt(total))
-
-
-def speed_bound(model, box: Box) -> float:
-    """Finite speed of propagation (Kruzhkov 1970): an upper bound on the
-    stacked left/right lambda-derivative norm over x in the box and lam in
-    [a, b]; it equals that sup when every term peaks at one common corner
-    and state, as in every preset."""
-    return _separable_bound(model, box, slope=False)
-
-
-def mixed_derivative_bound(model, box: Box) -> float:
-    """Growth constant of the cone estimate: the same bound on the mixed
-    derivatives d^2 f_k / (dx_k dlam)."""
-    return _separable_bound(model, box, slope=True)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import CONTRACTION_SLACK, l1_distance
+from .entropy import l1_distance
 from .flux import PiecewiseFlux, as_points
 from .geometry import Box, Cone, speed_bound
 # run stays importable here: bench/tracer.py wraps discflux.germ.run
@@ -25,6 +25,7 @@ from . import storage
 
 DEFAULT_CELL_BUDGET = 32768
 MEMBER_CAP = 100000
+CONTRACTION_SLACK = 0.05  # share by which an L1 contraction ratio may exceed 1
 
 
 def dyadic_values(a: float, b: float, level: int) -> np.ndarray:
@@ -66,14 +67,6 @@ class StepFunction:
 
     def __call__(self, x) -> np.ndarray:
         return self.value_array()[_pieces(self.box, self.pieces_per_axis, as_points(x, self.box.d))]
-
-    def refine(self) -> "StepFunction":
-        """Same function represented one level finer (each piece split)."""
-        arr = self.value_array()
-        for axis in range(self.box.d):
-            arr = np.repeat(arr, 2, axis=axis)
-        return StepFunction(self.box, self.level + 1, tuple(float(v) for v in arr.reshape(-1)),
-                            label=self.label + "+")
 
 
 @dataclass(frozen=True)
@@ -432,10 +425,6 @@ class GermLevelResult:
     written: frozenset[str]  # record directories whose CSVs the solving tasks wrote
     counters: dict  # run_sequence's counters of the uncached members' solves
 
-    @property
-    def passed(self) -> bool:
-        return self.selection.passed and self.stability.passed
-
 
 class GermStudy:
     """Caches one GermRecord per datum so family sweeps, diagonal selection,
@@ -548,21 +537,6 @@ def _save_manifest(record: GermRecord, dirpath):
 def save_record(record: GermRecord, dirpath):
     _write_csvs(dirpath, {"initial": record.initial, **dict(enumerate(record.endpoints))})
     _save_manifest(record, dirpath)
-
-
-def load_record(dirpath) -> GermRecord:
-    manifest = storage.read_manifest(os.path.join(dirpath, "manifest.json"))
-    initial = storage.read_field_csv(os.path.join(dirpath, manifest["files"]["initial"]))
-    endpoints = tuple(storage.read_field_csv(os.path.join(dirpath, name))
-                      for name in manifest["files"]["endpoints"])
-    return GermRecord(
-        member_id=manifest["member_id"],
-        epsilons=tuple(manifest["epsilons"]),
-        initial=initial,
-        endpoints=endpoints,
-        deltas=tuple(manifest["deltas"]),
-        grid_counts=tuple(tuple(c) for c in manifest["grid_counts"]),
-    )
 
 
 def save_level_result(path, result: GermLevelResult, extra: dict):

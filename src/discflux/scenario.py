@@ -55,7 +55,7 @@ _BOUNDARY_SCHEMA = {"anyOf": [_NUMBER, {
     "items": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}}]}
 _RUN_SCHEMA = _closed(
     ["epsilon", "final_time", "boundary"], epsilon=_POSITIVE, final_time=_POSITIVE,
-    boundary=_BOUNDARY_SCHEMA, cfl={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    boundary=_BOUNDARY_SCHEMA, cfl={"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
     output_count={"type": "integer", "minimum": 2},
     output_times={"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1})
 

@@ -207,28 +207,12 @@ def write_manifest(path, data: dict, after: Writers | None = None):
         fh.write("\n")
 
 
-def read_manifest(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def write_matrix_csv(path, ids, matrix):
     matrix = np.asarray(matrix, dtype=float)
     with open(path, "w") as fh:
         fh.write("id," + ",".join(ids) + "\n")
         for row_id, row in zip(ids, matrix):
             fh.write(row_id + "," + ",".join(_reprs(row)) + "\n")
-
-
-def read_matrix_csv(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    ids = lines[0].split(",")[1:]
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append([float(v) for v in cells[1:]])
-    return ids, np.asarray(rows)
 
 
 def write_deltas_csv(path, epsilons, deltas):

@@ -7,12 +7,21 @@ import numpy as np
 import pytest
 
 import discflux as dx
-from discflux.flux import FluxComponent, as_points
+from discflux.entropy import l1_distance
+from discflux.flux import FluxComponent, PiecewiseFlux, as_points, smoothing_weights
+from discflux.solver import Trajectory
 
 
 def riemann_field(grid: dx.Grid, left: float, right: float, position: float = 0.0) -> dx.Field:
     x = grid.points()[..., 0]
     return dx.Field(grid, np.where(x < position, left, right).astype(float), 0.0)
+
+
+def l1_ratios(ta: Trajectory, tb: Trajectory) -> list[float]:
+    """The L1 distance of a pair of trajectories at each recorded time over
+    their initial distance."""
+    d0 = l1_distance(ta.field(0), tb.field(0))
+    return [l1_distance(ta.field(i), tb.field(i)) / d0 for i in range(len(ta.times))]
 
 
 def block_field(grid: dx.Grid, lo: float, hi: float, inside: float, outside: float = 0.0) -> dx.Field:
@@ -39,7 +48,7 @@ CURVED_MODULATED_SPEC = {
 }
 
 
-def step_bv_flux(vl: float, vr: float, d: int = 1) -> dx.PiecewiseFlux:
+def step_bv_flux(vl: float, vr: float, d: int = 1) -> PiecewiseFlux:
     """Rough flux on [-1, 1]^d, a jump-free PiecewiseFlux whose factors jump:
     component k is c(x) P_k(lam) with the step coefficient c = vl left of
     x1 = 0, vr right of it and their mean on it; P_1 = lam (1 - lam),
@@ -54,8 +63,8 @@ def step_bv_flux(vl: float, vr: float, d: int = 1) -> dx.PiecewiseFlux:
 
     polys = ((0.0, 1.0, -1.0), (0.0, 0.0, 1.0, -1.0))
     comps = tuple(component(k, c) for k, c in enumerate(polys[:d]))
-    return dx.PiecewiseFlux(d=d, left=comps, right=comps, interface=None, a=0.0, b=1.0,
-                            domain=dx.Box((-1.0,) * d, (1.0,) * d))
+    return PiecewiseFlux(d=d, left=comps, right=comps, interface=None, a=0.0, b=1.0,
+                         domain=dx.Box((-1.0,) * d, (1.0,) * d))
 
 
 # the flux evaluations as per-call formulas on the side components, oracles
@@ -89,7 +98,7 @@ def smoothed_flux(model, x, lam, eps, derivative=False):
 
     if model.interface is None:
         return np.stack([side(c) for c in model.left], axis=-1)
-    wl, wr = dx.smoothing_weights(model.interface.offset(pts), eps)
+    wl, wr = smoothing_weights(model.interface.offset(pts), eps)
     return np.stack([wl * side(fl) + wr * side(fr) for fl, fr in zip(model.left, model.right)], axis=-1)
 
 
@@ -111,6 +120,71 @@ def smooth_divergence(model, x, lam, h=1e-6):
             acc = acc + (comps[k].value(xp, lam) - comps[k].value(xm, lam)) / (2.0 * h)
         out = np.where(mask, acc, out)
     return out
+
+
+# states per point and per zoom of the dense (speed, mixed) oracle, which
+# checks the speed bound and gives criterion 9 its growth constant
+N_STATES = 401
+
+
+def _box_grid(box, n):
+    axes = [np.linspace(lo, hi, n) for lo, hi in zip(box.lows, box.highs)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.d)
+
+
+def _distinct_components(model, xs, lam):
+    """The side components, those with equal lambda derivatives at every
+    (x, lam) of the grid taken once."""
+    out, seen = [], []
+    for comp in model.left + model.right:
+        g = np.asarray(comp.lambda_derivative(xs[:, None, :], lam[None, :]), dtype=float)
+        g = np.broadcast_to(g, (xs.shape[0], lam.size))
+        if not any(comp.axis == k and np.array_equal(g, h) for k, h in seen):
+            seen.append((comp.axis, g))
+            out.append(comp)
+    return out
+
+
+def _dense_max(norm, xs, a, b):
+    """max of norm(x, lam) (arrays (m, 1, d) and (m, L)) over the points xs
+    and lam in [a, b]: N_STATES states per point, then three zooms onto each
+    local max in lam."""
+    lam = np.linspace(a, b, N_STATES)
+    v = norm(xs[:, None, :], np.broadcast_to(lam, (xs.shape[0], N_STATES)))
+    best = float(v.max())
+    left = np.concatenate([np.ones((v.shape[0], 1), bool), v[:, 1:] > v[:, :-1]], axis=1)
+    right = np.concatenate([v[:, :-1] >= v[:, 1:], np.ones((v.shape[0], 1), bool)], axis=1)
+    rows, cols = np.nonzero(left & right)
+    lo, hi = lam[np.maximum(cols - 1, 0)], lam[np.minimum(cols + 1, N_STATES - 1)]
+    for _ in range(3):
+        z = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, N_STATES)
+        w = norm(xs[rows][:, None, :], z)
+        j = w.argmax(axis=1)
+        best = max(best, float(w.max()))
+        pick = np.arange(len(rows))
+        lo, hi = z[pick, np.maximum(j - 1, 0)], z[pick, np.minimum(j + 1, N_STATES - 1)]
+    return best
+
+
+def dense_bounds(model, box, n_x):
+    """Dense (speed, mixed) maxima of the stacked norms over the box and
+    [a, b]; the mixed derivative is a difference quotient, exact for the
+    affine factors of a flux spec."""
+    xs = _box_grid(box, n_x)
+    comps = _distinct_components(model, xs, np.linspace(model.a, model.b, N_STATES))
+    h = 0.25
+
+    def speed(x, lam):
+        return np.sqrt(sum(np.broadcast_to(c.lambda_derivative(x, lam), lam.shape) ** 2 for c in comps))
+
+    def mixed(x, lam):
+        total = 0.0
+        for c in comps:
+            e = h * np.eye(model.d)[c.axis]
+            total = total + ((c.lambda_derivative(x + e, lam) - c.lambda_derivative(x - e, lam)) / (2 * h)) ** 2
+        return np.sqrt(np.broadcast_to(total, lam.shape))
+
+    return _dense_max(speed, xs, model.a, model.b), _dense_max(mixed, xs, model.a, model.b)
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,12 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 import discflux as dx
-
-from conftest import block_field
+from conftest import block_field, dense_bounds, l1_ratios
+from discflux import entropy
+from discflux.entropy import ResidualWorkspace, cone_locality_check, l1_distance
+from discflux.geometry import Cone, flatten_model, project_to_ball, radial_extend_model, speed_bound
+from discflux.presets import PRESET_NAMES
+from discflux.solver import Trajectory
 
 
 def _verdict(number: int, label: str, passed: bool, detail: str):
@@ -62,7 +66,7 @@ def test_criterion_1_max_principle():
     lo_margin = math.inf
     hi_margin = math.inf
     bounded = True
-    for name in dx.PRESET_NAMES:
+    for name in PRESET_NAMES:
         model = dx.preset(name)
         grid = _production_grid(model)
         params = _run_params(model.d)
@@ -84,7 +88,7 @@ def test_criterion_2_l1_contraction():
     rng = np.random.default_rng(202)
     worst = {}
     burgers_fns = []
-    for name in dx.PRESET_NAMES:
+    for name in PRESET_NAMES:
         model = dx.preset(name)
         grid = _production_grid(model)
         params = _run_params(model.d)
@@ -96,8 +100,7 @@ def test_criterion_2_l1_contraction():
                 burgers_fns.append((fa, fb))
             pairs.append((dx.run(dx.Field(grid, fa(grid.points()), 0.0), config),
                           dx.run(dx.Field(grid, fb(grid.points()), 0.0), config)))
-        report = dx.contraction_check(pairs)
-        worst[name] = report.worst_ratio
+        worst[name] = max(max(l1_ratios(ta, tb)) for ta, tb in pairs)
 
     # 4x refinement on burgers with the very same data samples
     model = dx.preset("burgers")
@@ -108,7 +111,7 @@ def test_criterion_2_l1_contraction():
     fine_pairs = [(dx.run(dx.Field(fine, fa(fine.points()), 0.0), config),
                    dx.run(dx.Field(fine, fb(fine.points()), 0.0), config))
                   for fa, fb in burgers_fns]
-    fine_worst = dx.contraction_check(fine_pairs).worst_ratio
+    fine_worst = max(max(l1_ratios(ta, tb)) for ta, tb in fine_pairs)
 
     coarse_excess = max(worst["burgers"] - 1.0, 0.0)
     fine_excess = max(fine_worst - 1.0, 0.0)
@@ -129,10 +132,10 @@ def test_criterion_3_entropy_residuals(burgers_shock_traj, burgers_rarefaction_t
     x = fine_grid.points()[..., 0]
     times = tuple(np.linspace(0.0, 0.5, 65))
     states = np.tile(np.where(x < 0, 1.0, 0.0), (65, 1))
-    planted = dx.Trajectory(fine_grid, times, states, {})
-    phi = dx.TestFunction(time_center=0.25, time_radius=0.25,
-                          space_center=(0.0,), space_radius=(0.45,))
-    resid = dx.ResidualWorkspace(planted, burgers_model).residuals([0.5], phi)[0]
+    planted = Trajectory(fine_grid, times, states, {})
+    phi = entropy.TestFunction(time_center=0.25, time_radius=0.25,
+                               space_center=(0.0,), space_radius=(0.45,))
+    resid = ResidualWorkspace(planted, burgers_model).residuals([0.5], phi)[0]
     scale = phi.c1_norm * fine_grid.box.volume
     detected = resid < -0.01 * scale
 
@@ -146,7 +149,7 @@ def test_criterion_3_entropy_residuals(burgers_shock_traj, burgers_rarefaction_t
 
 def test_criterion_4_interface_admissibility(two_flux_model, fine_grid,
                                              two_flux_block_traj):
-    report = dx.entropy_battery(two_flux_block_traj, dx.flatten_model(two_flux_model),
+    report = dx.entropy_battery(two_flux_block_traj, flatten_model(two_flux_model),
                                 tol_factor=1e-2)
 
     mins = []
@@ -158,7 +161,7 @@ def test_criterion_4_interface_admissibility(two_flux_model, fine_grid,
                                   boundary=0.0,
                                   output_times=tuple(np.linspace(0.0, 0.09, 129)))
             traj = dx.run(block_field(fine_grid, 0.1, 0.3, 1.0), config)
-        mins.append(dx.entropy_battery(traj, dx.flatten_model(two_flux_model),
+        mins.append(dx.entropy_battery(traj, flatten_model(two_flux_model),
                                        tol_factor=1e-2).min_residual)
 
     monotone = mins[0] < mins[1] < mins[2] < 0.0 or mins[2] >= 0.0
@@ -170,8 +173,8 @@ def test_criterion_4_interface_admissibility(two_flux_model, fine_grid,
 def test_criterion_5_flattening_consistency():
     model = dx.preset("tilted_2d")
     itf = model.interface
-    flat = dx.flatten_model(model)
-    ext = dx.radial_extend_model(flat, itf.flatten(np.zeros(2)), 1.2)
+    flat = flatten_model(model)
+    ext = radial_extend_model(flat, itf.flatten(np.zeros(2)), 1.2)
 
     grid = _production_grid(model)
     flat_grid = dx.Grid(flat.domain.lows, flat.domain.highs, grid.counts)
@@ -190,7 +193,7 @@ def test_criterion_5_flattening_consistency():
     query = itf.flatten(grid.points()).reshape(-1, 2)
     mapped = dx.Field(grid, itp(query).reshape(grid.counts), flattened.final.time)
 
-    gap = dx.l1_distance(original.final, mapped)
+    gap = l1_distance(original.final, mapped)
     _verdict(5, "flattening consistency", gap <= 2e-2,
              f"L1 gap {gap:.3e} vs 2e-2 at t=0.08 on 128x128")
 
@@ -201,15 +204,15 @@ def test_criterion_6_cone_locality(burgers_model):
     base = dx.Field(grid, _quartic_bump(pts, (0.0,), 0.1, 0.25, 0.5), 0.0)
     config = dx.RunConfig(flux=burgers_model, epsilon=1e-3, final_time=0.15,
                           boundary=0.25, output_times=tuple(np.linspace(0.0, 0.15, 16)))
-    cone = dx.Cone((0.0,), 0.25, dx.speed_bound(burgers_model, dx.Box((-0.25,), (0.25,))))
+    cone = Cone((0.0,), 0.25, speed_bound(burgers_model, dx.Box((-0.25,), (0.25,))))
     ref = dx.run(base, config)
 
     x = pts[..., 0]
     outside = dx.Field(grid, base.values + 0.2 * ((x >= 0.3) & (x < 0.4)), 0.0)
-    out_report = dx.cone_locality_check(ref, dx.run(outside, config), cone, tol=1e-2)
+    out_report = cone_locality_check(ref, dx.run(outside, config), cone, tol=1e-2)
 
     inside = dx.Field(grid, base.values + 0.2 * ((x >= 0.0) & (x < 0.1)), 0.0)
-    in_report = dx.cone_locality_check(ref, dx.run(inside, config), cone, tol=1e-2)
+    in_report = cone_locality_check(ref, dx.run(inside, config), cone, tol=1e-2)
 
     passed = out_report.passed and not in_report.passed
     _verdict(6, "cone locality", passed,
@@ -221,11 +224,11 @@ def test_criterion_7_radial_extension():
     rng = np.random.default_rng(707)
     radius = 0.8
     rays_ok = inside_ok = lipschitz_ok = True
-    for name in dx.PRESET_NAMES:
+    for name in PRESET_NAMES:
         model = dx.preset(name)
         d = model.d
         center = np.zeros(d)
-        ext = dx.radial_extend_model(model, center, radius)
+        ext = radial_extend_model(model, center, radius)
 
         def sample(n, lo, hi):
             dirs = rng.normal(size=(n, d))
@@ -236,8 +239,8 @@ def test_criterion_7_radial_extension():
         x_in = sample(200, 0.0, radius * 0.999)
         pair_a = sample(10_000, radius * 1.01, 2.5)
         pair_b = sample(10_000, radius * 1.01, 2.5)
-        proj_a = dx.project_to_ball(pair_a, center, radius)
-        proj_b = dx.project_to_ball(pair_b, center, radius)
+        proj_a = project_to_ball(pair_a, center, radius)
+        proj_b = project_to_ball(pair_b, center, radius)
         gap_out = np.linalg.norm(pair_a - pair_b, axis=-1)
         gap_proj = np.linalg.norm(proj_a - proj_b, axis=-1)
         resolved = gap_proj > 1e-12
@@ -305,8 +308,8 @@ def test_criterion_9_speed_bound_and_growth():
     oracle_two = float(np.sqrt(g_single ** 2 + g_double ** 2).max())
 
     unit = dx.Box((-1.0,), (1.0,))
-    n_burgers = dx.speed_bound(dx.preset("burgers"), unit)
-    n_two = dx.speed_bound(dx.preset("two_flux"), unit)
+    n_burgers = speed_bound(dx.preset("burgers"), unit)
+    n_two = speed_bound(dx.preset("two_flux"), unit)
     speeds_ok = abs(n_burgers - oracle_burgers) <= 1e-6 \
         and abs(n_two - oracle_two) <= 1e-6 \
         and abs(oracle_burgers - 1.0) <= 1e-9 \
@@ -314,15 +317,16 @@ def test_criterion_9_speed_bound_and_growth():
 
     growth_ok = True
     worst_gap = -math.inf
-    for name in dx.PRESET_NAMES:
+    for name in PRESET_NAMES:
         model = dx.preset(name)
         d = model.d
         center = np.zeros(d)
         radius = 0.6
         # the cube about the cone's base ball
         base_box = dx.Box((-radius,) * d, (radius,) * d)
-        speed = dx.speed_bound(model, base_box)
-        growth_c = dx.mixed_derivative_bound(model, base_box)
+        speed = speed_bound(model, base_box)
+        # the dense max of the mixed derivatives d^2 f_k / (dx_k dlam) over the cube and [a, b]
+        growth_c = dense_bounds(model, base_box, 33 if d == 1 else 9)[1]
         final_time = 0.15 if d == 1 else 0.06
         assert radius - speed * final_time > 0.05
 
@@ -334,9 +338,9 @@ def test_criterion_9_speed_bound_and_growth():
         config = dx.RunConfig(flux=model, epsilon=2e-3 if d == 1 else 0.02,
                               final_time=final_time, boundary=0.4,
                               output_times=tuple(np.linspace(0.0, final_time, 7)))
-        cone = dx.Cone(tuple(center), radius, speed)
-        report = dx.cone_locality_check(dx.run(u1, config), dx.run(u2, config),
-                                        cone, tol=math.inf)
+        cone = Cone(tuple(center), radius, speed)
+        report = cone_locality_check(dx.run(u1, config), dx.run(u2, config),
+                                     cone, tol=math.inf)
         base_mass = report.per_time[0]["l1"]
         for row in report.per_time:
             bound = math.exp(2.0 * d * growth_c * row["time"]) * 1.05

@@ -10,7 +10,17 @@ import pytest
 
 import discflux as dx
 from conftest import CURVED_MODULATED_SPEC, smoothed_flux, step_bv_flux
-from discflux.flux import FluxComponent, poly_component
+from discflux.flux import (
+    FluxComponent,
+    PiecewiseFlux,
+    check_boundary_zero,
+    check_nondegeneracy,
+    mollify_flux,
+    poly_component,
+    smoothing_weights,
+    smoothstep,
+)
+from discflux.presets import PRESET_NAMES, flux_from_spec
 
 
 # ---------------------------------------------------------------------------
@@ -18,24 +28,24 @@ from discflux.flux import FluxComponent, poly_component
 
 
 def test_smoothstep_saturates_and_is_symmetric():
-    assert dx.smoothstep(-2.0) == 0.0
-    assert dx.smoothstep(2.0) == 1.0
-    assert dx.smoothstep(0.0) == 0.5
-    assert dx.smoothstep(-1.0) == 0.0
-    assert dx.smoothstep(1.0) == 1.0
+    assert smoothstep(-2.0) == 0.0
+    assert smoothstep(2.0) == 1.0
+    assert smoothstep(0.0) == 0.5
+    assert smoothstep(-1.0) == 0.0
+    assert smoothstep(1.0) == 1.0
 
 
 def test_smoothstep_monotone_on_sorted_sample():
     rng = np.random.default_rng(11)
     z = np.sort(rng.uniform(-2.0, 2.0, 10_000))
-    w = dx.smoothstep(z)
+    w = smoothstep(z)
     assert np.all(np.diff(w) >= 0.0)
     assert np.all((w >= 0.0) & (w <= 1.0))
 
 
 def test_profile_weights_partition_unity():
     offs = np.linspace(-3e-3, 3e-3, 101)
-    wl, wr = dx.smoothing_weights(offs, 1e-3)
+    wl, wr = smoothing_weights(offs, 1e-3)
     np.testing.assert_allclose(wl + wr, 1.0, atol=1e-14)
 
 
@@ -65,7 +75,7 @@ def test_x_ramp_modulation():
 
 
 def test_endpoint_states_give_zero_flux():
-    for name in dx.PRESET_NAMES:
+    for name in PRESET_NAMES:
         model = dx.preset(name)
         xs = model.domain.sample(64)
         for state in (model.a, model.b):
@@ -119,29 +129,29 @@ def test_lambda_derivative_crosscheck(two_flux_model):
 # mollification of rough fluxes
 
 
-def _rough(terms) -> dx.PiecewiseFlux:
+def _rough(terms) -> PiecewiseFlux:
     """A 1d rough flux: a jump-free PiecewiseFlux with one component."""
     comps = (FluxComponent(0, terms),)
-    return dx.PiecewiseFlux(d=1, left=comps, right=comps, interface=None, a=0.0, b=1.0,
-                            domain=dx.Box((-1.0,), (1.0,)))
+    return PiecewiseFlux(d=1, left=comps, right=comps, interface=None, a=0.0, b=1.0,
+                         domain=dx.Box((-1.0,), (1.0,)))
 
 
 def test_mollify_constant_flux_unchanged():
     def terms(x):
         return (((0.0, 1.0, -1.0), np.ones(np.asarray(x).shape[:-1])),)
 
-    smooth = dx.mollify_flux(_rough(terms), eps=0.1)
+    smooth = mollify_flux(_rough(terms), eps=0.1)
     xs = np.linspace(-0.9, 0.9, 19)[:, None]
     np.testing.assert_allclose(smooth.at(xs).value(0.3)[..., 0], 0.21, atol=1e-13)
     # a factor of None (1) stays None
     bare = _rough(lambda x: (((0.0, 1.0, -1.0), None),))
-    assert dx.mollify_flux(bare, eps=0.1).left[0].terms(xs) == (((0.0, 1.0, -1.0), None),)
+    assert mollify_flux(bare, eps=0.1).left[0].terms(xs) == (((0.0, 1.0, -1.0), None),)
 
 
 def test_mollify_away_from_jump_keeps_side_value():
     eps = 0.05
     rough = step_bv_flux(1.0, 3.0)
-    smooth = dx.mollify_flux(rough, eps)
+    smooth = mollify_flux(rough, eps)
     # kernel support has radius eps, so 2 eps inside the left region the
     # convolution never sees the jump
     val = smooth.at(np.array([-2 * eps])).value(0.5)[..., 0]
@@ -158,31 +168,31 @@ def test_mollify_at_jump_gives_mean_of_sides():
     raw = np.where(-s < 0, vl, np.where(-s > 0, vr, 0.5 * (vl + vr)))
     oracle = np.trapezoid(raw * kern, s) / np.trapezoid(kern, s) * 0.25
 
-    smooth = dx.mollify_flux(step_bv_flux(vl, vr), eps)
+    smooth = mollify_flux(step_bv_flux(vl, vr), eps)
     val = float(smooth.at(np.array([0.0])).value(0.5)[..., 0])
     np.testing.assert_allclose(val, oracle, atol=1e-6)
     np.testing.assert_allclose(val, 0.5 * (vl + vr) * 0.25, atol=1e-12)
 
 
 def test_mollify_preserves_zero_boundary_flux():
-    smooth = dx.mollify_flux(step_bv_flux(1.0, 3.0), eps=0.05)
-    assert dx.check_boundary_zero(smooth).passed
+    smooth = mollify_flux(step_bv_flux(1.0, 3.0), eps=0.05)
+    assert check_boundary_zero(smooth).passed
 
 
 def test_mollify_rejects_bad_width():
     with pytest.raises(ValueError):
-        dx.mollify_flux(step_bv_flux(1.0, 3.0), eps=0.0)
+        mollify_flux(step_bv_flux(1.0, 3.0), eps=0.0)
 
 
 def test_mollify_keeps_the_interface():
     # affine factors are reproduced by the symmetric kernel, so each side
     # keeps its values; the interface and the other fields stay as they are
-    model = dx.flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
-    smooth = dx.mollify_flux(model, eps=0.1)
+    model = flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
+    smooth = mollify_flux(model, eps=0.1)
     assert smooth.interface is model.interface
     assert (smooth.d, smooth.a, smooth.b, smooth.domain, smooth.name) == (
         model.d, model.a, model.b, model.domain, None)
-    assert dx.mollify_flux(dx.preset("two_flux"), eps=0.1).name == "two_flux-mollified"
+    assert mollify_flux(dx.preset("two_flux"), eps=0.1).name == "two_flux-mollified"
     xs = np.random.default_rng(3).uniform(-0.8, 0.8, (20, 2))
     for sm, raw in zip(smooth.left + smooth.right, model.left + model.right):
         np.testing.assert_allclose(sm.value(xs, 0.3), raw.value(xs, 0.3), atol=1e-14)
@@ -193,12 +203,12 @@ def test_mollify_keeps_the_interface():
 
 
 def test_boundary_zero_passes_on_presets(burgers_model, two_flux_model):
-    assert dx.check_boundary_zero(burgers_model).passed
-    assert dx.check_boundary_zero(two_flux_model).passed
+    assert check_boundary_zero(burgers_model).passed
+    assert check_boundary_zero(two_flux_model).passed
 
 
 def test_boundary_zero_fails_with_witness():
-    linear = dx.PiecewiseFlux(
+    linear = PiecewiseFlux(
         d=1,
         left=(poly_component(0, [0.0, 1.0]),),
         right=(poly_component(0, [0.0, 1.0]),),
@@ -207,7 +217,7 @@ def test_boundary_zero_fails_with_witness():
         b=1.0,
         domain=dx.Box((-1.0,), (1.0,)),
     )
-    report = dx.check_boundary_zero(linear)
+    report = check_boundary_zero(linear)
     assert not report.passed
     assert report.witness_state == 1.0
     np.testing.assert_allclose(report.max_abs, 1.0, atol=1e-15)
@@ -225,7 +235,7 @@ def test_nondegeneracy_burgers_with_analytic_oracle(burgers_model):
     oracle_worst = min(per_sub)
     assert oracle_worst == 0.25  # the subintervals adjacent to the root 1/2
 
-    report = dx.check_nondegeneracy(burgers_model, subintervals=subintervals, n_lambda=n_lambda)
+    report = check_nondegeneracy(burgers_model, subintervals=subintervals, n_lambda=n_lambda)
     assert report.passed
     np.testing.assert_allclose(report.worst_max, oracle_worst, atol=1e-14)
 
@@ -234,10 +244,10 @@ def test_nondegeneracy_fails_on_locally_flat_flux():
     # the spatial factor vanishes for x1 <= 0, so there the state derivative
     # vanishes identically and every subinterval is flagged
     comp = FluxComponent(0, lambda x: (((0.0, 1.0, -1.0), np.maximum(np.asarray(x)[..., 0], 0.0)),))
-    model = dx.PiecewiseFlux(
+    model = PiecewiseFlux(
         d=1, left=(comp,), right=(comp,), interface=None, a=0.0, b=1.0, domain=dx.Box((-1.0,), (1.0,))
     )
-    report = dx.check_nondegeneracy(model, subintervals=5)
+    report = check_nondegeneracy(model, subintervals=5)
     assert not report.passed
     assert report.worst_max == 0.0
     lo, hi = report.witness["subinterval"]
@@ -247,7 +257,7 @@ def test_nondegeneracy_fails_on_locally_flat_flux():
 
 def test_nondegeneracy_2d_direction_sweep():
     directions, subintervals, n_lambda = 64, 8, 33
-    model = dx.PiecewiseFlux(
+    model = PiecewiseFlux(
         d=2,
         left=(poly_component(0, [0.0, 1.0]), poly_component(1, [0.0, 0.0, 1.0])),
         right=(poly_component(0, [0.0, 1.0]), poly_component(1, [0.0, 0.0, 1.0])),
@@ -268,7 +278,7 @@ def test_nondegeneracy_2d_direction_sweep():
         worst = min(worst, float(proj.max(axis=0).min()))
     assert worst > 1e-3  # no direction kills both components on a subinterval
 
-    report = dx.check_nondegeneracy(model, directions=directions, subintervals=subintervals, n_lambda=n_lambda)
+    report = check_nondegeneracy(model, directions=directions, subintervals=subintervals, n_lambda=n_lambda)
     assert report.passed
     np.testing.assert_allclose(report.worst_max, worst, rtol=1e-12)
 

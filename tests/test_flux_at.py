@@ -9,8 +9,10 @@ import pytest
 import discflux as dx
 from conftest import CURVED_MODULATED_SPEC, sharp_flux, smooth_divergence, smoothed_flux, step_bv_flux
 from discflux.entropy import ResidualWorkspace
-from discflux.flux import horner
-from discflux.geometry import transformed_normal_flux
+from discflux.flux import horner, mollify_flux
+from discflux.geometry import flatten_model, radial_extend_model, transformed_normal_flux
+from discflux.presets import flux_from_spec
+from discflux.solver import Trajectory
 
 EPS = 0.05
 
@@ -20,7 +22,7 @@ def _tilted():
 
 
 def _curved():
-    return dx.flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
+    return flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
 
 
 MODELS = {
@@ -28,13 +30,13 @@ MODELS = {
     "two_flux": lambda: dx.preset("two_flux"),
     "x_ramp": lambda: dx.preset("x_ramp"),
     "tilted_2d": _tilted,
-    "tilted_2d_flattened": lambda: dx.flatten_model(_tilted()),
-    "tilted_2d_flattened_extended": lambda: dx.radial_extend_model(
-        dx.flatten_model(_tilted()), _tilted().interface.flatten(np.zeros(2)), 0.6),
+    "tilted_2d_flattened": lambda: flatten_model(_tilted()),
+    "tilted_2d_flattened_extended": lambda: radial_extend_model(
+        flatten_model(_tilted()), _tilted().interface.flatten(np.zeros(2)), 0.6),
     "curved_modulated": _curved,
-    "curved_modulated_flattened": lambda: dx.flatten_model(_curved()),
-    "mollified_step_1d": lambda: dx.mollify_flux(step_bv_flux(1.0, 3.0, 1), eps=0.25),
-    "mollified_step_2d": lambda: dx.mollify_flux(step_bv_flux(1.0, 3.0, 2), eps=0.25),
+    "curved_modulated_flattened": lambda: flatten_model(_curved()),
+    "mollified_step_1d": lambda: mollify_flux(step_bv_flux(1.0, 3.0, 1), eps=0.25),
+    "mollified_step_2d": lambda: mollify_flux(step_bv_flux(1.0, 3.0, 2), eps=0.25),
 }
 
 
@@ -130,7 +132,7 @@ def test_interface_jump_matches_the_transformed_normal_fluxes(name):
     grid = dx.Grid(model.domain.lows, model.domain.highs, (64,) * model.d)
     times = (0.0, 0.05, 0.1)
     states = np.full((len(times),) + grid.counts, 0.5)
-    ws = ResidualWorkspace(dx.Trajectory(grid, times, states, {"epsilon": 0.1}), model)
+    ws = ResidualWorkspace(Trajectory(grid, times, states, {"epsilon": 0.1}), model)
     surf = ws.traces.surface_points
     for lam in (-0.0, 0.3, model.b):
         lam_arr = np.full(surf.shape[0], lam)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import discflux as dx
 from conftest import CURVED_MODULATED_SPEC, smoothed_flux, step_bv_flux
-from discflux.presets import _PRESET_SPECS
-from discflux.solver import _Faces
+from discflux.flux import mollify_flux, smoothing_weights
+from discflux.geometry import flatten_model, radial_extend_model
+from discflux.presets import _PRESET_SPECS, flux_from_spec
+from discflux.solver import _Faces, _Stepper, cfl_timestep
 
 N_DENSE = 2001
 # |F'| is evaluated in double precision on both sides of each comparison;
@@ -60,8 +62,9 @@ def _check_exact_alpha(config, grid, values):
             assert finest - ROUNDING <= a <= finest + 1e-12
         assert alpha.max() <= bound
     # the step at the run's time step never trips the per-step CFL guard
-    dt = dx.cfl_timestep(config, grid, bound)
-    dx.step(dx.Field(grid, values, 0.0), config, dt)
+    dt = cfl_timestep(config, grid, bound)
+    stepper = _Stepper(config, grid, [config.boundary_pairs])
+    stepper.advance(np.array(values[None], dtype=float), [0], [stepper.full], dt, dt)
 
 
 def _spec_component(coeffs, modulation):
@@ -96,7 +99,7 @@ def test_rusanov_coefficient_is_the_exact_max(a, width, left, right, shift, smoo
         _spec_component(np.polynomial.polynomial.polymul(root_factor, q).tolist(), None if m is None else list(m))
         for q, m in (left, right)
     ]
-    model = dx.flux_from_spec({
+    model = flux_from_spec({
         "d": 1, "a": a, "b": b,
         "interface": {"axis": 1, "zeta": {"kind": "affine", "coeffs": [shift]}},
         "left": [sides[0]], "right": [sides[1]],
@@ -122,9 +125,9 @@ def test_rusanov_coefficient_exact_on_charted_2d(name, radius):
     # the flattened, radially extended flux of a charted run: the normal
     # component gains the tangential terms scaled by -grad zeta, and outside
     # the chart ball every factor is frozen at the projection
-    model = dx.preset(name) if name == "tilted_2d" else dx.flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
-    flat = dx.flatten_model(model)
-    ext = dx.radial_extend_model(flat, model.interface.flatten(np.zeros(2)), radius)
+    model = dx.preset(name) if name == "tilted_2d" else flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
+    flat = flatten_model(model)
+    ext = radial_extend_model(flat, model.interface.flatten(np.zeros(2)), radius)
     grid = dx.Grid(flat.domain.lows, flat.domain.highs, (8, 8))
     assert np.linalg.norm(grid.points(), axis=-1).max() > radius
     config = dx.RunConfig(flux=ext, epsilon=0.2, final_time=1.0, boundary=0.0)
@@ -137,7 +140,7 @@ def test_rusanov_coefficient_exact_on_charted_2d(name, radius):
 def test_rusanov_coefficient_exact_on_mollified_step(d):
     # the mollified rough flux is terms like any other: its factors are the
     # step coefficient convolved with the kernel, smooth across x1 = 0
-    model = dx.mollify_flux(step_bv_flux(1.0, 3.0, d), eps=0.25)
+    model = mollify_flux(step_bv_flux(1.0, 3.0, d), eps=0.25)
     grid = dx.Grid(model.domain.lows, model.domain.highs, (12,) * d)
     config = dx.RunConfig(flux=model, epsilon=0.2, final_time=1.0, boundary=0.0)
     values = np.random.default_rng(13).uniform(0.0, 1.0, grid.counts)
@@ -166,7 +169,7 @@ def test_face_fluxes_match_polyval_bit_for_bit(name):
         left = side_terms(_PRESET_SPECS[name]["left"][0], u, deriv)
         if model.interface is None:
             return left
-        wl, wr = dx.smoothing_weights(model.interface.offset(pts), config.epsilon)
+        wl, wr = smoothing_weights(model.interface.offset(pts), config.epsilon)
         return wl * left + wr * side_terms(_PRESET_SPECS[name]["right"][0], u, deriv)
 
     fhat, alpha = _Faces(config, grid, 0).rusanov(values, {})

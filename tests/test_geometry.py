@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import discflux as dx
-from conftest import CURVED_MODULATED_SPEC
-from discflux.flux import poly_component
+from conftest import CURVED_MODULATED_SPEC, dense_bounds
+from discflux.flux import PiecewiseFlux, poly_component
 from discflux.geometry import (
+    Interface,
+    flatten_model,
     flattened_box,
     halton,
     project_to_ball,
+    radial_extend,
+    radial_extend_model,
+    speed_bound,
     transformed_normal_flux,
 )
+from discflux.presets import flux_from_spec
 
 
 def _model_2d(f1_coeffs, f2_coeffs, interface):
-    return dx.PiecewiseFlux(
+    return PiecewiseFlux(
         d=2,
         left=(poly_component(0, f1_coeffs), poly_component(1, f2_coeffs)),
         right=(poly_component(0, f1_coeffs), poly_component(1, f2_coeffs)),
@@ -35,19 +41,19 @@ def _model_2d(f1_coeffs, f2_coeffs, interface):
 
 
 def test_flatten_zero_interface_is_identity():
-    itf = dx.Interface(0, 2, (0.0,))
+    itf = Interface(0, 2, (0.0,))
     pts = np.array([[0.3, -0.7], [1.0, 2.0]])
     np.testing.assert_array_equal(itf.flatten(pts), pts)
 
 
 def test_flatten_quadratic_interface_point():
-    itf = dx.Interface(0, 2, (0.0, 0.0, 1.0))  # zeta(s) = s^2
+    itf = Interface(0, 2, (0.0, 0.0, 1.0))  # zeta(s) = s^2
     out = itf.flatten(np.array([1.0, 2.0]))
     np.testing.assert_allclose(out, [-3.0, 2.0], atol=1e-15)
 
 
 def test_flatten_roundtrip_on_random_points():
-    itf = dx.Interface(0, 2, (0.1, -0.4, 0.8))
+    itf = Interface(0, 2, (0.1, -0.4, 0.8))
     rng = np.random.default_rng(2)
     pts = rng.uniform(-2.0, 2.0, (1000, 2))
     back = itf.unflatten(itf.flatten(pts))
@@ -55,7 +61,7 @@ def test_flatten_roundtrip_on_random_points():
 
 
 def test_zeta_gradient_crosschecks_central_differences():
-    itf = dx.Interface(0, 2, (0.1, -0.4, 0.8))
+    itf = Interface(0, 2, (0.1, -0.4, 0.8))
     rng = np.random.default_rng(4)
     xh = rng.uniform(-2.0, 2.0, (200, 1))
     h = 1e-6
@@ -65,11 +71,11 @@ def test_zeta_gradient_crosschecks_central_differences():
 
 
 def test_interface_spec_roundtrip():
-    itf = dx.Interface.from_spec({"axis": 2, "zeta": {"kind": "affine", "coeffs": [0.1, 0.5]}}, d=2)
+    itf = Interface.from_spec({"axis": 2, "zeta": {"kind": "affine", "coeffs": [0.1, 0.5]}}, d=2)
     assert itf.axis == 1
-    assert itf == dx.Interface(1, 2, (0.1, 0.5))
+    assert itf == Interface(1, 2, (0.1, 0.5))
     # an affine zeta is the polynomial with the same coefficients
-    again = dx.Interface.from_spec({"axis": 2, "zeta": {"kind": "poly", "coeffs": [0.1, 0.5]}}, d=2)
+    again = Interface.from_spec({"axis": 2, "zeta": {"kind": "poly", "coeffs": [0.1, 0.5]}}, d=2)
     assert again == itf
     pts = np.array([[0.2, 0.3], [-1.0, 0.7]])
     np.testing.assert_array_equal(again.flatten(pts), itf.flatten(pts))
@@ -77,7 +83,7 @@ def test_interface_spec_roundtrip():
 
 def test_interface_rejects_out_of_range_axis():
     with pytest.raises(ValueError, match="axis"):
-        dx.Interface.from_spec({"axis": 3, "zeta": {"kind": "zero", "coeffs": []}}, d=2)
+        Interface.from_spec({"axis": 3, "zeta": {"kind": "zero", "coeffs": []}}, d=2)
 
 
 def test_zero_interface_specs_read_back():
@@ -85,9 +91,9 @@ def test_zero_interface_specs_read_back():
     for spec in ({"axis": 1, "zeta": {"kind": "zero", "coeffs": [0.0]}},
                  {"axis": 1, "zeta": {"kind": "zero", "coeffs": []}},
                  {"axis": 1, "zeta": {"kind": "zero"}}):
-        assert dx.Interface.from_spec(spec, d=1) == dx.Interface(0, 1, (0.0,))
+        assert Interface.from_spec(spec, d=1) == Interface(0, 1, (0.0,))
     with pytest.raises(ValueError, match="nonzero"):
-        dx.Interface.from_spec({"axis": 1, "zeta": {"kind": "zero", "coeffs": [0.4]}}, d=1)
+        Interface.from_spec({"axis": 1, "zeta": {"kind": "zero", "coeffs": [0.4]}}, d=1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +101,7 @@ def test_zero_interface_specs_read_back():
 
 
 def test_transformed_flux_constant_zeta_is_normal_component():
-    itf = dx.Interface(0, 2, (0.7, 0.0))
+    itf = Interface(0, 2, (0.7, 0.0))
     model = _model_2d([0.0, 1.0], [0.0, 0.0, 1.0], itf)
     comp = transformed_normal_flux(model, itf, "left")
     pts = np.array([[0.9, -0.3], [0.7, 1.4]])
@@ -105,7 +111,7 @@ def test_transformed_flux_constant_zeta_is_normal_component():
 
 def test_transformed_flux_unit_slope():
     # zeta(s) = s, f1 = lam, f2 = lam^2, so the normal flux becomes lam - lam^2
-    itf = dx.Interface(0, 2, (0.0, 1.0))
+    itf = Interface(0, 2, (0.0, 1.0))
     model = _model_2d([0.0, 1.0], [0.0, 0.0, 1.0], itf)
     comp = transformed_normal_flux(model, itf, "right")
     lam = np.linspace(0.0, 1.0, 11)
@@ -115,7 +121,7 @@ def test_transformed_flux_unit_slope():
 
 def test_transformed_flux_quadratic_zeta_matches_symbolic_oracle():
     alpha, beta, gamma = 0.3, -0.1, 0.05
-    itf = dx.Interface(0, 2, (gamma, beta, alpha))
+    itf = Interface(0, 2, (gamma, beta, alpha))
     model = _model_2d([0.0, 2.0], [0.0, 0.0, 1.0], itf)
     comp = transformed_normal_flux(model, itf, "left")
 
@@ -133,16 +139,16 @@ def test_transformed_flux_quadratic_zeta_matches_symbolic_oracle():
 def test_flatten_model_keeps_a_flat_model():
     # flattening an already flat model would append each tangential
     # component's terms again, with -0.0 factors
-    flat = dx.flatten_model(dx.preset("tilted_2d"))
+    flat = flatten_model(dx.preset("tilted_2d"))
     assert flat.interface.flat and not dx.preset("tilted_2d").interface.flat
-    assert dx.flatten_model(flat) is flat
-    assert len(dx.flatten_model(flat).left[0].terms(np.zeros((1, 2)))) == 2
+    assert flatten_model(flat) is flat
+    assert len(flatten_model(flat).left[0].terms(np.zeros((1, 2)))) == 2
 
 
 def test_flatten_model_kills_interface_offset():
     model = dx.preset("tilted_2d")
-    flat = dx.flatten_model(model)
-    assert flat.interface == dx.Interface(0, 2, (0.0,))
+    flat = flatten_model(model)
+    assert flat.interface == Interface(0, 2, (0.0,))
     # normal flux on the left picks up -0.2 * f2
     pts = np.array([[-0.4, 0.5]])
     lam = 0.6
@@ -152,15 +158,15 @@ def test_flatten_model_kills_interface_offset():
 
 def test_flattened_box_takes_an_interior_minimum_exactly():
     # zeta = 0.5 s^2 is 0 at s = 0, between the corners, where it is 0.5
-    fbox = flattened_box(dx.Box((-1.0, -1.0), (1.0, 1.0)), dx.Interface(0, 2, (0.0, 0.0, 0.5)))
+    fbox = flattened_box(dx.Box((-1.0, -1.0), (1.0, 1.0)), Interface(0, 2, (0.0, 0.0, 0.5)))
     assert fbox == dx.Box((-1.5, -1.0), (1.0, 1.0))
     # a constant zeta in 1d shifts the interval
-    assert flattened_box(dx.Box((-1.0,), (1.0,)), dx.Interface(0, 1, (0.25,))) == dx.Box((-1.25,), (0.75,))
+    assert flattened_box(dx.Box((-1.0,), (1.0,)), Interface(0, 1, (0.25,))) == dx.Box((-1.25,), (0.75,))
 
 
 def test_flattened_box_reaches_both_interior_extremes():
     # zeta = s - s^3 is +-2 / (3 sqrt 3) at s = +-1 / sqrt 3 and 0 at the corners
-    fbox = flattened_box(dx.Box((-1.0, -1.0), (1.0, 1.0)), dx.Interface(0, 2, (0.0, 1.0, 0.0, -1.0)))
+    fbox = flattened_box(dx.Box((-1.0, -1.0), (1.0, 1.0)), Interface(0, 2, (0.0, 1.0, 0.0, -1.0)))
     edge = 1.0 + 2.0 / (3.0 * np.sqrt(3.0))
     np.testing.assert_allclose([fbox.lows[0], fbox.highs[0]], [-edge, edge], rtol=0, atol=1e-15)
     assert (fbox.lows[1], fbox.highs[1]) == (-1.0, 1.0)
@@ -190,7 +196,7 @@ def _dense_tangential(itf, lo, hi):
     widths=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
 )
 def test_flattened_box_is_the_hull_of_a_dense_flattened_grid(axis, coeffs, lows, widths):
-    itf = dx.Interface(axis, 2, tuple(coeffs))
+    itf = Interface(axis, 2, tuple(coeffs))
     box = dx.Box(lows, tuple(lo + w for lo, w in zip(lows, widths)))
     fbox = flattened_box(box, itf)
     k = 1 - axis
@@ -229,7 +235,7 @@ def _ball_points(center, radius, n, seed):
 
 def test_radial_extend_identity_inside():
     center = np.array([0.3, -0.2])
-    ext = dx.radial_extend(_smooth_field, center, 0.8)
+    ext = radial_extend(_smooth_field, center, 0.8)
     pts = _ball_points(center, 0.79, 100, seed=3)
     np.testing.assert_array_equal(ext(pts), _smooth_field(pts))
 
@@ -237,7 +243,7 @@ def test_radial_extend_identity_inside():
 def test_radial_extend_projects_to_sphere():
     center = np.array([0.3, -0.2])
     R = 0.8
-    ext = dx.radial_extend(_smooth_field, center, R)
+    ext = radial_extend(_smooth_field, center, R)
     far = center + np.array([2 * R, 0.0])
     on_sphere = center + np.array([R, 0.0])
     np.testing.assert_allclose(ext(far), _smooth_field(on_sphere), atol=1e-15)
@@ -246,7 +252,7 @@ def test_radial_extend_projects_to_sphere():
 def test_radial_extend_constant_along_rays():
     center = np.array([0.3, -0.2])
     R = 0.8
-    ext = dx.radial_extend(_smooth_field, center, R)
+    ext = radial_extend(_smooth_field, center, R)
     rng = np.random.default_rng(13)
     for _ in range(50):
         v = rng.normal(size=2)
@@ -265,7 +271,7 @@ def test_radial_extend_lipschitz_not_inflated():
     grad_norm = np.sqrt(np.cos(pts[..., 0]) ** 2 + np.sin(2.0 * pts[..., 1]) ** 2)
     lip_ball = float(grad_norm.max())
 
-    ext = dx.radial_extend(_smooth_field, center, R)
+    ext = radial_extend(_smooth_field, center, R)
     rng = np.random.default_rng(17)
     xa = rng.uniform(-2.0, 2.0, (10_000, 2))
     xb = rng.uniform(-2.0, 2.0, (10_000, 2))
@@ -287,7 +293,7 @@ def test_project_to_ball_idempotent():
 
 
 def test_radial_extend_model_agrees_inside(burgers_model):
-    ext = dx.radial_extend_model(burgers_model, np.zeros(1), 0.4)
+    ext = radial_extend_model(burgers_model, np.zeros(1), 0.4)
     pts = np.linspace(-0.39, 0.39, 21)[:, None]
     np.testing.assert_array_equal(ext.at(pts).value(0.3), burgers_model.at(pts).value(0.3))
     far = np.array([[0.45]])
@@ -313,11 +319,11 @@ def _closure_transformed(model, itf, side, which):
 
 
 def test_transformations_match_their_closure_formulas():
-    model = dx.flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
+    model = flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
     itf = model.interface
-    flat = dx.flatten_model(model)
+    flat = flatten_model(model)
     center, radius = itf.flatten(np.zeros(2)), 0.6
-    ext = dx.radial_extend_model(flat, center, radius)
+    ext = radial_extend_model(flat, center, radius)
 
     rng = np.random.default_rng(41)
     pts = rng.uniform(-1.5, 1.5, (2000, 2))
@@ -336,7 +342,7 @@ def test_transformations_match_their_closure_formulas():
                 # identity inside the ball, the field at the projection outside
                 np.testing.assert_array_equal(got[inside], flat_fn(pts[inside], lam[inside]))
                 field = closure if k == itf.axis else flat_fn
-                extended = dx.radial_extend(field, center, radius)(pts, lam)
+                extended = radial_extend(field, center, radius)(pts, lam)
                 np.testing.assert_allclose(got[~inside], extended[~inside], rtol=1e-14, atol=1e-14)
 
 
@@ -350,7 +356,7 @@ def test_speed_bound_burgers_dense_oracle(burgers_model):
     oracle = float(np.abs(1.0 - 2.0 * lam).max())
     assert oracle == 1.0
 
-    bound = dx.speed_bound(burgers_model, dx.Box((-1.0,), (1.0,)))
+    bound = speed_bound(burgers_model, dx.Box((-1.0,), (1.0,)))
     np.testing.assert_allclose(bound, oracle, atol=1e-12)
 
 
@@ -361,22 +367,22 @@ def test_speed_bound_two_flux_stacked_norm(two_flux_model):
     oracle = float(stacked.max())
     np.testing.assert_allclose(oracle, np.sqrt(5.0), atol=1e-12)
 
-    bound = dx.speed_bound(two_flux_model, dx.Box((-1.0,), (1.0,)))
+    bound = speed_bound(two_flux_model, dx.Box((-1.0,), (1.0,)))
     np.testing.assert_allclose(bound, np.sqrt(5.0), atol=1e-12)
 
 
 def test_speed_bound_scales_homogeneously():
     c = 3.7
-    base = _model_2d([0.0, 1.0, -1.0], [0.0, 0.0, 0.3], dx.Interface(0, 2, (0.0,)))
-    scaled = _model_2d([0.0, c, -c], [0.0, 0.0, 0.3 * c], dx.Interface(0, 2, (0.0,)))
-    nb = dx.speed_bound(base, base.domain)
-    ns = dx.speed_bound(scaled, scaled.domain)
+    base = _model_2d([0.0, 1.0, -1.0], [0.0, 0.0, 0.3], Interface(0, 2, (0.0,)))
+    scaled = _model_2d([0.0, c, -c], [0.0, 0.0, 0.3 * c], Interface(0, 2, (0.0,)))
+    nb = speed_bound(base, base.domain)
+    ns = speed_bound(scaled, scaled.domain)
     np.testing.assert_allclose(ns, c * nb, rtol=1e-12)
 
 
 def test_speed_bound_monotone_in_state_bound():
     def model(b):
-        return dx.PiecewiseFlux(
+        return PiecewiseFlux(
             d=1,
             left=(poly_component(0, [0.0, 0.0, 0.5]),),
             right=(poly_component(0, [0.0, 0.0, 0.5]),),
@@ -386,91 +392,29 @@ def test_speed_bound_monotone_in_state_bound():
             domain=dx.Box((-1.0,), (1.0,)),
         )
 
-    n_small = dx.speed_bound(model(0.3), dx.Box((-1.0,), (1.0,)))
-    n_large = dx.speed_bound(model(0.8), dx.Box((-1.0,), (1.0,)))
+    n_small = speed_bound(model(0.3), dx.Box((-1.0,), (1.0,)))
+    n_large = speed_bound(model(0.8), dx.Box((-1.0,), (1.0,)))
     np.testing.assert_allclose(n_small, 0.3, atol=1e-12)
     np.testing.assert_allclose(n_large, 0.8, atol=1e-12)
     assert n_small <= n_large
 
 
-def test_mixed_derivative_bound_reads_spatial_modulation():
-    x_ramp = dx.preset("x_ramp")
+def test_dense_mixed_bound_reads_spatial_modulation():
+    # the growth constant of criterion 9: |d^2 f / (dx dlam)| is 0.3 for the
+    # x_ramp modulation and 0 for burgers, whose flux does not depend on x
     box = dx.Box((-1.0,), (1.0,))
-    np.testing.assert_allclose(dx.mixed_derivative_bound(x_ramp, box), 0.3, atol=1e-12)
-    burgers = dx.preset("burgers")
-    np.testing.assert_allclose(dx.mixed_derivative_bound(burgers, box), 0.0, atol=1e-12)
+    np.testing.assert_allclose(dense_bounds(dx.preset("x_ramp"), box, 33)[1], 0.3, atol=1e-12)
+    np.testing.assert_allclose(dense_bounds(dx.preset("burgers"), box, 33)[1], 0.0, atol=1e-12)
 
 
-N_STATES = 401
 # both sides evaluate the same polynomials in double precision, the bound at
 # a bisected critical state and the oracle at a state next to it
 ROUNDING = 1e-12
 
 
-def _box_grid(box, n):
-    axes = [np.linspace(lo, hi, n) for lo, hi in zip(box.lows, box.highs)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.d)
-
-
-def _distinct_components(model, xs, lam):
-    """The side components, those with equal lambda derivatives at every
-    (x, lam) of the grid taken once."""
-    out, seen = [], []
-    for comp in model.left + model.right:
-        g = np.asarray(comp.lambda_derivative(xs[:, None, :], lam[None, :]), dtype=float)
-        g = np.broadcast_to(g, (xs.shape[0], lam.size))
-        if not any(comp.axis == k and np.array_equal(g, h) for k, h in seen):
-            seen.append((comp.axis, g))
-            out.append(comp)
-    return out
-
-
-def _dense_max(norm, xs, a, b):
-    """max of norm(x, lam) (arrays (m, 1, d) and (m, L)) over the points xs
-    and lam in [a, b]: N_STATES states per point, then three zooms onto each
-    local max in lam."""
-    lam = np.linspace(a, b, N_STATES)
-    v = norm(xs[:, None, :], np.broadcast_to(lam, (xs.shape[0], N_STATES)))
-    best = float(v.max())
-    left = np.concatenate([np.ones((v.shape[0], 1), bool), v[:, 1:] > v[:, :-1]], axis=1)
-    right = np.concatenate([v[:, :-1] >= v[:, 1:], np.ones((v.shape[0], 1), bool)], axis=1)
-    rows, cols = np.nonzero(left & right)
-    lo, hi = lam[np.maximum(cols - 1, 0)], lam[np.minimum(cols + 1, N_STATES - 1)]
-    for _ in range(3):
-        z = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, N_STATES)
-        w = norm(xs[rows][:, None, :], z)
-        j = w.argmax(axis=1)
-        best = max(best, float(w.max()))
-        pick = np.arange(len(rows))
-        lo, hi = z[pick, np.maximum(j - 1, 0)], z[pick, np.minimum(j + 1, N_STATES - 1)]
-    return best
-
-
-def _dense_bounds(model, box, n_x):
-    """Dense (speed, mixed) maxima of the stacked norms over the box and
-    [a, b]; the mixed derivative is a difference quotient, exact for the
-    affine factors of a flux spec."""
-    xs = _box_grid(box, n_x)
-    comps = _distinct_components(model, xs, np.linspace(model.a, model.b, N_STATES))
-    h = 0.25
-
-    def speed(x, lam):
-        return np.sqrt(sum(np.broadcast_to(c.lambda_derivative(x, lam), lam.shape) ** 2 for c in comps))
-
-    def mixed(x, lam):
-        total = 0.0
-        for c in comps:
-            e = h * np.eye(model.d)[c.axis]
-            total = total + ((c.lambda_derivative(x + e, lam) - c.lambda_derivative(x - e, lam)) / (2 * h)) ** 2
-        return np.sqrt(np.broadcast_to(total, lam.shape))
-
-    return _dense_max(speed, xs, model.a, model.b), _dense_max(mixed, xs, model.a, model.b)
-
-
 def _assert_certified(model, box, n_x):
-    speed, mixed = _dense_bounds(model, box, n_x)
-    assert dx.speed_bound(model, box) >= speed - ROUNDING * (1.0 + speed)
-    assert dx.mixed_derivative_bound(model, box) >= mixed - ROUNDING * (1.0 + mixed)
+    speed, _ = dense_bounds(model, box, n_x)
+    assert speed_bound(model, box) >= speed - ROUNDING * (1.0 + speed)
 
 
 _coeff = st.floats(-2.0, 2.0, allow_nan=False)
@@ -509,28 +453,28 @@ def test_speed_bounds_dominate_the_dense_box_state_max(d, a, width, left, right,
     if right is not None:
         coeffs = [0.0] if d == 1 else [0.1, 0.0 if slope is None else slope]
         interface = {"axis": 1, "zeta": {"kind": "affine", "coeffs": coeffs}}
-    model = dx.flux_from_spec({"d": d, "a": a, "b": b, "interface": interface,
-                               "left": family(left), "right": None if right is None else family(right)},
-                              domain=box)
+    model = flux_from_spec({"d": d, "a": a, "b": b, "interface": interface,
+                            "left": family(left), "right": None if right is None else family(right)},
+                           domain=box)
     _assert_certified(model, box, 33 if d == 1 else 9)
     if d == 2 and interface is not None:
         # the flattened normal flux has a term per component, factors -zeta' m
-        flat = dx.flatten_model(model)
+        flat = flatten_model(model)
         _assert_certified(flat, flat.domain, 9)
 
 
 def test_speed_bound_certified_where_the_ball_sample_was_not():
     # a 2d inline flux whose stacked norm peaks at a box corner at lam = 0:
     # the sampled ball x lambda-grid gave 1.7832, below the dense 1.8200
-    model = dx.flux_from_spec({
+    model = flux_from_spec({
         "d": 2, "a": 0.0, "b": 1.0, "interface": None, "right": None,
         "left": [{"poly_lambda": [0.0, 1.0, -1.0], "x_modulation": "affine", "x_modulation_coeffs": [1.0, 0.3, 0.4]},
                  {"poly_lambda": [0.0, 0.5, -0.5], "x_modulation": "affine", "x_modulation_coeffs": [1.0, -0.2, 0.5]}],
     })
     box = dx.Box((-1.0, -1.0), (1.0, 1.0))
-    speed, _ = _dense_bounds(model, box, 41)
+    speed, _ = dense_bounds(model, box, 41)
     assert round(speed, 4) == 1.8200
-    bound = dx.speed_bound(model, box)
+    bound = speed_bound(model, box)
     assert bound >= speed
     np.testing.assert_allclose(bound, np.hypot(1.7 * 1.0, 1.7 * 0.5), rtol=1e-14)
 

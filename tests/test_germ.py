@@ -24,7 +24,6 @@ from discflux.germ import (
     diagonal_select,
     dyadic_values,
     grid_for_epsilon,
-    load_record,
     member_count,
     run_sequence,
     save_level_result,
@@ -146,11 +145,11 @@ def test_family_levels_nest_under_refinement():
     for level in (0, 1):
         coarse = build_dense_family(level, 0.0, 1.0, UNIT_BOX)
         fine = build_dense_family(level + 1, 0.0, 1.0, UNIT_BOX)
-        fine_values = {m.values for m in fine.members}
+        # each member of a level is, as a function, a member of the next
+        pts = np.linspace(0.0, 1.0, 257)[:, None]
+        fine_values = {m(pts).tobytes() for m in fine.members}
         for m in coarse.members:
-            refined = m.refine()
-            assert refined.level == level + 1
-            assert refined.values in fine_values
+            assert m(pts).tobytes() in fine_values
 
 
 def test_step_function_evaluation_and_refinement():
@@ -166,7 +165,8 @@ def test_step_function_evaluation_and_refinement():
 
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.5, 0.5, size=(300, 1))
-    assert_array_equal(m.refine()(pts), m(pts))
+    # the same function one level finer, each piece split
+    assert_array_equal(StepFunction(box, 2, (3.0, 3.0, 7.0, 7.0), "step+")(pts), m(pts))
 
     with pytest.raises(ValueError, match="value count"):
         StepFunction(box, 1, (1.0,), "step")
@@ -273,21 +273,19 @@ def test_step_datum_deltas_decrease_in_the_tail(step_record):
 
 def test_deltas_recomputable_from_saved_artifacts(step_record, tmp_path):
     save_record(step_record, tmp_path / "step")
-    loaded = load_record(tmp_path / "step")
-
-    assert loaded.member_id == step_record.member_id
-    assert loaded.epsilons == step_record.epsilons
-    assert loaded.grid_counts == step_record.grid_counts
-    assert loaded.deltas == step_record.deltas
-    assert_array_equal(loaded.initial.values, step_record.initial.values)
     # solver counters are not saved: the record manifest keeps its keys
     manifest = json.loads((tmp_path / "step" / "manifest.json").read_text())
     assert sorted(manifest) == ["deltas", "epsilons", "files", "grid_counts", "member_id"]
+    assert manifest["member_id"] == step_record.member_id
+    assert tuple(manifest["epsilons"]) == step_record.epsilons
+    assert tuple(map(tuple, manifest["grid_counts"])) == step_record.grid_counts
+    assert tuple(manifest["deltas"]) == step_record.deltas
+    initial = storage.read_field_csv(tmp_path / "step" / manifest["files"]["initial"])
+    assert_array_equal(initial.values, step_record.initial.values)
 
-    recomputed = tuple(
-        l1_distance(loaded.endpoints[k + 1], loaded.endpoints[k])
-        for k in range(len(loaded.endpoints) - 1)
-    )
+    # the path of `discflux diff`: read_field_csv, then l1_distance
+    endpoints = [storage.read_field_csv(tmp_path / "step" / name) for name in manifest["files"]["endpoints"]]
+    recomputed = tuple(l1_distance(fine, coarse) for coarse, fine in zip(endpoints, endpoints[1:]))
     assert recomputed == step_record.deltas
 
 
@@ -454,7 +452,7 @@ def test_level_one_stability_on_burgers(burgers_level1):
     assert stability.passed
     assert stability.worst_ratio <= 1.05
     assert stability.pairs == 36
-    assert burgers_level1.passed
+    assert burgers_level1.selection.passed
 
 
 def test_study_rejects_a_final_time_that_empties_the_cone(burgers_model):
@@ -580,7 +578,7 @@ def test_error_bar_covers_two_further_halvings(two_flux_model):
 
 def test_certify_completeness_passes_level_one(burgers_study):
     result = burgers_study.level_result(1)
-    assert result.passed
+    assert result.selection.passed and result.stability.passed
     assert result.level == 1
 
 
@@ -780,9 +778,7 @@ def test_level_result_persisted_layout(tmp_path):
     for record in records:
         assert (out / "records" / record.member_id / "manifest.json").is_file()
 
-    from discflux import storage
-
-    manifest = storage.read_manifest(manifest_path)
+    manifest = json.loads(manifest_path.read_text())
     assert manifest["level"] == 1
     assert manifest["members"] == ["m0", "m1", "m2"]
     assert manifest["selection"]["pass"] == selection.passed
@@ -790,13 +786,14 @@ def test_level_result_persisted_layout(tmp_path):
     assert manifest["contraction_cone"]["radius"] == 0.4
     assert manifest["note"] == "unit"
 
-    ids, ratios = storage.read_matrix_csv(out / "contraction_ratios.csv")
-    assert ids == ["m0", "m1", "m2"]
+    path = out / "contraction_ratios.csv"
+    assert path.read_text().splitlines()[0] == "id,m0,m1,m2"
+    ratios = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3))
     finite = np.isfinite(matrix.ratios)
     assert_array_equal(ratios[finite], matrix.ratios[finite])
 
-    reloaded = load_record(out / "records" / "m1")
-    assert reloaded.deltas == records[1].deltas
+    reloaded = json.loads((out / "records" / "m1" / "manifest.json").read_text())
+    assert tuple(reloaded["deltas"]) == records[1].deltas
 
 
 def test_level_records_written_by_their_tasks_get_only_a_manifest(two_flux_model, tmp_path, monkeypatch):
@@ -819,7 +816,8 @@ def test_level_records_written_by_their_tasks_get_only_a_manifest(two_flux_model
                                                             "endpoint_02.csv", "endpoint_03.csv", "initial.csv"]
     assert {os.path.basename(os.path.dirname(p)) for p in written} == {member}
     for record in result.records[1:]:
-        assert load_record(tmp_path / "level" / "records" / record.member_id).deltas == record.deltas
+        manifest = json.loads((tmp_path / "level" / "records" / record.member_id / "manifest.json").read_text())
+        assert tuple(manifest["deltas"]) == record.deltas
 
     # saved anywhere else, every record is written whole
     written.clear()

@@ -1,8 +1,11 @@
 """Scenario file validation and the command line front end."""
 
 import copy
+import importlib.util
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -26,6 +29,9 @@ from discflux.scenario import (
     scenario_from_dict,
 )
 from discflux.solver import Field, Grid, RunConfig, run
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _run_doc(**overrides):
@@ -501,6 +507,25 @@ def test_cli_import_leaves_test_only_dependencies_unloaded(tmp_path):
     assert lines[-1] == f"{[0] * len(runs)} []"
 
 
+def test_readme_python_api_is_the_package_namespace():
+    # the README's "Python API" block uses every name the package exports, and no other
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Python API", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    assert sorted(set(re.findall(r"\bdx\.(\w+)", block))) == sorted(discflux.__all__)
+
+
+def test_reach_collector_sees_a_shipped_scenario(tmp_path):
+    # tools/reach.py's collector on one scenario: what the run enters, and
+    # the BV mollifier that no scenario reaches
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    seen = reach.entered([["entropy-check", "burgers_shock", "--out", str(tmp_path / "out")]])
+    assert {"cli.main", "solver.run", "entropy.entropy_battery", "storage.write_trajectory_csv"} <= seen
+    assert "flux.mollify_flux" not in seen and "germ.run_sequence" not in seen
+    assert sys.getprofile() is None
+
+
 @pytest.mark.parametrize("block, key, literal", [("run", "epsilon", "NaN"),
                                                  ("run", "final_time", "Infinity"),
                                                  ("initial", "position", "NaN")])
@@ -587,6 +612,19 @@ def test_cli_refuses_ignored_interface_coefficients(tmp_path, capsys, d, zeta, r
     doc["run"] = {"epsilon": 0.05, "final_time": 0.01, "boundary": 0.0}
     assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
     assert "scenario error: /flux: " in capsys.readouterr().err
+
+
+def test_cli_refuses_a_cfl_above_one_half(tmp_path, capsys):
+    # the time step keeps every diagonal coefficient >= 1 - 2 cfl, so the
+    # scheme is monotone only up to cfl 0.5
+    doc = _run_doc()
+    doc["run"]["cfl"] = 0.6
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "scenario error: /run/cfl: 0.6 is greater than the maximum of 0.5\n"
+    assert not out.exists()
+    doc["run"]["cfl"] = 0.5
+    assert main(["run", _write(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
 
 
 def test_cli_refuses_output_times_beyond_final_time(tmp_path, capsys):
@@ -841,8 +879,9 @@ def test_cli_germ_scenario(tmp_path):
     for member in members:
         assert (out / "records" / member / "manifest.json").is_file()
 
-    ids, ratios = storage.read_matrix_csv(out / "contraction_ratios.csv")
-    assert ids == members
+    path = out / "contraction_ratios.csv"
+    assert path.read_text().splitlines()[0] == "id," + ",".join(members)
+    ratios = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(1, 10))
     assert_array_equal(ratios, ratios.T)
     assert_array_equal(np.diag(ratios), np.zeros(9))
 

@@ -11,8 +11,23 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import discflux as dx
-from conftest import block_field, riemann_field, step_bv_flux
-from discflux.solver import _Faces
+from conftest import riemann_field, step_bv_flux
+from discflux.entropy import l1_distance
+from discflux.flux import mollify_flux
+from discflux.geometry import flatten_model, radial_extend_model
+from discflux.germ import build_dense_family
+from discflux.presets import PRESET_NAMES, flux_from_spec
+from discflux.scenario import builtin_scenario_path, parse_scenario
+from discflux.solver import Trajectory, _Faces, _Stepper, cfl_timestep, max_principle_check, run_lockstep
+
+
+def step(field: dx.Field, config: dx.RunConfig, dt: float) -> dx.Field:
+    """One explicit update of the whole interior by the solver's _Stepper,
+    its CFL guard included: the full-grid reference of the window tests."""
+    stepper = _Stepper(config, field.grid, [config.boundary_pairs])
+    values = np.array(field.values[None], dtype=float)
+    stepper.advance(values, [0], [stepper.full], dt, field.time + dt)
+    return dx.Field(field.grid, values[0], field.time + dt)
 
 
 def _bump_field(grid: dx.Grid, base: float, amp: float, center: float, radius: float) -> dx.Field:
@@ -28,16 +43,16 @@ def _bump_field(grid: dx.Grid, base: float, amp: float, center: float, radius: f
 
 def test_cfl_timestep_frozen_example(burgers_model):
     # oracle first: cfl / (N / dx + eps / dx^2) with the numbers dx = 0.01,
-    # eps = 0.01, d = 1, N = 1, cfl = 0.9; the two terms are equal, so this
+    # eps = 0.01, d = 1, N = 1, cfl = 0.45; the two terms are equal, so this
     # balanced case gives the same dt as the old cfl * min(dx / (2 d N),
     # dx^2 / (2 d eps))
-    oracle = 0.9 / (1.0 / 0.01 + 0.01 / 0.01**2)
-    np.testing.assert_allclose(oracle, 0.0045, rtol=1e-14)
-    np.testing.assert_allclose(0.9 * min(0.01 / 2.0, 0.01**2 / 0.02), oracle, rtol=1e-14)
+    oracle = 0.45 / (1.0 / 0.01 + 0.01 / 0.01**2)
+    np.testing.assert_allclose(oracle, 0.00225, rtol=1e-14)
+    np.testing.assert_allclose(0.45 * min(0.01 / 2.0, 0.01**2 / 0.02), oracle, rtol=1e-14)
 
     grid = dx.Grid((-0.5,), (0.5,), (100,))
-    config = dx.RunConfig(flux=burgers_model, epsilon=0.01, final_time=1.0, boundary=0.0, cfl=0.9)
-    np.testing.assert_allclose(dx.cfl_timestep(config, grid, speed=1.0), oracle, rtol=1e-14)
+    config = dx.RunConfig(flux=burgers_model, epsilon=0.01, final_time=1.0, boundary=0.0, cfl=0.45)
+    np.testing.assert_allclose(cfl_timestep(config, grid, speed=1.0), oracle, rtol=1e-14)
 
 
 def test_cfl_timestep_limits(burgers_model):
@@ -46,18 +61,27 @@ def test_cfl_timestep_limits(burgers_model):
     dxm = 0.01
     config = dx.RunConfig(flux=burgers_model, epsilon=1.0, final_time=1.0, boundary=0.0, cfl=0.5)
     # convection-dominated: huge speed
-    np.testing.assert_allclose(dx.cfl_timestep(config, grid, 1e8), 0.5 / (1e8 / dxm + 1.0 / dxm**2), rtol=1e-14)
-    np.testing.assert_allclose(dx.cfl_timestep(config, grid, 1e8), 0.5 * dxm / 1e8, rtol=1e-5)
-    np.testing.assert_allclose(dx.cfl_timestep(config, grid, 100.0), 0.5 / (100.0 / dxm + 1.0 / dxm**2), rtol=1e-14)
+    np.testing.assert_allclose(cfl_timestep(config, grid, 1e8), 0.5 / (1e8 / dxm + 1.0 / dxm**2), rtol=1e-14)
+    np.testing.assert_allclose(cfl_timestep(config, grid, 1e8), 0.5 * dxm / 1e8, rtol=1e-5)
+    np.testing.assert_allclose(cfl_timestep(config, grid, 100.0), 0.5 / (100.0 / dxm + 1.0 / dxm**2), rtol=1e-14)
     # diffusion-dominated: no wave speed at all
-    np.testing.assert_allclose(dx.cfl_timestep(config, grid, 0.0), 0.5 * dxm**2 / 1.0, rtol=1e-14)
+    np.testing.assert_allclose(cfl_timestep(config, grid, 0.0), 0.5 * dxm**2 / 1.0, rtol=1e-14)
     # each axis adds its own terms, at its own spacing
     model = dx.preset("tilted_2d")
     grid2 = dx.Grid(model.domain.lows, model.domain.highs, (20, 40))
     config2 = dx.RunConfig(flux=model, epsilon=0.1, final_time=1.0, boundary=0.0, cfl=0.5)
     hx, hy = grid2.dx
-    np.testing.assert_allclose(dx.cfl_timestep(config2, grid2, 2.0),
+    np.testing.assert_allclose(cfl_timestep(config2, grid2, 2.0),
                                0.5 / (2.0 / hx + 0.1 / hx**2 + 2.0 / hy + 0.1 / hy**2), rtol=1e-14)
+
+
+def test_run_config_refuses_a_cfl_above_one_half(burgers_model):
+    # dt keeps every diagonal coefficient >= 1 - 2 cfl: monotone up to cfl 0.5
+    for cfl in (0.05, 0.45, 0.5):
+        dx.RunConfig(flux=burgers_model, epsilon=0.01, final_time=1.0, boundary=0.0, cfl=cfl)
+    for cfl in (0.0, 0.5000001, 0.6, 0.99):
+        with pytest.raises(ValueError, match=r"outside \(0, 0.5\], where the time step keeps the scheme monotone"):
+            dx.RunConfig(flux=burgers_model, epsilon=0.01, final_time=1.0, boundary=0.0, cfl=cfl)
 
 
 def test_step_refuses_cfl_violation(burgers_model):
@@ -65,9 +89,7 @@ def test_step_refuses_cfl_violation(burgers_model):
     config = dx.RunConfig(flux=burgers_model, epsilon=1e-3, final_time=1.0, boundary=0.0)
     u0 = dx.Field(grid, np.full(grid.counts, 0.5), 0.0)
     with pytest.raises(ValueError, match="CFL"):
-        dx.step(u0, config, dt=1.0)
-    with pytest.raises(ValueError, match="positive"):
-        dx.step(u0, config, dt=0.0)
+        step(u0, config, dt=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +100,8 @@ def test_step_keeps_endpoint_state(two_flux_model):
     grid = dx.Grid((-0.5,), (0.5,), (64,))
     config = dx.RunConfig(flux=two_flux_model, epsilon=1e-2, final_time=1.0, boundary=0.0)
     u0 = dx.Field(grid, np.zeros(grid.counts), 0.0)
-    dt = dx.cfl_timestep(config, grid, _Faces(config, grid, 0).bound)
-    u1 = dx.step(u0, config, dt)
+    dt = cfl_timestep(config, grid, _Faces(config, grid, 0).bound)
+    u1 = step(u0, config, dt)
     np.testing.assert_array_equal(u1.values, u0.values)
     assert u1.time == dt
 
@@ -88,8 +110,8 @@ def test_step_keeps_constant_state_for_homogeneous_flux(burgers_model):
     grid = dx.Grid((-0.5,), (0.5,), (64,))
     config = dx.RunConfig(flux=burgers_model, epsilon=1e-2, final_time=1.0, boundary=0.3)
     u0 = dx.Field(grid, np.full(grid.counts, 0.3), 0.0)
-    dt = dx.cfl_timestep(config, grid, _Faces(config, grid, 0).bound)
-    u1 = dx.step(u0, config, dt)
+    dt = cfl_timestep(config, grid, _Faces(config, grid, 0).bound)
+    u1 = step(u0, config, dt)
     np.testing.assert_array_equal(u1.values, u0.values)
 
 
@@ -99,7 +121,7 @@ def test_step_keeps_constant_state_for_homogeneous_flux(burgers_model):
 
 @pytest.mark.parametrize("d, cells", [(1, 128), (2, 24)])
 def test_mollified_step_flux_runs_through_the_kernel(d, cells):
-    model = dx.mollify_flux(step_bv_flux(1.0, 2.0, d), eps=0.05)
+    model = mollify_flux(step_bv_flux(1.0, 2.0, d), eps=0.05)
     grid = dx.Grid(model.domain.lows, model.domain.highs, (cells,) * d)
     config = dx.RunConfig(flux=model, epsilon=0.05, final_time=0.2, boundary=0.0)
     inside = np.all(np.abs(grid.points() - 0.1) < 0.4, axis=-1)
@@ -108,7 +130,7 @@ def test_mollified_step_flux_runs_through_the_kernel(d, cells):
     # |P_1'| = |1 - 2 lam| and |P_2'| = |2 lam - 3 lam^2| both peak at 1
     assert abs(traj.manifest["speed_bound"] - 2.0) <= 1e-12
     assert 0.0 < traj.manifest["cfl_margin"] <= 1.0
-    assert dx.max_principle_check(traj, model.a, model.b).passed
+    assert max_principle_check(traj, model.a, model.b).passed
     assert not np.array_equal(traj.states[-1], traj.states[0])
 
 
@@ -214,17 +236,17 @@ def test_epsilon_self_convergence(burgers_model):
 
 
 def _stepped_run(u0: dx.Field, config: dx.RunConfig, times):
-    """run()'s dt schedule as a loop of public full-grid step() calls: the
+    """run()'s dt schedule as a loop of full-grid step() calls: the
     states at `times` and the manifest's step statistics."""
     grid = u0.grid
     faces = [_Faces(config, grid, k) for k in range(grid.d)]
-    dt_base = dx.cfl_timestep(config, grid, max(f.bound for f in faces))
+    dt_base = cfl_timestep(config, grid, max(f.bound for f in faces))
     field, states, dts, alpha_max = u0, [u0.values], [], 0.0
     for target in times[1:]:
         while field.time < target - 1e-13:
             dt = min(dt_base, target - field.time)
             alpha_max = max([alpha_max] + [float(f.rusanov(field.values, {})[1].max()) for f in faces])
-            field = dx.step(field, config, dt)
+            field = step(field, config, dt)
             dts.append(dt)
         states.append(field.values)
     stats = {"n_steps": len(dts), "dt_min": min(dts), "dt_max": max(dts), "alpha_max": alpha_max}
@@ -295,7 +317,7 @@ def test_windowed_shock_with_clipped_outputs(burgers_model, fine_grid):
 
 
 def _assert_lockstep_exact(u0s, configs) -> list:
-    together = dx.run_lockstep(u0s, configs)
+    together = run_lockstep(u0s, configs)
     assert len(together) == len(u0s)
     for u0, config, traj in zip(u0s, configs, together):
         alone = dx.run(u0, config)
@@ -311,7 +333,7 @@ def _germ_members(grid: dx.Grid, model, epsilon: float, final_time: float, outpu
     """The level-1 step data on [-0.5, 0.5], each pinned to its own edge
     values, as in a germ study."""
     box = dx.Box((-0.5,), (0.5,))
-    members = dx.build_dense_family(1, model.a, model.b, box).members
+    members = build_dense_family(1, model.a, model.b, box).members
     u0s, configs = [], []
     for m in members:
         lo, hi = m.values
@@ -394,11 +416,11 @@ def test_lockstep_failures_name_the_field(burgers_model):
     fast = np.zeros(grid.counts)
     fast[30] = 5.0
     with pytest.raises(ValueError, match="field 1: time step .* violates the CFL bound"):
-        dx.run_lockstep([calm, dx.Field(grid, fast, 0.0), calm], [config] * 3)
+        run_lockstep([calm, dx.Field(grid, fast, 0.0), calm], [config] * 3)
     broken = np.zeros(grid.counts)
     broken[20] = np.nan
     with pytest.raises(RuntimeError, match="field 2: non-finite solver state at t = "):
-        dx.run_lockstep([calm, calm, dx.Field(grid, broken, 0.0)], [config] * 3)
+        run_lockstep([calm, calm, dx.Field(grid, broken, 0.0)], [config] * 3)
     # a lone run keeps its plain messages
     with pytest.raises(RuntimeError, match="^non-finite solver state"):
         dx.run(dx.Field(grid, broken, 0.0), config)
@@ -414,7 +436,7 @@ def test_lockstep_needs_one_grid_and_one_config_up_to_the_boundary(burgers_model
             ([u0, u0], [config, dataclasses.replace(config, epsilon=2e-2)]),
             ([u0, u0], [config])):
         with pytest.raises(ValueError, match="one grid"):
-            dx.run_lockstep(u0s, configs)
+            run_lockstep(u0s, configs)
 
 
 def test_run_refuses_an_estimated_cost_above_the_limit(burgers_model):
@@ -433,7 +455,7 @@ def test_run_refuses_an_estimated_cost_above_the_limit(burgers_model):
 
 def test_max_principle_on_fixture_runs(burgers_shock_traj, burgers_rarefaction_traj, two_flux_block_traj):
     for traj in (burgers_shock_traj, burgers_rarefaction_traj, two_flux_block_traj):
-        report = dx.max_principle_check(traj, 0.0, 1.0)
+        report = max_principle_check(traj, 0.0, 1.0)
         assert report.passed
     # the shock data attains both endpoint states exactly
     assert burgers_shock_traj.states.min() == 0.0
@@ -442,14 +464,14 @@ def test_max_principle_on_fixture_runs(burgers_shock_traj, burgers_rarefaction_t
 
 def test_max_principle_on_random_data_all_presets():
     rng = np.random.default_rng(41)
-    for name in dx.PRESET_NAMES:
+    for name in PRESET_NAMES:
         model = dx.preset(name)
         counts = (24,) * model.d
         grid = dx.Grid(model.domain.lows, model.domain.highs, counts)
         u0 = dx.Field(grid, rng.uniform(model.a, model.b, counts), 0.0)
         config = dx.RunConfig(flux=model, epsilon=2e-2, final_time=0.02, boundary=model.a)
         traj = dx.run(u0, config)
-        report = dx.max_principle_check(traj, model.a, model.b)
+        report = max_principle_check(traj, model.a, model.b)
         assert report.passed, name
         assert traj.manifest["cfl_margin"] <= 1.0, name
 
@@ -458,8 +480,8 @@ def test_max_principle_witness_mechanics():
     grid = dx.Grid((-0.5,), (0.5,), (4,))
     states = np.zeros((2, 4))
     states[1, 2] = 1.2
-    traj = dx.Trajectory(grid=grid, times=(0.0, 0.1), states=states, manifest={})
-    report = dx.max_principle_check(traj, 0.0, 1.0)
+    traj = Trajectory(grid=grid, times=(0.0, 0.1), states=states, manifest={})
+    report = max_principle_check(traj, 0.0, 1.0)
     assert not report.passed
     assert report.max_value == 1.2
     assert report.witness == {"time": 0.1, "cell": (2,)}
@@ -495,8 +517,8 @@ def test_viscous_l1_contraction_under_refinement(burgers_model):
         config = dx.RunConfig(flux=burgers_model, epsilon=eps, final_time=0.2, boundary=0.0)
         u1 = _bump_field(grid, 0.0, 0.6, -0.05, 0.2)
         u2 = _bump_field(grid, 0.0, 0.4, 0.1, 0.15)
-        before = dx.l1_distance(u1, u2)
-        after = dx.l1_distance(dx.run(u1, config).final, dx.run(u2, config).final)
+        before = l1_distance(u1, u2)
+        after = l1_distance(dx.run(u1, config).final, dx.run(u2, config).final)
         excesses.append(after - before)
     assert all(e <= 1e-10 for e in excesses)
 
@@ -527,12 +549,12 @@ def test_ordered_pairs_stay_ordered_and_contract(name, eps_cells, cfl, pins, low
     u = model.a + span * np.repeat(lower, 8)
     v = np.minimum(u + (model.b - u) * np.repeat(gaps, 8), model.b)
     u[[0, -1]] = v[[0, -1]] = config.boundary_pairs[0]
-    lo, hi = dx.run_lockstep([dx.Field(grid, u, 0.0), dx.Field(grid, v, 0.0)], [config, config])
+    lo, hi = run_lockstep([dx.Field(grid, u, 0.0), dx.Field(grid, v, 0.0)], [config, config])
     assert (lo.states <= hi.states).all()
     l1 = (hi.states - lo.states).sum(axis=1)
     assert (l1[1:] <= l1[:-1] * (1.0 + 8 * np.finfo(float).eps)).all()
     for traj in (lo, hi):
-        assert dx.max_principle_check(traj, model.a, model.b).passed
+        assert max_principle_check(traj, model.a, model.b).passed
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +606,8 @@ def test_interpolate_matches_scipy_2d():
 def test_interpolate_matches_scipy_on_the_chart_pullback():
     # the query of the charted tilted_flatten_2d run: the original grid's
     # centers, flattened, on the flattened grid, for a stack of states
-    sc = dx.parse_scenario(dx.builtin_scenario_path("tilted_flatten_2d"))
-    flat = dx.flatten_model(sc.model)
+    sc = parse_scenario(builtin_scenario_path("tilted_flatten_2d"))
+    flat = flatten_model(sc.model)
     flat_grid = dx.Grid(flat.domain.lows, flat.domain.highs, sc.grid.counts)
     query = sc.model.interface.flatten(sc.grid.points())
     states = _signed_values(np.random.default_rng(2), (3,) + flat_grid.counts)
@@ -633,12 +655,12 @@ def _faces_case(case):
         return model, dx.Grid(model.domain.lows, model.domain.highs, (48, 40))
     if case == "flattened_extension":
         # the charted tilted_flatten_2d run's flux: flattened, then extended radially
-        sc = dx.parse_scenario(dx.builtin_scenario_path("tilted_flatten_2d"))
-        flat = dx.flatten_model(sc.model)
+        sc = parse_scenario(builtin_scenario_path("tilted_flatten_2d"))
+        flat = flatten_model(sc.model)
         center = sc.model.interface.flatten(np.asarray(sc.chart["center"], dtype=float))
-        model = dx.radial_extend_model(flat, center, sc.chart["radius"])
+        model = radial_extend_model(flat, center, sc.chart["radius"])
         return model, dx.Grid(flat.domain.lows, flat.domain.highs, sc.grid.counts)
-    model = dx.flux_from_spec({
+    model = flux_from_spec({
         "d": 1, "a": 0.0, "b": 1.0,
         "interface": {"axis": 1, "zeta": {"kind": "zero", "coeffs": [0.0]}},
         "left": [{"poly_lambda": [0.0, 1.0, 0.0, -1.0]}],

@@ -1,0 +1,50 @@
+"""Print each src/discflux function that the shipped scenarios and one `diff`, run through `cli.main` in
+this process, never enter; exit 1 if one is not ALLOWED or an ALLOWED one was entered: python tools/reach.py"""
+import ast
+import os
+import pathlib
+import sys
+import tempfile
+from unittest import mock
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+from discflux import cli, scenario, storage  # noqa: E402
+
+PACKAGE = pathlib.Path(cli.__file__).parent
+ALLOWED = {name: why for why, names in (line.split(": ") for line in """\
+failure only: storage.WriteError.of storage.WriteError.__str__ solver._which
+failure only: scenario._refuse_constant entropy.ResidualWorkspace.terms
+forked entry point; the audit runs its body in-process: germ._init_worker germ._worker_task storage.Writers.submit
+runs at import, before the audit: scenario._closed
+save_level_result writes a cached level's records with it: germ.save_record
+ROADMAP item 4: flux.check_nondegeneracy flux._unit_directions geometry.Box.sample flux.FluxComponent.lambda_derivative
+ROADMAP item 5: flux.mollify_flux flux._mollifier_nodes""".splitlines()) for name in names.split()}
+
+
+def entered(commands) -> set[str]:
+    """`module.qualname` of each package function cli.main enters on the argvs, writers in-process on one CPU."""
+    seen = set()
+    with (mock.patch.object(storage.Writers, "submit", lambda self, write, path, *a: write(path, *a)),
+          mock.patch.object(os, "sched_getaffinity", lambda pid: {0})):
+        sys.setprofile(lambda frame, event, arg: event == "call" and seen.add(frame.f_code))
+        try:
+            codes = [cli.main(argv + ["--quiet"]) for argv in commands]
+        finally:
+            sys.setprofile(None)
+    if any(codes):
+        sys.exit(f"a command did not pass: exit codes {codes}")
+    return {f"{pathlib.Path(c.co_filename).stem}.{c.co_qualname}" for c in seen
+            if pathlib.Path(c.co_filename).parent == PACKAGE}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        seen = entered([[scenario.parse_scenario(scenario.builtin_scenario_path(name)).kind, name, "--out",
+                         f"{out}/{name}"] for name in scenario.builtin_scenario_names()]
+                       + [["diff", f"{out}/germ_level1/estimate.csv", f"{out}/germ_level1/estimate.csv"]])
+    missed = {f"{path.stem}.{node.name}" + (f".{f.name}" if f is not node else "") for path in PACKAGE.glob("*.py")
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              for f in (node.body if isinstance(node, ast.ClassDef) else [node]) if isinstance(f, ast.FunctionDef)}
+    for name in sorted((missed := missed - seen) | ALLOWED.keys()):
+        print(name, ALLOWED.get(name, "NOT ALLOWED") if name in missed else "STALE: it was entered")
+    sys.exit(1 if missed ^ ALLOWED.keys() else 0)
