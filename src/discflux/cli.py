@@ -320,7 +320,7 @@ def _run_scenario_command(args) -> int:
                 verdict = "PASS" if entry["pass"] else "FAIL"
                 print(f"[check] {entry['name']}: {verdict} {entry['detail']}")
         ok = all(entry["pass"] for entry in checks)
-        manifest = {"scenario": sc.raw, "name": sc.name, "kind": sc.kind,
+        manifest = {"scenario": sc.raw, "name": sc.name, "kind": sc.kind, "hypotheses": sc.hypotheses,
                     "checks": checks, "pass": ok}
         manifest.update(extras, artifacts=clock.artifacts, timings=clock.timings())
         # the join sits inside write_manifest, so report.json appears only

@@ -1,8 +1,8 @@
 """Flux models: piecewise-smooth fluxes with a Heaviside jump across an
 interface, the smoothing weights that regularize the jump, mollification of
-rough fluxes, and the structural checkers (zero boundary flux,
-non-degeneracy).  This is the package's bottom layer: it imports no other
-module of it at run time.
+rough fluxes, and the exact check of the paper's two hypotheses (zero
+boundary flux, non-degeneracy).  This is the package's bottom layer: it
+imports no other module of it at run time.
 
 Evaluation contract: PiecewiseFlux.at(points) evaluates the spatial half once
 at points of shape (..., d); its sharp, smoothed and divergence evaluations
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -23,8 +24,7 @@ if TYPE_CHECKING:
 
 DIVERGENCE_STEP = 1e-6  # central-difference step of FluxAt.divergence
 MOLLIFIER_NODES = 21  # Gauss-Legendre nodes per axis of mollify_flux
-NONDEGENERACY_POINTS = 8  # sampled positions of check_nondegeneracy
-BOUNDARY_TOL = 1e-12  # largest |f| at a or b that check_boundary_zero passes
+HYPOTHESIS_TOL = 1e-12  # largest |f| at a or b, and largest slope minor of a degenerate side
 
 
 def as_points(x, d: int) -> np.ndarray:
@@ -125,12 +125,6 @@ class FluxComponent:
 
     axis: int
     terms: Callable
-
-    def value(self, x, lam):
-        return term_sum(self.terms(x), lam)
-
-    def lambda_derivative(self, x, lam):
-        return term_sum(((derivative_coeffs(c), f) for c, f in self.terms(x)), lam)
 
 
 def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[float] | None = None) -> FluxComponent:
@@ -320,97 +314,58 @@ def mollify_flux(model: PiecewiseFlux, eps: float) -> PiecewiseFlux:
 
 
 # ---------------------------------------------------------------------------
-# structural checkers
+# the paper's hypotheses
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    passed: bool
-    max_abs: float
-    tol: float
-    witness_x: tuple | None
-    witness_state: float | None
+def check_hypotheses(model: PiecewiseFlux) -> dict:
+    """Check both hypotheses of the paper on each side flux and return their
+    margins {"boundary_max", "minor_max"}, or raise ValueError naming a
+    witness.  Both are read from one table per side, C[p, k, j], the
+    coefficient of lam^j in f_k(x_p, .) at the 3^d lattice {lo, centre,
+    hi}^d of the domain box:
+
+    - zero flux at a and b: boundary_max, the largest |f_k(x_p, s)| at
+      s = a and b, must not exceed HYPOTHESIS_TOL;
+    - non-degeneracy, no xi . f(x, .) constant in lam: the slope table
+      C[p, :, 1:] has full rank d, so minor_max, over sides the least of the
+      largest |d x d minor| on the lattice, must exceed HYPOTHESIS_TOL.
+
+    Precondition, as for speed_bound: every factor is affine in x, as in
+    every preset and flux spec.  Then |f(., s)| peaks at the box corners, and
+    a minor has degree <= d <= 2 along each axis, so one that vanishes on the
+    lattice vanishes everywhere; one that does not is zero on a null set
+    only."""
+    d = model.d
+    xs = np.stack(np.meshgrid(*zip(model.domain.lows, model.domain.center, model.domain.highs),
+                              indexing="ij"), axis=-1).reshape(-1, d)
+    terms = [[comp.terms(xs) for comp in comps] for comps in (model.left, model.right)]
+    n = max(d + 1, *(len(c) for side in terms for comp in side for c, _ in comp))
+    table = np.zeros((2, len(xs), d, n))
+    for s, side in enumerate(terms):
+        for k, comp in enumerate(side):
+            for coeffs, factor in comp:
+                table[s, :, k, :len(coeffs)] += np.multiply.outer(np.broadcast_to(
+                    1.0 if factor is None else factor, len(xs)), coeffs)
+
+    states = (model.a, model.b)
+    # ordered (side, k, state, p), so that argmax picks the first of equal maxima in that order
+    ends = np.abs(horner(np.reshape(states, (2, 1, 1, 1)), np.moveaxis(table, -1, 0))).transpose(1, 3, 0, 2)
+    s, k, t, p = np.unravel_index(ends.argmax(), ends.shape)
+    if not ends[s, k, t, p] <= HYPOTHESIS_TOL:  # NaN, where the coefficients overflow, is refused too
+        raise ValueError(f"the flux must vanish at a = {model.a} and b = {model.b}, but |f| = "
+                         f"{ends[s, k, t, p]:.6g} at state {states[t]} and x = ({_point(xs[p])})")
+
+    cols = list(combinations(range(n - 1), d))
+    minors = np.abs(np.linalg.det(np.moveaxis(table[..., 1:][..., cols], 2, 3))).max(axis=-1)
+    s = int(minors.max(axis=1).argmin())
+    if not minors[s].max() > HYPOTHESIS_TOL:
+        p = int(minors[s].argmax())
+        xi = np.linalg.svd(table[s, p, :, 1:])[0][:, -1]
+        raise ValueError(f"the {('left', 'right')[s]} flux is degenerate: xi . f(x, lam) does not depend on "
+                         f"lam for xi = ({_point(xi)}) at x = ({_point(xs[p])}), and no {d} x {d} minor "
+                         f"of its slopes exceeds {minors[s].max():.3g} on the box")
+    return {"boundary_max": float(ends.max()), "minor_max": float(minors.max(axis=1).min())}
 
 
-def check_boundary_zero(model: PiecewiseFlux) -> BoundaryReport:
-    """Check that every component of every side vanishes at both endpoint
-    states a and b over the domain box, reading f(., a) and f(., b) at the
-    box corners.  Precondition: that is their exact sup only where each term
-    nonzero at a or b has a factor affine in x, as in every preset and flux
-    spec; a non-affine factor kind (steps, say) needs its breakpoints read
-    here too."""
-    xs = model.domain.corners.reshape(-1, model.d)
-    worst = 0.0
-    witness = (None, None)
-    for comps in (model.left, model.right):
-        for comp in comps:
-            for state in (model.a, model.b):
-                vals = np.abs(np.asarray(comp.value(xs, state), dtype=float))
-                i = int(vals.argmax())
-                if vals.flat[i] > worst:
-                    worst = float(vals.flat[i])
-                    witness = (tuple(xs[i]), float(state))
-    passed = worst <= BOUNDARY_TOL
-    return BoundaryReport(
-        passed=bool(passed),
-        max_abs=worst,
-        tol=BOUNDARY_TOL,
-        witness_x=None if passed else witness[0],
-        witness_state=None if passed else witness[1],
-    )
-
-
-@dataclass(frozen=True)
-class NondegeneracyReport:
-    passed: bool
-    threshold: float
-    worst_max: float
-    witness: dict | None
-
-
-def _unit_directions(d: int, n: int) -> np.ndarray:
-    if d == 1:
-        return np.array([[1.0]])
-    theta = np.linspace(0.0, np.pi, n, endpoint=False)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-
-def check_nondegeneracy(
-    model: PiecewiseFlux,
-    directions: int = 64,
-    subintervals: int = 8,
-    threshold: float = 1e-8,
-    n_lambda: int = 33,
-) -> NondegeneracyReport:
-    """For sampled positions and unit directions, the map
-    lam -> xi . d_lam f(x, lam) must not vanish on any state subinterval:
-    each subinterval's sampled max of |xi . d_lam f| must clear the
-    threshold.  Isolated roots inside a subinterval are harmless."""
-    xs = model.domain.sample(NONDEGENERACY_POINTS)
-    dirs = _unit_directions(model.d, directions)
-    edges = np.linspace(model.a, model.b, subintervals + 1)
-    offset = np.zeros(len(xs)) if model.interface is None else model.interface.offset(xs)
-    worst = np.inf
-    witness = None
-    for i, x in enumerate(xs):
-        comps = model.left if offset[i] <= 0 else model.right
-        for s in range(subintervals):
-            lam = np.linspace(edges[s], edges[s + 1], n_lambda)
-            dflam = np.stack([comps[k].lambda_derivative(x[None], lam) for k in range(model.d)], axis=-1)
-            proj = np.abs(dflam @ dirs.T)  # (n_lambda, n_dirs)
-            per_dir_max = proj.max(axis=0)
-            j = int(per_dir_max.argmin())
-            if per_dir_max[j] < worst:
-                worst = float(per_dir_max[j])
-                witness = {
-                    "x": tuple(x),
-                    "direction": tuple(dirs[j]),
-                    "subinterval": (float(edges[s]), float(edges[s + 1])),
-                }
-    passed = worst >= threshold
-    return NondegeneracyReport(
-        passed=bool(passed),
-        threshold=threshold,
-        worst_max=worst,
-        witness=None if passed else witness,
-    )
+def _point(v) -> str:
+    return ", ".join(f"{c:.6g}" for c in v)

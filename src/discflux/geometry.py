@@ -50,10 +50,6 @@ class Box:
         picks lows[k] or highs[k]."""
         return np.stack(np.meshgrid(*zip(self.lows, self.highs), indexing="ij"), axis=-1)
 
-    def sample(self, n: int) -> np.ndarray:
-        """Deterministic quasi-random sample of n points, shape (n, d)."""
-        return np.asarray(self.lows) + halton(n, self.d) * self.widths
-
 
 def halton(n: int, d: int) -> np.ndarray:
     """The first n points of the unscrambled Halton sequence in [0, 1)^d

@@ -5,11 +5,22 @@ read-only.
 """
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import discflux as dx
 from discflux.entropy import l1_distance
-from discflux.flux import FluxComponent, PiecewiseFlux, as_points, smoothing_weights
+from discflux.flux import FluxComponent, PiecewiseFlux, as_points, derivative_coeffs, smoothing_weights, term_sum
 from discflux.solver import Trajectory
+
+
+def component_value(comp: FluxComponent, x, lam):
+    """f_k(x, lam) of a side component, term by term, for the oracles."""
+    return term_sum(comp.terms(x), lam)
+
+
+def lambda_derivative(comp: FluxComponent, x, lam):
+    """d f_k / d lam of a side component, term by term, for the oracles."""
+    return term_sum(((derivative_coeffs(c), f) for c, f in comp.terms(x)), lam)
 
 
 def riemann_field(grid: dx.Grid, left: float, right: float, position: float = 0.0) -> dx.Field:
@@ -67,6 +78,38 @@ def step_bv_flux(vl: float, vr: float, d: int = 1) -> PiecewiseFlux:
                          domain=dx.Box((-1.0,) * d, (1.0,) * d))
 
 
+# the paper's flux class, drawn as JSON flux specs
+
+
+@st.composite
+def admissible_specs(draw):
+    """A flux spec in d = 1 or 2 on [-1, 1]^d whose every side component is
+    m(x) (lam - a)(b - lam) q(lam), q of degree <= 2 and m an affine
+    modulation positive on the box (or none), with or without an interface
+    (a point in 1d, a quadratic zeta in 2d).  Integer and quarter
+    coefficients make a degenerate draw exactly degenerate."""
+    d = draw(st.integers(1, 2))
+    a = draw(st.integers(-2, 0)) / 2
+    b = a + draw(st.integers(1, 4)) / 2
+    quarter = st.integers(-3, 3).map(lambda v: v / 4)
+
+    def component():
+        q = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))
+        comp = {"poly_lambda": np.polynomial.polynomial.polymul([-a * b, a + b, -1.0], q).tolist()}
+        if draw(st.booleans()):
+            slopes = [draw(quarter) for _ in range(d)]
+            comp.update(x_modulation="affine",
+                        x_modulation_coeffs=[sum(map(abs, slopes)) + draw(st.integers(1, 4)) / 4, *slopes])
+        return comp
+
+    spec = {"d": d, "a": a, "b": b, "interface": None, "left": [component() for _ in range(d)]}
+    if draw(st.booleans()):
+        spec["interface"] = {"axis": draw(st.integers(1, d)),
+                             "zeta": {"kind": "poly", "coeffs": [draw(quarter) for _ in range(2 * d - 1)]}}
+        spec["right"] = [component() for _ in range(d)]
+    return spec
+
+
 # the flux evaluations as per-call formulas on the side components, oracles
 # for PiecewiseFlux.at: every call evaluates the terms afresh
 
@@ -77,10 +120,10 @@ def sharp_flux(model, x, lam):
     pts = as_points(x, model.d)
     cols = []
     for k in range(model.d):
-        out = model.left[k].value(pts, lam)
+        out = component_value(model.left[k], pts, lam)
         if model.interface is not None:
             off = model.interface.offset(pts)
-            fl, fr = out, model.right[k].value(pts, lam)
+            fl, fr = out, component_value(model.right[k], pts, lam)
             out = np.where(off < 0, fl, fr)
             on = off == 0
             if np.any(on):
@@ -94,7 +137,7 @@ def smoothed_flux(model, x, lam, eps, derivative=False):
     pts = as_points(x, model.d)
 
     def side(comp):
-        return comp.lambda_derivative(pts, lam) if derivative else comp.value(pts, lam)
+        return lambda_derivative(comp, pts, lam) if derivative else component_value(comp, pts, lam)
 
     if model.interface is None:
         return np.stack([side(c) for c in model.left], axis=-1)
@@ -117,7 +160,7 @@ def smooth_divergence(model, x, lam, h=1e-6):
             xm = np.array(pts, copy=True)
             xp[..., k] += h
             xm[..., k] -= h
-            acc = acc + (comps[k].value(xp, lam) - comps[k].value(xm, lam)) / (2.0 * h)
+            acc = acc + (component_value(comps[k], xp, lam) - component_value(comps[k], xm, lam)) / (2.0 * h)
         out = np.where(mask, acc, out)
     return out
 
@@ -137,7 +180,7 @@ def _distinct_components(model, xs, lam):
     (x, lam) of the grid taken once."""
     out, seen = [], []
     for comp in model.left + model.right:
-        g = np.asarray(comp.lambda_derivative(xs[:, None, :], lam[None, :]), dtype=float)
+        g = np.asarray(lambda_derivative(comp, xs[:, None, :], lam[None, :]), dtype=float)
         g = np.broadcast_to(g, (xs.shape[0], lam.size))
         if not any(comp.axis == k and np.array_equal(g, h) for k, h in seen):
             seen.append((comp.axis, g))
@@ -175,13 +218,13 @@ def dense_bounds(model, box, n_x):
     h = 0.25
 
     def speed(x, lam):
-        return np.sqrt(sum(np.broadcast_to(c.lambda_derivative(x, lam), lam.shape) ** 2 for c in comps))
+        return np.sqrt(sum(np.broadcast_to(lambda_derivative(c, x, lam), lam.shape) ** 2 for c in comps))
 
     def mixed(x, lam):
         total = 0.0
         for c in comps:
             e = h * np.eye(model.d)[c.axis]
-            total = total + ((c.lambda_derivative(x + e, lam) - c.lambda_derivative(x - e, lam)) / (2 * h)) ** 2
+            total = total + ((lambda_derivative(c, x + e, lam) - lambda_derivative(c, x - e, lam)) / (2 * h)) ** 2
         return np.sqrt(np.broadcast_to(total, lam.shape))
 
     return _dense_max(speed, xs, model.a, model.b), _dense_max(mixed, xs, model.a, model.b)

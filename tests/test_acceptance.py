@@ -12,7 +12,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 import discflux as dx
-from conftest import block_field, dense_bounds, l1_ratios
+from conftest import block_field, component_value, dense_bounds, l1_ratios
 from discflux import entropy
 from discflux.entropy import ResidualWorkspace, cone_locality_check, l1_distance
 from discflux.geometry import Cone, flatten_model, project_to_ball, radial_extend_model, speed_bound
@@ -246,7 +246,7 @@ def test_criterion_7_radial_extension():
         resolved = gap_proj > 1e-12
 
         def values(comp, pts, lam):
-            out = comp.value(pts, lam)
+            out = component_value(comp, pts, lam)
             return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1])
 
         for comp, raw in zip(ext.left + ext.right, model.left + model.right):

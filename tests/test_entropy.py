@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import discflux as dx
-from conftest import block_field, l1_ratios, sharp_flux, smooth_divergence, smoothed_flux
+from conftest import block_field, component_value, l1_ratios, sharp_flux, smooth_divergence, smoothed_flux
 from discflux import entropy
 from discflux.entropy import (
     ResidualWorkspace,
@@ -543,8 +543,8 @@ def _per_pair_kruzhkov(traj, model, lam, phi):
         tr = interface_trace(traj, model)
         surf = tr.surface_points
         m_lam = np.full(surf.shape[0], lam)
-        jump = (transformed_normal_flux(model, model.interface, "right").value(surf, m_lam)
-                - transformed_normal_flux(model, model.interface, "left").value(surf, m_lam))
+        jump = (component_value(transformed_normal_flux(model, model.interface, "right"), surf, m_lam)
+                - component_value(transformed_normal_flux(model, model.interface, "left"), surf, m_lam))
         surf_vals = np.stack([phi.value(t, surf) for t in times])
         delta = np.einsum("t,tm,m,tm->", tw, np.sign(tr.averaged - lam), jump, surf_vals)
         total -= tr.tangential_weight * delta

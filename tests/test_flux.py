@@ -1,25 +1,28 @@
-"""Flux evaluation, smoothing profile, mollification, the two structural
-checkers (zero boundary flux, non-degeneracy) and the import direction of
-the package."""
+"""Flux evaluation, smoothing profile, mollification, the check of the
+paper's two hypotheses (zero boundary flux, non-degeneracy) and the import
+direction of the package."""
 import ast
 import copy
 import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import discflux as dx
-from conftest import CURVED_MODULATED_SPEC, smoothed_flux, step_bv_flux
+from conftest import CURVED_MODULATED_SPEC, admissible_specs, component_value, smoothed_flux, step_bv_flux
 from discflux.flux import (
     FluxComponent,
     PiecewiseFlux,
-    check_boundary_zero,
-    check_nondegeneracy,
+    check_hypotheses,
     mollify_flux,
     poly_component,
     smoothing_weights,
     smoothstep,
 )
+from discflux.geometry import halton
 from discflux.presets import PRESET_NAMES, flux_from_spec
 
 
@@ -77,7 +80,7 @@ def test_x_ramp_modulation():
 def test_endpoint_states_give_zero_flux():
     for name in PRESET_NAMES:
         model = dx.preset(name)
-        xs = model.domain.sample(64)
+        xs = np.asarray(model.domain.lows) + halton(64, model.d) * model.domain.widths
         for state in (model.a, model.b):
             np.testing.assert_allclose(model.at(xs).value(state), 0.0, atol=1e-14)
 
@@ -176,7 +179,7 @@ def test_mollify_at_jump_gives_mean_of_sides():
 
 def test_mollify_preserves_zero_boundary_flux():
     smooth = mollify_flux(step_bv_flux(1.0, 3.0), eps=0.05)
-    assert check_boundary_zero(smooth).passed
+    assert check_hypotheses(smooth)["boundary_max"] <= 1e-12
 
 
 def test_mollify_rejects_bad_width():
@@ -195,16 +198,20 @@ def test_mollify_keeps_the_interface():
     assert mollify_flux(dx.preset("two_flux"), eps=0.1).name == "two_flux-mollified"
     xs = np.random.default_rng(3).uniform(-0.8, 0.8, (20, 2))
     for sm, raw in zip(smooth.left + smooth.right, model.left + model.right):
-        np.testing.assert_allclose(sm.value(xs, 0.3), raw.value(xs, 0.3), atol=1e-14)
+        np.testing.assert_allclose(component_value(sm, xs, 0.3), component_value(raw, xs, 0.3), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# structural checkers
+# the paper's hypotheses
 
 
-def test_boundary_zero_passes_on_presets(burgers_model, two_flux_model):
-    assert check_boundary_zero(burgers_model).passed
-    assert check_boundary_zero(two_flux_model).passed
+def test_hypotheses_hold_on_presets():
+    # the slopes of lam (1 - lam), of 2 lam (1 - lam) on the right of
+    # two_flux, and (1 + 0.3 x) lam (1 - lam) at x = 1 on [-1, 1]
+    minor_max = {"burgers": 1.0, "two_flux": 1.0, "x_ramp": 1.3, "tilted_2d": 0.3}
+    assert sorted(minor_max) == sorted(PRESET_NAMES)
+    for name, value in minor_max.items():
+        assert check_hypotheses(dx.preset(name)) == {"boundary_max": 0.0, "minor_max": pytest.approx(value)}
 
 
 def test_boundary_zero_fails_with_witness():
@@ -217,70 +224,102 @@ def test_boundary_zero_fails_with_witness():
         b=1.0,
         domain=dx.Box((-1.0,), (1.0,)),
     )
-    report = check_boundary_zero(linear)
-    assert not report.passed
-    assert report.witness_state == 1.0
-    np.testing.assert_allclose(report.max_abs, 1.0, atol=1e-15)
+    with pytest.raises(ValueError, match=r"^the flux must vanish at a = 0.0 and b = 1.0, "
+                                         r"but \|f\| = 1 at state 1.0 and x = \(-1\)$"):
+        check_hypotheses(linear)
 
 
-def test_nondegeneracy_burgers_with_analytic_oracle(burgers_model):
-    subintervals, n_lambda = 8, 33
-
-    # oracle first: per subinterval the sampled max of |1 - 2 lam|
-    edges = np.linspace(0.0, 1.0, subintervals + 1)
-    per_sub = []
-    for s in range(subintervals):
-        lam = np.linspace(edges[s], edges[s + 1], n_lambda)
-        per_sub.append(np.max(np.abs(1.0 - 2.0 * lam)))
-    oracle_worst = min(per_sub)
-    assert oracle_worst == 0.25  # the subintervals adjacent to the root 1/2
-
-    report = check_nondegeneracy(burgers_model, subintervals=subintervals, n_lambda=n_lambda)
-    assert report.passed
-    np.testing.assert_allclose(report.worst_max, oracle_worst, atol=1e-14)
+def test_overflowing_coefficients_are_refused():
+    # 1e200 (lam - lam^2) scaled by 1e200 reads inf - inf = NaN at a and b,
+    # which a comparison with the tolerance would let through
+    spec = {"d": 1, "a": 0, "b": 1, "interface": None, "left": [
+        {"poly_lambda": [0, 1e200, -1e200], "x_modulation": "affine", "x_modulation_coeffs": [1e200, 0]}]}
+    with pytest.raises(ValueError, match=r"^the flux must vanish .* but \|f\| = nan at state 0.0 and x = \(-1\)$"):
+        check_hypotheses(flux_from_spec(spec))
 
 
-def test_nondegeneracy_fails_on_locally_flat_flux():
-    # the spatial factor vanishes for x1 <= 0, so there the state derivative
-    # vanishes identically and every subinterval is flagged
-    comp = FluxComponent(0, lambda x: (((0.0, 1.0, -1.0), np.maximum(np.asarray(x)[..., 0], 0.0)),))
-    model = PiecewiseFlux(
-        d=1, left=(comp,), right=(comp,), interface=None, a=0.0, b=1.0, domain=dx.Box((-1.0,), (1.0,))
-    )
-    report = check_nondegeneracy(model, subintervals=5)
-    assert not report.passed
-    assert report.worst_max == 0.0
-    lo, hi = report.witness["subinterval"]
-    assert hi <= 0.4 + 1e-12
-    assert report.witness["x"][0] <= 0.0
+# (lam (1 - lam), 2 lam (1 - lam)) on [-1, 1]^2: xi = (2, -1) / sqrt 5 makes
+# xi . f vanish, a direction between the 64 angles an earlier sampled check
+# tried, which passed this flux
+PROPORTIONAL_SPEC = {"d": 2, "a": 0, "b": 1, "interface": None,
+                     "left": [{"poly_lambda": [0, 1, -1]}, {"poly_lambda": [0, 2, -2]}]}
 
 
-def test_nondegeneracy_2d_direction_sweep():
-    directions, subintervals, n_lambda = 64, 8, 33
-    model = PiecewiseFlux(
-        d=2,
-        left=(poly_component(0, [0.0, 1.0]), poly_component(1, [0.0, 0.0, 1.0])),
-        right=(poly_component(0, [0.0, 1.0]), poly_component(1, [0.0, 0.0, 1.0])),
-        interface=None,
-        a=0.0,
-        b=1.0,
-        domain=dx.Box((-1.0, -1.0), (1.0, 1.0)),
-    )
+def test_proportional_components_are_degenerate_with_their_direction():
+    with pytest.raises(ValueError, match=r"^the left flux is degenerate: xi \. f\(x, lam\) does not depend on lam "
+                                         r"for xi = \(-0\.894427, 0\.447214\) at x = \(-1, -1\), and no 2 x 2 "
+                                         r"minor of its slopes exceeds 0 on the box$"):
+        check_hypotheses(flux_from_spec(PROPORTIONAL_SPEC))
 
-    # oracle first: xi . d_lam f = xi_1 + 2 xi_2 lam over the same sweep
-    theta = np.linspace(0.0, np.pi, directions, endpoint=False)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    edges = np.linspace(0.0, 1.0, subintervals + 1)
-    worst = np.inf
-    for s in range(subintervals):
-        lam = np.linspace(edges[s], edges[s + 1], n_lambda)
-        proj = np.abs(dirs[:, 0][None, :] + 2.0 * lam[:, None] * dirs[:, 1][None, :])
-        worst = min(worst, float(proj.max(axis=0).min()))
-    assert worst > 1e-3  # no direction kills both components on a subinterval
 
-    report = check_nondegeneracy(model, directions=directions, subintervals=subintervals, n_lambda=n_lambda)
-    assert report.passed
-    np.testing.assert_allclose(report.worst_max, worst, rtol=1e-12)
+def test_minors_are_read_beyond_the_corners():
+    # f = ((x1 + x2) lam (1 - lam), (x1 - x2) lam^2 (1 - lam)): every 2 x 2
+    # slope minor is +-(x1^2 - x2^2), zero at the four corners but 1 at the
+    # edge midpoints of the lattice, so the flux is degenerate on the
+    # diagonals only
+    spec = {"d": 2, "a": 0, "b": 1, "interface": None, "left": [
+        {"poly_lambda": [0, 1, -1], "x_modulation": "affine", "x_modulation_coeffs": [0, 1, 1]},
+        {"poly_lambda": [0, 0, 1, -1], "x_modulation": "affine", "x_modulation_coeffs": [0, 1, -1]}]}
+    assert check_hypotheses(flux_from_spec(spec)) == {"boundary_max": 0.0, "minor_max": 1.0}
+
+
+def _full_rank(model, side, n_points=16):
+    """Dense oracle: at random points of the box, the SVD rank of the
+    d x 64 table f_k(x, lam_i) - f_k(x, a) over a grid of [a, b]; whether it
+    is d at one of them, that is, whether no xi . f(x, .) is constant."""
+    rng = np.random.default_rng(7)
+    lows, widths = np.asarray(model.domain.lows), model.domain.widths
+    lam = np.linspace(model.a, model.b, 64)
+    for x in lows + rng.random((n_points, model.d)) * widths:
+        table = np.stack([component_value(comp, x[None], lam) - component_value(comp, x[None], model.a)
+                          for comp in getattr(model, side)])
+        sv = np.linalg.svd(table, compute_uv=False)
+        if sv[-1] > 1e-9 * max(sv[0], 1e-300):
+            return True
+    return False
+
+
+def _assert_witness(model, message):
+    """The side, x and xi a refusal names: xi . f(x, .) is constant on [a, b]
+    to the printed digits."""
+    side, xi, x = re.fullmatch(r"the (left|right) flux is degenerate: .* for xi = \((.*)\) at x = \((.*)\), .*",
+                               message).groups()
+    xi, x = (np.array([float(v) for v in part.split(", ")]) for part in (xi, x))
+    lam = np.linspace(model.a, model.b, 33)
+    proj = sum(c * component_value(comp, x[None], lam) for c, comp in zip(xi, getattr(model, side)))
+    assert np.ptp(proj) <= 1e-5 * (1 + np.abs(proj).max())
+    assert not _full_rank(model, side)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(admissible_specs())
+def test_check_agrees_with_a_dense_rank_oracle(spec):
+    model = flux_from_spec(spec)
+    try:
+        margins = check_hypotheses(model)
+    except ValueError as exc:
+        _assert_witness(model, str(exc))
+    else:
+        assert margins["boundary_max"] <= 1e-12 < margins["minor_max"]
+        assert _full_rank(model, "left") and _full_rank(model, "right")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(admissible_specs(), st.integers(-8, 8).filter(bool), st.booleans(), st.data())
+def test_planted_degenerate_sides_fail(spec, r, zero_modulation, data):
+    # a side is degenerate when one component is r times another, or when a
+    # modulation vanishes identically (the other side may be degenerate too)
+    d = spec["d"]
+    side = data.draw(st.sampled_from(["left", "right"] if spec["interface"] else ["left"]))
+    family = spec[side]
+    if zero_modulation or d == 1:
+        family[data.draw(st.integers(0, d - 1))].update(x_modulation="affine", x_modulation_coeffs=[0] * (d + 1))
+    else:
+        family[1] = dict(family[0], poly_lambda=[r / 4 * c for c in family[0]["poly_lambda"]])
+    model = flux_from_spec(spec)
+    with pytest.raises(ValueError, match="^the (left|right) flux is degenerate") as info:
+        check_hypotheses(model)
+    _assert_witness(model, str(info.value))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import discflux as dx
-from conftest import CURVED_MODULATED_SPEC, sharp_flux, smooth_divergence, smoothed_flux, step_bv_flux
+from conftest import (
+    CURVED_MODULATED_SPEC,
+    component_value,
+    sharp_flux,
+    smooth_divergence,
+    smoothed_flux,
+    step_bv_flux,
+)
 from discflux.entropy import ResidualWorkspace
 from discflux.flux import horner, mollify_flux
 from discflux.geometry import flatten_model, radial_extend_model, transformed_normal_flux
@@ -136,8 +143,8 @@ def test_interface_jump_matches_the_transformed_normal_fluxes(name):
     surf = ws.traces.surface_points
     for lam in (-0.0, 0.3, model.b):
         lam_arr = np.full(surf.shape[0], lam)
-        want = (transformed_normal_flux(model, model.interface, "right").value(surf, lam_arr)
-                - transformed_normal_flux(model, model.interface, "left").value(surf, lam_arr))
+        want = (component_value(transformed_normal_flux(model, model.interface, "right"), surf, lam_arr)
+                - component_value(transformed_normal_flux(model, model.interface, "left"), surf, lam_arr))
         np.testing.assert_array_equal(_bits(ws._interface_jump(lam)), _bits(want))
 
 

@@ -78,6 +78,10 @@ def test_builtin_scenarios_parse_and_roundtrip():
         assert sc.name == name
         with open(path) as fh:
             assert sc.raw == json.load(fh)
+        # both hypotheses hold: the slopes of lam (1 - lam) give minors of 1
+        # in 1d, tilted_2d's smallest is 0.3
+        minor_max = 0.3 if name == "tilted_flatten_2d" else 1.0
+        assert sc.hypotheses == {"boundary_max": 0.0, "minor_max": pytest.approx(minor_max)}
     with pytest.raises(ScenarioError, match="no builtin scenario"):
         builtin_scenario_path("not_a_scenario")
 
@@ -180,6 +184,20 @@ def test_inline_flux_object(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, bad), "--out", str(out)]) == 1
     assert "scenario error: /flux: the flux must vanish" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_degenerate_flux_is_refused_with_its_direction(tmp_path, capsys):
+    # xi = (2, -1) / sqrt 5 makes xi . f of (lam (1 - lam), 2 lam (1 - lam)) vanish
+    doc = _run_doc(domain={"lows": [-1.0, -1.0], "highs": [1.0, 1.0]}, grid={"counts": [16, 16]},
+                   flux={"d": 2, "a": 0, "b": 1, "interface": None,
+                         "left": [{"poly_lambda": [0, 1, -1]}, {"poly_lambda": [0, 2, -2]}]})
+    doc["run"]["boundary"] = 0.0
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scenario error: /flux: the left flux is degenerate: xi . f(x, lam) does not depend on lam for "
+        "xi = (-0.894427, 0.447214) at x = (-1, -1), and no 2 x 2 minor of its slopes exceeds 0 on the box"]
     assert not out.exists()
 
 
@@ -515,13 +533,14 @@ def test_readme_python_api_is_the_package_namespace():
 
 
 def test_reach_collector_sees_a_shipped_scenario(tmp_path):
-    # tools/reach.py's collector on one scenario: what the run enters, and
-    # the BV mollifier that no scenario reaches
+    # tools/reach.py's collector on one scenario: what the run enters, the
+    # hypothesis check among it, and the BV mollifier that no scenario reaches
     spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
     reach = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reach)
     seen = reach.entered([["entropy-check", "burgers_shock", "--out", str(tmp_path / "out")]])
-    assert {"cli.main", "solver.run", "entropy.entropy_battery", "storage.write_trajectory_csv"} <= seen
+    assert {"cli.main", "flux.check_hypotheses", "solver.run", "entropy.entropy_battery",
+            "storage.write_trajectory_csv"} <= seen
     assert "flux.mollify_flux" not in seen and "germ.run_sequence" not in seen
     assert sys.getprofile() is None
 
@@ -558,6 +577,7 @@ def test_cli_accepts_builtin_scenario_names(tmp_path, capsys):
 
     out = tmp_path / "out"
     assert main(["entropy-check", "burgers_shock", "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "report.json").read_text())["hypotheses"] == {"boundary_max": 0.0, "minor_max": 1.0}
     assert (out / "report.json").is_file()
 
 
