@@ -24,6 +24,9 @@ from .solver import Field, Trajectory
 
 BUMP_SLOPE_MAX = 8.0 / (3.0 * math.sqrt(3.0))  # max |d/ds (1-s^2)^2|
 BUMP_MASS = 16.0 / 15.0  # integral of (1-s^2)^2 over [-1, 1]
+# the columns of ResidualWorkspace.terms and .kato, whose sum is the residual
+ENTROPY_TERMS = ("time", "convection", "divergence", "interface", "initial")
+KATO_TERMS = ("time", "convection", "initial")
 
 
 def _bump(s: np.ndarray) -> np.ndarray:
@@ -268,6 +271,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return np.einsum("ij,ij->", a, b)
 
 
+def _column_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over times of a * b, per cell of two (times, cells) tables, in
+    numpy's own loop like _dot."""
+    return np.einsum("ij,ij->j", a, b)
+
+
 def _phi_tables(phi, t: np.ndarray, w: np.ndarray, points: np.ndarray) -> list[np.ndarray]:
     """One grad phi component per axis and phi_t at the times t (a column)
     and the cells `points`, each from one broadcast call and multiplied by
@@ -363,22 +372,29 @@ class ResidualWorkspace:
         """phi on the interface at every recorded time, trapezoid-weighted."""
         return phi.value(self.times[:, None], self.traces.surface_points) * self.tw[:, None]
 
-    def residuals(self, lambdas: Sequence[float], phi) -> np.ndarray:
-        """E(lam, phi) for every lam of `lambdas`; admissibility asks E >= -tol.
+    def terms(self, lambdas: Sequence[float], phi) -> np.ndarray:
+        """The terms of E(lam, phi), one row per lam of `lambdas` in the
+        columns of ENTROPY_TERMS; E is their sum and admissibility asks
+        E >= -tol.
 
         E = |Q| sum_t tw [ |u - lam| phi_t + sgn(u - lam) (F(u) - F(lam)) . grad phi
                            - sgn(u - lam) div F(lam) phi ]
-            + |Q| |u_0 - lam| . phi(0) - tangential weight * interface term.
+            - tangential weight * interface term + |Q| |u_0 - lam| . phi(0),
 
-        The space-time sums run over phi's support box, where the tables hold
-        the values, in the same order, of the block of times x cells on which
-        phi is nonzero; the t = 0 row and the interface term run over their
-        full tables, since an einsum over a sub-block of them sums in
-        another order."""
+        the time, convection, divergence, interface (0 without an interface)
+        and initial terms.  The space-time sums run over phi's support box,
+        where the tables hold the values, in the same order, of the block of
+        times x cells on which phi is nonzero; the t = 0 row and the
+        interface term run over their full tables, since an einsum over a
+        sub-block of them sums in another order.  The tables of lam enter
+        through column sums S_w = sum_t sgn(u - lam) w per cell of each
+        weighted table w: convection is sgn . (F(u) . grad phi) minus the
+        sum over axes k of S_(d_k phi) . F_k(lam), divergence is
+        -S_phi . div F(lam).  Every operand of a sum is C-contiguous, so a
+        sum reads the same bits whichever block it runs over."""
         lam_tables = [self._lam_tables(lam) for lam in lambdas]
         box, (*wg, wdt, wv) = self._phi_box(phi)
-        # views of the box, read into (times, cells) in C order where used
-        shape, row, cells = wdt.shape, (1, wdt.shape[1]), (slice(None),) + box[1:]
+        shape, cells = wdt.shape, (slice(None),) + box[1:]
         states = _box(self.states, self.counts, box)
         flux_u = _box(self.flux_u, self.counts, box)
         conv_u = sum(flux_u[..., k].reshape(shape) * g for k, g in enumerate(wg))
@@ -387,54 +403,26 @@ class ResidualWorkspace:
         if tr is not None:
             surf = self._surface(phi)
 
-        out = np.empty(len(lam_tables))
-        for i, (lam, (flux_lam, div_lam, jump)) in enumerate(zip(lambdas, lam_tables)):
+        vol = self.cell_volume
+        out = np.zeros((len(lam_tables), len(ENTROPY_TERMS)))
+        for row, lam, (flux_lam, div_lam, jump) in zip(out, lambdas, lam_tables):
             diff = (states - lam).reshape(shape)
-            conv = wv * _box(div_lam[None], self.counts, cells).reshape(row)
-            np.subtract(conv_u, conv, out=conv)
-            flux_lam = _box(flux_lam[None], self.counts, cells)
-            for k, g in enumerate(wg):
-                conv -= g * flux_lam[..., k].reshape(row)
-            total = _dot(np.sign(diff), conv)
-            total += _dot(np.abs(diff, out=diff), wdt)
-            total = self.cell_volume * (total + _dot(np.abs(self.states[:1] - lam), phi0))
+            sgn = np.sign(diff)
+            flux_lam = _box(flux_lam[None], self.counts, cells).reshape(shape[1], -1)
+            div_lam = _box(div_lam[None], self.counts, cells).reshape(shape[1])
+            convection = _dot(sgn, conv_u) - _dot(np.stack([_column_sum(sgn, g) for g in wg], axis=-1), flux_lam)
+            row[0] = vol * _dot(np.abs(diff, out=diff), wdt)
+            row[1] = vol * convection
+            row[2] = -vol * np.einsum("j,j->", _column_sum(sgn, wv), div_lam)
             if tr is not None:
-                total -= tr.tangential_weight * _dot(np.sign(tr.averaged - lam), jump * surf)
-            out[i] = total
+                row[3] = -tr.tangential_weight * _dot(np.sign(tr.averaged - lam), jump * surf)
+            row[4] = vol * _dot(np.abs(self.states[:1] - lam), phi0)
         return out
 
-    def terms(self, lam: float, phi) -> dict[str, float]:
-        """The terms of E(lam, phi), each summed on its own: time,
-        convection, divergence (with its minus sign), interface (with its
-        minus sign, 0 without an interface) and initial.  They add up to
-        residuals()'s value up to rounding."""
-        flux_lam, div_lam, jump = self._lam_tables(lam)
-        box, (*wg, wdt, wv) = self._phi_box(phi)
-        shape, row, cells = wdt.shape, (1, wdt.shape[1]), (slice(None),) + box[1:]
-        diff = (_box(self.states, self.counts, box) - lam).reshape(shape)
-        sgn = np.sign(diff)
-        flux_u = _box(self.flux_u, self.counts, box)
-        flux_lam = _box(flux_lam[None], self.counts, cells)
-        convection = sum(_dot(sgn, g * (flux_u[..., k].reshape(shape) - flux_lam[..., k].reshape(row)))
-                         for k, g in enumerate(wg))
-        vol = self.cell_volume
-        interface = 0.0
-        if jump is not None:
-            tr = self.traces
-            interface = -tr.tangential_weight * _dot(np.sign(tr.averaged - lam), jump * self._surface(phi))
-        split = {
-            "time": vol * _dot(np.abs(diff), wdt),
-            "convection": vol * convection,
-            "divergence": -vol * _dot(sgn, wv * _box(div_lam[None], self.counts, cells).reshape(row)),
-            "interface": interface,
-            "initial": vol * _dot(np.abs(self.states[:1] - lam), self._initial(phi)),
-        }
-        return {name: float(value) for name, value in split.items()}
-
-    def kato(self, other: Trajectory, phis) -> list[tuple[float, dict[str, float]]]:
-        """K(phi) of this trajectory u against `other` v for every phi, with
-        its time, convection and initial terms; the Kato inequality asks
-        K >= -tol.
+    def kato(self, other: Trajectory, phis) -> np.ndarray:
+        """The terms of K(phi) of this trajectory u against `other` v, one
+        row per phi of `phis` in the columns of KATO_TERMS; K is their sum
+        and the Kato inequality asks K >= -tol.
 
         K = |Q| sum_t tw [ |u - v| phi_t + sgn(u - v) (F_eps(u) - F_eps(v)) . grad phi ]
             + |Q| |u_0 - v_0| . phi(0).
@@ -453,16 +441,11 @@ class ResidualWorkspace:
         conv = [sgn * flux_diff[..., k] for k in range(self.model.d)]
         del flux_diff, sgn
 
-        out = []
-        vol = self.cell_volume
-        for phi in phis:
+        out = np.empty((len(phis), len(KATO_TERMS)))
+        for row, phi in zip(out, phis):
             *wg, wdt = _phi_tables(phi, self.times[:, None], self.tw[:, None], self.points)
-            time, convection = _dot(dist, wdt), sum(_dot(c, g) for c, g in zip(conv, wg))
-            initial = _dot(dist[:1], self._initial(phi))
-            out.append((float((time + convection + initial) * vol),
-                        {"time": float(time * vol), "convection": float(convection * vol),
-                         "initial": float(initial * vol)}))
-        return out
+            row[:] = _dot(dist, wdt), sum(_dot(c, g) for c, g in zip(conv, wg)), _dot(dist[:1], self._initial(phi))
+        return out * self.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +486,11 @@ class EntropyReport:
         }
 
 
-def _battery(trajectory: Trajectory, phis, tol_factor: float, residuals, terms) -> EntropyReport:
-    """The report of `residuals(phis)`, which yields per test function its
-    (lambda, residual) rows, on the default bump battery when phis is None.
-    A failing row carries `terms(lam, phi)`, its residual's terms.
+def _battery(trajectory: Trajectory, phis, tol_factor: float, names: tuple[str, ...], rows) -> EntropyReport:
+    """The report of `rows(phis)`, which yields per test function its
+    (lambda, terms) rows, the terms a list in the order of `names`, on the
+    default bump battery when phis is None.  A row's residual is the sum of
+    its terms from left to right; a failing row carries its terms.
 
     tol per row = tol_factor * ||phi||_C1 * |domain| (Design note: scaling
     with the test function bars tiny bumps from passing trivially)."""
@@ -515,18 +499,19 @@ def _battery(trajectory: Trajectory, phis, tol_factor: float, residuals, terms) 
         phis = bump_battery(box, trajectory.times[-1])
     for phi in phis:
         phi.validate(box, trajectory.times[-1])
-    rows = []
-    for phi, found in zip(phis, residuals(phis)):
+    entries = []
+    for phi, found in zip(phis, rows(phis)):
         tol = float(tol_factor * phi.c1_norm * box.volume)
-        for lam, r in found:
+        for lam, terms in found:
+            r = sum(terms)
             passed = bool(r >= -tol)
-            rows.append(EntropyEntry(lam, phi.label, r, tol, passed, None if passed else terms(lam, phi)))
-    worst_row = min(rows, key=lambda e: e.residual)
+            entries.append(EntropyEntry(lam, phi.label, r, tol, passed, None if passed else dict(zip(names, terms))))
+    worst_row = min(entries, key=lambda e: e.residual)
     return EntropyReport(
-        entries=tuple(rows),
+        entries=tuple(entries),
         min_residual=worst_row.residual,
         worst=(worst_row.lam, worst_row.phi_id),
-        passed=all(e.passed for e in rows),
+        passed=all(e.passed for e in entries),
     )
 
 
@@ -538,9 +523,8 @@ def entropy_battery(trajectory: Trajectory, model: PiecewiseFlux,
     residuals in flattened coordinates."""
     ws = ResidualWorkspace(trajectory, model)
     lambdas = lambda_battery(model.a, model.b).tolist()
-    return _battery(trajectory, phis, tol_factor,
-                    lambda phis: (zip(lambdas, ws.residuals(lambdas, phi).tolist()) for phi in phis),
-                    ws.terms)
+    return _battery(trajectory, phis, tol_factor, ENTROPY_TERMS,
+                    lambda phis: (zip(lambdas, ws.terms(lambdas, phi).tolist()) for phi in phis))
 
 
 def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
@@ -548,8 +532,8 @@ def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
                  tol_factor: float = 1e-3) -> EntropyReport:
     """The Kato residual of the pair (u1, u2) against every test function."""
     ws = ResidualWorkspace(u1, model)
-    return _battery(u1, phis, tol_factor, lambda phis: ([(None, r)] for r, _ in ws.kato(u2, phis)),
-                    lambda _, phi: ws.kato(u2, [phi])[0][1])
+    return _battery(u1, phis, tol_factor, KATO_TERMS,
+                    lambda phis: ([(None, row)] for row in ws.kato(u2, phis).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -341,15 +341,16 @@ def check_hypotheses(model: PiecewiseFlux) -> dict:
     terms = [[comp.terms(xs) for comp in comps] for comps in (model.left, model.right)]
     n = max(d + 1, *(len(c) for side in terms for comp in side for c, _ in comp))
     table = np.zeros((2, len(xs), d, n))
-    for s, side in enumerate(terms):
-        for k, comp in enumerate(side):
-            for coeffs, factor in comp:
-                table[s, :, k, :len(coeffs)] += np.multiply.outer(np.broadcast_to(
-                    1.0 if factor is None else factor, len(xs)), coeffs)
-
     states = (model.a, model.b)
-    # ordered (side, k, state, p), so that argmax picks the first of equal maxima in that order
-    ends = np.abs(horner(np.reshape(states, (2, 1, 1, 1)), np.moveaxis(table, -1, 0))).transpose(1, 3, 0, 2)
+    # quiet: coefficients that overflow give inf and NaN here, which the first check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, side in enumerate(terms):
+            for k, comp in enumerate(side):
+                for coeffs, factor in comp:
+                    table[s, :, k, :len(coeffs)] += np.multiply.outer(np.broadcast_to(
+                        1.0 if factor is None else factor, len(xs)), coeffs)
+        # ordered (side, k, state, p), so that argmax picks the first of equal maxima in that order
+        ends = np.abs(horner(np.reshape(states, (2, 1, 1, 1)), np.moveaxis(table, -1, 0))).transpose(1, 3, 0, 2)
     s, k, t, p = np.unravel_index(ends.argmax(), ends.shape)
     if not ends[s, k, t, p] <= HYPOTHESIS_TOL:  # NaN, where the coefficients overflow, is refused too
         raise ValueError(f"the flux must vanish at a = {model.a} and b = {model.b}, but |f| = "

@@ -23,6 +23,11 @@ def lambda_derivative(comp: FluxComponent, x, lam):
     return term_sum(((derivative_coeffs(c), f) for c, f in comp.terms(x)), lam)
 
 
+def residual(row) -> float:
+    """A residual from its row of ResidualWorkspace.terms or .kato: the sum of the terms from left to right."""
+    return sum(row.tolist())
+
+
 def riemann_field(grid: dx.Grid, left: float, right: float, position: float = 0.0) -> dx.Field:
     x = grid.points()[..., 0]
     return dx.Field(grid, np.where(x < position, left, right).astype(float), 0.0)

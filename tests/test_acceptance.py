@@ -12,7 +12,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 import discflux as dx
-from conftest import block_field, component_value, dense_bounds, l1_ratios
+from conftest import block_field, component_value, dense_bounds, l1_ratios, residual
 from discflux import entropy
 from discflux.entropy import ResidualWorkspace, cone_locality_check, l1_distance
 from discflux.geometry import Cone, flatten_model, project_to_ball, radial_extend_model, speed_bound
@@ -135,7 +135,7 @@ def test_criterion_3_entropy_residuals(burgers_shock_traj, burgers_rarefaction_t
     planted = Trajectory(fine_grid, times, states, {})
     phi = entropy.TestFunction(time_center=0.25, time_radius=0.25,
                                space_center=(0.0,), space_radius=(0.45,))
-    resid = ResidualWorkspace(planted, burgers_model).residuals([0.5], phi)[0]
+    resid = residual(ResidualWorkspace(planted, burgers_model).terms([0.5], phi)[0])
     scale = phi.c1_norm * fine_grid.box.volume
     detected = resid < -0.01 * scale
 

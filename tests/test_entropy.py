@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import discflux as dx
-from conftest import block_field, component_value, l1_ratios, sharp_flux, smooth_divergence, smoothed_flux
+from conftest import block_field, component_value, l1_ratios, residual, sharp_flux, smooth_divergence, smoothed_flux
 from discflux import entropy
 from discflux.entropy import (
     ResidualWorkspace,
@@ -39,7 +39,7 @@ def _phi(t_center, t_radius, center, radius, label="phi"):
 
 def _residual(traj, model, lam, phi):
     """E(lam, phi) of one pair."""
-    return ResidualWorkspace(traj, model).residuals([lam], phi)[0]
+    return residual(ResidualWorkspace(traj, model).terms([lam], phi)[0])
 
 
 def _whole_grid(grid, times):
@@ -186,8 +186,7 @@ def test_endpoint_lambdas_reduce_to_weak_form(burgers_shock_traj, burgers_model)
     phi = _phi(0.25, 0.2, 0.0, 0.4)
     ws = ResidualWorkspace(burgers_shock_traj, burgers_model)
     tol = 1e-3 * phi.c1_norm * burgers_model.domain.volume
-    assert abs(ws.residuals([0.0], phi)[0]) <= tol
-    assert abs(ws.residuals([1.0], phi)[0]) <= tol
+    assert all(abs(residual(row)) <= tol for row in ws.terms([0.0, 1.0], phi))
 
 
 def test_kruzhkov_rejects_lambda_outside_interval(burgers_shock_traj, burgers_model):
@@ -343,8 +342,8 @@ def test_residual_linear_in_phi(two_flux_block_traj, two_flux_model):
 
     ws = ResidualWorkspace(two_flux_block_traj, two_flux_model)
     lam = 0.4
-    combined = ws.residuals([lam], Combo())[0]
-    separate = alpha * ws.residuals([lam], phi1)[0] + beta * ws.residuals([lam], phi2)[0]
+    combined = residual(ws.terms([lam], Combo())[0])
+    separate = alpha * residual(ws.terms([lam], phi1)[0]) + beta * residual(ws.terms([lam], phi2)[0])
     np.testing.assert_allclose(combined, separate, atol=1e-12)
 
 
@@ -357,20 +356,39 @@ def test_entropy_report_json_layout(burgers_shock_traj, burgers_model):
     assert set(blob["summary"]) == {"min_residual", "worst_lambda", "worst_phi", "pass", "count"}
 
 
-ENTROPY_TERMS = {"time", "convection", "divergence", "interface", "initial"}
+ENTROPY_TERMS = ("time", "convection", "divergence", "interface", "initial")
+KATO_TERMS = ("time", "convection", "initial")
 
 
-def _assert_terms_of_failing_entries(report, names):
-    """Failing entries carry their terms, which sum to the residual; passing
-    entries carry none, in the report and in its JSON."""
-    failing = [e for e in report.entries if not e.passed]
-    assert failing and len(failing) < len(report.entries)
-    for entry, blob in zip(report.entries, report.to_json()["entries"]):
+def _entropy_rows(traj, model, phis=None):
+    """The rows of terms of entropy_battery(traj, model, phis=phis) in the
+    order of its entries, from a workspace of their own."""
+    ws = ResidualWorkspace(traj, model)
+    lambdas = lambda_battery(model.a, model.b).tolist()
+    phis = phis or bump_battery(traj.grid.box, traj.times[-1])
+    return [row for phi in phis for row in ws.terms(lambdas, phi).tolist()]
+
+
+def _kato_rows(u, v, model, phis=None):
+    """The rows of terms of kato_battery(u, v, model, phis=phis), from a workspace of their own."""
+    return ResidualWorkspace(u, model).kato(v, phis or bump_battery(u.grid.box, u.times[-1])).tolist()
+
+
+def _assert_terms_of_failing_entries(report, names, rows):
+    """Each entry's residual is the sum of its row of terms from left to
+    right, bit for bit; a failing entry carries that row, named by `names`,
+    a passing entry no terms, in the report and in its JSON.  Returns the
+    failing entries."""
+    assert len(rows) == len(report.entries)
+    failing = []
+    for entry, blob, row in zip(report.entries, report.to_json()["entries"], rows):
+        assert entry.residual.hex() == sum(row).hex()
         if entry.passed:
             assert entry.terms is None and "terms" not in blob
             continue
-        assert set(entry.terms) == names and blob["terms"] == entry.terms
-        assert abs(math.fsum(entry.terms.values()) - entry.residual) <= 1e-12 * abs(entry.residual)
+        assert tuple(entry.terms) == names and entry.terms == dict(zip(names, row)) and blob["terms"] == entry.terms
+        failing.append(entry)
+    return failing
 
 
 def test_failing_entropy_entries_carry_their_terms(burgers_model, fine_grid):
@@ -378,7 +396,8 @@ def test_failing_entropy_entries_carry_their_terms(burgers_model, fine_grid):
     phis = [_phi(0.25, 0.25, 0.0, 0.45, "shock"), _phi(0.1, 0.05, 0.0, 0.3, "early"),
             _phi(0.3, 0.2, 0.25, 0.2, "right")]
     report = dx.entropy_battery(traj, burgers_model, phis=phis)
-    _assert_terms_of_failing_entries(report, ENTROPY_TERMS)
+    failing = _assert_terms_of_failing_entries(report, ENTROPY_TERMS, _entropy_rows(traj, burgers_model, phis))
+    assert failing and len(failing) < len(report.entries)
     # the bump on the jump fails through its convection term; the others pass
     worst = min(report.entries, key=lambda e: e.residual)
     assert worst.phi_id == "shock" and worst.terms["convection"] < 0
@@ -387,10 +406,11 @@ def test_failing_entropy_entries_carry_their_terms(burgers_model, fine_grid):
 
     # an x-dependent flux on a field that solves nothing: the divergence term shows
     ramp = _x_ramp_fixture(fine_grid, 1.0)
-    report = dx.entropy_battery(ramp, dx.preset("x_ramp"), tol_factor=1e-9,
-                                phis=bump_battery(ramp.grid.box, ramp.times[-1], count=4))
-    _assert_terms_of_failing_entries(report, ENTROPY_TERMS)
-    assert any(e.terms["divergence"] != 0.0 for e in report.entries if not e.passed)
+    phis = bump_battery(ramp.grid.box, ramp.times[-1], count=4)
+    report = dx.entropy_battery(ramp, dx.preset("x_ramp"), tol_factor=1e-9, phis=phis)
+    failing = _assert_terms_of_failing_entries(report, ENTROPY_TERMS, _entropy_rows(ramp, dx.preset("x_ramp"), phis))
+    assert failing and len(failing) < len(report.entries)
+    assert any(e.terms["divergence"] != 0.0 for e in failing)
 
 
 def test_failing_interface_entries_carry_their_terms(two_flux_model, fine_grid):
@@ -398,13 +418,35 @@ def test_failing_interface_entries_carry_their_terms(two_flux_model, fine_grid):
     # fails for lambda < c; the sides do not depend on x, so no divergence
     # term, and the jump at lambda > 0 shows in the interface term
     traj = _constant_trajectory(fine_grid, 0.5, np.linspace(0.0, 0.09, 33))
-    report = dx.entropy_battery(traj, flatten_model(two_flux_model),
-                                phis=[_phi(0.045, 0.04, 0.0, 0.3)], tol_factor=1e-6)
-    _assert_terms_of_failing_entries(report, ENTROPY_TERMS)
-    failing = [e for e in report.entries if not e.passed]
+    phis = [_phi(0.045, 0.04, 0.0, 0.3)]
+    report = dx.entropy_battery(traj, flatten_model(two_flux_model), phis=phis, tol_factor=1e-6)
+    failing = _assert_terms_of_failing_entries(report, ENTROPY_TERMS,
+                                               _entropy_rows(traj, flatten_model(two_flux_model), phis))
     assert [e.lam for e in failing] == [0.0, 0.1, 0.2, 0.3, 0.4]
     assert all(e.terms["divergence"] == 0.0 for e in failing)
     assert all(e.terms["interface"] < 0 for e in failing[1:])
+
+
+@pytest.mark.parametrize("name", ["burgers_shock", "burgers_rarefaction", "two_flux_admissibility",
+                                  "tilted_flatten_2d", "kato_burgers"])
+def test_shipped_battery_residuals_are_the_sums_of_their_terms(name, tmp_path, monkeypatch):
+    # every shipped scenario that runs a battery, through the CLI: each
+    # entry's residual against its row of terms from a workspace of its own
+    from discflux import cli
+    from discflux.scenario import builtin_scenario_path, parse_scenario
+
+    calls = []
+    for attr in ("entropy_battery", "kato_battery"):
+        def spy(*args, _battery=getattr(cli, attr), **kwargs):
+            calls.append((args, kwargs, _battery(*args, **kwargs)))
+            return calls[-1][-1]
+        monkeypatch.setattr(cli, attr, spy)
+    assert cli.main([parse_scenario(builtin_scenario_path(name)).kind, name, "--out", str(tmp_path), "--quiet"]) == 0
+    [((*trajs, model), kwargs, report)] = calls
+    if len(trajs) == 1:
+        _assert_terms_of_failing_entries(report, ENTROPY_TERMS, _entropy_rows(*trajs, model, kwargs["phis"]))
+    else:
+        _assert_terms_of_failing_entries(report, KATO_TERMS, _kato_rows(*trajs, model, kwargs["phis"]))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +540,8 @@ def test_kato_battery_rejects_a_pair_with_a_planted_bump():
     report = kato_battery(u, v_planted, sc.model)
     assert not report.passed
     assert min(e.residual / e.tol for e in report.entries) < -2.0
-    _assert_terms_of_failing_entries(report, {"time", "convection", "initial"})
+    failing = _assert_terms_of_failing_entries(report, KATO_TERMS, _kato_rows(u, v_planted, sc.model))
+    assert failing and len(failing) < len(report.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +678,13 @@ def test_entropy_battery_matches_per_pair_formula(case, request, fine_grid):
     ws = ResidualWorkspace(traj, model)
     for phi in phis:
         ref = _per_pair_kruzhkov(traj, model, recorded, phi)
-        assert abs(ws.residuals([recorded], phi)[0] - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert abs(residual(ws.terms([recorded], phi)[0]) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def _live_block_residuals(ws, lambdas, phi):
-    """ResidualWorkspace.residuals as it was before the support box: every
-    table over all recorded times x cells, then the block of times x cells
-    where any table is nonzero, picked by a mask and np.ix_."""
+def _live_block_terms(ws, lambdas, phi):
+    """ResidualWorkspace.terms without the support box: every table over all
+    recorded times x cells, then the block of times x cells where any table
+    is nonzero, picked by a mask and np.ix_."""
     t, w = ws.times[:, None], ws.tw[:, None]
     grad = phi.gradient(t, ws.points)
     tables = [grad[..., k] * w for k in range(ws.points.shape[-1])]
@@ -656,21 +699,23 @@ def _live_block_residuals(ws, lambdas, phi):
     tr = ws.traces
     if tr is not None:
         surf = phi.value(ws.times[:, None], tr.surface_points) * ws.tw[:, None]
-    out = np.empty(len(lambdas))
-    for i, lam in enumerate(lambdas):
+    vol = ws.cell_volume
+    out = np.zeros((len(lambdas), 5))
+    for row, lam in zip(out, lambdas):
         flux_lam, div_lam, jump = ws._lam_tables(lam)
         diff = ws.states[block]
         diff -= lam
-        conv = wv * div_lam[cells]
-        np.subtract(conv_u, conv, out=conv)
-        for k, g in enumerate(wg):
-            conv -= g * flux_lam[cells, k]
-        total = np.einsum("ij,ij->", np.sign(diff), conv)
-        total += np.einsum("ij,ij->", np.abs(diff, out=diff), wdt)
-        total = ws.cell_volume * (total + np.einsum("ij,ij->", np.abs(ws.states[:1] - lam), phi0))
+        sgn = np.sign(diff)
+        # per cell, the sums over times of sgn times each weighted table
+        s_grad = np.stack([np.einsum("ij,ij->j", sgn, g) for g in wg], axis=-1)
+        s_phi = np.einsum("ij,ij->j", sgn, wv)
+        convection = np.einsum("ij,ij->", sgn, conv_u) - np.einsum("ij,ij->", s_grad, flux_lam[cells])
+        row[0] = vol * np.einsum("ij,ij->", np.abs(diff), wdt)
+        row[1] = vol * convection
+        row[2] = -vol * np.einsum("j,j->", s_phi, div_lam[cells])
         if tr is not None:
-            total -= tr.tangential_weight * np.einsum("ij,ij->", np.sign(tr.averaged - lam), jump * surf)
-        out[i] = total
+            row[3] = -tr.tangential_weight * np.einsum("ij,ij->", np.sign(tr.averaged - lam), jump * surf)
+        row[4] = vol * np.einsum("ij,ij->", np.abs(ws.states[:1] - lam), phi0)
     return out
 
 
@@ -729,8 +774,8 @@ def test_support_box_residuals_equal_the_live_block_bits(case, request, fine_gri
     phis = bump_battery(traj.grid.box, traj.times[-1], count=6) + _edge_bumps(traj) + [_Everywhere()]
     ws = ResidualWorkspace(traj, model)
     for phi in phis:
-        got = ws.residuals(lambdas, phi)
-        assert_array_equal(got.view(np.int64), _live_block_residuals(ws, lambdas, phi).view(np.int64))
+        got = ws.terms(lambdas, phi)
+        assert_array_equal(got.view(np.int64), _live_block_terms(ws, lambdas, phi).view(np.int64))
 
 
 class _CountedBump(entropy.TestFunction):

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -175,12 +175,17 @@ def test_flattened_box_reaches_both_interior_extremes():
 
 def _dense_tangential(itf, lo, hi):
     """A dense grid on [lo, hi] plus grids refined four times, 100-fold
-    each, around every discrete local extremum of zeta on it."""
+    each, around every discrete local extremum of zeta on it: each sample
+    not below its neighbours (an end has one), and of a run of such samples
+    only the first and the last.  Ties count, since zeta may peak between
+    two tied samples; the inner samples of a run do not, so that a constant
+    zeta is refined at its two ends only."""
     s = np.linspace(lo, hi, 2001)
     out = [s]
     for sign in (1.0, -1.0):
-        v = sign * itf.zeta(s[:, None])
-        for c in s[np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1]:
+        v = np.pad(sign * itf.zeta(s[:, None]), 1, constant_values=-np.inf)
+        top = np.pad((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]), 1)
+        for c in s[top[1:-1] & ~(top[:-2] & top[2:])]:
             h = s[1] - s[0]
             for _ in range(4):
                 t = np.linspace(max(lo, c - h), min(hi, c + h), 201)
@@ -189,13 +194,15 @@ def _dense_tangential(itf, lo, hi):
     return np.concatenate(out)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     axis=st.integers(0, 1),
     coeffs=st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=1, max_size=5),
     lows=st.tuples(st.floats(-2.0, 1.0), st.floats(-2.0, 1.0)),
     widths=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
 )
+# zeta ties at its first two samples, 0 and 0.001, and peaks between them at 0.0005
+@example(axis=0, coeffs=[0.0, 0.001, -1.0], lows=(0.0, 0.0), widths=(1.0, 2.0))
 def test_flattened_box_is_the_hull_of_a_dense_flattened_grid(axis, coeffs, lows, widths):
     itf = Interface(axis, 2, tuple(coeffs))
     box = dx.Box(lows, tuple(lo + w for lo, w in zip(lows, widths)))

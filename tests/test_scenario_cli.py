@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,23 @@ def test_degenerate_flux_is_refused_with_its_direction(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "scenario error: /flux: the left flux is degenerate: xi . f(x, lam) does not depend on lam for "
         "xi = (-0.894427, 0.447214) at x = (-1, -1), and no 2 x 2 minor of its slopes exceeds 0 on the box"]
+    assert not out.exists()
+
+
+def test_overflowing_flux_is_refused_in_one_line(tmp_path, capsys):
+    # the coefficient table overflows to inf and NaN: the refusal is the only
+    # thing written, with no numpy warning ahead of it
+    doc = _run_doc(flux={"d": 1, "a": 0, "b": 1, "interface": None,
+                         "left": [{"poly_lambda": [0, 1e200, -1e200], "x_modulation": "affine",
+                                   "x_modulation_coeffs": [1e200, 0]}]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "scenario error: /flux: the flux must vanish at a = 0.0 and b = 1.0, but |f| = nan at state 0.0 "
+        "and x = (-0.5)"]
     assert not out.exists()
 
 
@@ -534,13 +552,14 @@ def test_readme_python_api_is_the_package_namespace():
 
 def test_reach_collector_sees_a_shipped_scenario(tmp_path):
     # tools/reach.py's collector on one scenario: what the run enters, the
-    # hypothesis check among it, and the BV mollifier that no scenario reaches
+    # hypothesis check and the residual terms among it, and the BV mollifier
+    # that no scenario reaches
     spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
     reach = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reach)
     seen = reach.entered([["entropy-check", "burgers_shock", "--out", str(tmp_path / "out")]])
     assert {"cli.main", "flux.check_hypotheses", "solver.run", "entropy.entropy_battery",
-            "storage.write_trajectory_csv"} <= seen
+            "entropy.ResidualWorkspace.terms", "storage.write_trajectory_csv"} <= seen
     assert "flux.mollify_flux" not in seen and "germ.run_sequence" not in seen
     assert sys.getprofile() is None
 

@@ -13,7 +13,7 @@ from discflux import cli, scenario, storage  # noqa: E402
 PACKAGE = pathlib.Path(cli.__file__).parent
 ALLOWED = {name: why for why, names in (line.split(": ") for line in """\
 failure only: storage.WriteError.of storage.WriteError.__str__ solver._which
-failure only: scenario._refuse_constant entropy.ResidualWorkspace.terms flux._point
+failure only: scenario._refuse_constant flux._point
 forked entry point; the audit runs its body in-process: germ._init_worker germ._worker_task storage.Writers.submit
 runs at import, before the audit: scenario._closed
 save_level_result writes a cached level's records with it: germ.save_record
