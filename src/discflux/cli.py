@@ -24,7 +24,7 @@ from .entropy import (
     bump_battery,
     cone_locality_check,
     entropy_battery,
-    interface_trace,
+    interface_trace,  # noqa: F401  stays importable here: bench/tracer.py wraps discflux.cli.interface_trace
     kato_battery,
     l1_distance,
 )
@@ -101,7 +101,7 @@ def _battery(clock, checks, sc: Scenario, battery, trajs, model, tol_factor: flo
              name: str, label: str):
     """`battery(*trajs, model)` on the study's bumps (the battery's own test
     functions without `bumps`) and its `tol_factor` (`tol_factor` without),
-    its JSON handed to a writer as `name` and its check line as `label`."""
+    its JSON handed to a writer as `name`, its check line as `label`: the report."""
     phis = None
     if "bumps" in sc.study:
         phis = bump_battery(trajs[0].grid.box, trajs[0].times[-1], count=int(sc.study["bumps"]))
@@ -112,6 +112,7 @@ def _battery(clock, checks, sc: Scenario, battery, trajs, model, tol_factor: flo
     lam_txt = "none" if lam is None else f"{lam:.6g}"
     _check(checks, label, report.passed,
            f"min residual {report.min_residual:.3e} (worst at lambda={lam_txt}, {phi})")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +171,10 @@ def _exec_entropy(sc: Scenario, args, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     traj = _solve(clock, checks, sc, sc.initial_field(), sc.config, "trajectory.csv", "max_principle")
-    _battery(clock, checks, sc, entropy_battery, [traj], model, 1e-3,
-             "entropy_report.json", "entropy_battery")
-    if model.interface is not None:
-        try:
-            trace = clock("verify_s", interface_trace, traj, model)
-        except ValueError as exc:
-            raise RuntimeError(f"interface trace unavailable: {exc}") from exc
-        clock.write("trace.csv", storage.write_trace_csv, trace)
+    report = _battery(clock, checks, sc, entropy_battery, [traj], model, 1e-3,
+                      "entropy_report.json", "entropy_battery")
+    if report.trace is not None:
+        clock.write("trace.csv", storage.write_trace_csv, report.trace)
     return checks, {"solver": traj.manifest}
 
 
@@ -273,7 +270,7 @@ def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:
            f"worst contraction ratio {st.worst_ratio:.4f} over {st.pairs} pairs (pair {pair})")
 
     target = sc.field_from_spec(sc.study.get("solve_target", sc.initial), grid=study.comparison_grid)
-    est = clock("solve_s", study.solve, target, level)
+    est = clock("verify_s", result.estimate, target)
     clock.write("estimate.csv", storage.write_field_csv, est.limit)
     extra = {"family_size": len(result.records),
              "estimate": {"member_id": est.member_id, "error_bar": est.error_bar,

@@ -23,7 +23,6 @@ from .geometry import Cone, flatten_model, halton
 from .solver import Field, Trajectory
 
 BUMP_SLOPE_MAX = 8.0 / (3.0 * math.sqrt(3.0))  # max |d/ds (1-s^2)^2|
-BUMP_MASS = 16.0 / 15.0  # integral of (1-s^2)^2 over [-1, 1]
 # the columns of ResidualWorkspace.terms and .kato, whose sum is the residual
 ENTROPY_TERMS = ("time", "convection", "divergence", "interface", "initial")
 KATO_TERMS = ("time", "convection", "initial")
@@ -468,6 +467,7 @@ class EntropyReport:
     min_residual: float
     worst: tuple[float | None, str]
     passed: bool
+    trace: TraceField | None  # the interface traces the residuals read; None without an interface and for Kato
 
     def to_json(self) -> dict:
         return {
@@ -486,11 +486,11 @@ class EntropyReport:
         }
 
 
-def _battery(trajectory: Trajectory, phis, tol_factor: float, names: tuple[str, ...], rows) -> EntropyReport:
-    """The report of `rows(phis)`, which yields per test function its
-    (lambda, terms) rows, the terms a list in the order of `names`, on the
-    default bump battery when phis is None.  A row's residual is the sum of
-    its terms from left to right; a failing row carries its terms.
+def _battery(trajectory: Trajectory, phis, tol_factor: float, names: tuple[str, ...], rows, trace) -> EntropyReport:
+    """The report, carrying `trace`, of `rows(phis)`, which yields per test
+    function its (lambda, terms) rows, the terms a list in the order of
+    `names`, on the default bump battery when phis is None.  A row's residual
+    is the sum of its terms from left to right; a failing row carries them.
 
     tol per row = tol_factor * ||phi||_C1 * |domain| (Design note: scaling
     with the test function bars tiny bumps from passing trivially)."""
@@ -512,7 +512,7 @@ def _battery(trajectory: Trajectory, phis, tol_factor: float, names: tuple[str, 
         min_residual=worst_row.residual,
         worst=(worst_row.lam, worst_row.phi_id),
         passed=all(e.passed for e in entries),
-    )
+        trace=trace)
 
 
 def entropy_battery(trajectory: Trajectory, model: PiecewiseFlux,
@@ -524,7 +524,7 @@ def entropy_battery(trajectory: Trajectory, model: PiecewiseFlux,
     ws = ResidualWorkspace(trajectory, model)
     lambdas = lambda_battery(model.a, model.b).tolist()
     return _battery(trajectory, phis, tol_factor, ENTROPY_TERMS,
-                    lambda phis: (zip(lambdas, ws.terms(lambdas, phi).tolist()) for phi in phis))
+                    lambda phis: (zip(lambdas, ws.terms(lambdas, phi).tolist()) for phi in phis), ws.traces)
 
 
 def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
@@ -533,7 +533,7 @@ def kato_battery(u1: Trajectory, u2: Trajectory, model: PiecewiseFlux,
     """The Kato residual of the pair (u1, u2) against every test function."""
     ws = ResidualWorkspace(u1, model)
     return _battery(u1, phis, tol_factor, KATO_TERMS,
-                    lambda phis: ([(None, row)] for row in ws.kato(u2, phis).tolist()))
+                    lambda phis: ([(None, row)] for row in ws.kato(u2, phis).tolist()), None)
 
 
 # ---------------------------------------------------------------------------

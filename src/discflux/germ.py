@@ -209,7 +209,7 @@ def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_tim
     the grid of the finest epsilon.  Returns the records, in the order of
     `data`, and the counters of this call's solves: {"tasks": each task's
     counters, in epsilon order, "solver": their sums and the number of
-    processes that ran them}.  Empty `data` solves nothing and starts no pool.
+    processes that ran them}.
 
     A task is one epsilon: run_lockstep over every datum, on the pool of
     _map, finest epsilon (the longest task) first.  Each run's arithmetic
@@ -218,6 +218,8 @@ def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_tim
     initial data, as record CSVs there."""
     start = time.perf_counter()
     eps_list = [float(e) for e in epsilons]
+    if not data:
+        raise ValueError("no data to solve")
     if len(eps_list) < 2:
         raise ValueError("need at least two epsilons")
     if any(e <= 0 for e in eps_list) or any(b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
@@ -247,7 +249,7 @@ def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_tim
                       "start_s": began - start, "solve_s": solved - began,
                       "write_s": time.perf_counter() - solved if records_dir else 0.0}
 
-    solved, workers = _map(solve, len(eps_list) if fns else 0)
+    solved, workers = _map(solve, len(eps_list))
     pids = list(dict.fromkeys(task["worker"] for _, task in solved))  # in the order of their first task
     solved.reverse()
     tasks = [dict(task, worker=pids.index(task["worker"])) for _, task in solved]
@@ -415,20 +417,38 @@ def _delta_tail(deltas) -> float:
     return float(last * rho / (1.0 - rho))
 
 
+def _estimate(u0: Field, member: StepFunction, record: GermRecord) -> GermEstimate:
+    """The limit estimate for `u0` from the record of `member`, its
+    projection: the member's finest endpoint, with the triangle-inequality
+    error bar approx_error + delta_tail."""
+    if u0.grid != record.initial.grid:
+        raise ValueError("data to solve must live on the comparison grid")
+    approx = l1_distance(u0, record.initial)
+    tail = _delta_tail(record.deltas)
+    return GermEstimate(limit=record.endpoints[-1], error_bar=approx + tail,
+                        member_id=member.label, approx_error=approx, delta_tail=tail)
+
+
 @dataclass(frozen=True)
 class GermLevelResult:
-    level: int
-    records: tuple[GermRecord, ...]
+    family: DenseFamily
+    records: tuple[GermRecord, ...]  # in the order of family.members
     selection: SelectionResult
     matrix: ContractionMatrix
     stability: StabilityReport
-    written: frozenset[str]  # record directories whose CSVs the solving tasks wrote
-    counters: dict  # run_sequence's counters of the uncached members' solves
+    records_dir: str | None  # where the solving tasks wrote the record CSVs, if anywhere
+    counters: dict  # run_sequence's counters of the level's solves
+
+    def estimate(self, u0: Field) -> GermEstimate:
+        """The limit estimate for `u0` from the record of its projection
+        onto this level's family."""
+        member = self.family.project(u0)
+        return _estimate(u0, member, next(r for r in self.records if r.member_id == member.label))
 
 
 class GermStudy:
-    """Caches one GermRecord per datum so family sweeps, diagonal selection,
-    stability matrices and limit estimates (solve) reuse each viscous run."""
+    """The settings of a germ study, fixed at construction: each
+    level_result and solve runs its own run_sequence on them."""
 
     def __init__(self, model: PiecewiseFlux, final_time: float, epsilons,
                  box: Box | None = None, cell_budget: int = DEFAULT_CELL_BUDGET,
@@ -451,58 +471,33 @@ class GermStudy:
                 f"final time {self.final_time} empties the contraction cone "
                 f"(radius {inradius}, speed {speed}); shorten the run or grow the box"
             )
-        self._records: dict = {}
 
     def family(self, level: int) -> DenseFamily:
         return build_dense_family(level, self.model.a, self.model.b, self.box)
 
-    @staticmethod
-    def _key(member: StepFunction):
-        return member.level, member.values
-
-    def _solve(self, members, records_dir: str | None) -> dict:
-        """Solve and cache `members` in one run_sequence; its counters."""
-        records, counters = run_sequence({m.label: m for m in members}, self.epsilons, self.model,
-                                         self.box, self.final_time, cell_budget=self.cell_budget,
-                                         cfl=self.cfl, records_dir=records_dir)
-        self._records.update((self._key(m), record) for m, record in zip(members, records))
-        return counters
-
-    def record_for(self, member: StepFunction) -> GermRecord:
-        if self._key(member) not in self._records:
-            self._solve([member], None)
-        return self._records[self._key(member)]
-
     def level_result(self, level: int, records_dir: str | None = None) -> GermLevelResult:
-        """Records, selection and stability of every member of a level; the
-        uncached members are solved together by run_sequence, one lockstep
-        task per epsilon, their record CSVs written into `records_dir`."""
+        """Records, selection and stability of every member of a level, all
+        solved by one run_sequence (one lockstep task per epsilon), their
+        record CSVs written into `records_dir` when it is given."""
         family = self.family(level)
         if not family.enumerable:
             raise ValueError(f"family level {level} has {family.count} members, too many to enumerate")
-        todo = [m for m in family.members if self._key(m) not in self._records]
-        counters = self._solve(todo, records_dir)
-        records = tuple(self.record_for(m) for m in family.members)
+        records, counters = run_sequence({m.label: m for m in family.members}, self.epsilons, self.model,
+                                         self.box, self.final_time, cell_budget=self.cell_budget,
+                                         cfl=self.cfl, records_dir=records_dir)
         selection = diagonal_select(records, self.threshold)
         matrix = contraction_matrix(records, self.cone)
-        stability = stability_report(matrix)
-        written = frozenset(os.path.normpath(os.path.join(records_dir, m.label)) for m in todo if records_dir)
-        return GermLevelResult(level=level, records=records, selection=selection, matrix=matrix,
-                               stability=stability, written=written, counters=counters)
+        return GermLevelResult(family=family, records=tuple(records), selection=selection, matrix=matrix,
+                               stability=stability_report(matrix), records_dir=records_dir, counters=counters)
 
     def solve(self, u0: Field, level: int) -> GermEstimate:
-        """Limit estimate for arbitrary data: project onto the family, reuse
-        that member's sequence, and report the triangle-inequality error bar
-        approx_error + delta_tail."""
-        if u0.grid != self.comparison_grid:
-            raise ValueError("data to solve must live on the comparison grid")
-        family = self.family(level)
-        member = family.project(u0)
-        record = self.record_for(member)
-        approx = l1_distance(u0, record.initial)
-        tail = _delta_tail(record.deltas)
-        return GermEstimate(limit=record.endpoints[-1], error_bar=approx + tail,
-                            member_id=member.label, approx_error=approx, delta_tail=tail)
+        """Limit estimate for arbitrary data at any level: project onto the
+        family, solve that member alone, and report the triangle-inequality
+        error bar approx_error + delta_tail."""
+        member = self.family(level).project(u0)
+        (record,), _ = run_sequence({member.label: member}, self.epsilons, self.model, self.box,
+                                    self.final_time, cell_budget=self.cell_budget, cfl=self.cfl)
+        return _estimate(u0, member, record)
 
 
 # ---------------------------------------------------------------------------
@@ -534,18 +529,17 @@ def _save_manifest(record: GermRecord, dirpath):
     })
 
 
-def save_record(record: GermRecord, dirpath):
-    _write_csvs(dirpath, {"initial": record.initial, **dict(enumerate(record.endpoints))})
-    _save_manifest(record, dirpath)
-
-
 def save_level_result(path, result: GermLevelResult, extra: dict):
-    """The level manifest at `path`, with `extra` merged in; the member records
-    (but the CSVs in `result.written`) and the distance matrices go beside it."""
+    """The level manifest at `path`, with `extra` merged in, and beside it the
+    distance matrices and a manifest per member record.  The record CSVs are
+    the solving tasks' (run_sequence's records_dir), which must be
+    `<dirname(path)>/records`: a ValueError names that directory otherwise."""
     dirpath = os.path.dirname(path)
+    records_dir = os.path.join(dirpath, "records")
+    if result.records_dir is None or os.path.abspath(result.records_dir) != os.path.abspath(records_dir):
+        raise ValueError(f"the level's record CSVs are not in {records_dir} (they are in {result.records_dir})")
     for record in result.records:
-        record_dir = os.path.join(dirpath, "records", record.member_id)
-        (_save_manifest if os.path.normpath(record_dir) in result.written else save_record)(record, record_dir)
+        _save_manifest(record, os.path.join(records_dir, record.member_id))
     storage.write_matrix_csv(os.path.join(dirpath, "data_distances.csv"),
                              result.matrix.ids, result.matrix.data_distances)
     storage.write_matrix_csv(os.path.join(dirpath, "limit_distances.csv"),
@@ -553,7 +547,7 @@ def save_level_result(path, result: GermLevelResult, extra: dict):
     storage.write_matrix_csv(os.path.join(dirpath, "contraction_ratios.csv"),
                              result.matrix.ids, result.matrix.ratios)
     manifest = {
-        "level": result.level,
+        "level": result.family.level,
         "members": list(result.matrix.ids),
         "selection": {
             "indices": list(result.selection.indices),

@@ -189,12 +189,13 @@ class Trajectory:
 
 def _max_dt(cfl: float, epsilon: float, dx: Sequence[float], speed: float) -> float:
     """The time-step rule, dt = cfl / sum_k (speed / dx_k + eps / dx_k^2).
-    A cell's diagonal coefficient is at least 1 - dt sum_k (2 speed / dx_k +
-    2 eps / dx_k^2), so this dt keeps it >= 1 - 2 cfl (0.1 at the default
-    cfl) on every grid.  The factor 2 on the speed is there because the face
-    fluxes of the smoothed interface are read at different x, so their F'
-    terms do not cancel.  This is the monotone-scheme CFL condition of
-    Crandall and Majda (1980)."""
+    With the Rusanov coefficients frozen, a cell's diagonal coefficient is at
+    least 1 - dt sum_k (2 speed / dx_k + 2 eps / dx_k^2) >= 1 - 2 cfl (the
+    factor 2: the smoothed interface's face fluxes are read at different x,
+    so their F' terms do not cancel), Crandall and Majda's (1980) condition.
+    But each face's exact Rusanov bound moves with its states, adding up to
+    |F''| |du| to a slope: an E-scheme (Osher 1984), not monotone on rough
+    data (ROADMAP's witness pair; item 9 is the fix)."""
     return cfl / sum(speed / h + epsilon / (h * h) for h in dx)
 
 

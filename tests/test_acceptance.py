@@ -288,7 +288,7 @@ def test_criterion_8_germ_completeness(two_flux_model):
 
     cg = study.comparison_grid
     ramp = dx.Field(cg, cg.points()[..., 0] + 0.5, 0.0)
-    bar1 = study.solve(ramp, 1).error_bar
+    bar1 = result.estimate(ramp).error_bar
     bar2 = study.solve(ramp, 2).error_bar
 
     elapsed = time.perf_counter() - t0

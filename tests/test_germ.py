@@ -27,7 +27,6 @@ from discflux.germ import (
     member_count,
     run_sequence,
     save_level_result,
-    save_record,
     stability_report,
 )
 from discflux.solver import Field, Grid
@@ -250,6 +249,8 @@ def test_run_sequence_validates_the_epsilon_ladder(two_flux_model):
         run_sequence(u0, (1e-3, 2e-3), two_flux_model, box, 0.01)
     with pytest.raises(ValueError, match="positive"):
         run_sequence(u0, (1e-3, 0.0), two_flux_model, box, 0.01)
+    with pytest.raises(ValueError, match="no data"):
+        run_sequence({}, (2e-3, 1e-3), two_flux_model, box, 0.01)
 
 
 def test_constant_datum_has_zero_deltas(constant_record):
@@ -271,22 +272,26 @@ def test_step_datum_deltas_decrease_in_the_tail(step_record):
     assert step_record.deltas[1] > step_record.deltas[2]
 
 
-def test_deltas_recomputable_from_saved_artifacts(step_record, tmp_path):
-    save_record(step_record, tmp_path / "step")
-    # solver counters are not saved: the record manifest keeps its keys
-    manifest = json.loads((tmp_path / "step" / "manifest.json").read_text())
-    assert sorted(manifest) == ["deltas", "epsilons", "files", "grid_counts", "member_id"]
-    assert manifest["member_id"] == step_record.member_id
-    assert tuple(manifest["epsilons"]) == step_record.epsilons
-    assert tuple(map(tuple, manifest["grid_counts"])) == step_record.grid_counts
-    assert tuple(manifest["deltas"]) == step_record.deltas
-    initial = storage.read_field_csv(tmp_path / "step" / manifest["files"]["initial"])
-    assert_array_equal(initial.values, step_record.initial.values)
+def test_deltas_recomputable_from_saved_artifacts(two_flux_model, tmp_path):
+    result = _tiny_study(two_flux_model).level_result(1, str(tmp_path / "records"))
+    save_level_result(str(tmp_path / "manifest.json"), result, {})
+    for record in result.records:
+        step = tmp_path / "records" / record.member_id
+        # solver counters are not saved: the record manifest keeps its keys
+        manifest = json.loads((step / "manifest.json").read_text())
+        assert sorted(manifest) == ["deltas", "epsilons", "files", "grid_counts", "member_id"]
+        assert manifest["member_id"] == record.member_id
+        assert tuple(manifest["epsilons"]) == record.epsilons
+        assert tuple(map(tuple, manifest["grid_counts"])) == record.grid_counts
+        assert tuple(manifest["deltas"]) == record.deltas
+        initial = storage.read_field_csv(step / manifest["files"]["initial"])
+        assert_array_equal(initial.values, record.initial.values)
 
-    # the path of `discflux diff`: read_field_csv, then l1_distance
-    endpoints = [storage.read_field_csv(tmp_path / "step" / name) for name in manifest["files"]["endpoints"]]
-    recomputed = tuple(l1_distance(fine, coarse) for coarse, fine in zip(endpoints, endpoints[1:]))
-    assert recomputed == step_record.deltas
+        # the path of `discflux diff`: read_field_csv, then l1_distance
+        endpoints = [storage.read_field_csv(step / name) for name in manifest["files"]["endpoints"]]
+        recomputed = tuple(l1_distance(fine, coarse) for coarse, fine in zip(endpoints, endpoints[1:]))
+        assert recomputed == record.deltas
+    assert sum(any(r.deltas) for r in result.records) == 7  # every member but the two constants
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +469,34 @@ def test_study_rejects_a_final_time_that_empties_the_cone(burgers_model):
 # GermStudy.solve
 
 
-def test_in_family_data_reuses_the_member_run(burgers_study):
-    fam = burgers_study.family(1)
-    member = fam.members[5]
+def test_in_family_data_reuses_the_member_run(burgers_study, burgers_level1):
+    member = burgers_level1.family.members[5]
     grid = burgers_study.comparison_grid
     u0 = Field(grid, member(grid.points()), 0.0)
 
-    est = burgers_study.solve(u0, 1)
+    est = burgers_level1.estimate(u0)
     assert est.member_id == member.label
     assert est.approx_error == 0.0
     assert est.error_bar == est.delta_tail
-    record = burgers_study.record_for(member)
-    assert_array_equal(est.limit.values, record.endpoints[-1].values)
+    assert est.limit is burgers_level1.records[5].endpoints[-1]
+
+
+def test_solve_agrees_with_the_level_estimate(two_flux_model):
+    # solve runs the projected member alone; the level runs all nine in lockstep
+    study = _tiny_study(two_flux_model)
+    level = study.level_result(1)
+    grid = study.comparison_grid
+    x = grid.points()[..., 0]
+    member = level.family.members[5]
+    for values in (member(grid.points()), 0.3 + 0.4 * np.clip(1.0 - (x / 0.3) ** 2, 0.0, None)):
+        u0 = Field(grid, values, 0.0)
+        alone, from_level = study.solve(u0, 1), level.estimate(u0)
+        assert alone.member_id == from_level.member_id
+        assert (alone.error_bar, alone.approx_error, alone.delta_tail) == (
+            from_level.error_bar, from_level.approx_error, from_level.delta_tail)
+        assert alone.limit.grid == from_level.limit.grid and alone.limit.time == from_level.limit.time
+        assert_array_equal(alone.limit.values.view(np.int64), from_level.limit.values.view(np.int64))
+    assert from_level.approx_error > 0.0  # the second datum is off the family
 
 
 def test_smooth_profile_bar_at_level_three(burgers_study):
@@ -576,10 +597,9 @@ def test_error_bar_covers_two_further_halvings(two_flux_model):
 # completeness certification
 
 
-def test_certify_completeness_passes_level_one(burgers_study):
-    result = burgers_study.level_result(1)
-    assert result.selection.passed and result.stability.passed
-    assert result.level == 1
+def test_certify_completeness_passes_level_one(burgers_level1):
+    assert burgers_level1.selection.passed and burgers_level1.stability.passed
+    assert burgers_level1.family.level == 1
 
 
 def test_certification_failure_raises(mini_study):
@@ -632,12 +652,6 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
         assert task["steps"] == sum(a[k]["steps"] for a in alone)
         assert task["cell_updates"] == sum(a[k]["cell_updates"] for a in alone)
 
-    # a second call solves nothing: no pool, the cached record objects
-    monkeypatch.setattr(multiprocessing, "get_context", None)
-    again = study.level_result(1)
-    assert again.counters["solver"]["runs"] == 0
-    assert all(a is b for a, b in zip(again.records, result.records))
-
     # the solver block is folded from the tasks
     assert solver["runs"] == 9 * 4
     assert solver["steps"] == sum(t["steps"] for t in tasks)
@@ -645,22 +659,6 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
     assert solver["cell_updates"] == sum(t["cell_updates"] for t in tasks)
     assert 0 < solver["cell_updates"] <= solver["cell_steps"]
     assert solver["solve_s"] == sum(t["solve_s"] for t in tasks) > 0.0
-
-
-def test_a_cached_level_reports_no_solves(two_flux_model, monkeypatch, tmp_path):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    study = _tiny_study(two_flux_model)
-    first = study.level_result(0)
-    assert first.counters["solver"]["runs"] == 2 * 4 and len(first.counters["tasks"]) == 4
-
-    # three usable CPUs, but starting a pool would call None and fail
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(multiprocessing, "get_context", None)
-    again = study.level_result(0, str(tmp_path / "records"))
-    assert again.counters == {"solver": {"runs": 0, "steps": 0, "cell_steps": 0, "cell_updates": 0,
-                                         "solve_s": 0, "workers": 1}, "tasks": []}
-    assert again.written == frozenset() and not (tmp_path / "records").exists()
-    assert all(a is b for a, b in zip(again.records, first.records))
 
 
 def test_one_cpu_or_one_task_starts_no_pool(two_flux_model, monkeypatch):
@@ -764,11 +762,12 @@ def test_level_result_persisted_layout(tmp_path):
     selection = diagonal_select(records, threshold=0.1)
     cone = Cone((0.5,), 0.4, 1.0)
     matrix = contraction_matrix(records, cone=cone)
-    result = GermLevelResult(level=1, records=records, selection=selection, matrix=matrix,
-                             stability=stability_report(matrix), written=frozenset(), counters={})
-
     out = tmp_path / "level1"
-    out.mkdir()
+    result = GermLevelResult(family=build_dense_family(1, 0.0, 1.0, UNIT_BOX), records=records,
+                             selection=selection, matrix=matrix, stability=stability_report(matrix),
+                             records_dir=str(out / "records"), counters={})
+    for record in records:  # the directories the solving tasks write the record CSVs into
+        (out / "records" / record.member_id).mkdir(parents=True)
     save_level_result(str(out / "manifest.json"), result, {"note": "unit"})
 
     manifest_path = out / "manifest.json"
@@ -798,29 +797,26 @@ def test_level_result_persisted_layout(tmp_path):
 
 def test_level_records_written_by_their_tasks_get_only_a_manifest(two_flux_model, tmp_path, monkeypatch):
     study = _tiny_study(two_flux_model)
-    study.record_for(study.family(1).members[0])  # solved outside a level: no CSVs
     result = study.level_result(1, str(tmp_path / "level" / "records"))
-    fresh = {str(tmp_path / "level" / "records" / r.member_id) for r in result.records[1:]}
-    assert result.written == fresh
+    assert result.records_dir == str(tmp_path / "level" / "records")
     assert sorted(p.name for p in (tmp_path / "level" / "records").iterdir()) == sorted(
-        os.path.basename(d) for d in fresh)
+        m.label for m in result.family.members)
     tasks = result.counters["tasks"]
-    assert [len(tasks), sum(t["data"] for t in tasks)] == [4, 4 * 8]
+    assert [len(tasks), sum(t["data"] for t in tasks)] == [4, 4 * 9]
 
-    # saved beside those CSVs, only the cached record's CSVs are written
+    # saved beside those CSVs, no record CSV is written again
     written = []
     monkeypatch.setattr(storage, "write_field_csv", lambda path, field: written.append(path))
     save_level_result(str(tmp_path / "level" / "manifest.json"), result, {})
-    member = result.records[0].member_id
-    assert sorted(os.path.basename(p) for p in written) == ["endpoint_00.csv", "endpoint_01.csv",
-                                                            "endpoint_02.csv", "endpoint_03.csv", "initial.csv"]
-    assert {os.path.basename(os.path.dirname(p)) for p in written} == {member}
-    for record in result.records[1:]:
+    assert written == []
+    for record in result.records:
         manifest = json.loads((tmp_path / "level" / "records" / record.member_id / "manifest.json").read_text())
         assert tuple(manifest["deltas"]) == record.deltas
 
-    # saved anywhere else, every record is written whole
-    written.clear()
+    # saved anywhere else, or solved without a records directory, the
+    # manifests would point at missing CSVs: refused before any file is written
     (tmp_path / "elsewhere").mkdir()
-    save_level_result(str(tmp_path / "elsewhere" / "manifest.json"), result, {})
-    assert len(written) == 9 * (1 + 4)
+    for elsewhere in (result, study.level_result(0)):
+        with pytest.raises(ValueError, match=f"not in {tmp_path / 'elsewhere' / 'records'}"):
+            save_level_result(str(tmp_path / "elsewhere" / "manifest.json"), elsewhere, {})
+    assert written == [] and not any((tmp_path / "elsewhere").iterdir())

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import discflux
 from conftest import CURVED_MODULATED_SPEC
-from discflux import storage
+from discflux import cli, entropy, storage
 from discflux.cli import build_parser, main
 from discflux.geometry import Box
 from discflux.scenario import (
@@ -564,6 +564,14 @@ def test_reach_collector_sees_a_shipped_scenario(tmp_path):
     assert sys.getprofile() is None
 
 
+def test_every_package_constant_is_loaded():
+    # the AST half of tools/reach.py: no command runs
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    assert reach.unloaded_constants() == []
+
+
 @pytest.mark.parametrize("block, key, literal", [("run", "epsilon", "NaN"),
                                                  ("run", "final_time", "Infinity"),
                                                  ("initial", "position", "NaN")])
@@ -793,6 +801,24 @@ def test_cli_entropy_check_steady_state(tmp_path):
     battery = json.loads((out / "entropy_report.json").read_text())
     assert battery["summary"]["pass"] is True
     assert battery["summary"]["count"] == 6 * 11
+
+
+def test_cli_entropy_check_extracts_the_interface_trace_once(tmp_path, monkeypatch):
+    # the battery's trace is the one trace.csv is written from
+    calls = []
+    real = entropy.interface_trace
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(entropy, "interface_trace", counted)
+    monkeypatch.setattr(cli, "interface_trace", counted)
+    out = tmp_path / "out"
+    assert main(["entropy-check", "two_flux_admissibility", "--out", str(out), "--quiet"]) == 0
+    assert len(calls) == 1
+    assert (out / "trace.csv").is_file()
+    assert json.loads((out / "report.json").read_text())["artifacts"]["trace"] == "trace.csv"
 
 
 def test_cli_converge_spec_example(tmp_path):
