@@ -350,6 +350,13 @@ def _cmd_diff(args) -> int:
     return 0 if ok else 2
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance flag's value: a number >= 0, inf included (NaN fails the test)."""
+    if not float(text) >= 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number >= 0")
+    return float(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built at the first call and kept: parse_args keeps
@@ -368,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--seed", type=int, default=0, help="seed for randomized initial data")
     # the flags below reach only the commands that read them; any other refuses them
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=None, help="override the headline check tolerance")
+    tol.add_argument("--tol", type=_tolerance, default=None, help="override the headline check tolerance")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--cell-budget", type=int, default=None,
                         help="refuse epsilon sweeps needing more cells than this "
@@ -392,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("diff", parents=[common, tol], help="compare two single-time field CSV files")
     pd.add_argument("field_a")
     pd.add_argument("field_b")
-    pd.add_argument("--sup-tol", type=float, default=None, help="sup-norm tolerance")
+    pd.add_argument("--sup-tol", type=_tolerance, default=None, help="sup-norm tolerance")
     pd.set_defaults(func=_cmd_diff)
     return parser
 

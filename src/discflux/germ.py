@@ -245,6 +245,7 @@ def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_tim
                 _write_csvs(os.path.join(records_dir, member_id), {"initial": initial, k: end} if k == 0 else {k: end})
         return ends, {"epsilon": eps_list[k], "data": len(fns),
                       "steps": sum(tr.manifest["n_steps"] for tr in trajs),
+                      "blocks": sum(tr.manifest["n_blocks"] for tr in trajs),
                       "cell_updates": sum(tr.manifest["cell_updates"] for tr in trajs), "worker": os.getpid(),
                       "start_s": began - start, "solve_s": solved - began,
                       "write_s": time.perf_counter() - solved if records_dir else 0.0}
@@ -261,6 +262,7 @@ def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_tim
         records.append(GermRecord(member_id=member_id, epsilons=tuple(eps_list), initial=initial,
                                   endpoints=tuple(endpoints), deltas=deltas, grid_counts=counts))
     solver = {"runs": len(fns) * len(tasks), "steps": sum(t["steps"] for t in tasks),
+              "blocks": sum(t["blocks"] for t in tasks),
               "cell_steps": sum(t["steps"] * math.prod(c) for t, c in zip(tasks, counts)),
               "cell_updates": sum(t["cell_updates"] for t in tasks),
               "solve_s": sum(t["solve_s"] for t in tasks), "workers": workers}

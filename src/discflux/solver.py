@@ -30,6 +30,8 @@ MAX_CELL_STEPS = 1e9
 # glibc's mallopt parameter number, and the free heap top the solver keeps
 M_TOP_PAD = -2
 HEAP_TOP_PAD = 16 << 20
+# the most steps one stepper call takes; each widens its windows by one cell
+BLOCK_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,8 @@ class RunConfig:
         if self.final_time <= 0:
             raise ValueError("final_time must be positive")
         if not (0.0 < self.cfl <= 0.5):
-            raise ValueError(f"cfl {self.cfl} is outside (0, 0.5], where the time step keeps the scheme monotone")
+            raise ValueError(f"cfl {self.cfl} is outside (0, 0.5], where the frozen-coefficient diagonal, "
+                             "at least 1 - 2 cfl, stays >= 0")
         if self.output_times is not None and not all(
                 0.0 <= t <= self.final_time * (1 + 1e-12) for t in self.output_times):
             raise ValueError("output times must lie in [0, final_time]")
@@ -271,32 +274,35 @@ class _Faces:
         """|F'| at per-face states."""
         return np.abs(rows_sum(self.rows, lambda c: horner(states, self.derivatives[c])))
 
-    def rusanov(self, values: np.ndarray, cells: dict, window: tuple = ()):
+    def on(self, window: tuple) -> tuple[list, list]:
+        """The rows and crit columns cut to `window`, a tuple of slices or row indices."""
+        return ([(coeffs, [f[window] if isinstance(f, np.ndarray) else f for f in factors])
+                 for coeffs, factors in self.rows],
+                [(state[window], speed[window]) for state, speed in self.crit])
+
+    def rusanov(self, values: np.ndarray, cells: dict, tables: tuple | None = None):
         """Rusanov flux 0.5 (F(ul) + F(ur)) - 0.5 alpha (ur - ul) on the faces
-        between the cells of `values` and its coefficient alpha; `values` is
-        the block of cells whose faces are `window` of this axis's face
-        tables (a tuple of slices or row indices; all of them by default).
-        `cells` keeps P and P' of `values` per coefficient tuple for the
-        other axes."""
+        between the cells of `values` and its coefficient alpha; `tables` are
+        this axis's face tables cut to those faces (on(window)), all of them
+        by default.  `cells` keeps P and P' of `values` per coefficient tuple
+        for the other axes."""
         lo, hi = self.lo, self.hi
         ul, ur = values[lo], values[hi]
-        rows = [(coeffs, [f[window] if isinstance(f, np.ndarray) else f for f in factors])
-                for coeffs, factors in self.rows]
+        rows, crit = tables or (self.rows, self.crit)
         for coeffs, _ in rows:
             if coeffs not in cells:
                 cells[coeffs] = (horner(values, coeffs), horner(values, self.derivatives[coeffs]))
         fl, fr, dl, dr = (rows_sum(rows, lambda c: cells[c][j][sl]) for j in (0, 1) for sl in (lo, hi))
         alpha = np.maximum(np.abs(dl), np.abs(dr))
-        if self.crit:
+        if crit:
             smin, smax = np.minimum(ul, ur), np.maximum(ul, ur)
-            for state, speed in self.crit:
-                state = state[window]
-                alpha = np.maximum(alpha, np.where((state >= smin) & (state <= smax), speed[window], 0.0))
+            for state, speed in crit:
+                alpha = np.maximum(alpha, np.where((state >= smin) & (state <= smax), speed, 0.0))
         return 0.5 * (fl + fr) - 0.5 * alpha * (ur - ul), alpha
 
 
 class _Stepper:
-    """An explicit step of fields that share a grid, each restricted to its
+    """Explicit steps of fields that share a grid, each restricted to its
     own window of interior cells, one [lo, hi) range of array indices per
     axis; the full step is the window of the whole interior.  Everything but
     the states and dt is fixed for a run and set up once: the face tables,
@@ -310,15 +316,18 @@ class _Stepper:
     bounding box of its cells whose bits changed, widened by one cell: the
     numerical domain of dependence.  A longer dt than the last step's needs
     a full step again, and so does the first step, whose boundary pin moves
-    the boundary cells.
+    the boundary cells.  Applied k times, it lets one call take k steps of no
+    longer dt on the window widened by k - 1 cells: the cells outside it, the
+    halo included, keep their bits at each of the k steps.
 
     The fields are stepped as one block: each window's rows along axis 0
     with a one-cell halo, stacked along axis 0, over the union of the
     windows' ranges on the other axes.  By the argument above, the cells of
     the union outside a field's own window keep their bits.  The face
     between two stacked segments and the halo rows beside it are junk:
-    their increments are dropped and their coefficients ignored.  A lone
-    field's block is a view of its window with its halo."""
+    their increments are dropped and their coefficients ignored.  The block
+    is gathered, with its face tables, once per call and updated in place;
+    a lone field's block is a view of its window with its halo."""
 
     def __init__(self, config: RunConfig, grid: Grid, pairs):
         d = grid.d
@@ -338,12 +347,16 @@ class _Stepper:
             for k in range(d)
         ]
 
-    def advance(self, values: np.ndarray, live, windows, dt: float, t: float):
+    def advance(self, values: np.ndarray, live, windows, steps):
         """Step the window `windows[i]` of each field `live[i]` of `values`,
-        shape (fields, *counts), in place to time t; returns the largest
-        Rusanov coefficient on each such field's faces and its next window
-        (None when no bit changed)."""
-        d, n0 = self.d, self.counts[0]
+        shape (fields, *counts), widened by len(steps) - 1 cells and clipped
+        to the interior, in place through `steps`, (dt, t) pairs whose dt do
+        not grow.  Returns, per such field, the largest Rusanov coefficient on
+        its faces, the widened window and the next window (None when the last
+        step changed no bit)."""
+        d, n0, grow = self.d, self.counts[0], len(steps) - 1
+        windows = [tuple((max(lo - grow, 1), min(hi + grow, n - 1)) for (lo, hi), n in zip(w, self.counts))
+                   for w in windows]
         rows = [(w[0][0] - 1, w[0][1] + 1) for w in windows]
         across = tuple(slice(min(w[k][0] for w in windows) - 1, max(w[k][1] for w in windows) + 1)
                        for k in range(1, d)) if d > 1 else ()
@@ -362,56 +375,63 @@ class _Stepper:
             take = cell_rows + np.repeat([j * n0 for j in live], sizes)
             # the junk face after a segment reads any valid row
             face_rows = np.minimum(cell_rows[:-1], n0 - 2)
-        block = stacked[(take,) + across]
-        acc = np.zeros(block[self.inner].shape)
-        alpha = None
-        kernel = {}
-        for k, (faces, dx, (up, mid, down, shrink)) in enumerate(zip(self.faces, self.dx, self.stencil)):
-            # the faces between the block's cells along k, in every row of it
-            fwin = (face_rows if k == 0 else cell_rows,) + tuple(
-                slice(s.start, s.stop - (m == k)) for m, s in enumerate(across, 1))
-            fhat, coeff = faces.rusanov(block, kernel, fwin)
-            if seams is not None:
-                rows_max = coeff.max(axis=tuple(range(1, d))) if d > 1 else coeff
-                if k == 0:
-                    rows_max[seams - 1] = 0.0
-                maxima = np.maximum.reduceat(rows_max, starts[:-1]).tolist()
-            else:
-                maxima = [float(coeff.max())]
-            alpha = maxima if alpha is None else [max(a, b) for a, b in zip(alpha, maxima)]
-            div = (fhat[faces.hi] - fhat[faces.lo]) / dx
-            lap = (block[up] - 2.0 * block[mid] + block[down]) / (dx * dx)
-            # eps lap - div: the same bits as -div + eps lap, one negation fewer
-            acc += self.eps * lap[shrink] - div[shrink]
-
-        # the step must respect the same bound the run derived dt from; a
-        # face outside a window passed with the same coefficient at a dt at
-        # least as long, since only a full step follows a shorter one
-        for i, speed in enumerate(alpha):
-            limit = _max_dt(self.cfl, self.eps, self.dx, speed)
-            if dt > limit * (1.0 + 1e-9):
-                raise ValueError(f"{_which(values, live[i])}time step {dt:.3e} violates the CFL bound {limit:.3e} "
-                                 f"(wave speed {speed:.3e})")
-
-        new = block.copy()
-        new[self.inner] += dt * acc
-        if seams is not None:
             halo = np.concatenate([seams - 1, seams])
-            new[halo] = block[halo]
-        for i, (j, w) in enumerate(zip(live, windows)):
-            if w == self.full:
-                # the pin can move boundary cells
-                _pin_boundary(new[starts[i]:starts[i + 1]], self.pairs[j])
-        # only the stepped cells can have left the finite range
-        finite = np.isfinite(new)
-        if not finite.all():
-            row = int(np.argwhere(~finite)[0][0])
-            i = bisect.bisect_right(starts, row) - 1
-            raise RuntimeError(f"{_which(values, live[i])}non-finite solver state at t = {t:.6g}")
+        block = stacked[(take,) + across]
+        # the seam halo rows lie outside every window: saved once, restored each step
+        kept = block[halo] if seams is not None else None
+        # the faces between the block's cells along k, in every row of it
+        tables = [faces.on((face_rows if k == 0 else cell_rows,) + tuple(
+            slice(s.start, s.stop - (m == k)) for m, s in enumerate(across, 1)))
+                  for k, faces in enumerate(self.faces)]
+        alpha = [0.0] * len(live)
+        for n, (dt, t) in enumerate(steps):
+            acc = np.zeros(block[self.inner].shape)
+            kernel = {}
+            for k, (faces, dx, (up, mid, down, shrink)) in enumerate(zip(self.faces, self.dx, self.stencil)):
+                fhat, coeff = faces.rusanov(block, kernel, tables[k])
+                if seams is not None:
+                    rows_max = coeff.max(axis=tuple(range(1, d))) if d > 1 else coeff
+                    if k == 0:
+                        rows_max[seams - 1] = 0.0
+                    maxima = np.maximum.reduceat(rows_max, starts[:-1]).tolist()
+                else:
+                    maxima = [float(coeff.max())]
+                alpha = [max(a, b) for a, b in zip(alpha, maxima)]
+                div = (fhat[faces.hi] - fhat[faces.lo]) / dx
+                lap = (block[up] - 2.0 * block[mid] + block[down]) / (dx * dx)
+                # eps lap - div: the same bits as -div + eps lap, one negation fewer
+                acc += self.eps * lap[shrink] - div[shrink]
+
+            # the step must respect the same bound the run derived dt from; a
+            # face outside a window passed with the same coefficient at a dt at
+            # least as long, since only a full step follows a shorter one, and
+            # so did the block's earlier steps, whose maxima alpha keeps too
+            for i, speed in enumerate(alpha):
+                limit = _max_dt(self.cfl, self.eps, self.dx, speed)
+                if dt > limit * (1.0 + 1e-9):
+                    raise ValueError(f"{_which(values, live[i])}time step {dt:.3e} violates the CFL bound "
+                                     f"{limit:.3e} (wave speed {speed:.3e})")
+
+            if n == grow:
+                before = block.copy()
+            block[self.inner] += dt * acc
+            if seams is not None:
+                block[halo] = kept
+            for i, (j, w) in enumerate(zip(live, windows)):
+                if w == self.full:
+                    # the pin can move boundary cells
+                    _pin_boundary(block[starts[i]:starts[i + 1]], self.pairs[j])
+            # only the stepped cells can have left the finite range
+            finite = np.isfinite(block)
+            if not finite.all():
+                row = int(np.argwhere(~finite)[0][0])
+                i = bisect.bisect_right(starts, row) - 1
+                raise RuntimeError(f"{_which(values, live[i])}non-finite solver state at t = {t:.6g}")
         # bits compared as int64, so a flip of the sign of zero is a change
-        changed = new.view(np.int64) != block.view(np.int64)
-        stacked[(take,) + across] = new
-        return alpha, self._widened(changed, rows, starts, across)
+        changed = block.view(np.int64) != before.view(np.int64)
+        if seams is not None:
+            stacked[(take,) + across] = block
+        return alpha, windows, self._widened(changed, rows, starts, across)
 
     def _widened(self, changed: np.ndarray, rows, starts, across):
         """Per segment of the block, the bounding box of its changed cells,
@@ -488,7 +508,7 @@ def _keep_heap_top():
 def run_lockstep(u0s: Sequence[Field], configs: Sequence[RunConfig]) -> list[Trajectory]:
     """Advance fields on one grid under configs that differ only in their
     boundary, one trajectory each, in lockstep: they share the dt schedule,
-    and each step is one _Stepper block over all their windows.  Every
+    and each block of steps is one _Stepper call over all their windows.  Every
     field keeps its own window, pin, CFL guard and manifest, and its
     trajectory equals a run of it alone bit for bit; wall_time_s is the
     whole lockstep run's.
@@ -518,32 +538,42 @@ def run_lockstep(u0s: Sequence[Field], configs: Sequence[RunConfig]) -> list[Tra
     recorded = [values.copy()]
     t = 0.0
     n_steps = clipped_steps = 0
-    cell_updates = [0] * len(u0s)
+    cell_updates, n_blocks = [0] * len(u0s), [0] * len(u0s)
     alpha_max = [0.0] * len(u0s)
     dt_min, dt_max = np.inf, 0.0
-    windows, dt_last = [stepper.full] * len(u0s), np.inf
+    windows, dt_last = [stepper.full] * len(u0s), 0.0
     for target in out_times[1:]:
         while t < target - 1e-13:
-            dt = min(dt_base, target - t)
-            if dt > dt_last:
-                windows = [stepper.full] * len(u0s)
-            t += dt
+            # a stepper call per block of up to BLOCK_STEPS steps, to an output time at most; a step
+            # longer than the last (the first, or the one after an output-clipped step) is a full block alone
+            steps = []
+            while t < target - 1e-13 and len(steps) < BLOCK_STEPS:
+                dt = min(dt_base, target - t)
+                longer = dt > dt_last
+                if longer and steps:
+                    break
+                t += dt
+                steps.append((dt, t))
+                clipped_steps += dt < dt_base
+                dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+                dt_last = dt
+                if longer:
+                    windows = [stepper.full] * len(u0s)
+                    break
+            n_steps += len(steps)
             live = [j for j, w in enumerate(windows) if w is not None]
             if live:
-                alpha, fresh = stepper.advance(values, live, [windows[j] for j in live], dt, t)
-                for j, w, a in zip(live, fresh, alpha):
-                    cell_updates[j] += math.prod(hi - lo for lo, hi in windows[j])
-                    windows[j] = w
+                alpha, stepped, fresh = stepper.advance(values, live, [windows[j] for j in live], steps)
+                for j, w, a, nxt in zip(live, stepped, alpha, fresh):
+                    cell_updates[j] += len(steps) * math.prod(hi - lo for lo, hi in w)
+                    n_blocks[j] += 1
+                    windows[j] = nxt
                     alpha_max[j] = max(alpha_max[j], a)
-            clipped_steps += dt < dt_base
-            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-            dt_last = dt
-            n_steps += 1
         recorded.append(values.copy())
     states = np.stack(recorded, axis=1)
     wall = time.perf_counter() - t0
     trajectories = []
-    for c, s, updates, alpha in zip(configs, states, cell_updates, alpha_max):
+    for c, s, updates, blocks, alpha in zip(configs, states, cell_updates, n_blocks, alpha_max):
         manifest = {
             "flux": config.flux.name or "custom",
             "epsilon": config.epsilon,
@@ -554,9 +584,10 @@ def run_lockstep(u0s: Sequence[Field], configs: Sequence[RunConfig]) -> list[Tra
             "speed_bound": speed,
             "dt_base": dt_base,
             "n_steps": n_steps,
-            # interior cells actually stepped, and the output-clipped substeps
-            # (a longer step after one steps the whole grid)
+            # interior cells actually stepped, the stepper calls that stepped them, and the
+            # output-clipped substeps (a longer step after one steps the whole grid)
             "cell_updates": updates,
+            "n_blocks": blocks,
             "clipped_steps": clipped_steps,
             "dt_min": dt_min,
             "dt_max": dt_max,

@@ -64,7 +64,7 @@ def _check_exact_alpha(config, grid, values):
     # the step at the run's time step never trips the per-step CFL guard
     dt = cfl_timestep(config, grid, bound)
     stepper = _Stepper(config, grid, [config.boundary_pairs])
-    stepper.advance(np.array(values[None], dtype=float), [0], [stepper.full], dt, dt)
+    stepper.advance(np.array(values[None], dtype=float), [0], [stepper.full], [(dt, dt)])
 
 
 def _spec_component(coeffs, modulation):

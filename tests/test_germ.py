@@ -644,17 +644,19 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
             assert got.grid == want.grid and got.time == want.time
             assert_array_equal(got.values.view(np.int64), want.values.view(np.int64))
 
-    # per epsilon, the pool's lockstep task counts the steps and cell updates
-    # of the nine single-datum sweeps, not their run times
+    # per epsilon, the pool's lockstep task counts the steps, stepper calls
+    # and cell updates of the nine single-datum sweeps, not their run times
     assert [t["epsilon"] for t in tasks] == list(study.epsilons)
     for k, task in enumerate(tasks):
         assert task["data"] == 9
-        assert task["steps"] == sum(a[k]["steps"] for a in alone)
-        assert task["cell_updates"] == sum(a[k]["cell_updates"] for a in alone)
+        for key in ("steps", "blocks", "cell_updates"):
+            assert task[key] == sum(a[k][key] for a in alone)
+        assert task["data"] <= task["blocks"] < task["steps"]
 
     # the solver block is folded from the tasks
     assert solver["runs"] == 9 * 4
     assert solver["steps"] == sum(t["steps"] for t in tasks)
+    assert solver["blocks"] == sum(t["blocks"] for t in tasks)
     assert solver["cell_steps"] == sum(t["steps"] * c[0] for t, c in zip(tasks, result.records[0].grid_counts))
     assert solver["cell_updates"] == sum(t["cell_updates"] for t in tasks)
     assert 0 < solver["cell_updates"] <= solver["cell_steps"]

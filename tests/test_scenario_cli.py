@@ -454,6 +454,26 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert getattr(parser.parse_args(argv), flag) == value
 
 
+def test_cli_refuses_a_nan_or_negative_tolerance_at_parse_time(tmp_path, capsys):
+    # a NaN tolerance would fail every comparison and a negative one every
+    # check, but only after the whole solve: both are refused before any work
+    grid = Grid((0.0,), (1.0,), (8,))
+    field = str(tmp_path / "a.csv")
+    storage.write_field_csv(field, Field(grid, np.zeros(8), 0.0))
+    out = tmp_path / "out"
+    for value in ("nan", "-1", "-inf", "x"):
+        for argv in (["cone-check", "cone_burgers", "--tol", value, "--out", str(out)],
+                     ["run", "tilted_flatten_2d", "--tol", value, "--out", str(out)],
+                     ["diff", field, field, "--tol", value],
+                     ["diff", field, field, "--sup-tol", value]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "--tol" in err or "--sup-tol" in err, argv
+            assert not out.exists()
+    # zero and inf are numbers >= 0: inf is --sup-tol's default
+    assert main(["diff", field, field, "--tol", "0", "--sup-tol", "inf", "--quiet"]) == 0
+
+
 def test_cli_refuses_a_run_whose_cost_estimate_is_too_high(tmp_path, capsys):
     # burgers on 400 cells with eps = 10: dt_base = 2.8e-7, so T = 1 would
     # take 3.6 million steps; the diffusion term shows it at parse time,
@@ -662,8 +682,8 @@ def test_cli_refuses_ignored_interface_coefficients(tmp_path, capsys, d, zeta, r
 
 
 def test_cli_refuses_a_cfl_above_one_half(tmp_path, capsys):
-    # the time step keeps every diagonal coefficient >= 1 - 2 cfl, so the
-    # scheme is monotone only up to cfl 0.5
+    # with the Rusanov coefficients frozen, the time step keeps every
+    # diagonal coefficient >= 1 - 2 cfl, which is >= 0 only up to cfl 0.5
     doc = _run_doc()
     doc["run"]["cfl"] = 0.6
     out = tmp_path / "out"
@@ -840,6 +860,7 @@ def test_cli_converge_spec_example(tmp_path):
     assert [t["epsilon"] for t in tasks] == [0.004, 0.002, 0.001, 0.0005]
     assert [t["data"] for t in tasks] == [1] * 4 and [t["write_s"] for t in tasks] == [0.0] * 4
     assert sum(t["steps"] for t in tasks) == solver["steps"]
+    assert sum(t["blocks"] for t in tasks) == solver["blocks"] < solver["steps"]
     assert sum(t["cell_updates"] for t in tasks) == solver["cell_updates"]
     assert report["artifacts"] == {"deltas": "deltas.csv", "finest_endpoint": "finest_endpoint.csv"}
 
@@ -933,6 +954,7 @@ def test_cli_germ_scenario(tmp_path):
     assert [t["epsilon"] for t in tasks] == [0.032, 0.016, 0.008, 0.004]
     assert all(t["data"] == 9 and t["solve_s"] > 0 and t["write_s"] > 0 and t["start_s"] >= 0 for t in tasks)
     assert sum(t["steps"] for t in tasks) == solver["steps"]
+    assert sum(t["blocks"] for t in tasks) == solver["blocks"] < solver["steps"]
     assert sum(t["cell_updates"] for t in tasks) == solver["cell_updates"]
     assert tasks[-1]["worker"] == 0 and {t["worker"] for t in tasks} <= set(range(solver["workers"]))
     assert report["artifacts"] == {"estimate": "estimate.csv", "manifest": "manifest.json"}

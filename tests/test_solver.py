@@ -12,6 +12,7 @@ from numpy.testing import assert_array_equal
 
 import discflux as dx
 from conftest import riemann_field, step_bv_flux
+from discflux import solver
 from discflux.entropy import l1_distance
 from discflux.flux import mollify_flux
 from discflux.geometry import flatten_model, radial_extend_model
@@ -26,7 +27,7 @@ def step(field: dx.Field, config: dx.RunConfig, dt: float) -> dx.Field:
     its CFL guard included: the full-grid reference of the window tests."""
     stepper = _Stepper(config, field.grid, [config.boundary_pairs])
     values = np.array(field.values[None], dtype=float)
-    stepper.advance(values, [0], [stepper.full], dt, field.time + dt)
+    stepper.advance(values, [0], [stepper.full], [(dt, field.time + dt)])
     return dx.Field(field.grid, values[0], field.time + dt)
 
 
@@ -76,11 +77,12 @@ def test_cfl_timestep_limits(burgers_model):
 
 
 def test_run_config_refuses_a_cfl_above_one_half(burgers_model):
-    # dt keeps every diagonal coefficient >= 1 - 2 cfl: monotone up to cfl 0.5
+    # dt keeps every frozen-coefficient diagonal >= 1 - 2 cfl: >= 0 up to cfl 0.5
     for cfl in (0.05, 0.45, 0.5):
         dx.RunConfig(flux=burgers_model, epsilon=0.01, final_time=1.0, boundary=0.0, cfl=cfl)
     for cfl in (0.0, 0.5000001, 0.6, 0.99):
-        with pytest.raises(ValueError, match=r"outside \(0, 0.5\], where the time step keeps the scheme monotone"):
+        with pytest.raises(ValueError, match=r"outside \(0, 0.5\], where the frozen-coefficient diagonal, "
+                                             r"at least 1 - 2 cfl, stays >= 0"):
             dx.RunConfig(flux=burgers_model, epsilon=0.01, final_time=1.0, boundary=0.0, cfl=cfl)
 
 
@@ -163,11 +165,11 @@ def test_run_default_output_times_manifest_serializes(burgers_model):
 
 def test_run_manifest_records_parameters(burgers_shock_traj):
     man = burgers_shock_traj.manifest
-    for key in ("epsilon", "cfl", "speed_bound", "dt_base", "n_steps", "wall_time_s",
+    for key in ("epsilon", "cfl", "speed_bound", "dt_base", "n_steps", "n_blocks", "wall_time_s",
                 "dt_min", "dt_max", "alpha_max", "cfl_margin"):
         assert key in man
     assert man["epsilon"] == 1e-3
-    assert man["n_steps"] >= 1
+    assert 1 <= man["n_blocks"] <= man["n_steps"]
     assert 0.0 < man["dt_min"] <= man["dt_max"] <= man["dt_base"]
     assert man["cfl_margin"] == man["alpha_max"] / man["speed_bound"]
     assert 0.0 < man["cfl_margin"] <= 1.0
@@ -253,14 +255,34 @@ def _stepped_run(u0: dx.Field, config: dx.RunConfig, times):
     return np.stack(states), stats
 
 
-def _assert_window_exact(u0: dx.Field, config: dx.RunConfig) -> dict:
-    traj = dx.run(u0, config)
-    states, stats = _stepped_run(u0, config, traj.times)
-    # int64 views: equal bits, signed zeros included
-    assert_array_equal(traj.states.view(np.int64), states.view(np.int64))
-    assert {k: traj.manifest[k] for k in stats} == stats
-    man = traj.manifest
-    assert 0 < man["cell_updates"] <= man["n_steps"] * math.prod(n - 2 for n in u0.grid.counts)
+# the steps one stepper call takes at most: 1 is a call per step, the
+# default last (the helpers' default), and 2 and 3 end blocks at other steps
+BLOCK_SIZES = (1, 2, 3, solver.BLOCK_STEPS)
+# the counters that grow with the block size
+_BLOCK_COUNTERS = ("cell_updates", "n_blocks", "wall_time_s")
+
+
+def _at_block_sizes(run, sizes) -> list:
+    """run() with solver.BLOCK_STEPS at each of `sizes`, its results in order."""
+    results = []
+    for size in sizes:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "BLOCK_STEPS", size)
+            results.append(run())
+    return results
+
+
+def _assert_window_exact(u0: dx.Field, config: dx.RunConfig, sizes=BLOCK_SIZES[-1:]) -> dict:
+    """run() equals full steps on its dt schedule at each block size of
+    `sizes`; returns the manifest at the last."""
+    for traj in _at_block_sizes(lambda: dx.run(u0, config), sizes):
+        states, stats = _stepped_run(u0, config, traj.times)
+        # int64 views: equal bits, signed zeros included
+        assert_array_equal(traj.states.view(np.int64), states.view(np.int64))
+        assert {k: traj.manifest[k] for k in stats} == stats
+        man = traj.manifest
+        assert 0 < man["cell_updates"] <= man["n_steps"] * math.prod(n - 2 for n in u0.grid.counts)
+        assert 1 <= man["n_blocks"] <= man["n_steps"]
     return man
 
 
@@ -279,7 +301,8 @@ def test_windowed_run_equals_full_steps_1d(name, base):
     grid = dx.Grid((-0.5,), (0.5,), (96,))
     config = dx.RunConfig(flux=dx.preset(name), epsilon=4e-3, final_time=0.04, boundary=base,
                           output_times=(0.013, 0.04))
-    man = _assert_window_exact(_random_steps(grid, base, np.random.default_rng(int(base * 4) + 7)), config)
+    man = _assert_window_exact(_random_steps(grid, base, np.random.default_rng(int(base * 4) + 7)), config,
+                               BLOCK_SIZES)
     # the tails stay still for a while: the window is smaller than the grid
     assert man["cell_updates"] < man["n_steps"] * 94
 
@@ -290,7 +313,7 @@ def test_windowed_run_equals_full_steps_2d():
     values = np.zeros(grid.counts)
     values[6:11, 5:9] = np.random.default_rng(11).uniform(0.0, 1.0, (5, 4))
     config = dx.RunConfig(flux=model, epsilon=2e-2, final_time=0.03, boundary=0.0, output_times=(0.011,))
-    _assert_window_exact(dx.Field(grid, values, 0.0), config)
+    _assert_window_exact(dx.Field(grid, values, 0.0), config, BLOCK_SIZES)
 
 
 def test_frozen_run_steps_the_grid_once(burgers_model):
@@ -316,16 +339,24 @@ def test_windowed_shock_with_clipped_outputs(burgers_model, fine_grid):
 # lockstep: fields on one grid stepped as one block equal separate runs
 
 
-def _assert_lockstep_exact(u0s, configs) -> list:
-    together = run_lockstep(u0s, configs)
-    assert len(together) == len(u0s)
-    for u0, config, traj in zip(u0s, configs, together):
-        alone = dx.run(u0, config)
-        assert traj.times == alone.times
-        # int64 views: equal bits at every output time, signed zeros included
-        assert_array_equal(traj.states.view(np.int64), alone.states.view(np.int64))
-        assert ({k: v for k, v in traj.manifest.items() if k != "wall_time_s"}
-                == {k: v for k, v in alone.manifest.items() if k != "wall_time_s"})
+def _assert_lockstep_exact(u0s, configs, sizes=BLOCK_SIZES[-1:]) -> list:
+    """Each field of a lockstep run equals its lone run at each block size
+    of `sizes`, and the same trajectory at every size; returns the
+    trajectories at the last."""
+    runs = _at_block_sizes(lambda: (run_lockstep(u0s, configs), [dx.run(u, c) for u, c in zip(u0s, configs)]),
+                           sizes)
+    first, _ = runs[0]
+    for together, alone in runs:
+        assert len(together) == len(u0s)
+        for traj, lone, ref in zip(together, alone, first):
+            assert traj.times == lone.times
+            # int64 views: equal bits at every output time, signed zeros included
+            assert_array_equal(traj.states.view(np.int64), lone.states.view(np.int64))
+            assert_array_equal(traj.states.view(np.int64), ref.states.view(np.int64))
+            assert ({k: v for k, v in traj.manifest.items() if k != "wall_time_s"}
+                    == {k: v for k, v in lone.manifest.items() if k != "wall_time_s"})
+            assert ({k: v for k, v in traj.manifest.items() if k not in _BLOCK_COUNTERS}
+                    == {k: v for k, v in ref.manifest.items() if k not in _BLOCK_COUNTERS})
     return together
 
 
@@ -348,18 +379,18 @@ def test_lockstep_germ_members_equal_separate_runs(output_times):
     grid = dx.Grid((-0.5,), (0.5,), (128,))
     u0s, configs = _germ_members(grid, dx.preset("two_flux"), 1 / 32, 0.04, output_times)
     assert len({c.boundary for c in configs}) == 9
-    trajs = _assert_lockstep_exact(u0s, configs)
+    trajs = _assert_lockstep_exact(u0s, configs, BLOCK_SIZES)
     # the two constants equal to their pins freeze after the first step,
-    # and only an output-clipped step's longer successor steps them again
+    # and only an output-clipped step's longer successor steps them again,
+    # each in a block of its own
     full = trajs[0].manifest["cell_updates"]
     assert full == trajs[-1].manifest["cell_updates"] == 126 * (1 + len(output_times) - 1)
+    assert trajs[0].manifest["n_blocks"] == trajs[-1].manifest["n_blocks"] == len(output_times)
     if len(output_times) > 1:
         assert trajs[0].manifest["clipped_steps"] >= len(output_times) - 1
 
 
 def test_lockstep_windows_that_empty_at_different_steps(burgers_model, monkeypatch):
-    from discflux import solver
-
     grid = dx.Grid((-0.5,), (0.5,), (64,))
     config = dx.RunConfig(flux=burgers_model, epsilon=1e-2, final_time=0.4, boundary=0.3,
                           output_times=(0.4,))
@@ -376,21 +407,27 @@ def test_lockstep_windows_that_empty_at_different_steps(burgers_model, monkeypat
     calls = []
     advance = solver._Stepper.advance
 
-    def recording(self, values, live, windows, dt, t):
-        calls.append(tuple(live))
-        return advance(self, values, live, windows, dt, t)
+    def recording(self, values, live, windows, steps):
+        calls.append((tuple(live), len(steps)))
+        return advance(self, values, live, windows, steps)
 
     monkeypatch.setattr(solver._Stepper, "advance", recording)
     trajs = _assert_lockstep_exact(u0s, [config] * len(u0s))
     monkeypatch.undo()
-    lockstep = calls[:trajs[0].manifest["n_steps"]]
-    last_live = [max(i for i, live in enumerate(lockstep) if j in live) for j in range(len(u0s))]
-    # each window empties at its own step; the last field stays live
+    mans = [t.manifest for t in trajs]
+    lockstep = calls[:mans[4]["n_blocks"]]
+    # the first step alone, then blocks of BLOCK_STEPS steps, the last one the rest
+    sizes = [n for _, n in lockstep]
+    assert sizes[0] == 1 and set(sizes[1:-1]) == {solver.BLOCK_STEPS} and sum(sizes) == mans[0]["n_steps"]
+    last_live = [max(i for i, (live, _) in enumerate(lockstep) if j in live) for j in range(len(u0s))]
+    # each window empties at its own block; the last field stays live
     assert last_live[0] == 0 and last_live[:4] == sorted(set(last_live[:4]))
     assert last_live[3] < last_live[4] == len(lockstep) - 1
-    assert last_live == [0, 1, 14, 79, 93, 93]
-    assert trajs[0].manifest["cell_updates"] == 62
-    assert (trajs[5].states[-1, [0, -1]] == 0.3).all() and trajs[5].manifest["cell_updates"] > 62
+    assert last_live == [0, 1, 2, 10, 12, 12]
+    # a window that emptied stays empty: a field's calls are the first ones
+    assert [m["n_blocks"] for m in mans] == [i + 1 for i in last_live]
+    assert mans[0]["cell_updates"] == 62
+    assert (trajs[5].states[-1, [0, -1]] == 0.3).all() and mans[5]["cell_updates"] > 62
 
 
 def test_lockstep_2d_fields_equal_separate_runs():
@@ -510,7 +547,8 @@ def test_manifest_mass_balance_with_quiet_boundary(burgers_model):
 
 
 def test_viscous_l1_contraction_under_refinement(burgers_model):
-    # monotone scheme: the discrete L1 distance of two runs must not grow
+    # smooth bumps, far from the rough data the scheme is not monotone on:
+    # the discrete L1 distance of two runs must not grow
     excesses = []
     for n_cells, eps in ((100, 4e-3), (200, 2e-3), (400, 1e-3)):
         grid = dx.Grid((-0.5,), (0.5,), (n_cells,))
@@ -536,9 +574,10 @@ _fraction = st.floats(0.0, 1.0)
     gaps=st.lists(_fraction, min_size=8, max_size=8),
 )
 def test_ordered_pairs_stay_ordered_and_contract(name, eps_cells, cfl, pins, lower, gaps):
-    # a monotone scheme under its CFL rule, with equal pinned boundaries,
-    # keeps u <= v and contracts in L1 (Crandall-Tartar; Crandall and Majda
-    # 1980): at every cfl up to 0.5 every diagonal coefficient is >= 0
+    # step data, whose jumps are monotone, with equal pinned boundaries:
+    # the runs keep u <= v and contract in L1 (Crandall-Tartar; Crandall and
+    # Majda 1980) at every cfl up to 0.5, where every frozen-coefficient
+    # diagonal is >= 0; the scheme is not monotone on rough data (README)
     model = dx.preset(name)
     grid = dx.Grid(model.domain.lows, model.domain.highs, (64,))
     span = model.b - model.a

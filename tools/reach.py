@@ -58,7 +58,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as out:
         seen = entered([[scenario.parse_scenario(scenario.builtin_scenario_path(name)).kind, name, "--out",
                          f"{out}/{name}"] for name in scenario.builtin_scenario_names()]
-                       + [["diff", f"{out}/germ_level1/estimate.csv", f"{out}/germ_level1/estimate.csv"]])
+                       + [["diff", f"{out}/germ_level1/estimate.csv", f"{out}/germ_level1/estimate.csv",
+                           "--tol", "0", "--sup-tol", "0"]])
     missed = {f"{path.stem}.{node.name}" + (f".{f.name}" if f is not node else "") for path in PACKAGE.glob("*.py")
               for node in ast.parse(path.read_text(encoding="utf-8")).body
               for f in (node.body if isinstance(node, ast.ClassDef) else [node]) if isinstance(f, ast.FunctionDef)}
