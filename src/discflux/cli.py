@@ -119,7 +119,7 @@ def _battery(clock, checks, sc: Scenario, battery, trajs, model, tol_factor: flo
 # subcommand bodies; each returns (checks, manifest_extras)
 
 
-def _exec_run(sc: Scenario, args, clock) -> tuple[list, dict]:
+def _exec_run(sc: Scenario, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     traj = _solve(clock, checks, sc, sc.initial_field(), sc.config, "trajectory.csv", "max_principle")
@@ -151,7 +151,7 @@ def _exec_run(sc: Scenario, args, clock) -> tuple[list, dict]:
     mapped_final = Field(grid, flat_grid.interpolate(traj_flat.states[-1], points), traj_flat.times[-1])
 
     gap = clock("verify_s", l1_distance, traj.final, mapped_final)
-    tol = args.tol if args.tol is not None else 2e-2
+    tol = 2e-2  # the L1 gap allowed between the straight and the mapped-back flattened solve
     _check(checks, "flatten_roundtrip", gap <= tol,
            f"L1 gap {gap:.3e} vs tol {tol:.3e} at t={traj.times[-1]:.6g}")
 
@@ -167,7 +167,7 @@ def _write_pulled_back(path, flat_grid: Grid, traj_flat: Trajectory, points, gri
     storage.write_trajectory_rows(path, grid, traj_flat.times, flat_grid.interpolate(traj_flat.states, points))
 
 
-def _exec_entropy(sc: Scenario, args, clock) -> tuple[list, dict]:
+def _exec_entropy(sc: Scenario, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     traj = _solve(clock, checks, sc, sc.initial_field(), sc.config, "trajectory.csv", "max_principle")
@@ -178,7 +178,7 @@ def _exec_entropy(sc: Scenario, args, clock) -> tuple[list, dict]:
     return checks, {"solver": traj.manifest}
 
 
-def _exec_kato(sc: Scenario, args, clock) -> tuple[list, dict]:
+def _exec_kato(sc: Scenario, clock) -> tuple[list, dict]:
     checks: list = []
     traj_a = _solve(clock, checks, sc, sc.initial_field(), sc.config,
                     "trajectory_a.csv", "max_principle_a")
@@ -189,7 +189,7 @@ def _exec_kato(sc: Scenario, args, clock) -> tuple[list, dict]:
     return checks, {"solver_a": traj_a.manifest, "solver_b": traj_b.manifest}
 
 
-def _exec_cone(sc: Scenario, args, clock) -> tuple[list, dict]:
+def _exec_cone(sc: Scenario, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     u0 = sc.initial_field()
@@ -208,7 +208,7 @@ def _exec_cone(sc: Scenario, args, clock) -> tuple[list, dict]:
     traj_b = _solve(clock, checks, sc, u0_b, sc.config,
                     "trajectory_perturbed.csv", "max_principle_perturbed")
 
-    tol = args.tol if args.tol is not None else float(sc.study.get("tol", 1e-2))
+    tol = float(sc.study.get("tol", 1e-2))
     rep = clock("verify_s", cone_locality_check, traj_a, traj_b, cone, tol=tol)
     _check(checks, "cone_locality", rep.passed,
            f"kappa {rep.kappa:.3e} vs tol {tol:.3e} (speed {cone.speed:.6g})")
@@ -218,17 +218,16 @@ def _exec_cone(sc: Scenario, args, clock) -> tuple[list, dict]:
                     "locality": {"kappa": rep.kappa, "per_time": list(rep.per_time)}}
 
 
-def _cell_budget(sc: Scenario, args) -> int:
-    """--cell-budget when given, else the study's cell_budget, else the default."""
-    return (args.cell_budget if args.cell_budget is not None
-            else int(sc.study.get("cell_budget", germ_mod.DEFAULT_CELL_BUDGET)))
+def _cell_budget(sc: Scenario) -> int:
+    """The study's cell_budget, else the default."""
+    return int(sc.study.get("cell_budget", germ_mod.DEFAULT_CELL_BUDGET))
 
 
-def _exec_converge(sc: Scenario, args, clock) -> tuple[list, dict]:
+def _exec_converge(sc: Scenario, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     epsilons = [float(e) for e in sc.study["epsilons"]]
-    budget = _cell_budget(sc, args)
+    budget = _cell_budget(sc)
 
     def u0_fn(pts):
         return sc.values_at(sc.initial, pts)
@@ -248,11 +247,11 @@ def _exec_converge(sc: Scenario, args, clock) -> tuple[list, dict]:
                     "grid_counts": [list(c) for c in record.grid_counts], **counters}
 
 
-def _exec_germ(sc: Scenario, args, clock) -> tuple[list, dict]:
+def _exec_germ(sc: Scenario, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     level = int(sc.study["level"])
-    budget = _cell_budget(sc, args)
+    budget = _cell_budget(sc)
     study = germ_mod.GermStudy(model, sc.config.final_time,
                                [float(e) for e in sc.study["epsilons"]],
                                cell_budget=budget, cfl=sc.config.cfl,
@@ -304,14 +303,14 @@ def _resolve_scenario(value: str) -> str:
 
 def _run_scenario_command(args) -> int:
     start = time.perf_counter()
-    sc = parse_scenario(_resolve_scenario(args.scenario), seed=args.seed)
+    sc = parse_scenario(_resolve_scenario(args.scenario))
     if sc.kind != args.command:
         print(f"error: scenario {sc.name!r} has kind {sc.kind!r}, "
               f"but the {args.command!r} subcommand was invoked", file=sys.stderr)
         return 1
     clock = _PhaseClock(storage.ensure_dir(args.out or os.path.join(DEFAULT_OUT_ROOT, sc.name)), start)
     try:
-        checks, extras = _EXECUTORS[sc.kind](sc, args, clock)
+        checks, extras = _EXECUTORS[sc.kind](sc, clock)
         for entry in checks:
             if not args.quiet:
                 verdict = "PASS" if entry["pass"] else "FAIL"
@@ -341,12 +340,10 @@ def _cmd_diff(args) -> int:
         return 1
     gap = l1_distance(fa, fb)
     sup = float(np.abs(fa.values - fb.values).max())
-    tol = args.tol if args.tol is not None else 1e-12
-    sup_tol = args.sup_tol if args.sup_tol is not None else float("inf")
-    ok = gap <= tol and sup <= sup_tol
+    ok = gap <= args.tol and sup <= args.sup_tol
     if not args.quiet:
         print(f"[check] field_diff: {'PASS' if ok else 'FAIL'} "
-              f"L1 {gap:.3e} vs {tol:.3e}, sup {sup:.3e} vs {sup_tol:.3e}")
+              f"L1 {gap:.3e} vs {args.tol:.3e}, sup {sup:.3e} vs {args.sup_tol:.3e}")
     return 0 if ok else 2
 
 
@@ -372,15 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-raise errors with their traceback instead of one error line")
     scenario = argparse.ArgumentParser(add_help=False, parents=[common])
     scenario.add_argument("--out", help="output directory (default discflux_out/<name>)")
-    scenario.add_argument("--seed", type=int, default=0, help="seed for randomized initial data")
-    # the flags below reach only the commands that read them; any other refuses them
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=None, help="override the headline check tolerance")
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--cell-budget", type=int, default=None,
-                        help="refuse epsilon sweeps needing more cells than this "
-                             f"(default: the study's cell_budget, else {germ_mod.DEFAULT_CELL_BUDGET})")
-    flags = {"run": [tol], "cone-check": [tol], "converge": [budget], "germ": [budget]}
 
     sub = parser.add_subparsers(dest="command")
     helps = {
@@ -392,14 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
         "germ": "run a dyadic family study with diagonal selection and stability",
     }
     for kind in _EXECUTORS:
-        p = sub.add_parser(kind, parents=[scenario, *flags.get(kind, [])], help=helps[kind])
+        p = sub.add_parser(kind, parents=[scenario], help=helps[kind])
         p.add_argument("scenario", help="path to a scenario JSON file, or a shipped scenario name")
         p.set_defaults(func=_run_scenario_command)
 
-    pd = sub.add_parser("diff", parents=[common, tol], help="compare two single-time field CSV files")
+    pd = sub.add_parser("diff", parents=[common], help="compare two single-time field CSV files")
     pd.add_argument("field_a")
     pd.add_argument("field_b")
-    pd.add_argument("--sup-tol", type=_tolerance, default=None, help="sup-norm tolerance")
+    pd.add_argument("--tol", type=_tolerance, default=1e-12, help="L1 tolerance (default 1e-12)")
+    pd.add_argument("--sup-tol", type=_tolerance, default=float("inf"), help="sup-norm tolerance (default inf)")
     pd.set_defaults(func=_cmd_diff)
     return parser
 

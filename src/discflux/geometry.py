@@ -128,9 +128,10 @@ class Interface:
 
     @staticmethod
     def from_spec(spec: dict, d: int) -> "Interface":
-        """Build from {"axis": 1-based int, "zeta": {"kind": ..., "coeffs": [...]}}.
-        Kind "zero" takes no nonzero coefficient, "affine" exactly d (zeta =
-        c0 + c1 s), "poly" (d <= 2) one in d = 1 and at least one in d = 2."""
+        """Build from {"axis": 1-based int, "zeta": {"kind": ..., "coeffs": [...]}},
+        a spec the scenario schema accepts, in d <= 2.  Kind "zero" takes no
+        nonzero coefficient, "affine" exactly d (zeta = c0 + c1 s), "poly" one
+        in d = 1 and at least one in d = 2."""
         axis1 = spec["axis"]
         if not (1 <= axis1 <= d):
             raise ValueError(f"interface axis {axis1} outside 1..{d}")
@@ -143,14 +144,9 @@ class Interface:
         elif kind == "affine":
             if len(c) != d:
                 raise ValueError(f"affine interface in d={d} needs {d} coefficients, got {len(c)}")
-        elif kind == "poly":
-            if d > 2:
-                raise ValueError("polynomial interfaces are supported for d <= 2 only")
-            if not c or (d == 1 and len(c) > 1):
-                raise ValueError(f"polynomial interface in d={d} needs {'one' if d == 1 else 'at least one'} "
-                                 f"coefficient, got {len(c)}")
-        else:
-            raise ValueError(f"unknown zeta kind {kind!r}")
+        elif not c or (d == 1 and len(c) > 1):  # kind "poly"
+            raise ValueError(f"polynomial interface in d={d} needs {'one' if d == 1 else 'at least one'} "
+                             f"coefficient, got {len(c)}")
         return Interface(axis1 - 1, d, c)
 
 

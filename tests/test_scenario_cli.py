@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import itertools
 import json
 import os
 import pathlib
@@ -321,19 +322,17 @@ def test_initial_kinds_evaluate():
 
 
 def test_random_steps_are_seeded():
+    # the spec's own seed is the one seed; a spec without it draws from seed 0
     pts = np.linspace(-0.5, 0.5, 33)[:, None]
     spec = {"kind": "random_steps", "pieces": 8}
-    a = initial_values_at(spec, pts, 0.0, 1.0, BOX_1D, seed=3)
-    b = initial_values_at(spec, pts, 0.0, 1.0, BOX_1D, seed=3)
-    c = initial_values_at(spec, pts, 0.0, 1.0, BOX_1D, seed=4)
+    a = initial_values_at(dict(spec, seed=3), pts, 0.0, 1.0, BOX_1D)
+    b = initial_values_at(dict(spec, seed=3), pts, 0.0, 1.0, BOX_1D)
+    c = initial_values_at(dict(spec, seed=4), pts, 0.0, 1.0, BOX_1D)
     assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.min() >= 0.0 and a.max() <= 1.0
-
-    pinned = {"kind": "random_steps", "pieces": 8, "seed": 11}
-    d = initial_values_at(pinned, pts, 0.0, 1.0, BOX_1D, seed=3)
-    e = initial_values_at(pinned, pts, 0.0, 1.0, BOX_1D, seed=4)
-    assert_array_equal(d, e)
+    unseeded = initial_values_at(spec, pts, 0.0, 1.0, BOX_1D)
+    assert unseeded.tobytes() == initial_values_at(dict(spec, seed=0), pts, 0.0, 1.0, BOX_1D).tobytes()
 
 
 @pytest.mark.parametrize("pieces", [3, 5])
@@ -354,10 +353,9 @@ def test_random_steps_do_not_depend_on_the_grid(pieces):
 
 
 def test_initial_data_validation_errors():
-    pts = np.zeros((3, 1))
-    with pytest.raises(ScenarioError, match="outside the state interval"):
-        initial_values_at({"kind": "constant", "value": 1.5}, pts, 0.0, 1.0, BOX_1D)
-    # the structure of the data is checked at parse time, under the spec's own pointer
+    # the data are checked at parse time, under the spec's own pointer
+    with pytest.raises(ScenarioError, match=r"^/initial: values reach \[1.5, 1.5\], outside the state interval"):
+        scenario_from_dict(_run_doc(initial={"kind": "constant", "value": 1.5}))
     with pytest.raises(ScenarioError, match="^/initial: .*increase"):
         scenario_from_dict(_run_doc(initial={"kind": "steps", "breakpoints": [0.2, 0.1],
                                              "values": [0.1, 0.2, 0.3]}))
@@ -412,12 +410,13 @@ def test_study_initial_data_is_checked_under_its_own_pointer():
 
 
 def test_initial_field_seed_plumbing(tmp_path):
-    doc = _run_doc(initial={"kind": "random_steps", "pieces": 6})
-    path = _write(tmp_path, doc)
-    sc3 = parse_scenario(path, seed=3)
-    sc4 = parse_scenario(path, seed=4)
-    assert not np.array_equal(sc3.initial_field().values, sc4.initial_field().values)
-    assert_array_equal(sc3.initial_field().values, parse_scenario(path, seed=3).initial_field().values)
+    # a scenario's random_steps data come from the spec's seed key alone
+    def values(**seed):
+        doc = _run_doc(initial={"kind": "random_steps", "pieces": 6, **seed})
+        return parse_scenario(_write(tmp_path, doc)).initial_field().values
+    assert not np.array_equal(values(seed=3), values(seed=4))
+    assert_array_equal(values(seed=3), values(seed=3))
+    assert values().tobytes() == values(seed=0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -429,47 +428,39 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["run"]) == 1
     assert main(["--help"]) == 0
-    # --tol reaches run, cone-check and diff, --cell-budget converge and
-    # germ, --out and --seed the scenario commands; elsewhere they are refused
+    # the scenario file is the one source of a scenario's inputs: every
+    # scenario command takes --out, --quiet and --debug and no other flag,
+    # and diff, which has no scenario, also --tol and --sup-tol
     out = ["--out", str(tmp_path / "out")]
-    for argv in (["entropy-check", "burgers_shock", "--tol", "1e-30", *out],
-                 ["entropy-check", "burgers_shock", "--cell-budget", "1", *out],
-                 ["kato-check", "kato_burgers", "--tol", "1e-30", *out],
-                 ["run", "tilted_flatten_2d", "--cell-budget", "1", *out],
-                 ["cone-check", "cone_burgers", "--cell-budget", "1", *out],
-                 ["converge", "two_flux_interface", "--tol", "1e-30", *out],
-                 ["germ", "germ_level1", "--tol", "1e-30", *out],
-                 ["diff", "a.csv", "b.csv", *out],
+    shipped = {parse_scenario(builtin_scenario_path(name)).kind: name for name in builtin_scenario_names()}
+    assert set(shipped) == set(SCENARIO_KINDS)
+    for (kind, name), flag in itertools.product(shipped.items(), ("--seed", "--tol", "--cell-budget")):
+        assert main([kind, name, flag, "1", *out]) == 1, (kind, flag)
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err, (kind, flag)
+    for argv in (["diff", "a.csv", "b.csv", *out],
                  ["diff", "a.csv", "b.csv", "--seed", "1"],
                  ["diff", "a.csv", "b.csv", "--cell-budget", "1"]):
         assert main(argv) == 1, argv
         assert "unrecognized arguments" in capsys.readouterr().err, argv
     assert not (tmp_path / "out").exists()
     parser = build_parser()
-    for argv, flag, value in ((["run", "x", "--tol", "0.5"], "tol", 0.5),
-                              (["cone-check", "x", "--tol", "0.5"], "tol", 0.5),
-                              (["diff", "a", "b", "--tol", "0.5"], "tol", 0.5),
-                              (["converge", "x", "--cell-budget", "64"], "cell_budget", 64),
-                              (["germ", "x", "--cell-budget", "64"], "cell_budget", 64)):
-        assert getattr(parser.parse_args(argv), flag) == value
+    for kind in SCENARIO_KINDS:
+        args = vars(parser.parse_args([kind, "x", "--out", "o", "--quiet", "--debug"]))
+        assert args.keys() == {"command", "scenario", "out", "quiet", "debug", "func"}, kind
+    args = parser.parse_args(["diff", "a", "b", "--tol", "0.5", "--sup-tol", "0.25"])
+    assert (args.tol, args.sup_tol) == (0.5, 0.25)
 
 
 def test_cli_refuses_a_nan_or_negative_tolerance_at_parse_time(tmp_path, capsys):
     # a NaN tolerance would fail every comparison and a negative one every
-    # check, but only after the whole solve: both are refused before any work
+    # check: both are refused before a field is read
     grid = Grid((0.0,), (1.0,), (8,))
     field = str(tmp_path / "a.csv")
     storage.write_field_csv(field, Field(grid, np.zeros(8), 0.0))
-    out = tmp_path / "out"
     for value in ("nan", "-1", "-inf", "x"):
-        for argv in (["cone-check", "cone_burgers", "--tol", value, "--out", str(out)],
-                     ["run", "tilted_flatten_2d", "--tol", value, "--out", str(out)],
-                     ["diff", field, field, "--tol", value],
-                     ["diff", field, field, "--sup-tol", value]):
-            assert main(argv) == 1, argv
-            err = capsys.readouterr().err
-            assert "--tol" in err or "--sup-tol" in err, argv
-            assert not out.exists()
+        for flag in ("--tol", "--sup-tol"):
+            assert main(["diff", field, field, flag, value]) == 1, (flag, value)
+            assert f"argument {flag}: " in capsys.readouterr().err, (flag, value)
     # zero and inf are numbers >= 0: inf is --sup-tol's default
     assert main(["diff", field, field, "--tol", "0", "--sup-tol", "inf", "--quiet"]) == 0
 
@@ -646,16 +637,12 @@ def test_cli_runtime_error_exits_one(tmp_path, capsys):
         main(["germ", path, "--out", str(tmp_path / "out"), "--debug"])
 
 
-def test_cli_cell_budget_flag_wins_over_the_study(tmp_path, capsys):
+def test_cli_cell_budget_comes_from_the_study(tmp_path, capsys):
     doc = _run_doc(kind="converge", study={"epsilons": [0.032, 0.016], "cell_budget": 64})
-    path = _write(tmp_path, doc)
-    assert main(["converge", path, "--out", str(tmp_path / "study"), "--quiet"]) == 1
+    assert main(["converge", _write(tmp_path, doc), "--out", str(tmp_path / "small"), "--quiet"]) == 1
     assert "above the cell budget 64" in capsys.readouterr().err
-    assert main(["converge", path, "--out", str(tmp_path / "flag"), "--quiet",
-                 "--cell-budget", "100000"]) == 0
-    assert main(["converge", path, "--out", str(tmp_path / "small_flag"), "--quiet",
-                 "--cell-budget", "32"]) == 1
-    assert "above the cell budget 32" in capsys.readouterr().err
+    doc["study"]["cell_budget"] = 100000
+    assert main(["converge", _write(tmp_path, doc), "--out", str(tmp_path / "large"), "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("d, zeta, right, components", [
@@ -679,6 +666,28 @@ def test_cli_refuses_ignored_interface_coefficients(tmp_path, capsys, d, zeta, r
     doc["run"] = {"epsilon": 0.05, "final_time": 0.01, "boundary": 0.0}
     assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
     assert "scenario error: /flux: " in capsys.readouterr().err
+
+
+_FLUX_1D = {"d": 1, "a": 0.0, "b": 1.0, "interface": None, "left": [{"poly_lambda": [0.0, 1.0, -1.0]}]}
+
+
+@pytest.mark.parametrize("flux, message", [
+    (dict(_FLUX_1D, speed=1.0), r"^/flux: Additional properties are not allowed \('speed' unexpected\)$"),
+    (dict(_FLUX_1D, left=[{"poly_lambda": [0.0, 1.0, -1.0], "speed": 1.0}]),
+     r"^/flux/left/0: Additional properties are not allowed \('speed' unexpected\)$"),
+    (dict(_FLUX_1D, left=[{"poly_lambda": []}]), r"^/flux/left/0/poly_lambda: \[\] is too short$"),
+    (dict(_FLUX_1D, d=3), r"^/flux/d: 3 is not one of \[1, 2\]$"),
+    (dict(_FLUX_1D, left=[{"poly_lambda": [0.0, 1.0, -1.0], "x_modulation": "cubic"}]),
+     r"^/flux/left/0/x_modulation: 'cubic' is not one of \['none', 'affine'\]$"),
+    (dict(_FLUX_1D, interface={"axis": 1, "zeta": {"kind": "cubic", "coeffs": [0.0]}}),
+     r"^/flux/interface/zeta/kind: 'cubic' is not one of \['zero', 'affine', 'poly'\]$"),
+    (3, r"^/flux: 3 is not of type \['string', 'object'\]$"),
+], ids=["flux-key", "component-key", "empty-poly-lambda", "d-3", "x-modulation", "zeta-kind", "flux-type"])
+def test_the_schema_refuses_flux_specs_the_builders_take_as_read(flux, message):
+    # flux_from_spec and Interface.from_spec check only the rules between
+    # fields; the scenario schema refuses these before either runs
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(_run_doc(flux=flux))
 
 
 def test_cli_refuses_a_cfl_above_one_half(tmp_path, capsys):
@@ -749,6 +758,26 @@ def test_cli_run_writes_report_and_trajectory(tmp_path, capsys):
     phases = [timings["solve_s"], timings["verify_s"], timings["io_s"]]
     assert min(phases) > 0.0
     assert sum(phases) <= timings["total_s"]
+
+
+def test_report_json_reproduces_its_run(tmp_path, capsys):
+    # report.json's scenario block is the whole input of its run: rerun from
+    # it, the command writes the same bytes, and no flag can change the data
+    doc = _run_doc(kind="kato-check", study={"initial_b": {"kind": "random_steps", "pieces": 5, "seed": 7}})
+    first = tmp_path / "first"
+    assert main(["kato-check", _write(tmp_path, doc), "--out", str(first), "--quiet"]) == 0
+    path = _write(tmp_path, json.loads((first / "report.json").read_text())["scenario"], "from_report.json")
+    again = tmp_path / "again"
+    assert main(["kato-check", path, "--out", str(again), "--quiet"]) == 0
+    names = sorted(p.name for p in first.iterdir() if p.name != "report.json")
+    assert names == ["kato_report.json", "trajectory_a.csv", "trajectory_b.csv"]
+    assert names == sorted(p.name for p in again.iterdir() if p.name != "report.json")
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    capsys.readouterr()
+    assert main(["kato-check", path, "--seed", "1", "--out", str(tmp_path / "seeded"), "--quiet"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "seeded").exists()
 
 
 def test_cli_failing_max_principle_names_its_witness(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
-"""Print the two size numbers of the package: the lines of its Python
-sources, and its settable values (parameters with a default plus dataclass
-fields with a default, counted on the AST) of src/discflux:
+"""Print the three size numbers of the package src/discflux: the lines of
+its Python sources, its settable values (parameters with a default plus
+dataclass fields with a default) and its CLI flags (the `--` options
+`cli.build_parser` defines), both counted on the AST:
 
     python tools/src_shape.py
 """
@@ -32,6 +33,14 @@ def settable_values(tree: ast.AST) -> int:
     return count
 
 
+def cli_flags(tree: ast.AST) -> int:
+    """The distinct `--` options the add_argument calls of `build_parser` name."""
+    build, = (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "build_parser")
+    return len({a.value for n in ast.walk(build)
+                if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "add_argument"
+                for a in n.args if isinstance(a, ast.Constant) and str(a.value).startswith("--")})
+
+
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parents[1] / "src" / "discflux"
     texts = [f.read_text(encoding="utf-8") for f in sorted(root.rglob("*.py"))]
@@ -39,6 +48,7 @@ def main() -> int:
     values = sum(settable_values(ast.parse(t)) for t in texts)
     print(f"lines {lines}")
     print(f"settable_values {values}")
+    print(f"cli_flags {cli_flags(ast.parse((root / 'cli.py').read_text(encoding='utf-8')))}")
     return 0
 
 
