@@ -218,23 +218,17 @@ def _exec_cone(sc: Scenario, clock) -> tuple[list, dict]:
                     "locality": {"kappa": rep.kappa, "per_time": list(rep.per_time)}}
 
 
-def _cell_budget(sc: Scenario) -> int:
-    """The study's cell_budget, else the default."""
-    return int(sc.study.get("cell_budget", germ_mod.DEFAULT_CELL_BUDGET))
-
-
 def _exec_converge(sc: Scenario, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     epsilons = [float(e) for e in sc.study["epsilons"]]
-    budget = _cell_budget(sc)
 
     def u0_fn(pts):
         return sc.values_at(sc.initial, pts)
 
     records, counters = clock("solve_s", germ_mod.run_sequence, {sc.name: u0_fn}, epsilons, model,
                               model.domain, sc.config.final_time, boundary=sc.config.boundary,
-                              cell_budget=budget, cfl=sc.config.cfl)
+                              cell_budget=sc.cell_budget, cfl=sc.config.cfl)
     record, = records
     clock.write("deltas.csv", storage.write_deltas_csv, record.epsilons, record.deltas)
     clock.write("finest_endpoint.csv", storage.write_field_csv, record.endpoints[-1])
@@ -251,10 +245,9 @@ def _exec_germ(sc: Scenario, clock) -> tuple[list, dict]:
     checks: list = []
     model = sc.model
     level = int(sc.study["level"])
-    budget = _cell_budget(sc)
     study = germ_mod.GermStudy(model, sc.config.final_time,
                                [float(e) for e in sc.study["epsilons"]],
-                               cell_budget=budget, cfl=sc.config.cfl,
+                               cell_budget=sc.cell_budget, cfl=sc.config.cfl,
                                threshold=sc.study.get("threshold"))
     result = clock("solve_s", study.level_result, level, os.path.join(clock.out, "records"))
     sel = result.selection

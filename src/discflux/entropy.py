@@ -60,43 +60,32 @@ class TestFunction:
         if len(self.space_center) != len(self.space_radius):
             raise ValueError("space center and radius dimension mismatch")
 
-    @property
-    def d(self) -> int:
-        return len(self.space_center)
-
-    def _space_factors(self, x: np.ndarray) -> list[np.ndarray]:
-        return [
-            _bump((x[..., k] - self.space_center[k]) / self.space_radius[k])
-            for k in range(self.d)
-        ]
-
-    def value(self, t, x) -> np.ndarray:
+    def tables(self, t, x) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """(phi, phi_t, [d phi / d x_k for each axis k]) at the times t and
+        the points x (..., d), broadcast against each other.  Each bump
+        factor is evaluated once; with B_t and f_k the time and space
+        factors, phi = B_t f_0 f_1, phi_t = (B_t' / r_t) f_0 f_1 and
+        d_k phi = (B_t B_k') / r_k times the other f_m in axis order, each
+        product built in place on one fresh table."""
         x = np.asarray(x, dtype=float)
-        out = _bump((np.asarray(t, dtype=float) - self.time_center) / self.time_radius)
-        for f in self._space_factors(x):
-            out = out * f
-        return out
-
-    def time_derivative(self, t, x) -> np.ndarray:
-        s = (np.asarray(t, dtype=float) - self.time_center) / self.time_radius
-        out = _bump_derivative(s) / self.time_radius
-        for f in self._space_factors(np.asarray(x, dtype=float)):
-            out = out * f
-        return out
-
-    def gradient(self, t, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        bt = _bump((np.asarray(t, dtype=float) - self.time_center) / self.time_radius)
-        factors = self._space_factors(x)
-        cols = []
-        for k in range(self.d):
-            s = (x[..., k] - self.space_center[k]) / self.space_radius[k]
-            col = bt * _bump_derivative(s) / self.space_radius[k]
+        st = (np.asarray(t, dtype=float) - self.time_center) / self.time_radius
+        bt = _bump(st)
+        s = [(x[..., k] - c) / r for k, (c, r) in enumerate(zip(self.space_center, self.space_radius))]
+        factors = [_bump(sk) for sk in s]
+        phi = bt * factors[0]
+        phi_t = _bump_derivative(st) / self.time_radius * factors[0]
+        for f in factors[1:]:
+            phi *= f
+            phi_t *= f
+        grads = []
+        for k, (sk, r) in enumerate(zip(s, self.space_radius)):
+            col = bt * _bump_derivative(sk)
+            col /= r
             for m, f in enumerate(factors):
                 if m != k:
-                    col = col * f
-            cols.append(col)
-        return np.stack(cols, axis=-1)
+                    col *= f
+            grads.append(col)
+        return phi, phi_t, grads
 
     def support(self, grid, times) -> tuple[slice, ...]:
         """Index slices of the recorded `times` and of each axis's cell
@@ -276,17 +265,6 @@ def _column_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
 
-def _phi_tables(phi, t: np.ndarray, w: np.ndarray, points: np.ndarray) -> list[np.ndarray]:
-    """One grad phi component per axis and phi_t at the times t (a column)
-    and the cells `points`, each from one broadcast call and multiplied by
-    the trapezoid weights w (a column)."""
-    grad = phi.gradient(t, points)
-    tables = [grad[..., k] * w for k in range(points.shape[-1])]
-    del grad  # the unweighted tables never outlive their weighting
-    tables.append(phi.time_derivative(t, points) * w)
-    return tables
-
-
 def _box(table: np.ndarray, counts: tuple[int, ...], box: tuple[slice, ...]) -> np.ndarray:
     """The block `box` (one slice over the first axis, then one per grid
     axis) of a (rows, cells, ...) table whose cells run over a grid of
@@ -354,22 +332,24 @@ class ResidualWorkspace:
         return term_sum(self._jump.terms(1, j), lam_arr) - term_sum(self._jump.terms(0, j), lam_arr)
 
     def _phi_box(self, phi):
-        """phi's support box and, on it, its trapezoid-weighted tables
-        grad phi per axis, phi_t and phi."""
+        """phi's support box and, on it, its tables phi, phi_t and grad phi
+        per axis, each weighted in place by the trapezoid weights."""
         box = phi.support(self.trajectory.grid, self.times)
-        t, w = self.times[box[0], None], self.tw[box[0], None]
         points = _box(self.points[None], self.counts, (slice(None),) + box[1:]).reshape(-1, len(self.counts))
-        tables = _phi_tables(phi, t, w, points)
-        tables.append(phi.value(t, points) * w)
-        return box, tables
+        value, dt, grad = phi.tables(self.times[box[0], None], points)
+        for table in (value, dt, *grad):
+            table *= self.tw[box[0], None]
+        return box, value, dt, grad
 
     def _initial(self, phi) -> np.ndarray:
         """phi at t = 0 on every cell, a (1, cells) row."""
-        return phi.value(self.times[:1, None], self.points)
+        return phi.tables(self.times[:1, None], self.points)[0]
 
     def _surface(self, phi) -> np.ndarray:
         """phi on the interface at every recorded time, trapezoid-weighted."""
-        return phi.value(self.times[:, None], self.traces.surface_points) * self.tw[:, None]
+        surf = phi.tables(self.times[:, None], self.traces.surface_points)[0]
+        surf *= self.tw[:, None]
+        return surf
 
     def terms(self, lambdas: Sequence[float], phi) -> np.ndarray:
         """The terms of E(lam, phi), one row per lam of `lambdas` in the
@@ -392,7 +372,7 @@ class ResidualWorkspace:
         -S_phi . div F(lam).  Every operand of a sum is C-contiguous, so a
         sum reads the same bits whichever block it runs over."""
         lam_tables = [self._lam_tables(lam) for lam in lambdas]
-        box, (*wg, wdt, wv) = self._phi_box(phi)
+        box, wv, wdt, wg = self._phi_box(phi)
         shape, cells = wdt.shape, (slice(None),) + box[1:]
         states = _box(self.states, self.counts, box)
         flux_u = _box(self.flux_u, self.counts, box)
@@ -442,8 +422,10 @@ class ResidualWorkspace:
 
         out = np.empty((len(phis), len(KATO_TERMS)))
         for row, phi in zip(out, phis):
-            *wg, wdt = _phi_tables(phi, self.times[:, None], self.tw[:, None], self.points)
-            row[:] = _dot(dist, wdt), sum(_dot(c, g) for c, g in zip(conv, wg)), _dot(dist[:1], self._initial(phi))
+            value, wdt, wg = phi.tables(self.times[:, None], self.points)
+            for table in (wdt, *wg):
+                table *= self.tw[:, None]
+            row[:] = _dot(dist, wdt), sum(_dot(c, g) for c, g in zip(conv, wg)), _dot(dist[:1], value[:1])
         return out * self.cell_volume
 
 

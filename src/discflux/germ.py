@@ -125,10 +125,10 @@ def build_dense_family(level: int, a: float, b: float, box: Box) -> DenseFamily:
 # epsilon sequences
 
 
-def grid_for_epsilon(box: Box, eps: float, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grid:
+def grid_for_epsilon(box: Box, eps: float, cell_budget: int) -> Grid:
     """Power-of-two counts with dx <= eps/4 on every axis."""
     counts = []
-    for w in box.widths:
+    for w in box.widths.tolist():  # floats: a tiny eps gives inf without a numpy warning
         n = 2 ** max(2, math.ceil(math.log2(4.0 * w / eps)))
         counts.append(n)
     total = int(np.prod(counts))
@@ -202,7 +202,7 @@ def _map(job, count: int) -> tuple[list, int]:
 
 
 def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_time: float,
-                 boundary=None, cell_budget: int = DEFAULT_CELL_BUDGET, cfl: float = DEFAULT_CFL,
+                 cell_budget: int, cfl: float, boundary=None,
                  records_dir: str | None = None) -> tuple[list[GermRecord], dict]:
     """Run the viscous solver for each datum of `data` (member id -> initial
     function) and each epsilon, and collect endpoints on the comparison grid,

@@ -39,8 +39,7 @@ def flux_from_spec(spec: dict, domain: Box | None = None, name: str | None = Non
     d = int(spec["d"])
     a, b = float(spec["a"]), float(spec["b"])
     if domain is None:
-        dom = spec.get("domain")
-        domain = Box(tuple(dom["lows"]), tuple(dom["highs"])) if dom else Box((-1.0,) * d, (1.0,) * d)
+        domain = Box((-1.0,) * d, (1.0,) * d)
     for side in ("left", "right"):
         family = spec.get(side)
         if family is not None and len(family) != d:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .flux import PiecewiseFlux, as_points, check_hypotheses
 from .geometry import Box
+from .germ import DEFAULT_CELL_BUDGET, grid_for_epsilon
 from .presets import PRESET_DIMENSIONS, PRESET_NAMES, resolve_flux
 from .solver import DEFAULT_CFL, MAX_CELL_STEPS, Field, Grid, RunConfig
 
@@ -48,7 +49,7 @@ _COMPONENT_LIST = {"type": "array", "items": _COMPONENT_SCHEMA, "minItems": 1, "
 _FLUX_OBJECT_SCHEMA = _closed(
     ["d", "a", "b", "left"], d={"enum": [1, 2]}, a=_NUMBER, b=_NUMBER,
     interface={"anyOf": [{"type": "null"}, _INTERFACE_SCHEMA]}, left=_COMPONENT_LIST,
-    right={"anyOf": [{"type": "null"}, _COMPONENT_LIST]}, domain=_DOMAIN_SCHEMA)
+    right={"anyOf": [{"type": "null"}, _COMPONENT_LIST]})
 
 _BOUNDARY_SCHEMA = {"anyOf": [_NUMBER, {
     "type": "array", "minItems": 1, "maxItems": 2,
@@ -77,6 +78,7 @@ _INITIAL_SCHEMAS = {kind: _closed(["kind", *required], kind={"const": kind}, **r
 
 _CHART_SCHEMA = _closed(["center", "radius"], center=_NUMBER_ARRAY, radius=_POSITIVE)
 _EPSILONS_SCHEMA = {"type": "array", "items": _POSITIVE, "minItems": 2}
+_GERM_EPSILONS_SCHEMA = dict(_EPSILONS_SCHEMA, minItems=4)  # diagonal_select needs 3 deltas
 _BUMPS = {"type": "integer", "minimum": 1}
 _CELL_BUDGET = {"type": "integer", "minimum": 16}
 _STUDY_SCHEMAS = {
@@ -87,7 +89,7 @@ _STUDY_SCHEMAS = {
                           perturbation=_INITIAL_ENVELOPE, tol=_POSITIVE),
     "converge": _closed(["epsilons"], epsilons=_EPSILONS_SCHEMA, cell_budget=_CELL_BUDGET),
     "germ": _closed(["level", "epsilons"], level={"type": "integer", "minimum": 0, "maximum": 3},
-                    epsilons=_EPSILONS_SCHEMA, threshold=_POSITIVE, cell_budget=_CELL_BUDGET,
+                    epsilons=_GERM_EPSILONS_SCHEMA, threshold=_POSITIVE, cell_budget=_CELL_BUDGET,
                     solve_target=_INITIAL_ENVELOPE),
 }
 
@@ -277,7 +279,6 @@ def validate_initial(spec, d: int, a: float, b: float, prefix: str):
 
 @dataclass(frozen=True)
 class Scenario:
-    path: str
     name: str
     kind: str
     raw: dict
@@ -288,6 +289,11 @@ class Scenario:
     study: dict
     chart: dict | None
     hypotheses: dict  # check_hypotheses' margins, for report.json
+
+    @property
+    def cell_budget(self) -> int:
+        """A converge or germ study's cell_budget, else the default."""
+        return int(self.study.get("cell_budget", DEFAULT_CELL_BUDGET))
 
     def initial_field(self) -> Field:
         return self.field_from_spec(self.initial)
@@ -319,6 +325,16 @@ def _output_times(run_block: dict, final_time: float):
     if "output_count" in run_block:
         return tuple(np.linspace(0.0, final_time, int(run_block["output_count"])))
     return None
+
+
+def _refuse_cost(pointer: str, grid: Grid, final_time: float, epsilon: float, cfl: float, outputs: int):
+    """run_lockstep's cost refusal before any array exists: dt_base <= cfl /
+    sum_k eps / dx_k^2, and at least one step per output.  eps / h / h
+    saturates to inf where h ** -2 overflows and eps / (h * h) divides by 0."""
+    steps = final_time * sum(epsilon / h / h for h in grid.dx) / cfl
+    estimate = math.prod(n - 2.0 for n in grid.counts) * max(steps, outputs - 1.0)
+    if estimate > MAX_CELL_STEPS:
+        raise ScenarioError(f"{pointer}: about {estimate:.3e} cell-steps, above the limit of {MAX_CELL_STEPS:.0e}")
 
 
 def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
@@ -363,13 +379,9 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
     run_block = raw["run"]
     if "output_times" in run_block and "output_count" in run_block:
         raise ScenarioError("/run: give output_times or output_count, not both")
-    # run_lockstep's cost refusal before any array exists: dt_base <= cfl / sum_k eps / dx_k^2, >= 1 step per output
-    outputs = run_block.get("output_count", len(set(run_block.get("output_times", ()))))
-    steps = (float(run_block["final_time"]) * float(run_block["epsilon"]) * sum(h ** -2 for h in grid.dx)
-             / float(run_block.get("cfl", DEFAULT_CFL)))
-    estimate = math.prod(n - 2.0 for n in grid.counts) * max(steps, outputs - 1.0)
-    if estimate > MAX_CELL_STEPS:
-        raise ScenarioError(f"/run: about {estimate:.3e} cell-steps, above the limit of {MAX_CELL_STEPS:.0e}")
+    _refuse_cost("/run", grid, float(run_block["final_time"]), float(run_block["epsilon"]),
+                 float(run_block.get("cfl", DEFAULT_CFL)),
+                 run_block.get("output_count", len(set(run_block.get("output_times", ())))))
     try:
         config = RunConfig(
             flux=model,
@@ -406,9 +418,21 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
         chart = {"center": tuple(float(v) for v in center), "radius": float(raw["chart"]["radius"])}
 
     name = raw.get("name") or os.path.splitext(os.path.basename(path))[0]
-    return Scenario(path=path, name=name, kind=kind, raw=raw, model=model, grid=grid,
-                    config=config, initial=dict(raw["initial"]), study=dict(study),
-                    chart=chart, hypotheses=hypotheses)
+    sc = Scenario(name=name, kind=kind, raw=raw, model=model, grid=grid,
+                  config=config, initial=dict(raw["initial"]), study=dict(study),
+                  chart=chart, hypotheses=hypotheses)
+    if kind in ("converge", "germ"):
+        # each rung runs alone on its own grid, up to the final time only
+        ladder = [float(e) for e in study["epsilons"]]
+        if any(fine >= coarse for coarse, fine in zip(ladder, ladder[1:])):
+            raise ScenarioError(f"/study/epsilons: {study['epsilons']!r} does not strictly decrease")
+        for i, eps in enumerate(ladder):
+            try:  # OverflowError: an eps so small that 4 * width / eps is inf
+                rung = grid_for_epsilon(model.domain, eps, sc.cell_budget)
+            except (ValueError, OverflowError) as exc:
+                raise ScenarioError(f"/study/epsilons/{i}: {exc}") from None
+            _refuse_cost(f"/study/epsilons/{i}", rung, config.final_time, eps, config.cfl, 1)
+    return sc
 
 
 def _refuse_constant(name: str):

@@ -280,15 +280,15 @@ class _Faces:
                  for coeffs, factors in self.rows],
                 [(state[window], speed[window]) for state, speed in self.crit])
 
-    def rusanov(self, values: np.ndarray, cells: dict, tables: tuple | None = None):
+    def rusanov(self, values: np.ndarray, cells: dict, tables: tuple):
         """Rusanov flux 0.5 (F(ul) + F(ur)) - 0.5 alpha (ur - ul) on the faces
         between the cells of `values` and its coefficient alpha; `tables` are
-        this axis's face tables cut to those faces (on(window)), all of them
-        by default.  `cells` keeps P and P' of `values` per coefficient tuple
-        for the other axes."""
+        this axis's face tables (rows, crit) cut to those faces (on(window)).
+        `cells` keeps P and P' of `values` per coefficient tuple for the
+        other axes."""
         lo, hi = self.lo, self.hi
         ul, ur = values[lo], values[hi]
-        rows, crit = tables or (self.rows, self.crit)
+        rows, crit = tables
         for coeffs, _ in rows:
             if coeffs not in cells:
                 cells[coeffs] = (horner(values, coeffs), horner(values, self.derivatives[coeffs]))

@@ -61,10 +61,10 @@ def test_bump_is_nonnegative_and_compact():
     phi = _phi(0.25, 0.2, 0.0, 0.3)
     t = np.linspace(-0.5, 1.0, 41)
     x = np.linspace(-1.0, 1.0, 41)[:, None]
-    vals = phi.value(t[:, None], x[None, :, :][0])
+    vals = phi.tables(t[:, None], x[None, :, :][0])[0]
     assert np.all(vals >= 0.0)
-    assert phi.value(0.25, np.array([0.31])) == 0.0
-    assert phi.value(0.5, np.array([0.0])) == 0.0
+    assert phi.tables(0.25, np.array([0.31]))[0] == 0.0
+    assert phi.tables(0.5, np.array([0.0]))[0] == 0.0
 
 
 def test_bump_derivatives_crosscheck():
@@ -73,14 +73,19 @@ def test_bump_derivatives_crosscheck():
     t = rng.uniform(0.1, 0.5, 200)
     x = rng.uniform(-0.5, 0.5, (200, 2))
     h = 1e-6
-    fd_t = (phi.value(t + h, x) - phi.value(t - h, x)) / (2 * h)
-    assert np.all(np.abs(phi.time_derivative(t, x) - fd_t) <= 1e-6 * (1 + np.abs(fd_t)))
-    grad = phi.gradient(t, x)
+
+    def value(t, x):
+        return phi.tables(t, x)[0]
+
+    _, dt, grad = phi.tables(t, x)
+    fd_t = (value(t + h, x) - value(t - h, x)) / (2 * h)
+    assert np.all(np.abs(dt - fd_t) <= 1e-6 * (1 + np.abs(fd_t)))
+    assert len(grad) == 2
     for k in range(2):
         dxk = np.zeros(2)
         dxk[k] = h
-        fd_k = (phi.value(t, x + dxk) - phi.value(t, x - dxk)) / (2 * h)
-        assert np.all(np.abs(grad[:, k] - fd_k) <= 1e-6 * (1 + np.abs(fd_k)))
+        fd_k = (value(t, x + dxk) - value(t, x - dxk)) / (2 * h)
+        assert np.all(np.abs(grad[k] - fd_k) <= 1e-6 * (1 + np.abs(fd_k)))
 
 
 def test_bump_validate_rejects_protruding_support():
@@ -254,7 +259,7 @@ def test_constant_field_interface_residual_closed_form(two_flux_model, fine_grid
     tw[0] = 0.5 * (times[1] - times[0])
     tw[-1] = 0.5 * (times[-1] - times[-2])
     tw[1:-1] = 0.5 * (times[2:] - times[:-2])
-    phi_on_interface = float(tw @ phi.value(times, np.zeros((times.size, 1))))
+    phi_on_interface = float(tw @ phi.tables(times, np.zeros((times.size, 1)))[0])
     fl_c = c * (1 - c)
     fr_c = 2 * c * (1 - c)
 
@@ -302,17 +307,9 @@ def test_transformed_residual_change_of_variables_2d():
 
         support = staticmethod(_whole_grid)
 
-        def value(self, t, x):
-            return phi_flat.value(t, itf.flatten(x))
-
-        def time_derivative(self, t, x):
-            return phi_flat.time_derivative(t, itf.flatten(x))
-
-        def gradient(self, t, x):
-            g = phi_flat.gradient(t, itf.flatten(x))
-            out = np.array(g, copy=True)
-            out[..., 1] = g[..., 1] - 0.2 * g[..., 0]
-            return out
+        def tables(self, t, x):
+            value, dt, (g0, g1) = phi_flat.tables(t, itf.flatten(x))
+            return value, dt, [g0, g1 - 0.2 * g0]
 
     tol = 1e-3 * phi_flat.c1_norm * ogrid.box.volume
     flat = flatten_model(model)
@@ -331,14 +328,9 @@ def test_residual_linear_in_phi(two_flux_block_traj, two_flux_model):
     class Combo:
         support = staticmethod(_whole_grid)
 
-        def value(self, t, x):
-            return alpha * phi1.value(t, x) + beta * phi2.value(t, x)
-
-        def time_derivative(self, t, x):
-            return alpha * phi1.time_derivative(t, x) + beta * phi2.time_derivative(t, x)
-
-        def gradient(self, t, x):
-            return alpha * phi1.gradient(t, x) + beta * phi2.gradient(t, x)
+        def tables(self, t, x):
+            (v1, dt1, g1), (v2, dt2, g2) = phi1.tables(t, x), phi2.tables(t, x)
+            return alpha * v1 + beta * v2, alpha * dt1 + beta * dt2, [alpha * a + beta * b for a, b in zip(g1, g2)]
 
     ws = ResidualWorkspace(two_flux_block_traj, two_flux_model)
     lam = 0.4
@@ -571,9 +563,10 @@ def _per_pair_kruzhkov(traj, model, lam, phi):
     lam_arr = np.full(pts.shape[0], lam)
     flux_lam = sharp_flux(model, pts, lam_arr)
     div_lam = smooth_divergence(model, pts, lam_arr)
-    vals = np.stack([phi.value(t, pts) for t in times])
-    dts = np.stack([phi.time_derivative(t, pts) for t in times])
-    grads = np.stack([phi.gradient(t, pts) for t in times])
+    per_time = [phi.tables(t, pts) for t in times]
+    vals = np.stack([value for value, _, _ in per_time])
+    dts = np.stack([dt for _, dt, _ in per_time])
+    grads = np.stack([np.stack(grad, axis=-1) for _, _, grad in per_time])
 
     diff = states - lam
     sgn = np.sign(diff)
@@ -588,7 +581,7 @@ def _per_pair_kruzhkov(traj, model, lam, phi):
         m_lam = np.full(surf.shape[0], lam)
         jump = (component_value(transformed_normal_flux(model, model.interface, "right"), surf, m_lam)
                 - component_value(transformed_normal_flux(model, model.interface, "left"), surf, m_lam))
-        surf_vals = np.stack([phi.value(t, surf) for t in times])
+        surf_vals = np.stack([phi.tables(t, surf)[0] for t in times])
         delta = np.einsum("t,tm,m,tm->", tw, np.sign(tr.averaged - lam), jump, surf_vals)
         total -= tr.tangential_weight * delta
     return float(total + grid.cell_volume * (np.abs(states[0] - lam) @ vals[0]))
@@ -612,12 +605,13 @@ def _per_time_kato(u1, u2, model, phi):
         sgn = np.sign(diff)
         f1 = smoothed_flux(model, pts, s1[i], eps)
         f2 = smoothed_flux(model, pts, s2[i], eps)
+        _, dt, grad = phi.tables(times[i], pts)
         contrib = (
-            np.abs(diff) @ phi.time_derivative(times[i], pts)
-            + (sgn * ((f1 - f2) * phi.gradient(times[i], pts)).sum(axis=-1)).sum()
+            np.abs(diff) @ dt
+            + (sgn * ((f1 - f2) * np.stack(grad, axis=-1)).sum(axis=-1)).sum()
         )
         total += tw[i] * contrib
-    total += np.abs(s1[0] - s2[0]) @ phi.value(times[0], pts)
+    total += np.abs(s1[0] - s2[0]) @ phi.tables(times[0], pts)[0]
     return float(total * grid.cell_volume)
 
 
@@ -686,11 +680,11 @@ def _live_block_terms(ws, lambdas, phi):
     recorded times x cells, then the block of times x cells where any table
     is nonzero, picked by a mask and np.ix_."""
     t, w = ws.times[:, None], ws.tw[:, None]
-    grad = phi.gradient(t, ws.points)
-    tables = [grad[..., k] * w for k in range(ws.points.shape[-1])]
-    tables.append(phi.time_derivative(t, ws.points) * w)
-    phi0 = phi.value(ws.times[:1, None], ws.points)
-    tables.append(phi.value(t, ws.points) * w)
+    value, dt, grad = phi.tables(t, ws.points)
+    tables = [g * w for g in grad]
+    tables.append(dt * w)
+    phi0 = phi.tables(ws.times[:1, None], ws.points)[0]
+    tables.append(value * w)
     live = np.logical_or.reduce([tab != 0 for tab in tables])
     cells = np.flatnonzero(live.any(axis=0))
     block = np.ix_(np.flatnonzero(live.any(axis=1)), cells)
@@ -698,7 +692,7 @@ def _live_block_terms(ws, lambdas, phi):
     conv_u = sum(ws.flux_u[..., k][block] * g for k, g in enumerate(wg))
     tr = ws.traces
     if tr is not None:
-        surf = phi.value(ws.times[:, None], tr.surface_points) * ws.tw[:, None]
+        surf = phi.tables(ws.times[:, None], tr.surface_points)[0] * ws.tw[:, None]
     vol = ws.cell_volume
     out = np.zeros((len(lambdas), 5))
     for row, lam in zip(out, lambdas):
@@ -725,15 +719,12 @@ class _Everywhere:
 
     support = staticmethod(_whole_grid)
 
-    def value(self, t, x):
-        return (2.0 + np.asarray(t)) * (3.0 + np.sum(x, axis=-1))
-
-    def time_derivative(self, t, x):
-        return np.broadcast_to(3.0 + np.sum(x, axis=-1), np.broadcast_shapes(np.shape(t), np.shape(x)[:-1]))
-
-    def gradient(self, t, x):
-        shape = np.broadcast_shapes(np.shape(t), np.shape(x)[:-1]) + np.shape(x)[-1:]
-        return np.broadcast_to((2.0 + np.asarray(t))[..., None], shape)
+    def tables(self, t, x):
+        shape = np.broadcast_shapes(np.shape(t), np.shape(x)[:-1])
+        time, space = 2.0 + np.asarray(t), 3.0 + np.sum(x, axis=-1)
+        value = time * space
+        dt = np.broadcast_to(space, shape).copy()
+        return value, dt, [np.broadcast_to(time, shape).copy() for _ in range(np.shape(x)[-1])]
 
 
 def _edge_bumps(traj):
@@ -786,17 +777,9 @@ class _CountedBump(entropy.TestFunction):
     def _count(self, t, x):
         _CountedBump.points[0] += math.prod(np.broadcast_shapes(np.shape(t), np.shape(x)[:-1]))
 
-    def value(self, t, x):
+    def tables(self, t, x):
         self._count(t, x)
-        return super().value(t, x)
-
-    def time_derivative(self, t, x):
-        self._count(t, x)
-        return super().time_derivative(t, x)
-
-    def gradient(self, t, x):
-        self._count(t, x)
-        return super().gradient(t, x)
+        return super().tables(t, x)
 
 
 def test_default_battery_reads_each_bump_on_its_support_box(burgers_shock_traj, burgers_model):
@@ -808,11 +791,11 @@ def test_default_battery_reads_each_bump_on_its_support_box(burgers_shock_traj, 
     _CountedBump.points[0] = 0
     report = dx.entropy_battery(traj, burgers_model, phis=counted)
     assert [e.residual for e in report.entries] == [e.residual for e in plain.entries]
-    # per bump: grad phi, phi_t and phi on its box, and phi on the t = 0 row
+    # per bump: one evaluation on its box, and one on the t = 0 row
     cells = math.prod(grid.counts)
     boxes = [math.prod(len(range(n)[s]) for s, n in zip(p.support(grid, traj.times), (nt,) + grid.counts))
              for p in counted]
-    assert _CountedBump.points[0] == sum(3 * box + cells for box in boxes)
+    assert _CountedBump.points[0] == sum(box + cells for box in boxes)
     assert sum(boxes) < 0.5 * len(boxes) * nt * cells  # far below the full tables
 
 

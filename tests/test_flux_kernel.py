@@ -48,7 +48,7 @@ def _check_exact_alpha(config, grid, values):
     faces = [_Faces(config, grid, k) for k in range(grid.d)]
     bound = max(f.bound for f in faces)
     for k, ff in enumerate(faces):
-        _, alpha = ff.rusanov(values, {})
+        _, alpha = ff.rusanov(values, {}, (ff.rows, ff.crit))
         pts = grid.interior_face_points(k).reshape(-1, grid.d)
         ul = values[ff.lo].ravel()
         ur = values[ff.hi].ravel()
@@ -172,7 +172,8 @@ def test_face_fluxes_match_polyval_bit_for_bit(name):
         wl, wr = smoothing_weights(model.interface.offset(pts), config.epsilon)
         return wl * left + wr * side_terms(_PRESET_SPECS[name]["right"][0], u, deriv)
 
-    fhat, alpha = _Faces(config, grid, 0).rusanov(values, {})
+    faces = _Faces(config, grid, 0)
+    fhat, alpha = faces.rusanov(values, {}, (faces.rows, faces.crit))
     ul, ur = values[:-1], values[1:]
     # quadratic flux: F' is linear in the state, so the endpoints are exact
     expected_alpha = np.maximum(np.abs(smoothed(ul, True)), np.abs(smoothed(ur, True)))

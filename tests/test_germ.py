@@ -15,6 +15,7 @@ from discflux import germ, storage
 from discflux.entropy import l1_distance
 from discflux.geometry import Box, Cone
 from discflux.germ import (
+    DEFAULT_CELL_BUDGET,
     GermLevelResult,
     GermRecord,
     GermStudy,
@@ -29,7 +30,7 @@ from discflux.germ import (
     save_level_result,
     stability_report,
 )
-from discflux.solver import Field, Grid
+from discflux.solver import DEFAULT_CFL, Field, Grid
 
 UNIT_BOX = Box((0.0,), (1.0,))
 
@@ -80,6 +81,7 @@ def constant_record(two_flux_model):
         two_flux_model,
         two_flux_model.domain,
         final_time=0.05,
+        cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL,
     )
     return record
 
@@ -96,6 +98,7 @@ def step_record(two_flux_model):
         two_flux_model,
         two_flux_model.domain,
         final_time=0.09,
+        cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL,
     )
     return record
 
@@ -215,10 +218,10 @@ def test_unenumerable_level_still_reports_count_and_projects():
 
 
 def test_grid_for_epsilon_resolves_the_viscous_scale():
-    grid = grid_for_epsilon(Box((-0.5,), (0.5,)), 1e-3)
+    grid = grid_for_epsilon(Box((-0.5,), (0.5,)), 1e-3, DEFAULT_CELL_BUDGET)
     assert grid.counts == (4096,)
     for eps in (1.6e-2, 4e-3, 1e-3):
-        g = grid_for_epsilon(Box((-0.5,), (0.5,)), eps)
+        g = grid_for_epsilon(Box((-0.5,), (0.5,)), eps, DEFAULT_CELL_BUDGET)
         for k, n in enumerate(g.counts):
             assert n & (n - 1) == 0
             assert g.dx[k] <= eps / 4.0 + 1e-15
@@ -229,7 +232,7 @@ def test_grid_for_epsilon_resolves_the_viscous_scale():
 
 def test_cell_budget_guard():
     with pytest.raises(ValueError, match="budget"):
-        grid_for_epsilon(Box((-0.5,), (0.5,)), 2e-5)
+        grid_for_epsilon(Box((-0.5,), (0.5,)), 2e-5, DEFAULT_CELL_BUDGET)
     with pytest.raises(ValueError, match="budget"):
         run_sequence(
             {"zero": lambda pts: np.zeros(pts.shape[:-1])},
@@ -237,6 +240,7 @@ def test_cell_budget_guard():
             model=None,
             box=Box((-0.5,), (0.5,)),
             final_time=0.01,
+            cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL,
         )
 
 
@@ -244,13 +248,13 @@ def test_run_sequence_validates_the_epsilon_ladder(two_flux_model):
     u0 = {"zero": lambda pts: np.zeros(pts.shape[:-1])}
     box = two_flux_model.domain
     with pytest.raises(ValueError, match="two epsilons"):
-        run_sequence(u0, (1e-3,), two_flux_model, box, 0.01)
+        run_sequence(u0, (1e-3,), two_flux_model, box, 0.01, cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
     with pytest.raises(ValueError, match="decreasing"):
-        run_sequence(u0, (1e-3, 2e-3), two_flux_model, box, 0.01)
+        run_sequence(u0, (1e-3, 2e-3), two_flux_model, box, 0.01, cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
     with pytest.raises(ValueError, match="positive"):
-        run_sequence(u0, (1e-3, 0.0), two_flux_model, box, 0.01)
+        run_sequence(u0, (1e-3, 0.0), two_flux_model, box, 0.01, cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
     with pytest.raises(ValueError, match="no data"):
-        run_sequence({}, (2e-3, 1e-3), two_flux_model, box, 0.01)
+        run_sequence({}, (2e-3, 1e-3), two_flux_model, box, 0.01, cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
 
 
 def test_constant_datum_has_zero_deltas(constant_record):
@@ -263,7 +267,7 @@ def test_constant_datum_has_zero_deltas(constant_record):
 def test_rarefaction_deltas_decrease(burgers_model):
     u0 = lambda pts: np.where(pts[..., 0] < 0.0, 1.0, 0.0)
     (record,), _ = run_sequence({"fan": u0}, (1.6e-2, 8e-3, 4e-3), burgers_model,
-                                burgers_model.domain, final_time=0.15)
+                                burgers_model.domain, final_time=0.15, cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
     assert record.deltas[0] > record.deltas[1] > 0.0
 
 
@@ -584,7 +588,8 @@ def test_error_bar_covers_two_further_halvings(two_flux_model):
     box = Box((-0.5,), (0.5,))
     family = build_dense_family(1, two_flux_model.a, two_flux_model.b, box)
     records, _ = run_sequence({m.label: m for m in family.members},
-                              (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3), two_flux_model, box, final_time=0.015)
+                              (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3), two_flux_model, box, final_time=0.015,
+                              cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
     moving = 0
     for record in records:
         gap = l1_distance(record.endpoints[3], record.endpoints[5])

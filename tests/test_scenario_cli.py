@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import discflux
 from conftest import CURVED_MODULATED_SPEC
-from discflux import cli, entropy, storage
+from discflux import cli, entropy, germ, storage
 from discflux.cli import build_parser, main
 from discflux.geometry import Box
 from discflux.scenario import (
@@ -162,12 +162,10 @@ def test_inline_flux_object(tmp_path, capsys):
         "d": 1,
         "a": 0.0,
         "b": 1.0,
-        "domain": {"lows": [-0.5], "highs": [0.5]},
         "interface": {"axis": 1, "zeta": {"kind": "zero"}},
         "left": [{"poly_lambda": [0.0, 1.0, -1.0]}],
         "right": [{"poly_lambda": [0.0, 2.0, -2.0]}],
     })
-    del doc["domain"]
     sc = scenario_from_dict(doc)
     assert sc.model.d == 1
     assert sc.model.interface is not None
@@ -181,7 +179,7 @@ def test_inline_flux_object(tmp_path, capsys):
     # the paper's hypothesis f(x, a) = f(x, b) = 0: here f(x, 0) = 1
     bad["flux"] = {"d": 1, "a": 0, "b": 1, "interface": None, "left": [{"poly_lambda": [1, 1, -1]}]}
     with pytest.raises(ScenarioError, match=r"^/flux: the flux must vanish at a = 0.0 and b = 1.0, "
-                                            r"but \|f\| = 1 at state 0.0 and x = \(-1\)$"):
+                                            r"but \|f\| = 1 at state 0.0 and x = \(-0.5\)$"):
         scenario_from_dict(bad)
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, bad), "--out", str(out)]) == 1
@@ -251,7 +249,7 @@ def test_study_schemas_are_kind_specific():
     with pytest.raises(ScenarioError, match="/study"):
         scenario_from_dict(doc)
 
-    doc = _run_doc(kind="germ", study={"level": 5, "epsilons": [0.032, 0.016]})
+    doc = _run_doc(kind="germ", study={"level": 5, "epsilons": [0.032, 0.016, 0.008, 0.004]})
     with pytest.raises(ScenarioError, match="/study/level"):
         scenario_from_dict(doc)
 
@@ -260,7 +258,7 @@ def test_study_schemas_are_kind_specific():
         scenario_from_dict(doc)
 
     doc = _run_doc(kind="germ",
-                   study={"level": 1, "epsilons": [0.032, 0.016],
+                   study={"level": 1, "epsilons": [0.032, 0.016, 0.008, 0.004],
                           "solve_target": {"kind": "blob"}})
     with pytest.raises(ScenarioError, match="/study/solve_target"):
         scenario_from_dict(doc)
@@ -378,7 +376,7 @@ def test_study_initial_data_is_checked_under_its_own_pointer():
             "cone": {"center": [0.0], "radius": 0.2}, "perturbation": bump}))
     with pytest.raises(ScenarioError, match="^/study/solve_target/axis: riemann axis 2 outside 1..1"):
         scenario_from_dict(_run_doc(kind="germ", study={
-            "level": 1, "epsilons": [0.032, 0.016],
+            "level": 1, "epsilons": [0.032, 0.016, 0.008, 0.004],
             "solve_target": {"kind": "riemann", "left": 0.2, "right": 0.8, "position": 0.0, "axis": 2}}))
     # the values a spec states lie in [a, b] = [0, 1]; a perturbation's in
     # [a - b, b - a] = [-1, 1], so that it may lower the state
@@ -398,7 +396,8 @@ def test_study_initial_data_is_checked_under_its_own_pointer():
     assert lowered.perturbation().max() == 0.0
     with pytest.raises(ScenarioError, match=r"^/study/solve_target: values reach \[0.6, 1.1\]"):
         scenario_from_dict(_run_doc(kind="germ", study={
-            "level": 1, "epsilons": [0.032, 0.016], "solve_target": dict(bump, center=[0.0], base=0.6)}))
+            "level": 1, "epsilons": [0.032, 0.016, 0.008, 0.004],
+            "solve_target": dict(bump, center=[0.0], base=0.6)}))
     with pytest.raises(ScenarioError, match=r"^/initial: values reach \[-0.1, 0.5\]"):
         scenario_from_dict(_run_doc(initial={"kind": "steps", "breakpoints": [0.0], "values": [-0.1, 0.5]}))
     steps_2d = _run_doc(flux="tilted_2d", grid={"counts": [16, 16]},
@@ -483,12 +482,22 @@ def test_cli_refuses_a_run_whose_cost_estimate_is_too_high(tmp_path, capsys):
 @pytest.mark.parametrize("name", builtin_scenario_names())
 def test_parse_time_cost_estimate_is_a_lower_bound(name, monkeypatch):
     # the parse-time estimate may refuse only runs the solver would: with
-    # the limit at the cell-steps the run block's run actually takes, every
-    # shipped scenario still parses; a tenth of them refuses it (the
-    # estimate reads 17-50% of the actual count)
+    # the limit at the most cell-steps a run of the scenario actually takes
+    # (the run block's, and in a converge or germ study each epsilon's run on
+    # its ladder grid), every shipped scenario still parses; a tenth of it
+    # refuses them (an estimate reads 17-67% of its run's actual count)
     sc = parse_scenario(builtin_scenario_path(name))
     manifest = run(sc.initial_field(), sc.config).manifest
     cell_steps = np.prod([n - 2 for n in sc.grid.counts]) * manifest["n_steps"]
+    if sc.kind in ("converge", "germ"):
+        budget = sc.study.get("cell_budget", germ.DEFAULT_CELL_BUDGET)
+        _, counters = germ.run_sequence({sc.name: lambda pts: sc.values_at(sc.initial, pts)},
+                                        sc.study["epsilons"], sc.model, sc.model.domain, sc.config.final_time,
+                                        budget, sc.config.cfl,
+                                        boundary=sc.config.boundary if sc.kind == "converge" else None)
+        cell_steps = max([cell_steps] + [
+            np.prod([n - 2 for n in germ.grid_for_epsilon(sc.model.domain, task["epsilon"], budget).counts])
+            * task["steps"] for task in counters["tasks"]])
     monkeypatch.setattr("discflux.scenario.MAX_CELL_STEPS", cell_steps)
     parse_scenario(builtin_scenario_path(name))
     monkeypatch.setattr("discflux.scenario.MAX_CELL_STEPS", cell_steps // 10)
@@ -496,12 +505,15 @@ def test_parse_time_cost_estimate_is_a_lower_bound(name, monkeypatch):
         parse_scenario(builtin_scenario_path(name))
 
 
-@pytest.mark.parametrize("grid, run", [([64], {"output_count": 1000000000000}), ([4000000], {})],
-                         ids=["output_count", "cells"])
+@pytest.mark.parametrize("grid, run", [([64], {"output_count": 1000000000000}), ([4000000], {}),
+                                       ([10 ** 160], {}), ([10 ** 200], {})],
+                         ids=["output_count", "cells", "cells-1e160", "cells-1e200"])
 def test_cli_refuses_huge_output_counts_and_grids_before_allocating(tmp_path, grid, run):
     # np.linspace once asked for 7.28 TiB for the first, and the second
     # reached 214 MiB of RSS before the solver refused it; the child's peak
-    # is read from VmHWM, which exec resets (ru_maxrss keeps the parent's)
+    # is read from VmHWM, which exec resets (ru_maxrss keeps the parent's).
+    # The estimate saturates to inf on the last two, where h ** -2 overflowed
+    # and eps / (h * h) would divide by zero
     doc = json.loads(open(builtin_scenario_path("burgers_shock")).read())
     doc["grid"]["counts"] = grid
     doc["run"].update(run)
@@ -520,6 +532,54 @@ def test_cli_refuses_huge_output_counts_and_grids_before_allocating(tmp_path, gr
     assert len(err) == 1 and err[0].startswith("scenario error: /run: about ")
     assert err[0].endswith("cell-steps, above the limit of 1e+09")
     assert not out.exists()
+
+
+def _ladder_doc(name, **study):
+    doc = json.loads(open(builtin_scenario_path(name)).read())
+    doc["study"].update(study)
+    return doc
+
+
+def _wide_germ_doc():
+    # a level-0 germ on [-2, 2] to T = 0.8: the 0.0005 rung's 32768 cells
+    # fit the cell budget, its steps do not fit MAX_CELL_STEPS
+    doc = _ladder_doc("germ_level1", level=0, epsilons=[0.008, 0.004, 0.002, 0.0005])
+    doc["domain"] = {"lows": [-2.0], "highs": [2.0]}
+    doc["run"]["final_time"] = 0.8
+    return doc
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("germ", _ladder_doc("germ_level1", epsilons=[0.004, 0.002, 0.001]),
+     r"/study/epsilons: \[0.004, 0.002, 0.001\] is too short"),
+    ("germ", _ladder_doc("germ_level1", epsilons=[0.004, 0.002, 0.002, 0.001]),
+     r"/study/epsilons: \[0.004, 0.002, 0.002, 0.001\] does not strictly decrease"),
+    ("converge", _ladder_doc("two_flux_interface", epsilons=[0.0005, 0.001, 0.002, 0.004]),
+     r"/study/epsilons: \[0.0005, 0.001, 0.002, 0.004\] does not strictly decrease"),
+    ("germ", _wide_germ_doc(), r"/study/epsilons/3: about 1\.\d{3}e\+09 cell-steps, above the limit of 1e\+09"),
+    # 4 * width / eps is inf: no power of two counts the cells
+    ("converge", _ladder_doc("two_flux_interface", epsilons=[0.004, 1e-310]), r"/study/epsilons/1: .+"),
+], ids=["germ-three-epsilons", "germ-repeated", "converge-increasing", "germ-rung-cost", "converge-tiny-eps"])
+def test_cli_refuses_bad_epsilon_ladders_before_solving(tmp_path, capsys, kind, doc, message):
+    # every rung of the ladder is checked at parse time: none is solved, and
+    # --out is not made
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([kind, _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch("scenario error: " + message, err[0]), err
+    assert not out.exists()
+
+
+def test_the_benchmark_germ_document_parses(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    for final_time in (workloads.GERM_FINAL_TIME, workloads.GERM_FINAL_TIME_SHORT):
+        sc = scenario_from_dict(workloads.GermSweep(7, str(tmp_path), final_time).scenario())
+        assert sc.kind == "germ" and len(sc.study["epsilons"]) == 4
 
 
 def test_cli_import_leaves_test_only_dependencies_unloaded(tmp_path):
@@ -627,20 +687,26 @@ def test_cli_kind_mismatch(tmp_path, capsys):
 
 
 def test_cli_runtime_error_exits_one(tmp_path, capsys):
+    # burgers' speed 1 empties the contraction cone of radius 0.5 by T = 0.6,
+    # which the germ study finds when it is built, after the parse
     doc = _run_doc(kind="germ", initial={"kind": "constant", "value": 0.4},
-                   study={"level": 1, "epsilons": [0.032, 0.016], "cell_budget": 64})
+                   study={"level": 1, "epsilons": [0.032, 0.016, 0.008, 0.004]})
+    doc["run"]["final_time"] = 0.6
     path = _write(tmp_path, doc)
     assert main(["germ", path, "--out", str(tmp_path / "out")]) == 1
-    assert "budget" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: ValueError: final time 0.6 empties the contraction cone")
     # --debug re-raises the same error with its traceback
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="empties the contraction cone"):
         main(["germ", path, "--out", str(tmp_path / "out"), "--debug"])
 
 
 def test_cli_cell_budget_comes_from_the_study(tmp_path, capsys):
+    # a ladder grid above the budget is refused at parse time, under the pointer of its epsilon
     doc = _run_doc(kind="converge", study={"epsilons": [0.032, 0.016], "cell_budget": 64})
     assert main(["converge", _write(tmp_path, doc), "--out", str(tmp_path / "small"), "--quiet"]) == 1
-    assert "above the cell budget 64" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("scenario error: /study/epsilons/0: eps = 0.032 needs 128 cells, "
+                                       "above the cell budget 64\n")
+    assert not (tmp_path / "small").exists()
     doc["study"]["cell_budget"] = 100000
     assert main(["converge", _write(tmp_path, doc), "--out", str(tmp_path / "large"), "--quiet"]) == 0
 
@@ -682,7 +748,11 @@ _FLUX_1D = {"d": 1, "a": 0.0, "b": 1.0, "interface": None, "left": [{"poly_lambd
     (dict(_FLUX_1D, interface={"axis": 1, "zeta": {"kind": "cubic", "coeffs": [0.0]}}),
      r"^/flux/interface/zeta/kind: 'cubic' is not one of \['zero', 'affine', 'poly'\]$"),
     (3, r"^/flux: 3 is not of type \['string', 'object'\]$"),
-], ids=["flux-key", "component-key", "empty-poly-lambda", "d-3", "x-modulation", "zeta-kind", "flux-type"])
+    # the scenario's top-level domain is the one source of the domain
+    (dict(_FLUX_1D, domain={"lows": [-0.5], "highs": [0.5]}),
+     r"^/flux: Additional properties are not allowed \('domain' unexpected\)$"),
+], ids=["flux-key", "component-key", "empty-poly-lambda", "d-3", "x-modulation", "zeta-kind", "flux-type",
+        "flux-domain"])
 def test_the_schema_refuses_flux_specs_the_builders_take_as_read(flux, message):
     # flux_from_spec and Interface.from_spec check only the rules between
     # fields; the scenario schema refuses these before either runs

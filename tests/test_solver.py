@@ -247,7 +247,8 @@ def _stepped_run(u0: dx.Field, config: dx.RunConfig, times):
     for target in times[1:]:
         while field.time < target - 1e-13:
             dt = min(dt_base, target - field.time)
-            alpha_max = max([alpha_max] + [float(f.rusanov(field.values, {})[1].max()) for f in faces])
+            alpha_max = max([alpha_max] + [float(f.rusanov(field.values, {}, (f.rows, f.crit))[1].max())
+                                           for f in faces])
             field = step(field, config, dt)
             dts.append(dt)
         states.append(field.values)
