@@ -276,12 +276,13 @@ class ResidualWorkspace:
     """Per-trajectory tables shared across a (lambda, phi) battery and the
     Kato residuals against other trajectories.
 
-    Holds the state stack, the flux at the cell centers (one FluxAt, smoothed
-    at the run's epsilon, for the solution, every lambda and every other
-    trajectory), and on first use the sharp flux at the solution, the
-    interface traces, and per lambda the flux, the smooth divergence and the
-    interface jump at that state, so that a battery evaluates each of them
-    once.  A residual reads these tables on its test function's support box.
+    Holds the state stack, the sharp flux at the cell centers (one FluxAt,
+    for the solution and every lambda), and on first use its table at the
+    solution, the interface traces, per lambda the flux, the smooth
+    divergence and the interface jump at that state, so that a battery
+    evaluates each of them once, and the flux at the cell centers smoothed
+    at the run's epsilon, which the Kato residuals read.  A residual reads
+    these tables on its test function's support box.
     """
 
     def __init__(self, trajectory: Trajectory, model: PiecewiseFlux):
@@ -298,12 +299,17 @@ class ResidualWorkspace:
         self.points = grid.points().reshape(-1, grid.d)
         self.cell_volume = grid.cell_volume
         self.states = trajectory.states.reshape(len(self.times), -1)
-        self.flux = model.at(self.points, trajectory.manifest.get("epsilon"))
+        self.flux = model.at(self.points)
         self._lam_cache: dict[float, tuple] = {}
 
     @cached_property
     def flux_u(self) -> np.ndarray:
         return self.flux.value(self.states)
+
+    @cached_property
+    def smoothed_flux(self):
+        """The flux at the cell centers smoothed at the run's epsilon."""
+        return self.model.at(self.points, self.trajectory.manifest.get("epsilon"))
 
     @cached_property
     def traces(self) -> TraceField | None:
@@ -416,7 +422,7 @@ class ResidualWorkspace:
         v = other.states.reshape(len(self.times), -1)
         dist = np.abs(self.states - v)
         sgn = np.sign(self.states - v)
-        flux_diff = self.flux.smoothed(self.states) - self.flux.smoothed(v)
+        flux_diff = self.smoothed_flux.value(self.states) - self.smoothed_flux.value(v)
         conv = [sgn * flux_diff[..., k] for k in range(self.model.d)]
         del flux_diff, sgn
 

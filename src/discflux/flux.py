@@ -1,18 +1,19 @@
 """Flux models: piecewise-smooth fluxes with a Heaviside jump across an
-interface, the smoothing weights that regularize the jump, mollification of
-rough fluxes, and the exact check of the paper's two hypotheses (zero
-boundary flux, non-degeneracy).  This is the package's bottom layer: it
-imports no other module of it at run time.
+interface, the smoothing weights that regularize the jump, and the exact
+check of the paper's two hypotheses (zero boundary flux, non-degeneracy).
+This is the package's bottom layer: it imports no other module of it at run
+time.
 
-Evaluation contract: PiecewiseFlux.at(points) evaluates the spatial half once
-at points of shape (..., d); its sharp, smoothed and divergence evaluations
-take states broadcast against the leading shape and return the broadcast
-leading shape (sharp and smoothed values keep the states' own shape where no
-term has a spatial factor).
+Evaluation contract: PiecewiseFlux.at(points, eps) evaluates the spatial half
+once at points of shape (..., d); its value and divergence evaluations take
+states broadcast against the leading shape and return the broadcast leading
+shape (values keep the states' own shape where no term has a spatial
+factor).  The value is smoothed over width eps across the interface, and
+sharp, its eps -> 0 limit, without eps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -23,7 +24,6 @@ if TYPE_CHECKING:
     from .geometry import Box, Interface
 
 DIVERGENCE_STEP = 1e-6  # central-difference step of FluxAt.divergence
-MOLLIFIER_NODES = 21  # Gauss-Legendre nodes per axis of mollify_flux
 HYPOTHESIS_TOL = 1e-12  # largest |f| at a or b, and largest slope minor of a degenerate side
 
 
@@ -119,8 +119,8 @@ class FluxComponent:
     state polynomials with spatial factors: terms(x) returns ((coeffs,
     factor), ...) with f(x, lam) = sum_i factor_i * P_i(lam), P_i the
     ascending coefficient tuple and factor_i an array over the points x or
-    None (1).  The solver, the speed bounds and the flattening, extension and
-    mollification transformations all work on the terms.
+    None (1).  The solver, the speed bounds and the flattening and extension
+    transformations all work on the terms.
     """
 
     axis: int
@@ -148,7 +148,7 @@ class PiecewiseFlux:
     """Flux with left/right component families separated by an interface.
 
     interface=None means no jump: the left family is the flux everywhere and
-    the smoothed evaluation coincides with the sharp one.
+    eps changes no evaluation.
     """
 
     d: int
@@ -182,22 +182,28 @@ class PiecewiseFlux:
 
     def at(self, points, eps: float | None = None) -> "FluxAt":
         """The flux at fixed points, ready for evaluation at any states; eps,
-        when given, is the width of the smoothed interface."""
+        when given, is the width of the smoothed interface, and without it the
+        interface is sharp: the sides weigh 1 and 0 off it, 1/2 each on it."""
         return FluxAt(self, points, eps)
 
 
 class FluxAt:
     """A PiecewiseFlux with its spatial half evaluated once at fixed points:
-    the interface offset, the smoothing weights when eps is given, and each
-    side's component terms on first use (also at the shifts the divergence
-    needs).  Every evaluation takes states broadcast against the points'
-    leading shape."""
+    the interface offset, the side weights (smoothstep weights of width eps
+    when eps is given, Heaviside weights without), and each side's component
+    terms on first use (also at the shifts the divergence needs).  Every
+    evaluation takes states broadcast against the points' leading shape."""
 
     def __init__(self, model: PiecewiseFlux, points, eps: float | None):
         self.model = model
         self.points = as_points(points, model.d)
         self.offset = None if model.interface is None else model.interface.offset(self.points)
-        self.weights = None if eps is None or self.offset is None else smoothing_weights(self.offset, eps)
+        if self.offset is None:
+            self.weights = None
+        elif eps is None:
+            self.weights = np.heaviside(-self.offset, 0.5), np.heaviside(self.offset, 0.5)
+        else:
+            self.weights = smoothing_weights(self.offset, eps)
         self._terms = {}
 
     def terms(self, side: int, k: int, shift: float = 0.0):
@@ -212,31 +218,12 @@ class FluxAt:
             self._terms[key] = (self.model.left, self.model.right)[side][k].terms(pts)
         return self._terms[key]
 
-    def value(self, lam):
-        """Sharp flux vector (..., d): the left side where the interface
-        offset is negative, the right where positive, the mean of the sides
-        exactly on the interface."""
-        lam = self.model._check_state(lam)
-
-        def sharp(k):
-            fl = term_sum(self.terms(0, k), lam)
-            if self.offset is None:
-                return fl
-            fr = term_sum(self.terms(1, k), lam)
-            return np.where(self.offset == 0, 0.5 * (fl + fr), np.where(self.offset < 0, fl, fr))
-
-        return np.stack([sharp(k) for k in range(self.model.d)], axis=-1)
-
     def rows(self, k: int):
-        """Component k of the smoothed flux sum over sides of w * (factor *
-        P) as rows (coeffs, factors), one per term of each side, its factors
-        applied in this order: term factor, weight.  Array factors span the
-        points, so that a block of them can be cut."""
-        sides = ((0, None),)
-        if self.offset is not None:
-            if self.weights is None:
-                raise ValueError("the smoothed flux across an interface needs eps")
-            sides = ((0, self.weights[0]), (1, self.weights[1]))
+        """Component k of the flux sum over sides of w * (factor * P) as rows
+        (coeffs, factors), one per term of each side, its factors applied in
+        this order: term factor, weight.  Array factors span the points, so
+        that a block of them can be cut."""
+        sides = ((0, None),) if self.weights is None else ((0, self.weights[0]), (1, self.weights[1]))
         shape = self.points.shape[:-1]
         return [
             (coeffs, [float(f) if np.ndim(f) == 0 else np.broadcast_to(f, shape)
@@ -245,9 +232,9 @@ class FluxAt:
             for coeffs, factor in self.terms(side, k)
         ]
 
-    def smoothed(self, lam):
-        """Smoothed flux vector (..., d), summed in the order of rows; it
-        equals the sharp flux wherever |offset| >= eps."""
+    def value(self, lam):
+        """Flux vector (..., d), summed in the order of rows; the smoothed
+        flux equals the sharp one wherever |offset| >= eps."""
         lam = self.model._check_state(lam)
         return np.stack([rows_sum(self.rows(k), lambda c: horner(lam, c))
                          for k in range(self.model.d)], axis=-1)
@@ -267,50 +254,6 @@ class FluxAt:
                 acc = acc + (term_sum(self.terms(side, k, h), lam) - term_sum(self.terms(side, k, -h), lam)) / (2.0 * h)
             out = np.where(mask, acc, out)
         return out
-
-
-# ---------------------------------------------------------------------------
-# mollification
-
-
-def _mollifier_nodes(d: int, radius: float):
-    """Tensor Gauss-Legendre nodes/weights against the C1 bump
-    (1 - |s|^2)^2 restricted to the unit ball, scaled to `radius` and
-    normalized discretely so constants are reproduced exactly."""
-    nodes1, w1 = np.polynomial.legendre.leggauss(MOLLIFIER_NODES)
-    grids = np.meshgrid(*([nodes1] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(pts.shape[0])
-    for k in range(d):
-        w *= np.meshgrid(*([w1] * d), indexing="ij")[k].ravel()
-    r2 = np.sum(pts**2, axis=-1)
-    kern = np.where(r2 <= 1.0, (1.0 - r2) ** 2, 0.0)
-    w = w * kern
-    keep = w > 0
-    pts, w = pts[keep], w[keep]
-    w = w / w.sum()
-    return pts * radius, w
-
-
-def mollify_flux(model: PiecewiseFlux, eps: float) -> PiecewiseFlux:
-    """Spatially mollify every side component at radius eps: each term keeps
-    its state polynomial and its factor becomes (c_i * rho)(x) on the
-    quadrature nodes (a None factor stays None); the interface, if any, stays
-    as it is.  A rough flux in BV(R^d; C^1) is a jump-free PiecewiseFlux whose
-    factors jump; mollified, it is solved like any other."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    offsets, weights = _mollifier_nodes(model.d, eps)
-
-    def smooth(comp: FluxComponent) -> FluxComponent:
-        def terms(x):
-            shifted = as_points(x, model.d)[..., None, :] - offsets
-            return tuple((c, None if f is None else f @ weights) for c, f in comp.terms(shifted))
-
-        return FluxComponent(comp.axis, terms)
-
-    return replace(model, left=tuple(map(smooth, model.left)), right=tuple(map(smooth, model.right)),
-                   name=(model.name + "-mollified") if model.name else None)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .flux import PiecewiseFlux, as_points, check_hypotheses
 from .geometry import Box
-from .germ import DEFAULT_CELL_BUDGET, grid_for_epsilon
+from .germ import DEFAULT_CELL_BUDGET, MEMBER_CAP, grid_for_epsilon, member_count
 from .presets import PRESET_DIMENSIONS, PRESET_NAMES, resolve_flux
 from .solver import DEFAULT_CFL, MAX_CELL_STEPS, Field, Grid, RunConfig
 
@@ -379,9 +379,10 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
     run_block = raw["run"]
     if "output_times" in run_block and "output_count" in run_block:
         raise ScenarioError("/run: give output_times or output_count, not both")
-    _refuse_cost("/run", grid, float(run_block["final_time"]), float(run_block["epsilon"]),
-                 float(run_block.get("cfl", DEFAULT_CFL)),
-                 run_block.get("output_count", len(set(run_block.get("output_times", ())))))
+    if kind not in ("converge", "germ"):  # a ladder prices its rungs under /study/epsilons instead
+        _refuse_cost("/run", grid, float(run_block["final_time"]), float(run_block["epsilon"]),
+                     float(run_block.get("cfl", DEFAULT_CFL)),
+                     run_block.get("output_count", len(set(run_block.get("output_times", ())))))
     try:
         config = RunConfig(
             flux=model,
@@ -407,6 +408,9 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
             raise ScenarioError(f"/study/cone/center: expected {model.d} coordinates")
     if kind == "germ" and "solve_target" in study:
         validate_initial(study["solve_target"], model.d, model.a, model.b, "/study/solve_target")
+    if kind == "germ" and (count := member_count(study["level"], model.d)) > MEMBER_CAP:
+        raise ScenarioError(f"/study/level: level {study['level']} has {count} members in {model.d}d, "
+                            f"more than the {MEMBER_CAP} a study enumerates")
 
     chart = None
     if "chart" in raw:

@@ -127,9 +127,9 @@ DEFAULT_CFL = 0.45  # the CFL number of a run, a germ study and a scenario that 
 class RunConfig:
     """Everything a viscous run needs besides the initial field.
 
-    One epsilon drives the viscosity and the interface smoothing.  The flux
-    is solved as given: a rough flux is mollified by the caller
-    (mollify_flux) before it is put here.
+    One epsilon drives the viscosity and the interface smoothing: the
+    flux's one jump is smeared over width epsilon by the smoothstep weights
+    of PiecewiseFlux.at, and its terms are solved as given.
 
     boundary is the pinned far-field state: a single number, or one
     (low side, high side) pair per axis when the data has unequal tails.

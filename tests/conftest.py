@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import discflux as dx
 from discflux.entropy import l1_distance
-from discflux.flux import FluxComponent, PiecewiseFlux, as_points, derivative_coeffs, smoothing_weights, term_sum
+from discflux.flux import FluxComponent, as_points, derivative_coeffs, smoothing_weights, term_sum
 from discflux.solver import Trajectory
 
 
@@ -64,25 +64,6 @@ CURVED_MODULATED_SPEC = {
 }
 
 
-def step_bv_flux(vl: float, vr: float, d: int = 1) -> PiecewiseFlux:
-    """Rough flux on [-1, 1]^d, a jump-free PiecewiseFlux whose factors jump:
-    component k is c(x) P_k(lam) with the step coefficient c = vl left of
-    x1 = 0, vr right of it and their mean on it; P_1 = lam (1 - lam),
-    P_2 = lam^2 (1 - lam)."""
-
-    def component(k, coeffs):
-        def terms(x):
-            x1 = np.asarray(x)[..., 0]
-            return ((coeffs, np.where(x1 < 0, vl, np.where(x1 > 0, vr, 0.5 * (vl + vr)))),)
-
-        return FluxComponent(k, terms)
-
-    polys = ((0.0, 1.0, -1.0), (0.0, 0.0, 1.0, -1.0))
-    comps = tuple(component(k, c) for k, c in enumerate(polys[:d]))
-    return PiecewiseFlux(d=d, left=comps, right=comps, interface=None, a=0.0, b=1.0,
-                         domain=dx.Box((-1.0,) * d, (1.0,) * d))
-
-
 # the paper's flux class, drawn as JSON flux specs
 
 
@@ -120,20 +101,21 @@ def admissible_specs(draw):
 
 
 def sharp_flux(model, x, lam):
-    """Flux vector (..., d): left where the interface offset is negative,
-    right where positive, the mean of the sides on the interface."""
+    """Flux vector (..., d): w_L f_L + w_R f_R with the weights 1 and 0 on
+    the side of the interface offset's sign, 1/2 each on the interface,
+    added term by term, left side first: ((w_L L_1 + w_L L_2) + w_R R_1) +
+    w_R R_2 for two terms a side."""
     pts = as_points(x, model.d)
+    if model.interface is None:
+        return np.stack([component_value(c, pts, lam) for c in model.left], axis=-1)
+    off = model.interface.offset(pts)
+    weights = (np.where(off < 0, 1.0, np.where(off > 0, 0.0, 0.5)),
+               np.where(off > 0, 1.0, np.where(off < 0, 0.0, 0.5)))
     cols = []
     for k in range(model.d):
-        out = component_value(model.left[k], pts, lam)
-        if model.interface is not None:
-            off = model.interface.offset(pts)
-            fl, fr = out, component_value(model.right[k], pts, lam)
-            out = np.where(off < 0, fl, fr)
-            on = off == 0
-            if np.any(on):
-                out = np.where(on, 0.5 * (fl + fr), out)
-        cols.append(out)
+        terms = [w * term_sum((term,), lam) for comps, w in zip((model.left, model.right), weights)
+                 for term in comps[k].terms(pts)]
+        cols.append(sum(terms[1:], terms[0]))
     return np.stack(cols, axis=-1)
 
 

@@ -1,8 +1,7 @@
-"""Flux evaluation, smoothing profile, mollification, the check of the
-paper's two hypotheses (zero boundary flux, non-degeneracy) and the import
-direction of the package."""
+"""Flux evaluation, smoothing profile, the check of the paper's two
+hypotheses (zero boundary flux, non-degeneracy) and the import direction of
+the package."""
 import ast
-import copy
 import pathlib
 import re
 
@@ -12,12 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discflux as dx
-from conftest import CURVED_MODULATED_SPEC, admissible_specs, component_value, smoothed_flux, step_bv_flux
+from conftest import admissible_specs, component_value, smoothed_flux
 from discflux.flux import (
-    FluxComponent,
     PiecewiseFlux,
     check_hypotheses,
-    mollify_flux,
     poly_component,
     smoothing_weights,
     smoothstep,
@@ -96,9 +93,9 @@ def test_state_outside_interval_rejected(burgers_model):
 
 def test_smoothed_weights_at_two_eps(two_flux_model):
     eps = 1e-3
-    pure_left = two_flux_model.at(np.array([-2 * eps]), eps).smoothed(0.5)
-    pure_right = two_flux_model.at(np.array([2 * eps]), eps).smoothed(0.5)
-    mid = two_flux_model.at(np.array([0.0]), eps).smoothed(0.5)
+    pure_left = two_flux_model.at(np.array([-2 * eps]), eps).value(0.5)
+    pure_right = two_flux_model.at(np.array([2 * eps]), eps).value(0.5)
+    mid = two_flux_model.at(np.array([0.0]), eps).value(0.5)
     np.testing.assert_allclose(pure_left, [0.25], atol=1e-15)
     np.testing.assert_allclose(pure_right, [0.5], atol=1e-15)
     np.testing.assert_allclose(mid, [0.375], atol=1e-15)
@@ -110,9 +107,8 @@ def test_smoothed_matches_sharp_off_the_layer(two_flux_model):
     x = rng.uniform(-0.5, 0.5, (500, 1))
     x = x[np.abs(x[:, 0]) >= eps]
     lam = rng.uniform(0.0, 1.0, x.shape[0])
-    flux = two_flux_model.at(x, eps)
-    smoothed = flux.smoothed(lam)
-    sharp = flux.value(lam)
+    smoothed = two_flux_model.at(x, eps).value(lam)
+    sharp = two_flux_model.at(x).value(lam)
     np.testing.assert_array_equal(smoothed, sharp)
 
 
@@ -124,81 +120,8 @@ def test_lambda_derivative_crosscheck(two_flux_model):
     lam = rng.uniform(0.01, 0.99, 1000)
     flux = two_flux_model.at(x, eps)
     analytic = smoothed_flux(two_flux_model, x, lam, eps, derivative=True)[..., 0]
-    fd = (flux.smoothed(lam + h)[..., 0] - flux.smoothed(lam - h)[..., 0]) / (2 * h)
+    fd = (flux.value(lam + h)[..., 0] - flux.value(lam - h)[..., 0]) / (2 * h)
     assert np.all(np.abs(analytic - fd) <= 1e-6 * (1.0 + np.abs(analytic)))
-
-
-# ---------------------------------------------------------------------------
-# mollification of rough fluxes
-
-
-def _rough(terms) -> PiecewiseFlux:
-    """A 1d rough flux: a jump-free PiecewiseFlux with one component."""
-    comps = (FluxComponent(0, terms),)
-    return PiecewiseFlux(d=1, left=comps, right=comps, interface=None, a=0.0, b=1.0,
-                         domain=dx.Box((-1.0,), (1.0,)))
-
-
-def test_mollify_constant_flux_unchanged():
-    def terms(x):
-        return (((0.0, 1.0, -1.0), np.ones(np.asarray(x).shape[:-1])),)
-
-    smooth = mollify_flux(_rough(terms), eps=0.1)
-    xs = np.linspace(-0.9, 0.9, 19)[:, None]
-    np.testing.assert_allclose(smooth.at(xs).value(0.3)[..., 0], 0.21, atol=1e-13)
-    # a factor of None (1) stays None
-    bare = _rough(lambda x: (((0.0, 1.0, -1.0), None),))
-    assert mollify_flux(bare, eps=0.1).left[0].terms(xs) == (((0.0, 1.0, -1.0), None),)
-
-
-def test_mollify_away_from_jump_keeps_side_value():
-    eps = 0.05
-    rough = step_bv_flux(1.0, 3.0)
-    smooth = mollify_flux(rough, eps)
-    # kernel support has radius eps, so 2 eps inside the left region the
-    # convolution never sees the jump
-    val = smooth.at(np.array([-2 * eps])).value(0.5)[..., 0]
-    np.testing.assert_allclose(val, 1.0 * 0.25, atol=1e-12)
-
-
-def test_mollify_at_jump_gives_mean_of_sides():
-    eps = 0.05
-    vl, vr = 1.0, 3.0
-
-    # oracle first: brute-force quadrature of the kernel against the step
-    s = np.linspace(-eps, eps, 20_001)
-    kern = (1.0 - (s / eps) ** 2) ** 2
-    raw = np.where(-s < 0, vl, np.where(-s > 0, vr, 0.5 * (vl + vr)))
-    oracle = np.trapezoid(raw * kern, s) / np.trapezoid(kern, s) * 0.25
-
-    smooth = mollify_flux(step_bv_flux(vl, vr), eps)
-    val = float(smooth.at(np.array([0.0])).value(0.5)[..., 0])
-    np.testing.assert_allclose(val, oracle, atol=1e-6)
-    np.testing.assert_allclose(val, 0.5 * (vl + vr) * 0.25, atol=1e-12)
-
-
-def test_mollify_preserves_zero_boundary_flux():
-    smooth = mollify_flux(step_bv_flux(1.0, 3.0), eps=0.05)
-    assert check_hypotheses(smooth)["boundary_max"] <= 1e-12
-
-
-def test_mollify_rejects_bad_width():
-    with pytest.raises(ValueError):
-        mollify_flux(step_bv_flux(1.0, 3.0), eps=0.0)
-
-
-def test_mollify_keeps_the_interface():
-    # affine factors are reproduced by the symmetric kernel, so each side
-    # keeps its values; the interface and the other fields stay as they are
-    model = flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
-    smooth = mollify_flux(model, eps=0.1)
-    assert smooth.interface is model.interface
-    assert (smooth.d, smooth.a, smooth.b, smooth.domain, smooth.name) == (
-        model.d, model.a, model.b, model.domain, None)
-    assert mollify_flux(dx.preset("two_flux"), eps=0.1).name == "two_flux-mollified"
-    xs = np.random.default_rng(3).uniform(-0.8, 0.8, (20, 2))
-    for sm, raw in zip(smooth.left + smooth.right, model.left + model.right):
-        np.testing.assert_allclose(component_value(sm, xs, 0.3), component_value(raw, xs, 0.3), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

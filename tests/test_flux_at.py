@@ -13,10 +13,9 @@ from conftest import (
     sharp_flux,
     smooth_divergence,
     smoothed_flux,
-    step_bv_flux,
 )
 from discflux.entropy import ResidualWorkspace
-from discflux.flux import horner, mollify_flux
+from discflux.flux import horner
 from discflux.geometry import flatten_model, radial_extend_model, transformed_normal_flux
 from discflux.presets import flux_from_spec
 from discflux.solver import Trajectory
@@ -42,8 +41,6 @@ MODELS = {
         flatten_model(_tilted()), _tilted().interface.flatten(np.zeros(2)), 0.6),
     "curved_modulated": _curved,
     "curved_modulated_flattened": lambda: flatten_model(_curved()),
-    "mollified_step_1d": lambda: mollify_flux(step_bv_flux(1.0, 3.0, 1), eps=0.25),
-    "mollified_step_2d": lambda: mollify_flux(step_bv_flux(1.0, 3.0, 2), eps=0.25),
 }
 
 
@@ -113,7 +110,7 @@ def test_smoothed_matches_the_weighted_sides(name):
     pts = _points(model)
     flux = model.at(pts, EPS)
     for lam in (_states(model, pts.shape[:-1]), _states(model, (3,) + pts.shape[:-1])):
-        got = flux.smoothed(lam)
+        got = flux.value(lam)
         want = smoothed_flux(model, pts, lam, EPS)
         assert got.shape == want.shape
         for k in range(model.d):
@@ -148,8 +145,17 @@ def test_interface_jump_matches_the_transformed_normal_fluxes(name):
         np.testing.assert_array_equal(_bits(ws._interface_jump(lam)), _bits(want))
 
 
-def test_smoothed_rows_need_eps_across_an_interface():
-    with pytest.raises(ValueError, match="needs eps"):
-        dx.preset("two_flux").at(np.zeros((2, 1))).smoothed(0.5)
-    # without an interface eps is not needed
-    np.testing.assert_array_equal(dx.preset("burgers").at(np.zeros((2, 1))).smoothed(0.5), 0.25)
+def test_sharp_rows_weigh_the_sides_by_heaviside():
+    # without eps the weights are the eps -> 0 limit of the smoothstep ones:
+    # 1 and 0 off the interface, 1/2 each on it
+    flux = dx.preset("two_flux").at(np.array([[-0.25], [-1e-200], [-0.0], [0.0], [1e-200], [0.25]]))
+    np.testing.assert_array_equal(flux.weights, ([1.0, 1.0, 0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]))
+    # they are the smoothstep weights once eps is below every nonzero |offset|
+    np.testing.assert_array_equal(flux.weights, flux.model.at(flux.points, 1e-250).weights)
+    assert [len(factors) for _, factors in flux.rows(0)] == [1, 1]
+    # lam (1 - lam) on the left, 2 lam (1 - lam) on the right, their mean on the interface
+    np.testing.assert_array_equal(flux.value(0.5)[:, 0], [0.25, 0.25, 0.375, 0.375, 0.5, 0.5])
+    # without an interface there are no weights, and eps changes nothing
+    burgers = dx.preset("burgers")
+    assert burgers.at(np.zeros((2, 1))).weights is burgers.at(np.zeros((2, 1)), 1e-3).weights is None
+    np.testing.assert_array_equal(burgers.at(np.zeros((2, 1))).value(0.5), 0.25)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discflux as dx
-from conftest import CURVED_MODULATED_SPEC, smoothed_flux, step_bv_flux
-from discflux.flux import mollify_flux, smoothing_weights
+from conftest import CURVED_MODULATED_SPEC, smoothed_flux
+from discflux.flux import smoothing_weights
 from discflux.geometry import flatten_model, radial_extend_model
 from discflux.presets import _PRESET_SPECS, flux_from_spec
 from discflux.solver import _Faces, _Stepper, cfl_timestep
@@ -133,18 +133,6 @@ def test_rusanov_coefficient_exact_on_charted_2d(name, radius):
     config = dx.RunConfig(flux=ext, epsilon=0.2, final_time=1.0, boundary=0.0)
     values = np.random.default_rng(11).uniform(0.0, 1.0, grid.counts)
     values[::2, :] = 0.25
-    _check_exact_alpha(config, grid, values)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_rusanov_coefficient_exact_on_mollified_step(d):
-    # the mollified rough flux is terms like any other: its factors are the
-    # step coefficient convolved with the kernel, smooth across x1 = 0
-    model = mollify_flux(step_bv_flux(1.0, 3.0, d), eps=0.25)
-    grid = dx.Grid(model.domain.lows, model.domain.highs, (12,) * d)
-    config = dx.RunConfig(flux=model, epsilon=0.2, final_time=1.0, boundary=0.0)
-    values = np.random.default_rng(13).uniform(0.0, 1.0, grid.counts)
-    values[1::3] = 1.0 / 3.0
     _check_exact_alpha(config, grid, values)
 
 

@@ -110,7 +110,6 @@ def step_record(two_flux_model):
 def test_level_zero_family_is_the_two_constants():
     fam = build_dense_family(0, 0.0, 1.0, UNIT_BOX)
     assert fam.count == 2 == member_count(0, 1)
-    assert fam.enumerable
     assert [m.values for m in fam.members] == [(0.0,), (1.0,)]
     assert [m.label for m in fam.members] == ["L0-0", "L0-1"]
 
@@ -206,7 +205,6 @@ def test_unenumerable_level_still_reports_count_and_projects():
     fam = build_dense_family(3, 0.0, 1.0, UNIT_BOX)
     assert fam.count == 9 ** 8 == member_count(3, 1)
     assert fam.members is None
-    assert not fam.enumerable
     grid = Grid((0.0,), (1.0,), (64,))
     member = fam.project(Field(grid, np.full(grid.counts, 0.3), 0.0))
     assert member.level == 3
@@ -736,6 +734,16 @@ def test_worker_errors_reraise_with_their_type(two_flux_model, monkeypatch, erro
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(error, match="planted failure"):
         _tiny_study(two_flux_model).level_result(1)
+
+
+def test_a_level_too_large_to_enumerate_is_refused_before_solving(two_flux_model, monkeypatch):
+    # the same rule as the scenario's parse check, member_count > MEMBER_CAP
+    monkeypatch.setattr(germ, "run_sequence", None)
+    with pytest.raises(ValueError, match="family level 3 has 43046721 members, too many to enumerate"):
+        _tiny_study(two_flux_model).level_result(3)
+    monkeypatch.setattr(germ, "MEMBER_CAP", 1)
+    with pytest.raises(ValueError, match="family level 0 has 2 members"):
+        _tiny_study(two_flux_model).level_result(0)
 
 
 def test_a_dead_worker_fails_the_level_instead_of_hanging(two_flux_model, monkeypatch):

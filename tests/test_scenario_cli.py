@@ -483,21 +483,23 @@ def test_cli_refuses_a_run_whose_cost_estimate_is_too_high(tmp_path, capsys):
 def test_parse_time_cost_estimate_is_a_lower_bound(name, monkeypatch):
     # the parse-time estimate may refuse only runs the solver would: with
     # the limit at the most cell-steps a run of the scenario actually takes
-    # (the run block's, and in a converge or germ study each epsilon's run on
-    # its ladder grid), every shipped scenario still parses; a tenth of it
-    # refuses them (an estimate reads 17-67% of its run's actual count)
+    # (the run block's, or in a converge or germ study, which never solves
+    # the run block, each epsilon's run on its ladder grid), every shipped
+    # scenario still parses; a tenth of it refuses them (an estimate reads
+    # 17-67% of its run's actual count)
     sc = parse_scenario(builtin_scenario_path(name))
-    manifest = run(sc.initial_field(), sc.config).manifest
-    cell_steps = np.prod([n - 2 for n in sc.grid.counts]) * manifest["n_steps"]
     if sc.kind in ("converge", "germ"):
         budget = sc.study.get("cell_budget", germ.DEFAULT_CELL_BUDGET)
         _, counters = germ.run_sequence({sc.name: lambda pts: sc.values_at(sc.initial, pts)},
                                         sc.study["epsilons"], sc.model, sc.model.domain, sc.config.final_time,
                                         budget, sc.config.cfl,
                                         boundary=sc.config.boundary if sc.kind == "converge" else None)
-        cell_steps = max([cell_steps] + [
+        cell_steps = max(
             np.prod([n - 2 for n in germ.grid_for_epsilon(sc.model.domain, task["epsilon"], budget).counts])
-            * task["steps"] for task in counters["tasks"]])
+            * task["steps"] for task in counters["tasks"])
+    else:
+        manifest = run(sc.initial_field(), sc.config).manifest
+        cell_steps = np.prod([n - 2 for n in sc.grid.counts]) * manifest["n_steps"]
     monkeypatch.setattr("discflux.scenario.MAX_CELL_STEPS", cell_steps)
     parse_scenario(builtin_scenario_path(name))
     monkeypatch.setattr("discflux.scenario.MAX_CELL_STEPS", cell_steps // 10)
@@ -572,6 +574,36 @@ def test_cli_refuses_bad_epsilon_ladders_before_solving(tmp_path, capsys, kind, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["germ_level1", "two_flux_interface"])
+def test_ladders_are_priced_on_their_rungs_not_on_the_run_block(name):
+    # converge and germ never solve grid and run.epsilon, and their rungs are
+    # priced under /study/epsilons/<i>: a grid the run block could not afford
+    # parses, and the same document as a run is still refused
+    doc = _ladder_doc(name)
+    doc["grid"]["counts"] = [4000000]
+    assert scenario_from_dict(doc).grid.counts == (4000000,)
+    with pytest.raises(ScenarioError, match=r"^/run: about \S+ cell-steps, above the limit"):
+        scenario_from_dict(dict(doc, kind="run", study={}))
+
+
+def test_cli_refuses_a_germ_level_too_large_to_enumerate(tmp_path, capsys):
+    # level 3 in 1d has 9^8 members: refused at parse time, before --out is made
+    out = tmp_path / "out"
+    assert main(["germ", _write(tmp_path, _ladder_doc("germ_level1", level=3)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scenario error: /study/level: level 3 has 43046721 members in 1d, more than the 100000 a study enumerates"]
+    assert not out.exists()
+    # in 2d level 1 has 3^4 members and level 2 has 5^16
+    doc = _run_doc(kind="germ", flux="tilted_2d", domain={"lows": [-0.5, -0.5], "highs": [0.5, 0.5]},
+                   grid={"counts": [16, 16]}, run={"epsilon": 0.008, "final_time": 0.02, "boundary": 0.0},
+                   initial={"kind": "constant", "value": 0.5},
+                   study={"level": 1, "epsilons": [0.128, 0.064, 0.048, 0.032]})
+    scenario_from_dict(doc)
+    doc["study"]["level"] = 2
+    with pytest.raises(ScenarioError, match=r"^/study/level: level 2 has 152587890625 members in 2d"):
+        scenario_from_dict(doc)
+
+
 def test_the_benchmark_germ_document_parses(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -623,24 +655,26 @@ def test_readme_python_api_is_the_package_namespace():
 
 def test_reach_collector_sees_a_shipped_scenario(tmp_path):
     # tools/reach.py's collector on one scenario: what the run enters, the
-    # hypothesis check and the residual terms among it, and the BV mollifier
-    # that no scenario reaches
+    # hypothesis check and the residual terms among it, and not the germ
+    # study it never starts
     spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
     reach = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reach)
     seen = reach.entered([["entropy-check", "burgers_shock", "--out", str(tmp_path / "out")]])
     assert {"cli.main", "flux.check_hypotheses", "solver.run", "entropy.entropy_battery",
             "entropy.ResidualWorkspace.terms", "storage.write_trajectory_csv"} <= seen
-    assert "flux.mollify_flux" not in seen and "germ.run_sequence" not in seen
+    assert "germ.run_sequence" not in seen
     assert sys.getprofile() is None
 
 
 def test_every_package_constant_is_loaded():
-    # the AST half of tools/reach.py: no command runs
+    # the AST half of tools/reach.py: no command runs; and every name its
+    # allow-list excuses is a function or method the package still defines
     spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
     reach = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reach)
     assert reach.unloaded_constants() == []
+    assert sorted(reach.ALLOWED.keys() - reach.defined()) == []
 
 
 @pytest.mark.parametrize("block, key, literal", [("run", "epsilon", "NaN"),

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import discflux as dx
-from conftest import riemann_field, step_bv_flux
+from conftest import riemann_field
 from discflux import solver
 from discflux.entropy import l1_distance
-from discflux.flux import mollify_flux
 from discflux.geometry import flatten_model, radial_extend_model
 from discflux.germ import build_dense_family
 from discflux.presets import PRESET_NAMES, flux_from_spec
@@ -119,21 +118,6 @@ def test_step_keeps_constant_state_for_homogeneous_flux(burgers_model):
 
 # ---------------------------------------------------------------------------
 # full runs
-
-
-@pytest.mark.parametrize("d, cells", [(1, 128), (2, 24)])
-def test_mollified_step_flux_runs_through_the_kernel(d, cells):
-    model = mollify_flux(step_bv_flux(1.0, 2.0, d), eps=0.05)
-    grid = dx.Grid(model.domain.lows, model.domain.highs, (cells,) * d)
-    config = dx.RunConfig(flux=model, epsilon=0.05, final_time=0.2, boundary=0.0)
-    inside = np.all(np.abs(grid.points() - 0.1) < 0.4, axis=-1)
-    traj = dx.run(dx.Field(grid, np.where(inside, 0.9, 0.0), 0.0), config)
-    # away from the jump the mollified coefficient is vr = 2, and on [0, 1]
-    # |P_1'| = |1 - 2 lam| and |P_2'| = |2 lam - 3 lam^2| both peak at 1
-    assert abs(traj.manifest["speed_bound"] - 2.0) <= 1e-12
-    assert 0.0 < traj.manifest["cfl_margin"] <= 1.0
-    assert max_principle_check(traj, model.a, model.b).passed
-    assert not np.array_equal(traj.states[-1], traj.states[0])
 
 
 def test_run_constant_endpoint_trajectory(two_flux_model):

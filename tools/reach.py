@@ -17,8 +17,7 @@ failure only: storage.WriteError.of storage.WriteError.__str__ solver._which
 failure only: scenario._refuse_constant flux._point
 forked entry point; the audit runs its body in-process: germ._init_worker germ._worker_task storage.Writers.submit
 runs at import, before the audit: scenario._closed
-Python API entry point for levels too large to enumerate; a command estimates from its level: germ.GermStudy.solve
-ROADMAP item 5: flux.mollify_flux flux._mollifier_nodes""".splitlines()) for name in names.split()}
+Python API entry point for levels too large to enumerate; a command estimates from its level: germ.GermStudy.solve""".splitlines()) for name in names.split()}
 
 
 def entered(commands) -> set[str]:
@@ -35,6 +34,13 @@ def entered(commands) -> set[str]:
         sys.exit(f"a command did not pass: exit codes {codes}")
     return {f"{pathlib.Path(c.co_filename).stem}.{c.co_qualname}" for c in seen
             if pathlib.Path(c.co_filename).parent == PACKAGE}
+
+
+def defined() -> set[str]:
+    """`module.qualname` of each top-level function and each method of a top-level class of the package."""
+    return {f"{path.stem}.{node.name}" + (f".{f.name}" if f is not node else "") for path in PACKAGE.glob("*.py")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            for f in (node.body if isinstance(node, ast.ClassDef) else [node]) if isinstance(f, ast.FunctionDef)}
 
 
 def unloaded_constants() -> list[str]:
@@ -60,9 +66,6 @@ if __name__ == "__main__":
                          f"{out}/{name}"] for name in scenario.builtin_scenario_names()]
                        + [["diff", f"{out}/germ_level1/estimate.csv", f"{out}/germ_level1/estimate.csv",
                            "--tol", "0", "--sup-tol", "0"]])
-    missed = {f"{path.stem}.{node.name}" + (f".{f.name}" if f is not node else "") for path in PACKAGE.glob("*.py")
-              for node in ast.parse(path.read_text(encoding="utf-8")).body
-              for f in (node.body if isinstance(node, ast.ClassDef) else [node]) if isinstance(f, ast.FunctionDef)}
-    for name in sorted((missed := (missed - seen) | set(unloaded_constants())) | ALLOWED.keys()):
+    for name in sorted((missed := (defined() - seen) | set(unloaded_constants())) | ALLOWED.keys()):
         print(name, ALLOWED.get(name, "NOT ALLOWED") if name in missed else "STALE: it was reached")
     sys.exit(1 if missed ^ ALLOWED.keys() else 0)
