@@ -309,7 +309,10 @@ class ResidualWorkspace:
     @cached_property
     def smoothed_flux(self):
         """The flux at the cell centers smoothed at the run's epsilon."""
-        return self.model.at(self.points, self.trajectory.manifest.get("epsilon"))
+        eps = self.trajectory.manifest.get("epsilon")
+        if eps is None and self.model.interface is not None:
+            raise ValueError("the smoothed flux across an interface needs the run's epsilon (not in the manifest)")
+        return self.model.at(self.points, eps)
 
     @cached_property
     def traces(self) -> TraceField | None:

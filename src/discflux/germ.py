@@ -477,9 +477,9 @@ class GermStudy:
         """Records, selection and stability of every member of a level, all
         solved by one run_sequence (one lockstep task per epsilon), their
         record CSVs written into `records_dir` when it is given."""
-        if (count := member_count(level, self.box.d)) > MEMBER_CAP:
-            raise ValueError(f"family level {level} has {count} members, too many to enumerate")
         family = self.family(level)
+        if family.members is None:
+            raise ValueError(f"family level {level} has {family.count} members, too many to enumerate")
         records, counters = run_sequence({m.label: m for m in family.members}, self.epsilons, self.model,
                                          self.box, self.final_time, cell_budget=self.cell_budget,
                                          cfl=self.cfl, records_dir=records_dir)

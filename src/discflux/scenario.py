@@ -379,7 +379,8 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
     run_block = raw["run"]
     if "output_times" in run_block and "output_count" in run_block:
         raise ScenarioError("/run: give output_times or output_count, not both")
-    if kind not in ("converge", "germ"):  # a ladder prices its rungs under /study/epsilons instead
+    ladder = kind in ("converge", "germ")  # its rungs run on their own grids, priced below, output at T
+    if not ladder:
         _refuse_cost("/run", grid, float(run_block["final_time"]), float(run_block["epsilon"]),
                      float(run_block.get("cfl", DEFAULT_CFL)),
                      run_block.get("output_count", len(set(run_block.get("output_times", ())))))
@@ -390,7 +391,7 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
             final_time=float(run_block["final_time"]),
             boundary=_boundary_from_json(run_block["boundary"]),
             cfl=float(run_block.get("cfl", DEFAULT_CFL)),
-            output_times=_output_times(run_block, float(run_block["final_time"])),
+            output_times=None if ladder else _output_times(run_block, float(run_block["final_time"])),
         )
     except ValueError as exc:
         raise ScenarioError(f"/run: {exc}") from None
@@ -425,12 +426,11 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
     sc = Scenario(name=name, kind=kind, raw=raw, model=model, grid=grid,
                   config=config, initial=dict(raw["initial"]), study=dict(study),
                   chart=chart, hypotheses=hypotheses)
-    if kind in ("converge", "germ"):
-        # each rung runs alone on its own grid, up to the final time only
-        ladder = [float(e) for e in study["epsilons"]]
-        if any(fine >= coarse for coarse, fine in zip(ladder, ladder[1:])):
+    if ladder:
+        epsilons = [float(e) for e in study["epsilons"]]
+        if any(fine >= coarse for coarse, fine in zip(epsilons, epsilons[1:])):
             raise ScenarioError(f"/study/epsilons: {study['epsilons']!r} does not strictly decrease")
-        for i, eps in enumerate(ladder):
+        for i, eps in enumerate(epsilons):
             try:  # OverflowError: an eps so small that 4 * width / eps is inf
                 rung = grid_for_epsilon(model.domain, eps, sc.cell_budget)
             except (ValueError, OverflowError) as exc:

@@ -514,6 +514,13 @@ def test_kato_refuses_trajectories_that_start_after_zero(burgers_shock_traj, bur
         kato_battery(late, late, burgers_model, phis=[phi])
 
 
+def test_kato_across_an_interface_needs_the_runs_epsilon(two_flux_block_traj, two_flux_model):
+    # a trajectory read back without a manifest has no epsilon to smooth by
+    bare = Trajectory(two_flux_block_traj.grid, two_flux_block_traj.times, two_flux_block_traj.states, {})
+    with pytest.raises(ValueError, match="smoothed flux across an interface needs the run's epsilon"):
+        kato_battery(bare, bare, two_flux_model, phis=[_phi(0.045, 0.04, 0.0, 0.3)])
+
+
 def test_kato_battery_rejects_a_pair_with_a_planted_bump():
     from discflux.scenario import builtin_scenario_path, parse_scenario
 

@@ -737,7 +737,8 @@ def test_worker_errors_reraise_with_their_type(two_flux_model, monkeypatch, erro
 
 
 def test_a_level_too_large_to_enumerate_is_refused_before_solving(two_flux_model, monkeypatch):
-    # the same rule as the scenario's parse check, member_count > MEMBER_CAP
+    # build_dense_family leaves an unenumerable family without members,
+    # by the same member_count > MEMBER_CAP rule as the scenario's parse check
     monkeypatch.setattr(germ, "run_sequence", None)
     with pytest.raises(ValueError, match="family level 3 has 43046721 members, too many to enumerate"):
         _tiny_study(two_flux_model).level_result(3)

@@ -575,13 +575,26 @@ def test_cli_refuses_bad_epsilon_ladders_before_solving(tmp_path, capsys, kind, 
 
 
 @pytest.mark.parametrize("name", ["germ_level1", "two_flux_interface"])
-def test_ladders_are_priced_on_their_rungs_not_on_the_run_block(name):
+def test_ladders_are_priced_on_their_rungs_not_on_the_run_block(name, monkeypatch):
     # converge and germ never solve grid and run.epsilon, and their rungs are
     # priced under /study/epsilons/<i>: a grid the run block could not afford
     # parses, and the same document as a run is still refused
     doc = _ladder_doc(name)
     doc["grid"]["counts"] = [4000000]
     assert scenario_from_dict(doc).grid.counts == (4000000,)
+    with pytest.raises(ScenarioError, match=r"^/run: about \S+ cell-steps, above the limit"):
+        scenario_from_dict(dict(doc, kind="run", study={}))
+    # each rung outputs at the final time alone, so a ladder builds no run
+    # output times: an output count that the run block alone would price is
+    # never turned into a (7.28 TiB) time table
+    doc["grid"]["counts"] = [400]
+    doc["run"]["output_count"] = 1000000000000
+
+    def unbuilt(*_):
+        raise AssertionError("a ladder built the run block's output times")
+
+    monkeypatch.setattr("discflux.scenario._output_times", unbuilt)
+    assert scenario_from_dict(doc).config.output_times is None
     with pytest.raises(ScenarioError, match=r"^/run: about \S+ cell-steps, above the limit"):
         scenario_from_dict(dict(doc, kind="run", study={}))
 
