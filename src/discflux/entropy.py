@@ -320,7 +320,9 @@ class ResidualWorkspace:
 
     @cached_property
     def _jump(self):
-        return flatten_model(self.model).at(self.traces.surface_points)
+        """The terms of the left and right transformed normal fluxes on the interface."""
+        flat = flatten_model(self.model)
+        return [side[flat.interface.axis](self.traces.surface_points) for side in (flat.left, flat.right)]
 
     def _lam_tables(self, lam: float):
         """(flux (n_cells, d), smooth divergence (n_cells,), interface jump
@@ -336,9 +338,9 @@ class ResidualWorkspace:
 
     def _interface_jump(self, lam: float) -> np.ndarray:
         """(F_R - F_L)(x, lam) on the interface, in transformed normal form."""
-        j = self.model.interface.axis
-        lam_arr = np.full(self._jump.points.shape[0], float(lam))
-        return term_sum(self._jump.terms(1, j), lam_arr) - term_sum(self._jump.terms(0, j), lam_arr)
+        left, right = self._jump
+        lam_arr = np.full(len(self.traces.surface_points), float(lam))
+        return term_sum(right, lam_arr) - term_sum(left, lam_arr)
 
     def _phi_box(self, phi):
         """phi's support box and, on it, its tables phi, phi_t and grad phi

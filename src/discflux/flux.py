@@ -43,10 +43,7 @@ def smoothstep(z):
     """Monotone C1 profile: 0 for z <= -1, 1 for z >= 1, cubic 3 s^2 - 2 s^3
     with s = (z + 1) / 2 in between."""
     s = np.clip((np.asarray(z, dtype=float) + 1.0) * 0.5, 0.0, 1.0)
-    out = s * s * (3.0 - 2.0 * s)
-    if np.isscalar(z) or getattr(z, "ndim", 1) == 0:
-        return float(out)
-    return out
+    return s * s * (3.0 - 2.0 * s)
 
 
 def smoothing_weights(offset, eps: float):
@@ -113,21 +110,7 @@ def term_sum(terms, lam):
     return rows_sum([(c, () if f is None else (f,)) for c, f in terms], lambda c: horner(lam, c))
 
 
-@dataclass(frozen=True)
-class FluxComponent:
-    """One directional component f_k(x, lam) of a flux, described as a sum of
-    state polynomials with spatial factors: terms(x) returns ((coeffs,
-    factor), ...) with f(x, lam) = sum_i factor_i * P_i(lam), P_i the
-    ascending coefficient tuple and factor_i an array over the points x or
-    None (1).  The solver, the speed bounds and the flattening and extension
-    transformations all work on the terms.
-    """
-
-    axis: int
-    terms: Callable
-
-
-def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[float] | None = None) -> FluxComponent:
+def poly_component(coeffs: Sequence[float], modulation: Sequence[float] | None = None) -> Callable:
     """Polynomial-in-state component, optionally scaled by an affine spatial
     modulation m(x) = mod[0] + sum mod[1 + k] * x_k: one term (coeffs, m)."""
     coeffs = tuple(map(float, coeffs))
@@ -136,7 +119,7 @@ def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[floa
     def terms(x):
         return ((coeffs, None if mod is None else mod[0] + np.asarray(x, dtype=float) @ mod[1:]),)
 
-    return FluxComponent(axis, terms)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +130,20 @@ def poly_component(axis: int, coeffs: Sequence[float], modulation: Sequence[floa
 class PiecewiseFlux:
     """Flux with left/right component families separated by an interface.
 
+    Entry k of a family is its directional component f_k(x, lam), a sum of
+    state polynomials with spatial factors given by its terms function:
+    terms(x) returns ((coeffs, factor), ...) with f_k(x, lam) = sum_i
+    factor_i * P_i(lam), P_i the ascending coefficient tuple and factor_i an
+    array over the points x or None (1).  The solver, the speed bounds and
+    the flattening and extension transformations all work on the terms.
+
     interface=None means no jump: the left family is the flux everywhere and
     eps changes no evaluation.
     """
 
     d: int
-    left: tuple[FluxComponent, ...]
-    right: tuple[FluxComponent, ...]
+    left: tuple[Callable, ...]
+    right: tuple[Callable, ...]
     interface: "Interface | None"
     a: float
     b: float
@@ -215,7 +205,7 @@ class FluxAt:
             if shift:
                 pts = pts.copy()
                 pts[..., k] += shift
-            self._terms[key] = (self.model.left, self.model.right)[side][k].terms(pts)
+            self._terms[key] = (self.model.left, self.model.right)[side][k](pts)
         return self._terms[key]
 
     def rows(self, k: int):
@@ -281,7 +271,7 @@ def check_hypotheses(model: PiecewiseFlux) -> dict:
     d = model.d
     xs = np.stack(np.meshgrid(*zip(model.domain.lows, model.domain.center, model.domain.highs),
                               indexing="ij"), axis=-1).reshape(-1, d)
-    terms = [[comp.terms(xs) for comp in comps] for comps in (model.left, model.right)]
+    terms = [[comp(xs) for comp in comps] for comps in (model.left, model.right)]
     n = max(d + 1, *(len(c) for side in terms for comp in side for c, _ in comp))
     table = np.zeros((2, len(xs), d, n))
     states = (model.a, model.b)

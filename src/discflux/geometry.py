@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flux import FluxComponent, as_points, derivative_coeffs, horner, sign_changes
+from .flux import as_points, derivative_coeffs, horner, sign_changes
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ class Interface:
     sum_k coeffs[k] s^k of the one tangential coordinate s in d = 2, the
     constant coeffs[0] in d = 1.
 
-    axis is 0-based internally; the JSON form uses 1-based axes.  zeta and
-    zeta_gradient act on tangential points of shape (..., d-1).
+    axis is 0-based.  zeta and zeta_gradient act on tangential points of
+    shape (..., d-1).
     """
 
     axis: int
@@ -126,29 +126,6 @@ class Interface:
         """zeta is identically 0, so the interface is {x_j = 0}."""
         return not any(self.coeffs)
 
-    @staticmethod
-    def from_spec(spec: dict, d: int) -> "Interface":
-        """Build from {"axis": 1-based int, "zeta": {"kind": ..., "coeffs": [...]}},
-        a spec the scenario schema accepts, in d <= 2.  Kind "zero" takes no
-        nonzero coefficient, "affine" exactly d (zeta = c0 + c1 s), "poly" one
-        in d = 1 and at least one in d = 2."""
-        axis1 = spec["axis"]
-        if not (1 <= axis1 <= d):
-            raise ValueError(f"interface axis {axis1} outside 1..{d}")
-        kind = spec["zeta"]["kind"]
-        c = tuple(float(v) for v in spec["zeta"].get("coeffs", []))
-        if kind == "zero":
-            if any(c):
-                raise ValueError(f"zero interface with nonzero coefficients {list(c)}")
-            c = (0.0,)
-        elif kind == "affine":
-            if len(c) != d:
-                raise ValueError(f"affine interface in d={d} needs {d} coefficients, got {len(c)}")
-        elif not c or (d == 1 and len(c) > 1):  # kind "poly"
-            raise ValueError(f"polynomial interface in d={d} needs {'one' if d == 1 else 'at least one'} "
-                             f"coefficient, got {len(c)}")
-        return Interface(axis1 - 1, d, c)
-
 
 # ---------------------------------------------------------------------------
 # radial extension
@@ -181,8 +158,8 @@ def radial_extend(field: Callable, center, radius: float) -> Callable:
 # transformed fluxes
 
 
-def transformed_normal_flux(model, interface: Interface, side: str):
-    """Normal flux in flattened coordinates:
+def transformed_normal_flux(family, interface: Interface):
+    """Normal flux of one side's component family in flattened coordinates:
 
         F_j(x, lam) = f_j(x, lam) - sum_k zeta_grad_k(x_hat) * f_k(x, lam)
 
@@ -191,23 +168,19 @@ def transformed_normal_flux(model, interface: Interface, side: str):
     -zeta_grad_k.  Coefficients are read directly in the flattened
     coordinates, matching the local analysis they serve.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    comps = model.left if side == "left" else model.right
-    j = interface.axis
-    normal = comps[j]
-    tangential = [comps[k] for k in interface.tangential_axes]
+    normal = family[interface.axis]
+    tangential = [family[k] for k in interface.tangential_axes]
     if not tangential:
         return normal
 
     def terms(x):
         g = interface.zeta_gradient(interface.tangential(x))
-        out = list(normal.terms(x))
+        out = list(normal(x))
         for m, comp in enumerate(tangential):
-            out += [(c, -g[..., m] if f is None else -g[..., m] * f) for c, f in comp.terms(x)]
+            out += [(c, -g[..., m] if f is None else -g[..., m] * f) for c, f in comp(x)]
         return tuple(out)
 
-    return FluxComponent(j, terms)
+    return terms
 
 
 def flattened_box(box: Box, interface: Interface) -> Box:
@@ -236,11 +209,8 @@ def flatten_model(model):
     if itf is None or itf.flat:
         return model
     j = itf.axis
-    left = list(model.left)
-    right = list(model.right)
-    left[j] = transformed_normal_flux(model, itf, "left")
-    right[j] = transformed_normal_flux(model, itf, "right")
-    return replace(model, left=tuple(left), right=tuple(right), interface=Interface(j, model.d, (0.0,)),
+    left, right = ((*f[:j], transformed_normal_flux(f, itf), *f[j + 1:]) for f in (model.left, model.right))
+    return replace(model, left=left, right=right, interface=Interface(j, model.d, (0.0,)),
                    domain=flattened_box(model.domain, itf),
                    name=(model.name + "-flattened") if model.name else None)
 
@@ -250,10 +220,10 @@ def radial_extend_model(model, center, radius: float):
     component's terms are evaluated at the radial projection onto the ball,
     so the state polynomials are unchanged and every spatial factor keeps
     its sup bound."""
-    def extend(comp):
-        return FluxComponent(comp.axis, radial_extend(comp.terms, center, radius))
+    def extend(family):
+        return tuple(radial_extend(comp, center, radius) for comp in family)
 
-    return replace(model, left=tuple(map(extend, model.left)), right=tuple(map(extend, model.right)),
+    return replace(model, left=extend(model.left), right=extend(model.right),
                    name=(model.name + "-extended") if model.name else None)
 
 
@@ -277,10 +247,10 @@ def speed_bound(model, box: Box) -> float:
     """
     corners = box.corners
     unique = {}
-    for comp in tuple(model.left) + tuple(model.right):
+    for k, comp in [*enumerate(model.left), *enumerate(model.right)]:
         terms = tuple((c, None if f is None else np.broadcast_to(np.asarray(f, dtype=float), corners.shape[:-1]))
-                      for c, f in comp.terms(corners))
-        key = (comp.axis, tuple((c, None if f is None else f.tobytes()) for c, f in terms))
+                      for c, f in comp(corners))
+        key = (k, tuple((c, None if f is None else f.tobytes()) for c, f in terms))
         unique.setdefault(key, terms)
 
     total = 0.0

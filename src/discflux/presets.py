@@ -11,52 +11,71 @@ A flux spec is a dict
 interface null means a jump-free flux; right null reuses the left family.
 The affine modulation m(x) = m0 + sum m_k x_k needs the extra coefficient
 field, which is only allowed (and then required) when x_modulation is
-"affine".
+"affine".  Axes are 1-based in the JSON form and 0-based in Interface.
 """
 from __future__ import annotations
-
-import dataclasses
 
 from .flux import PiecewiseFlux, poly_component
 from .geometry import Box, Interface
 
 
-def _component_from_spec(axis: int, spec: dict, d: int):
+def _component_from_spec(spec: dict, d: int):
     coeffs = spec["poly_lambda"]
     if spec.get("x_modulation", "none") == "none":
         if "x_modulation_coeffs" in spec:
             raise ValueError("x_modulation_coeffs given but x_modulation is 'none'")
-        return poly_component(axis, coeffs)
+        return poly_component(coeffs)
     mod = spec.get("x_modulation_coeffs")
     if mod is None or len(mod) != d + 1:
         raise ValueError(f"affine modulation needs {d + 1} coefficients")
-    return poly_component(axis, coeffs, modulation=mod)
+    return poly_component(coeffs, modulation=mod)
 
 
-def flux_from_spec(spec: dict, domain: Box | None = None, name: str | None = None) -> PiecewiseFlux:
-    """The flux of a spec that scenario._FLUX_OBJECT_SCHEMA accepts; this
-    checks the rules between its fields."""
+def interface_from_spec(spec: dict, d: int) -> Interface:
+    """Build from {"axis": 1-based int, "zeta": {"kind": ..., "coeffs": [...]}},
+    a spec the scenario schema accepts, in d <= 2.  Kind "zero" takes no
+    nonzero coefficient, "affine" exactly d (zeta = c0 + c1 s), "poly" one
+    in d = 1 and at least one in d = 2."""
+    axis1 = spec["axis"]
+    if not (1 <= axis1 <= d):
+        raise ValueError(f"interface axis {axis1} outside 1..{d}")
+    kind = spec["zeta"]["kind"]
+    c = tuple(float(v) for v in spec["zeta"].get("coeffs", []))
+    if kind == "zero":
+        if any(c):
+            raise ValueError(f"zero interface with nonzero coefficients {list(c)}")
+        c = (0.0,)
+    elif kind == "affine":
+        if len(c) != d:
+            raise ValueError(f"affine interface in d={d} needs {d} coefficients, got {len(c)}")
+    elif not c or (d == 1 and len(c) > 1):  # kind "poly"
+        raise ValueError(f"polynomial interface in d={d} needs {'one' if d == 1 else 'at least one'} "
+                         f"coefficient, got {len(c)}")
+    return Interface(axis1 - 1, d, c)
+
+
+def flux_from_spec(spec: dict, name: str | None = None) -> PiecewiseFlux:
+    """The flux of a spec that scenario._FLUX_OBJECT_SCHEMA accepts, on the
+    box [-1, 1]^d; this checks the rules between its fields."""
     d = int(spec["d"])
     a, b = float(spec["a"]), float(spec["b"])
-    if domain is None:
-        domain = Box((-1.0,) * d, (1.0,) * d)
     for side in ("left", "right"):
         family = spec.get(side)
         if family is not None and len(family) != d:
             raise ValueError(f"the {side} family has {len(family)} components, a flux in d={d} needs {d}")
 
-    left = tuple(_component_from_spec(k, spec["left"][k], d) for k in range(d))
+    left = tuple(_component_from_spec(comp, d) for comp in spec["left"])
     if spec.get("interface") is None:
         # an explicit right family must repeat the left one
         if spec.get("right") not in (None, spec["left"]):
             raise ValueError("jump-free flux (interface null) with a distinct right family")
         interface, right = None, left
     else:
-        interface = Interface.from_spec(spec["interface"], d)
+        interface = interface_from_spec(spec["interface"], d)
         if spec.get("right") is None:
             right = left
         else:
-            right = tuple(_component_from_spec(k, spec["right"][k], d) for k in range(d))
+            right = tuple(_component_from_spec(comp, d) for comp in spec["right"])
     return PiecewiseFlux(
         d=d,
         left=left,
@@ -64,7 +83,7 @@ def flux_from_spec(spec: dict, domain: Box | None = None, name: str | None = Non
         interface=interface,
         a=a,
         b=b,
-        domain=domain,
+        domain=Box((-1.0,) * d, (1.0,) * d),
         name=name,
     )
 
@@ -122,20 +141,12 @@ _PRESET_SPECS: dict[str, dict] = {
 }
 
 PRESET_NAMES = tuple(sorted(_PRESET_SPECS))
-PRESET_DIMENSIONS = {name: spec["d"] for name, spec in _PRESET_SPECS.items()}
 
 
 def preset(name: str) -> PiecewiseFlux:
     try:
         spec = _PRESET_SPECS[name]
     except KeyError:
-        raise ValueError(f"unknown flux preset {name!r}; available: {', '.join(PRESET_NAMES)}") from None
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}") from None
     return flux_from_spec(spec, name=name)
 
-
-def resolve_flux(value, domain: Box | None = None) -> PiecewiseFlux:
-    """Accept a preset name or an inline flux spec dict."""
-    if isinstance(value, str):
-        model = preset(value)
-        return model if domain is None else dataclasses.replace(model, domain=domain)
-    return flux_from_spec(value, domain=domain)

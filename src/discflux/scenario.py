@@ -3,7 +3,7 @@ and an optional study block for the chosen check.  Validation is strict
 (unknown keys are errors) and failures carry JSON-pointer paths.
 
 The schemas below are JSON Schema documents, checked by `_check`, which
-implements the 15 keywords they use with JSON Schema's semantics (a bool is
+implements the 14 keywords they use with JSON Schema's semantics (a bool is
 no number, 64.0 is an integer, enum and const compare as JSON does), except
 that a number must be finite as a float.  The file itself is read with `json.load`,
 refusing the NaN and Infinity literals it would otherwise accept."""
@@ -14,7 +14,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .flux import PiecewiseFlux, as_points, check_hypotheses
 from .geometry import Box
 from .germ import DEFAULT_CELL_BUDGET, MEMBER_CAP, grid_for_epsilon, member_count
-from .presets import PRESET_DIMENSIONS, PRESET_NAMES, resolve_flux
+from .presets import flux_from_spec, preset
 from .solver import DEFAULT_CFL, MAX_CELL_STEPS, Field, Grid, RunConfig
 
 SCENARIO_KINDS = ("run", "entropy-check", "kato-check", "cone-check", "converge", "germ")
@@ -112,7 +112,6 @@ _LIMITS = {
     "minimum": ("number", operator.lt, "is less than the minimum of {}"),
     "maximum": ("number", operator.gt, "is greater than the maximum of {}"),
     "exclusiveMinimum": ("number", operator.le, "is less than or equal to the minimum of {}"),
-    "exclusiveMaximum": ("number", operator.ge, "is greater than or equal to the maximum of {}"),
     "minItems": ("array", operator.lt, "is too short"),
     "maxItems": ("array", operator.gt, "is too long"),
     "minLength": ("string", operator.lt, "is too short"),
@@ -342,33 +341,28 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
     kind = raw["kind"]
 
     flux_value = raw["flux"]
-    if isinstance(flux_value, str):
-        if flux_value not in PRESET_NAMES:
-            raise ScenarioError(
-                f"/flux: unknown preset {flux_value!r}; available: {', '.join(PRESET_NAMES)}"
-            )
-        d = PRESET_DIMENSIONS[flux_value]
-    else:
+    if not isinstance(flux_value, str):
         _check(flux_value, _FLUX_OBJECT_SCHEMA, "/flux")
-        d = flux_value["d"]
+    try:
+        model = preset(flux_value) if isinstance(flux_value, str) else flux_from_spec(flux_value)
+    except (ValueError, KeyError) as exc:
+        raise ScenarioError(f"/flux: {exc}") from None
 
-    domain = None
     if "domain" in raw:
         lows = raw["domain"]["lows"]
         highs = raw["domain"]["highs"]
         if len(lows) != len(highs):
             raise ScenarioError("/domain: lows and highs must have equal length")
-        if len(lows) != d:
-            raise ScenarioError(f"/domain: expected {d} coordinates")
+        if len(lows) != model.d:
+            raise ScenarioError(f"/domain: expected {model.d} coordinates")
         try:
-            domain = Box(tuple(float(v) for v in lows), tuple(float(v) for v in highs))
+            model = replace(model, domain=Box(tuple(float(v) for v in lows), tuple(float(v) for v in highs)))
         except ValueError as exc:
             raise ScenarioError(f"/domain: {exc}") from None
 
     try:
-        model = resolve_flux(flux_value, domain=domain)
         hypotheses = check_hypotheses(model)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"/flux: {exc}") from None
 
     counts = raw["grid"]["counts"]
@@ -400,6 +394,8 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
 
     study = raw.get("study", {})
     _check(study, _STUDY_SCHEMAS[kind], "/study")
+    if kind == "run" and "study" in raw and "chart" not in raw:
+        raise ScenarioError("/study: a run's study tunes its charted battery, and this run has no chart")
     if kind == "kato-check":
         validate_initial(study["initial_b"], model.d, model.a, model.b, "/study/initial_b")
     if kind == "cone-check":
@@ -415,6 +411,8 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
 
     chart = None
     if "chart" in raw:
+        if kind != "run":
+            raise ScenarioError(f"/chart: only a run reads a chart, not {kind}")
         if model.interface is None:
             raise ScenarioError("/chart: a chart needs a flux with an interface")
         center = raw["chart"]["center"]

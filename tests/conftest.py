@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 
 import discflux as dx
 from discflux.entropy import l1_distance
-from discflux.flux import FluxComponent, as_points, derivative_coeffs, smoothing_weights, term_sum
+from discflux.flux import as_points, derivative_coeffs, smoothing_weights, term_sum
 from discflux.solver import Trajectory
 
 
-def component_value(comp: FluxComponent, x, lam):
-    """f_k(x, lam) of a side component, term by term, for the oracles."""
-    return term_sum(comp.terms(x), lam)
+def component_value(comp, x, lam):
+    """f_k(x, lam) of a side component, its terms function, term by term, for the oracles."""
+    return term_sum(comp(x), lam)
 
 
-def lambda_derivative(comp: FluxComponent, x, lam):
-    """d f_k / d lam of a side component, term by term, for the oracles."""
-    return term_sum(((derivative_coeffs(c), f) for c, f in comp.terms(x)), lam)
+def lambda_derivative(comp, x, lam):
+    """d f_k / d lam of a side component, its terms function, term by term, for the oracles."""
+    return term_sum(((derivative_coeffs(c), f) for c, f in comp(x)), lam)
 
 
 def residual(row) -> float:
@@ -114,7 +114,7 @@ def sharp_flux(model, x, lam):
     cols = []
     for k in range(model.d):
         terms = [w * term_sum((term,), lam) for comps, w in zip((model.left, model.right), weights)
-                 for term in comps[k].terms(pts)]
+                 for term in comps[k](pts)]
         cols.append(sum(terms[1:], terms[0]))
     return np.stack(cols, axis=-1)
 
@@ -163,15 +163,15 @@ def _box_grid(box, n):
 
 
 def _distinct_components(model, xs, lam):
-    """The side components, those with equal lambda derivatives at every
-    (x, lam) of the grid taken once."""
+    """(axis, component) of the side components, those of one axis with
+    equal lambda derivatives at every (x, lam) of the grid taken once."""
     out, seen = [], []
-    for comp in model.left + model.right:
+    for axis, comp in [*enumerate(model.left), *enumerate(model.right)]:
         g = np.asarray(lambda_derivative(comp, xs[:, None, :], lam[None, :]), dtype=float)
         g = np.broadcast_to(g, (xs.shape[0], lam.size))
-        if not any(comp.axis == k and np.array_equal(g, h) for k, h in seen):
-            seen.append((comp.axis, g))
-            out.append(comp)
+        if not any(axis == k and np.array_equal(g, h) for k, h in seen):
+            seen.append((axis, g))
+            out.append((axis, comp))
     return out
 
 
@@ -205,12 +205,12 @@ def dense_bounds(model, box, n_x):
     h = 0.25
 
     def speed(x, lam):
-        return np.sqrt(sum(np.broadcast_to(lambda_derivative(c, x, lam), lam.shape) ** 2 for c in comps))
+        return np.sqrt(sum(np.broadcast_to(lambda_derivative(c, x, lam), lam.shape) ** 2 for _, c in comps))
 
     def mixed(x, lam):
         total = 0.0
-        for c in comps:
-            e = h * np.eye(model.d)[c.axis]
+        for axis, c in comps:
+            e = h * np.eye(model.d)[axis]
             total = total + ((lambda_derivative(c, x + e, lam) - lambda_derivative(c, x - e, lam)) / (2 * h)) ** 2
         return np.sqrt(np.broadcast_to(total, lam.shape))
 

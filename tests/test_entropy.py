@@ -586,8 +586,8 @@ def _per_pair_kruzhkov(traj, model, lam, phi):
         tr = interface_trace(traj, model)
         surf = tr.surface_points
         m_lam = np.full(surf.shape[0], lam)
-        jump = (component_value(transformed_normal_flux(model, model.interface, "right"), surf, m_lam)
-                - component_value(transformed_normal_flux(model, model.interface, "left"), surf, m_lam))
+        jump = (component_value(transformed_normal_flux(model.right, model.interface), surf, m_lam)
+                - component_value(transformed_normal_flux(model.left, model.interface), surf, m_lam))
         surf_vals = np.stack([phi.tables(t, surf)[0] for t in times])
         delta = np.einsum("t,tm,m,tm->", tw, np.sign(tr.averaged - lam), jump, surf_vals)
         total -= tr.tangential_weight * delta

@@ -140,8 +140,8 @@ def test_hypotheses_hold_on_presets():
 def test_boundary_zero_fails_with_witness():
     linear = PiecewiseFlux(
         d=1,
-        left=(poly_component(0, [0.0, 1.0]),),
-        right=(poly_component(0, [0.0, 1.0]),),
+        left=(poly_component([0.0, 1.0]),),
+        right=(poly_component([0.0, 1.0]),),
         interface=None,
         a=0.0,
         b=1.0,

@@ -244,6 +244,22 @@ def test_chart_center_needs_the_flux_dimension():
         scenario_from_dict(_run_doc(chart={"center": [0.0], "radius": 0.2}))
 
 
+def test_a_chart_is_refused_on_every_kind_but_run():
+    # only the run command flattens and re-solves on a chart
+    doc = _run_doc(kind="entropy-check", flux="two_flux", chart={"center": [0.0], "radius": 0.2})
+    with pytest.raises(ScenarioError, match="^/chart: only a run reads a chart, not entropy-check$"):
+        scenario_from_dict(doc)
+    assert scenario_from_dict(dict(doc, kind="run")).chart == {"center": (0.0,), "radius": 0.2}
+
+
+def test_a_run_study_is_refused_without_a_chart():
+    # a run's study tunes only the battery of its charted solve
+    with pytest.raises(ScenarioError, match="^/study: a run's study tunes its charted battery"):
+        scenario_from_dict(_run_doc(study={"tol_factor": 0.5}))
+    doc = _run_doc(flux="two_flux", study={"tol_factor": 0.5}, chart={"center": [0.0], "radius": 0.2})
+    assert scenario_from_dict(doc).study == {"tol_factor": 0.5}
+
+
 def test_study_schemas_are_kind_specific():
     doc = _run_doc(kind="kato-check", study={})
     with pytest.raises(ScenarioError, match="/study"):
@@ -801,7 +817,7 @@ _FLUX_1D = {"d": 1, "a": 0.0, "b": 1.0, "interface": None, "left": [{"poly_lambd
 ], ids=["flux-key", "component-key", "empty-poly-lambda", "d-3", "x-modulation", "zeta-kind", "flux-type",
         "flux-domain"])
 def test_the_schema_refuses_flux_specs_the_builders_take_as_read(flux, message):
-    # flux_from_spec and Interface.from_spec check only the rules between
+    # flux_from_spec and interface_from_spec check only the rules between
     # fields; the scenario schema refuses these before either runs
     with pytest.raises(ScenarioError, match=message):
         scenario_from_dict(_run_doc(flux=flux))

@@ -439,6 +439,12 @@ def test_lockstep_failures_name_the_field(burgers_model):
     fast[30] = 5.0
     with pytest.raises(ValueError, match="field 1: time step .* violates the CFL bound"):
         run_lockstep([calm, dx.Field(grid, fast, 0.0), calm], [config] * 3)
+    # two fields violate it, the later one faster: the first is still named
+    faster = np.zeros(grid.counts)
+    faster[30] = 8.0
+    with pytest.raises(ValueError, match=r"^field 1: time step .* violates the CFL bound "
+                                         r".* \(wave speed 9\.000e\+00\)$"):
+        run_lockstep([calm, dx.Field(grid, fast, 0.0), dx.Field(grid, faster, 0.0)], [config] * 3)
     broken = np.zeros(grid.counts)
     broken[20] = np.nan
     with pytest.raises(RuntimeError, match="field 2: non-finite solver state at t = "):
