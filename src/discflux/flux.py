@@ -122,6 +122,30 @@ def poly_component(coeffs: Sequence[float], modulation: Sequence[float] | None =
     return terms
 
 
+def _ratio(base, coeffs) -> float | None:
+    """s with s * base[j] == coeffs[j] for every j, read at the first nonzero
+    base[j], or None, also for an all-zero base; in Python floats, which
+    overflow to inf without a warning."""
+    j = next((j for j, c in enumerate(base) if c), None)
+    if j is None or len(base) != len(coeffs):
+        return None
+    s = float(coeffs[j]) / float(base[j])
+    return s if all(s * float(b) == float(c) for b, c in zip(base, coeffs)) else None
+
+
+def _product(factors):
+    """The factors of a row multiplied in their order, 1.0 for none."""
+    out = 1.0
+    for f in factors:
+        out = f * out
+    return out
+
+
+def _spanning(f, shape):
+    """A row factor: a float, or an array broadcast over the points' shape."""
+    return float(f) if np.ndim(f) == 0 else np.broadcast_to(f, shape)
+
+
 # ---------------------------------------------------------------------------
 # piecewise flux
 
@@ -195,6 +219,7 @@ class FluxAt:
         else:
             self.weights = smoothing_weights(self.offset, eps)
         self._terms = {}
+        self._rows = {}
 
     def terms(self, side: int, k: int, shift: float = 0.0):
         """Terms of component k of side 0 (left) or 1 (right) at the points
@@ -210,17 +235,35 @@ class FluxAt:
 
     def rows(self, k: int):
         """Component k of the flux sum over sides of w * (factor * P) as rows
-        (coeffs, factors), one per term of each side, its factors applied in
-        this order: term factor, weight.  Array factors span the points, so
-        that a block of them can be cut."""
-        sides = ((0, None),) if self.weights is None else ((0, self.weights[0]), (1, self.weights[1]))
-        shape = self.points.shape[:-1]
-        return [
-            (coeffs, [float(f) if np.ndim(f) == 0 else np.broadcast_to(f, shape)
-                      for f in (factor, w) if f is not None])
-            for side, w in sides
-            for coeffs, factor in self.terms(side, k)
-        ]
+        (coeffs, factors), one per distinct state polynomial, built once per
+        axis.  Terms are taken in order, left side first; a term whose
+        coefficients are an exact multiple s of an earlier row's (s * base[j]
+        == coeffs[j] for every j, base not all zero) is folded into that row,
+        whose one factor becomes f_row + s * f, f the term factor times the
+        side weight: (w_L + 2 w_R) P for two_flux.  Any other term is a row of
+        its own with its factors applied in this order: term factor, weight.
+        A merge whose ratio or factor would overflow is not made.  Array
+        factors span the points, so that a block of them can be cut."""
+        if k not in self._rows:
+            sides = ((0, None),) if self.weights is None else ((0, self.weights[0]), (1, self.weights[1]))
+            shape = self.points.shape[:-1]
+            rows = []
+            for side, w in sides:
+                for coeffs, factor in self.terms(side, k):
+                    factors = [_spanning(f, shape) for f in (factor, w) if f is not None]
+                    for i, (base, base_factors) in enumerate(rows):
+                        s = _ratio(base, coeffs)
+                        if s is not None:
+                            # quiet: a factor that overflows is refused below
+                            with np.errstate(over="ignore", invalid="ignore"):
+                                merged = _product(base_factors) + s * _product(factors)
+                            if np.isfinite(merged).all():
+                                rows[i] = (base, [_spanning(merged, shape)])
+                                break
+                    else:
+                        rows.append((coeffs, factors))
+            self._rows[k] = rows
+        return self._rows[k]
 
     def value(self, lam):
         """Flux vector (..., d), summed in the order of rows; the smoothed

@@ -233,8 +233,10 @@ def _axslice(ndim, axis, sl):
 class _Faces:
     """Smoothed flux F = sum over sides and their terms of w * (factor * P)
     of one axis on the interior faces, as the rows (coeffs, factors) of
-    PiecewiseFlux.at: smoothing weights and term factors are fixed for the
-    run.
+    PiecewiseFlux.at, one per distinct state polynomial: proportional terms
+    share a row with one factor, (w_L + s w_R) P for a right polynomial s
+    times the left one, and the others keep theirs.  Smoothing weights and
+    term factors are fixed for the run.
 
     Each distinct P and P' is evaluated once per cell per step, by Horner,
     and sliced onto the faces.  The Rusanov coefficient is the exact max of

@@ -100,11 +100,25 @@ def admissible_specs(draw):
 # for PiecewiseFlux.at: every call evaluates the terms afresh
 
 
+def proportion(base, coeffs):
+    """s with s * base == coeffs exactly, s taken at the first nonzero entry
+    of base, or None: also for an all-zero base or unequal lengths."""
+    base, coeffs = np.asarray(base, dtype=float), np.asarray(coeffs, dtype=float)
+    nonzero = np.flatnonzero(base)
+    if base.shape != coeffs.shape or not nonzero.size:
+        return None
+    with np.errstate(all="ignore"):
+        s = coeffs[nonzero[0]] / base[nonzero[0]]
+        return s if np.array_equal(s * base, coeffs) else None
+
+
 def sharp_flux(model, x, lam):
     """Flux vector (..., d): w_L f_L + w_R f_R with the weights 1 and 0 on
     the side of the interface offset's sign, 1/2 each on the interface,
     added term by term, left side first: ((w_L L_1 + w_L L_2) + w_R R_1) +
-    w_R R_2 for two terms a side."""
+    w_R R_2 for two terms a side, where no state polynomial is a multiple
+    of another.  A term m P' with P' = s P for the polynomial P of an
+    earlier term n P is folded into it: (w n + s (w' m)) P."""
     pts = as_points(x, model.d)
     if model.interface is None:
         return np.stack([component_value(c, pts, lam) for c in model.left], axis=-1)
@@ -113,8 +127,28 @@ def sharp_flux(model, x, lam):
                np.where(off > 0, 1.0, np.where(off < 0, 0.0, 0.5)))
     cols = []
     for k in range(model.d):
-        terms = [w * term_sum((term,), lam) for comps, w in zip((model.left, model.right), weights)
-                 for term in comps[k](pts)]
+        groups = []  # (coeffs, [(s, factor, w), ...]) per distinct state polynomial
+        for comps, w in zip((model.left, model.right), weights):
+            for coeffs, factor in comps[k](pts):
+                s = None
+                for base, members in groups:
+                    s = proportion(base, coeffs)
+                    if s is not None:
+                        members.append((s, factor, w))
+                        break
+                if s is None:
+                    groups.append((coeffs, [(1.0, factor, w)]))
+        terms = []
+        for coeffs, members in groups:
+            if len(members) == 1:
+                _, factor, w = members[0]
+                terms.append(w * term_sum(((coeffs, factor),), lam))
+            else:
+                total = None
+                for s, factor, w in members:
+                    f = w if factor is None else factor * w
+                    total = f if total is None else total + s * f
+                terms.append(total * term_sum(((coeffs, None),), lam))
         cols.append(sum(terms[1:], terms[0]))
     return np.stack(cols, axis=-1)
 

@@ -2,14 +2,20 @@
 conftest), bit for bit as int64 views: on every shipped flux form, at points
 exactly on the interface and at a -0.0 state."""
 import copy
+import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import discflux as dx
 from conftest import (
     CURVED_MODULATED_SPEC,
+    admissible_specs,
     component_value,
+    proportion,
     sharp_flux,
     smooth_divergence,
     smoothed_flux,
@@ -88,24 +94,33 @@ def test_value_and_divergence_match_the_per_call_formulas(name):
         np.testing.assert_array_equal(_bits(flux.divergence(lam)), _bits(smooth_divergence(model, pts, lam)))
 
 
-def _abs_sum(flux, k, lam):
-    """sum over the rows of |w * factor * P|, the scale of a re-association
-    error: it bounds the value and exceeds it where the terms cancel."""
+def _abs_sum(flux, k, lam, at=horner):
+    """sum over the sides' terms of |w * (factor * P)|, P = at(lam, coeffs),
+    the scale of a re-association error: it bounds the value and exceeds it
+    where the terms cancel.  Read from the sides, not from the merged rows."""
+    sides = ((0, 1.0),) if flux.weights is None else enumerate(flux.weights)
     total = 0.0
-    for coeffs, factors in flux.rows(k):
-        v = horner(lam, coeffs)
-        for f in factors:
-            v = f * v
-        total = total + np.abs(v)
+    for side, w in sides:
+        for coeffs, factor in flux.terms(side, k):
+            v = at(lam, coeffs)
+            total = total + np.abs(w * (v if factor is None else factor * v))
     return total
+
+
+def _side_sum(flux, k):
+    """Whether the rows of component k are the sides' terms, one each, the
+    oracle's operations: single-term sides that no merge folded together."""
+    sides = 1 if flux.weights is None else 2
+    return len(flux.rows(k)) == sides and all(len(flux.terms(side, k)) == 1 for side in range(sides))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_smoothed_matches_the_weighted_sides(name):
-    # rows add w * (factor * P) term by term; the oracle adds the sides
-    # w_L * sum(factor * P) + w_R * sum(...): the same operations for
-    # single-term components, a re-association for multi-term ones, within
-    # 1e-15 of the value itself except where the terms cancel
+    # unmerged rows add w * (factor * P) term by term; the oracle adds the
+    # sides w_L * sum(factor * P) + w_R * sum(...): the same operations for
+    # single-term sides, a re-association for multi-term ones and for a row
+    # that merges proportional terms, (w_L + s w_R) P, within 1e-15 of the
+    # value itself except where the terms cancel
     model = MODELS[name]()
     pts = _points(model)
     flux = model.at(pts, EPS)
@@ -114,12 +129,114 @@ def test_smoothed_matches_the_weighted_sides(name):
         want = smoothed_flux(model, pts, lam, EPS)
         assert got.shape == want.shape
         for k in range(model.d):
-            if _single_term(model, pts, k):
+            if _side_sum(flux, k):
                 np.testing.assert_array_equal(_bits(got[..., k]), _bits(want[..., k]))
             else:
                 error = np.abs(got[..., k] - want[..., k])
                 assert np.all(error <= 1e-15 * _abs_sum(flux, k, lam))
                 assert np.all(error <= 1e-15 * np.abs(want[..., k]))
+
+
+# per axis, the sides' terms and the rows they make: proportional state
+# polynomials share one row
+ROW_COUNTS = {
+    "burgers": ([1], [1]),
+    "x_ramp": ([1], [1]),
+    "two_flux": ([2], [1]),
+    "tilted_2d": ([2, 2], [1, 1]),
+    "tilted_2d_flattened_extended": ([4, 2], [2, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_COUNTS))
+def test_one_row_per_state_polynomial(name):
+    model = MODELS[name]()
+    flux = model.at(_points(model), EPS)
+    sides = 1 if model.interface is None else 2
+    terms = [sum(len(flux.terms(side, k)) for side in range(sides)) for k in range(model.d)]
+    assert (terms, [len(flux.rows(k)) for k in range(model.d)]) == ROW_COUNTS[name]
+    # built once per axis
+    assert all(flux.rows(k) is flux.rows(k) for k in range(model.d))
+
+
+def _planted(spec, data):
+    """spec, on each axis its right component's polynomial kept, or made r/4
+    times the left one's, or r/4 times it plus (lam - a)(b - lam): one of
+    the same degree that is no multiple of it unless it is a multiple of
+    (lam - a)(b - lam).  Each side keeps its own modulation."""
+    if spec["interface"] is not None:
+        a, b = spec["a"], spec["b"]
+        for k in range(spec["d"]):
+            kind = data.draw(st.sampled_from(["drawn", "proportional", "shifted"]))
+            r = data.draw(st.sampled_from([-4, 1, 2, 3, 8]))
+            scaled = np.multiply(r / 4, spec["left"][k]["poly_lambda"])
+            if kind == "proportional":
+                spec["right"][k]["poly_lambda"] = scaled.tolist()
+            elif kind == "shifted":
+                spec["right"][k]["poly_lambda"] = np.polynomial.polynomial.polyadd(
+                    scaled, [-a * b, a + b, -1.0]).tolist()
+    return spec
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(admissible_specs(), st.data())
+def test_rows_merge_exactly_the_proportional_terms(spec, data):
+    model = flux_from_spec(_planted(spec, data))
+    pts = _points(model, n=30)
+    lam = np.random.default_rng(29).uniform(model.a, model.b, pts.shape[:-1])
+    lam[:2] = model.a, model.b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flux = model.at(pts, EPS)
+        got = flux.value(lam)
+    want = smoothed_flux(model, pts, lam, EPS)
+    for k in range(model.d):
+        coeffs = [c for c, _ in flux.rows(k)]
+        assert all(proportion(p, q) is None for p, q in itertools.permutations(coeffs, 2))
+        if _side_sum(flux, k):
+            np.testing.assert_array_equal(_bits(got[..., k]), _bits(want[..., k]))
+        else:
+            # the oracle evaluates each side's polynomial on its own, which
+            # cancels near a root of it: its rounding scales with sum |c_j|
+            # |lam|^j, |P| evaluated at |c| and |lam|
+            scale = _abs_sum(flux, k, lam, lambda lam, c: horner(np.abs(lam), np.abs(c)))
+            assert np.all(np.abs(got[..., k] - want[..., k]) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("left, right", [([1.0], [1.0, 1.0]), ([1.0, 1.0], [2.0, -1.0])])
+def test_rows_keep_polynomials_that_are_not_proportional(left, right):
+    # (lam - a)(b - lam) q on each side: two rows, each w * P as before the
+    # merge, for q = 1 and 1 + lam, of two degrees, and for q = 1 + lam and
+    # 2 - lam, of one degree
+    root = [0.0, 1.0, -1.0]
+    spec = {"d": 1, "a": 0.0, "b": 1.0, "interface": {"axis": 1, "zeta": {"kind": "zero"}},
+            "left": [{"poly_lambda": np.polynomial.polynomial.polymul(root, left).tolist()}],
+            "right": [{"poly_lambda": np.polynomial.polynomial.polymul(root, right).tolist()}]}
+    model = flux_from_spec(spec)
+    pts = _points(model)
+    lam = _states(model, pts.shape[:-1])
+    for eps, want in ((EPS, smoothed_flux(model, pts, lam, EPS)), (None, sharp_flux(model, pts, lam))):
+        flux = model.at(pts, eps)
+        assert [c for c, _ in flux.rows(0)] == [c for side in (0, 1) for c, _ in flux.terms(side, 0)]
+        for (_, factors), w in zip(flux.rows(0), flux.weights):
+            np.testing.assert_array_equal(factors, [w])
+        np.testing.assert_array_equal(_bits(flux.value(lam)), _bits(want))
+
+
+@pytest.mark.parametrize("left, right, modulation", [
+    ([0.0, 1e-300, -1e-300], [0.0, 1e300, -1e300], None),  # the ratio overflows
+    ([0.0, 1.0, -1.0], [0.0, 1e300, -1e300], [1e10, 0.0]),  # the merged factor does
+])
+def test_rows_do_not_merge_an_overflow(left, right, modulation):
+    right = {"poly_lambda": right}
+    if modulation is not None:
+        right.update(x_modulation="affine", x_modulation_coeffs=modulation)
+    model = flux_from_spec({"d": 1, "a": 0.0, "b": 1.0, "interface": {"axis": 1, "zeta": {"kind": "zero"}},
+                            "left": [{"poly_lambda": left}], "right": [right]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = model.at(_points(model), EPS).rows(0)
+    assert [c for c, _ in rows] == [tuple(left), tuple(right["poly_lambda"])]
 
 
 def test_multi_term_components_are_covered():
@@ -152,7 +269,10 @@ def test_sharp_rows_weigh_the_sides_by_heaviside():
     np.testing.assert_array_equal(flux.weights, ([1.0, 1.0, 0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]))
     # they are the smoothstep weights once eps is below every nonzero |offset|
     np.testing.assert_array_equal(flux.weights, flux.model.at(flux.points, 1e-250).weights)
-    assert [len(factors) for _, factors in flux.rows(0)] == [1, 1]
+    # 2 lam (1 - lam) is twice lam (1 - lam): one row, its factor w_L + 2 w_R
+    (coeffs, factors), = flux.rows(0)
+    assert coeffs == (0.0, 1.0, -1.0)
+    np.testing.assert_array_equal(factors, [[1.0, 1.0, 1.5, 1.5, 2.0, 2.0]])
     # lam (1 - lam) on the left, 2 lam (1 - lam) on the right, their mean on the interface
     np.testing.assert_array_equal(flux.value(0.5)[:, 0], [0.25, 0.25, 0.375, 0.375, 0.5, 0.5])
     # without an interface there are no weights, and eps changes nothing

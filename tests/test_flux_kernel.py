@@ -154,11 +154,17 @@ def test_face_fluxes_match_polyval_bit_for_bit(name):
         return v
 
     def smoothed(u, deriv=False):
-        left = side_terms(_PRESET_SPECS[name]["left"][0], u, deriv)
+        left, right = _PRESET_SPECS[name]["left"][0], _PRESET_SPECS[name]["right"]
         if model.interface is None:
-            return left
+            return side_terms(left, u, deriv)
+        # the right state polynomial is s times the left one, so the face
+        # flux is one row: (w_L + s w_R) P
+        cl, cr = np.asarray(left["poly_lambda"]), np.asarray(right[0]["poly_lambda"])
+        s = cr[1] / cl[1]
+        np.testing.assert_array_equal(s * cl, cr)
+        assert "x_modulation_coeffs" not in left and "x_modulation_coeffs" not in right[0]
         wl, wr = smoothing_weights(model.interface.offset(pts), config.epsilon)
-        return wl * left + wr * side_terms(_PRESET_SPECS[name]["right"][0], u, deriv)
+        return (wl + s * wr) * side_terms(left, u, deriv)
 
     faces = _Faces(config, grid, 0)
     fhat, alpha = faces.rusanov(values, {}, (faces.rows, faces.crit))

@@ -1,12 +1,17 @@
 """Run one CLI command here and in another checkout, and compare every file
 both runs wrote under --out, report.json with its timings (every value
 whose key ends in `_s`) and its task `worker` ordinals masked; print each
-file that differs (or exists on one side only), and in report.json each
-JSON path that does, or `identical (N files)`, and exit 1 on a difference
-or a failed run:
+file that differs (or exists on one side only), and in a JSON file each
+path that does, or `identical (N files)`, and exit 1 on a difference
+or a failed run.  How far a difference moved is printed with it: both
+values of a numeric JSON leaf, and for a CSV of the same shape
+on both sides the number of cells that differ and the largest absolute
+and relative difference of those cells:
 
     python tools/same_bytes.py germ germ_level1 --against ../parent"""
 import argparse
+import csv
+import io
 import json
 import os
 import pathlib
@@ -35,7 +40,33 @@ def _paths(here, there, path: str = "") -> list[str]:
         return [p for i, pair in enumerate(zip(here, there)) for p in _paths(*pair, f"{path}/{i}")]
     if here is _ABSENT or there is _ABSENT:
         return [f"{path} ({'there' if here is _ABSENT else 'here'} only)"]
-    return [] if here == there else [path or "/"]
+    if here == there:
+        return []
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (here, there))
+    return [f"{path or '/'}" + (f": {here!r} here, {there!r} there" if numbers else "")]
+
+
+def _cells(here: bytes, there: bytes) -> str:
+    """The cells in which two CSV files of one shape differ, and the largest
+    absolute and relative difference of those that are numbers on both
+    sides; or both shapes."""
+    tables = [list(csv.reader(io.StringIO(data.decode()))) for data in (here, there)]
+    shapes = [[len(row) for row in table] for table in tables]
+    if shapes[0] != shapes[1]:
+        return " ".join(f"({len(s)} rows of {min(s, default=0)} to {max(s, default=0)} cells {side})"
+                        for s, side in zip(shapes, ("here", "there")))
+    pairs = [(a, b) for row_a, row_b in zip(*tables) for a, b in zip(row_a, row_b) if a != b]
+    absolute = relative = 0.0
+    for a, b in pairs:
+        try:
+            a, b = float(a), float(b)
+        except ValueError:
+            continue
+        if a != b:  # not 0.0 against -0.0
+            absolute = max(absolute, abs(a - b))
+            relative = max(relative, abs(a - b) / max(abs(a), abs(b)))
+    return (f"({len(pairs)} of {sum(shapes[0])} cells, largest absolute difference {absolute:.3g}, "
+            f"relative {relative:.3g})")
 
 
 def _files(tree: pathlib.Path, command: str, scenario: str, out: pathlib.Path) -> dict:
@@ -60,7 +91,12 @@ def main() -> int:
     diff = sorted(name for name in here.keys() | there.keys() if here.get(name) != there.get(name))
     for name in diff:
         a, b = here.get(name), there.get(name)
-        paths = _paths(a, b) if isinstance(a, dict) and isinstance(b, dict) else [""]
+        if None in (a, b):
+            paths = [""]
+        elif name.endswith(".json"):
+            paths = _paths(*(v if isinstance(v, dict) else json.loads(v) for v in (a, b)))
+        else:
+            paths = [_cells(a, b) if name.endswith(".csv") else ""]
         print("\n".join(f"differs: {name}" + (f" {p}" if p else "") for p in paths))
     if not diff:
         print(f"identical ({len(here)} files)")
