@@ -24,11 +24,10 @@ from .entropy import (
     bump_battery,
     cone_locality_check,
     entropy_battery,
-    interface_trace,  # noqa: F401  stays importable here: bench/tracer.py wraps discflux.cli.interface_trace
     kato_battery,
     l1_distance,
 )
-from .geometry import Cone, flatten_model, radial_extend_model, speed_bound
+from .geometry import Cone, flatten_model, speed_bound
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -125,22 +124,18 @@ def _exec_run(sc: Scenario, clock) -> tuple[list, dict]:
     traj = _solve(clock, checks, sc, sc.initial_field(), sc.config, "trajectory.csv", "max_principle")
     extras = {"solver": traj.manifest}
 
-    if sc.chart is None:
+    if not sc.chart:
         return checks, extras
 
-    # charted pipeline: flatten the interface, extend the flux radially so it
-    # is defined on the whole flattened box, re-solve, and map the flattened
-    # solution back for a side-by-side comparison
+    # charted pipeline: flatten the interface, re-solve on the flattened box,
+    # and map the flattened solution back for a side-by-side comparison
     itf = model.interface
     flat = flatten_model(model)
-    center = np.asarray(sc.chart["center"], dtype=float)
-    flat_center = itf.flatten(center)
-    ext = radial_extend_model(flat, flat_center, sc.chart["radius"])
 
     grid = sc.grid
     flat_grid = Grid(flat.domain.lows, flat.domain.highs, grid.counts)
     u0_flat = Field(flat_grid, sc.values_at(sc.initial, itf.unflatten(flat_grid.points())), 0.0)
-    config_flat = dataclasses.replace(sc.config, flux=ext)
+    config_flat = dataclasses.replace(sc.config, flux=flat)
     traj_flat = _solve(clock, checks, sc, u0_flat, config_flat,
                        "flattened_trajectory.csv", "max_principle_flattened")
 
@@ -155,7 +150,7 @@ def _exec_run(sc: Scenario, clock) -> tuple[list, dict]:
     _check(checks, "flatten_roundtrip", gap <= tol,
            f"L1 gap {gap:.3e} vs tol {tol:.3e} at t={traj.times[-1]:.6g}")
 
-    _battery(clock, checks, sc, entropy_battery, [traj_flat], ext, 1e-2,
+    _battery(clock, checks, sc, entropy_battery, [traj_flat], flat, 1e-2,
              "entropy_report.json", "entropy_battery_flattened")
     extras["flattened_solver"] = traj_flat.manifest
     return checks, extras
@@ -365,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command")
     helps = {
-        "run": "solve a scenario (with the flattened comparison when a chart is given)",
+        "run": "solve a scenario (with the flattened comparison when the chart is on)",
         "entropy-check": "solve and evaluate the entropy residual battery",
         "kato-check": "solve two initial data and evaluate the contraction residuals",
         "cone-check": "verify that a perturbation outside a cone base stays outside the cone",

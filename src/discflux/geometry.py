@@ -1,13 +1,14 @@
-"""Interface geometry: flattening maps, radial extension, speed bounds, cones.
+"""Interface geometry: flattening maps, speed bounds, cones.
 
 Coordinates are cell-centered numpy points of shape (..., d).  An interface is
 the graph x_j = zeta(x_hat) over the remaining coordinates; flattening
-subtracts zeta so the interface becomes the hyperplane {x_j = 0}.
+subtracts zeta so the interface becomes the hyperplane {x_j = 0}, and
+flatten_model states a flux in those coordinates on the whole flattened box,
+which a charted run solves as it is.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -128,33 +129,6 @@ class Interface:
 
 
 # ---------------------------------------------------------------------------
-# radial extension
-
-
-def project_to_ball(x, center, radius: float) -> np.ndarray:
-    c = np.asarray(center, dtype=float)
-    pts = as_points(x, c.shape[0])
-    delta = pts - c
-    dist = np.linalg.norm(delta, axis=-1, keepdims=True)
-    scale = np.where(dist > radius, radius / np.maximum(dist, 1e-300), 1.0)
-    return c + delta * scale
-
-
-def radial_extend(field: Callable, center, radius: float) -> Callable:
-    """Extend a coefficient field outside B(center, radius) by the value at the
-    radial projection onto the sphere; unchanged inside.  The wrapped callable
-    keeps the (x, *args) signature, so (x, lam) fields work unchanged."""
-    if radius <= 0:
-        raise ValueError("extension radius must be positive")
-    c = np.asarray(center, dtype=float)
-
-    def extended(x, *args):
-        return field(project_to_ball(x, c, radius), *args)
-
-    return extended
-
-
-# ---------------------------------------------------------------------------
 # transformed fluxes
 
 
@@ -213,18 +187,6 @@ def flatten_model(model):
     return replace(model, left=left, right=right, interface=Interface(j, model.d, (0.0,)),
                    domain=flattened_box(model.domain, itf),
                    name=(model.name + "-flattened") if model.name else None)
-
-
-def radial_extend_model(model, center, radius: float):
-    """Radially extend every side coefficient field about `center`: each
-    component's terms are evaluated at the radial projection onto the ball,
-    so the state polynomials are unchanged and every spatial factor keeps
-    its sup bound."""
-    def extend(family):
-        return tuple(radial_extend(comp, center, radius) for comp in family)
-
-    return replace(model, left=extend(model.left), right=extend(model.right),
-                   name=(model.name + "-extended") if model.name else None)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ import numpy as np
 from .entropy import l1_distance
 from .flux import PiecewiseFlux, as_points
 from .geometry import Box, Cone, speed_bound
-# run stays importable here: bench/tracer.py wraps discflux.germ.run
-from .solver import DEFAULT_CFL, Field, Grid, RunConfig, run, run_lockstep  # noqa: F401
+from .solver import DEFAULT_CFL, Field, Grid, RunConfig, run_lockstep
 from . import storage
 
 DEFAULT_CELL_BUDGET = 32768

@@ -76,7 +76,6 @@ _INITIAL_SCHEMAS = {kind: _closed(["kind", *required], kind={"const": kind}, **r
     ("random_steps", {"pieces": {"type": "integer", "minimum": 1}}, {"seed": {"type": "integer", "minimum": 0}}),
 )}
 
-_CHART_SCHEMA = _closed(["center", "radius"], center=_NUMBER_ARRAY, radius=_POSITIVE)
 _EPSILONS_SCHEMA = {"type": "array", "items": _POSITIVE, "minItems": 2}
 _GERM_EPSILONS_SCHEMA = dict(_EPSILONS_SCHEMA, minItems=4)  # diagonal_select needs 3 deltas
 _BUMPS = {"type": "integer", "minimum": 1}
@@ -85,7 +84,8 @@ _STUDY_SCHEMAS = {
     "run": _closed([], tol_factor=_POSITIVE),
     "entropy-check": _closed([], tol_factor=_POSITIVE, bumps=_BUMPS),
     "kato-check": _closed(["initial_b"], tol_factor=_POSITIVE, bumps=_BUMPS, initial_b=_INITIAL_ENVELOPE),
-    "cone-check": _closed(["cone", "perturbation"], cone=_CHART_SCHEMA,
+    "cone-check": _closed(["cone", "perturbation"],
+                          cone=_closed(["center", "radius"], center=_NUMBER_ARRAY, radius=_POSITIVE),
                           perturbation=_INITIAL_ENVELOPE, tol=_POSITIVE),
     "converge": _closed(["epsilons"], epsilons=_EPSILONS_SCHEMA, cell_budget=_CELL_BUDGET),
     "germ": _closed(["level", "epsilons"], level={"type": "integer", "minimum": 0, "maximum": 3},
@@ -98,7 +98,7 @@ _BASE_SCHEMA = _closed(
     kind={"enum": list(SCENARIO_KINDS)}, flux={"type": ["string", "object"]}, domain=_DOMAIN_SCHEMA,
     grid=_closed(["counts"], counts={"type": "array", "items": {"type": "integer", "minimum": 4},
                                      "minItems": 1, "maxItems": 2}),
-    run=_RUN_SCHEMA, initial=_INITIAL_ENVELOPE, chart=_CHART_SCHEMA, study={"type": "object"})
+    run=_RUN_SCHEMA, initial=_INITIAL_ENVELOPE, chart={"const": True}, study={"type": "object"})
 
 
 class ScenarioError(ValueError):
@@ -286,7 +286,7 @@ class Scenario:
     config: RunConfig
     initial: dict
     study: dict
-    chart: dict | None
+    chart: bool  # the flattened comparison of a run
     hypotheses: dict  # check_hypotheses' margins, for report.json
 
     @property
@@ -409,16 +409,11 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
         raise ScenarioError(f"/study/level: level {study['level']} has {count} members in {model.d}d, "
                             f"more than the {MEMBER_CAP} a study enumerates")
 
-    chart = None
-    if "chart" in raw:
-        if kind != "run":
-            raise ScenarioError(f"/chart: only a run reads a chart, not {kind}")
-        if model.interface is None:
-            raise ScenarioError("/chart: a chart needs a flux with an interface")
-        center = raw["chart"]["center"]
-        if len(center) != model.d:
-            raise ScenarioError(f"/chart/center: expected {model.d} coordinates")
-        chart = {"center": tuple(float(v) for v in center), "radius": float(raw["chart"]["radius"])}
+    chart = raw.get("chart", False)
+    if chart and kind != "run":
+        raise ScenarioError(f"/chart: only a run reads a chart, not {kind}")
+    if chart and model.interface is None:
+        raise ScenarioError("/chart: a chart needs a flux with an interface")
 
     name = raw.get("name") or os.path.splitext(os.path.basename(path))[0]
     sc = Scenario(name=name, kind=kind, raw=raw, model=model, grid=grid,

@@ -48,8 +48,7 @@ def block_field(grid: dx.Grid, lo: float, hi: float, inside: float, outside: flo
 
 # a 2d flux with a curved interface x1 = 0.1 x2 + 0.3 x2^2 and affine
 # modulations on both sides, so flattening gives a normal flux whose terms
-# carry spatially varying factors; zeta(0) = 0 keeps a chart centred at the
-# origin centred there after flattening
+# carry spatially varying factors
 CURVED_MODULATED_SPEC = {
     "d": 2, "a": 0.0, "b": 1.0,
     "interface": {"axis": 1, "zeta": {"kind": "poly", "coeffs": [0.0, 0.1, 0.3]}},

@@ -12,10 +12,10 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 import discflux as dx
-from conftest import block_field, component_value, dense_bounds, l1_ratios, residual
+from conftest import block_field, dense_bounds, l1_ratios, residual
 from discflux import entropy
 from discflux.entropy import ResidualWorkspace, cone_locality_check, l1_distance
-from discflux.geometry import Cone, flatten_model, project_to_ball, radial_extend_model, speed_bound
+from discflux.geometry import Cone, flatten_model, speed_bound
 from discflux.presets import PRESET_NAMES
 from discflux.solver import Trajectory
 
@@ -174,7 +174,6 @@ def test_criterion_5_flattening_consistency():
     model = dx.preset("tilted_2d")
     itf = model.interface
     flat = flatten_model(model)
-    ext = radial_extend_model(flat, itf.flatten(np.zeros(2)), 1.2)
 
     grid = _production_grid(model)
     flat_grid = dx.Grid(flat.domain.lows, flat.domain.highs, grid.counts)
@@ -185,7 +184,7 @@ def test_criterion_5_flattening_consistency():
 
     kw = dict(epsilon=0.02, final_time=0.08, boundary=0.0, output_times=(0.0, 0.08))
     original = dx.run(u0, dx.RunConfig(flux=model, **kw))
-    flattened = dx.run(u0_flat, dx.RunConfig(flux=ext, **kw))
+    flattened = dx.run(u0_flat, dx.RunConfig(flux=flat, **kw))
 
     axes = [flat_grid.centers(k) for k in range(2)]
     itp = RegularGridInterpolator(axes, flattened.final.values, method="linear",
@@ -218,56 +217,6 @@ def test_criterion_6_cone_locality(burgers_model):
     _verdict(6, "cone locality", passed,
              f"outside kappa {out_report.kappa:.2e} <= 1e-2, "
              f"inside kappa {in_report.kappa:.2e} flagged")
-
-
-def test_criterion_7_radial_extension():
-    rng = np.random.default_rng(707)
-    radius = 0.8
-    rays_ok = inside_ok = lipschitz_ok = True
-    for name in PRESET_NAMES:
-        model = dx.preset(name)
-        d = model.d
-        center = np.zeros(d)
-        ext = radial_extend_model(model, center, radius)
-
-        def sample(n, lo, hi):
-            dirs = rng.normal(size=(n, d))
-            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-            return dirs * rng.uniform(lo, hi, (n, 1))
-
-        x_out = sample(200, radius * 1.1, 3.0)
-        x_in = sample(200, 0.0, radius * 0.999)
-        pair_a = sample(10_000, radius * 1.01, 2.5)
-        pair_b = sample(10_000, radius * 1.01, 2.5)
-        proj_a = project_to_ball(pair_a, center, radius)
-        proj_b = project_to_ball(pair_b, center, radius)
-        gap_out = np.linalg.norm(pair_a - pair_b, axis=-1)
-        gap_proj = np.linalg.norm(proj_a - proj_b, axis=-1)
-        resolved = gap_proj > 1e-12
-
-        def values(comp, pts, lam):
-            out = component_value(comp, pts, lam)
-            return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1])
-
-        for comp, raw in zip(ext.left + ext.right, model.left + model.right):
-            for lam in (0.3, 0.7):
-                # doubling an outside point stays on the same ray
-                rays_ok = rays_ok and np.allclose(
-                    values(comp, x_out, lam), values(comp, 2.0 * x_out, lam),
-                    rtol=1e-12, atol=1e-15)
-                inside_ok = inside_ok and np.array_equal(
-                    values(comp, x_in, lam), values(raw, x_in, lam))
-
-                q_out = np.abs(values(comp, pair_a, lam) - values(comp, pair_b, lam)) / gap_out
-                q_in = (np.abs(values(raw, proj_a, lam) - values(raw, proj_b, lam))
-                        / np.where(resolved, gap_proj, 1.0))
-                lipschitz_ok = lipschitz_ok \
-                    and q_out[resolved].max(initial=0.0) <= q_in[resolved].max(initial=0.0) + 1e-9 \
-                    and q_out[~resolved].max(initial=0.0) <= 1e-6
-
-    _verdict(7, "radial extension", rays_ok and inside_ok and lipschitz_ok,
-             f"rays {rays_ok}, inside exact {inside_ok}, "
-             f"Lipschitz at 10^4 pairs {lipschitz_ok}")
 
 
 def test_criterion_8_germ_completeness(two_flux_model):

@@ -22,11 +22,13 @@ from conftest import (
 )
 from discflux.entropy import ResidualWorkspace
 from discflux.flux import horner
-from discflux.geometry import flatten_model, radial_extend_model, transformed_normal_flux
+from discflux.geometry import flatten_model, transformed_normal_flux
 from discflux.presets import flux_from_spec
 from discflux.solver import Trajectory
 
 EPS = 0.05
+# a few ulps of the Horner scale: merged rows against the sides' sum
+ROUNDING = 4 * np.finfo(float).eps
 
 
 def _tilted():
@@ -43,10 +45,13 @@ MODELS = {
     "x_ramp": lambda: dx.preset("x_ramp"),
     "tilted_2d": _tilted,
     "tilted_2d_flattened": lambda: flatten_model(_tilted()),
-    "tilted_2d_flattened_extended": lambda: radial_extend_model(
-        flatten_model(_tilted()), _tilted().interface.flatten(np.zeros(2)), 0.6),
     "curved_modulated": _curved,
     "curved_modulated_flattened": lambda: flatten_model(_curved()),
+    # right = 3 x left: one merged row, 1.5 lam - 3 lam^2 with a root at b,
+    # near which the oracle's side-by-side sum cancels
+    "proportional_root": lambda: flux_from_spec({
+        "d": 1, "a": 0.0, "b": 0.5, "interface": {"axis": 1, "zeta": {"kind": "zero"}},
+        "left": [{"poly_lambda": [0.0, 0.5, -1.0]}], "right": [{"poly_lambda": [0.0, 1.5, -3.0]}]}),
 }
 
 
@@ -94,15 +99,16 @@ def test_value_and_divergence_match_the_per_call_formulas(name):
         np.testing.assert_array_equal(_bits(flux.divergence(lam)), _bits(smooth_divergence(model, pts, lam)))
 
 
-def _abs_sum(flux, k, lam, at=horner):
-    """sum over the sides' terms of |w * (factor * P)|, P = at(lam, coeffs),
-    the scale of a re-association error: it bounds the value and exceeds it
-    where the terms cancel.  Read from the sides, not from the merged rows."""
+def _horner_scale(flux, k, lam):
+    """sum over the sides' terms of |w * factor| * sum_j |c_j| |lam|^j, P
+    evaluated at |c| and |lam|: the a-priori scale of the rounding of
+    Horner's rule, which does not vanish at a root of P as |P| does.  Read
+    from the sides, not from the merged rows."""
     sides = ((0, 1.0),) if flux.weights is None else enumerate(flux.weights)
     total = 0.0
     for side, w in sides:
         for coeffs, factor in flux.terms(side, k):
-            v = at(lam, coeffs)
+            v = horner(np.abs(lam), np.abs(coeffs))
             total = total + np.abs(w * (v if factor is None else factor * v))
     return total
 
@@ -119,8 +125,9 @@ def test_smoothed_matches_the_weighted_sides(name):
     # unmerged rows add w * (factor * P) term by term; the oracle adds the
     # sides w_L * sum(factor * P) + w_R * sum(...): the same operations for
     # single-term sides, a re-association for multi-term ones and for a row
-    # that merges proportional terms, (w_L + s w_R) P, within 1e-15 of the
-    # value itself except where the terms cancel
+    # that merges proportional terms, (w_L + s w_R) P, within a few ulps of
+    # the Horner scale, as the oracle evaluates each side's polynomial on
+    # its own and cancels near a root of it
     model = MODELS[name]()
     pts = _points(model)
     flux = model.at(pts, EPS)
@@ -133,8 +140,7 @@ def test_smoothed_matches_the_weighted_sides(name):
                 np.testing.assert_array_equal(_bits(got[..., k]), _bits(want[..., k]))
             else:
                 error = np.abs(got[..., k] - want[..., k])
-                assert np.all(error <= 1e-15 * _abs_sum(flux, k, lam))
-                assert np.all(error <= 1e-15 * np.abs(want[..., k]))
+                assert np.all(error <= ROUNDING * _horner_scale(flux, k, lam))
 
 
 # per axis, the sides' terms and the rows they make: proportional state
@@ -144,7 +150,8 @@ ROW_COUNTS = {
     "x_ramp": ([1], [1]),
     "two_flux": ([2], [1]),
     "tilted_2d": ([2, 2], [1, 1]),
-    "tilted_2d_flattened_extended": ([4, 2], [2, 1]),
+    "tilted_2d_flattened": ([4, 2], [2, 1]),
+    "proportional_root": ([2], [1]),
 }
 
 
@@ -197,10 +204,8 @@ def test_rows_merge_exactly_the_proportional_terms(spec, data):
             np.testing.assert_array_equal(_bits(got[..., k]), _bits(want[..., k]))
         else:
             # the oracle evaluates each side's polynomial on its own, which
-            # cancels near a root of it: its rounding scales with sum |c_j|
-            # |lam|^j, |P| evaluated at |c| and |lam|
-            scale = _abs_sum(flux, k, lam, lambda lam, c: horner(np.abs(lam), np.abs(c)))
-            assert np.all(np.abs(got[..., k] - want[..., k]) <= 1e-15 * scale)
+            # cancels near a root of it
+            assert np.all(np.abs(got[..., k] - want[..., k]) <= ROUNDING * _horner_scale(flux, k, lam))
 
 
 @pytest.mark.parametrize("left, right", [([1.0], [1.0, 1.0]), ([1.0, 1.0], [2.0, -1.0])])

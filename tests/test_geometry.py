@@ -1,7 +1,6 @@
-"""Interfaces, flattening, radial extension, speed bounds and cones."""
+"""Interfaces, flattening, speed bounds and cones."""
 import copy
 import dataclasses
-from functools import partial
 
 import numpy as np
 import pytest
@@ -17,9 +16,6 @@ from discflux.geometry import (
     flatten_model,
     flattened_box,
     halton,
-    project_to_ball,
-    radial_extend,
-    radial_extend_model,
     speed_bound,
     transformed_normal_flux,
 )
@@ -222,94 +218,6 @@ def test_flattened_box_is_the_hull_of_a_dense_flattened_grid(axis, coeffs, lows,
 
 
 # ---------------------------------------------------------------------------
-# radial extension
-
-
-def _smooth_field(x):
-    pts = np.asarray(x, dtype=float)
-    return np.sin(pts[..., 0]) + 0.5 * np.cos(2.0 * pts[..., 1])
-
-
-def _ball_points(center, radius, n, seed):
-    """n points of the closed ball B(center, radius): the center, the sphere
-    points on the axes, then uniform draws."""
-    c = np.asarray(center, dtype=float)
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n, c.size))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    pts = c + dirs * radius * rng.uniform(size=(n, 1)) ** (1.0 / c.size)
-    fixed = np.concatenate([c[None], c + radius * np.eye(c.size), c - radius * np.eye(c.size)])
-    return np.concatenate([fixed, pts])[:n]
-
-
-def test_radial_extend_identity_inside():
-    center = np.array([0.3, -0.2])
-    ext = radial_extend(_smooth_field, center, 0.8)
-    pts = _ball_points(center, 0.79, 100, seed=3)
-    np.testing.assert_array_equal(ext(pts), _smooth_field(pts))
-
-
-def test_radial_extend_projects_to_sphere():
-    center = np.array([0.3, -0.2])
-    R = 0.8
-    ext = radial_extend(_smooth_field, center, R)
-    far = center + np.array([2 * R, 0.0])
-    on_sphere = center + np.array([R, 0.0])
-    np.testing.assert_allclose(ext(far), _smooth_field(on_sphere), atol=1e-15)
-
-
-def test_radial_extend_constant_along_rays():
-    center = np.array([0.3, -0.2])
-    R = 0.8
-    ext = radial_extend(_smooth_field, center, R)
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        v = rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        ref = _smooth_field(center + R * v)
-        for s in (R, 1.3 * R, 2.0 * R, 5.0 * R):
-            np.testing.assert_allclose(ext(center + s * v), ref, atol=1e-12)
-
-
-def test_radial_extend_lipschitz_not_inflated():
-    center = np.array([0.3, -0.2])
-    R = 0.8
-
-    # oracle first: gradient max of the field over a dense sample of the ball
-    pts = _ball_points(center, R, 4000, seed=5)
-    grad_norm = np.sqrt(np.cos(pts[..., 0]) ** 2 + np.sin(2.0 * pts[..., 1]) ** 2)
-    lip_ball = float(grad_norm.max())
-
-    ext = radial_extend(_smooth_field, center, R)
-    rng = np.random.default_rng(17)
-    xa = rng.uniform(-2.0, 2.0, (10_000, 2))
-    xb = rng.uniform(-2.0, 2.0, (10_000, 2))
-    gap = np.linalg.norm(xa - xb, axis=-1)
-    keep = gap > 1e-9
-    quot = np.abs(ext(xa[keep]) - ext(xb[keep])) / gap[keep]
-    # projection onto the ball is 1-Lipschitz, so quotients cannot exceed the
-    # field's Lipschitz constant on the ball (small slack for the sampled max)
-    assert quot.max() <= lip_ball * (1.0 + 1e-3)
-
-
-def test_project_to_ball_idempotent():
-    center = np.zeros(2)
-    rng = np.random.default_rng(23)
-    pts = rng.uniform(-3.0, 3.0, (200, 2))
-    once = project_to_ball(pts, center, 1.0)
-    np.testing.assert_allclose(project_to_ball(once, center, 1.0), once, atol=1e-15)
-    assert np.all(np.linalg.norm(once, axis=-1) <= 1.0 + 1e-12)
-
-
-def test_radial_extend_model_agrees_inside(burgers_model):
-    ext = radial_extend_model(burgers_model, np.zeros(1), 0.4)
-    pts = np.linspace(-0.39, 0.39, 21)[:, None]
-    np.testing.assert_array_equal(ext.at(pts).value(0.3), burgers_model.at(pts).value(0.3))
-    far = np.array([[0.45]])
-    np.testing.assert_allclose(ext.at(far).value(0.3), burgers_model.at(np.array([[0.4]])).value(0.3), atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
 # the term transformations against the closure formulas they replace
 
 
@@ -331,28 +239,17 @@ def test_transformations_match_their_closure_formulas():
     model = flux_from_spec(copy.deepcopy(CURVED_MODULATED_SPEC))
     itf = model.interface
     flat = flatten_model(model)
-    center, radius = itf.flatten(np.zeros(2)), 0.6
-    ext = radial_extend_model(flat, center, radius)
 
     rng = np.random.default_rng(41)
     pts = rng.uniform(-1.5, 1.5, (2000, 2))
     lam = rng.uniform(0.0, 1.0, 2000)
-    inside = np.linalg.norm(pts - center, axis=-1) <= radius
-    assert 0 < inside.sum() < len(pts)
     for side in ("left", "right"):
+        # the tangential components are the model's own
+        assert all(getattr(flat, side)[k] is getattr(model, side)[k] for k in itf.tangential_axes)
         for which in (component_value, lambda_derivative):
-            closure = _closure_transformed(model, itf, side, which)
             np.testing.assert_allclose(which(getattr(flat, side)[itf.axis], pts, lam),
-                                       closure(pts, lam), rtol=1e-14, atol=1e-14)
-            for k in range(2):
-                flat_fn = partial(which, getattr(flat, side)[k])
-                ext_fn = partial(which, getattr(ext, side)[k])
-                got = ext_fn(pts, lam)
-                # identity inside the ball, the field at the projection outside
-                np.testing.assert_array_equal(got[inside], flat_fn(pts[inside], lam[inside]))
-                field = closure if k == itf.axis else flat_fn
-                extended = radial_extend(field, center, radius)(pts, lam)
-                np.testing.assert_allclose(got[~inside], extended[~inside], rtol=1e-14, atol=1e-14)
+                                       _closure_transformed(model, itf, side, which)(pts, lam),
+                                       rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

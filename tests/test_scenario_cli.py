@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import discflux
 from conftest import CURVED_MODULATED_SPEC
-from discflux import cli, entropy, germ, storage
+from discflux import entropy, germ, storage
 from discflux.cli import build_parser, main
 from discflux.geometry import Box
 from discflux.scenario import (
@@ -231,32 +231,47 @@ def test_boundary_zero_reads_the_box_corners():
         scenario_from_dict(doc)
 
 
-def test_chart_center_needs_the_flux_dimension():
-    doc = _run_doc(flux="tilted_2d", chart={"center": [0.0], "radius": 1.2})
+def _tilted_run_doc(**overrides):
+    doc = _run_doc(flux="tilted_2d", grid={"counts": [16, 16]}, initial={"kind": "constant", "value": 0.2},
+                   **overrides)
     del doc["domain"]
-    doc["grid"] = {"counts": [16, 16]}
     doc["run"] = dict(doc["run"], boundary=0.2)
-    doc["initial"] = {"kind": "constant", "value": 0.2}
-    with pytest.raises(ScenarioError, match="/chart/center"):
+    return doc
+
+
+def test_a_chart_ball_is_refused(tmp_path, capsys):
+    # a chart is the switch true and nothing else, refused as one line
+    doc = _tilted_run_doc(chart={"center": [0, 0], "radius": 1.2})
+    with pytest.raises(ScenarioError, match="^/chart: True was expected$"):
         scenario_from_dict(doc)
+    assert main(["run", _write(tmp_path, doc), "--quiet"]) == 1
+    assert capsys.readouterr().err == "scenario error: /chart: True was expected\n"
+
+
+def test_a_chart_is_accepted_on_a_run_with_an_interface():
+    assert scenario_from_dict(_tilted_run_doc(chart=True)).chart is True
+    assert scenario_from_dict(_tilted_run_doc()).chart is False
+
+
+def test_a_chart_is_refused_on_a_flux_without_an_interface():
     # burgers has no interface to flatten
-    with pytest.raises(ScenarioError, match="^/chart: a chart needs a flux with an interface"):
-        scenario_from_dict(_run_doc(chart={"center": [0.0], "radius": 0.2}))
+    with pytest.raises(ScenarioError, match="^/chart: a chart needs a flux with an interface$"):
+        scenario_from_dict(_run_doc(chart=True))
 
 
 def test_a_chart_is_refused_on_every_kind_but_run():
     # only the run command flattens and re-solves on a chart
-    doc = _run_doc(kind="entropy-check", flux="two_flux", chart={"center": [0.0], "radius": 0.2})
+    doc = _run_doc(kind="entropy-check", flux="two_flux", chart=True)
     with pytest.raises(ScenarioError, match="^/chart: only a run reads a chart, not entropy-check$"):
         scenario_from_dict(doc)
-    assert scenario_from_dict(dict(doc, kind="run")).chart == {"center": (0.0,), "radius": 0.2}
+    assert scenario_from_dict(dict(doc, kind="run")).chart is True
 
 
 def test_a_run_study_is_refused_without_a_chart():
     # a run's study tunes only the battery of its charted solve
     with pytest.raises(ScenarioError, match="^/study: a run's study tunes its charted battery"):
         scenario_from_dict(_run_doc(study={"tol_factor": 0.5}))
-    doc = _run_doc(flux="two_flux", study={"tol_factor": 0.5}, chart={"center": [0.0], "radius": 0.2})
+    doc = _run_doc(flux="two_flux", study={"tol_factor": 0.5}, chart=True)
     assert scenario_from_dict(doc).study == {"tol_factor": 0.5}
 
 
@@ -995,7 +1010,6 @@ def test_cli_entropy_check_extracts_the_interface_trace_once(tmp_path, monkeypat
         return real(*args)
 
     monkeypatch.setattr(entropy, "interface_trace", counted)
-    monkeypatch.setattr(cli, "interface_trace", counted)
     out = tmp_path / "out"
     assert main(["entropy-check", "two_flux_admissibility", "--out", str(out), "--quiet"]) == 0
     assert len(calls) == 1
@@ -1150,7 +1164,7 @@ def test_cli_germ_scenario(tmp_path):
     assert level_manifest["contraction_cone"]["speed"] == pytest.approx(1.0)
 
 
-def _charted_doc(flux, radius):
+def _charted_doc(flux):
     return {
         "name": "chart_mini",
         "kind": "run",
@@ -1159,7 +1173,7 @@ def _charted_doc(flux, radius):
         "run": {"epsilon": 0.04, "final_time": 0.02, "boundary": 0.0, "output_count": 3},
         "initial": {"kind": "bump", "base": 0.0, "amplitude": 0.4,
                     "center": [0.0, 0.0], "radius": 0.25},
-        "chart": {"center": [0.0, 0.0], "radius": radius},
+        "chart": True,
         "study": {"tol_factor": 0.05},
     }
 
@@ -1183,15 +1197,15 @@ def _charted_report(tmp_path, doc):
 
 
 def test_cli_charted_run(tmp_path):
-    report = _charted_report(tmp_path, _charted_doc("tilted_2d", 1.2))
+    report = _charted_report(tmp_path, _charted_doc("tilted_2d"))
     assert report["flattened_solver"]["n_steps"] == 6
     assert report["flattened_solver"]["speed_bound"] == 2.0
 
 
 def test_cli_charted_run_curved_modulated(tmp_path):
-    # curved interface, modulated sides, a chart ball inside the grid: the
-    # flattened normal flux has per-face factors and is extended outside
-    _charted_report(tmp_path, _charted_doc(copy.deepcopy(CURVED_MODULATED_SPEC), 0.6))
+    # curved interface, modulated sides: the flattened normal flux has
+    # per-face factors
+    _charted_report(tmp_path, _charted_doc(copy.deepcopy(CURVED_MODULATED_SPEC)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import discflux as dx
 from conftest import riemann_field
 from discflux import solver
 from discflux.entropy import l1_distance
-from discflux.geometry import flatten_model, radial_extend_model
+from discflux.geometry import flatten_model
 from discflux.germ import build_dense_family
 from discflux.presets import PRESET_NAMES, flux_from_spec
 from discflux.scenario import builtin_scenario_path, parse_scenario
@@ -683,13 +683,11 @@ def _faces_case(case):
     if case == "tilted_2d":
         model = dx.preset("tilted_2d")
         return model, dx.Grid(model.domain.lows, model.domain.highs, (48, 40))
-    if case == "flattened_extension":
-        # the charted tilted_flatten_2d run's flux: flattened, then extended radially
+    if case == "tilted_2d_flattened":
+        # the charted tilted_flatten_2d run's flattened flux, on its grid
         sc = parse_scenario(builtin_scenario_path("tilted_flatten_2d"))
         flat = flatten_model(sc.model)
-        center = sc.model.interface.flatten(np.asarray(sc.chart["center"], dtype=float))
-        model = radial_extend_model(flat, center, sc.chart["radius"])
-        return model, dx.Grid(flat.domain.lows, flat.domain.highs, sc.grid.counts)
+        return flat, dx.Grid(flat.domain.lows, flat.domain.highs, sc.grid.counts)
     model = flux_from_spec({
         "d": 1, "a": 0.0, "b": 1.0,
         "interface": {"axis": 1, "zeta": {"kind": "zero", "coeffs": [0.0]}},
@@ -699,7 +697,7 @@ def _faces_case(case):
     return model, dx.Grid((-0.5,), (0.5,), (200,))
 
 
-@pytest.mark.parametrize("case", ["tilted_2d", "flattened_extension", "inline_cubic"])
+@pytest.mark.parametrize("case", ["tilted_2d", "tilted_2d_flattened", "inline_cubic"])
 def test_faces_critical_states_match_the_unique_dedupe(case):
     model, grid = _faces_case(case)
     config = dx.RunConfig(flux=model, epsilon=0.02, final_time=0.1, boundary=0.0)
