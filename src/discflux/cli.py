@@ -20,13 +20,7 @@ import numpy as np
 
 from . import germ as germ_mod
 from . import storage
-from .entropy import (
-    bump_battery,
-    cone_locality_check,
-    entropy_battery,
-    kato_battery,
-    l1_distance,
-)
+from .entropy import cone_locality_check, entropy_battery, kato_battery, l1_distance
 from .geometry import Cone, flatten_model, speed_bound
 from .scenario import (
     Scenario,
@@ -98,14 +92,10 @@ def _solve(clock, checks, sc: Scenario, u0: Field, config, name: str, label: str
 
 def _battery(clock, checks, sc: Scenario, battery, trajs, model, tol_factor: float,
              name: str, label: str):
-    """`battery(*trajs, model)` on the study's bumps (the battery's own test
-    functions without `bumps`) and its `tol_factor` (`tol_factor` without),
-    its JSON handed to a writer as `name`, its check line as `label`: the report."""
-    phis = None
-    if "bumps" in sc.study:
-        phis = bump_battery(trajs[0].grid.box, trajs[0].times[-1], count=int(sc.study["bumps"]))
-    report = clock("verify_s", battery, *trajs, model, phis=phis,
-                   tol_factor=sc.study.get("tol_factor", tol_factor))
+    """`battery(*trajs, model)` on the study's `tol_factor` (`tol_factor`
+    without), its JSON handed to a writer as `name`, its check line as
+    `label`: the report."""
+    report = clock("verify_s", battery, *trajs, model, tol_factor=sc.study.get("tol_factor", tol_factor))
     clock.write(name, storage.write_manifest, report.to_json())
     lam, phi = report.worst
     lam_txt = "none" if lam is None else f"{lam:.6g}"
@@ -203,7 +193,7 @@ def _exec_cone(sc: Scenario, clock) -> tuple[list, dict]:
     traj_b = _solve(clock, checks, sc, u0_b, sc.config,
                     "trajectory_perturbed.csv", "max_principle_perturbed")
 
-    tol = float(sc.study.get("tol", 1e-2))
+    tol = 1e-2  # the kappa allowed: the largest L1 gap of the two runs on the cone sections
     rep = clock("verify_s", cone_locality_check, traj_a, traj_b, cone, tol=tol)
     _check(checks, "cone_locality", rep.passed,
            f"kappa {rep.kappa:.3e} vs tol {tol:.3e} (speed {cone.speed:.6g})")
@@ -223,7 +213,7 @@ def _exec_converge(sc: Scenario, clock) -> tuple[list, dict]:
 
     records, counters = clock("solve_s", germ_mod.run_sequence, {sc.name: u0_fn}, epsilons, model,
                               model.domain, sc.config.final_time, boundary=sc.config.boundary,
-                              cell_budget=sc.cell_budget, cfl=sc.config.cfl)
+                              cfl=sc.config.cfl)
     record, = records
     clock.write("deltas.csv", storage.write_deltas_csv, record.epsilons, record.deltas)
     clock.write("finest_endpoint.csv", storage.write_field_csv, record.endpoints[-1])
@@ -241,9 +231,7 @@ def _exec_germ(sc: Scenario, clock) -> tuple[list, dict]:
     model = sc.model
     level = int(sc.study["level"])
     study = germ_mod.GermStudy(model, sc.config.final_time,
-                               [float(e) for e in sc.study["epsilons"]],
-                               cell_budget=sc.cell_budget, cfl=sc.config.cfl,
-                               threshold=sc.study.get("threshold"))
+                               [float(e) for e in sc.study["epsilons"]], cfl=sc.config.cfl)
     result = clock("solve_s", study.level_result, level, os.path.join(clock.out, "records"))
     sel = result.selection
     if sel.passed:

@@ -121,9 +121,10 @@ def lambda_battery(a: float, b: float) -> np.ndarray:
     return np.concatenate([[a], a + (b - a) * np.arange(1, 10) / 10.0, [b]])
 
 
-def bump_battery(box, final_time: float, count: int = 20) -> list[TestFunction]:
-    """Deterministic battery: one large bump centered in space-time (its
-    support spans [0, T]), the rest scattered on a Halton lattice."""
+def bump_battery(box, final_time: float) -> list[TestFunction]:
+    """Deterministic battery of 20 test functions: one large bump centered
+    in space-time (its support spans [0, T]), the other 19 scattered on a
+    Halton lattice."""
     d = box.d
     widths = box.widths
     phis = [
@@ -135,24 +136,23 @@ def bump_battery(box, final_time: float, count: int = 20) -> list[TestFunction]:
             label="phi00",
         )
     ]
-    if count > 1:
-        rt = 0.3 * final_time
-        radii = tuple(0.25 * w for w in widths)
-        for i, p in enumerate(halton(count - 1, 1 + d)):
-            tc = p[0] * (final_time - rt)
-            center = tuple(
-                lo + r + p[1 + k] * (w - 2 * r)
-                for k, (lo, w, r) in enumerate(zip(box.lows, widths, radii))
+    rt = 0.3 * final_time
+    radii = tuple(0.25 * w for w in widths)
+    for i, p in enumerate(halton(19, 1 + d)):
+        tc = p[0] * (final_time - rt)
+        center = tuple(
+            lo + r + p[1 + k] * (w - 2 * r)
+            for k, (lo, w, r) in enumerate(zip(box.lows, widths, radii))
+        )
+        phis.append(
+            TestFunction(
+                time_center=float(tc),
+                time_radius=rt,
+                space_center=center,
+                space_radius=radii,
+                label=f"phi{i + 1:02d}",
             )
-            phis.append(
-                TestFunction(
-                    time_center=float(tc),
-                    time_radius=rt,
-                    space_center=center,
-                    space_radius=radii,
-                    label=f"phi{i + 1:02d}",
-                )
-            )
+        )
     return phis
 
 

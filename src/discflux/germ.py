@@ -22,7 +22,7 @@ from .geometry import Box, Cone, speed_bound
 from .solver import DEFAULT_CFL, Field, Grid, RunConfig, run_lockstep
 from . import storage
 
-DEFAULT_CELL_BUDGET = 32768
+CELL_BUDGET = 32768  # the most cells of a ladder's rung
 MEMBER_CAP = 100000
 CONTRACTION_SLACK = 0.05  # share by which an L1 contraction ratio may exceed 1
 
@@ -120,16 +120,16 @@ def build_dense_family(level: int, a: float, b: float, box: Box) -> DenseFamily:
 # epsilon sequences
 
 
-def grid_for_epsilon(box: Box, eps: float, cell_budget: int) -> Grid:
+def grid_for_epsilon(box: Box, eps: float) -> Grid:
     """Power-of-two counts with dx <= eps/4 on every axis."""
     counts = []
     for w in box.widths.tolist():  # floats: a tiny eps gives inf without a numpy warning
         n = 2 ** max(2, math.ceil(math.log2(4.0 * w / eps)))
         counts.append(n)
     total = int(np.prod(counts))
-    if total > cell_budget:
+    if total > CELL_BUDGET:
         raise ValueError(
-            f"eps = {eps} needs {total} cells, above the cell budget {cell_budget}"
+            f"eps = {eps} needs {total} cells, above the cell budget {CELL_BUDGET}"
         )
     return Grid(box.lows, box.highs, tuple(counts))
 
@@ -197,7 +197,7 @@ def _map(job, count: int) -> tuple[list, int]:
 
 
 def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_time: float,
-                 cell_budget: int, cfl: float, boundary=None,
+                 cfl: float, boundary=None,
                  records_dir: str | None = None) -> tuple[list[GermRecord], dict]:
     """Run the viscous solver for each datum of `data` (member id -> initial
     function) and each epsilon, and collect endpoints on the comparison grid,
@@ -219,7 +219,7 @@ def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_tim
         raise ValueError("need at least two epsilons")
     if any(e <= 0 for e in eps_list) or any(b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
         raise ValueError("epsilon sequence must be positive and strictly decreasing")
-    comparison_grid = grid_for_epsilon(box, eps_list[-1], cell_budget)
+    comparison_grid = grid_for_epsilon(box, eps_list[-1])
     ids, fns = list(data), list(data.values())
     bounds = [_edge_boundary(fn, box) if boundary is None else boundary for fn in fns]
     initials = [Field(comparison_grid, np.asarray(fn(comparison_grid.points()), dtype=float), 0.0)
@@ -228,7 +228,7 @@ def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_tim
     def solve(task: int):
         began = time.perf_counter()
         k = len(eps_list) - 1 - task
-        grid = grid_for_epsilon(box, eps_list[k], cell_budget)
+        grid = grid_for_epsilon(box, eps_list[k])
         configs = [RunConfig(flux=model, epsilon=eps_list[k], final_time=final_time, boundary=b, cfl=cfl,
                              output_times=(final_time,)) for b in bounds]
         trajs = run_lockstep([Field(grid, np.asarray(fn(grid.points()), dtype=float), 0.0) for fn in fns],
@@ -249,7 +249,7 @@ def run_sequence(data: dict, epsilons, model: PiecewiseFlux, box: Box, final_tim
     pids = list(dict.fromkeys(task["worker"] for _, task in solved))  # in the order of their first task
     solved.reverse()
     tasks = [dict(task, worker=pids.index(task["worker"])) for _, task in solved]
-    counts = tuple(tuple(grid_for_epsilon(box, e, cell_budget).counts) for e in eps_list)
+    counts = tuple(tuple(grid_for_epsilon(box, e).counts) for e in eps_list)
     records = []
     for m, (member_id, initial) in enumerate(zip(ids, initials)):
         endpoints = [ends[m] for ends, _ in solved]
@@ -448,17 +448,14 @@ class GermStudy:
     level_result and solve runs its own run_sequence on them."""
 
     def __init__(self, model: PiecewiseFlux, final_time: float, epsilons,
-                 box: Box | None = None, cell_budget: int = DEFAULT_CELL_BUDGET,
-                 cfl: float = DEFAULT_CFL, threshold: float | None = None):
+                 box: Box | None = None, cfl: float = DEFAULT_CFL):
         self.model = model
         self.box = box if box is not None else model.domain
         self.final_time = float(final_time)
         self.epsilons = tuple(float(e) for e in epsilons)
-        self.cell_budget = cell_budget
         self.cfl = cfl
-        self.comparison_grid = grid_for_epsilon(self.box, self.epsilons[-1], cell_budget)
-        self.threshold = (0.05 * (model.b - model.a) * self.box.volume
-                          if threshold is None else float(threshold))
+        self.comparison_grid = grid_for_epsilon(self.box, self.epsilons[-1])
+        self.threshold = 0.05 * (model.b - model.a) * self.box.volume  # diagonal_select's
         # contraction is certified on the largest cone the box supports
         speed = speed_bound(model, self.box)
         inradius = float(self.box.widths.min() / 2.0)
@@ -480,8 +477,7 @@ class GermStudy:
         if family.members is None:
             raise ValueError(f"family level {level} has {family.count} members, too many to enumerate")
         records, counters = run_sequence({m.label: m for m in family.members}, self.epsilons, self.model,
-                                         self.box, self.final_time, cell_budget=self.cell_budget,
-                                         cfl=self.cfl, records_dir=records_dir)
+                                         self.box, self.final_time, cfl=self.cfl, records_dir=records_dir)
         selection = diagonal_select(records, self.threshold)
         matrix = contraction_matrix(records, self.cone)
         return GermLevelResult(family=family, records=tuple(records), selection=selection, matrix=matrix,
@@ -493,7 +489,7 @@ class GermStudy:
         error bar approx_error + delta_tail."""
         member = self.family(level).project(u0)
         (record,), _ = run_sequence({member.label: member}, self.epsilons, self.model, self.box,
-                                    self.final_time, cell_budget=self.cell_budget, cfl=self.cfl)
+                                    self.final_time, cfl=self.cfl)
         return _estimate(u0, member, record)
 
 

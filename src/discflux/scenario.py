@@ -21,9 +21,9 @@ import numpy as np
 
 from .flux import PiecewiseFlux, as_points, check_hypotheses
 from .geometry import Box
-from .germ import DEFAULT_CELL_BUDGET, MEMBER_CAP, grid_for_epsilon, member_count
+from .germ import MEMBER_CAP, grid_for_epsilon, member_count
 from .presets import flux_from_spec, preset
-from .solver import DEFAULT_CFL, MAX_CELL_STEPS, Field, Grid, RunConfig
+from .solver import DEFAULT_CFL, DEFAULT_OUTPUT_COUNT, MAX_CELL_STEPS, Field, Grid, RunConfig
 
 SCENARIO_KINDS = ("run", "entropy-check", "kato-check", "cone-check", "converge", "germ")
 
@@ -57,8 +57,7 @@ _BOUNDARY_SCHEMA = {"anyOf": [_NUMBER, {
 _RUN_SCHEMA = _closed(
     ["epsilon", "final_time", "boundary"], epsilon=_POSITIVE, final_time=_POSITIVE,
     boundary=_BOUNDARY_SCHEMA, cfl={"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
-    output_count={"type": "integer", "minimum": 2},
-    output_times={"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1})
+    output_count={"type": "integer", "minimum": 2})
 
 # initial data kinds; the envelope only fixes "kind", the per-kind schema is
 # applied afterwards so errors point into the right block
@@ -78,19 +77,16 @@ _INITIAL_SCHEMAS = {kind: _closed(["kind", *required], kind={"const": kind}, **r
 
 _EPSILONS_SCHEMA = {"type": "array", "items": _POSITIVE, "minItems": 2}
 _GERM_EPSILONS_SCHEMA = dict(_EPSILONS_SCHEMA, minItems=4)  # diagonal_select needs 3 deltas
-_BUMPS = {"type": "integer", "minimum": 1}
-_CELL_BUDGET = {"type": "integer", "minimum": 16}
 _STUDY_SCHEMAS = {
-    "run": _closed([], tol_factor=_POSITIVE),
-    "entropy-check": _closed([], tol_factor=_POSITIVE, bumps=_BUMPS),
-    "kato-check": _closed(["initial_b"], tol_factor=_POSITIVE, bumps=_BUMPS, initial_b=_INITIAL_ENVELOPE),
+    "run": _closed([]),
+    "entropy-check": _closed([], tol_factor=_POSITIVE),
+    "kato-check": _closed(["initial_b"], initial_b=_INITIAL_ENVELOPE),
     "cone-check": _closed(["cone", "perturbation"],
                           cone=_closed(["center", "radius"], center=_NUMBER_ARRAY, radius=_POSITIVE),
-                          perturbation=_INITIAL_ENVELOPE, tol=_POSITIVE),
-    "converge": _closed(["epsilons"], epsilons=_EPSILONS_SCHEMA, cell_budget=_CELL_BUDGET),
+                          perturbation=_INITIAL_ENVELOPE),
+    "converge": _closed(["epsilons"], epsilons=_EPSILONS_SCHEMA),
     "germ": _closed(["level", "epsilons"], level={"type": "integer", "minimum": 0, "maximum": 3},
-                    epsilons=_GERM_EPSILONS_SCHEMA, threshold=_POSITIVE, cell_budget=_CELL_BUDGET,
-                    solve_target=_INITIAL_ENVELOPE),
+                    epsilons=_GERM_EPSILONS_SCHEMA, solve_target=_INITIAL_ENVELOPE),
 }
 
 _BASE_SCHEMA = _closed(
@@ -289,11 +285,6 @@ class Scenario:
     chart: bool  # the flattened comparison of a run
     hypotheses: dict  # check_hypotheses' margins, for report.json
 
-    @property
-    def cell_budget(self) -> int:
-        """A converge or germ study's cell_budget, else the default."""
-        return int(self.study.get("cell_budget", DEFAULT_CELL_BUDGET))
-
     def initial_field(self) -> Field:
         return self.field_from_spec(self.initial)
 
@@ -316,14 +307,6 @@ def _boundary_from_json(value):
     if isinstance(value, (int, float)):
         return float(value)
     return tuple((float(lo), float(hi)) for lo, hi in value)
-
-
-def _output_times(run_block: dict, final_time: float):
-    if "output_times" in run_block:
-        return tuple(float(t) for t in run_block["output_times"])
-    if "output_count" in run_block:
-        return tuple(np.linspace(0.0, final_time, int(run_block["output_count"])))
-    return None
 
 
 def _refuse_cost(pointer: str, grid: Grid, final_time: float, epsilon: float, cfl: float, outputs: int):
@@ -371,21 +354,20 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
     grid = Grid(model.domain.lows, model.domain.highs, tuple(int(n) for n in counts))
 
     run_block = raw["run"]
-    if "output_times" in run_block and "output_count" in run_block:
-        raise ScenarioError("/run: give output_times or output_count, not both")
+    final_time = float(run_block["final_time"])
+    outputs = int(run_block.get("output_count", DEFAULT_OUTPUT_COUNT))
     ladder = kind in ("converge", "germ")  # its rungs run on their own grids, priced below, output at T
     if not ladder:
-        _refuse_cost("/run", grid, float(run_block["final_time"]), float(run_block["epsilon"]),
-                     float(run_block.get("cfl", DEFAULT_CFL)),
-                     run_block.get("output_count", len(set(run_block.get("output_times", ())))))
+        _refuse_cost("/run", grid, final_time, float(run_block["epsilon"]),
+                     float(run_block.get("cfl", DEFAULT_CFL)), outputs)
     try:
         config = RunConfig(
             flux=model,
             epsilon=float(run_block["epsilon"]),
-            final_time=float(run_block["final_time"]),
+            final_time=final_time,
             boundary=_boundary_from_json(run_block["boundary"]),
             cfl=float(run_block.get("cfl", DEFAULT_CFL)),
-            output_times=None if ladder else _output_times(run_block, float(run_block["final_time"])),
+            output_times=None if ladder else tuple(np.linspace(0.0, final_time, outputs)),
         )
     except ValueError as exc:
         raise ScenarioError(f"/run: {exc}") from None
@@ -394,8 +376,6 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
 
     study = raw.get("study", {})
     _check(study, _STUDY_SCHEMAS[kind], "/study")
-    if kind == "run" and "study" in raw and "chart" not in raw:
-        raise ScenarioError("/study: a run's study tunes its charted battery, and this run has no chart")
     if kind == "kato-check":
         validate_initial(study["initial_b"], model.d, model.a, model.b, "/study/initial_b")
     if kind == "cone-check":
@@ -425,7 +405,7 @@ def scenario_from_dict(raw: dict, path: str = "<memory>") -> Scenario:
             raise ScenarioError(f"/study/epsilons: {study['epsilons']!r} does not strictly decrease")
         for i, eps in enumerate(epsilons):
             try:  # OverflowError: an eps so small that 4 * width / eps is inf
-                rung = grid_for_epsilon(model.domain, eps, sc.cell_budget)
+                rung = grid_for_epsilon(model.domain, eps)
             except (ValueError, OverflowError) as exc:
                 raise ScenarioError(f"/study/epsilons/{i}: {exc}") from None
             _refuse_cost(f"/study/epsilons/{i}", rung, config.final_time, eps, config.cfl, 1)

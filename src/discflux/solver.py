@@ -121,6 +121,7 @@ class Field:
 
 
 DEFAULT_CFL = 0.45  # the CFL number of a run, a germ study and a scenario that states none
+DEFAULT_OUTPUT_COUNT = 9  # the equally spaced times, 0 and T among them, a run records without output_times
 
 
 @dataclass(frozen=True)
@@ -484,7 +485,7 @@ def _normalize_output_times(config: RunConfig) -> list[float]:
     allows beyond T is T, so that no step runs past it."""
     T = config.final_time
     if config.output_times is None:
-        return np.linspace(0.0, T, 9).tolist()
+        return np.linspace(0.0, T, DEFAULT_OUTPUT_COUNT).tolist()
     return sorted({min(float(t), T) for t in config.output_times} | {0.0, T})
 
 

@@ -15,7 +15,6 @@ from discflux import germ, storage
 from discflux.entropy import l1_distance
 from discflux.geometry import Box, Cone
 from discflux.germ import (
-    DEFAULT_CELL_BUDGET,
     GermLevelResult,
     GermRecord,
     GermStudy,
@@ -81,7 +80,7 @@ def constant_record(two_flux_model):
         two_flux_model,
         two_flux_model.domain,
         final_time=0.05,
-        cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL,
+        cfl=DEFAULT_CFL,
     )
     return record
 
@@ -98,7 +97,7 @@ def step_record(two_flux_model):
         two_flux_model,
         two_flux_model.domain,
         final_time=0.09,
-        cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL,
+        cfl=DEFAULT_CFL,
     )
     return record
 
@@ -216,21 +215,21 @@ def test_unenumerable_level_still_reports_count_and_projects():
 
 
 def test_grid_for_epsilon_resolves_the_viscous_scale():
-    grid = grid_for_epsilon(Box((-0.5,), (0.5,)), 1e-3, DEFAULT_CELL_BUDGET)
+    grid = grid_for_epsilon(Box((-0.5,), (0.5,)), 1e-3)
     assert grid.counts == (4096,)
     for eps in (1.6e-2, 4e-3, 1e-3):
-        g = grid_for_epsilon(Box((-0.5,), (0.5,)), eps, DEFAULT_CELL_BUDGET)
+        g = grid_for_epsilon(Box((-0.5,), (0.5,)), eps)
         for k, n in enumerate(g.counts):
             assert n & (n - 1) == 0
             assert g.dx[k] <= eps / 4.0 + 1e-15
 
-    g2 = grid_for_epsilon(Box((0.0, 0.0), (2.0, 1.0)), 1.6e-2, cell_budget=200000)
-    assert g2.counts == (512, 256)
+    g2 = grid_for_epsilon(Box((0.0, 0.0), (2.0, 1.0)), 6.4e-2)
+    assert g2.counts == (128, 64)
 
 
 def test_cell_budget_guard():
     with pytest.raises(ValueError, match="budget"):
-        grid_for_epsilon(Box((-0.5,), (0.5,)), 2e-5, DEFAULT_CELL_BUDGET)
+        grid_for_epsilon(Box((-0.5,), (0.5,)), 2e-5)
     with pytest.raises(ValueError, match="budget"):
         run_sequence(
             {"zero": lambda pts: np.zeros(pts.shape[:-1])},
@@ -238,7 +237,7 @@ def test_cell_budget_guard():
             model=None,
             box=Box((-0.5,), (0.5,)),
             final_time=0.01,
-            cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL,
+            cfl=DEFAULT_CFL,
         )
 
 
@@ -246,13 +245,13 @@ def test_run_sequence_validates_the_epsilon_ladder(two_flux_model):
     u0 = {"zero": lambda pts: np.zeros(pts.shape[:-1])}
     box = two_flux_model.domain
     with pytest.raises(ValueError, match="two epsilons"):
-        run_sequence(u0, (1e-3,), two_flux_model, box, 0.01, cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
+        run_sequence(u0, (1e-3,), two_flux_model, box, 0.01, cfl=DEFAULT_CFL)
     with pytest.raises(ValueError, match="decreasing"):
-        run_sequence(u0, (1e-3, 2e-3), two_flux_model, box, 0.01, cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
+        run_sequence(u0, (1e-3, 2e-3), two_flux_model, box, 0.01, cfl=DEFAULT_CFL)
     with pytest.raises(ValueError, match="positive"):
-        run_sequence(u0, (1e-3, 0.0), two_flux_model, box, 0.01, cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
+        run_sequence(u0, (1e-3, 0.0), two_flux_model, box, 0.01, cfl=DEFAULT_CFL)
     with pytest.raises(ValueError, match="no data"):
-        run_sequence({}, (2e-3, 1e-3), two_flux_model, box, 0.01, cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
+        run_sequence({}, (2e-3, 1e-3), two_flux_model, box, 0.01, cfl=DEFAULT_CFL)
 
 
 def test_constant_datum_has_zero_deltas(constant_record):
@@ -265,7 +264,7 @@ def test_constant_datum_has_zero_deltas(constant_record):
 def test_rarefaction_deltas_decrease(burgers_model):
     u0 = lambda pts: np.where(pts[..., 0] < 0.0, 1.0, 0.0)
     (record,), _ = run_sequence({"fan": u0}, (1.6e-2, 8e-3, 4e-3), burgers_model,
-                                burgers_model.domain, final_time=0.15, cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
+                                burgers_model.domain, final_time=0.15, cfl=DEFAULT_CFL)
     assert record.deltas[0] > record.deltas[1] > 0.0
 
 
@@ -587,7 +586,7 @@ def test_error_bar_covers_two_further_halvings(two_flux_model):
     family = build_dense_family(1, two_flux_model.a, two_flux_model.b, box)
     records, _ = run_sequence({m.label: m for m in family.members},
                               (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3), two_flux_model, box, final_time=0.015,
-                              cell_budget=DEFAULT_CELL_BUDGET, cfl=DEFAULT_CFL)
+                              cfl=DEFAULT_CFL)
     moving = 0
     for record in records:
         gap = l1_distance(record.endpoints[3], record.endpoints[5])
@@ -636,7 +635,7 @@ def test_pooled_records_equal_sequential_runs(two_flux_model, monkeypatch):
     for member, record in zip(members, result.records):
         (expected,), counters = run_sequence({member.label: member}, study.epsilons, study.model,
                                              study.box, study.final_time,
-                                             cell_budget=study.cell_budget, cfl=study.cfl)
+                                             cfl=study.cfl)
         assert counters["solver"]["workers"] == 1
         alone.append(counters["tasks"])
         assert expected.initial.grid == study.comparison_grid

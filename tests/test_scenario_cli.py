@@ -121,13 +121,6 @@ def test_kind_and_required_blocks_validated():
         scenario_from_dict(_run_doc(extra=1))
 
 
-def test_output_spec_conflict_rejected():
-    doc = _run_doc()
-    doc["run"] = dict(doc["run"], output_times=[0.0, 0.02])
-    with pytest.raises(ScenarioError, match="output_times or output_count"):
-        scenario_from_dict(doc)
-
-
 def test_grid_counts_must_match_the_flux_dimension():
     doc = _run_doc(flux="tilted_2d")
     del doc["domain"]
@@ -144,8 +137,7 @@ def test_grid_counts_must_match_the_flux_dimension():
 
 def test_domain_override_boundary_and_output_times():
     doc = _run_doc(domain={"lows": [-0.25], "highs": [0.25]})
-    doc["run"] = {"epsilon": 0.008, "final_time": 0.02, "boundary": 0.5,
-                  "output_times": [0.0, 0.01, 0.02]}
+    doc["run"] = {"epsilon": 0.008, "final_time": 0.02, "boundary": 0.5, "output_count": 3}
     doc["initial"] = {"kind": "constant", "value": 0.5}
     sc = scenario_from_dict(doc)
     assert sc.model.domain == Box((-0.25,), (0.25,))
@@ -267,14 +259,6 @@ def test_a_chart_is_refused_on_every_kind_but_run():
     assert scenario_from_dict(dict(doc, kind="run")).chart is True
 
 
-def test_a_run_study_is_refused_without_a_chart():
-    # a run's study tunes only the battery of its charted solve
-    with pytest.raises(ScenarioError, match="^/study: a run's study tunes its charted battery"):
-        scenario_from_dict(_run_doc(study={"tol_factor": 0.5}))
-    doc = _run_doc(flux="two_flux", study={"tol_factor": 0.5}, chart=True)
-    assert scenario_from_dict(doc).study == {"tol_factor": 0.5}
-
-
 def test_study_schemas_are_kind_specific():
     doc = _run_doc(kind="kato-check", study={})
     with pytest.raises(ScenarioError, match="/study"):
@@ -293,6 +277,56 @@ def test_study_schemas_are_kind_specific():
                           "solve_target": {"kind": "blob"}})
     with pytest.raises(ScenarioError, match="/study/solve_target"):
         scenario_from_dict(doc)
+
+
+# a shipped scenario of each kind
+KIND_SCENARIOS = {"run": "tilted_flatten_2d", "entropy-check": "burgers_shock", "kato-check": "kato_burgers",
+                  "cone-check": "cone_burgers", "converge": "two_flux_interface", "germ": "germ_level1"}
+
+
+def _shipped_doc(kind):
+    return json.loads(open(builtin_scenario_path(KIND_SCENARIOS[kind])).read())
+
+
+@pytest.mark.parametrize("kind, block, key, value", [
+    ("entropy-check", "run", "output_times", [0.0, 0.25, 0.5]),
+    ("entropy-check", "study", "bumps", 6),
+    ("kato-check", "study", "bumps", 6),
+    ("kato-check", "study", "tol_factor", 0.001),
+    ("run", "study", "tol_factor", 0.01),
+    ("cone-check", "study", "tol", 0.01),
+    ("converge", "study", "cell_budget", 32768),
+    ("germ", "study", "cell_budget", 32768),
+    ("germ", "study", "threshold", 0.05),
+])
+def test_values_the_code_fixes_are_unknown_keys(kind, block, key, value):
+    # the output times, bump count, cell budget, selection threshold and the
+    # tolerances that only one value reached are constants, not scenario keys
+    doc = _shipped_doc(kind)
+    doc.setdefault(block, {})[key] = value
+    with pytest.raises(ScenarioError, match=fr"^/{block}: Additional properties are not allowed \('{key}' unexpected\)$"):
+        scenario_from_dict(doc)
+
+
+def test_cli_refuses_a_fixed_value_and_parses_the_tuning_that_stays(tmp_path, capsys):
+    doc = _shipped_doc("cone-check")
+    doc["study"]["tol"] = 0.01
+    out = tmp_path / "out"
+    assert main(["cone-check", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "scenario error: /study: Additional properties are not allowed ('tol' unexpected)\n")
+    assert not out.exists()
+    # an entropy check's tol_factor (1e-3 and 1e-2 are in use), the cfl, the
+    # output count and a germ's solve target remain scenario inputs
+    doc = _shipped_doc("entropy-check")
+    doc["run"].update(cfl=0.25, output_count=5)
+    doc["study"] = {"tol_factor": 0.01}
+    sc = scenario_from_dict(doc)
+    assert (sc.study, sc.config.cfl, sc.config.output_times) == ({"tol_factor": 0.01}, 0.25,
+                                                                 (0.0, 0.125, 0.25, 0.375, 0.5))
+    doc = _shipped_doc("germ")
+    doc["study"]["solve_target"] = {"kind": "constant", "value": 0.5}
+    assert scenario_from_dict(doc).study["solve_target"] == {"kind": "constant", "value": 0.5}
 
 
 def test_parse_file_errors(tmp_path):
@@ -510,6 +544,15 @@ def test_cli_refuses_a_run_whose_cost_estimate_is_too_high(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_run_without_an_output_count_is_priced_with_its_default_outputs():
+    # about 0.22 diffusion steps, but the solver records DEFAULT_OUTPUT_COUNT
+    # times, so at least 8 steps of 2e8 cells: refused, before any array exists
+    doc = _run_doc(domain={"lows": [-1.0], "highs": [1.0]}, grid={"counts": [200000000]})
+    doc["run"] = {"epsilon": 1e-3, "final_time": 1e-14, "boundary": 0.0}
+    with pytest.raises(ScenarioError, match=r"^/run: about 1\.600e\+09 cell-steps, above the limit of 1e\+09$"):
+        scenario_from_dict(doc)
+
+
 @pytest.mark.parametrize("name", builtin_scenario_names())
 def test_parse_time_cost_estimate_is_a_lower_bound(name, monkeypatch):
     # the parse-time estimate may refuse only runs the solver would: with
@@ -520,13 +563,12 @@ def test_parse_time_cost_estimate_is_a_lower_bound(name, monkeypatch):
     # 17-67% of its run's actual count)
     sc = parse_scenario(builtin_scenario_path(name))
     if sc.kind in ("converge", "germ"):
-        budget = sc.study.get("cell_budget", germ.DEFAULT_CELL_BUDGET)
         _, counters = germ.run_sequence({sc.name: lambda pts: sc.values_at(sc.initial, pts)},
                                         sc.study["epsilons"], sc.model, sc.model.domain, sc.config.final_time,
-                                        budget, sc.config.cfl,
+                                        sc.config.cfl,
                                         boundary=sc.config.boundary if sc.kind == "converge" else None)
         cell_steps = max(
-            np.prod([n - 2 for n in germ.grid_for_epsilon(sc.model.domain, task["epsilon"], budget).counts])
+            np.prod([n - 2 for n in germ.grid_for_epsilon(sc.model.domain, task["epsilon"]).counts])
             * task["steps"] for task in counters["tasks"])
     else:
         manifest = run(sc.initial_field(), sc.config).manifest
@@ -621,10 +663,12 @@ def test_ladders_are_priced_on_their_rungs_not_on_the_run_block(name, monkeypatc
     doc["grid"]["counts"] = [400]
     doc["run"]["output_count"] = 1000000000000
 
-    def unbuilt(*_):
-        raise AssertionError("a ladder built the run block's output times")
+    def linspace(start, stop, num=50, **kwargs):
+        assert num < 10 ** 6, "a ladder built the run block's output times"
+        return real_linspace(start, stop, num, **kwargs)
 
-    monkeypatch.setattr("discflux.scenario._output_times", unbuilt)
+    real_linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", linspace)
     assert scenario_from_dict(doc).config.output_times is None
     with pytest.raises(ScenarioError, match=r"^/run: about \S+ cell-steps, above the limit"):
         scenario_from_dict(dict(doc, kind="run", study={}))
@@ -778,15 +822,18 @@ def test_cli_runtime_error_exits_one(tmp_path, capsys):
         main(["germ", path, "--out", str(tmp_path / "out"), "--debug"])
 
 
-def test_cli_cell_budget_comes_from_the_study(tmp_path, capsys):
-    # a ladder grid above the budget is refused at parse time, under the pointer of its epsilon
-    doc = _run_doc(kind="converge", study={"epsilons": [0.032, 0.016], "cell_budget": 64})
-    assert main(["converge", _write(tmp_path, doc), "--out", str(tmp_path / "small"), "--quiet"]) == 1
-    assert capsys.readouterr().err == ("scenario error: /study/epsilons/0: eps = 0.032 needs 128 cells, "
-                                       "above the cell budget 64\n")
-    assert not (tmp_path / "small").exists()
-    doc["study"]["cell_budget"] = 100000
-    assert main(["converge", _write(tmp_path, doc), "--out", str(tmp_path / "large"), "--quiet"]) == 0
+def test_cli_cell_budget_is_the_constant(tmp_path, capsys):
+    # a ladder grid above CELL_BUDGET cells is refused at parse time, under
+    # the pointer of its epsilon; a rung of CELL_BUDGET cells parses
+    assert germ.CELL_BUDGET == 32768
+    doc = _run_doc(kind="converge", study={"epsilons": [0.032, 1e-4]})
+    assert main(["converge", _write(tmp_path, doc), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == ("scenario error: /study/epsilons/1: eps = 0.0001 needs 65536 cells, "
+                                       "above the cell budget 32768\n")
+    assert not (tmp_path / "out").exists()
+    doc["study"]["epsilons"][1] = 4 / germ.CELL_BUDGET
+    assert scenario_from_dict(doc).kind == "converge"
+    assert germ.grid_for_epsilon(Box((-0.5,), (0.5,)), 4 / germ.CELL_BUDGET).counts == (germ.CELL_BUDGET,)
 
 
 @pytest.mark.parametrize("d, zeta, right, components", [
@@ -849,15 +896,6 @@ def test_cli_refuses_a_cfl_above_one_half(tmp_path, capsys):
     assert not out.exists()
     doc["run"]["cfl"] = 0.5
     assert main(["run", _write(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
-
-
-def test_cli_refuses_output_times_beyond_final_time(tmp_path, capsys):
-    doc = _run_doc()
-    doc["run"] = {"epsilon": 0.008, "final_time": 0.01, "boundary": 0.0, "output_times": [0.02]}
-    out = tmp_path / "out"
-    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
-    assert "scenario error: /run: output times must lie in [0, final_time]" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_cli_refuses_bad_study_initial_data_before_solving(tmp_path, capsys):
@@ -990,14 +1028,13 @@ def test_cli_shock_battery_spec_example(tmp_path):
 
 def test_cli_entropy_check_steady_state(tmp_path):
     doc = _run_doc(name="steady", kind="entropy-check",
-                   initial={"kind": "constant", "value": 0.4},
-                   study={"bumps": 6})
+                   initial={"kind": "constant", "value": 0.4})
     doc["run"] = {"epsilon": 0.016, "final_time": 0.05, "boundary": 0.4, "output_count": 9}
     out = tmp_path / "out"
     assert main(["entropy-check", _write(tmp_path, doc), "--out", str(out)]) == 0
     battery = json.loads((out / "entropy_report.json").read_text())
     assert battery["summary"]["pass"] is True
-    assert battery["summary"]["count"] == 6 * 11
+    assert battery["summary"]["count"] == 20 * 11
 
 
 def test_cli_entropy_check_extracts_the_interface_trace_once(tmp_path, monkeypatch):
@@ -1054,8 +1091,7 @@ def test_cli_kato_check(tmp_path):
     doc = _run_doc(name="kato_cheap", kind="kato-check", grid={"counts": [128]},
                    initial={"kind": "riemann", "left": 0.0, "right": 1.0, "position": -0.05},
                    study={"initial_b": {"kind": "riemann", "left": 0.0, "right": 1.0,
-                                        "position": 0.05},
-                          "tol_factor": 0.05, "bumps": 6})
+                                        "position": 0.05}})
     doc["run"] = {"epsilon": 0.008, "final_time": 0.05, "boundary": [[0.0, 1.0]],
                   "output_count": 17}
     out = tmp_path / "out"
@@ -1174,7 +1210,6 @@ def _charted_doc(flux):
         "initial": {"kind": "bump", "base": 0.0, "amplitude": 0.4,
                     "center": [0.0, 0.0], "radius": 0.25},
         "chart": True,
-        "study": {"tol_factor": 0.05},
     }
 
 
@@ -1265,13 +1300,11 @@ def _small_check_docs():
     run_doc = _run_doc()
     entropy_doc = _run_doc(name="entropy_interface", kind="entropy-check", flux="two_flux",
                            initial={"kind": "block", "inside": 1.0, "outside": 0.0,
-                                    "lows": [0.1], "highs": [0.3]},
-                           study={"bumps": 4})
+                                    "lows": [0.1], "highs": [0.3]})
     entropy_doc["run"] = {"epsilon": 0.008, "final_time": 0.02, "boundary": 0.0, "output_count": 5}
     kato_doc = _run_doc(name="kato_small", kind="kato-check",
                         study={"initial_b": {"kind": "riemann", "left": 0.0, "right": 1.0,
-                                             "position": 0.05},
-                               "bumps": 4})
+                                             "position": 0.05}})
     cone_doc = _run_doc(name="cone_small", kind="cone-check",
                         initial={"kind": "bump", "base": 0.25, "amplitude": 0.5,
                                  "center": [0.0], "radius": 0.1},
@@ -1461,8 +1494,7 @@ def test_cli_outputs_are_deterministic(tmp_path):
         "initial": {"kind": "bump", "base": 0.0, "amplitude": 0.4,
                     "center": [0.0, 0.0], "radius": 0.25},
     }, "run_2d.json")
-    entropy_path = _write(tmp_path, _run_doc(name="entropy_cheap", kind="entropy-check",
-                                             study={"bumps": 4}), "entropy.json")
+    entropy_path = _write(tmp_path, _run_doc(name="entropy_cheap", kind="entropy-check"), "entropy.json")
 
     for cmd, path, names in (("run", run_path, ["trajectory.csv"]),
                              ("converge", conv_path, ["deltas.csv", "finest_endpoint.csv"]),

@@ -85,6 +85,15 @@ def test_run_config_refuses_a_cfl_above_one_half(burgers_model):
             dx.RunConfig(flux=burgers_model, epsilon=0.01, final_time=1.0, boundary=0.0, cfl=cfl)
 
 
+def test_run_config_refuses_output_times_beyond_final_time(burgers_model):
+    # the slack of 1e-12 T is allowed (and recorded as T); beyond it or below 0 is refused
+    kw = dict(flux=burgers_model, epsilon=0.008, final_time=0.01, boundary=0.0)
+    dx.RunConfig(**kw, output_times=(0.0, 0.01 * (1 + 1e-13)))
+    for times in ((0.02,), (0.005, 0.0101), (-0.001, 0.01)):
+        with pytest.raises(ValueError, match=r"^output times must lie in \[0, final_time\]$"):
+            dx.RunConfig(**kw, output_times=times)
+
+
 def test_step_refuses_cfl_violation(burgers_model):
     grid = dx.Grid((-0.5,), (0.5,), (100,))
     config = dx.RunConfig(flux=burgers_model, epsilon=1e-3, final_time=1.0, boundary=0.0)
@@ -142,6 +151,7 @@ def test_run_default_output_times_manifest_serializes(burgers_model):
     grid = dx.Grid((-0.5,), (0.5,), (64,))
     config = dx.RunConfig(flux=burgers_model, epsilon=0.05, final_time=0.01, boundary=0.0)
     traj = dx.run(dx.Field(grid, np.full(grid.counts, 0.3), 0.0), config)
+    assert solver.DEFAULT_OUTPUT_COUNT == 9
     assert traj.times == tuple(np.linspace(0.0, 0.01, 9).tolist())
     assert all(type(t) is float for t in traj.times)
     assert json.loads(json.dumps(traj.manifest))["clipped_steps"] == traj.manifest["clipped_steps"] > 0

@@ -1,7 +1,8 @@
-"""Print the three size numbers of the package src/discflux: the lines of
+"""Print the four size numbers of the package src/discflux: the lines of
 its Python sources, its settable values (parameters with a default plus
 dataclass fields with a default) and its CLI flags (the `--` options
-`cli.build_parser` defines), both counted on the AST:
+`cli.build_parser` defines), both counted on the AST, and its scenario keys
+(the properties of the scenario schemas, read from the imported module):
 
     python tools/src_shape.py
 """
@@ -10,6 +11,8 @@ from __future__ import annotations
 import ast
 import pathlib
 import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -41,14 +44,34 @@ def cli_flags(tree: ast.AST) -> int:
                 for a in n.args if isinstance(a, ast.Constant) and str(a.value).startswith("--")})
 
 
+def scenario_keys() -> int:
+    """The `properties` entries of the schema objects reachable from the
+    scenario schemas, each object counted once however often it is reused."""
+    sys.path.insert(0, str(SRC))
+    from discflux import scenario
+
+    seen: dict[int, int] = {}
+    todo = [scenario._BASE_SCHEMA, scenario._FLUX_OBJECT_SCHEMA,
+            *scenario._INITIAL_SCHEMAS.values(), *scenario._STUDY_SCHEMAS.values()]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, list):
+            todo.extend(node)
+        elif isinstance(node, dict) and id(node) not in seen:
+            seen[id(node)] = len(node.get("properties", ()))
+            todo.extend(node.values())
+    return sum(seen.values())
+
+
 def main() -> int:
-    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "discflux"
+    root = SRC / "discflux"
     texts = [f.read_text(encoding="utf-8") for f in sorted(root.rglob("*.py"))]
     lines = sum(t.count("\n") for t in texts)
     values = sum(settable_values(ast.parse(t)) for t in texts)
     print(f"lines {lines}")
     print(f"settable_values {values}")
     print(f"cli_flags {cli_flags(ast.parse((root / 'cli.py').read_text(encoding='utf-8')))}")
+    print(f"scenario_keys {scenario_keys()}")
     return 0
 
 
